@@ -40,7 +40,6 @@ from .simulate import (
 from .toeplitz import (
     InverseNormTable,
     LowerToeplitz,
-    PowerIterationError,
     SingularOperatorError,
     build_G,
     inverse_norms,
@@ -69,7 +68,7 @@ __all__ = [
     "add_noise", "eval_test_function", "forward_convolve",
     "relative_error", "run_table1",
     "InverseNormTable", "LowerToeplitz",
-    "PowerIterationError", "SingularOperatorError",
+    "SingularOperatorError",
     "build_G", "inverse_norms", "select_M", "solve_lower",
     "WaveletCoeffs2D", "WaveletSpec",
     "dwt2", "estimate_sigma", "idwt2", "restrict", "symmetrize",

@@ -2,7 +2,8 @@
 
 Commands: simulate, deconvolve, bench-table1, norms, smooth.  Everything is
 flag-driven and deterministic given --seed.  Exit codes: 0 success, 1 usage
-or validation, 2 I/O, 3 numeric failure (singular kernel, non-convergence).
+or validation, 2 I/O, 3 numeric failure (singular kernel, linear-algebra
+error).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .simulate import (
     run_table1,
     zero_time_slice,
 )
-from .toeplitz import PowerIterationError, SingularOperatorError, inverse_norms
+from .toeplitz import SingularOperatorError, inverse_norms
 from .wavelet2d import WaveletSpec, restrict, symmetrize
 
 EXIT_OK = 0
@@ -343,7 +344,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (SingularOperatorError, PowerIterationError) as exc:
+    except SingularOperatorError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except np.linalg.LinAlgError as exc:

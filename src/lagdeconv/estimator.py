@@ -312,7 +312,14 @@ def deconvolve(
         else float(cfg.eps)
     )
 
-    # Laguerre order: fixed, or the inverse-norm growth rule.
+    if g_coeffs is None:
+        g_series = np.asarray(g_series, dtype=float)
+        if g_series.shape != (Y.grid.n,):
+            raise ValueError("kernel samples must live on the cube's time grid")
+
+    # Laguerre order: fixed, or the inverse-norm growth rule applied to a
+    # probe fit of order m_cap.
+    probe_basis = probe_norms = None
     if cfg.M == "auto":
         m_cap = min(cfg.m_cap, Y.grid.n)
         if g_coeffs is not None:
@@ -320,24 +327,30 @@ def deconvolve(
             probe_g = LagCoeffs(g_coeffs.values[:m_cap])
         else:
             probe_basis = tabulate_basis(m_cap, Y.grid)
-            probe_g = fit_coeffs(np.asarray(g_series, float), probe_basis, cfg.rcond, g_zero)
+            probe_g = fit_coeffs(g_series, probe_basis, cfg.rcond, g_zero)
         if eps > 0:
-            M = select_M(inverse_norms(probe_g, m_cap), eps, cap=m_cap)
+            probe_norms = inverse_norms(probe_g, m_cap)
+            M = select_M(probe_norms, eps, cap=m_cap)
         else:
             M = m_cap
     else:
         M = int(cfg.M)
 
-    basis = tabulate_basis(M, Y.grid)
+    # The probe's norm table serves this fit whenever its kernel coefficients
+    # lead with this fit's: entry m depends only on the first m of them.
+    # Given coefficients always do; a kernel fitted from samples only when M
+    # lands on m_cap, where the probe fitted exactly this basis.
     if g_coeffs is not None:
         if g_coeffs.m < M:
             raise ValueError(f"kernel coefficients cover m={g_coeffs.m}, need {M}")
         g_hat = LagCoeffs(g_coeffs.values[:M])
+        basis = tabulate_basis(M, Y.grid)
+    elif probe_basis is not None and probe_basis.M == M:
+        basis, g_hat = probe_basis, probe_g
     else:
-        g_series = np.asarray(g_series, dtype=float)
-        if g_series.shape != (Y.grid.n,):
-            raise ValueError("kernel samples must live on the cube's time grid")
+        basis = tabulate_basis(M, Y.grid)
         g_hat = fit_coeffs(g_series, basis, cfg.rcond, g_zero)
+        probe_norms = None
 
     G = build_G(g_hat, M)
     q_hat = analyze(Y, spec, basis, cfg.rcond)
@@ -366,7 +379,9 @@ def deconvolve(
 
     keep_counts = total_counts = lambdas = None
     if cfg.threshold_mode and eps > 0:
-        norms = inverse_norms(g_hat, max(M - 1, 1))
+        norms = probe_norms
+        if norms is None:
+            norms = inverse_norms(g_hat, max(M - 1, 1))
         lambdas = thresholds(M, eps, cfg.nu, norms)
         protect = np.outer(lev1 == -1, lev2 == -1)  # the mean-carrying block
         theta, keep_counts = hard_threshold(theta, lambdas, protect)

@@ -35,19 +35,13 @@ __all__ = [
 TEST_FUNCTION_IDS = ("f1", "f2", "f3", "f4")
 TABLE1_SNRS = (3.0, 5.0, 7.0)
 
-# Reference mean relative errors (standard errors of the means in the
-# companion dict), 100 runs, n1 = n2 = n = 32, M = 8, T = 5, g = exp(-t/2).
+# Reference mean relative errors, 100 runs, n1 = n2 = n = 32, M = 8, T = 5,
+# g = exp(-t/2).
 REFERENCE_TABLE1 = {
     ("f1", 3.0): 0.1107, ("f1", 5.0): 0.0694, ("f1", 7.0): 0.0511,
     ("f2", 3.0): 0.1224, ("f2", 5.0): 0.0761, ("f2", 7.0): 0.0567,
     ("f3", 3.0): 0.1107, ("f3", 5.0): 0.0680, ("f3", 7.0): 0.0511,
     ("f4", 3.0): 0.1080, ("f4", 5.0): 0.0690, ("f4", 7.0): 0.0519,
-}
-REFERENCE_TABLE1_STDERR = {
-    ("f1", 3.0): 0.0110, ("f1", 5.0): 0.0066, ("f1", 7.0): 0.0049,
-    ("f2", 3.0): 0.0100, ("f2", 5.0): 0.0071, ("f2", 7.0): 0.0051,
-    ("f3", 3.0): 0.0112, ("f3", 5.0): 0.0068, ("f3", 7.0): 0.0048,
-    ("f4", 3.0): 0.0117, ("f4", 5.0): 0.0058, ("f4", 7.0): 0.0046,
 }
 
 

@@ -3,8 +3,9 @@
 Convolution with a kernel g maps Laguerre coefficients theta to q = G theta,
 where G is lower triangular Toeplitz with first column
 (g_0, g_1 - g_0, g_2 - g_1, ...).  This module builds G from kernel
-coefficients, solves triangular systems by forward substitution, and tracks
-how fast the inverse norms ||(G^(m))^-1|| grow with the dimension m - the
+coefficients, solves triangular systems by forward substitution, and
+tabulates the inverse norms ||(G^(m))^-1|| exactly, from singular values of
+the dense inverse, to track how fast they grow with the dimension m - the
 quantity that drives both the truncation rule for M and the threshold levels.
 """
 
@@ -21,28 +22,15 @@ __all__ = [
     "LowerToeplitz",
     "InverseNormTable",
     "SingularOperatorError",
-    "PowerIterationError",
     "build_G",
     "solve_lower",
     "inverse_norms",
     "select_M",
 ]
 
-POWER_ITER_TOL = 1e-10
-POWER_ITER_CAP = 10_000
-POWER_ITER_SEED = 0
-
 
 class SingularOperatorError(ValueError):
     """Raised when the operator has a zero diagonal (g_0 = 0)."""
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge; carries the last iterate."""
-
-    def __init__(self, message: str, last_estimate: float):
-        super().__init__(message)
-        self.last_estimate = last_estimate
 
 
 @dataclass(frozen=True)
@@ -65,7 +53,7 @@ class LowerToeplitz:
         return self.col.size
 
     def dense(self) -> np.ndarray:
-        """Materialize the m x m matrix (small m only; used by oracles)."""
+        """Materialize the m x m matrix."""
         out = np.zeros((self.m, self.m))
         for d in range(self.m):
             idx = np.arange(self.m - d)
@@ -118,50 +106,6 @@ def solve_lower(G: LowerToeplitz, rhs) -> np.ndarray:
     return x
 
 
-def _solve_upper_transpose(col: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Back substitution for G^T x = rhs with G lower Toeplitz (column col).
-
-    Row i of G^T pairs col[j-i] with x[j] for j >= i.
-    """
-    m = col.size
-    x = np.empty_like(rhs)
-    for i in range(m - 1, -1, -1):
-        acc = rhs[i] - np.tensordot(col[1 : m - i], x[i + 1 :], axes=(0, 0))
-        x[i] = acc / col[0]
-    return x
-
-
-_POWER_BLOCK = 4
-
-
-def _spectral_norm_inverse(col: np.ndarray, tol: float, cap: int, rng) -> float:
-    """||G^-1|| by block power iteration on G^-T G^-1 through solves.
-
-    A small orthonormal block (subspace iteration with Rayleigh-Ritz)
-    instead of a single vector: near-degenerate leading singular values then
-    fall inside the block and cannot stall the convergence of the leading
-    Ritz value.  The inverse is never formed.
-    """
-    m = col.size
-    G = LowerToeplitz(col)
-    b = min(_POWER_BLOCK, m)
-    v, _ = np.linalg.qr(rng.standard_normal((m, b)))
-    est_prev = np.inf
-    for _ in range(cap):
-        y = solve_lower(G, v)
-        z = _solve_upper_transpose(col, y)  # z = G^-T G^-1 v
-        ritz = np.linalg.eigvalsh(v.T @ z)
-        est = float(ritz[-1])
-        v, _ = np.linalg.qr(z)
-        if abs(est - est_prev) <= tol * abs(est):
-            return float(np.sqrt(est))
-        est_prev = est
-    raise PowerIterationError(
-        f"power iteration did not converge within {cap} iterations",
-        last_estimate=float(np.sqrt(max(est, 0.0))),
-    )
-
-
 @dataclass(frozen=True)
 class InverseNormTable:
     """Norms of (G^(m))^-1 for m = 1..max_m.
@@ -185,21 +129,18 @@ class InverseNormTable:
         return float(self.frobenius[m - 1])
 
 
-def inverse_norms(
-    g_coeffs: LagCoeffs,
-    max_m: int,
-    tol: float = POWER_ITER_TOL,
-    cap: int = POWER_ITER_CAP,
-    seed: int = POWER_ITER_SEED,
-) -> InverseNormTable:
+def inverse_norms(g_coeffs: LagCoeffs, max_m: int) -> InverseNormTable:
     """Tabulate ||(G^(m))^-1|| and ||(G^(m))^-1||_F for m = 1..max_m.
 
     The inverse of a lower-triangular Toeplitz matrix is again lower
     triangular Toeplitz, so one triangular solve against e_0 yields its first
-    column c, and the Frobenius norms accumulate incrementally:
+    column c, and the leading m x m block of the dense max_m x max_m inverse
+    is (G^(m))^-1.  The Frobenius norms accumulate incrementally:
     ||(G^(m))^-1||_F^2 = ||(G^(m-1))^-1||_F^2 + ||c[:m]||^2, where c[:m]
-    reversed is the last inverse row upsilon^(m).  Spectral norms come from
-    power iteration through triangular solves; the inverse is never formed.
+    reversed is the last inverse row upsilon^(m).  Each spectral norm is the
+    largest singular value of its block, exact up to rounding and free of
+    randomness; the m-th entry depends only on the first m kernel
+    coefficients.  The SVDs cost O(max_m^4) in total.
     """
     if max_m < 1:
         raise ValueError("max_m must be a positive integer")
@@ -210,11 +151,10 @@ def inverse_norms(
     e0[0] = 1.0
     inv_col = solve_lower(G_full, e0)
     frob = np.sqrt(np.cumsum(np.cumsum(inv_col**2)))
-    rng = np.random.default_rng(seed)
-    spectral = np.empty(max_m)
-    spectral[0] = 1.0 / abs(G_full.col[0])
-    for m in range(2, max_m + 1):
-        spectral[m - 1] = _spectral_norm_inverse(G_full.col[:m], tol, cap, rng)
+    inv = LowerToeplitz(inv_col).dense()
+    spectral = np.array(
+        [np.linalg.svd(inv[:m, :m], compute_uv=False)[0] for m in range(1, max_m + 1)]
+    )
     return InverseNormTable(spectral=spectral, frobenius=frob)
 
 

@@ -190,7 +190,7 @@ class TestCriterion5PropertySuites:
             f"max rel deviation {worst:.2e} (<=1e-10, m<=64)",
         )
 
-    def test_power_iteration_oracle(self):
+    def test_spectral_norm_table_oracle(self):
         worst = 0.0
         for m in (2, 8, 32, 64):
             for seed in range(5):
@@ -203,7 +203,7 @@ class TestCriterion5PropertySuites:
                 )[0]
                 worst = max(worst, abs(tab.spectral_at(m) - ref) / ref)
         report(
-            "5f power iteration vs SVD oracle",
+            "5f spectral norm table vs SVD oracle",
             worst <= 1e-6,
             f"max rel deviation {worst:.2e} (<=1e-6, m<=64)",
         )

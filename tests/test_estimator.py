@@ -310,6 +310,35 @@ class TestDeconvolve:
         # same operator up to the fitted-vs-exact kernel coefficients
         assert relative_error(via_series[0], via_coeffs[0]) < 0.05
 
+    @pytest.mark.parametrize(
+        "kernel, sigma, m_cap, expect_M",
+        [
+            ("samples", 0.02, 8, 8),
+            ("coeffs", 0.02, 8, 8),
+            ("samples", 0.5, 16, 7),
+            ("coeffs", 0.5, 16, 7),
+        ],
+    )
+    def test_auto_order_matches_fixed_order_bit_for_bit(
+        self, kernel, sigma, m_cap, expect_M
+    ):
+        # M="auto" reuses its probe's basis, kernel fit and norm table where
+        # they apply; a fixed-order run at the chosen M recomputes them all.
+        grid = TimeGrid(n=32, T=5.0)
+        spec = WaveletSpec()
+        rng = np.random.Generator(np.random.Philox(4))
+        base = np.exp(-grid.points / 2.0)[:, None, None] * cosine_field(16, 16)
+        Y = Cube(grid=grid, data=base + sigma * rng.standard_normal((32, 16, 16)))
+        if kernel == "samples":
+            kw = dict(g_series=np.exp(-grid.points / 2.0), g_zero=1.0)
+        else:
+            kw = dict(g_series=None, g_coeffs=LagCoeffs(np.eye(32)[0]))
+        auto, diag = deconvolve(Y, spec=spec, cfg=EstimatorConfig(m_cap=m_cap), **kw)
+        assert diag.M == expect_M
+        fixed, ref = deconvolve(Y, spec=spec, cfg=EstimatorConfig(M=diag.M), **kw)
+        assert np.array_equal(auto.data, fixed.data)
+        assert np.array_equal(diag.lambdas, ref.lambdas)
+
     def test_requires_power_of_two(self):
         grid = TimeGrid(n=16, T=5.0)
         Y = Cube(grid=grid, data=np.zeros((16, 12, 16)))
