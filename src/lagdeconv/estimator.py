@@ -2,14 +2,18 @@
 
 Pipeline for observations Y = g*f + noise on an (n, n1, n2) grid:
 
-1. orthonormal 2D wavelet transform of every time slice,
-2. per wavelet location, projection of the time series onto the Laguerre
-   basis (stable least-squares route),
-3. triangular Toeplitz solve against the kernel operator G,
-4. level-dependent hard thresholding of the coefficients theta_{l;omega},
-5. synthesis: Laguerre evaluation in time, inverse wavelet transform in space.
+1. in time, per pixel: projection onto the first M Laguerre functions
+   (stable least-squares route, with the t = 0 slice extrapolated) and
+   the triangular Toeplitz solve against the kernel operator G,
+2. orthonormal 2D wavelet transform of each of the M coefficient slices,
+3. level-dependent hard thresholding of the coefficients theta_{l;omega},
+4. inverse wavelet transform of the M slices, then Laguerre evaluation
+   in time.
 
-All steps are linear except the thresholding, and nothing mutates its inputs.
+All steps are linear except the thresholding.  The time operators commute
+with the per-slice spatial transform, so the spatial work is M transforms
+each way rather than n (the solve runs on the transformed M slices, with
+the same result).  Nothing mutates its inputs.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .toeplitz import (
     select_M,
     solve_lower,
 )
-from .wavelet2d import WaveletSpec, dwt2_array, estimate_sigma, idwt2_array
+from .wavelet2d import WaveletSpec, _level_index, dwt2_array, estimate_sigma, idwt2_array
 
 __all__ = [
     "Cube",
@@ -187,21 +191,26 @@ def analyze(
     basis: LaguerreBasis,
     rcond: float = DEFAULT_RCOND,
 ) -> CoeffTensor:
-    """Wavelet transform per slice, then Laguerre projection per location.
+    """Laguerre projection per pixel, then wavelet transform per order.
 
     Returns q_hat[l, i1, i2], the empirical wavelet-Laguerre coefficients
-    of the observations.
+    of the observations.  Both stages are linear and act on different axes,
+    so projecting first leaves the result unchanged and transforms only M
+    slices instead of n.
     """
     if Y.grid.n != basis.grid.n or Y.grid.T != basis.grid.T:
         raise ValueError("cube and basis live on different time grids")
-    coeff_slices = dwt2_array(Y.data, spec)  # (n, n1, n2)
+    # Fold the zero-slice extrapolation y_0 = 2 y_1 - y_2 (y_0 = y_1 for a
+    # single frame) into the M x (n+1) projector, giving one M x n operator.
+    proj = basis.projection_matrix(rcond)
+    op = proj[:, 1:].copy()
     if Y.grid.n >= 2:
-        zero_slice = 2.0 * coeff_slices[0] - coeff_slices[1]
+        op[:, 0] += 2.0 * proj[:, 0]
+        op[:, 1] -= proj[:, 0]
     else:
-        zero_slice = coeff_slices[0]
-    full = np.concatenate([zero_slice[None], coeff_slices], axis=0)
-    proj = basis.projection_matrix(rcond)  # (M, n+1)
-    return CoeffTensor(values=np.tensordot(proj, full, axes=(1, 0)), spec=spec)
+        op[:, 0] += proj[:, 0]
+    time_coeffs = np.tensordot(op, Y.data, axes=(1, 0))  # (M, n1, n2)
+    return CoeffTensor(values=dwt2_array(time_coeffs, spec), spec=spec)
 
 
 def _sigma_hat(Y: Cube, spec: WaveletSpec, robust: bool) -> float:
@@ -265,16 +274,6 @@ def hard_threshold(
         keep |= np.asarray(protect, dtype=bool)[None, :, :]
     values = np.where(keep, tensor.values, 0.0)
     return CoeffTensor(values=values, spec=tensor.spec), keep.sum(axis=(1, 2))
-
-
-def _level_index(n: int, depth: int) -> np.ndarray:
-    """Per-index resolution level along one axis; -1 for the scaling block."""
-    lev = np.empty(n, dtype=int)
-    lev[: n >> depth] = -1
-    full = int(math.log2(n))
-    for d in range(1, depth + 1):
-        lev[n >> d : n >> (d - 1)] = full - d
-    return lev
 
 
 def _auto_J(A: float, eps: float, n_side: int) -> int:
@@ -354,7 +353,7 @@ def deconvolve(
 
     G = build_G(g_hat, M)
     q_hat = analyze(Y, spec, basis, cfg.rcond)
-    theta = CoeffTensor(values=solve_lower(G, q_hat.values), spec=spec)
+    theta = solve_lower(G, q_hat.values)
 
     # Truncation set Omega(J1, J2): drop detail levels >= J along each axis.
     # The auto rule 2^J = A^2 eps^-2 exists to control the variance of the
@@ -375,7 +374,7 @@ def deconvolve(
     lev1 = _level_index(n1, depth1)
     lev2 = _level_index(n2, depth2)
     in_omega = np.outer(lev1 < J1, lev2 < J2)
-    theta = CoeffTensor(values=theta.values * in_omega[None, :, :], spec=spec)
+    theta = theta * in_omega[None, :, :]
 
     keep_counts = total_counts = lambdas = None
     if cfg.threshold_mode and eps > 0:
@@ -384,14 +383,15 @@ def deconvolve(
             norms = inverse_norms(g_hat, max(M - 1, 1))
         lambdas = thresholds(M, eps, cfg.nu, norms)
         protect = np.outer(lev1 == -1, lev2 == -1)  # the mean-carrying block
-        theta, keep_counts = hard_threshold(theta, lambdas, protect)
+        kept, keep_counts = hard_threshold(CoeffTensor(theta, spec), lambdas, protect)
+        theta = kept.values
         total_counts = np.full(M, int(in_omega.sum()))
     elif cfg.threshold_mode and eps == 0.0:
         warnings.warn("eps = 0 with thresholding on: proceeding threshold-free")
 
-    # Synthesis: Laguerre evaluation in time, inverse wavelet in space.
-    rec = np.tensordot(basis.values, theta.values, axes=(0, 0))  # (n, n1, n2)
-    f_hat = idwt2_array(rec, spec)
+    # Synthesis: inverse wavelet transform of the M orders, then Laguerre
+    # evaluation in time (the two commute, and this order runs M transforms).
+    f_hat = np.tensordot(basis.values, idwt2_array(theta, spec), axes=(0, 0))
 
     diag = Diagnostics(
         sigma_hat=sigma_hat,

@@ -104,30 +104,37 @@ def _require_pow2(n: int, what: str) -> None:
         raise ValueError(f"{what} must be a power of two >= 2, got {n}")
 
 
+def _filter_down(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Periodized correlation with f along the last axis, downsampled by 2.
+
+    y[..., k] = sum_m f[m] x[..., (2k + m) mod N].  The input is extended
+    periodically by index, so filters longer than N wrap more than once.
+    """
+    N = x.shape[-1]
+    xp = np.take(x, np.arange(N + f.size - 2) % N, axis=-1)
+    y = f[0] * xp[..., 0:N:2]
+    for m in range(1, f.size):
+        y += f[m] * xp[..., m : m + N : 2]
+    return y
+
+
 def _dwt_step(x: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
     """One periodized analysis step along the last axis."""
-    N = x.shape[-1]
-    idx = (2 * np.arange(N // 2)[:, None] + np.arange(h.size)[None, :]) % N
-    windows = x[..., idx]
-    a = windows @ h
-    d = windows @ g
-    return np.concatenate([a, d], axis=-1)
+    return np.concatenate([_filter_down(x, h), _filter_down(x, g)], axis=-1)
 
 
 def _idwt_step(y: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
     """One periodized synthesis step along the last axis."""
-    N = y.shape[-1]
-    half = N // 2
+    half = y.shape[-1] // 2
     a, d = y[..., :half], y[..., half:]
     x = np.zeros_like(y)
     for m in range(h.size):
-        j = (2 * np.arange(half) + m) % N
-        x[..., j] += h[m] * a + g[m] * d
+        x[..., m % 2 :: 2] += np.roll(h[m] * a + g[m] * d, m // 2, axis=-1)
     return x
 
 
 def _dwt_axis(data: np.ndarray, spec: WaveletSpec, levels: int, axis: int) -> np.ndarray:
-    out = np.moveaxis(np.array(data, dtype=float), axis, -1)
+    out = np.array(np.moveaxis(data, axis, -1), dtype=float, order="C")
     h, g = spec.taps, spec.highpass
     n = out.shape[-1]
     for _ in range(levels):
@@ -137,13 +144,27 @@ def _dwt_axis(data: np.ndarray, spec: WaveletSpec, levels: int, axis: int) -> np
 
 
 def _idwt_axis(data: np.ndarray, spec: WaveletSpec, levels: int, axis: int) -> np.ndarray:
-    out = np.moveaxis(np.array(data, dtype=float), axis, -1)
+    out = np.array(np.moveaxis(data, axis, -1), dtype=float, order="C")
     h, g = spec.taps, spec.highpass
     n = out.shape[-1] // (1 << levels)
     for _ in range(levels):
         n *= 2
         out[..., :n] = _idwt_step(out[..., :n], h, g)
     return np.moveaxis(out, -1, axis)
+
+
+def _level_index(n: int, depth: int) -> np.ndarray:
+    """Resolution level of each index of a depth-level layout along one axis.
+
+    -1 marks the scaling block; the detail block of level j occupies
+    [2^j, 2^(j+1)) at full depth.
+    """
+    lev = np.empty(n, dtype=int)
+    lev[: n >> depth] = -1
+    full = int(math.log2(n))
+    for d in range(1, depth + 1):  # d = 1 is the finest step
+        lev[n >> d : n >> (d - 1)] = full - d
+    return lev
 
 
 def dwt2_array(images: np.ndarray, spec: WaveletSpec) -> np.ndarray:
@@ -191,14 +212,7 @@ class WaveletCoeffs2D:
             depth = self.spec.depth_for(
                 n, self.spec.levels1 if axis == 0 else self.spec.levels2
             )
-            lev = np.empty(n, dtype=int)
-            coarse = n >> depth
-            lev[:coarse] = -1
-            full = int(math.log2(n))
-            for d in range(1, depth + 1):  # d = 1 is the finest step
-                lo, hi = n >> d, n >> (d - 1)
-                lev[lo:hi] = full - d
-            self._cache[key] = lev
+            self._cache[key] = _level_index(n, depth)
         return self._cache[key]
 
     def scaling_mask(self) -> np.ndarray:
@@ -229,17 +243,16 @@ def idwt2(coeffs: WaveletCoeffs2D, spec: WaveletSpec | None = None) -> np.ndarra
 def estimate_sigma(image, spec: WaveletSpec, robust: bool = True) -> float:
     """Noise scale from the finest-level detail coefficients.
 
-    One analysis step along both axes, then the (detail, detail) quadrant.
+    The (detail, detail) quadrant of one analysis step along both axes;
+    only that quadrant is computed.
     Default is the MAD estimate (median|d| / 0.6745), insensitive to signal
     leaking into fine scales; robust=False gives the plain standard deviation.
     """
     image = np.asarray(image, dtype=float)
     if image.ndim != 2 or min(image.shape) < 2:
         raise ValueError("expected an image of size at least 2 x 2")
-    h, g = spec.taps, spec.highpass
-    step = _dwt_step(_dwt_step(image, h, g).T, h, g).T
-    n1, n2 = image.shape
-    dd = step[n1 // 2 :, n2 // 2 :]
+    g = spec.highpass
+    dd = _filter_down(_filter_down(image, g).T, g).T
     if robust:
         return float(np.median(np.abs(dd)) / MAD_TO_SIGMA)
     return float(dd.std())

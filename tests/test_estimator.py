@@ -11,16 +11,22 @@ from lagdeconv import (
     WaveletCoeffs2D,
     WaveletSpec,
     analyze,
+    build_G,
     deconvolve,
     estimate_eps,
+    estimate_sigma,
+    fit_coeffs,
     hard_threshold,
     idwt2,
     inverse_norms,
     relative_error,
+    select_M,
+    solve_lower,
     tabulate_basis,
     thresholds,
 )
 from lagdeconv.estimator import CoeffTensor
+from lagdeconv.wavelet2d import dwt2_array, idwt2_array
 
 PHI0 = LagCoeffs(np.concatenate([[1.0], np.zeros(15)]))
 
@@ -350,6 +356,101 @@ class TestDeconvolve:
         Y = Cube(grid=grid, data=np.zeros((16, 16, 16)))
         with pytest.raises(ValueError):
             deconvolve(Y, None, WaveletSpec(), EstimatorConfig(M=4))
+
+
+def old_order_deconvolve(Y, g, spec, cfg, g_zero):
+    """The estimator in its original order, as the oracle for deconvolve.
+
+    Wavelet transform of all n slices, zero-slice extrapolation, Laguerre
+    projection and Toeplitz solve per wavelet location, Omega mask, hard
+    threshold, Laguerre synthesis of all n slices, then n inverse transforms.
+    """
+    grid = Y.grid
+    n, n1, n2 = Y.data.shape
+    sigma = float(
+        np.median([estimate_sigma(Y.data[k], spec, cfg.sigma_robust) for k in range(n)])
+    )
+    eps = grid.T * sigma / math.sqrt(n) if cfg.eps == "auto" else float(cfg.eps)
+    if cfg.M == "auto":
+        m_cap = min(cfg.m_cap, n)
+        probe = fit_coeffs(g, tabulate_basis(m_cap, grid), cfg.rcond, g_zero)
+        M = select_M(inverse_norms(probe, m_cap), eps, cap=m_cap)
+    else:
+        M = cfg.M
+    basis = tabulate_basis(M, grid)
+    g_hat = fit_coeffs(g, basis, cfg.rcond, g_zero)
+
+    slices = dwt2_array(Y.data, spec)
+    zero = 2.0 * slices[0] - slices[1] if n >= 2 else slices[0]
+    full = np.concatenate([zero[None], slices])
+    q = np.tensordot(basis.projection_matrix(cfg.rcond), full, axes=(1, 0))
+    theta = solve_lower(build_G(g_hat, M), q)
+
+    def level_of(size, levels):
+        top = int(math.log2(size))
+        lev = np.full(size, -1)
+        for j in range(top - spec.depth_for(size, levels), top):
+            lev[2**j : 2 ** (j + 1)] = j
+        return lev
+
+    def depth_J(J, size):
+        top = int(math.log2(size))
+        if J != "auto":
+            return min(int(J), top)
+        if not cfg.threshold_mode or eps == 0.0:
+            return top
+        ratio = cfg.A**2 / eps**2
+        return min(max(math.floor(math.log2(ratio)), 0), top) if ratio > 1 else 0
+
+    lev1, lev2 = level_of(n1, spec.levels1), level_of(n2, spec.levels2)
+    J1, J2 = depth_J(cfg.J1, n1), depth_J(cfg.J2, n2)
+    theta = theta * np.outer(lev1 < J1, lev2 < J2)
+    keep_counts = lambdas = None
+    if cfg.threshold_mode and eps > 0:
+        lambdas = thresholds(M, eps, cfg.nu, inverse_norms(g_hat, max(M - 1, 1)))
+        keep = np.abs(theta) > lambdas[:, None, None]
+        keep |= np.outer(lev1 == -1, lev2 == -1)[None]
+        theta = np.where(keep, theta, 0.0)
+        keep_counts = keep.sum(axis=(1, 2))
+
+    rec = np.tensordot(basis.values, theta, axes=(0, 0))
+    f = idwt2_array(rec, spec)
+    return f, dict(
+        sigma_hat=sigma, M=M, J1=J1, J2=J2, keep_counts=keep_counts, lambdas=lambdas
+    )
+
+
+class TestPipelineOrder:
+    @pytest.mark.parametrize(
+        "n, shape, family, levels, cfg",
+        [
+            (32, (16, 16), "daub4", (0, 0), EstimatorConfig(M=6)),
+            (32, (16, 32), "haar", (2, 3), EstimatorConfig(M=8, J1=2)),
+            (32, (16, 16), "daub4", (0, 0), EstimatorConfig(m_cap=16)),
+            (16, (8, 16), "daub4", (0, 2), EstimatorConfig(M=5, threshold_mode=False)),
+            (1, (16, 16), "haar", (0, 0), EstimatorConfig(M=1)),
+        ],
+        ids=["daub4", "haar-partial-nonsquare", "auto-M", "threshold-off", "one-frame"],
+    )
+    def test_matches_the_n_slice_order(self, n, shape, family, levels, cfg):
+        grid = TimeGrid(n=n, T=5.0 if n > 1 else 1.0)
+        spec = WaveletSpec(family=family, levels1=levels[0], levels2=levels[1])
+        rng = np.random.Generator(np.random.Philox(n + shape[1]))
+        g = np.exp(-grid.points / 2.0)
+        base = g[:, None, None] * cosine_field(*shape)
+        Y = Cube(grid=grid, data=base + 0.05 * rng.standard_normal((n, *shape)))
+
+        f_hat, diag = deconvolve(Y, g, spec, cfg, g_zero=1.0)
+        f_ref, ref = old_order_deconvolve(Y, g, spec, cfg, g_zero=1.0)
+
+        assert np.abs(f_hat.data - f_ref).max() <= 1e-12 * np.abs(f_ref).max()
+        assert diag.sigma_hat == ref["sigma_hat"]
+        assert (diag.M, diag.J1, diag.J2) == (ref["M"], ref["J1"], ref["J2"])
+        if ref["keep_counts"] is None:
+            assert diag.keep_counts is None and diag.lambdas is None
+        else:
+            assert np.array_equal(diag.keep_counts, ref["keep_counts"])
+            assert np.allclose(diag.lambdas, ref["lambdas"], rtol=1e-12, atol=0.0)
 
 
 class TestConfigValidation:

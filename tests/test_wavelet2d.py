@@ -10,9 +10,68 @@ from lagdeconv import (
     restrict,
     symmetrize,
 )
-from lagdeconv.wavelet2d import wavelet_taps
+from lagdeconv.wavelet2d import dwt2_array, idwt2_array, wavelet_taps
 
 FAMILIES = ["haar", "daub4"]
+
+# Published 6-tap Daubechies lowpass filter; at the coarsest levels (N = 2, 4)
+# it is longer than the signal and wraps around it more than once.
+DAUB6 = np.array(
+    [
+        0.33267055295008263,
+        0.8068915093110925,
+        0.45987750211849154,
+        -0.13501102001025458,
+        -0.08544127388202666,
+        0.03522629188570953,
+    ]
+)
+SPECS = {
+    "haar": WaveletSpec(family="haar"),
+    "daub4": WaveletSpec(family="daub4"),
+    "daub6": WaveletSpec(taps=DAUB6),
+}
+
+
+# Reference filter bank: the direct fancy-index form of one periodized step,
+# x[..., (2k + m) % N] gathered into windows and reduced against the taps.
+def ref_dwt_step(x, h, g):
+    N = x.shape[-1]
+    idx = (2 * np.arange(N // 2)[:, None] + np.arange(h.size)[None, :]) % N
+    windows = x[..., idx]
+    return np.concatenate([windows @ h, windows @ g], axis=-1)
+
+
+def ref_idwt_step(y, h, g):
+    N = y.shape[-1]
+    half = N // 2
+    a, d = y[..., :half], y[..., half:]
+    x = np.zeros_like(y)
+    for m in range(h.size):
+        j = (2 * np.arange(half) + m) % N
+        x[..., j] += h[m] * a + g[m] * d
+    return x
+
+
+def ref_transform(data, spec, inverse=False):
+    h, g = spec.taps, spec.highpass
+    out = np.array(data, dtype=float)
+    axes = [(-2, spec.levels1), (-1, spec.levels2)]
+    for axis, levels in axes[::-1] if inverse else axes:
+        out = np.moveaxis(out, axis, -1)
+        depth = spec.depth_for(out.shape[-1], levels)
+        if inverse:
+            n = out.shape[-1] >> depth
+            for _ in range(depth):
+                n *= 2
+                out[..., :n] = ref_idwt_step(out[..., :n], h, g)
+        else:
+            n = out.shape[-1]
+            for _ in range(depth):
+                out[..., :n] = ref_dwt_step(out[..., :n], h, g)
+                n //= 2
+        out = np.moveaxis(out, -1, axis)
+    return out
 
 
 class TestSpec:
@@ -115,6 +174,43 @@ class TestTransform:
         assert list(lev[2:4]) == [1, 1]
         assert list(lev[16:]) == [4] * 16
         assert c.scaling_mask().sum() == 1
+
+
+class TestReferenceFilterBank:
+    @pytest.mark.parametrize("family", sorted(SPECS))
+    @pytest.mark.parametrize("levels", [(0, 0), (2, 1)])
+    @pytest.mark.parametrize("shape", [(3, 16, 8), (2, 8, 32)])
+    def test_matches_fancy_index_steps(self, family, levels, shape):
+        l1, l2 = levels
+        spec = WaveletSpec(taps=SPECS[family].taps, levels1=l1, levels2=l2)
+        rng = np.random.default_rng(sum(shape) + 10 * l1)
+        x = rng.standard_normal(shape)
+        scale = np.abs(x).max()
+        ref = ref_transform(x, spec)
+        assert np.abs(dwt2_array(x, spec) - ref).max() <= 1e-13 * scale
+        back = ref_transform(x, spec, inverse=True)
+        assert np.abs(idwt2_array(x, spec) - back).max() <= 1e-13 * scale
+
+    def test_daub6_wraps_at_coarse_levels(self):
+        # 6 taps on 16 x 8 at full depth: the last levels filter N = 2 and 4
+        spec = SPECS["daub6"]
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((3, 16, 8))
+        c = dwt2_array(x, spec)
+        assert np.abs(idwt2_array(c, spec) - x).max() <= 1e-12
+        assert np.sum(c**2) == pytest.approx(np.sum(x**2), rel=1e-12)
+
+    @pytest.mark.parametrize("family", sorted(SPECS))
+    @pytest.mark.parametrize("robust", [True, False])
+    def test_sigma_reads_the_reference_detail_quadrant(self, family, robust):
+        spec = SPECS[family]
+        rng = np.random.default_rng(13)
+        img = rng.standard_normal((16, 8))
+        h, g = spec.taps, spec.highpass
+        step = ref_dwt_step(ref_dwt_step(img, h, g).T, h, g).T
+        dd = step[8:, 4:]
+        want = np.median(np.abs(dd)) / 0.6745 if robust else dd.std()
+        assert estimate_sigma(img, spec, robust) == pytest.approx(want, rel=1e-13)
 
 
 class TestEstimateSigma:
