@@ -29,6 +29,7 @@ from .laguerre import (
     LagCoeffs,
     LaguerreBasis,
     TimeGrid,
+    _series_with_zero,
     fit_coeffs,
     tabulate_basis,
 )
@@ -200,15 +201,10 @@ def analyze(
     """
     if Y.grid.n != basis.grid.n or Y.grid.T != basis.grid.T:
         raise ValueError("cube and basis live on different time grids")
-    # Fold the zero-slice extrapolation y_0 = 2 y_1 - y_2 (y_0 = y_1 for a
-    # single frame) into the M x (n+1) projector, giving one M x n operator.
-    proj = basis.projection_matrix(rcond)
-    op = proj[:, 1:].copy()
-    if Y.grid.n >= 2:
-        op[:, 0] += 2.0 * proj[:, 0]
-        op[:, 1] -= proj[:, 0]
-    else:
-        op[:, 0] += proj[:, 0]
+    # Fold the zero-slice extrapolation into the M x (n+1) projector, giving
+    # one M x n operator.
+    extrapolate = _series_with_zero(np.eye(Y.grid.n), None)  # (n+1) x n
+    op = basis.projection_matrix(rcond) @ extrapolate
     time_coeffs = np.tensordot(op, Y.data, axes=(1, 0))  # (M, n1, n2)
     return CoeffTensor(values=dwt2_array(time_coeffs, spec), spec=spec)
 

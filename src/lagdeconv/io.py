@@ -66,11 +66,18 @@ def read_cube(stem) -> Cube:
         header = json.loads(header_path.read_text())
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"malformed cube header {header_path}: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FileFormatError(f"cube header {header_path} is not a JSON object")
     for key in ("n", "n1", "n2", "T"):
         if key not in header:
             raise FileFormatError(f"cube header {header_path} lacks field {key!r}")
-    n, n1, n2 = int(header["n"]), int(header["n1"]), int(header["n2"])
-    T = float(header["T"])
+    try:
+        n, n1, n2 = int(header["n"]), int(header["n1"]), int(header["n2"])
+        T = float(header["T"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FileFormatError(
+            f"cube header {header_path} has a non-numeric n, n1, n2 or T: {exc}"
+        ) from exc
     if min(n, n1, n2) < 1 or not T > 0:
         raise FileFormatError(f"cube header {header_path} has nonpositive sizes")
     if header.get("dtype", _HEADER_DTYPE) != _HEADER_DTYPE:

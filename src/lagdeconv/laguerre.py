@@ -90,15 +90,8 @@ def eval_laguerre(l: int, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("t must be nonnegative")
-    p_prev = np.ones_like(t_arr)  # L_0
-    if l == 0:
-        res = np.exp(-t_arr / 2.0) * p_prev
-        return float(res) if np.isscalar(t) or t_arr.ndim == 0 else res
-    p = 1.0 - t_arr  # L_1
-    for k in range(1, l):
-        p, p_prev = ((2 * k + 1 - t_arr) * p - k * p_prev) / (k + 1), p
-    res = np.exp(-t_arr / 2.0) * p
-    return float(res) if np.isscalar(t) or t_arr.ndim == 0 else res
+    res = _phi_rows(l + 1, t_arr.ravel())[l].reshape(t_arr.shape)
+    return float(res) if t_arr.ndim == 0 else res
 
 
 def _phi_rows(M: int, t: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import Cube, Diagnostics, EstimatorConfig, deconvolve
-from .laguerre import TimeGrid
+from .laguerre import TimeGrid, _series_with_zero
 from .wavelet2d import WaveletSpec
 
 __all__ = [
@@ -131,12 +131,8 @@ def forward_convolve(
     if g_series.shape != (n,):
         raise ValueError("kernel samples must live on the cube's time grid")
     h = f.grid.step
-    if g_zero is None:
-        g_zero = 2.0 * g_series[0] - g_series[1] if n >= 2 else g_series[0]
-    if f_zero is None:
-        f_zero = 2.0 * f.data[0] - f.data[1] if n >= 2 else f.data[0]
-    g_full = np.concatenate([[float(g_zero)], g_series])
-    f_full = np.concatenate([np.asarray(f_zero, dtype=float)[None], f.data], axis=0)
+    g_full = _series_with_zero(g_series, g_zero)
+    f_full = _series_with_zero(f.data, f_zero)
 
     # Row k-1 integrates over k+1 nodes: weights h*(1/2, 1, .., 1, 1/2).
     kernel_rows = np.zeros((n, n + 1))

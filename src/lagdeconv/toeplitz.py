@@ -60,16 +60,6 @@ class LowerToeplitz:
             out[idx + d, idx] = self.col[d]
         return out
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Apply the operator; x may be (m,) or (m, k)."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.m:
-            raise ValueError("dimension mismatch")
-        out = np.empty_like(x)
-        for i in range(self.m):
-            out[i] = np.tensordot(self.col[: i + 1][::-1], x[: i + 1], axes=(0, 0))
-        return out
-
 
 def build_G(g_coeffs: LagCoeffs, m: int) -> LowerToeplitz:
     """Convolution operator of dimension m from kernel Laguerre coefficients.

@@ -1,10 +1,12 @@
 """Periodized orthogonal 2D wavelet transform (tensor product form).
 
 The spatial basis is the product psi_{j1,k1}(x1) * psi_{j2,k2}(x2) with
-independent resolution levels along the two axes, realized by a full
-multilevel 1D periodized transform along axis 0 followed by one along
-axis 1 ("standard" decomposition).  Coefficients of an n1 x n2 image live in
-an n1 x n2 array whose 1D layout along each axis is
+independent resolution levels along the two axes ("standard"
+decomposition).  The multilevel 1D periodized transform of an n-pixel axis
+is an n x n orthogonal matrix W, built once from the filter bank and cached
+on the spec, so an image X maps to W1 X W2^T and back by the transposes,
+W1^T C W2.  Coefficients of an n1 x n2 image live in an n1 x n2 array whose
+1D layout along each axis is
 
     [ scaling block | level 0 | level 1 | ... | finest level ]
 
@@ -76,6 +78,8 @@ class WaveletSpec:
     levels1: int = 0  # 0 means full depth, resolved per image size
     levels2: int = 0
     taps: np.ndarray | None = None
+    # Transform matrices keyed by (n, depth); idempotent, so safe to share.
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         h = wavelet_taps(self.family) if self.taps is None else np.asarray(
@@ -123,34 +127,21 @@ def _dwt_step(x: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.concatenate([_filter_down(x, h), _filter_down(x, g)], axis=-1)
 
 
-def _idwt_step(y: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """One periodized synthesis step along the last axis."""
-    half = y.shape[-1] // 2
-    a, d = y[..., :half], y[..., half:]
-    x = np.zeros_like(y)
-    for m in range(h.size):
-        x[..., m % 2 :: 2] += np.roll(h[m] * a + g[m] * d, m // 2, axis=-1)
-    return x
+def _matrix(spec: WaveletSpec, n: int, depth: int) -> np.ndarray:
+    """The n x n orthogonal matrix of the depth-level transform of one axis.
 
-
-def _dwt_axis(data: np.ndarray, spec: WaveletSpec, levels: int, axis: int) -> np.ndarray:
-    out = np.array(np.moveaxis(data, axis, -1), dtype=float, order="C")
-    h, g = spec.taps, spec.highpass
-    n = out.shape[-1]
-    for _ in range(levels):
-        out[..., :n] = _dwt_step(out[..., :n], h, g)
-        n //= 2
-    return np.moveaxis(out, -1, axis)
-
-
-def _idwt_axis(data: np.ndarray, spec: WaveletSpec, levels: int, axis: int) -> np.ndarray:
-    out = np.array(np.moveaxis(data, axis, -1), dtype=float, order="C")
-    h, g = spec.taps, spec.highpass
-    n = out.shape[-1] // (1 << levels)
-    for _ in range(levels):
-        n *= 2
-        out[..., :n] = _idwt_step(out[..., :n], h, g)
-    return np.moveaxis(out, -1, axis)
+    Row j of the filter bank's output on np.eye(n) is the transform of the
+    j-th unit vector, i.e. column j of the matrix.
+    """
+    key = (n, depth)
+    if key not in spec._cache:
+        h, g = spec.taps, spec.highpass
+        out = np.eye(n)
+        for level in range(depth):
+            m = n >> level
+            out[:, :m] = _dwt_step(out[:, :m], h, g)
+        spec._cache[key] = np.ascontiguousarray(out.T)
+    return spec._cache[key]
 
 
 def _level_index(n: int, depth: int) -> np.ndarray:
@@ -167,26 +158,27 @@ def _level_index(n: int, depth: int) -> np.ndarray:
     return lev
 
 
-def dwt2_array(images: np.ndarray, spec: WaveletSpec) -> np.ndarray:
-    """Tensor 2D transform of (..., n1, n2) data; batch dims pass through."""
-    n1, n2 = images.shape[-2], images.shape[-1]
+def _axis_matrices(shape: tuple, spec: WaveletSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Transform matrices of the last two axes of an array of this shape."""
+    n1, n2 = shape[-2], shape[-1]
     _require_pow2(n1, "n1")
     _require_pow2(n2, "n2")
-    l1 = spec.depth_for(n1, spec.levels1)
-    l2 = spec.depth_for(n2, spec.levels2)
-    out = _dwt_axis(images, spec, l1, axis=-2)
-    return _dwt_axis(out, spec, l2, axis=-1)
+    return (
+        _matrix(spec, n1, spec.depth_for(n1, spec.levels1)),
+        _matrix(spec, n2, spec.depth_for(n2, spec.levels2)),
+    )
+
+
+def dwt2_array(images: np.ndarray, spec: WaveletSpec) -> np.ndarray:
+    """Tensor 2D transform W1 X W2^T of (..., n1, n2) data; batch dims pass through."""
+    W1, W2 = _axis_matrices(images.shape, spec)
+    return W1 @ images @ W2.T
 
 
 def idwt2_array(coeffs: np.ndarray, spec: WaveletSpec) -> np.ndarray:
-    """Inverse of dwt2_array."""
-    n1, n2 = coeffs.shape[-2], coeffs.shape[-1]
-    _require_pow2(n1, "n1")
-    _require_pow2(n2, "n2")
-    l1 = spec.depth_for(n1, spec.levels1)
-    l2 = spec.depth_for(n2, spec.levels2)
-    out = _idwt_axis(coeffs, spec, l2, axis=-1)
-    return _idwt_axis(out, spec, l1, axis=-2)
+    """Inverse of dwt2_array: W1^T C W2, the transposes of its matrices."""
+    W1, W2 = _axis_matrices(coeffs.shape, spec)
+    return W1.T @ coeffs @ W2
 
 
 @dataclass
@@ -220,11 +212,6 @@ class WaveletCoeffs2D:
         m1 = self.level_along(0) == -1
         m2 = self.level_along(1) == -1
         return np.outer(m1, m2)
-
-    def finest_detail_block(self) -> np.ndarray:
-        """The (finest, finest) detail quadrant, the purest noise carrier."""
-        n1, n2 = self.values.shape
-        return self.values[n1 // 2 :, n2 // 2 :]
 
 
 def dwt2(image, spec: WaveletSpec) -> WaveletCoeffs2D:

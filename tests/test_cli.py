@@ -126,6 +126,16 @@ class TestDeconvolveCommand:
                        "--kernel", str(kpath), "--out", str(tmp_path / "f"))
         assert code == 2
 
+    def test_malformed_header_exits_2(self, tmp_path, capsys):
+        grid = TimeGrid(n=8, T=5.0)
+        write_cube(tmp_path / "c", Cube(grid=grid, data=np.zeros((8, 4, 4))))
+        (tmp_path / "c.json").write_text('{"n": null, "n1": 4, "n2": 4, "T": 5.0}')
+        kpath = write_kernel_csv(tmp_path / "g.csv", grid)
+        code = run_cli("deconvolve", "--input", str(tmp_path / "c"),
+                       "--kernel", str(kpath), "--out", str(tmp_path / "f"))
+        assert code == 2
+        assert "file error" in capsys.readouterr().err
+
     def test_kernel_grid_mismatch_exits_1(self, tmp_path):
         out = self.simulate_fixture(tmp_path, n=32, T=5.0, snr="5")
         kpath = write_kernel_csv(tmp_path / "g.csv", TimeGrid(n=16, T=5.0))

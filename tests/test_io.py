@@ -47,6 +47,22 @@ class TestCubeFile:
         with pytest.raises(FileFormatError):
             read_cube(tmp_path / "c")
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "5",
+            '{"n": null, "n1": 4, "n2": 4, "T": 5.0}',
+            '{"n": "x", "n1": 4, "n2": 4, "T": 5.0}',
+            '{"n": 8, "n1": 4, "n2": 4, "T": [5.0]}',
+            '{"n": 1e999, "n1": 4, "n2": 4, "T": 5.0}',
+        ],
+    )
+    def test_header_of_the_wrong_type(self, tmp_path, header):
+        header_path, _ = write_cube(tmp_path / "c", random_cube())
+        header_path.write_text(header)
+        with pytest.raises(FileFormatError):
+            read_cube(tmp_path / "c")
+
     def test_malformed_header(self, tmp_path):
         cube = random_cube()
         header_path, _ = write_cube(tmp_path / "c", cube)

@@ -109,7 +109,7 @@ class TestSolveLower:
         rng = np.random.default_rng(100 + m)
         G = random_well_conditioned(rng, m)
         rhs = rng.standard_normal(m)
-        back = G.matvec(solve_lower(G, rhs))
+        back = G.dense() @ solve_lower(G, rhs)
         assert np.abs(back - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
 
     def test_multiple_rhs(self):

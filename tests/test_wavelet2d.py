@@ -179,7 +179,9 @@ class TestTransform:
 class TestReferenceFilterBank:
     @pytest.mark.parametrize("family", sorted(SPECS))
     @pytest.mark.parametrize("levels", [(0, 0), (2, 1)])
-    @pytest.mark.parametrize("shape", [(3, 16, 8), (2, 8, 32)])
+    @pytest.mark.parametrize(
+        "shape", [(3, 16, 8), (2, 8, 32), (2, 16, 16), (1, 8, 256)]
+    )
     def test_matches_fancy_index_steps(self, family, levels, shape):
         l1, l2 = levels
         spec = WaveletSpec(taps=SPECS[family].taps, levels1=l1, levels2=l2)
@@ -190,6 +192,20 @@ class TestReferenceFilterBank:
         assert np.abs(dwt2_array(x, spec) - ref).max() <= 1e-13 * scale
         back = ref_transform(x, spec, inverse=True)
         assert np.abs(idwt2_array(x, spec) - back).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("family", sorted(SPECS))
+    def test_one_spec_serves_several_shapes(self, family):
+        # the spec caches one matrix per (side, depth); a second shape on the
+        # same object must not pick up the first shape's matrices
+        spec = WaveletSpec(taps=SPECS[family].taps, levels2=2)
+        rng = np.random.default_rng(14)
+        for shape in [(16, 16), (32, 8)]:
+            x = rng.standard_normal(shape)
+            scale = np.abs(x).max()
+            ref = ref_transform(x, spec)
+            assert np.abs(dwt2_array(x, spec) - ref).max() <= 1e-13 * scale
+            back = ref_transform(x, spec, inverse=True)
+            assert np.abs(idwt2_array(x, spec) - back).max() <= 1e-13 * scale
 
     def test_daub6_wraps_at_coarse_levels(self):
         # 6 taps on 16 x 8 at full depth: the last levels filter N = 2 and 4
