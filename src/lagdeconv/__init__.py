@@ -11,6 +11,7 @@ from .estimator import (
     Cube,
     Diagnostics,
     EstimatorConfig,
+    Plan,
     analyze,
     deconvolve,
     estimate_eps,
@@ -59,7 +60,7 @@ from .wavelet2d import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoeffTensor", "Cube", "Diagnostics", "EstimatorConfig",
+    "CoeffTensor", "Cube", "Diagnostics", "EstimatorConfig", "Plan",
     "analyze", "deconvolve", "estimate_eps", "hard_threshold", "thresholds",
     "LagCoeffs", "LaguerreBasis", "TimeGrid",
     "eval_laguerre", "fit_coeffs", "project", "reconstruct",

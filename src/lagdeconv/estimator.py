@@ -2,18 +2,27 @@
 
 Pipeline for observations Y = g*f + noise on an (n, n1, n2) grid:
 
-1. in time, per pixel: projection onto the first M Laguerre functions
-   (stable least-squares route, with the t = 0 slice extrapolated) and
-   the triangular Toeplitz solve against the kernel operator G,
-2. orthonormal 2D wavelet transform of each of the M coefficient slices,
-3. level-dependent hard thresholding of the coefficients theta_{l;omega},
-4. inverse wavelet transform of the M slices, then Laguerre evaluation
+1. noise level: sigma_hat is the median over time slices of the MAD of the
+   finest (detail, detail) wavelet coefficients, H1 X H2^T with H the
+   finest-detail rows of each axis's one-level transform matrix W, and
+   eps = T * sigma_hat / sqrt(n),
+2. in time, per pixel: the M x n operator A = G^-1 P E, which folds the
+   t = 0 slice extrapolation E, the stable least-squares projection P onto
+   the first M Laguerre functions and the inverse of the triangular
+   Toeplitz kernel operator G into one matrix, applied to the n time
+   slices before any spatial work,
+3. orthonormal 2D wavelet transform of each of the M coefficient slices,
+4. level-dependent hard thresholding of the coefficients theta_{l;omega},
+5. inverse wavelet transform of the M slices, then Laguerre evaluation
    in time.
 
 All steps are linear except the thresholding.  The time operators commute
 with the per-slice spatial transform, so the spatial work is M transforms
-each way rather than n (the solve runs on the transformed M slices, with
-the same result).  Nothing mutates its inputs.
+each way rather than n.  A `Plan` holds everything that depends only on
+the grid, the kernel, the spec and the config (A, the basis, the
+inverse-norm table, the level indices), so cubes that share a kernel share
+one plan; `deconvolve` builds one and applies it once.  Nothing mutates its
+inputs.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +57,7 @@ __all__ = [
     "CoeffTensor",
     "EstimatorConfig",
     "Diagnostics",
+    "Plan",
     "analyze",
     "estimate_eps",
     "thresholds",
@@ -165,6 +176,10 @@ class Diagnostics:
     keep_counts: np.ndarray | None
     total_counts: np.ndarray | None
     lambdas: np.ndarray | None
+    omega_dropped: int  # coefficients outside Omega(J1, J2), zeroed by the truncation
+    # None, or why no coefficient was thresholded: "threshold_mode off",
+    # "eps = 0" or "eps >= 1" (log(1/eps) floored at 0: all thresholds zero).
+    thresholds_disabled_reason: str | None
 
     def to_dict(self) -> dict:
         return {
@@ -183,6 +198,8 @@ class Diagnostics:
             "lambdas": None
             if self.lambdas is None
             else [float(v) for v in self.lambdas],
+            "omega_dropped": self.omega_dropped,
+            "thresholds_disabled_reason": self.thresholds_disabled_reason,
         }
 
 
@@ -201,12 +218,14 @@ def analyze(
     """
     if Y.grid.n != basis.grid.n or Y.grid.T != basis.grid.T:
         raise ValueError("cube and basis live on different time grids")
-    # Fold the zero-slice extrapolation into the M x (n+1) projector, giving
-    # one M x n operator.
-    extrapolate = _series_with_zero(np.eye(Y.grid.n), None)  # (n+1) x n
-    op = basis.projection_matrix(rcond) @ extrapolate
-    time_coeffs = np.tensordot(op, Y.data, axes=(1, 0))  # (M, n1, n2)
+    time_coeffs = np.tensordot(_projector(basis, rcond), Y.data, axes=(1, 0))
     return CoeffTensor(values=dwt2_array(time_coeffs, spec), spec=spec)
+
+
+def _projector(basis: LaguerreBasis, rcond: float) -> np.ndarray:
+    """P E: the zero-slice extrapolation folded into the M x (n+1) projector."""
+    extrapolate = _series_with_zero(np.eye(basis.grid.n), None)  # (n+1) x n
+    return basis.projection_matrix(rcond) @ extrapolate
 
 
 def _sigma_hat(Y: Cube, spec: WaveletSpec, robust: bool) -> float:
@@ -280,6 +299,177 @@ def _auto_J(A: float, eps: float, n_side: int) -> int:
     return min(max(raw, 0), full)
 
 
+@dataclass
+class _Order:
+    """Kernel-side state of a fit of one Laguerre order M."""
+
+    basis: LaguerreBasis
+    g_hat: LagCoeffs
+    op: np.ndarray  # A = G^-1 P E, M x n
+    norms: InverseNormTable | None = None  # built when thresholds first need it
+
+
+class Plan:
+    """The estimator for one grid, spatial shape, kernel, spec and config.
+
+    A plan holds the work that does not depend on the observations: the
+    Laguerre basis, the kernel fit, the folded M x n time operator
+    A = G^-1 P E (zero-slice extrapolation E, least-squares projector P,
+    Toeplitz inverse G^-1), the inverse-norm table (built when thresholds
+    first need it) and the level indices of the spatial layout.  With
+    M="auto" it holds the probe of order m_cap (basis, kernel fit and norm
+    table) and builds the state of each order the rule chooses once.
+    `apply` does the per-cube work, so one plan serves every cube that
+    shares the kernel.  Its caches hold only idempotent derived state, so a
+    plan is safe to share across threads.
+    """
+
+    def __init__(
+        self,
+        grid: TimeGrid,
+        shape: tuple[int, int],
+        g_series: np.ndarray | None,
+        spec: WaveletSpec,
+        cfg: EstimatorConfig = EstimatorConfig(),
+        g_zero: float | None = None,
+        g_coeffs: LagCoeffs | None = None,
+    ):
+        n1, n2 = shape
+        if n1 & (n1 - 1) or n2 & (n2 - 1):
+            raise ValueError("spatial sides must be powers of two (symmetrize first)")
+        if g_series is None and g_coeffs is None:
+            raise ValueError("provide the kernel as samples or as Laguerre coefficients")
+        if g_coeffs is None:
+            g_series = np.array(g_series, dtype=float)  # kept for orders fitted later
+            if g_series.shape != (grid.n,):
+                raise ValueError("kernel samples must live on the cube's time grid")
+        self.grid, self.shape, self.spec, self.cfg = grid, (n1, n2), spec, cfg
+        self._g_series, self._g_zero, self._g_coeffs = g_series, g_zero, g_coeffs
+        self._lev1 = _level_index(n1, spec.depth_for(n1, spec.levels1))
+        self._lev2 = _level_index(n2, spec.depth_for(n2, spec.levels2))
+        self._orders: dict[int, _Order] = {}
+        self._probe_basis = self._probe_g = None
+        if cfg.M != "auto":
+            self._order(int(cfg.M))
+            return
+        # The inverse-norm growth rule picks M from a probe fit of order m_cap.
+        self._m_cap = min(cfg.m_cap, grid.n)
+        if g_coeffs is not None:
+            self._m_cap = min(self._m_cap, g_coeffs.m)
+            self._probe_g = LagCoeffs(g_coeffs.values[: self._m_cap])
+        else:
+            self._probe_basis = tabulate_basis(self._m_cap, grid)
+            self._probe_g = fit_coeffs(g_series, self._probe_basis, cfg.rcond, g_zero)
+
+    @cached_property
+    def _probe_norms(self) -> InverseNormTable:
+        return inverse_norms(self._probe_g, self._m_cap)
+
+    def _order(self, M: int) -> _Order:
+        if M not in self._orders:
+            if self._g_coeffs is not None:
+                if self._g_coeffs.m < M:
+                    raise ValueError(f"kernel coefficients cover m={self._g_coeffs.m}, need {M}")
+                g_hat = LagCoeffs(self._g_coeffs.values[:M])
+                basis = tabulate_basis(M, self.grid)
+            elif self._probe_basis is not None and self._probe_basis.M == M:
+                basis, g_hat = self._probe_basis, self._probe_g
+            else:
+                basis = tabulate_basis(M, self.grid)
+                g_hat = fit_coeffs(self._g_series, basis, self.cfg.rcond, self._g_zero)
+            # Forward substitution against P E gives A without forming G^-1.
+            op = solve_lower(build_G(g_hat, M), _projector(basis, self.cfg.rcond))
+            self._orders[M] = _Order(basis, g_hat, op)
+        return self._orders[M]
+
+    def _norms(self, order: _Order) -> InverseNormTable:
+        if order.norms is None:
+            # The probe's table serves whenever its kernel coefficients lead
+            # with this order's: entry m depends only on the first m of them.
+            # Given coefficients always do; a kernel fitted from samples only
+            # at M = m_cap, where the probe fitted exactly this basis.
+            if self._probe_g is not None and (
+                self._g_coeffs is not None or order.basis is self._probe_basis
+            ):
+                order.norms = self._probe_norms
+            else:
+                order.norms = inverse_norms(order.g_hat, max(order.basis.M - 1, 1))
+        return order.norms
+
+    def apply(self, Y: Cube) -> tuple[Cube, Diagnostics]:
+        """Deconvolve one cube on the plan's grid and shape."""
+        if Y.grid != self.grid or (Y.n1, Y.n2) != self.shape:
+            raise ValueError("cube does not match the plan's time grid and spatial shape")
+        cfg, spec = self.cfg, self.spec
+        n1, n2 = self.shape
+        sigma_hat = _sigma_hat(Y, spec, cfg.sigma_robust)
+        eps = (
+            Y.grid.T * sigma_hat / math.sqrt(Y.grid.n)
+            if cfg.eps == "auto"
+            else float(cfg.eps)
+        )
+        if cfg.M != "auto":
+            M = int(cfg.M)
+        elif eps > 0:
+            M = select_M(self._probe_norms, eps, cap=self._m_cap)
+        else:
+            M = self._m_cap
+        order = self._order(M)
+        theta = dwt2_array(np.tensordot(order.op, Y.data, axes=(1, 0)), spec)
+
+        # Truncation set Omega(J1, J2): drop detail levels >= J along each axis.
+        # The auto rule 2^J = A^2 eps^-2 exists to control the variance of the
+        # thresholded estimator; with thresholding off, auto means full depth.
+        auto_on = cfg.threshold_mode
+        J1 = (
+            (_auto_J(cfg.A, eps, n1) if auto_on else int(math.log2(n1)))
+            if cfg.J1 == "auto"
+            else min(int(cfg.J1), int(math.log2(n1)))
+        )
+        J2 = (
+            (_auto_J(cfg.A, eps, n2) if auto_on else int(math.log2(n2)))
+            if cfg.J2 == "auto"
+            else min(int(cfg.J2), int(math.log2(n2)))
+        )
+        in_omega = np.outer(self._lev1 < J1, self._lev2 < J2)
+        theta *= in_omega[None, :, :]
+        omega_size = int(in_omega.sum())
+
+        keep_counts = total_counts = lambdas = disabled = None
+        if not cfg.threshold_mode:
+            disabled = "threshold_mode off"
+        elif eps == 0.0:
+            disabled = "eps = 0"
+            warnings.warn("eps = 0 with thresholding on: proceeding threshold-free")
+        else:
+            if eps >= 1.0:
+                disabled = "eps >= 1"  # thresholds() warns and returns zeros
+            lambdas = thresholds(M, eps, cfg.nu, self._norms(order))
+            protect = np.outer(self._lev1 == -1, self._lev2 == -1)  # the mean-carrying block
+            kept, keep_counts = hard_threshold(CoeffTensor(theta, spec), lambdas, protect)
+            theta = kept.values
+            total_counts = np.full(M, omega_size)
+
+        # Synthesis: inverse wavelet transform of the M orders, then Laguerre
+        # evaluation in time (the two commute, and this order runs M transforms).
+        f_hat = np.tensordot(order.basis.values, idwt2_array(theta, spec), axes=(0, 0))
+
+        diag = Diagnostics(
+            sigma_hat=sigma_hat,
+            eps=eps,
+            M=M,
+            J1=J1,
+            J2=J2,
+            rank=order.basis.projection_rank(cfg.rcond),
+            keep_counts=keep_counts,
+            total_counts=total_counts,
+            lambdas=lambdas,
+            omega_dropped=M * (n1 * n2 - omega_size),
+            thresholds_disabled_reason=disabled,
+        )
+        return Cube(grid=Y.grid, data=f_hat), diag
+
+
 def deconvolve(
     Y: Cube,
     g_series: np.ndarray | None,
@@ -292,112 +482,8 @@ def deconvolve(
 
     The kernel enters either as samples on Y's grid (`g_series`, optionally
     with its exact t = 0 value `g_zero`) or directly as Laguerre coefficients
-    (`g_coeffs`).  Returns the estimate cube and diagnostics.
+    (`g_coeffs`).  Returns the estimate cube and diagnostics.  This builds a
+    `Plan` for Y's grid and shape and applies it once; cubes that share a
+    kernel can share one plan instead.
     """
-    n1, n2 = Y.n1, Y.n2
-    if n1 & (n1 - 1) or n2 & (n2 - 1):
-        raise ValueError("spatial sides must be powers of two (symmetrize first)")
-    if g_series is None and g_coeffs is None:
-        raise ValueError("provide the kernel as samples or as Laguerre coefficients")
-
-    sigma_hat = _sigma_hat(Y, spec, cfg.sigma_robust)
-    eps = (
-        Y.grid.T * sigma_hat / math.sqrt(Y.grid.n)
-        if cfg.eps == "auto"
-        else float(cfg.eps)
-    )
-
-    if g_coeffs is None:
-        g_series = np.asarray(g_series, dtype=float)
-        if g_series.shape != (Y.grid.n,):
-            raise ValueError("kernel samples must live on the cube's time grid")
-
-    # Laguerre order: fixed, or the inverse-norm growth rule applied to a
-    # probe fit of order m_cap.
-    probe_basis = probe_norms = None
-    if cfg.M == "auto":
-        m_cap = min(cfg.m_cap, Y.grid.n)
-        if g_coeffs is not None:
-            m_cap = min(m_cap, g_coeffs.m)
-            probe_g = LagCoeffs(g_coeffs.values[:m_cap])
-        else:
-            probe_basis = tabulate_basis(m_cap, Y.grid)
-            probe_g = fit_coeffs(g_series, probe_basis, cfg.rcond, g_zero)
-        if eps > 0:
-            probe_norms = inverse_norms(probe_g, m_cap)
-            M = select_M(probe_norms, eps, cap=m_cap)
-        else:
-            M = m_cap
-    else:
-        M = int(cfg.M)
-
-    # The probe's norm table serves this fit whenever its kernel coefficients
-    # lead with this fit's: entry m depends only on the first m of them.
-    # Given coefficients always do; a kernel fitted from samples only when M
-    # lands on m_cap, where the probe fitted exactly this basis.
-    if g_coeffs is not None:
-        if g_coeffs.m < M:
-            raise ValueError(f"kernel coefficients cover m={g_coeffs.m}, need {M}")
-        g_hat = LagCoeffs(g_coeffs.values[:M])
-        basis = tabulate_basis(M, Y.grid)
-    elif probe_basis is not None and probe_basis.M == M:
-        basis, g_hat = probe_basis, probe_g
-    else:
-        basis = tabulate_basis(M, Y.grid)
-        g_hat = fit_coeffs(g_series, basis, cfg.rcond, g_zero)
-        probe_norms = None
-
-    G = build_G(g_hat, M)
-    q_hat = analyze(Y, spec, basis, cfg.rcond)
-    theta = solve_lower(G, q_hat.values)
-
-    # Truncation set Omega(J1, J2): drop detail levels >= J along each axis.
-    # The auto rule 2^J = A^2 eps^-2 exists to control the variance of the
-    # thresholded estimator; with thresholding off, auto means full depth.
-    depth1 = spec.depth_for(n1, spec.levels1)
-    depth2 = spec.depth_for(n2, spec.levels2)
-    auto_on = cfg.threshold_mode
-    J1 = (
-        (_auto_J(cfg.A, eps, n1) if auto_on else int(math.log2(n1)))
-        if cfg.J1 == "auto"
-        else min(int(cfg.J1), int(math.log2(n1)))
-    )
-    J2 = (
-        (_auto_J(cfg.A, eps, n2) if auto_on else int(math.log2(n2)))
-        if cfg.J2 == "auto"
-        else min(int(cfg.J2), int(math.log2(n2)))
-    )
-    lev1 = _level_index(n1, depth1)
-    lev2 = _level_index(n2, depth2)
-    in_omega = np.outer(lev1 < J1, lev2 < J2)
-    theta = theta * in_omega[None, :, :]
-
-    keep_counts = total_counts = lambdas = None
-    if cfg.threshold_mode and eps > 0:
-        norms = probe_norms
-        if norms is None:
-            norms = inverse_norms(g_hat, max(M - 1, 1))
-        lambdas = thresholds(M, eps, cfg.nu, norms)
-        protect = np.outer(lev1 == -1, lev2 == -1)  # the mean-carrying block
-        kept, keep_counts = hard_threshold(CoeffTensor(theta, spec), lambdas, protect)
-        theta = kept.values
-        total_counts = np.full(M, int(in_omega.sum()))
-    elif cfg.threshold_mode and eps == 0.0:
-        warnings.warn("eps = 0 with thresholding on: proceeding threshold-free")
-
-    # Synthesis: inverse wavelet transform of the M orders, then Laguerre
-    # evaluation in time (the two commute, and this order runs M transforms).
-    f_hat = np.tensordot(basis.values, idwt2_array(theta, spec), axes=(0, 0))
-
-    diag = Diagnostics(
-        sigma_hat=sigma_hat,
-        eps=eps,
-        M=M,
-        J1=J1,
-        J2=J2,
-        rank=basis.projection_rank(cfg.rcond),
-        keep_counts=keep_counts,
-        total_counts=total_counts,
-        lambdas=lambdas,
-    )
-    return Cube(grid=Y.grid, data=f_hat), diag
+    return Plan(Y.grid, (Y.n1, Y.n2), g_series, spec, cfg, g_zero, g_coeffs).apply(Y)

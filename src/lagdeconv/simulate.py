@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import Cube, Diagnostics, EstimatorConfig, deconvolve
+from .estimator import Cube, Diagnostics, EstimatorConfig, Plan, deconvolve
 from .laguerre import TimeGrid, _series_with_zero
 from .wavelet2d import WaveletSpec
 
@@ -211,6 +211,9 @@ def run_table1(
     if spec is None:
         spec = WaveletSpec()
     g = default_kernel(cfg.grid.points)
+    # Every replicate of every cell shares the grid, the kernel and the
+    # settings, so one plan serves them all.
+    plan = Plan(cfg.grid, (cfg.n1, cfg.n2), g, spec, est_cfg, g_zero=1.0)
     rows: list[Table1Row] = []
     for fid in TEST_FUNCTION_IDS:
         f = eval_test_function(fid, cfg)
@@ -224,7 +227,7 @@ def run_table1(
             deltas = np.empty(cfg.runs)
             for i in range(cfg.runs):
                 Y, _ = add_noise(q, snr, cfg.seed + i)
-                f_hat, _ = deconvolve(Y, g, spec, est_cfg, g_zero=1.0)
+                f_hat, _ = plan.apply(Y)
                 deltas[i] = relative_error(f_hat, f)
             rows.append(
                 Table1Row(

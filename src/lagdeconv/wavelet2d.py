@@ -77,16 +77,20 @@ class WaveletSpec:
     family: str = "daub4"
     levels1: int = 0  # 0 means full depth, resolved per image size
     levels2: int = 0
-    taps: np.ndarray | None = None
+    taps: np.ndarray | None = field(default=None, compare=False)
+    # The taps as a tuple: specs compare and hash by their values.
+    _taps: tuple = field(init=False, repr=False)
     # Transform matrices keyed by (n, depth); idempotent, so safe to share.
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        h = wavelet_taps(self.family) if self.taps is None else np.asarray(
+        h = wavelet_taps(self.family) if self.taps is None else np.array(
             self.taps, dtype=float
         )
         _check_orthogonal_taps(h)
+        h.flags.writeable = False  # the tuple and the cached matrices derive from it
         object.__setattr__(self, "taps", h)
+        object.__setattr__(self, "_taps", tuple(h.tolist()))
 
     @property
     def highpass(self) -> np.ndarray:
@@ -227,21 +231,40 @@ def idwt2(coeffs: WaveletCoeffs2D, spec: WaveletSpec | None = None) -> np.ndarra
     return idwt2_array(coeffs.values, spec if spec is not None else coeffs.spec)
 
 
+def _median(x: np.ndarray) -> float:
+    """np.median of a 1-D array, from one partition at the middle.
+
+    For an even count the lower middle value is the largest entry below the
+    partition point; a single partition point is much faster than two.
+    """
+    k = x.size // 2
+    part = np.partition(x, k)
+    if x.size % 2:
+        return float(part[k])
+    return float((part[:k].max() + part[k]) / 2)
+
+
 def estimate_sigma(image, spec: WaveletSpec, robust: bool = True) -> float:
     """Noise scale from the finest-level detail coefficients.
 
-    The (detail, detail) quadrant of one analysis step along both axes;
-    only that quadrant is computed.
+    The (detail, detail) quadrant of one analysis step along both axes,
+    H1 X H2^T with H the finest-detail rows of the one-level matrix W of
+    each axis; both sides must be even.
     Default is the MAD estimate (median|d| / 0.6745), insensitive to signal
     leaking into fine scales; robust=False gives the plain standard deviation.
     """
     image = np.asarray(image, dtype=float)
     if image.ndim != 2 or min(image.shape) < 2:
         raise ValueError("expected an image of size at least 2 x 2")
-    g = spec.highpass
-    dd = _filter_down(_filter_down(image, g).T, g).T
+    for name, n in zip(("n1", "n2"), image.shape):
+        if n % 2:
+            raise ValueError(f"{name} = {n} is odd: the finest detail step needs an even side")
+    n1, n2 = image.shape
+    H1 = _matrix(spec, n1, 1)[n1 // 2 :]
+    H2 = _matrix(spec, n2, 1)[n2 // 2 :]
+    dd = H1 @ image @ H2.T
     if robust:
-        return float(np.median(np.abs(dd)) / MAD_TO_SIGMA)
+        return _median(np.abs(dd).ravel()) / MAD_TO_SIGMA
     return float(dd.std())
 
 

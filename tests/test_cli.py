@@ -75,6 +75,8 @@ class TestDeconvolveCommand:
         assert relative_error(f_hat, f_true) < 1e-3
         diag = json.loads((tmp_path / "diag.json").read_text())
         assert diag["M"] == 8 and diag["keep_counts"] is None
+        assert diag["thresholds_disabled_reason"] == "threshold_mode off"
+        assert diag["omega_dropped"] == 0
 
     def test_eps_one_zero_thresholds_warn_but_run(self, tmp_path):
         out = self.simulate_fixture(tmp_path, n=32, T=5.0, snr="5")

@@ -7,6 +7,7 @@ from lagdeconv import (
     Cube,
     EstimatorConfig,
     LagCoeffs,
+    Plan,
     TimeGrid,
     WaveletCoeffs2D,
     WaveletSpec,
@@ -451,6 +452,85 @@ class TestPipelineOrder:
         else:
             assert np.array_equal(diag.keep_counts, ref["keep_counts"])
             assert np.allclose(diag.lambdas, ref["lambdas"], rtol=1e-12, atol=0.0)
+
+
+class TestPlan:
+    def cubes(self, grid, shape=(16, 16)):
+        base = np.exp(-grid.points / 2.0)[:, None, None] * cosine_field(*shape)
+        rng = np.random.Generator(np.random.Philox(21))
+        noise = rng.standard_normal((2, grid.n, *shape))
+        return [Cube(grid=grid, data=base + s * z) for s, z in zip((0.01, 0.5), noise)]
+
+    @pytest.mark.parametrize(
+        "cfg", [EstimatorConfig(M=8), EstimatorConfig(m_cap=16)], ids=["M=8", "M=auto"]
+    )
+    def test_one_plan_serves_cubes_with_different_noise(self, cfg):
+        # eps, J, lambda and (with M="auto") M belong to the cube, not the plan
+        grid = TimeGrid(n=32, T=5.0)
+        spec = WaveletSpec()
+        g = np.exp(-grid.points / 2.0)
+        A, B = self.cubes(grid)
+        plan = Plan(grid, (16, 16), g, spec, cfg, g_zero=1.0)
+        outs = [plan.apply(Y) for Y in (A, B, A)]
+        fresh = [deconvolve(Y, g, spec, cfg, g_zero=1.0) for Y in (A, B)]
+        (fa, da), (fb, db) = fresh
+        assert da.J1 != db.J1 and not np.array_equal(da.lambdas[1:], db.lambdas[1:])
+        if cfg.M == "auto":
+            assert da.M != db.M
+        for (f, d), (f_ref, d_ref) in zip(outs, [fresh[0], fresh[1], fresh[0]]):
+            assert np.array_equal(f.data, f_ref.data)
+            assert d.to_dict() == d_ref.to_dict()
+
+    def test_rejects_a_cube_of_another_grid_or_shape(self):
+        grid = TimeGrid(n=32, T=5.0)
+        plan = Plan(grid, (16, 16), np.exp(-grid.points / 2.0), WaveletSpec(),
+                    EstimatorConfig(M=4), g_zero=1.0)
+        (other_shape,) = self.cubes(grid, (16, 8))[:1]
+        (other_grid,) = self.cubes(TimeGrid(n=32, T=6.0))[:1]
+        for Y in (other_shape, other_grid):
+            with pytest.raises(ValueError):
+                plan.apply(Y)
+
+
+class TestDiagnostics:
+    def fit(self, noise, **cfg):
+        grid = TimeGrid(n=32, T=5.0)
+        base = np.exp(-grid.points / 2.0)[:, None, None] * cosine_field(16, 16)
+        rng = np.random.Generator(np.random.Philox(8))
+        Y = Cube(grid=grid, data=base + noise * rng.standard_normal((32, 16, 16)))
+        return deconvolve(
+            Y, np.exp(-grid.points / 2.0), WaveletSpec(), EstimatorConfig(M=4, **cfg),
+            g_zero=1.0,
+        )[1]
+
+    @pytest.mark.parametrize(
+        "noise, cfg, reason",
+        [
+            (0.05, {}, None),
+            (0.05, {"threshold_mode": False}, "threshold_mode off"),
+            (0.05, {"eps": 0.0}, "eps = 0"),
+            (0.05, {"eps": 1.0}, "eps >= 1"),
+            (3.0, {}, "eps >= 1"),
+        ],
+    )
+    def test_thresholds_disabled_reason(self, noise, cfg, reason):
+        if reason is None or reason == "threshold_mode off":
+            diag = self.fit(noise, **cfg)
+        else:
+            with pytest.warns(UserWarning):
+                diag = self.fit(noise, **cfg)
+        assert diag.thresholds_disabled_reason == reason
+        assert diag.to_dict()["thresholds_disabled_reason"] == reason
+        if reason == "eps >= 1":
+            assert np.all(diag.lambdas == 0.0)
+
+    def test_omega_dropped_counts_the_truncated_coefficients(self):
+        # 16 x 16 at full depth: levels < 2 keep 4 rows, levels < 3 keep 8 columns
+        diag = self.fit(0.05, J1=2, J2=3)
+        assert diag.omega_dropped == 4 * (16 * 16 - 4 * 8)
+        assert np.all(diag.total_counts == 4 * 8)
+        assert self.fit(0.05, threshold_mode=False).omega_dropped == 0
+        assert diag.to_dict()["omega_dropped"] == diag.omega_dropped
 
 
 class TestConfigValidation:

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from lagdeconv import Cube, EstimatorConfig, TimeGrid, relative_error
+from lagdeconv import (
+    Cube,
+    EstimatorConfig,
+    TimeGrid,
+    WaveletSpec,
+    deconvolve,
+    relative_error,
+)
 from lagdeconv.simulate import (
+    TEST_FUNCTION_IDS,
     SimConfig,
     add_noise,
     default_kernel,
@@ -214,6 +222,35 @@ class TestRunTable1:
         r = rows[0]
         assert r.function == "f1" and r.snr == 3.0 and r.runs == 2 and r.seed == 1
         assert r.ratio == pytest.approx(r.mean_delta / r.reference_delta)
+
+    @pytest.mark.parametrize(
+        "est",
+        [
+            EstimatorConfig(M=8),
+            EstimatorConfig(m_cap=16),
+            EstimatorConfig(M=8, threshold_mode=False),
+        ],
+        ids=["M=8", "M=auto", "threshold-off"],
+    )
+    def test_cells_equal_a_loop_of_fresh_fits(self, est):
+        # run_table1 reuses one plan; each replicate fitted on its own must agree
+        cfg = SimConfig(n=32, n1=16, n2=16, runs=3, seed=17)
+        snrs = (3.0, 7.0)
+        rows = run_table1(cfg, est, snrs=snrs)
+        g = default_kernel(cfg.grid.points)
+        cells = []
+        for fid in TEST_FUNCTION_IDS:
+            f = eval_test_function(fid, cfg)
+            q = forward_convolve(f, g, g_zero=1.0, f_zero=zero_time_slice(fid, cfg))
+            for snr in snrs:
+                deltas = []
+                for i in range(cfg.runs):
+                    Y, _ = add_noise(q, snr, cfg.seed + i)
+                    f_hat, _ = deconvolve(Y, g, WaveletSpec(), est, g_zero=1.0)
+                    deltas.append(relative_error(f_hat, f))
+                cells.append(np.mean(deltas))
+        means = np.array([r.mean_delta for r in rows])
+        assert np.allclose(means, cells, rtol=1e-12, atol=0.0)
 
     def test_means_stable_across_master_seeds(self):
         # independent master seeds agree within three pooled standard errors

@@ -95,6 +95,15 @@ class TestSpec:
         # time-reversed daub4 is also a valid orthogonal filter
         WaveletSpec(taps=wavelet_taps("daub4")[::-1])
 
+    def test_specs_compare_and_hash_by_value(self):
+        a, b = WaveletSpec(), WaveletSpec()
+        assert a == b and hash(a) == hash(b)
+        assert WaveletSpec("haar") != a
+        assert WaveletSpec(levels1=2) != a
+        assert WaveletSpec(taps=DAUB6) == WaveletSpec(taps=list(DAUB6))
+        assert isinstance(a.taps, np.ndarray) and a.taps.dtype == float
+        assert np.array_equal(a.taps, wavelet_taps("daub4"))
+
     def test_depth_bound(self):
         spec = WaveletSpec(levels1=6, levels2=1)
         with pytest.raises(ValueError):
@@ -219,12 +228,21 @@ class TestReferenceFilterBank:
     @pytest.mark.parametrize("family", sorted(SPECS))
     @pytest.mark.parametrize("robust", [True, False])
     def test_sigma_reads_the_reference_detail_quadrant(self, family, robust):
-        spec = SPECS[family]
+        self.check_sigma(SPECS[family], robust, (16, 8))
+
+    @pytest.mark.parametrize("family", sorted(SPECS))
+    @pytest.mark.parametrize("shape", [(6, 10), (12, 20)])
+    def test_sigma_on_even_non_dyadic_sides(self, family, shape):
+        # one detail step needs even sides only, not dyadic ones
+        for robust in (True, False):
+            self.check_sigma(SPECS[family], robust, shape)
+
+    def check_sigma(self, spec, robust, shape):
         rng = np.random.default_rng(13)
-        img = rng.standard_normal((16, 8))
+        img = rng.standard_normal(shape)
         h, g = spec.taps, spec.highpass
         step = ref_dwt_step(ref_dwt_step(img, h, g).T, h, g).T
-        dd = step[8:, 4:]
+        dd = step[shape[0] // 2 :, shape[1] // 2 :]
         want = np.median(np.abs(dd)) / 0.6745 if robust else dd.std()
         assert estimate_sigma(img, spec, robust) == pytest.approx(want, rel=1e-13)
 
@@ -266,6 +284,13 @@ class TestEstimateSigma:
     def test_too_small(self):
         with pytest.raises(ValueError):
             estimate_sigma(np.zeros((1, 4)), WaveletSpec())
+
+    @pytest.mark.parametrize(
+        "shape, side", [((5, 7), "n1 = 5"), ((3, 4), "n1 = 3"), ((4, 3), "n2 = 3")]
+    )
+    def test_odd_side_rejected(self, shape, side):
+        with pytest.raises(ValueError, match=side):
+            estimate_sigma(np.ones(shape), WaveletSpec())
 
 
 class TestSymmetrize:
