@@ -7,14 +7,11 @@ the kernel, and level-dependent hard thresholding.
 """
 
 from .estimator import (
-    CoeffTensor,
     Cube,
     Diagnostics,
     EstimatorConfig,
     Plan,
-    analyze,
     deconvolve,
-    estimate_eps,
     hard_threshold,
     thresholds,
 )
@@ -60,8 +57,8 @@ from .wavelet2d import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoeffTensor", "Cube", "Diagnostics", "EstimatorConfig", "Plan",
-    "analyze", "deconvolve", "estimate_eps", "hard_threshold", "thresholds",
+    "Cube", "Diagnostics", "EstimatorConfig", "Plan",
+    "deconvolve", "hard_threshold", "thresholds",
     "LagCoeffs", "LaguerreBasis", "TimeGrid",
     "eval_laguerre", "fit_coeffs", "project", "reconstruct",
     "smooth_series", "tabulate_basis",

@@ -99,12 +99,16 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _peel_zero(t: np.ndarray, values: np.ndarray):
+    """Split off a t=0 row: (positive-time t, values, value at 0 or None)."""
+    if t[0] == 0.0:
+        return t[1:], values[1:], float(values[0])
+    return t, values, None
+
+
 def _series_to_grid(t: np.ndarray, values: np.ndarray):
     """Interpret a series as samples on t_k = T k/n, peeling a t=0 row."""
-    zero_value = None
-    if t[0] == 0.0:
-        zero_value = float(values[0])
-        t, values = t[1:], values[1:]
+    t, values, zero_value = _peel_zero(t, values)
     if t.size < 2:
         raise UsageError("series needs at least two positive-time samples")
     # uniform spacing equal to t[0] means t_k = T k/n exactly
@@ -116,11 +120,7 @@ def _series_to_grid(t: np.ndarray, values: np.ndarray):
 
 def _kernel_on_grid(args, grid: TimeGrid):
     """Kernel samples + zero value from --kernel, matched to the cube grid."""
-    t, values = read_series(args.kernel)
-    zero_value = None
-    if t[0] == 0.0:
-        zero_value = float(values[0])
-        t, values = t[1:], values[1:]
+    t, values, zero_value = _peel_zero(*read_series(args.kernel))
     if t.size != grid.n or not np.allclose(t, grid.points, rtol=1e-9, atol=1e-12):
         raise UsageError("kernel series is not sampled on the cube's time grid")
     return values, zero_value

@@ -28,6 +28,7 @@ inputs.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -54,12 +55,9 @@ from .wavelet2d import WaveletSpec, _level_index, dwt2_array, estimate_sigma, id
 
 __all__ = [
     "Cube",
-    "CoeffTensor",
     "EstimatorConfig",
     "Diagnostics",
     "Plan",
-    "analyze",
-    "estimate_eps",
     "thresholds",
     "hard_threshold",
     "deconvolve",
@@ -97,29 +95,6 @@ class Cube:
         return self.data.shape[2]
 
 
-@dataclass
-class CoeffTensor:
-    """Wavelet-Laguerre coefficients theta[l, i1, i2].
-
-    The spatial axes carry the wavelet coefficient layout of WaveletCoeffs2D;
-    l indexes the Laguerre order.
-    """
-
-    values: np.ndarray
-    spec: WaveletSpec
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 3:
-            raise ValueError("coefficient tensor must be 3-D (l, i1, i2)")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("coefficients must be finite")
-
-    @property
-    def M(self) -> int:
-        return self.values.shape[0]
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Tuning knobs of the deconvolution estimator.
@@ -133,7 +108,9 @@ class EstimatorConfig:
             reference simulation study and frozen.
     eps:    noise intensity, or "auto" for T*sigma_hat/sqrt(n) with sigma_hat
             from the finest wavelet details.
-    rcond:  spectral cutoff of the Laguerre least-squares projection.
+    rcond:  spectral cutoff of the Laguerre least-squares projection, in
+            [0, 1).
+    m_cap:  largest order the "auto" rule may choose.
     """
 
     M: int | str = "auto"
@@ -152,15 +129,23 @@ class EstimatorConfig:
             raise ValueError("nu must be positive")
         if not self.A > 0:
             raise ValueError("A must be positive")
-        if isinstance(self.M, str) and self.M != "auto":
-            raise ValueError("M must be a positive integer or 'auto'")
-        if isinstance(self.M, int) and self.M < 1:
-            raise ValueError("M must be a positive integer or 'auto'")
+        for name, low in (("M", 1), ("J1", 0), ("J2", 0)):
+            value = getattr(self, name)
+            if value != "auto" and not _is_int_at_least(value, low):
+                raise ValueError(f"{name} must be an integer >= {low} or 'auto'")
+        if not _is_int_at_least(self.m_cap, 1):
+            raise ValueError("m_cap must be an integer >= 1")
+        if not 0.0 <= self.rcond < 1.0:
+            raise ValueError("rcond must lie in [0, 1)")
         if isinstance(self.eps, str):
             if self.eps != "auto":
                 raise ValueError("eps must be a nonnegative number or 'auto'")
-        elif self.eps < 0:
+        elif not self.eps >= 0:
             raise ValueError("eps must be a nonnegative number or 'auto'")
+
+
+def _is_int_at_least(value, low: int) -> bool:
+    return isinstance(value, numbers.Integral) and value >= low
 
 
 @dataclass
@@ -203,25 +188,6 @@ class Diagnostics:
         }
 
 
-def analyze(
-    Y: Cube,
-    spec: WaveletSpec,
-    basis: LaguerreBasis,
-    rcond: float = DEFAULT_RCOND,
-) -> CoeffTensor:
-    """Laguerre projection per pixel, then wavelet transform per order.
-
-    Returns q_hat[l, i1, i2], the empirical wavelet-Laguerre coefficients
-    of the observations.  Both stages are linear and act on different axes,
-    so projecting first leaves the result unchanged and transforms only M
-    slices instead of n.
-    """
-    if Y.grid.n != basis.grid.n or Y.grid.T != basis.grid.T:
-        raise ValueError("cube and basis live on different time grids")
-    time_coeffs = np.tensordot(_projector(basis, rcond), Y.data, axes=(1, 0))
-    return CoeffTensor(values=dwt2_array(time_coeffs, spec), spec=spec)
-
-
 def _projector(basis: LaguerreBasis, rcond: float) -> np.ndarray:
     """P E: the zero-slice extrapolation folded into the M x (n+1) projector."""
     extrapolate = _series_with_zero(np.eye(basis.grid.n), None)  # (n+1) x n
@@ -231,15 +197,6 @@ def _projector(basis: LaguerreBasis, rcond: float) -> np.ndarray:
 def _sigma_hat(Y: Cube, spec: WaveletSpec, robust: bool) -> float:
     per_slice = [estimate_sigma(Y.data[k], spec, robust) for k in range(Y.grid.n)]
     return float(np.median(per_slice))
-
-
-def estimate_eps(Y: Cube, spec: WaveletSpec, robust: bool = True) -> float:
-    """Noise intensity eps_hat = T * sigma_hat / sqrt(n).
-
-    sigma_hat is the median over time slices of the per-slice finest-detail
-    noise estimate.
-    """
-    return Y.grid.T * _sigma_hat(Y, spec, robust) / math.sqrt(Y.grid.n)
 
 
 def thresholds(M: int, eps: float, nu: float, norms: InverseNormTable) -> np.ndarray:
@@ -263,32 +220,30 @@ def thresholds(M: int, eps: float, nu: float, norms: InverseNormTable) -> np.nda
     if log_term <= 0.0:
         warnings.warn("eps >= 1 floors log(1/eps) at 0: all thresholds are zero")
         log_term = 0.0
-    out = np.empty(M)
-    for l in range(M):
-        lv = max(l, 1)
-        out[l] = 2.0 * eps * math.sqrt(2.0 * nu * log_term / lv) * norms.spectral_at(lv)
-    return out
+    lv = np.maximum(np.arange(M), 1)
+    return 2.0 * eps * np.sqrt(2.0 * nu * log_term / lv) * norms.spectral[lv - 1]
 
 
 def hard_threshold(
-    tensor: CoeffTensor,
+    values: np.ndarray,
     lambdas: np.ndarray,
     protect: np.ndarray | None = None,
-) -> tuple[CoeffTensor, np.ndarray]:
-    """Zero every entry with |theta_{l;omega}| <= lambda_l.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Zero every entry of theta[l, i1, i2] with |theta_{l;omega}| <= lambda_l.
 
     `protect` is an optional spatial mask of entries kept regardless (the
-    scaling block).  Returns the thresholded tensor and the per-l count of
+    scaling block).  Returns the thresholded array and the per-l count of
     surviving entries.
     """
+    values = np.asarray(values, dtype=float)
     lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.shape != (tensor.M,):
-        raise ValueError(f"need one threshold per level, got shape {lambdas.shape}")
-    keep = np.abs(tensor.values) > lambdas[:, None, None]
+    if values.ndim != 3 or lambdas.shape != values.shape[:1]:
+        raise ValueError(f"need (M, n1, n2) values and M thresholds, got "
+                         f"{values.shape} and {lambdas.shape}")
+    keep = np.abs(values) > lambdas[:, None, None]
     if protect is not None:
         keep |= np.asarray(protect, dtype=bool)[None, :, :]
-    values = np.where(keep, tensor.values, 0.0)
-    return CoeffTensor(values=values, spec=tensor.spec), keep.sum(axis=(1, 2))
+    return np.where(keep, values, 0.0), keep.sum(axis=(1, 2))
 
 
 def _auto_J(A: float, eps: float, n_side: int) -> int:
@@ -377,7 +332,7 @@ class Plan:
             else:
                 basis = tabulate_basis(M, self.grid)
                 g_hat = fit_coeffs(self._g_series, basis, self.cfg.rcond, self._g_zero)
-            # Forward substitution against P E gives A without forming G^-1.
+            # A = G^-1 (P E): one solve against the folded projector.
             op = solve_lower(build_G(g_hat, M), _projector(basis, self.cfg.rcond))
             self._orders[M] = _Order(basis, g_hat, op)
         return self._orders[M]
@@ -446,8 +401,7 @@ class Plan:
                 disabled = "eps >= 1"  # thresholds() warns and returns zeros
             lambdas = thresholds(M, eps, cfg.nu, self._norms(order))
             protect = np.outer(self._lev1 == -1, self._lev2 == -1)  # the mean-carrying block
-            kept, keep_counts = hard_threshold(CoeffTensor(theta, spec), lambdas, protect)
-            theta = kept.values
+            theta, keep_counts = hard_threshold(theta, lambdas, protect)
             total_counts = np.full(M, omega_size)
 
         # Synthesis: inverse wavelet transform of the M orders, then Laguerre

@@ -2,11 +2,13 @@
 
 Convolution with a kernel g maps Laguerre coefficients theta to q = G theta,
 where G is lower triangular Toeplitz with first column
-(g_0, g_1 - g_0, g_2 - g_1, ...).  This module builds G from kernel
-coefficients, solves triangular systems by forward substitution, and
-tabulates the inverse norms ||(G^(m))^-1|| exactly, from singular values of
-the dense inverse, to track how fast they grow with the dimension m - the
-quantity that drives both the truncation rule for M and the threshold levels.
+(g_0, g_1 - g_0, g_2 - g_1, ...).  The inverse of such a matrix is again
+lower-triangular Toeplitz, so one recurrence for its first column gives all
+of G^-1.  This module builds G from kernel coefficients, solves triangular
+systems by applying that inverse, and tabulates the inverse norms
+||(G^(m))^-1|| exactly, from singular values of the dense inverse, to track
+how fast they grow with the dimension m - the quantity that drives both the
+truncation rule for M and the threshold levels.
 """
 
 from __future__ import annotations
@@ -54,11 +56,8 @@ class LowerToeplitz:
 
     def dense(self) -> np.ndarray:
         """Materialize the m x m matrix."""
-        out = np.zeros((self.m, self.m))
-        for d in range(self.m):
-            idx = np.arange(self.m - d)
-            out[idx + d, idx] = self.col[d]
-        return out
+        d = np.subtract.outer(np.arange(self.m), np.arange(self.m))
+        return np.where(d >= 0, self.col[d], 0.0)
 
 
 def build_G(g_coeffs: LagCoeffs, m: int) -> LowerToeplitz:
@@ -82,18 +81,22 @@ def build_G(g_coeffs: LagCoeffs, m: int) -> LowerToeplitz:
 
 
 def solve_lower(G: LowerToeplitz, rhs) -> np.ndarray:
-    """Forward substitution for G x = rhs; rhs may be (m,) or (m, ...)."""
+    """Solve G x = rhs for rhs of shape (m,) or (m, ...) as x = G^-1 rhs.
+
+    G^-1 is lower-triangular Toeplitz with first column c: c_0 = 1/g_0 and
+    c_i = -(g_1 c_{i-1} + ... + g_i c_0)/g_0, with g the first column of G.
+    """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != G.m:
         raise ValueError(f"rhs has leading dimension {rhs.shape[0]}, expected {G.m}")
     if G.col[0] == 0.0:
         raise SingularOperatorError("singular operator: zero diagonal (g_0 = 0)")
     col = G.col
-    x = np.empty_like(rhs)
-    for i in range(G.m):
-        acc = rhs[i] - np.tensordot(col[1 : i + 1][::-1], x[:i], axes=(0, 0))
-        x[i] = acc / col[0]
-    return x
+    c = np.empty(G.m)
+    c[0] = 1.0 / col[0]
+    for i in range(1, G.m):
+        c[i] = -(col[1 : i + 1] @ c[i - 1 :: -1]) / col[0]
+    return np.tensordot(LowerToeplitz(c).dense(), rhs, axes=(1, 0))
 
 
 @dataclass(frozen=True)
@@ -134,12 +137,7 @@ def inverse_norms(g_coeffs: LagCoeffs, max_m: int) -> InverseNormTable:
     """
     if max_m < 1:
         raise ValueError("max_m must be a positive integer")
-    G_full = build_G(g_coeffs, max_m)
-    if G_full.col[0] == 0.0:
-        raise SingularOperatorError("singular operator: g_0 = 0")
-    e0 = np.zeros(max_m)
-    e0[0] = 1.0
-    inv_col = solve_lower(G_full, e0)
+    inv_col = solve_lower(build_G(g_coeffs, max_m), np.eye(max_m)[0])
     frob = np.sqrt(np.cumsum(np.cumsum(inv_col**2)))
     inv = LowerToeplitz(inv_col).dense()
     spectral = np.array(

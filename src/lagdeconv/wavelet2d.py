@@ -189,33 +189,15 @@ def idwt2_array(coeffs: np.ndarray, spec: WaveletSpec) -> np.ndarray:
 class WaveletCoeffs2D:
     """Coefficients of one image, indexed omega = (j1,k1; j2,k2).
 
-    `values[i1, i2]` pairs the axis-wise multilevel layouts; `level_along`
-    maps an axis index to its resolution level (-1 for the scaling block).
+    `values[i1, i2]` pairs the axis-wise multilevel layouts.
     """
 
     values: np.ndarray
     spec: WaveletSpec
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def shape(self):
         return self.values.shape
-
-    def level_along(self, axis: int) -> np.ndarray:
-        key = ("levels", axis)
-        if key not in self._cache:
-            n = self.values.shape[axis]
-            depth = self.spec.depth_for(
-                n, self.spec.levels1 if axis == 0 else self.spec.levels2
-            )
-            self._cache[key] = _level_index(n, depth)
-        return self._cache[key]
-
-    def scaling_mask(self) -> np.ndarray:
-        """True on the pure scaling x scaling block (carries the mean)."""
-        m1 = self.level_along(0) == -1
-        m2 = self.level_along(1) == -1
-        return np.outer(m1, m2)
 
 
 def dwt2(image, spec: WaveletSpec) -> WaveletCoeffs2D:

@@ -169,6 +169,17 @@ class TestDeconvolveCommand:
         assert code == 0
         assert read_cube(tmp_path / "fhat").data.shape == (32, 32, 32)
 
+    def test_rcond_one_exits_1(self, tmp_path, capsys):
+        # rcond = 1 cuts every singular value: the fit would return f_hat = 0
+        out = self.simulate_fixture(tmp_path, n=32, T=5.0, snr="5")
+        write_series(tmp_path / "gc.csv", np.arange(8.0), np.eye(8)[0])
+        code = run_cli("deconvolve", "--input", str(out) + "_Y",
+                       "--kernel-coeffs", str(tmp_path / "gc.csv"),
+                       "--M", "8", "--rcond", "1", "--out", str(tmp_path / "fhat"))
+        assert code == 1
+        assert "rcond" in capsys.readouterr().err
+        assert not (tmp_path / "fhat.json").exists()
+
     def test_both_kernel_flags_exit_1(self, tmp_path):
         out = self.simulate_fixture(tmp_path, n=32, T=5.0, snr="5")
         kpath = write_kernel_csv(tmp_path / "g.csv", TimeGrid(n=32, T=5.0))

@@ -11,10 +11,8 @@ from lagdeconv import (
     TimeGrid,
     WaveletCoeffs2D,
     WaveletSpec,
-    analyze,
     build_G,
     deconvolve,
-    estimate_eps,
     estimate_sigma,
     fit_coeffs,
     hard_threshold,
@@ -26,7 +24,6 @@ from lagdeconv import (
     tabulate_basis,
     thresholds,
 )
-from lagdeconv.estimator import CoeffTensor
 from lagdeconv.wavelet2d import dwt2_array, idwt2_array
 
 PHI0 = LagCoeffs(np.concatenate([[1.0], np.zeros(15)]))
@@ -38,76 +35,38 @@ def cosine_field(n1=32, n2=32):
     return np.cos(2.0 * np.pi * np.outer(x1, x2))
 
 
-class TestAnalyze:
-    def test_zero_cube(self):
-        grid = TimeGrid(n=32, T=5.0)
-        basis = tabulate_basis(4, grid)
-        Y = Cube(grid=grid, data=np.zeros((32, 16, 16)))
-        tens = analyze(Y, WaveletSpec(), basis)
-        assert np.all(tens.values == 0.0)
-        assert tens.M == 4
+def eps_plan(grid, shape=(32, 32)):
+    """A threshold-free plan whose fits report eps_hat in Diagnostics.eps."""
+    cfg = EstimatorConfig(M=1, threshold_mode=False)
+    return Plan(grid, shape, np.exp(-grid.points / 2.0), WaveletSpec(), cfg, g_zero=1.0)
 
-    def test_single_atom_separates(self):
-        # Y(t,x) = phi_0(t) * Psi_omega0(x) puts ~1 at (l=0, omega0)
-        grid = TimeGrid(n=1024, T=40.0)
-        spec = WaveletSpec()
-        unit = np.zeros((32, 32))
-        unit[3, 5] = 1.0
-        atom = idwt2(WaveletCoeffs2D(values=unit, spec=spec))
-        basis = tabulate_basis(8, grid)
-        Y = Cube(grid=grid, data=np.exp(-grid.points / 2.0)[:, None, None] * atom)
-        tens = analyze(Y, spec, basis)
-        assert tens.values[0, 3, 5] == pytest.approx(1.0, abs=1e-4)
-        rest = tens.values.copy()
-        rest[0, 3, 5] = 0.0
-        assert np.abs(rest).max() <= 1e-4
 
-    def test_linearity(self):
-        grid = TimeGrid(n=16, T=5.0)
-        basis = tabulate_basis(4, grid)
-        spec = WaveletSpec()
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((16, 8, 8))
-        b = rng.standard_normal((16, 8, 8))
-        lhs = analyze(Cube(grid=grid, data=3.0 * a - 2.0 * b), spec, basis).values
-        rhs = (
-            3.0 * analyze(Cube(grid=grid, data=a), spec, basis).values
-            - 2.0 * analyze(Cube(grid=grid, data=b), spec, basis).values
-        )
-        assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
-
-    def test_grid_mismatch(self):
-        basis = tabulate_basis(4, TimeGrid(n=16, T=5.0))
-        Y = Cube(grid=TimeGrid(n=32, T=5.0), data=np.zeros((32, 8, 8)))
-        with pytest.raises(ValueError):
-            analyze(Y, WaveletSpec(), basis)
+def eps_hat(plan, data):
+    """The eps a fit of this cube uses: T * sigma_hat / sqrt(n)."""
+    return plan.apply(Cube(grid=plan.grid, data=data))[1].eps
 
 
 class TestEstimateEps:
     def test_zero_cube(self):
-        grid = TimeGrid(n=8, T=5.0)
-        Y = Cube(grid=grid, data=np.zeros((8, 8, 8)))
-        assert estimate_eps(Y, WaveletSpec()) == 0.0
+        plan = eps_plan(TimeGrid(n=8, T=5.0), (8, 8))
+        assert eps_hat(plan, np.zeros((8, 8, 8))) == 0.0
 
     def test_white_noise_calibration(self):
         # eps_hat = T sigma / sqrt(n) = 5/sqrt(32) for unit noise
-        grid = TimeGrid(n=32, T=5.0)
-        spec = WaveletSpec()
+        plan = eps_plan(TimeGrid(n=32, T=5.0))
         vals = []
         for seed in range(100):
             rng = np.random.Generator(np.random.Philox(seed))
-            Y = Cube(grid=grid, data=rng.standard_normal((32, 32, 32)))
-            vals.append(estimate_eps(Y, spec))
+            vals.append(eps_hat(plan, rng.standard_normal((32, 32, 32))))
         target = 5.0 / math.sqrt(32.0)
         assert abs(np.mean(vals) - target) <= 0.1 * target
 
     def test_scale_equivariance(self):
-        grid = TimeGrid(n=16, T=5.0)
+        plan = eps_plan(TimeGrid(n=16, T=5.0), (16, 16))
         rng = np.random.default_rng(5)
         data = rng.standard_normal((16, 16, 16))
-        spec = WaveletSpec()
-        e1 = estimate_eps(Cube(grid=grid, data=data), spec)
-        e2 = estimate_eps(Cube(grid=grid, data=-4.0 * data), spec)
+        e1 = eps_hat(plan, data)
+        e2 = eps_hat(plan, -4.0 * data)
         assert e2 == pytest.approx(4.0 * e1, rel=1e-12)
 
 
@@ -143,39 +102,33 @@ class TestThresholds:
 
 
 class TestHardThreshold:
-    def tensor(self, arr):
-        return CoeffTensor(values=np.asarray(arr, float), spec=WaveletSpec())
-
     def test_zero_thresholds_keep_everything(self):
-        t = self.tensor(np.arange(1.0, 9.0).reshape(2, 2, 2))
+        t = np.arange(1.0, 9.0).reshape(2, 2, 2)
         out, counts = hard_threshold(t, np.zeros(2))
-        assert np.array_equal(out.values, t.values)
+        assert np.array_equal(out, t)
         assert list(counts) == [4, 4]
 
     def test_infinite_thresholds_zero_everything(self):
-        t = self.tensor(np.ones((2, 2, 2)))
-        out, counts = hard_threshold(t, np.full(2, np.inf))
-        assert np.all(out.values == 0.0)
+        out, counts = hard_threshold(np.ones((2, 2, 2)), np.full(2, np.inf))
+        assert np.all(out == 0.0)
         assert list(counts) == [0, 0]
 
     def test_strict_inequality(self):
-        t = self.tensor([[[0.5, -0.2]]])
-        out, counts = hard_threshold(t, np.array([0.3]))
-        assert np.array_equal(out.values, [[[0.5, 0.0]]])
+        out, counts = hard_threshold([[[0.5, -0.2]]], np.array([0.3]))
+        assert np.array_equal(out, [[[0.5, 0.0]]])
         assert list(counts) == [1]
 
     def test_protect_mask(self):
-        t = self.tensor([[[0.1, 0.2], [0.3, 0.4]]])
+        t = np.array([[[0.1, 0.2], [0.3, 0.4]]])
         protect = np.array([[True, False], [False, False]])
         out, counts = hard_threshold(t, np.array([10.0]), protect)
-        assert out.values[0, 0, 0] == 0.1
-        assert np.all(out.values.ravel()[1:] == 0.0)
+        assert out[0, 0, 0] == 0.1
+        assert np.all(out.ravel()[1:] == 0.0)
         assert list(counts) == [1]
 
     def test_lambda_length_check(self):
-        t = self.tensor(np.ones((3, 2, 2)))
         with pytest.raises(ValueError):
-            hard_threshold(t, np.zeros(2))
+            hard_threshold(np.ones((3, 2, 2)), np.zeros(2))
 
 
 class TestDeconvolve:
@@ -280,14 +233,14 @@ class TestDeconvolve:
 
     def test_eps_consistency_under_noise_doubling(self):
         grid = TimeGrid(n=32, T=5.0)
-        spec = WaveletSpec()
+        plan = eps_plan(grid)
         base = np.exp(-grid.points / 2.0)[:, None, None] * cosine_field()
         ratios = []
         for seed in range(40):
             rng = np.random.Generator(np.random.Philox(seed))
             noise = rng.standard_normal((32, 32, 32))
-            e1 = estimate_eps(Cube(grid=grid, data=base + 0.05 * noise), spec)
-            e2 = estimate_eps(Cube(grid=grid, data=base + 0.10 * noise), spec)
+            e1 = eps_hat(plan, base + 0.05 * noise)
+            e2 = eps_hat(plan, base + 0.10 * noise)
             ratios.append(e2 / e1)
         assert abs(np.mean(ratios) - 2.0) <= 0.2
 
@@ -547,3 +500,23 @@ class TestConfigValidation:
     def test_eps_validation(self):
         with pytest.raises(ValueError):
             EstimatorConfig(eps="guess")
+
+    # Each of these ran and returned a wrong estimate: J1 = -1 zeroed every
+    # coefficient, M = 2.5 ran M = 2, J1 = 2.7 ran J1 = 2 and rcond >= 1 or
+    # nan kept rank 0, so f_hat = 0.
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("M", 2.5), ("M", -3), ("M", "8"),
+            ("J1", -1), ("J1", 2.7), ("J1", "deep"), ("J2", -1), ("J2", 2.0),
+            ("rcond", 1.0), ("rcond", 1.5), ("rcond", math.nan), ("rcond", -0.1),
+            ("rcond", math.inf), ("m_cap", 0), ("m_cap", 8.5), ("eps", math.nan),
+        ],
+    )
+    def test_rejects_settings_that_give_a_wrong_estimate(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EstimatorConfig(**{field: value})
+
+    def test_accepts_numpy_integers_and_the_range_ends(self):
+        cfg = EstimatorConfig(M=np.int64(8), J1=np.int32(0), J2=3, m_cap=np.int64(1), rcond=0.0)
+        assert (cfg.M, cfg.J1, cfg.J2, cfg.m_cap) == (8, 0, 3, 1)

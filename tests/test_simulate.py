@@ -4,6 +4,7 @@ import pytest
 from lagdeconv import (
     Cube,
     EstimatorConfig,
+    Plan,
     TimeGrid,
     WaveletSpec,
     deconvolve,
@@ -155,16 +156,15 @@ class TestAddNoise:
             add_noise(q, 3.0, seed=0)
 
     def test_eps_hat_tracks_injected_noise(self):
-        from lagdeconv import WaveletSpec, estimate_eps
-
         q = self.base_cube()
         cfg = SimConfig()
-        spec = WaveletSpec()
+        plan = Plan(cfg.grid, (cfg.n1, cfg.n2), default_kernel(cfg.grid.points),
+                    WaveletSpec(), EstimatorConfig(M=1, threshold_mode=False), g_zero=1.0)
         ratios = []
         for seed in range(100):
             Y, sigma = add_noise(q, 3.0, seed)
             target = cfg.T * sigma / np.sqrt(cfg.n)
-            ratios.append(estimate_eps(Y, spec) / target)
+            ratios.append(plan.apply(Y)[1].eps / target)
         assert abs(np.mean(ratios) - 1.0) <= 0.15
 
 

@@ -119,6 +119,12 @@ class TestSolveLower:
         got = solve_lower(G, rhs)
         for j in range(7):
             assert np.allclose(got[:, j], solve_lower(G, rhs[:, j]))
+        stacked = rng.standard_normal((8, 3, 5))
+        got = solve_lower(G, stacked)
+        assert got.shape == (8, 3, 5)
+        for j in range(3):
+            for k in range(5):
+                assert np.allclose(got[:, j, k], solve_lower(G, stacked[:, j, k]))
 
     def test_singular_raises(self):
         with pytest.warns(UserWarning):
