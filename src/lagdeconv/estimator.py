@@ -125,10 +125,12 @@ class EstimatorConfig:
     m_cap: int = DEFAULT_M_CAP
 
     def __post_init__(self):
-        if not self.nu > 0:
-            raise ValueError("nu must be positive")
-        if not self.A > 0:
-            raise ValueError("A must be positive")
+        # Infinite values pass "> 0" but break the fit: eps and A reach
+        # log(1/eps) and floor(log2(A^2/eps^2)), nu makes every lambda infinite.
+        if not (self.nu > 0 and math.isfinite(self.nu)):
+            raise ValueError("nu must be positive and finite")
+        if not (self.A > 0 and math.isfinite(self.A)):
+            raise ValueError("A must be positive and finite")
         for name, low in (("M", 1), ("J1", 0), ("J2", 0)):
             value = getattr(self, name)
             if value != "auto" and not _is_int_at_least(value, low):
@@ -139,9 +141,9 @@ class EstimatorConfig:
             raise ValueError("rcond must lie in [0, 1)")
         if isinstance(self.eps, str):
             if self.eps != "auto":
-                raise ValueError("eps must be a nonnegative number or 'auto'")
-        elif not self.eps >= 0:
-            raise ValueError("eps must be a nonnegative number or 'auto'")
+                raise ValueError("eps must be a finite nonnegative number or 'auto'")
+        elif not (self.eps >= 0 and math.isfinite(self.eps)):
+            raise ValueError("eps must be a finite nonnegative number or 'auto'")
 
 
 def _is_int_at_least(value, low: int) -> bool:
@@ -305,6 +307,11 @@ class Plan:
         self._orders: dict[int, _Order] = {}
         self._probe_basis = self._probe_g = None
         if cfg.M != "auto":
+            if cfg.M > grid.n:
+                warnings.warn(
+                    f"M={cfg.M} exceeds the n={grid.n} frames: the projection has "
+                    f"rank at most {grid.n}, so some orders are not determined by the data"
+                )
             self._order(int(cfg.M))
             return
         # The inverse-norm growth rule picks M from a probe fit of order m_cap.

@@ -145,19 +145,28 @@ def forward_convolve(
     return Cube(grid=f.grid, data=q)
 
 
-def add_noise(q: Cube, snr: float, seed: int) -> tuple[Cube, float]:
-    """Add i.i.d. Gaussian noise with sigma = sd(q)/snr; Philox-seeded.
-
-    Returns the noisy cube and the sigma actually used.
-    """
+def _noise_sigma(q: Cube, snr: float) -> float:
+    """sigma = sd(q)/snr, the noise level of a given signal-to-noise ratio."""
     if not snr > 0:
         raise ValueError("snr must be positive")
     sd = float(q.data.std())
     if sd == 0.0:
         raise ValueError("q has zero variance; cannot calibrate noise to an SNR")
-    sigma = sd / snr
-    rng = np.random.Generator(np.random.Philox(seed))
-    noisy = q.data + sigma * rng.standard_normal(q.data.shape)
+    return sd / snr
+
+
+def _unit_noise(seed: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The Philox-seeded unit-normal draw behind `add_noise`."""
+    return np.random.Generator(np.random.Philox(seed)).standard_normal(shape)
+
+
+def add_noise(q: Cube, snr: float, seed: int) -> tuple[Cube, float]:
+    """Add i.i.d. Gaussian noise with sigma = sd(q)/snr; Philox-seeded.
+
+    Returns the noisy cube and the sigma actually used.
+    """
+    sigma = _noise_sigma(q, snr)
+    noisy = q.data + sigma * _unit_noise(seed, q.data.shape)
     return Cube(grid=q.grid, data=noisy), sigma
 
 
@@ -200,9 +209,11 @@ def run_table1(
 ) -> list[Table1Row]:
     """Replicate the benchmark: 4 test functions x the SNR scenarios.
 
-    Each (function, snr) cell averages cfg.runs independent replicates with
-    replicate seeds cfg.seed + i (counter-based generator), reporting the
-    mean relative error and its standard error.
+    Each (function, snr) cell averages cfg.runs replicates, reporting the
+    mean relative error and its standard error.  Replicate i of every cell
+    adds sd(q)/snr times the same unit-normal draw from Philox(cfg.seed + i)
+    (common random numbers, exactly as `add_noise(q, snr, cfg.seed + i)`),
+    and that draw is made once per replicate, not once per cell.
     """
     if cfg.runs < 2:
         raise ValueError("need at least 2 runs for a standard error")
@@ -214,7 +225,7 @@ def run_table1(
     # Every replicate of every cell shares the grid, the kernel and the
     # settings, so one plan serves them all.
     plan = Plan(cfg.grid, (cfg.n1, cfg.n2), g, spec, est_cfg, g_zero=1.0)
-    rows: list[Table1Row] = []
+    cells = []  # (fid, snr, f, q, sigma) in row order
     for fid in TEST_FUNCTION_IDS:
         f = eval_test_function(fid, cfg)
         q = forward_convolve(
@@ -223,24 +234,25 @@ def run_table1(
             g_zero=float(default_kernel(0.0)),
             f_zero=zero_time_slice(fid, cfg),
         )
-        for snr in snrs:
-            deltas = np.empty(cfg.runs)
-            for i in range(cfg.runs):
-                Y, _ = add_noise(q, snr, cfg.seed + i)
-                f_hat, _ = plan.apply(Y)
-                deltas[i] = relative_error(f_hat, f)
-            rows.append(
-                Table1Row(
-                    function=fid,
-                    snr=snr,
-                    mean_delta=float(deltas.mean()),
-                    stderr=float(deltas.std(ddof=1) / math.sqrt(cfg.runs)),
-                    runs=cfg.runs,
-                    seed=cfg.seed,
-                    reference_delta=REFERENCE_TABLE1.get((fid, snr), float("nan")),
-                )
-            )
-    return rows
+        cells.extend((fid, snr, f, q, _noise_sigma(q, snr)) for snr in snrs)
+    deltas = np.empty((len(cells), cfg.runs))
+    for i in range(cfg.runs):
+        z = _unit_noise(cfg.seed + i, (cfg.n, cfg.n1, cfg.n2))
+        for c, (_, _, f, q, sigma) in enumerate(cells):
+            f_hat, _ = plan.apply(Cube(grid=q.grid, data=q.data + sigma * z))
+            deltas[c, i] = relative_error(f_hat, f)
+    return [
+        Table1Row(
+            function=fid,
+            snr=snr,
+            mean_delta=float(d.mean()),
+            stderr=float(d.std(ddof=1) / math.sqrt(cfg.runs)),
+            runs=cfg.runs,
+            seed=cfg.seed,
+            reference_delta=REFERENCE_TABLE1.get((fid, snr), float("nan")),
+        )
+        for (fid, snr, *_), d in zip(cells, deltas)
+    ]
 
 
 def run_single(

@@ -180,6 +180,16 @@ class TestDeconvolveCommand:
         assert "rcond" in capsys.readouterr().err
         assert not (tmp_path / "fhat.json").exists()
 
+    def test_infinite_eps_exits_1(self, tmp_path, capsys):
+        out = self.simulate_fixture(tmp_path, n=32, T=5.0, snr="5")
+        kpath = write_kernel_csv(tmp_path / "g.csv", TimeGrid(n=32, T=5.0))
+        code = run_cli("deconvolve", "--input", str(out) + "_Y",
+                       "--kernel", str(kpath), "--M", "8", "--eps", "inf",
+                       "--out", str(tmp_path / "fhat"))
+        assert code == 1
+        assert "eps must be a finite" in capsys.readouterr().err
+        assert not (tmp_path / "fhat.json").exists()
+
     def test_both_kernel_flags_exit_1(self, tmp_path):
         out = self.simulate_fixture(tmp_path, n=32, T=5.0, snr="5")
         kpath = write_kernel_csv(tmp_path / "g.csv", TimeGrid(n=32, T=5.0))
@@ -234,6 +244,10 @@ class TestBenchCommand:
 
     def test_runs_below_two_exits_1(self):
         assert run_cli("bench-table1", "--runs", "1") == 1
+
+    def test_infinite_nu_exits_1(self, capsys):
+        assert run_cli("bench-table1", "--runs", "2", "--nu", "inf") == 1
+        assert "nu must be positive and finite" in capsys.readouterr().err
 
 
 class TestSmoothCommand:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -434,6 +435,28 @@ class TestPlan:
             assert np.array_equal(f.data, f_ref.data)
             assert d.to_dict() == d_ref.to_dict()
 
+    def test_warns_once_at_construction_when_M_exceeds_the_frames(self):
+        grid = TimeGrid(n=16, T=5.0)
+        with pytest.warns(UserWarning, match="M=40 exceeds the n=16 frames") as caught:
+            plan = Plan(grid, (8, 8), np.exp(-grid.points / 2.0), WaveletSpec(),
+                        EstimatorConfig(M=40), g_zero=1.0)
+        assert len(caught) == 1
+        (Y,) = self.cubes(grid, (8, 8))[:1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, diag = plan.apply(Y)
+        assert diag.M == 40 and diag.rank < grid.n
+
+    def test_silent_when_M_is_within_the_frames(self):
+        # M = 8 on 32 frames (the benchmark's setting) fits rank 5: normal
+        grid = TimeGrid(n=32, T=5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = Plan(grid, (16, 16), np.exp(-grid.points / 2.0), WaveletSpec(),
+                        EstimatorConfig(M=8), g_zero=1.0)
+            _, diag = plan.apply(self.cubes(grid)[0])
+        assert diag.rank == 5
+
     def test_rejects_a_cube_of_another_grid_or_shape(self):
         grid = TimeGrid(n=32, T=5.0)
         plan = Plan(grid, (16, 16), np.exp(-grid.points / 2.0), WaveletSpec(),
@@ -515,6 +538,14 @@ class TestConfigValidation:
     )
     def test_rejects_settings_that_give_a_wrong_estimate(self, field, value):
         with pytest.raises(ValueError, match=field):
+            EstimatorConfig(**{field: value})
+
+    # An infinite eps or A fails deep in the fit (log(1/eps),
+    # floor(log2(A^2/eps^2))); nu = inf runs and zeroes every detail.
+    @pytest.mark.parametrize("field", ["nu", "A", "eps"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite_constants(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
             EstimatorConfig(**{field: value})
 
     def test_accepts_numpy_integers_and_the_range_ends(self):

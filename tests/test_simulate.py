@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,10 @@ from lagdeconv import (
     relative_error,
 )
 from lagdeconv.simulate import (
+    REFERENCE_TABLE1,
     TEST_FUNCTION_IDS,
     SimConfig,
+    Table1Row,
     add_noise,
     default_kernel,
     eval_test_function,
@@ -251,6 +255,42 @@ class TestRunTable1:
                 cells.append(np.mean(deltas))
         means = np.array([r.mean_delta for r in rows])
         assert np.allclose(means, cells, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "est",
+        [EstimatorConfig(M=8), EstimatorConfig(M=8, threshold_mode=False)],
+        ids=["M=8", "threshold-off"],
+    )
+    def test_rows_equal_the_cell_by_cell_loop(self, est):
+        # run_table1 draws each replicate's noise once for all cells; the loop
+        # below draws it per cell with add_noise, and must agree exactly
+        cfg = SimConfig(n=32, n1=16, n2=16, runs=3, seed=17)
+        snrs = (3.0, 7.0)
+        g = default_kernel(cfg.grid.points)
+        plan = Plan(cfg.grid, (cfg.n1, cfg.n2), g, WaveletSpec(), est, g_zero=1.0)
+        expected = []
+        for fid in TEST_FUNCTION_IDS:
+            f = eval_test_function(fid, cfg)
+            q = forward_convolve(f, g, g_zero=1.0, f_zero=zero_time_slice(fid, cfg))
+            for snr in snrs:
+                deltas = np.empty(cfg.runs)
+                for i in range(cfg.runs):
+                    Y, _ = add_noise(q, snr, cfg.seed + i)
+                    deltas[i] = relative_error(plan.apply(Y)[0], f)
+                expected.append(Table1Row(
+                    function=fid,
+                    snr=snr,
+                    mean_delta=float(deltas.mean()),
+                    stderr=float(deltas.std(ddof=1) / math.sqrt(cfg.runs)),
+                    runs=cfg.runs,
+                    seed=cfg.seed,
+                    reference_delta=REFERENCE_TABLE1.get((fid, snr), math.nan),
+                ))
+        assert run_table1(cfg, est, snrs=snrs) == expected
+
+    def test_nonpositive_snr_rejected(self):
+        with pytest.raises(ValueError, match="snr"):
+            run_table1(SimConfig(n=16, n1=16, n2=16, runs=2), snrs=(0.0,))
 
     def test_means_stable_across_master_seeds(self):
         # independent master seeds agree within three pooled standard errors
