@@ -29,7 +29,7 @@ from .simulate import (
     zero_time_slice,
 )
 from .toeplitz import SingularOperatorError, inverse_norms
-from .wavelet2d import WaveletSpec, restrict, symmetrize
+from .wavelet2d import WaveletSpec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -126,18 +126,6 @@ def _kernel_on_grid(args, grid: TimeGrid):
     return values, zero_value
 
 
-def _pad_reflect_to(image: np.ndarray, target1: int, target2: int) -> np.ndarray:
-    pad1 = target1 - image.shape[0]
-    pad2 = target2 - image.shape[1]
-    if pad1 < 0 or pad2 < 0:
-        raise UsageError("cannot pad to a smaller size")
-    if pad2 > 0:
-        image = np.concatenate([image, image[:, ::-1][:, :pad2]], axis=1)
-    if pad1 > 0:
-        image = np.concatenate([image, image[::-1, :][:pad1, :]], axis=0)
-    return image
-
-
 def _next_pow2(n: int) -> int:
     return 1 << max(1, (n - 1).bit_length())
 
@@ -222,13 +210,11 @@ def cmd_deconvolve(args) -> int:
     dyadic = (n1 & (n1 - 1) == 0) and (n2 & (n2 - 1) == 0)
     data = Y.data
     if args.symmetrize:
-        if dyadic:
-            data = np.stack([symmetrize(s) for s in data])
-        else:
-            t1, t2 = _next_pow2(n1), _next_pow2(n2)
-            if t1 - n1 > n1 or t2 - n2 > n2:
-                raise UsageError("cannot reflect-pad: padding exceeds image size")
-            data = np.stack([_pad_reflect_to(s, t1, t2) for s in data])
+        # Mirror each slice about its far edges: to (2 n1, 2 n2) when both
+        # sides are dyadic, else to the next powers of two (never more than
+        # doubling a side); the fit is cropped back to the original quadrant.
+        t1, t2 = (2 * n1, 2 * n2) if dyadic else (_next_pow2(n1), _next_pow2(n2))
+        data = np.pad(data, ((0, 0), (0, t1 - n1), (0, t2 - n2)), mode="symmetric")
     elif not dyadic:
         raise UsageError("spatial sides are not powers of two; pass --symmetrize")
     work = Cube(grid=Y.grid, data=data)
@@ -236,12 +222,7 @@ def cmd_deconvolve(args) -> int:
     f_hat, diag = deconvolve(work, g_series, spec, cfg,
                              g_zero=g_zero, g_coeffs=g_coeffs)
 
-    out_data = f_hat.data
-    if args.symmetrize:
-        if dyadic:
-            out_data = np.stack([restrict(s) for s in out_data])
-        else:
-            out_data = out_data[:, :n1, :n2]
+    out_data = f_hat.data[:, :n1, :n2]
     write_cube(args.out, Cube(grid=Y.grid, data=out_data))
     diag_json = json.dumps(diag.to_dict(), sort_keys=True, indent=2)
     if args.diagnostics:

@@ -19,10 +19,10 @@ Pipeline for observations Y = g*f + noise on an (n, n1, n2) grid:
 All steps are linear except the thresholding.  The time operators commute
 with the per-slice spatial transform, so the spatial work is M transforms
 each way rather than n.  A `Plan` holds everything that depends only on
-the grid, the kernel, the spec and the config (A, the basis, the
-inverse-norm table, the level indices), so cubes that share a kernel share
-one plan; `deconvolve` builds one and applies it once.  Nothing mutates its
-inputs.
+the grid, the kernel, the spec and the config: the level indices and, in
+a cache keyed by the Laguerre order, each order's basis, kernel fit, A and
+inverse-norm table.  Cubes that share a kernel share one plan;
+`deconvolve` builds one and applies it once.  Nothing mutates its inputs.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class EstimatorConfig:
 
     def __post_init__(self):
         # Infinite values pass "> 0" but break the fit: eps and A reach
-        # log(1/eps) and floor(log2(A^2/eps^2)), nu makes every lambda infinite.
+        # log(1/eps) and the auto depth log2(A^2/eps^2), nu makes every lambda infinite.
         if not (self.nu > 0 and math.isfinite(self.nu)):
             raise ValueError("nu must be positive and finite")
         if not (self.A > 0 and math.isfinite(self.A)):
@@ -248,22 +248,43 @@ def hard_threshold(
     return np.where(keep, values, 0.0), keep.sum(axis=(1, 2))
 
 
-def _auto_J(A: float, eps: float, n_side: int) -> int:
+def _depth(J, n_side: int, A: float, eps: float, auto_on: bool) -> int:
+    """Truncation depth along one axis, clamped to [0, log2 n_side].
+
+    J is an integer or "auto" for 2^J = A^2 eps^-2.  The auto rule exists to
+    control the variance of the thresholded estimator, so with thresholding
+    off (or eps = 0) it means full depth.  It is evaluated in logs, so no
+    finite A or eps overflows or divides by zero.
+    """
     full = int(math.log2(n_side))
-    if eps <= 0.0:
+    if J != "auto":
+        return min(int(J), full)
+    if not auto_on or eps <= 0.0:
         return full
-    raw = math.floor(math.log2(A * A / (eps * eps))) if A * A / (eps * eps) > 1 else 0
-    return min(max(raw, 0), full)
+    return min(max(math.floor(2.0 * (math.log2(A) - math.log2(eps))), 0), full)
 
 
 @dataclass
 class _Order:
-    """Kernel-side state of a fit of one Laguerre order M."""
+    """Kernel-side state of a fit of one Laguerre order M.
+
+    A and the norm table are built on first read.
+    """
 
     basis: LaguerreBasis
     g_hat: LagCoeffs
-    op: np.ndarray  # A = G^-1 P E, M x n
-    norms: InverseNormTable | None = None  # built when thresholds first need it
+    rcond: float
+
+    @cached_property
+    def op(self) -> np.ndarray:
+        """A = G^-1 P E, M x n: one solve against the folded projector."""
+        return solve_lower(build_G(self.g_hat, self.basis.M), _projector(self.basis, self.rcond))
+
+    @cached_property
+    def norms(self) -> InverseNormTable:
+        """||(G^(m))^-1|| for m = 1..M: the M="auto" rule reads entry M (at
+        m_cap), the thresholds entries up to M-1."""
+        return inverse_norms(self.g_hat, self.basis.M)
 
 
 class Plan:
@@ -272,10 +293,11 @@ class Plan:
     A plan holds the work that does not depend on the observations: the
     Laguerre basis, the kernel fit, the folded M x n time operator
     A = G^-1 P E (zero-slice extrapolation E, least-squares projector P,
-    Toeplitz inverse G^-1), the inverse-norm table (built when thresholds
-    first need it) and the level indices of the spatial layout.  With
-    M="auto" it holds the probe of order m_cap (basis, kernel fit and norm
-    table) and builds the state of each order the rule chooses once.
+    Toeplitz inverse G^-1), the inverse-norm table and the level indices of
+    the spatial layout.  `_order(M)` builds the state of one order, the
+    only path that does, and caches it; A and the norm table are built on
+    first read.  With M="auto" the rule reads the norm table of order
+    m_cap, and the order it chooses comes from the same cache.
     `apply` does the per-cube work, so one plan serves every cube that
     shares the kernel.  Its caches hold only idempotent derived state, so a
     plan is safe to share across threads.
@@ -305,58 +327,29 @@ class Plan:
         self._lev1 = _level_index(n1, spec.depth_for(n1, spec.levels1))
         self._lev2 = _level_index(n2, spec.depth_for(n2, spec.levels2))
         self._orders: dict[int, _Order] = {}
-        self._probe_basis = self._probe_g = None
-        if cfg.M != "auto":
-            if cfg.M > grid.n:
-                warnings.warn(
-                    f"M={cfg.M} exceeds the n={grid.n} frames: the projection has "
-                    f"rank at most {grid.n}, so some orders are not determined by the data"
-                )
-            self._order(int(cfg.M))
+        if cfg.M == "auto":
+            self._m_cap = min(cfg.m_cap, grid.n, grid.n if g_coeffs is None else g_coeffs.m)
+            self._order(self._m_cap)
             return
-        # The inverse-norm growth rule picks M from a probe fit of order m_cap.
-        self._m_cap = min(cfg.m_cap, grid.n)
-        if g_coeffs is not None:
-            self._m_cap = min(self._m_cap, g_coeffs.m)
-            self._probe_g = LagCoeffs(g_coeffs.values[: self._m_cap])
-        else:
-            self._probe_basis = tabulate_basis(self._m_cap, grid)
-            self._probe_g = fit_coeffs(g_series, self._probe_basis, cfg.rcond, g_zero)
-
-    @cached_property
-    def _probe_norms(self) -> InverseNormTable:
-        return inverse_norms(self._probe_g, self._m_cap)
+        if cfg.M > grid.n:
+            warnings.warn(
+                f"M={cfg.M} exceeds the n={grid.n} frames: the projection has "
+                f"rank at most {grid.n}, so some orders are not determined by the data"
+            )
+        self._order(int(cfg.M))
 
     def _order(self, M: int) -> _Order:
         if M not in self._orders:
-            if self._g_coeffs is not None:
-                if self._g_coeffs.m < M:
-                    raise ValueError(f"kernel coefficients cover m={self._g_coeffs.m}, need {M}")
-                g_hat = LagCoeffs(self._g_coeffs.values[:M])
-                basis = tabulate_basis(M, self.grid)
-            elif self._probe_basis is not None and self._probe_basis.M == M:
-                basis, g_hat = self._probe_basis, self._probe_g
+            g_coeffs = self._g_coeffs
+            if g_coeffs is not None and g_coeffs.m < M:
+                raise ValueError(f"kernel coefficients cover m={g_coeffs.m}, need {M}")
+            basis = tabulate_basis(M, self.grid)
+            if g_coeffs is not None:
+                g_hat = LagCoeffs(g_coeffs.values[:M])
             else:
-                basis = tabulate_basis(M, self.grid)
                 g_hat = fit_coeffs(self._g_series, basis, self.cfg.rcond, self._g_zero)
-            # A = G^-1 (P E): one solve against the folded projector.
-            op = solve_lower(build_G(g_hat, M), _projector(basis, self.cfg.rcond))
-            self._orders[M] = _Order(basis, g_hat, op)
+            self._orders[M] = _Order(basis, g_hat, self.cfg.rcond)
         return self._orders[M]
-
-    def _norms(self, order: _Order) -> InverseNormTable:
-        if order.norms is None:
-            # The probe's table serves whenever its kernel coefficients lead
-            # with this order's: entry m depends only on the first m of them.
-            # Given coefficients always do; a kernel fitted from samples only
-            # at M = m_cap, where the probe fitted exactly this basis.
-            if self._probe_g is not None and (
-                self._g_coeffs is not None or order.basis is self._probe_basis
-            ):
-                order.norms = self._probe_norms
-            else:
-                order.norms = inverse_norms(order.g_hat, max(order.basis.M - 1, 1))
-        return order.norms
 
     def apply(self, Y: Cube) -> tuple[Cube, Diagnostics]:
         """Deconvolve one cube on the plan's grid and shape."""
@@ -373,26 +366,15 @@ class Plan:
         if cfg.M != "auto":
             M = int(cfg.M)
         elif eps > 0:
-            M = select_M(self._probe_norms, eps, cap=self._m_cap)
+            M = select_M(self._order(self._m_cap).norms, eps, cap=self._m_cap)
         else:
             M = self._m_cap
         order = self._order(M)
         theta = dwt2_array(np.tensordot(order.op, Y.data, axes=(1, 0)), spec)
 
         # Truncation set Omega(J1, J2): drop detail levels >= J along each axis.
-        # The auto rule 2^J = A^2 eps^-2 exists to control the variance of the
-        # thresholded estimator; with thresholding off, auto means full depth.
-        auto_on = cfg.threshold_mode
-        J1 = (
-            (_auto_J(cfg.A, eps, n1) if auto_on else int(math.log2(n1)))
-            if cfg.J1 == "auto"
-            else min(int(cfg.J1), int(math.log2(n1)))
-        )
-        J2 = (
-            (_auto_J(cfg.A, eps, n2) if auto_on else int(math.log2(n2)))
-            if cfg.J2 == "auto"
-            else min(int(cfg.J2), int(math.log2(n2)))
-        )
+        J1 = _depth(cfg.J1, n1, cfg.A, eps, cfg.threshold_mode)
+        J2 = _depth(cfg.J2, n2, cfg.A, eps, cfg.threshold_mode)
         in_omega = np.outer(self._lev1 < J1, self._lev2 < J2)
         theta *= in_omega[None, :, :]
         omega_size = int(in_omega.sum())
@@ -406,7 +388,7 @@ class Plan:
         else:
             if eps >= 1.0:
                 disabled = "eps >= 1"  # thresholds() warns and returns zeros
-            lambdas = thresholds(M, eps, cfg.nu, self._norms(order))
+            lambdas = thresholds(M, eps, cfg.nu, order.norms)
             protect = np.outer(self._lev1 == -1, self._lev2 == -1)  # the mean-carrying block
             theta, keep_counts = hard_threshold(theta, lambdas, protect)
             total_counts = np.full(M, omega_size)

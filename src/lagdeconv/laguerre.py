@@ -16,6 +16,7 @@ value of a data series is linearly extrapolated unless supplied.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -116,70 +117,49 @@ class LaguerreBasis:
 
     `values` is the M x n table values[l][k] = phi_l(t_k) on the grid points
     t_1..t_n.  The t = 0 column (phi_l(0) = 1 for every l) is kept implicit
-    and supplied analytically by the quadrature helpers.  The internal cache
-    only ever stores idempotent derived quantities, so instances are safe to
+    and supplied analytically by the quadrature helpers.  Derived tables
+    are built on first read and never change, so instances are safe to
     share across threads.
     """
 
     M: int
     grid: TimeGrid
     values: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False)
+    _projectors: dict = field(default_factory=dict, repr=False)  # rcond -> (P, rank)
 
-    @property
+    @cached_property
     def values_with_zero(self) -> np.ndarray:
         """M x (n+1) table including the exact t = 0 column of ones."""
-        key = "values0"
-        if key not in self._cache:
-            self._cache[key] = np.concatenate(
-                [np.ones((self.M, 1)), self.values], axis=1
-            )
-        return self._cache[key]
+        return np.concatenate([np.ones((self.M, 1)), self.values], axis=1)
 
-    @property
+    @cached_property
     def quad_weights(self) -> np.ndarray:
         """Composite Simpson weights on the n+1 nodes {0, t_1, .., t_n}."""
-        key = "weights"
-        if key not in self._cache:
-            self._cache[key] = _simpson_weights(self.grid.n, self.grid.step)
-        return self._cache[key]
+        return _simpson_weights(self.grid.n, self.grid.step)
 
     def quadrature_matrix(self) -> np.ndarray:
         """M x (n+1) matrix whose rows integrate a series against phi_l."""
-        key = "quadmat"
-        if key not in self._cache:
-            self._cache[key] = self.values_with_zero * self.quad_weights
-        return self._cache[key]
-
-    def design_svd(self):
-        """SVD of the sqrt-weighted design matrix, cached."""
-        key = "svd"
-        if key not in self._cache:
-            sw = np.sqrt(self.quad_weights)
-            a = (self.values_with_zero * sw).T  # (n+1) x M
-            self._cache[key] = (np.linalg.svd(a, full_matrices=False), sw)
-        return self._cache[key]
+        return self.values_with_zero * self.quad_weights
 
     def projection_matrix(self, rcond: float = DEFAULT_RCOND) -> np.ndarray:
         """M x (n+1) weighted least-squares projector with spectral cutoff.
 
-        Singular directions of the weighted design below rcond * s_max are
-        dropped; on grids that resolve the basis nothing is dropped and the
-        matrix coincides with `quadrature_matrix` up to the Gram error.
+        Singular directions of the sqrt-weighted design below rcond * s_max
+        are dropped; on grids that resolve the basis nothing is dropped and
+        the matrix coincides with `quadrature_matrix` up to the Gram error.
         """
-        key = ("projmat", float(rcond))
-        if key not in self._cache:
-            (u, s, vt), sw = self.design_svd()
-            keep = s > rcond * s[0]
-            k = int(np.sum(keep))
-            pinv = (vt[:k].T / s[:k]) @ u[:, :k].T
-            self._cache[key] = (pinv * sw, k)
-        return self._cache[key][0]
+        key = float(rcond)
+        if key not in self._projectors:
+            sw = np.sqrt(self.quad_weights)
+            u, s, vt = np.linalg.svd((self.values_with_zero * sw).T, full_matrices=False)
+            k = int(np.sum(s > rcond * s[0]))
+            self._projectors[key] = (((vt[:k].T / s[:k]) @ u[:, :k].T) * sw, k)
+        return self._projectors[key][0]
 
     def projection_rank(self, rcond: float = DEFAULT_RCOND) -> int:
         """Number of basis directions the cutoff retains."""
         self.projection_matrix(rcond)
-        return self._cache[("projmat", float(rcond))][1]
+        return self._projectors[float(rcond)][1]
 
 
 def _simpson_weights(n_intervals: int, h: float) -> np.ndarray:

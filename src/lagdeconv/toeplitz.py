@@ -13,6 +13,7 @@ truncation rule for M and the threshold levels.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -154,7 +155,10 @@ def select_M(norms: InverseNormTable, eps: float, cap: int | None = None) -> int
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    bound = eps**-2
+    try:
+        bound = eps**-2
+    except OverflowError:  # eps below about 1e-154: every finite norm is within it
+        bound = math.inf
     ok = np.nonzero(norms.spectral <= bound)[0]
     m = int(ok[-1]) + 1 if ok.size else 1
     if cap is not None:

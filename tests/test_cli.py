@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from lagdeconv import Cube, TimeGrid, relative_error
+from lagdeconv import (
+    Cube,
+    EstimatorConfig,
+    TimeGrid,
+    WaveletSpec,
+    deconvolve,
+    relative_error,
+    restrict,
+    symmetrize,
+)
 from lagdeconv.cli import main
 from lagdeconv.io import read_cube, read_series, write_cube, write_series
 from lagdeconv.simulate import default_kernel
@@ -17,6 +26,29 @@ def write_kernel_csv(path, grid, include_zero=True):
     t = grid.points_with_zero if include_zero else grid.points
     write_series(path, t, default_kernel(t))
     return path
+
+
+def ref_symmetrize(data):
+    """The per-slice --symmetrize construction, as the reference for the CLI.
+
+    Dyadic sides: `symmetrize` each slice to (2 n1, 2 n2), `restrict` back.
+    Otherwise: reflect each slice to the next powers of two, columns first,
+    crop back.  Returns the extended cube and the crop.
+    """
+    n1, n2 = data.shape[1:]
+    if n1 & (n1 - 1) == 0 and n2 & (n2 - 1) == 0:
+        return np.stack([symmetrize(s) for s in data]), lambda f: np.stack(
+            [restrict(s) for s in f]
+        )
+    t1, t2 = (1 << max(1, (n - 1).bit_length()) for n in (n1, n2))
+    out = []
+    for image in data:
+        if t2 > n2:
+            image = np.concatenate([image, image[:, ::-1][:, : t2 - n2]], axis=1)
+        if t1 > n1:
+            image = np.concatenate([image, image[::-1, :][: t1 - n1, :]], axis=0)
+        out.append(image)
+    return np.stack(out), lambda f: f[:, :n1, :n2]
 
 
 class TestSimulateCommand:
@@ -112,6 +144,41 @@ class TestDeconvolveCommand:
                        "--out", str(tmp_path / "fhat"))
         assert code == 0
         assert read_cube(tmp_path / "fhat").data.shape == (16, 16, 16)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (24, 20), (16, 12)],
+                             ids=["dyadic", "non-dyadic", "mixed"])
+    def test_symmetrize_matches_the_per_slice_extension(self, tmp_path, shape):
+        grid = TimeGrid(n=16, T=5.0)
+        rng = np.random.default_rng(7)
+        x1 = np.arange(shape[0])[:, None] / shape[0]
+        x2 = np.arange(shape[1])[None, :] / shape[1]
+        base = np.exp(-grid.points / 2.0)[:, None, None] * (1.0 + x1 + x2 * x2)
+        cube = Cube(grid=grid, data=base + 0.05 * rng.standard_normal((16, *shape)))
+        write_cube(tmp_path / "Y", cube)
+        kpath = write_kernel_csv(tmp_path / "g.csv", grid)
+        code = run_cli("deconvolve", "--input", str(tmp_path / "Y"),
+                       "--kernel", str(kpath), "--M", "4", "--symmetrize",
+                       "--out", str(tmp_path / "fhat"))
+        assert code == 0
+
+        _, g = read_series(kpath)
+        extended, crop = ref_symmetrize(cube.data)
+        f_ref, _ = deconvolve(Cube(grid=grid, data=extended), g[1:], WaveletSpec(),
+                              EstimatorConfig(M=4), g_zero=g[0])
+        assert np.array_equal(read_cube(tmp_path / "fhat").data, crop(f_ref.data))
+
+    def test_tiny_eps_runs_at_full_depth(self, tmp_path):
+        # eps^2 underflowed to 0 in the auto depth and eps^-2 overflowed in
+        # the M="auto" rule: both raised and printed a traceback
+        out = self.simulate_fixture(tmp_path, n=32, T=5.0, snr="5")
+        kpath = write_kernel_csv(tmp_path / "g.csv", TimeGrid(n=32, T=5.0))
+        code = run_cli("deconvolve", "--input", str(out) + "_Y",
+                       "--kernel", str(kpath), "--eps", "1e-170",
+                       "--out", str(tmp_path / "fhat"),
+                       "--diagnostics", str(tmp_path / "diag.json"))
+        assert code == 0
+        diag = json.loads((tmp_path / "diag.json").read_text())
+        assert (diag["J1"], diag["J2"]) == (5, 5)
 
     def test_non_dyadic_without_flag_exits_1(self, tmp_path):
         grid = TimeGrid(n=8, T=5.0)

@@ -283,8 +283,9 @@ class TestDeconvolve:
     def test_auto_order_matches_fixed_order_bit_for_bit(
         self, kernel, sigma, m_cap, expect_M
     ):
-        # M="auto" reuses its probe's basis, kernel fit and norm table where
-        # they apply; a fixed-order run at the chosen M recomputes them all.
+        # M="auto" reads the norm table of the plan's order m_cap and takes
+        # the chosen order from the same cache; a fixed-order plan builds
+        # only that order.  Both must give the same fit.
         grid = TimeGrid(n=32, T=5.0)
         spec = WaveletSpec()
         rng = np.random.Generator(np.random.Philox(4))
@@ -499,6 +500,24 @@ class TestDiagnostics:
         assert diag.to_dict()["thresholds_disabled_reason"] == reason
         if reason == "eps >= 1":
             assert np.all(diag.lambdas == 0.0)
+
+    # Formed directly, A^2 / eps^2 divides by zero for eps <= 1e-162 and
+    # overflows for A >= 1e160; the depth must not depend on it.
+    @pytest.mark.parametrize(
+        "cfg, depth",
+        [({"eps": 1e-170}, 4), ({"eps": 1e-300}, 4), ({"A": 1e200}, 4), ({"A": 1e-200}, 0)],
+    )
+    def test_auto_depth_at_extreme_scales(self, cfg, depth):
+        diag = self.fit(0.05, **cfg)
+        assert (diag.J1, diag.J2) == (depth, depth)
+
+    def test_auto_order_at_tiny_eps_takes_the_cap(self):
+        # eps^-2 overflows below eps ~ 1e-154; no norm exceeds the bound
+        grid = TimeGrid(n=32, T=5.0)
+        Y = Cube(grid=grid, data=np.exp(-grid.points / 2.0)[:, None, None] * cosine_field(16, 16))
+        cfg = EstimatorConfig(eps=1e-300, m_cap=8)
+        diag = deconvolve(Y, np.exp(-grid.points / 2.0), WaveletSpec(), cfg, g_zero=1.0)[1]
+        assert (diag.M, diag.J1, diag.J2) == (8, 4, 4)
 
     def test_omega_dropped_counts_the_truncated_coefficients(self):
         # 16 x 16 at full depth: levels < 2 keep 4 rows, levels < 3 keep 8 columns
