@@ -45,13 +45,10 @@ from .toeplitz import (
     solve_lower,
 )
 from .wavelet2d import (
-    WaveletCoeffs2D,
     WaveletSpec,
-    dwt2,
+    dwt2_array,
     estimate_sigma,
-    idwt2,
-    restrict,
-    symmetrize,
+    idwt2_array,
 )
 
 __version__ = "0.1.0"
@@ -68,6 +65,5 @@ __all__ = [
     "InverseNormTable", "LowerToeplitz",
     "SingularOperatorError",
     "build_G", "inverse_norms", "select_M", "solve_lower",
-    "WaveletCoeffs2D", "WaveletSpec",
-    "dwt2", "estimate_sigma", "idwt2", "restrict", "symmetrize",
+    "WaveletSpec", "dwt2_array", "estimate_sigma", "idwt2_array",
 ]

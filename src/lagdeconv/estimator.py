@@ -51,7 +51,7 @@ from .toeplitz import (
     select_M,
     solve_lower,
 )
-from .wavelet2d import WaveletSpec, _level_index, dwt2_array, estimate_sigma, idwt2_array
+from .wavelet2d import WaveletSpec, _axes, _level_index, dwt2_array, estimate_sigma, idwt2_array
 
 __all__ = [
     "Cube",
@@ -218,7 +218,7 @@ def thresholds(M: int, eps: float, nu: float, norms: InverseNormTable) -> np.nda
         raise ValueError("nu must be positive")
     if norms.max_m < max(M - 1, 1):
         raise ValueError(f"norm table covers m <= {norms.max_m}, need {max(M - 1, 1)}")
-    log_term = math.log(1.0 / eps)
+    log_term = -math.log(eps)  # log(1/eps) without overflowing 1/eps at subnormal eps
     if log_term <= 0.0:
         warnings.warn("eps >= 1 floors log(1/eps) at 0: all thresholds are zero")
         log_term = 0.0
@@ -314,8 +314,7 @@ class Plan:
         g_coeffs: LagCoeffs | None = None,
     ):
         n1, n2 = shape
-        if n1 & (n1 - 1) or n2 & (n2 - 1):
-            raise ValueError("spatial sides must be powers of two (symmetrize first)")
+        self._lev1, self._lev2 = (_level_index(n, depth) for n, depth in _axes(shape, spec))
         if g_series is None and g_coeffs is None:
             raise ValueError("provide the kernel as samples or as Laguerre coefficients")
         if g_coeffs is None:
@@ -324,8 +323,6 @@ class Plan:
                 raise ValueError("kernel samples must live on the cube's time grid")
         self.grid, self.shape, self.spec, self.cfg = grid, (n1, n2), spec, cfg
         self._g_series, self._g_zero, self._g_coeffs = g_series, g_zero, g_coeffs
-        self._lev1 = _level_index(n1, spec.depth_for(n1, spec.levels1))
-        self._lev2 = _level_index(n2, spec.depth_for(n2, spec.levels2))
         self._orders: dict[int, _Order] = {}
         if cfg.M == "auto":
             self._m_cap = min(cfg.m_cap, grid.n, grid.n if g_coeffs is None else g_coeffs.m)
@@ -366,7 +363,7 @@ class Plan:
         if cfg.M != "auto":
             M = int(cfg.M)
         elif eps > 0:
-            M = select_M(self._order(self._m_cap).norms, eps, cap=self._m_cap)
+            M = select_M(self._order(self._m_cap).norms, eps)
         else:
             M = self._m_cap
         order = self._order(M)

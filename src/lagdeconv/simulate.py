@@ -134,13 +134,12 @@ def forward_convolve(
     g_full = _series_with_zero(g_series, g_zero)
     f_full = _series_with_zero(f.data, f_zero)
 
-    # Row k-1 integrates over k+1 nodes: weights h*(1/2, 1, .., 1, 1/2).
-    kernel_rows = np.zeros((n, n + 1))
-    for k in range(1, n + 1):
-        w = np.full(k + 1, h)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        kernel_rows[k - 1, : k + 1] = w * g_full[k::-1]
+    # Row k-1 integrates over nodes j = 0..k: weights h*(1/2, 1, .., 1, 1/2)
+    # times g(t_k - t_j), and zero beyond the diagonal.
+    k = np.arange(1, n + 1)[:, None]
+    j = np.arange(n + 1)[None, :]
+    w = np.where((j == 0) | (j == k), 0.5 * h, h)
+    kernel_rows = np.where(j <= k, w * g_full[np.maximum(k - j, 0)], 0.0)
     q = np.tensordot(kernel_rows, f_full, axes=(1, 0))
     return Cube(grid=f.grid, data=q)
 

@@ -147,8 +147,8 @@ def inverse_norms(g_coeffs: LagCoeffs, max_m: int) -> InverseNormTable:
     return InverseNormTable(spectral=spectral, frobenius=frob)
 
 
-def select_M(norms: InverseNormTable, eps: float, cap: int | None = None) -> int:
-    """Largest m with ||(G^(m))^-1|| <= eps^-2, clamped to [1, max_m] and cap.
+def select_M(norms: InverseNormTable, eps: float) -> int:
+    """Largest m with ||(G^(m))^-1|| <= eps^-2, clamped to [1, max_m].
 
     The truncation rule behind the estimator's Laguerre order; simulations
     may override it with a fixed order.
@@ -160,7 +160,4 @@ def select_M(norms: InverseNormTable, eps: float, cap: int | None = None) -> int
     except OverflowError:  # eps below about 1e-154: every finite norm is within it
         bound = math.inf
     ok = np.nonzero(norms.spectral <= bound)[0]
-    m = int(ok[-1]) + 1 if ok.size else 1
-    if cap is not None:
-        m = min(m, max(1, cap))
-    return m
+    return int(ok[-1]) + 1 if ok.size else 1

@@ -4,9 +4,10 @@ The spatial basis is the product psi_{j1,k1}(x1) * psi_{j2,k2}(x2) with
 independent resolution levels along the two axes ("standard"
 decomposition).  The multilevel 1D periodized transform of an n-pixel axis
 is an n x n orthogonal matrix W, built once from the filter bank and cached
-on the spec, so an image X maps to W1 X W2^T and back by the transposes,
-W1^T C W2.  Coefficients of an n1 x n2 image live in an n1 x n2 array whose
-1D layout along each axis is
+on the spec.  `dwt2_array` maps (..., n1, n2) data X to W1 X W2^T, one
+image per trailing pair of axes, and `idwt2_array` maps it back by the
+transposes, W1^T C W2.  Coefficients of an n1 x n2 image live in an
+n1 x n2 array whose 1D layout along each axis is
 
     [ scaling block | level 0 | level 1 | ... | finest level ]
 
@@ -24,13 +25,10 @@ import numpy as np
 
 __all__ = [
     "WaveletSpec",
-    "WaveletCoeffs2D",
     "wavelet_taps",
-    "dwt2",
-    "idwt2",
+    "dwt2_array",
+    "idwt2_array",
     "estimate_sigma",
-    "symmetrize",
-    "restrict",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -58,43 +56,29 @@ def wavelet_taps(family: str) -> np.ndarray:
         ) from None
 
 
-def _check_orthogonal_taps(h: np.ndarray, tol: float = 1e-12) -> None:
-    if h.ndim != 1 or h.size < 2 or h.size % 2:
-        raise ValueError("taps must be a 1-D vector of even length >= 2")
-    if abs(h @ h - 1.0) > tol:
-        raise ValueError("taps are not unit-energy")
-    if abs(h.sum() - _SQRT2) > tol:
-        raise ValueError("taps do not sum to sqrt(2)")
-    for shift in range(2, h.size, 2):
-        if abs(h[:-shift] @ h[shift:]) > tol:
-            raise ValueError("taps violate even-shift orthogonality")
-
-
 @dataclass(frozen=True)
 class WaveletSpec:
-    """Filter family plus decomposition depths along the two spatial axes."""
+    """Filter family plus decomposition depths along the two spatial axes.
+
+    Specs compare and hash by (family, levels1, levels2).
+    """
 
     family: str = "daub4"
     levels1: int = 0  # 0 means full depth, resolved per image size
     levels2: int = 0
-    taps: np.ndarray | None = field(default=None, compare=False)
-    # The taps as a tuple: specs compare and hash by their values.
-    _taps: tuple = field(init=False, repr=False)
     # Transform matrices keyed by (n, depth); idempotent, so safe to share.
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        h = wavelet_taps(self.family) if self.taps is None else np.array(
-            self.taps, dtype=float
-        )
-        _check_orthogonal_taps(h)
-        h.flags.writeable = False  # the tuple and the cached matrices derive from it
-        object.__setattr__(self, "taps", h)
-        object.__setattr__(self, "_taps", tuple(h.tolist()))
+        wavelet_taps(self.family)  # rejects an unknown family
+
+    @property
+    def taps(self) -> np.ndarray:
+        return wavelet_taps(self.family)
 
     @property
     def highpass(self) -> np.ndarray:
-        g = self.taps[::-1].copy()
+        g = self.taps[::-1]
         g[1::2] *= -1.0
         return g
 
@@ -105,11 +89,6 @@ class WaveletSpec:
         if levels > full:
             raise ValueError(f"levels={levels} exceeds log2({size})={full}")
         return levels
-
-
-def _require_pow2(n: int, what: str) -> None:
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"{what} must be a power of two >= 2, got {n}")
 
 
 def _filter_down(x: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -162,55 +141,30 @@ def _level_index(n: int, depth: int) -> np.ndarray:
     return lev
 
 
-def _axis_matrices(shape: tuple, spec: WaveletSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Transform matrices of the last two axes of an array of this shape."""
-    n1, n2 = shape[-2], shape[-1]
-    _require_pow2(n1, "n1")
-    _require_pow2(n2, "n2")
-    return (
-        _matrix(spec, n1, spec.depth_for(n1, spec.levels1)),
-        _matrix(spec, n2, spec.depth_for(n2, spec.levels2)),
-    )
+def _axes(shape: tuple, spec: WaveletSpec) -> list[tuple[int, int]]:
+    """(side, depth) of the last two axes of an array of this shape.
+
+    The one place the spatial layout is decided: both sides must be powers
+    of two >= 2 and the spec's depths must fit them.
+    """
+    axes = []
+    for name, n, levels in zip(("n1", "n2"), shape[-2:], (spec.levels1, spec.levels2)):
+        if n < 2 or n & (n - 1):
+            raise ValueError(f"{name} must be a power of two >= 2, got {n}")
+        axes.append((n, spec.depth_for(n, levels)))
+    return axes
 
 
 def dwt2_array(images: np.ndarray, spec: WaveletSpec) -> np.ndarray:
     """Tensor 2D transform W1 X W2^T of (..., n1, n2) data; batch dims pass through."""
-    W1, W2 = _axis_matrices(images.shape, spec)
+    W1, W2 = (_matrix(spec, n, depth) for n, depth in _axes(images.shape, spec))
     return W1 @ images @ W2.T
 
 
 def idwt2_array(coeffs: np.ndarray, spec: WaveletSpec) -> np.ndarray:
     """Inverse of dwt2_array: W1^T C W2, the transposes of its matrices."""
-    W1, W2 = _axis_matrices(coeffs.shape, spec)
+    W1, W2 = (_matrix(spec, n, depth) for n, depth in _axes(coeffs.shape, spec))
     return W1.T @ coeffs @ W2
-
-
-@dataclass
-class WaveletCoeffs2D:
-    """Coefficients of one image, indexed omega = (j1,k1; j2,k2).
-
-    `values[i1, i2]` pairs the axis-wise multilevel layouts.
-    """
-
-    values: np.ndarray
-    spec: WaveletSpec
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-
-def dwt2(image, spec: WaveletSpec) -> WaveletCoeffs2D:
-    """Orthonormal periodized tensor transform of one n1 x n2 image."""
-    image = np.asarray(image, dtype=float)
-    if image.ndim != 2:
-        raise ValueError("expected a 2-D image")
-    return WaveletCoeffs2D(values=dwt2_array(image, spec), spec=spec)
-
-
-def idwt2(coeffs: WaveletCoeffs2D, spec: WaveletSpec | None = None) -> np.ndarray:
-    """Synthesis: exact inverse of dwt2."""
-    return idwt2_array(coeffs.values, spec if spec is not None else coeffs.spec)
 
 
 def _median(x: np.ndarray) -> float:
@@ -248,23 +202,3 @@ def estimate_sigma(image, spec: WaveletSpec, robust: bool = True) -> float:
     if robust:
         return _median(np.abs(dd).ravel()) / MAD_TO_SIGMA
     return float(dd.std())
-
-
-def symmetrize(image) -> np.ndarray:
-    """Reflect an n1 x n2 image into an even-periodic 2n1 x 2n2 image.
-
-    The result is invariant under flips about both axes, so the periodized
-    transform sees it as smooth across the wrap-around.
-    """
-    image = np.atleast_2d(np.asarray(image, dtype=float))
-    top = np.concatenate([image, image[:, ::-1]], axis=1)
-    return np.concatenate([top, top[::-1, :]], axis=0)
-
-
-def restrict(image) -> np.ndarray:
-    """Return the original quadrant of a symmetrized image."""
-    image = np.asarray(image, dtype=float)
-    n1, n2 = image.shape
-    if n1 % 2 or n2 % 2:
-        raise ValueError("symmetrized image must have even sides")
-    return image[: n1 // 2, : n2 // 2].copy()

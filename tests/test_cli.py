@@ -10,8 +10,6 @@ from lagdeconv import (
     WaveletSpec,
     deconvolve,
     relative_error,
-    restrict,
-    symmetrize,
 )
 from lagdeconv.cli import main
 from lagdeconv.io import read_cube, read_series, write_cube, write_series
@@ -31,16 +29,15 @@ def write_kernel_csv(path, grid, include_zero=True):
 def ref_symmetrize(data):
     """The per-slice --symmetrize construction, as the reference for the CLI.
 
-    Dyadic sides: `symmetrize` each slice to (2 n1, 2 n2), `restrict` back.
-    Otherwise: reflect each slice to the next powers of two, columns first,
-    crop back.  Returns the extended cube and the crop.
+    Reflect each slice about its last column, then its last row: to
+    (2 n1, 2 n2) when both sides are dyadic, else to the next powers of two.
+    Returns the extended cube and the crop back to the first n1 x n2 entries.
     """
     n1, n2 = data.shape[1:]
     if n1 & (n1 - 1) == 0 and n2 & (n2 - 1) == 0:
-        return np.stack([symmetrize(s) for s in data]), lambda f: np.stack(
-            [restrict(s) for s in f]
-        )
-    t1, t2 = (1 << max(1, (n - 1).bit_length()) for n in (n1, n2))
+        t1, t2 = 2 * n1, 2 * n2
+    else:
+        t1, t2 = (1 << max(1, (n - 1).bit_length()) for n in (n1, n2))
     out = []
     for image in data:
         if t2 > n2:

@@ -10,14 +10,14 @@ from lagdeconv import (
     LagCoeffs,
     Plan,
     TimeGrid,
-    WaveletCoeffs2D,
     WaveletSpec,
     build_G,
     deconvolve,
+    dwt2_array,
     estimate_sigma,
     fit_coeffs,
     hard_threshold,
-    idwt2,
+    idwt2_array,
     inverse_norms,
     relative_error,
     select_M,
@@ -25,7 +25,6 @@ from lagdeconv import (
     tabulate_basis,
     thresholds,
 )
-from lagdeconv.wavelet2d import dwt2_array, idwt2_array
 
 PHI0 = LagCoeffs(np.concatenate([[1.0], np.zeros(15)]))
 
@@ -196,9 +195,7 @@ class TestDeconvolve:
         rng = np.random.default_rng(2)
         theta = rng.standard_normal((8, 16, 16))
         theta[max_l:] = 0.0  # convolution raises the Laguerre degree by one
-        imgs = np.stack(
-            [idwt2(WaveletCoeffs2D(values=theta[l], spec=spec)) for l in range(8)]
-        )
+        imgs = np.stack([idwt2_array(theta[l], spec) for l in range(8)])
         f_time = np.tensordot(basis.values, imgs, axes=(0, 0))
         q_imgs = imgs.copy()
         q_imgs[1:] -= imgs[:-1]  # G from phi_0 is bidiagonal (1, -1)
@@ -330,7 +327,7 @@ def old_order_deconvolve(Y, g, spec, cfg, g_zero):
     if cfg.M == "auto":
         m_cap = min(cfg.m_cap, n)
         probe = fit_coeffs(g, tabulate_basis(m_cap, grid), cfg.rcond, g_zero)
-        M = select_M(inverse_norms(probe, m_cap), eps, cap=m_cap)
+        M = select_M(inverse_norms(probe, m_cap), eps)
     else:
         M = cfg.M
     basis = tabulate_basis(M, grid)
@@ -458,6 +455,13 @@ class TestPlan:
             _, diag = plan.apply(self.cubes(grid)[0])
         assert diag.rank == 5
 
+    def test_rejects_a_side_below_two_at_construction(self):
+        # the wavelet layout is checked when the plan is built, not in apply
+        grid = TimeGrid(n=16, T=5.0)
+        with pytest.raises(ValueError, match="n1 must be a power of two >= 2, got 1"):
+            Plan(grid, (1, 8), np.exp(-grid.points / 2.0), WaveletSpec(),
+                 EstimatorConfig(M=4), g_zero=1.0)
+
     def test_rejects_a_cube_of_another_grid_or_shape(self):
         grid = TimeGrid(n=32, T=5.0)
         plan = Plan(grid, (16, 16), np.exp(-grid.points / 2.0), WaveletSpec(),
@@ -518,6 +522,12 @@ class TestDiagnostics:
         cfg = EstimatorConfig(eps=1e-300, m_cap=8)
         diag = deconvolve(Y, np.exp(-grid.points / 2.0), WaveletSpec(), cfg, g_zero=1.0)[1]
         assert (diag.M, diag.J1, diag.J2) == (8, 4, 4)
+
+    def test_subnormal_eps_keeps_at_least_what_a_tiny_eps_keeps(self):
+        # 1 / eps overflows for subnormal eps; log(1/eps) must not
+        tiny, subnormal = self.fit(0.05, eps=1e-300), self.fit(0.05, eps=1e-310)
+        assert np.all(np.isfinite(subnormal.lambdas))
+        assert np.all(subnormal.keep_counts >= tiny.keep_counts)
 
     def test_omega_dropped_counts_the_truncated_coefficients(self):
         # 16 x 16 at full depth: levels < 2 keep 4 rows, levels < 3 keep 8 columns

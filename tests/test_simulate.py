@@ -12,6 +12,7 @@ from lagdeconv import (
     deconvolve,
     relative_error,
 )
+from lagdeconv.laguerre import _series_with_zero
 from lagdeconv.simulate import (
     REFERENCE_TABLE1,
     TEST_FUNCTION_IDS,
@@ -120,6 +121,27 @@ class TestForwardConvolve:
         grid = TimeGrid(n=32, T=5.0)
         with pytest.raises(ValueError):
             forward_convolve(Cube(grid=grid, data=np.zeros((32, 2, 2))), np.ones(16))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 32, 64, 1024])
+    @pytest.mark.parametrize("exact_zeros", [False, True])
+    def test_matches_the_row_by_row_trapezoid(self, n, exact_zeros):
+        # reference: one trapezoid row per output time, built in a loop
+        grid = TimeGrid(n=n, T=5.0)
+        rng = np.random.default_rng(n)
+        f = Cube(grid=grid, data=rng.standard_normal((n, 2, 3)))
+        g = rng.standard_normal(n)
+        g_zero, f_zero = (1.5, rng.standard_normal((2, 3))) if exact_zeros else (None, None)
+        g_full = _series_with_zero(g, g_zero)
+        f_full = _series_with_zero(f.data, f_zero)
+        rows = np.zeros((n, n + 1))
+        for k in range(1, n + 1):
+            w = np.full(k + 1, grid.step)
+            w[0] *= 0.5
+            w[-1] *= 0.5
+            rows[k - 1, : k + 1] = w * g_full[k::-1]
+        want = np.tensordot(rows, f_full, axes=(1, 0))
+        got = forward_convolve(f, g, g_zero=g_zero, f_zero=f_zero).data
+        assert np.array_equal(got, want)
 
 
 class TestAddNoise:

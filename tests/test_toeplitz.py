@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from lagdeconv import (
+    InverseNormTable,
     LagCoeffs,
     LowerToeplitz,
     SingularOperatorError,
@@ -235,7 +236,8 @@ class TestSelectM:
     def test_clamp_ceiling_and_cap(self):
         tab = inverse_norms(PHI0_COEFFS, 8)
         assert select_M(tab, eps=1e-9) == 8
-        assert select_M(tab, eps=1e-9, cap=5) == 5
+        head = InverseNormTable(tab.spectral[:5], tab.frobenius[:5])  # the cap is the table's length
+        assert select_M(head, eps=1e-9) == 5
 
     def test_rejects_bad_eps(self):
         tab = inverse_norms(PHI0_COEFFS, 4)

@@ -1,16 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from lagdeconv import (
-    WaveletCoeffs2D,
-    WaveletSpec,
-    dwt2,
-    estimate_sigma,
-    idwt2,
-    restrict,
-    symmetrize,
-)
-from lagdeconv.wavelet2d import _level_index, dwt2_array, idwt2_array, wavelet_taps
+from lagdeconv import WaveletSpec, dwt2_array, estimate_sigma, idwt2_array
+from lagdeconv.wavelet2d import _level_index, wavelet_taps
 
 FAMILIES = ["haar", "daub4"]
 
@@ -26,10 +20,21 @@ DAUB6 = np.array(
         0.03522629188570953,
     ]
 )
+
+
+class Daub6Spec(WaveletSpec):
+    """A spec whose filter is DAUB6, to test the filter bank on a filter
+    longer than the registry's: the matrices come from `taps` alone."""
+
+    @property
+    def taps(self):
+        return DAUB6.copy()
+
+
 SPECS = {
     "haar": WaveletSpec(family="haar"),
     "daub4": WaveletSpec(family="daub4"),
-    "daub6": WaveletSpec(taps=DAUB6),
+    "daub6": Daub6Spec(),
 }
 
 
@@ -87,35 +92,28 @@ class TestSpec:
         with pytest.raises(ValueError):
             WaveletSpec(family="nope")
 
-    def test_bad_custom_taps(self):
-        with pytest.raises(ValueError):
-            WaveletSpec(taps=np.array([0.5, 0.5, 0.5, 0.5]))
-
-    def test_custom_taps_accepted(self):
-        # time-reversed daub4 is also a valid orthogonal filter
-        WaveletSpec(taps=wavelet_taps("daub4")[::-1])
-
     def test_specs_compare_and_hash_by_value(self):
         a, b = WaveletSpec(), WaveletSpec()
         assert a == b and hash(a) == hash(b)
         assert WaveletSpec("haar") != a
         assert WaveletSpec(levels1=2) != a
-        assert WaveletSpec(taps=DAUB6) == WaveletSpec(taps=list(DAUB6))
-        assert isinstance(a.taps, np.ndarray) and a.taps.dtype == float
         assert np.array_equal(a.taps, wavelet_taps("daub4"))
+        assert np.array_equal(WaveletSpec("haar").taps, wavelet_taps("haar"))
+        with pytest.raises(AttributeError):
+            a.taps = wavelet_taps("haar")
 
     def test_depth_bound(self):
         spec = WaveletSpec(levels1=6, levels2=1)
         with pytest.raises(ValueError):
-            dwt2(np.zeros((32, 32)), spec)
+            dwt2_array(np.zeros((32, 32)), spec)
 
 
 class TestTransform:
     def test_constant_image_concentrates_on_scaling(self):
         spec = WaveletSpec()
-        c = dwt2(np.full((32, 32), 2.5), spec)
-        assert c.values[0, 0] == pytest.approx(2.5 * 32.0, rel=1e-12)
-        rest = c.values.copy()
+        c = dwt2_array(np.full((32, 32), 2.5), spec)
+        assert c[0, 0] == pytest.approx(2.5 * 32.0, rel=1e-12)
+        rest = c.copy()
         rest[0, 0] = 0.0
         assert np.abs(rest).max() <= 1e-10
 
@@ -125,55 +123,54 @@ class TestTransform:
         rng = np.random.default_rng(hash((family, shape)) % 2**32)
         spec = WaveletSpec(family=family)
         img = rng.standard_normal(shape)
-        back = idwt2(dwt2(img, spec))
+        back = idwt2_array(dwt2_array(img, spec), spec)
         assert np.abs(back - img).max() <= 1e-10
 
     def test_partial_depths(self):
         rng = np.random.default_rng(9)
         spec = WaveletSpec(levels1=2, levels2=4)
         img = rng.standard_normal((32, 32))
-        back = idwt2(dwt2(img, spec))
+        back = idwt2_array(dwt2_array(img, spec), spec)
         assert np.abs(back - img).max() <= 1e-10
 
     def test_parseval(self):
         rng = np.random.default_rng(1)
         img = rng.standard_normal((32, 32))
-        c = dwt2(img, WaveletSpec())
-        assert np.sum(c.values**2) == pytest.approx(np.sum(img**2), rel=1e-8)
+        c = dwt2_array(img, WaveletSpec())
+        assert np.sum(c**2) == pytest.approx(np.sum(img**2), rel=1e-8)
 
     def test_inner_products_preserved(self):
         rng = np.random.default_rng(2)
         spec = WaveletSpec()
         a = rng.standard_normal((32, 32))
         b = rng.standard_normal((32, 32))
-        ca, cb = dwt2(a, spec), dwt2(b, spec)
-        assert np.sum(ca.values * cb.values) == pytest.approx(
+        ca, cb = dwt2_array(a, spec), dwt2_array(b, spec)
+        assert np.sum(ca * cb) == pytest.approx(
             np.sum(a * b), rel=1e-8
         )
 
     def test_rejects_non_dyadic(self):
         with pytest.raises(ValueError):
-            dwt2(np.zeros((24, 32)), WaveletSpec())
+            dwt2_array(np.zeros((24, 32)), WaveletSpec())
 
     def test_zero_coefficients_to_zero_image(self):
         spec = WaveletSpec()
-        c = WaveletCoeffs2D(values=np.zeros((16, 16)), spec=spec)
-        assert np.all(idwt2(c) == 0.0)
+        assert np.all(idwt2_array(np.zeros((16, 16)), spec) == 0.0)
 
     def test_unit_detail_atom_has_unit_norm(self):
         spec = WaveletSpec()
         values = np.zeros((32, 32))
         values[19, 7] = 1.0
-        atom = idwt2(WaveletCoeffs2D(values=values, spec=spec))
+        atom = idwt2_array(values, spec)
         assert np.sum(atom**2) == pytest.approx(1.0, abs=1e-10)
 
     def test_roundtrip_from_coefficient_side(self):
         rng = np.random.default_rng(3)
         spec = WaveletSpec()
         values = rng.standard_normal((32, 32))
-        img = idwt2(WaveletCoeffs2D(values=values, spec=spec))
-        again = dwt2(img, spec)
-        assert np.abs(again.values - values).max() <= 1e-10
+        img = idwt2_array(values, spec)
+        again = dwt2_array(img, spec)
+        assert np.abs(again - values).max() <= 1e-10
 
     def test_level_layout(self):
         lev = _level_index(32, 5)
@@ -192,7 +189,7 @@ class TestReferenceFilterBank:
     )
     def test_matches_fancy_index_steps(self, family, levels, shape):
         l1, l2 = levels
-        spec = WaveletSpec(taps=SPECS[family].taps, levels1=l1, levels2=l2)
+        spec = replace(SPECS[family], levels1=l1, levels2=l2)
         rng = np.random.default_rng(sum(shape) + 10 * l1)
         x = rng.standard_normal(shape)
         scale = np.abs(x).max()
@@ -205,7 +202,7 @@ class TestReferenceFilterBank:
     def test_one_spec_serves_several_shapes(self, family):
         # the spec caches one matrix per (side, depth); a second shape on the
         # same object must not pick up the first shape's matrices
-        spec = WaveletSpec(taps=SPECS[family].taps, levels2=2)
+        spec = replace(SPECS[family], levels2=2)
         rng = np.random.default_rng(14)
         for shape in [(16, 16), (32, 8)]:
             x = rng.standard_normal(shape)
@@ -290,21 +287,3 @@ class TestEstimateSigma:
     def test_odd_side_rejected(self, shape, side):
         with pytest.raises(ValueError, match=side):
             estimate_sigma(np.ones(shape), WaveletSpec())
-
-
-class TestSymmetrize:
-    def test_single_pixel(self):
-        out = symmetrize(np.array([[7.0]]))
-        assert out.shape == (2, 2)
-        assert np.all(out == 7.0)
-
-    def test_restrict_recovers_quadrant(self):
-        rng = np.random.default_rng(10)
-        img = rng.standard_normal((5, 9))
-        assert np.array_equal(restrict(symmetrize(img)), img)
-
-    def test_flip_invariance(self):
-        rng = np.random.default_rng(11)
-        out = symmetrize(rng.standard_normal((4, 6)))
-        assert np.array_equal(out, out[::-1, :])
-        assert np.array_equal(out, out[:, ::-1])
