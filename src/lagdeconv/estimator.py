@@ -12,9 +12,13 @@ Pipeline for observations Y = g*f + noise on an (n, n1, n2) grid:
    Toeplitz kernel operator G into one matrix, applied to the n time
    slices before any spatial work,
 3. orthonormal 2D wavelet transform of each of the M coefficient slices,
-4. level-dependent hard thresholding of the coefficients theta_{l;omega},
-5. inverse wavelet transform of the M slices, then Laguerre evaluation
-   in time.
+   restricted to the truncation set Omega(J1, J2): it is the leading
+   r1 x r2 block of the coefficient array, so only W1[:r1] X W2[:r2]^T is
+   computed and the coefficients the truncation discards never are,
+4. level-dependent hard thresholding of the coefficients theta_{l;omega}
+   of that block,
+5. inverse wavelet transform of the M blocks, W1[:r1]^T C W2[:r2], then
+   Laguerre evaluation in time.
 
 All steps are linear except the thresholding.  The time operators commute
 with the per-slice spatial transform, so the spatial work is M transforms
@@ -163,7 +167,7 @@ class Diagnostics:
     keep_counts: np.ndarray | None
     total_counts: np.ndarray | None
     lambdas: np.ndarray | None
-    omega_dropped: int  # coefficients outside Omega(J1, J2), zeroed by the truncation
+    omega_dropped: int  # coefficients outside Omega(J1, J2), never computed
     # None, or why no coefficient was thresholded: "threshold_mode off",
     # "eps = 0" or "eps >= 1" (log(1/eps) floored at 0: all thresholds zero).
     thresholds_disabled_reason: str | None
@@ -367,14 +371,15 @@ class Plan:
         else:
             M = self._m_cap
         order = self._order(M)
-        theta = dwt2_array(np.tensordot(order.op, Y.data, axes=(1, 0)), spec)
 
-        # Truncation set Omega(J1, J2): drop detail levels >= J along each axis.
+        # Truncation set Omega(J1, J2): the levels < J along each axis.  Levels
+        # never decrease along an axis, so Omega is the leading r1 x r2 block
+        # of the coefficient array, and only that block is ever computed.
         J1 = _depth(cfg.J1, n1, cfg.A, eps, cfg.threshold_mode)
         J2 = _depth(cfg.J2, n2, cfg.A, eps, cfg.threshold_mode)
-        in_omega = np.outer(self._lev1 < J1, self._lev2 < J2)
-        theta *= in_omega[None, :, :]
-        omega_size = int(in_omega.sum())
+        r1 = int(np.count_nonzero(self._lev1 < J1))
+        r2 = int(np.count_nonzero(self._lev2 < J2))
+        theta = dwt2_array(np.tensordot(order.op, Y.data, axes=(1, 0)), spec, (r1, r2))
 
         keep_counts = total_counts = lambdas = disabled = None
         if not cfg.threshold_mode:
@@ -386,13 +391,15 @@ class Plan:
             if eps >= 1.0:
                 disabled = "eps >= 1"  # thresholds() warns and returns zeros
             lambdas = thresholds(M, eps, cfg.nu, order.norms)
-            protect = np.outer(self._lev1 == -1, self._lev2 == -1)  # the mean-carrying block
+            protect = np.outer(self._lev1[:r1] == -1, self._lev2[:r2] == -1)  # the scaling block
             theta, keep_counts = hard_threshold(theta, lambdas, protect)
-            total_counts = np.full(M, omega_size)
+            total_counts = np.full(M, r1 * r2)
 
-        # Synthesis: inverse wavelet transform of the M orders, then Laguerre
+        # Synthesis: inverse wavelet transform of the M blocks, then Laguerre
         # evaluation in time (the two commute, and this order runs M transforms).
-        f_hat = np.tensordot(order.basis.values, idwt2_array(theta, spec), axes=(0, 0))
+        f_hat = np.tensordot(
+            order.basis.values, idwt2_array(theta, spec, self.shape), axes=(0, 0)
+        )
 
         diag = Diagnostics(
             sigma_hat=sigma_hat,
@@ -404,7 +411,7 @@ class Plan:
             keep_counts=keep_counts,
             total_counts=total_counts,
             lambdas=lambdas,
-            omega_dropped=M * (n1 * n2 - omega_size),
+            omega_dropped=M * (n1 * n2 - r1 * r2),
             thresholds_disabled_reason=disabled,
         )
         return Cube(grid=Y.grid, data=f_hat), diag

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -71,15 +72,17 @@ def read_cube(stem) -> Cube:
     for key in ("n", "n1", "n2", "T"):
         if key not in header:
             raise FileFormatError(f"cube header {header_path} lacks field {key!r}")
-    try:
-        n, n1, n2 = int(header["n"]), int(header["n1"]), int(header["n2"])
-        T = float(header["T"])
-    except (TypeError, ValueError, OverflowError) as exc:
+    # JSON integers and numbers only: int() would truncate 4.9, read true as 1
+    # and parse "2"; float() would read 1e999 as inf.
+    n, n1, n2, T = (header[key] for key in ("n", "n1", "n2", "T"))
+    if not (all(type(v) is int for v in (n, n1, n2)) and type(T) in (int, float)):
         raise FileFormatError(
-            f"cube header {header_path} has a non-numeric n, n1, n2 or T: {exc}"
-        ) from exc
-    if min(n, n1, n2) < 1 or not T > 0:
-        raise FileFormatError(f"cube header {header_path} has nonpositive sizes")
+            f"cube header {header_path}: n, n1 and n2 must be JSON integers and T a JSON number"
+        )
+    if min(n, n1, n2) < 1 or not 0 < T < math.inf:
+        raise FileFormatError(
+            f"cube header {header_path} needs positive sizes and a positive finite T"
+        )
     if header.get("dtype", _HEADER_DTYPE) != _HEADER_DTYPE:
         raise FileFormatError(f"unsupported dtype {header.get('dtype')!r}")
     if header.get("endianness", _HEADER_ENDIAN) != _HEADER_ENDIAN:
@@ -91,7 +94,7 @@ def read_cube(stem) -> Cube:
             f"{bin_path}: payload is {actual} bytes, header implies {expected}"
         )
     data = np.fromfile(bin_path, dtype="<f8").reshape(n, n1, n2)
-    return Cube(grid=TimeGrid(n=n, T=T), data=data)
+    return Cube(grid=TimeGrid(n=n, T=float(T)), data=data)
 
 
 def write_series(path, t: np.ndarray, values: np.ndarray) -> Path:

@@ -15,6 +15,8 @@ value of a data series is linearly extrapolated unless supplied.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -45,10 +47,10 @@ class TimeGrid:
     T: float
 
     def __post_init__(self):
-        if self.n < 1:
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
             raise ValueError("n must be a positive integer")
-        if not self.T > 0:
-            raise ValueError("T must be positive")
+        if not (isinstance(self.T, numbers.Real) and 0 < self.T < math.inf):
+            raise ValueError("T must be positive and finite")
 
     @property
     def step(self) -> float:

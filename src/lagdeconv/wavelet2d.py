@@ -12,13 +12,17 @@ n1 x n2 array whose 1D layout along each axis is
     [ scaling block | level 0 | level 1 | ... | finest level ]
 
 with the detail block of level j occupying indices [2^j, 2^{j+1}) at full
-depth.  The transform is orthonormal: Parseval holds exactly and inner
-products are preserved.
+depth.  Levels never decrease along an axis, so the coefficients of all
+levels below a cut form a leading block; both transforms take the size of
+such a block and then touch only it: the rows W1[:r1] and W2[:r2].  The
+transform is orthonormal: Parseval holds exactly and inner products are
+preserved.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +75,10 @@ class WaveletSpec:
 
     def __post_init__(self):
         wavelet_taps(self.family)  # rejects an unknown family
+        for name in ("levels1", "levels2"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 0):
+                raise ValueError(f"{name} must be an integer >= 0 (0 means full depth)")
 
     @property
     def taps(self) -> np.ndarray:
@@ -84,7 +92,7 @@ class WaveletSpec:
 
     def depth_for(self, size: int, levels: int) -> int:
         full = int(math.log2(size))
-        if levels <= 0:
+        if levels == 0:
             return full
         if levels > full:
             raise ValueError(f"levels={levels} exceeds log2({size})={full}")
@@ -155,16 +163,42 @@ def _axes(shape: tuple, spec: WaveletSpec) -> list[tuple[int, int]]:
     return axes
 
 
-def dwt2_array(images: np.ndarray, spec: WaveletSpec) -> np.ndarray:
-    """Tensor 2D transform W1 X W2^T of (..., n1, n2) data; batch dims pass through."""
-    W1, W2 = (_matrix(spec, n, depth) for n, depth in _axes(images.shape, spec))
-    return W1 @ images @ W2.T
+def _block(axes: list[tuple[int, int]], block) -> tuple[int, int]:
+    """(r1, r2) of a leading coefficient block, each within [1, n] of its axis."""
+    sides = tuple(n for n, _ in axes)
+    if block is None:
+        return sides
+    block = tuple(block)
+    if len(block) != len(sides) or not all(
+        isinstance(r, numbers.Integral) and 1 <= r <= n for r, n in zip(block, sides)
+    ):
+        raise ValueError(f"coefficient block {block} must lie within [1, n] per axis of {sides}")
+    return block
 
 
-def idwt2_array(coeffs: np.ndarray, spec: WaveletSpec) -> np.ndarray:
-    """Inverse of dwt2_array: W1^T C W2, the transposes of its matrices."""
-    W1, W2 = (_matrix(spec, n, depth) for n, depth in _axes(coeffs.shape, spec))
-    return W1.T @ coeffs @ W2
+def dwt2_array(images: np.ndarray, spec: WaveletSpec, block=None) -> np.ndarray:
+    """Tensor 2D transform W1 X W2^T of (..., n1, n2) data; batch dims pass through.
+
+    block = (r1, r2) computes only the leading r1 x r2 coefficients,
+    W1[:r1] X W2[:r2]^T, i.e. dwt2_array(images, spec)[..., :r1, :r2].
+    """
+    axes = _axes(images.shape, spec)
+    r1, r2 = _block(axes, block)
+    W1, W2 = (_matrix(spec, n, depth) for n, depth in axes)
+    return W1[:r1] @ images @ W2[:r2].T
+
+
+def idwt2_array(coeffs: np.ndarray, spec: WaveletSpec, shape=None) -> np.ndarray:
+    """Inverse of dwt2_array: W1^T C W2, the transposes of its matrices.
+
+    shape = (n1, n2) reads coeffs as the leading block of an n1 x n2
+    coefficient array, zero elsewhere: W1[:r1]^T C W2[:r2] for an
+    (..., r1, r2) block.  By default the block is the whole array.
+    """
+    axes = _axes(coeffs.shape if shape is None else tuple(shape), spec)
+    r1, r2 = _block(axes, coeffs.shape[-2:])
+    W1, W2 = (_matrix(spec, n, depth) for n, depth in axes)
+    return W1[:r1].T @ coeffs @ W2[:r2]
 
 
 def _median(x: np.ndarray) -> float:

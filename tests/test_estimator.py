@@ -9,6 +9,7 @@ from lagdeconv import (
     EstimatorConfig,
     LagCoeffs,
     Plan,
+    SimConfig,
     TimeGrid,
     WaveletSpec,
     build_G,
@@ -25,6 +26,9 @@ from lagdeconv import (
     tabulate_basis,
     thresholds,
 )
+from lagdeconv import simulate
+from lagdeconv.estimator import _depth
+from lagdeconv.wavelet2d import _level_index
 
 PHI0 = LagCoeffs(np.concatenate([[1.0], np.zeros(15)]))
 
@@ -404,6 +408,73 @@ class TestPipelineOrder:
         else:
             assert np.array_equal(diag.keep_counts, ref["keep_counts"])
             assert np.allclose(diag.lambdas, ref["lambdas"], rtol=1e-12, atol=0.0)
+
+
+def full_array_apply(plan, Y):
+    """The plan's fit with the truncation as a mask, as the oracle for apply.
+
+    Full n1 x n2 transform of the M slices, Omega(J1, J2) mask, hard
+    threshold of the whole array, full inverse transform.
+    """
+    cfg, spec, (n1, n2) = plan.cfg, plan.spec, plan.shape
+    sigma = float(np.median([estimate_sigma(y, spec, cfg.sigma_robust) for y in Y.data]))
+    eps = Y.grid.T * sigma / math.sqrt(Y.grid.n) if cfg.eps == "auto" else float(cfg.eps)
+    order = plan._order(cfg.M)
+    theta = dwt2_array(np.tensordot(order.op, Y.data, axes=(1, 0)), spec)
+    J1, J2 = (_depth(J, n, cfg.A, eps, cfg.threshold_mode) for J, n in ((cfg.J1, n1), (cfg.J2, n2)))
+    lev1, lev2 = (_level_index(n, spec.depth_for(n, lv))
+                  for n, lv in ((n1, spec.levels1), (n2, spec.levels2)))
+    in_omega = np.outer(lev1 < J1, lev2 < J2)
+    theta = theta * in_omega
+    keep_counts = lambdas = None
+    if cfg.threshold_mode:
+        lambdas = thresholds(cfg.M, eps, cfg.nu, order.norms)
+        theta, keep_counts = hard_threshold(theta, lambdas, np.outer(lev1 == -1, lev2 == -1))
+    f_hat = np.tensordot(order.basis.values, idwt2_array(theta, spec), axes=(0, 0))
+    return f_hat, dict(
+        J1=J1, J2=J2, omega_dropped=cfg.M * int((~in_omega).sum()), keep_counts=keep_counts,
+        total_counts=None if lambdas is None else np.full(cfg.M, int(in_omega.sum())),
+        lambdas=lambdas,
+    )
+
+
+class TestOmegaBlock:
+    @pytest.mark.parametrize("threshold_mode", [True, False], ids=["thresholds", "no-thresholds"])
+    @pytest.mark.parametrize("J", ["auto", 0, (2, 4), (3, 1), 9], ids=str)
+    @pytest.mark.parametrize("levels", [(0, 0), (2, 1)], ids=["full-depth", "depth-2-1"])
+    @pytest.mark.parametrize("shape", [(32, 32), (16, 64), (64, 8), (128, 128)], ids=str)
+    @pytest.mark.parametrize("family", ["haar", "daub4"])
+    def test_matches_the_full_array_with_a_mask(self, family, shape, levels, J, threshold_mode):
+        J1, J2 = J if isinstance(J, tuple) else (J, J)
+        grid = TimeGrid(n=16, T=5.0)
+        g = np.exp(-grid.points / 2.0)
+        rng = np.random.Generator(np.random.Philox(sum(shape)))
+        # eps ~ 0.25, so the auto depth is 4: a truncation on every side above 16
+        Y = Cube(grid=grid, data=g[:, None, None] * cosine_field(*shape)
+                 + 0.2 * rng.standard_normal((16, *shape)))
+        cfg = EstimatorConfig(M=6, J1=J1, J2=J2, threshold_mode=threshold_mode)
+        plan = Plan(grid, shape, g, WaveletSpec(family, *levels), cfg, g_zero=1.0)
+
+        f_hat, diag = plan.apply(Y)
+        f_ref, ref = full_array_apply(plan, Y)
+
+        assert np.abs(f_hat.data - f_ref).max() <= 1e-13 * np.abs(f_ref).max()
+        assert (diag.J1, diag.J2, diag.omega_dropped) == (ref["J1"], ref["J2"], ref["omega_dropped"])
+        for key in ("keep_counts", "total_counts", "lambdas"):
+            got, want = getattr(diag, key), ref[key]
+            assert (got is None and want is None) or np.array_equal(got, want)
+
+    def test_default_settings_truncate_a_large_noisy_cube(self):
+        # The auto depth is below log2(128) = 7, so a default fit computes a
+        # strict leading block of the coefficients, not the whole array.
+        cfg = SimConfig(n=16, T=5.0, n1=128, n2=128)
+        truth = simulate.eval_test_function("f3", cfg)
+        g = simulate.default_kernel(truth.grid.points)
+        q = simulate.forward_convolve(truth, g, g_zero=1.0)
+        Y, _ = simulate.add_noise(q, 5.0, seed=11)
+        diag = deconvolve(Y, g, WaveletSpec(), EstimatorConfig(), g_zero=1.0)[1]
+        assert diag.J1 < 7 and diag.J2 < 7
+        assert diag.omega_dropped > 0
 
 
 class TestPlan:

@@ -55,6 +55,13 @@ class TestCubeFile:
             '{"n": "x", "n1": 4, "n2": 4, "T": 5.0}',
             '{"n": 8, "n1": 4, "n2": 4, "T": [5.0]}',
             '{"n": 1e999, "n1": 4, "n2": 4, "T": 5.0}',
+            # Each of these once matched the 8 x 4 x 4 payload and was read:
+            '{"n": 8.9, "n1": 4, "n2": 4, "T": 5.0}',  # truncated to 8
+            '{"n": 32, "n1": true, "n2": 4, "T": 5.0}',  # true read as 1
+            '{"n": "8", "n1": 4, "n2": 4, "T": 5.0}',
+            '{"n": 8, "n1": 4, "n2": 4, "T": "5.0"}',
+            '{"n": 8, "n1": 4, "n2": 4, "T": 1e999}',  # parses to inf
+            '{"n": 8, "n1": 4, "n2": 4, "T": NaN}',
         ],
     )
     def test_header_of_the_wrong_type(self, tmp_path, header):

@@ -36,6 +36,21 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(n=4, T=0.0)
 
+    @pytest.mark.parametrize(
+        "n, T",
+        [(2.5, 5.0), ("4", 5.0), (None, 5.0), (-3, 5.0),
+         (4, float("inf")), (4, float("nan")), (4, "5.0"), (4, -1.0)],
+        ids=["n-float", "n-str", "n-none", "n-negative",
+             "T-inf", "T-nan", "T-str", "T-negative"],
+    )
+    def test_rejects_a_non_integer_size_or_a_non_finite_length(self, n, T):
+        with pytest.raises(ValueError):
+            TimeGrid(n=n, T=T)
+
+    def test_accepts_numpy_scalars(self):
+        g = TimeGrid(n=np.int64(4), T=np.float64(4.0))
+        assert np.array_equal(g.points, TimeGrid(n=4, T=4.0).points)
+
 
 class TestEvalLaguerre:
     def test_at_zero(self):

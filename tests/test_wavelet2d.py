@@ -102,6 +102,15 @@ class TestSpec:
         with pytest.raises(AttributeError):
             a.taps = wavelet_taps("haar")
 
+    @pytest.mark.parametrize("levels", [2.5, "2", -3, None], ids=["float", "str", "negative", "none"])
+    @pytest.mark.parametrize("field", ["levels1", "levels2"])
+    def test_rejects_a_depth_that_is_not_an_integer_at_least_zero(self, field, levels):
+        with pytest.raises(ValueError):
+            WaveletSpec(**{field: levels})
+
+    def test_accepts_numpy_integer_depths(self):
+        assert WaveletSpec(levels1=np.int64(2), levels2=np.int32(0)) == WaveletSpec(levels1=2)
+
     def test_depth_bound(self):
         spec = WaveletSpec(levels1=6, levels2=1)
         with pytest.raises(ValueError):
@@ -179,6 +188,58 @@ class TestTransform:
         assert list(lev[2:4]) == [1, 1]
         assert list(lev[16:]) == [4] * 16
         assert np.outer(lev == -1, lev == -1).sum() == 1
+
+
+def block_sizes(n, depth):
+    """Block sides from the scaling block alone up to n, one not a power of two."""
+    return sorted({n >> depth, min(3, n), n // 2, n})
+
+
+class TestLeadingBlock:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("levels", [(0, 0), (2, 1)])
+    @pytest.mark.parametrize("shape", [(3, 16, 32), (2, 64, 8)])
+    def test_block_is_the_corner_of_the_full_transform(self, family, levels, shape):
+        spec = WaveletSpec(family, *levels)
+        rng = np.random.default_rng(sum(shape) + levels[0])
+        x = rng.standard_normal(shape)
+        full = dwt2_array(x, spec)
+        scale = np.abs(full).max()
+        (n1, d1), (n2, d2) = ((n, spec.depth_for(n, lv)) for n, lv in zip(shape[1:], levels))
+        for r1 in block_sizes(n1, d1):
+            for r2 in block_sizes(n2, d2):
+                block = dwt2_array(x, spec, (r1, r2))
+                assert block.shape == (shape[0], r1, r2)
+                assert np.abs(block - full[:, :r1, :r2]).max() <= 1e-14 * scale
+                padded = np.zeros(shape)
+                padded[:, :r1, :r2] = block
+                back = idwt2_array(block, spec, shape[1:])
+                assert back.shape == shape
+                assert np.abs(back - idwt2_array(padded, spec)).max() <= 1e-14 * scale
+
+    def test_whole_block_is_the_default_bit_for_bit(self):
+        spec = WaveletSpec()
+        x = np.random.default_rng(4).standard_normal((2, 16, 32))
+        assert np.array_equal(dwt2_array(x, spec, (16, 32)), dwt2_array(x, spec))
+        c = dwt2_array(x, spec)
+        assert np.array_equal(idwt2_array(c, spec, (16, 32)), idwt2_array(c, spec))
+
+    @pytest.mark.parametrize(
+        "block", [(0, 4), (4, 0), (17, 4), (4, 33), (4,), (4, 4, 4), (2.0, 4)],
+        ids=["zero-1", "zero-2", "over-1", "over-2", "one-side", "three-sides", "float"],
+    )
+    def test_rejects_a_block_outside_the_array(self, block):
+        with pytest.raises(ValueError):
+            dwt2_array(np.zeros((16, 32)), WaveletSpec(), block)
+
+    @pytest.mark.parametrize(
+        "coeffs, shape",
+        [((17, 4), (16, 32)), ((4, 33), (16, 32)), ((4, 4), (12, 32)), ((4, 4), (16,))],
+        ids=["taller", "wider", "not-dyadic", "one-side"],
+    )
+    def test_rejects_coefficients_that_do_not_fit_the_shape(self, coeffs, shape):
+        with pytest.raises(ValueError):
+            idwt2_array(np.zeros(coeffs), WaveletSpec(), shape)
 
 
 class TestReferenceFilterBank:
