@@ -21,7 +21,6 @@ from .laguerre import (
     TimeGrid,
     eval_laguerre,
     fit_coeffs,
-    project,
     reconstruct,
     smooth_series,
     tabulate_basis,
@@ -57,7 +56,7 @@ __all__ = [
     "Cube", "Diagnostics", "EstimatorConfig", "Plan",
     "deconvolve", "hard_threshold", "thresholds",
     "LagCoeffs", "LaguerreBasis", "TimeGrid",
-    "eval_laguerre", "fit_coeffs", "project", "reconstruct",
+    "eval_laguerre", "fit_coeffs", "reconstruct",
     "smooth_series", "tabulate_basis",
     "REFERENCE_TABLE1", "SimConfig",
     "add_noise", "eval_test_function", "forward_convolve",

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Commands: simulate, deconvolve, bench-table1, norms, smooth.  Everything is
-flag-driven and deterministic given --seed.  Exit codes: 0 success, 1 usage
+flag-driven and deterministic given --seed.  Flags are only parsed here; the
+library objects they build check the values.  Exit codes: 0 success, 1 usage
 or validation, 2 I/O, 3 numeric failure (singular kernel, linear-algebra
 error).
 """
@@ -18,16 +19,7 @@ import numpy as np
 from .estimator import Cube, EstimatorConfig, deconvolve
 from .io import FileFormatError, read_cube, read_series, write_cube, write_series
 from .laguerre import LagCoeffs, TimeGrid, fit_coeffs, smooth_series, tabulate_basis
-from .simulate import (
-    SimConfig,
-    TEST_FUNCTION_IDS,
-    add_noise,
-    default_kernel,
-    eval_test_function,
-    forward_convolve,
-    run_table1,
-    zero_time_slice,
-)
+from .simulate import SimConfig, _forward_model, add_noise, run_table1
 from .toeplitz import SingularOperatorError, inverse_norms
 from .wavelet2d import WaveletSpec
 
@@ -37,14 +29,19 @@ EXIT_IO = 2
 EXIT_NUMERIC = 3
 
 
-class UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on bad flags, per the CLI contract
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _auto_or(kind):
+    """argparse type: "auto" or a `kind` value, named in parse errors."""
+    def parse(text: str):
+        return text if text == "auto" else kind(text)
+    parse.__name__ = f"'auto' or {kind.__name__}"
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -67,9 +64,10 @@ def _build_parser() -> _Parser:
     pd.add_argument("--kernel-coeffs",
                     help="CSV of kernel Laguerre coefficients (index, value)")
     pd.add_argument("--out", required=True, help="output stem for the estimate")
-    pd.add_argument("--M", default="auto", help="Laguerre order or 'auto'")
+    pd.add_argument("--M", type=_auto_or(int), default="auto", help="Laguerre order or 'auto'")
     pd.add_argument("--nu", type=float, default=EstimatorConfig().nu)
-    pd.add_argument("--eps", default="auto", help="noise intensity or 'auto'")
+    pd.add_argument("--eps", type=_auto_or(float), default="auto",
+                    help="noise intensity or 'auto'")
     pd.add_argument("--no-threshold", action="store_true")
     pd.add_argument("--symmetrize", action="store_true",
                     help="reflect to a periodic dyadic image, crop back after")
@@ -110,10 +108,10 @@ def _series_to_grid(t: np.ndarray, values: np.ndarray):
     """Interpret a series as samples on t_k = T k/n, peeling a t=0 row."""
     t, values, zero_value = _peel_zero(t, values)
     if t.size < 2:
-        raise UsageError("series needs at least two positive-time samples")
+        raise ValueError("series needs at least two positive-time samples")
     # uniform spacing equal to t[0] means t_k = T k/n exactly
     if not np.allclose(np.diff(t), t[0], rtol=1e-8, atol=1e-12):
-        raise UsageError("series must be sampled uniformly at t_k = T k/n")
+        raise ValueError("series must be sampled uniformly at t_k = T k/n")
     grid = TimeGrid(n=t.size, T=float(t[-1]))
     return grid, values, zero_value
 
@@ -122,7 +120,7 @@ def _kernel_on_grid(args, grid: TimeGrid):
     """Kernel samples + zero value from --kernel, matched to the cube grid."""
     t, values, zero_value = _peel_zero(*read_series(args.kernel))
     if t.size != grid.n or not np.allclose(t, grid.points, rtol=1e-9, atol=1e-12):
-        raise UsageError("kernel series is not sampled on the cube's time grid")
+        raise ValueError("kernel series is not sampled on the cube's time grid")
     return values, zero_value
 
 
@@ -131,19 +129,9 @@ def _next_pow2(n: int) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.function not in TEST_FUNCTION_IDS:
-        print(f"error: unknown test function {args.function!r}; "
-              f"choose one of {', '.join(TEST_FUNCTION_IDS)}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.snr <= 0 or args.n < 2 or args.n1 < 1 or args.n2 < 1 or args.T <= 0:
-        print("error: sizes, T and snr must be positive (n >= 2)", file=sys.stderr)
-        return EXIT_USAGE
     cfg = SimConfig(n=args.n, T=args.T, n1=args.n1, n2=args.n2,
                     snr=args.snr, seed=args.seed)
-    f = eval_test_function(args.function, cfg)
-    g = default_kernel(cfg.grid.points)
-    q = forward_convolve(f, g, g_zero=1.0,
-                         f_zero=zero_time_slice(args.function, cfg))
+    f, q = _forward_model(args.function, cfg)
     Y, sigma = add_noise(q, args.snr, args.seed)
     out = Path(args.out)
     write_cube(str(out) + "_f", f)
@@ -164,7 +152,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_deconvolve(args) -> int:
     if (args.kernel is None) == (args.kernel_coeffs is None):
-        raise UsageError("provide exactly one of --kernel / --kernel-coeffs")
+        raise ValueError("provide exactly one of --kernel / --kernel-coeffs")
     Y = read_cube(args.input)
 
     g_series = g_zero = g_coeffs = None
@@ -174,27 +162,8 @@ def cmd_deconvolve(args) -> int:
     else:
         g_series, g_zero = _kernel_on_grid(args, Y.grid)
 
-    if args.M != "auto":
-        try:
-            M = int(args.M)
-        except ValueError:
-            raise UsageError(f"--M must be an integer or 'auto', got {args.M!r}")
-        if M < 1:
-            raise UsageError("--M must be positive")
-    else:
-        M = "auto"
-    if args.eps != "auto":
-        try:
-            eps = float(args.eps)
-        except ValueError:
-            raise UsageError(f"--eps must be a number or 'auto', got {args.eps!r}")
-        if eps <= 0:
-            raise UsageError("--eps must be positive")
-    else:
-        eps = "auto"
-
     cfg = EstimatorConfig(
-        M=M, nu=args.nu, eps=eps,
+        M=args.M, nu=args.nu, eps=args.eps,
         threshold_mode=not args.no_threshold,
         rcond=args.rcond,
         sigma_robust=(args.sigma_est == "mad"),
@@ -202,7 +171,7 @@ def cmd_deconvolve(args) -> int:
     spec = WaveletSpec()
 
     if args.smooth_kernel and g_series is not None:
-        order = M if isinstance(M, int) else 8
+        order = 8 if cfg.M == "auto" else cfg.M
         basis = tabulate_basis(min(order, Y.grid.n), Y.grid)
         g_series = smooth_series(g_series, basis, cfg.rcond, g_zero)
 
@@ -216,7 +185,7 @@ def cmd_deconvolve(args) -> int:
         t1, t2 = (2 * n1, 2 * n2) if dyadic else (_next_pow2(n1), _next_pow2(n2))
         data = np.pad(data, ((0, 0), (0, t1 - n1), (0, t2 - n2)), mode="symmetric")
     elif not dyadic:
-        raise UsageError("spatial sides are not powers of two; pass --symmetrize")
+        raise ValueError("spatial sides are not powers of two; pass --symmetrize")
     work = Cube(grid=Y.grid, data=data)
 
     f_hat, diag = deconvolve(work, g_series, spec, cfg,
@@ -232,8 +201,6 @@ def cmd_deconvolve(args) -> int:
 
 
 def cmd_bench_table1(args) -> int:
-    if args.runs < 2:
-        raise UsageError("--runs must be at least 2")
     cfg = SimConfig(runs=args.runs, seed=args.seed)
     est_cfg = EstimatorConfig(M=8, nu=args.nu)
     rows = run_table1(cfg, est_cfg)
@@ -257,14 +224,10 @@ def cmd_bench_table1(args) -> int:
 
 
 def cmd_norms(args) -> int:
-    if args.max_m < 1:
-        raise UsageError("--max-m must be positive")
     t, values = read_series(args.kernel)
     grid, series, zero_value = _series_to_grid(t, values)
     basis = tabulate_basis(min(args.max_m, grid.n), grid)
     g_hat = fit_coeffs(series, basis, zero_value=zero_value)
-    if g_hat.values[0] == 0.0:
-        raise SingularOperatorError("kernel has g_0 = 0")
     max_m = min(args.max_m, g_hat.m)
     table = inverse_norms(g_hat, max_m)
     ms = np.arange(1, max_m + 1)
@@ -288,8 +251,6 @@ def cmd_norms(args) -> int:
 
 
 def cmd_smooth(args) -> int:
-    if args.M < 1:
-        raise UsageError("--M must be positive")
     t, values = read_series(args.input)
     grid, series, zero_value = _series_to_grid(t, values)
     basis = tabulate_basis(min(args.M, grid.n), grid)
@@ -316,19 +277,13 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except FileFormatError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_IO
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except SingularOperatorError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except np.linalg.LinAlgError as exc:
+    except (SingularOperatorError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -46,11 +46,11 @@ def _paths(stem) -> tuple[Path, Path]:
 def write_cube(stem, cube: Cube) -> tuple[Path, Path]:
     """Write header and payload; returns the two paths."""
     header_path, bin_path = _paths(stem)
-    header = {
-        "n": cube.grid.n,
-        "n1": cube.n1,
-        "n2": cube.n2,
-        "T": cube.grid.T,
+    header = {  # plain int/float: json cannot write numpy scalars
+        "n": int(cube.grid.n),
+        "n1": int(cube.n1),
+        "n2": int(cube.n2),
+        "T": float(cube.grid.T),
         "dtype": _HEADER_DTYPE,
         "order": _HEADER_ORDER,
         "endianness": _HEADER_ENDIAN,

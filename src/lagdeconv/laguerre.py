@@ -2,11 +2,11 @@
 
 The basis functions are phi_l(t) = exp(-t/2) * L_l(t) with L_l the Laguerre
 polynomials; they form an orthonormal basis of L2(0, inf).  Series sampled on
-a finite grid [0, T] are projected onto the first M basis functions either by
-composite quadrature (`project`) or by a weighted least-squares fit with a
-spectral cutoff (`fit_coeffs`).  The two agree whenever T and n are large
-enough that the basis has decayed inside [0, T]; on short grids the
-least-squares route is the one that behaves like an actual projection.
+a finite grid [0, T] are projected onto the first M basis functions by one
+route, `fit_coeffs`: a weighted least-squares fit with a spectral cutoff.  On
+grids long enough for the basis to decay inside [0, T] it agrees with plain
+quadrature of series * phi_l; on short grids, where plain quadrature is
+biased, it still behaves like an actual projection.
 
 Grid convention: t_k = T*k/n for k = 1..n, so there is no t = 0 sample.
 Quadrature is carried out on the n+1 nodes {0, t_1, ..., t_n}; the t = 0
@@ -28,7 +28,6 @@ __all__ = [
     "LagCoeffs",
     "eval_laguerre",
     "tabulate_basis",
-    "project",
     "fit_coeffs",
     "reconstruct",
     "smooth_series",
@@ -139,16 +138,13 @@ class LaguerreBasis:
         """Composite Simpson weights on the n+1 nodes {0, t_1, .., t_n}."""
         return _simpson_weights(self.grid.n, self.grid.step)
 
-    def quadrature_matrix(self) -> np.ndarray:
-        """M x (n+1) matrix whose rows integrate a series against phi_l."""
-        return self.values_with_zero * self.quad_weights
-
     def projection_matrix(self, rcond: float = DEFAULT_RCOND) -> np.ndarray:
         """M x (n+1) weighted least-squares projector with spectral cutoff.
 
         Singular directions of the sqrt-weighted design below rcond * s_max
         are dropped; on grids that resolve the basis nothing is dropped and
-        the matrix coincides with `quadrature_matrix` up to the Gram error.
+        the matrix equals plain quadrature (values_with_zero * quad_weights)
+        up to the Gram error.
         """
         key = float(rcond)
         if key not in self._projectors:
@@ -210,21 +206,6 @@ def _series_with_zero(series: np.ndarray, zero_value) -> np.ndarray:
     return np.concatenate([np.asarray(zero)[None, ...], series], axis=0)
 
 
-def project(series, basis: LaguerreBasis, zero_value=None) -> LagCoeffs:
-    """Quadrature coefficients q_l ~ int_0^T series(t) phi_l(t) dt.
-
-    Composite Simpson on the nodes {0, t_1, .., t_n}; `zero_value` supplies
-    the exact t = 0 sample when known.
-    """
-    series = np.asarray(series, dtype=float)
-    if series.shape != (basis.grid.n,):
-        raise ValueError(
-            f"series length {series.shape} does not match grid n={basis.grid.n}"
-        )
-    full = _series_with_zero(series, zero_value)
-    return LagCoeffs(basis.quadrature_matrix() @ full)
-
-
 def fit_coeffs(
     series,
     basis: LaguerreBasis,
@@ -234,8 +215,7 @@ def fit_coeffs(
     """Stable projection: weighted least-squares fit with spectral cutoff.
 
     Minimizes the quadrature-weighted residual sum over span{phi_0..phi_{M-1}}
-    after dropping design directions below rcond * s_max.  Use this instead of
-    `project` whenever the grid is too short for the basis to have decayed.
+    after dropping design directions below rcond * s_max.
     """
     series = np.asarray(series, dtype=float)
     if series.shape != (basis.grid.n,):

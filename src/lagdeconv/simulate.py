@@ -9,6 +9,7 @@ values embedded for comparison.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +59,9 @@ class SimConfig:
     runs: int = 100
 
     def __post_init__(self):
-        if min(self.n, self.n1, self.n2) < 1:
-            raise ValueError("grid sizes must be positive")
-        if not self.T > 0:
-            raise ValueError("T must be positive")
+        TimeGrid(n=self.n, T=self.T)  # raises on a bad n or T
+        if not all(isinstance(s, numbers.Integral) and s >= 1 for s in (self.n1, self.n2)):
+            raise ValueError("n1 and n2 must be positive integers")
         if not self.snr > 0:
             raise ValueError("snr must be positive")
 
@@ -142,6 +142,13 @@ def forward_convolve(
     kernel_rows = np.where(j <= k, w * g_full[np.maximum(k - j, 0)], 0.0)
     q = np.tensordot(kernel_rows, f_full, axes=(1, 0))
     return Cube(grid=f.grid, data=q)
+
+
+def _forward_model(fid: str, cfg: SimConfig) -> tuple[Cube, Cube]:
+    """Truth f and clean q = g*f, g = default_kernel, with exact t = 0 values."""
+    f = eval_test_function(fid, cfg)
+    g = default_kernel(cfg.grid.points)
+    return f, forward_convolve(f, g, g_zero=1.0, f_zero=zero_time_slice(fid, cfg))
 
 
 def _noise_sigma(q: Cube, snr: float) -> float:
@@ -226,13 +233,7 @@ def run_table1(
     plan = Plan(cfg.grid, (cfg.n1, cfg.n2), g, spec, est_cfg, g_zero=1.0)
     cells = []  # (fid, snr, f, q, sigma) in row order
     for fid in TEST_FUNCTION_IDS:
-        f = eval_test_function(fid, cfg)
-        q = forward_convolve(
-            f,
-            g,
-            g_zero=float(default_kernel(0.0)),
-            f_zero=zero_time_slice(fid, cfg),
-        )
+        f, q = _forward_model(fid, cfg)
         cells.extend((fid, snr, f, q, _noise_sigma(q, snr)) for snr in snrs)
     deltas = np.empty((len(cells), cfg.runs))
     for i in range(cfg.runs):
@@ -266,11 +267,8 @@ def run_single(
         est_cfg = EstimatorConfig(M=8)
     if spec is None:
         spec = WaveletSpec()
-    g = default_kernel(cfg.grid.points)
-    f = eval_test_function(fid, cfg)
-    q = forward_convolve(
-        f, g, g_zero=1.0, f_zero=zero_time_slice(fid, cfg)
-    )
+    f, q = _forward_model(fid, cfg)
     Y, _ = add_noise(q, cfg.snr, cfg.seed if seed is None else seed)
+    g = default_kernel(cfg.grid.points)
     f_hat, diag = deconvolve(Y, g, spec, est_cfg, g_zero=1.0)
     return relative_error(f_hat, f), diag

@@ -74,6 +74,28 @@ class TestSimulateCommand:
                 tmp_path / ("b" + suffix)
             ).read_bytes()
 
+    def test_one_frame_cube(self, tmp_path):
+        # SimConfig and the forward model take n = 1; the CLI used to demand n >= 2
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--function", "f2", "--snr", "5",
+                       "--n", "1", "--out", str(out)) == 0
+        assert read_cube(str(out) + "_Y").data.shape == (1, 32, 32)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--snr", "0"], "snr must be positive"),
+        (["--snr", "3", "--n", "0"], "n must be a positive integer"),
+        (["--snr", "3", "--n1", "0"], "n1 and n2 must be positive integers"),
+        (["--snr", "3", "--T", "-1"], "T must be positive and finite"),
+        (["--snr", "3", "--T", "inf"], "T must be positive and finite"),
+    ])
+    def test_bad_values_exit_1_with_the_library_message(self, tmp_path, capsys,
+                                                        flags, message):
+        code = run_cli("simulate", "--function", "f1", *flags,
+                       "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "sim"
         run_cli("simulate", "--function", "f3", "--snr", "3", "--out", str(out))
@@ -264,6 +286,48 @@ class TestDeconvolveCommand:
         assert "eps must be a finite" in capsys.readouterr().err
         assert not (tmp_path / "fhat.json").exists()
 
+    def test_eps_zero_runs_threshold_free(self, tmp_path):
+        # EstimatorConfig(eps=0) is a documented path; the CLI used to reject it
+        out = self.simulate_fixture(tmp_path, n=32, T=5.0, snr="5")
+        kpath = write_kernel_csv(tmp_path / "g.csv", TimeGrid(n=32, T=5.0))
+        with pytest.warns(UserWarning, match="eps = 0"):
+            code = run_cli("deconvolve", "--input", str(out) + "_Y",
+                           "--kernel", str(kpath), "--M", "8", "--eps", "0",
+                           "--out", str(tmp_path / "fhat"),
+                           "--diagnostics", str(tmp_path / "diag.json"))
+        assert code == 0
+        diag = json.loads((tmp_path / "diag.json").read_text())
+        assert diag["thresholds_disabled_reason"] == "eps = 0"
+        assert diag["eps_hat"] == 0.0 and diag["keep_counts"] is None
+
+    @pytest.mark.parametrize("flag, value", [("--M", "x"), ("--M", "2.5"),
+                                             ("--eps", "x")])
+    def test_unparsable_order_or_eps_exits_1_with_the_reason(self, capsys,
+                                                             flag, value):
+        # argparse rejects the value before any file is read
+        code = run_cli("deconvolve", "--input", "missing", "--kernel", "g.csv",
+                       "--out", "f", flag, value)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid 'auto' or" in err
+        assert repr(value) in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--M", "0", "M must be an integer >= 1 or 'auto'"),
+        ("--eps", "-1", "eps must be a finite nonnegative number or 'auto'"),
+    ])
+    def test_out_of_range_order_or_eps_exits_1_with_the_config_message(
+            self, tmp_path, capsys, flag, value, message):
+        out = self.simulate_fixture(tmp_path, n=32, T=5.0, snr="5")
+        kpath = write_kernel_csv(tmp_path / "g.csv", TimeGrid(n=32, T=5.0))
+        capsys.readouterr()
+        code = run_cli("deconvolve", "--input", str(out) + "_Y",
+                       "--kernel", str(kpath), flag, value,
+                       "--out", str(tmp_path / "fhat"))
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "fhat.json").exists()
+
     def test_both_kernel_flags_exit_1(self, tmp_path):
         out = self.simulate_fixture(tmp_path, n=32, T=5.0, snr="5")
         kpath = write_kernel_csv(tmp_path / "g.csv", TimeGrid(n=32, T=5.0))
@@ -296,13 +360,21 @@ class TestNormsCommand:
         slope = float(first.split(":")[1])
         assert abs(slope - 2.0) <= 0.3
 
-    def test_singular_kernel_exits_3(self, tmp_path):
-        # the all-zero kernel fits to exactly zero coefficients, g_0 = 0
+    def test_singular_kernel_exits_3(self, tmp_path, capsys):
+        # the all-zero kernel fits to exactly zero coefficients, g_0 = 0,
+        # and inverse_norms refuses it
         grid = TimeGrid(n=64, T=20.0)
         t = grid.points_with_zero
         write_series(tmp_path / "g.csv", t, np.zeros(t.size))
-        code = run_cli("norms", "--kernel", str(tmp_path / "g.csv"), "--max-m", "4")
+        with pytest.warns(UserWarning, match="g_0 = 0"):
+            code = run_cli("norms", "--kernel", str(tmp_path / "g.csv"), "--max-m", "4")
         assert code == 3
+        assert "numeric error: singular operator" in capsys.readouterr().err
+
+    def test_max_m_zero_exits_1(self, tmp_path, capsys):
+        kpath = write_kernel_csv(tmp_path / "g.csv", TimeGrid(n=64, T=20.0))
+        assert run_cli("norms", "--kernel", str(kpath), "--max-m", "0") == 1
+        assert "M must be a positive integer" in capsys.readouterr().err
 
 
 class TestBenchCommand:
@@ -316,8 +388,13 @@ class TestBenchCommand:
         stderr_col = [float(line.split(",")[3]) for line in lines[1:]]
         assert all(s >= 0 for s in stderr_col)
 
-    def test_runs_below_two_exits_1(self):
+    def test_runs_below_two_exits_1(self, capsys):
         assert run_cli("bench-table1", "--runs", "1") == 1
+        assert "need at least 2 runs" in capsys.readouterr().err
+
+    def test_unparsable_runs_exits_1_with_the_reason(self, capsys):
+        assert run_cli("bench-table1", "--runs", "x") == 1
+        assert "argument --runs: invalid int value: 'x'" in capsys.readouterr().err
 
     def test_infinite_nu_exits_1(self, capsys):
         assert run_cli("bench-table1", "--runs", "2", "--nu", "inf") == 1
@@ -341,5 +418,13 @@ class TestSmoothCommand:
         after = np.linalg.norm(smoothed - clean[1:])
         assert after < before
 
-    def test_bad_flag_exits_1(self):
+    def test_bad_flag_exits_1(self, capsys):
         assert run_cli("smooth", "--input", "x.csv") == 1  # missing --out
+        assert "the following arguments are required: --out" in capsys.readouterr().err
+
+    def test_order_zero_exits_1(self, tmp_path, capsys):
+        kpath = write_kernel_csv(tmp_path / "g.csv", TimeGrid(n=64, T=20.0))
+        code = run_cli("smooth", "--input", str(kpath), "--M", "0",
+                       "--out", str(tmp_path / "s.csv"))
+        assert code == 1
+        assert "M must be a positive integer" in capsys.readouterr().err

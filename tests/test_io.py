@@ -25,6 +25,17 @@ class TestCubeFile:
         assert np.array_equal(back.data, cube.data)
         assert back.data.tobytes() == cube.data.tobytes()
 
+    @pytest.mark.parametrize("grid", [
+        TimeGrid(n=np.int64(4), T=5.0), TimeGrid(n=4, T=np.float32(5.0)),
+    ], ids=["int64-n", "float32-T"])
+    def test_roundtrip_with_numpy_scalar_grid(self, tmp_path, grid):
+        # json cannot write numpy scalars; the header used to raise TypeError
+        cube = Cube(grid=grid, data=np.arange(16.0).reshape(4, 2, 2))
+        write_cube(tmp_path / "c", cube)
+        back = read_cube(tmp_path / "c")
+        assert back.grid == TimeGrid(n=4, T=5.0)
+        assert back.data.tobytes() == cube.data.tobytes()
+
     def test_write_is_deterministic(self, tmp_path):
         cube = random_cube(3)
         write_cube(tmp_path / "a", cube)

@@ -8,7 +8,6 @@ from lagdeconv import (
     TimeGrid,
     eval_laguerre,
     fit_coeffs,
-    project,
     reconstruct,
     smooth_series,
     tabulate_basis,
@@ -107,48 +106,49 @@ class TestTabulateBasis:
         assert np.abs(gram - np.eye(10)).max() <= 1e-6
 
 
-class TestProject:
+class TestFitCoeffs:
     def test_phi0_coefficients(self, oracle_grid):
         basis = tabulate_basis(4, oracle_grid)
         series = np.exp(-oracle_grid.points / 2.0)
-        coeffs = project(series, basis, zero_value=1.0)
+        coeffs = fit_coeffs(series, basis, zero_value=1.0)
         assert np.abs(coeffs.values - [1.0, 0.0, 0.0, 0.0]).max() <= 1e-6
 
     def test_zero_series(self, oracle_grid):
         basis = tabulate_basis(4, oracle_grid)
-        coeffs = project(np.zeros(oracle_grid.n), basis)
+        coeffs = fit_coeffs(np.zeros(oracle_grid.n), basis)
         assert np.all(coeffs.values == 0.0)
 
     def test_linear_combination(self, oracle_grid):
         basis = tabulate_basis(4, oracle_grid)
         series = 2.0 * basis.values[1] + 3.0 * basis.values[2]
-        coeffs = project(series, basis, zero_value=5.0)  # 2*phi_1(0)+3*phi_2(0)
+        coeffs = fit_coeffs(series, basis, zero_value=5.0)  # 2*phi_1(0)+3*phi_2(0)
         assert np.abs(coeffs.values - [0.0, 2.0, 3.0, 0.0]).max() <= 1e-6
 
     def test_length_mismatch(self, oracle_grid):
         basis = tabulate_basis(4, oracle_grid)
         with pytest.raises(ValueError):
-            project(np.zeros(10), basis)
+            fit_coeffs(np.zeros(10), basis)
 
     def test_projection_is_linear(self, oracle_grid):
         rng = np.random.default_rng(3)
         basis = tabulate_basis(5, oracle_grid)
         u = rng.standard_normal(oracle_grid.n)
         v = rng.standard_normal(oracle_grid.n)
-        lhs = project(2.5 * u - 1.5 * v, basis).values
-        rhs = 2.5 * project(u, basis).values - 1.5 * project(v, basis).values
+        lhs = fit_coeffs(2.5 * u - 1.5 * v, basis).values
+        rhs = 2.5 * fit_coeffs(u, basis).values - 1.5 * fit_coeffs(v, basis).values
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_fit_agrees_with_quadrature_on_long_grid(self, oracle_grid):
         rng = np.random.default_rng(4)
         basis = tabulate_basis(8, oracle_grid)
         series = rng.standard_normal(oracle_grid.n)
-        a = project(series, basis).values
+        # reference: composite Simpson of series * phi_l on {0, t_1, .., t_n},
+        # the t = 0 sample extrapolated linearly as fit_coeffs does
+        full = np.concatenate([[2.0 * series[0] - series[1]], series])
+        a = basis.values_with_zero @ (_simpson_weights(oracle_grid.n, oracle_grid.step) * full)
         b = fit_coeffs(series, basis).values
         assert np.abs(a - b).max() <= 1e-5 * max(1.0, np.abs(a).max())
 
-
-class TestFitCoeffs:
     def test_in_span_recovery_on_short_grid(self, short_grid):
         # the stable projection nails in-span signals even where plain
         # quadrature is badly biased, provided no directions are dropped
@@ -184,7 +184,7 @@ class TestReconstruct:
         basis = tabulate_basis(8, oracle_grid)
         coeffs = rng.standard_normal(8)
         series = reconstruct(LagCoeffs(coeffs), basis)
-        back = project(series, basis, zero_value=float(coeffs.sum()))
+        back = fit_coeffs(series, basis, zero_value=float(coeffs.sum()))
         assert np.abs(back.values - coeffs).max() <= 1e-6
 
 

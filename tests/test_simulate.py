@@ -27,6 +27,24 @@ from lagdeconv.simulate import (
 )
 
 
+class TestSimConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"T": math.inf}, {"T": 0.0}, {"n": 2.5}, {"n": 0},
+        {"n1": 2.5}, {"n2": 2.5}, {"n1": 0}, {"n2": "32"}, {"snr": 0.0},
+    ], ids=repr)
+    def test_rejects_a_bad_grid_or_snr_when_built(self, kwargs):
+        # T and n are checked by the TimeGrid the config builds; n = 2.5
+        # and T = inf used to construct and fail on the first .grid, and
+        # n1 = 2.5 built a 3-pixel axis reaching x = 1.2
+        with pytest.raises(ValueError):
+            SimConfig(**kwargs)
+
+    def test_accepts_numpy_integers_and_one_frame(self):
+        cfg = SimConfig(n=1, n1=np.int64(4), n2=np.int32(2))
+        assert cfg.grid == TimeGrid(n=1, T=5.0)
+        assert [x.size for x in cfg.spatial_points()] == [4, 2]
+
+
 class TestTestFunctions:
     def test_f1_vanishes_at_time_zero(self):
         cfg = SimConfig(n=8, n1=8, n2=8)
