@@ -72,7 +72,7 @@ def _build_parser() -> _Parser:
     pd.add_argument("--symmetrize", action="store_true",
                     help="reflect to a periodic dyadic image, crop back after")
     pd.add_argument("--smooth-kernel", action="store_true",
-                    help="Laguerre-smooth the kernel samples before use")
+                    help="Laguerre-smooth the --kernel samples before use")
     pd.add_argument("--sigma-est", choices=["mad", "std"], default="mad")
     pd.add_argument("--rcond", type=float, default=EstimatorConfig().rcond)
     pd.add_argument("--diagnostics", help="path for the diagnostics JSON")
@@ -153,6 +153,9 @@ def cmd_simulate(args) -> int:
 def cmd_deconvolve(args) -> int:
     if (args.kernel is None) == (args.kernel_coeffs is None):
         raise ValueError("provide exactly one of --kernel / --kernel-coeffs")
+    if args.smooth_kernel and args.kernel_coeffs is not None:
+        raise ValueError("--smooth-kernel smooths kernel samples (--kernel); "
+                         "it does not apply to --kernel-coeffs")
     Y = read_cube(args.input)
 
     g_series = g_zero = g_coeffs = None
@@ -170,7 +173,7 @@ def cmd_deconvolve(args) -> int:
     )
     spec = WaveletSpec()
 
-    if args.smooth_kernel and g_series is not None:
+    if args.smooth_kernel:
         order = 8 if cfg.M == "auto" else cfg.M
         basis = tabulate_basis(min(order, Y.grid.n), Y.grid)
         g_series = smooth_series(g_series, basis, cfg.rcond, g_zero)

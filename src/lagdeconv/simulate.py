@@ -64,6 +64,10 @@ class SimConfig:
             raise ValueError("n1 and n2 must be positive integers")
         if not self.snr > 0:
             raise ValueError("snr must be positive")
+        if isinstance(self.seed, bool) or not (
+            isinstance(self.seed, numbers.Integral) and self.seed >= 0
+        ):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property
     def grid(self) -> TimeGrid:

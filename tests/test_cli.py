@@ -87,6 +87,7 @@ class TestSimulateCommand:
         (["--snr", "3", "--n1", "0"], "n1 and n2 must be positive integers"),
         (["--snr", "3", "--T", "-1"], "T must be positive and finite"),
         (["--snr", "3", "--T", "inf"], "T must be positive and finite"),
+        (["--snr", "3", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
     ])
     def test_bad_values_exit_1_with_the_library_message(self, tmp_path, capsys,
                                                         flags, message):
@@ -253,6 +254,18 @@ class TestDeconvolveCommand:
                        "--smooth-kernel", "--out", str(tmp_path / "fhat"))
         assert code == 0
 
+    def test_smooth_kernel_with_coefficients_exits_1(self, tmp_path, capsys):
+        # smoothing acts on kernel samples; coefficients would pass unsmoothed
+        out = self.simulate_fixture(tmp_path, n=32, T=5.0, snr="5")
+        write_series(tmp_path / "gc.csv", np.arange(8.0), np.eye(8)[0])
+        code = run_cli("deconvolve", "--input", str(out) + "_Y",
+                       "--kernel-coeffs", str(tmp_path / "gc.csv"), "--M", "8",
+                       "--smooth-kernel", "--out", str(tmp_path / "fhat"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--smooth-kernel" in err and "--kernel-coeffs" in err
+        assert not (tmp_path / "fhat.json").exists()
+
     def test_kernel_as_coefficient_file(self, tmp_path):
         out = self.simulate_fixture(tmp_path, n=32, T=5.0, snr="5")
         # g = exp(-t/2) = phi_0 has expansion (1, 0, 0, ...); the first
@@ -387,6 +400,10 @@ class TestBenchCommand:
         assert len(lines) == 13  # 4 functions x 3 SNRs
         stderr_col = [float(line.split(",")[3]) for line in lines[1:]]
         assert all(s >= 0 for s in stderr_col)
+
+    def test_negative_seed_exits_1_naming_the_seed(self, capsys):
+        assert run_cli("bench-table1", "--runs", "2", "--seed", "-1") == 1
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
     def test_runs_below_two_exits_1(self, capsys):
         assert run_cli("bench-table1", "--runs", "1") == 1

@@ -39,6 +39,14 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "7", None], ids=repr)
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+            SimConfig(seed=seed)
+
+    def test_accepts_a_numpy_integer_seed(self):
+        assert SimConfig(seed=np.int64(0)).seed == 0
+
     def test_accepts_numpy_integers_and_one_frame(self):
         cfg = SimConfig(n=1, n1=np.int64(4), n2=np.int32(2))
         assert cfg.grid == TimeGrid(n=1, T=5.0)

@@ -1,10 +1,11 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lagdeconv import WaveletSpec, dwt2_array, estimate_sigma, idwt2_array
-from lagdeconv.wavelet2d import _level_index, wavelet_taps
+from lagdeconv import WaveletSpec, dwt2_array, estimate_sigma, idwt2_array, wavelet2d
+from lagdeconv.wavelet2d import _level_index, _matrix, wavelet_taps
 
 FAMILIES = ["haar", "daub4"]
 
@@ -294,6 +295,23 @@ class TestReferenceFilterBank:
         for robust in (True, False):
             self.check_sigma(SPECS[family], robust, shape)
 
+    @pytest.mark.parametrize("path", ["default", "blocks"])
+    @pytest.mark.parametrize("family", sorted(SPECS))
+    @pytest.mark.parametrize("robust", [True, False])
+    @pytest.mark.parametrize(
+        "shape",
+        [(64, 64), (128, 32), (32, 256), (256, 256), (512, 64),
+         # sides the block does not divide; the last three are above the
+         # dense limit, and 18 leaves a last block of 2 samples
+         (40, 8), (6, 100), (74, 34), (250, 34), (6, 1000), (18, 600)],
+    )
+    def test_sigma_on_many_blocks(self, monkeypatch, path, family, robust, shape):
+        # "blocks" sends every frame down the block path, small ones included
+        if path == "blocks":
+            monkeypatch.setattr(wavelet2d, "_DENSE_WORK", 0)
+        spec = replace(SPECS[family])  # a fresh cache
+        self.check_sigma(spec, robust, shape)
+
     def check_sigma(self, spec, robust, shape):
         rng = np.random.default_rng(13)
         img = rng.standard_normal(shape)
@@ -302,6 +320,19 @@ class TestReferenceFilterBank:
         dd = step[shape[0] // 2 :, shape[1] // 2 :]
         want = np.median(np.abs(dd)) / 0.6745 if robust else dd.std()
         assert estimate_sigma(img, spec, robust) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("family", sorted(SPECS))
+    @pytest.mark.parametrize("shape", [(32, 32), (64, 64), (64, 32), (16, 8), (6, 100)])
+    def test_small_frames_are_the_dense_product_bit_for_bit(self, family, shape):
+        n1, n2 = shape
+        assert n1 * n2 * (n1 + n2) <= wavelet2d._DENSE_WORK
+        spec = SPECS[family]
+        img = np.random.default_rng(15).standard_normal(shape)
+        H1 = _matrix(spec, n1, 1)[n1 // 2 :]
+        H2 = _matrix(spec, n2, 1)[n2 // 2 :]
+        dd = H1 @ img @ H2.T
+        assert estimate_sigma(img, spec) == wavelet2d._median(np.abs(dd).ravel()) / 0.6745
+        assert estimate_sigma(img, spec, robust=False) == float(dd.std())
 
 
 class TestEstimateSigma:
@@ -339,8 +370,13 @@ class TestEstimateSigma:
         assert estimate_sigma(img, spec, robust=False) > 0.0
 
     def test_too_small(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 2 x 2"):
             estimate_sigma(np.zeros((1, 4)), WaveletSpec())
+
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (8,), ()])
+    def test_not_an_image(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"expected a 2-D image, got shape {shape}")):
+            estimate_sigma(np.zeros(shape), WaveletSpec())
 
     @pytest.mark.parametrize(
         "shape, side", [((5, 7), "n1 = 5"), ((3, 4), "n1 = 3"), ((4, 3), "n2 = 3")]
