@@ -11,22 +11,23 @@ Pipeline for observations Y = g*f + noise on an (n, n1, n2) grid:
    the first M Laguerre functions and the inverse of the triangular
    Toeplitz kernel operator G into one matrix, applied to the n time
    slices before any spatial work,
-3. orthonormal 2D wavelet transform of each of the M coefficient slices,
-   restricted to the truncation set Omega(J1, J2): it is the leading
-   r1 x r2 block of the coefficient array, so only W1[:r1] X W2[:r2]^T is
-   computed and the coefficients the truncation discards never are,
+3. orthonormal full-depth 2D wavelet transform of each of the M
+   coefficient slices, restricted to the truncation set Omega(J1, J2): it
+   is the leading r1 x r2 = 2^J1 x 2^J2 block of the coefficient array, so
+   only W1[:r1] X W2[:r2]^T is computed and the coefficients the truncation
+   discards never are,
 4. level-dependent hard thresholding of the coefficients theta_{l;omega}
-   of that block,
+   of that block, all but the scaling coefficient at (0, 0),
 5. inverse wavelet transform of the M blocks, W1[:r1]^T C W2[:r2], then
    Laguerre evaluation in time.
 
 All steps are linear except the thresholding.  The time operators commute
 with the per-slice spatial transform, so the spatial work is M transforms
 each way rather than n.  A `Plan` holds everything that depends only on
-the grid, the kernel, the spec and the config: the level indices and, in
-a cache keyed by the Laguerre order, each order's basis, kernel fit, A and
-inverse-norm table.  Cubes that share a kernel share one plan;
-`deconvolve` builds one and applies it once.  Nothing mutates its inputs.
+the grid, the kernel, the spec and the config: in a cache keyed by the
+Laguerre order, each order's basis, kernel fit, A and inverse-norm table.
+Cubes that share a kernel share one plan; `deconvolve` builds one and
+applies it once.  Nothing mutates its inputs.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .toeplitz import (
     select_M,
     solve_lower,
 )
-from .wavelet2d import WaveletSpec, _axes, _level_index, dwt2_array, estimate_sigma, idwt2_array
+from .wavelet2d import WaveletSpec, _axes, dwt2_array, estimate_sigma, idwt2_array
 
 __all__ = [
     "Cube",
@@ -139,6 +140,10 @@ class EstimatorConfig:
             value = getattr(self, name)
             if value != "auto" and not _is_int_at_least(value, low):
                 raise ValueError(f"{name} must be an integer >= {low} or 'auto'")
+        for name in ("threshold_mode", "sigma_robust"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be True or False, got {value!r}")
         if not _is_int_at_least(self.m_cap, 1):
             raise ValueError("m_cap must be an integer >= 1")
         if not 0.0 <= self.rcond < 1.0:
@@ -238,8 +243,8 @@ def hard_threshold(
     """Zero every entry of theta[l, i1, i2] with |theta_{l;omega}| <= lambda_l.
 
     `protect` is an optional spatial mask of entries kept regardless (the
-    scaling block).  Returns the thresholded array and the per-l count of
-    surviving entries.
+    scaling coefficient).  Returns the thresholded array and the per-l
+    count of surviving entries.
     """
     values = np.asarray(values, dtype=float)
     lambdas = np.asarray(lambdas, dtype=float)
@@ -297,14 +302,13 @@ class Plan:
     A plan holds the work that does not depend on the observations: the
     Laguerre basis, the kernel fit, the folded M x n time operator
     A = G^-1 P E (zero-slice extrapolation E, least-squares projector P,
-    Toeplitz inverse G^-1), the inverse-norm table and the level indices of
-    the spatial layout.  `_order(M)` builds the state of one order, the
-    only path that does, and caches it; A and the norm table are built on
-    first read.  With M="auto" the rule reads the norm table of order
-    m_cap, and the order it chooses comes from the same cache.
-    `apply` does the per-cube work, so one plan serves every cube that
-    shares the kernel.  Its caches hold only idempotent derived state, so a
-    plan is safe to share across threads.
+    Toeplitz inverse G^-1) and the inverse-norm table.  `_order(M)` builds
+    the state of one order, the only path that does, and caches it; A and
+    the norm table are built on first read.  With M="auto" the rule reads
+    the norm table of order m_cap, and the order it chooses comes from the
+    same cache.  `apply` does the per-cube work, so one plan serves every
+    cube that shares the kernel.  Its caches hold only idempotent derived
+    state, so a plan is safe to share across threads.
     """
 
     def __init__(
@@ -318,7 +322,7 @@ class Plan:
         g_coeffs: LagCoeffs | None = None,
     ):
         n1, n2 = shape
-        self._lev1, self._lev2 = (_level_index(n, depth) for n, depth in _axes(shape, spec))
+        _axes(shape)  # both sides powers of two >= 2
         if g_series is None and g_coeffs is None:
             raise ValueError("provide the kernel as samples or as Laguerre coefficients")
         if g_coeffs is None:
@@ -372,13 +376,13 @@ class Plan:
             M = self._m_cap
         order = self._order(M)
 
-        # Truncation set Omega(J1, J2): the levels < J along each axis.  Levels
-        # never decrease along an axis, so Omega is the leading r1 x r2 block
-        # of the coefficient array, and only that block is ever computed.
+        # Truncation set Omega(J1, J2): the levels < J along each axis.  At full
+        # depth the scaling coefficient is index 0 and level j holds indices
+        # [2^j, 2^(j+1)), so Omega is the leading 2^J1 x 2^J2 block of the
+        # coefficient array, and only that block is ever computed.
         J1 = _depth(cfg.J1, n1, cfg.A, eps, cfg.threshold_mode)
         J2 = _depth(cfg.J2, n2, cfg.A, eps, cfg.threshold_mode)
-        r1 = int(np.count_nonzero(self._lev1 < J1))
-        r2 = int(np.count_nonzero(self._lev2 < J2))
+        r1, r2 = 1 << J1, 1 << J2
         theta = dwt2_array(np.tensordot(order.op, Y.data, axes=(1, 0)), spec, (r1, r2))
 
         keep_counts = total_counts = lambdas = disabled = None
@@ -391,7 +395,8 @@ class Plan:
             if eps >= 1.0:
                 disabled = "eps >= 1"  # thresholds() warns and returns zeros
             lambdas = thresholds(M, eps, cfg.nu, order.norms)
-            protect = np.outer(self._lev1[:r1] == -1, self._lev2[:r2] == -1)  # the scaling block
+            protect = np.zeros((r1, r2), dtype=bool)
+            protect[0, 0] = True  # the scaling coefficient
             theta, keep_counts = hard_threshold(theta, lambdas, protect)
             total_counts = np.full(M, r1 * r2)
 

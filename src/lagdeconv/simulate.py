@@ -68,6 +68,11 @@ class SimConfig:
             isinstance(self.seed, numbers.Integral) and self.seed >= 0
         ):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        # run_table1 reports a standard error across the runs
+        if isinstance(self.runs, bool) or not (
+            isinstance(self.runs, numbers.Integral) and self.runs >= 2
+        ):
+            raise ValueError(f"need at least 2 runs for a standard error, got {self.runs!r}")
 
     @property
     def grid(self) -> TimeGrid:
@@ -225,8 +230,6 @@ def run_table1(
     (common random numbers, exactly as `add_noise(q, snr, cfg.seed + i)`),
     and that draw is made once per replicate, not once per cell.
     """
-    if cfg.runs < 2:
-        raise ValueError("need at least 2 runs for a standard error")
     if est_cfg is None:
         est_cfg = EstimatorConfig(M=8)
     if spec is None:

@@ -2,21 +2,21 @@
 
 The spatial basis is the product psi_{j1,k1}(x1) * psi_{j2,k2}(x2) with
 independent resolution levels along the two axes ("standard"
-decomposition).  The multilevel 1D periodized transform of an n-pixel axis
-is an n x n orthogonal matrix W, built once from the filter bank and cached
-on the spec.  `dwt2_array` maps (..., n1, n2) data X to W1 X W2^T, one
-image per trailing pair of axes, and `idwt2_array` maps it back by the
-transposes, W1^T C W2.  Coefficients of an n1 x n2 image live in an
-n1 x n2 array whose 1D layout along each axis is
+decomposition).  The transform always runs at full depth: the log2(n)-level
+1D periodized transform of an n-pixel axis is an n x n orthogonal matrix W,
+built once from the filter bank and cached on the spec.  `dwt2_array` maps
+(..., n1, n2) data X to W1 X W2^T, one image per trailing pair of axes, and
+`idwt2_array` maps it back by the transposes, W1^T C W2.  Coefficients of an
+n1 x n2 image live in an n1 x n2 array whose 1D layout along each axis is
 
-    [ scaling block | level 0 | level 1 | ... | finest level ]
+    [ scaling coefficient | level 0 | level 1 | ... | finest level ]
 
-with the detail block of level j occupying indices [2^j, 2^{j+1}) at full
-depth.  Levels never decrease along an axis, so the coefficients of all
-levels below a cut form a leading block; both transforms take the size of
-such a block and then touch only it: the rows W1[:r1] and W2[:r2].  The
-transform is orthonormal: Parseval holds exactly and inner products are
-preserved.
+with the single scaling coefficient at index 0 and the detail block of
+level j occupying indices [2^j, 2^{j+1}).  So the coefficients of the levels
+below J1 and J2, the truncation set Omega(J1, J2), are the leading
+2^J1 x 2^J2 block; both transforms take the size of such a block and then
+touch only it: the rows W1[:r1] and W2[:r2].  The transform is orthonormal:
+Parseval holds exactly and inner products are preserved.
 
 `estimate_sigma` reads the finest (detail, detail) quadrant H1 X H2^T, H
 the lower half of the one-level W.  A row of H holds only the L filter
@@ -76,24 +76,18 @@ def wavelet_taps(family: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WaveletSpec:
-    """Filter family plus decomposition depths along the two spatial axes.
+    """Filter family of the spatial transform, which runs at full depth.
 
-    Specs compare and hash by (family, levels1, levels2).
+    Specs compare and hash by family.
     """
 
     family: str = "daub4"
-    levels1: int = 0  # 0 means full depth, resolved per image size
-    levels2: int = 0
     # Transform matrices keyed by (n, depth) and estimate_sigma's blocks by
     # ("band", n); idempotent, so safe to share.
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         wavelet_taps(self.family)  # rejects an unknown family
-        for name in ("levels1", "levels2"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 0):
-                raise ValueError(f"{name} must be an integer >= 0 (0 means full depth)")
 
     @property
     def taps(self) -> np.ndarray:
@@ -104,14 +98,6 @@ class WaveletSpec:
         g = self.taps[::-1]
         g[1::2] *= -1.0
         return g
-
-    def depth_for(self, size: int, levels: int) -> int:
-        full = int(math.log2(size))
-        if levels == 0:
-            return full
-        if levels > full:
-            raise ValueError(f"levels={levels} exceeds log2({size})={full}")
-        return levels
 
 
 def _filter_down(x: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -150,37 +136,27 @@ def _matrix(spec: WaveletSpec, n: int, depth: int) -> np.ndarray:
     return spec._cache[key]
 
 
-def _level_index(n: int, depth: int) -> np.ndarray:
-    """Resolution level of each index of a depth-level layout along one axis.
+def _axes(shape: tuple) -> tuple[int, int]:
+    """(n1, n2), the last two axes of an array of this shape.
 
-    -1 marks the scaling block; the detail block of level j occupies
-    [2^j, 2^(j+1)) at full depth.
+    The one place the spatial layout is checked: both sides must be powers
+    of two >= 2.
     """
-    lev = np.empty(n, dtype=int)
-    lev[: n >> depth] = -1
-    full = int(math.log2(n))
-    for d in range(1, depth + 1):  # d = 1 is the finest step
-        lev[n >> d : n >> (d - 1)] = full - d
-    return lev
-
-
-def _axes(shape: tuple, spec: WaveletSpec) -> list[tuple[int, int]]:
-    """(side, depth) of the last two axes of an array of this shape.
-
-    The one place the spatial layout is decided: both sides must be powers
-    of two >= 2 and the spec's depths must fit them.
-    """
-    axes = []
-    for name, n, levels in zip(("n1", "n2"), shape[-2:], (spec.levels1, spec.levels2)):
+    if len(shape) < 2:
+        raise ValueError(f"expected at least 2 axes, got shape {tuple(shape)}")
+    for name, n in zip(("n1", "n2"), shape[-2:]):
         if n < 2 or n & (n - 1):
             raise ValueError(f"{name} must be a power of two >= 2, got {n}")
-        axes.append((n, spec.depth_for(n, levels)))
-    return axes
+    return tuple(shape[-2:])
 
 
-def _block(axes: list[tuple[int, int]], block) -> tuple[int, int]:
+def _full(spec: WaveletSpec, n: int) -> np.ndarray:
+    """W of an n-pixel axis: the full-depth, log2(n)-level transform."""
+    return _matrix(spec, n, int(math.log2(n)))
+
+
+def _block(sides: tuple[int, int], block) -> tuple[int, int]:
     """(r1, r2) of a leading coefficient block, each within [1, n] of its axis."""
-    sides = tuple(n for n, _ in axes)
     if block is None:
         return sides
     block = tuple(block)
@@ -197,10 +173,9 @@ def dwt2_array(images: np.ndarray, spec: WaveletSpec, block=None) -> np.ndarray:
     block = (r1, r2) computes only the leading r1 x r2 coefficients,
     W1[:r1] X W2[:r2]^T, i.e. dwt2_array(images, spec)[..., :r1, :r2].
     """
-    axes = _axes(images.shape, spec)
-    r1, r2 = _block(axes, block)
-    W1, W2 = (_matrix(spec, n, depth) for n, depth in axes)
-    return W1[:r1] @ images @ W2[:r2].T
+    n1, n2 = sides = _axes(images.shape)
+    r1, r2 = _block(sides, block)
+    return _full(spec, n1)[:r1] @ images @ _full(spec, n2)[:r2].T
 
 
 def idwt2_array(coeffs: np.ndarray, spec: WaveletSpec, shape=None) -> np.ndarray:
@@ -210,10 +185,9 @@ def idwt2_array(coeffs: np.ndarray, spec: WaveletSpec, shape=None) -> np.ndarray
     coefficient array, zero elsewhere: W1[:r1]^T C W2[:r2] for an
     (..., r1, r2) block.  By default the block is the whole array.
     """
-    axes = _axes(coeffs.shape if shape is None else tuple(shape), spec)
-    r1, r2 = _block(axes, coeffs.shape[-2:])
-    W1, W2 = (_matrix(spec, n, depth) for n, depth in axes)
-    return W1[:r1].T @ coeffs @ W2[:r2]
+    n1, n2 = sides = _axes(coeffs.shape if shape is None else tuple(shape))
+    r1, r2 = _block(sides, coeffs.shape[-2:])
+    return _full(spec, n1)[:r1].T @ coeffs @ _full(spec, n2)[:r2]
 
 
 def _median(x: np.ndarray) -> float:

@@ -146,9 +146,11 @@ class TestDeconvolveCommand:
         cube = Cube(grid=grid, data=rng.standard_normal((16, 24, 24)))
         write_cube(tmp_path / "odd", cube)
         kpath = write_kernel_csv(tmp_path / "g.csv", grid)
-        code = run_cli("deconvolve", "--input", str(tmp_path / "odd"),
-                       "--kernel", str(kpath), "--M", "4", "--symmetrize",
-                       "--out", str(tmp_path / "fhat"))
+        # unit-variance noise gives eps = 5 / sqrt(16) = 1.25
+        with pytest.warns(UserWarning, match="eps >= 1"):
+            code = run_cli("deconvolve", "--input", str(tmp_path / "odd"),
+                           "--kernel", str(kpath), "--M", "4", "--symmetrize",
+                           "--out", str(tmp_path / "fhat"))
         assert code == 0
         f_hat = read_cube(tmp_path / "fhat")
         assert f_hat.data.shape == (16, 24, 24)
@@ -159,9 +161,11 @@ class TestDeconvolveCommand:
         cube = Cube(grid=grid, data=rng.standard_normal((16, 16, 16)))
         write_cube(tmp_path / "dyadic", cube)
         kpath = write_kernel_csv(tmp_path / "g.csv", grid)
-        code = run_cli("deconvolve", "--input", str(tmp_path / "dyadic"),
-                       "--kernel", str(kpath), "--M", "4", "--symmetrize",
-                       "--out", str(tmp_path / "fhat"))
+        # unit-variance noise gives eps = 5 / sqrt(16) = 1.25
+        with pytest.warns(UserWarning, match="eps >= 1"):
+            code = run_cli("deconvolve", "--input", str(tmp_path / "dyadic"),
+                           "--kernel", str(kpath), "--M", "4", "--symmetrize",
+                           "--out", str(tmp_path / "fhat"))
         assert code == 0
         assert read_cube(tmp_path / "fhat").data.shape == (16, 16, 16)
 

@@ -28,7 +28,6 @@ from lagdeconv import (
 )
 from lagdeconv import simulate
 from lagdeconv.estimator import _depth
-from lagdeconv.wavelet2d import _level_index
 
 PHI0 = LagCoeffs(np.concatenate([[1.0], np.zeros(15)]))
 
@@ -37,6 +36,15 @@ def cosine_field(n1=32, n2=32):
     x1 = np.arange(1, n1 + 1) / n1
     x2 = np.arange(1, n2 + 1) / n2
     return np.cos(2.0 * np.pi * np.outer(x1, x2))
+
+
+def level_of(size):
+    """Resolution level of each index along a full-depth axis: -1 marks the
+    scaling coefficient, level j occupies [2^j, 2^(j+1))."""
+    lev = np.full(size, -1)
+    for j in range(int(math.log2(size))):
+        lev[2**j : 2 ** (j + 1)] = j
+    return lev
 
 
 def eps_plan(grid, shape=(32, 32)):
@@ -343,13 +351,6 @@ def old_order_deconvolve(Y, g, spec, cfg, g_zero):
     q = np.tensordot(basis.projection_matrix(cfg.rcond), full, axes=(1, 0))
     theta = solve_lower(build_G(g_hat, M), q)
 
-    def level_of(size, levels):
-        top = int(math.log2(size))
-        lev = np.full(size, -1)
-        for j in range(top - spec.depth_for(size, levels), top):
-            lev[2**j : 2 ** (j + 1)] = j
-        return lev
-
     def depth_J(J, size):
         top = int(math.log2(size))
         if J != "auto":
@@ -359,7 +360,7 @@ def old_order_deconvolve(Y, g, spec, cfg, g_zero):
         ratio = cfg.A**2 / eps**2
         return min(max(math.floor(math.log2(ratio)), 0), top) if ratio > 1 else 0
 
-    lev1, lev2 = level_of(n1, spec.levels1), level_of(n2, spec.levels2)
+    lev1, lev2 = level_of(n1), level_of(n2)
     J1, J2 = depth_J(cfg.J1, n1), depth_J(cfg.J2, n2)
     theta = theta * np.outer(lev1 < J1, lev2 < J2)
     keep_counts = lambdas = None
@@ -379,19 +380,19 @@ def old_order_deconvolve(Y, g, spec, cfg, g_zero):
 
 class TestPipelineOrder:
     @pytest.mark.parametrize(
-        "n, shape, family, levels, cfg",
+        "n, shape, family, cfg",
         [
-            (32, (16, 16), "daub4", (0, 0), EstimatorConfig(M=6)),
-            (32, (16, 32), "haar", (2, 3), EstimatorConfig(M=8, J1=2)),
-            (32, (16, 16), "daub4", (0, 0), EstimatorConfig(m_cap=16)),
-            (16, (8, 16), "daub4", (0, 2), EstimatorConfig(M=5, threshold_mode=False)),
-            (1, (16, 16), "haar", (0, 0), EstimatorConfig(M=1)),
+            (32, (16, 16), "daub4", EstimatorConfig(M=6)),
+            (32, (16, 32), "haar", EstimatorConfig(M=8, J1=2)),
+            (32, (16, 16), "daub4", EstimatorConfig(m_cap=16)),
+            (16, (8, 16), "daub4", EstimatorConfig(M=5, threshold_mode=False)),
+            (1, (16, 16), "haar", EstimatorConfig(M=1)),
         ],
-        ids=["daub4", "haar-partial-nonsquare", "auto-M", "threshold-off", "one-frame"],
+        ids=["daub4", "haar-nonsquare", "auto-M", "threshold-off", "one-frame"],
     )
-    def test_matches_the_n_slice_order(self, n, shape, family, levels, cfg):
+    def test_matches_the_n_slice_order(self, n, shape, family, cfg):
         grid = TimeGrid(n=n, T=5.0 if n > 1 else 1.0)
-        spec = WaveletSpec(family=family, levels1=levels[0], levels2=levels[1])
+        spec = WaveletSpec(family=family)
         rng = np.random.Generator(np.random.Philox(n + shape[1]))
         g = np.exp(-grid.points / 2.0)
         base = g[:, None, None] * cosine_field(*shape)
@@ -422,8 +423,7 @@ def full_array_apply(plan, Y):
     order = plan._order(cfg.M)
     theta = dwt2_array(np.tensordot(order.op, Y.data, axes=(1, 0)), spec)
     J1, J2 = (_depth(J, n, cfg.A, eps, cfg.threshold_mode) for J, n in ((cfg.J1, n1), (cfg.J2, n2)))
-    lev1, lev2 = (_level_index(n, spec.depth_for(n, lv))
-                  for n, lv in ((n1, spec.levels1), (n2, spec.levels2)))
+    lev1, lev2 = level_of(n1), level_of(n2)
     in_omega = np.outer(lev1 < J1, lev2 < J2)
     theta = theta * in_omega
     keep_counts = lambdas = None
@@ -441,10 +441,10 @@ def full_array_apply(plan, Y):
 class TestOmegaBlock:
     @pytest.mark.parametrize("threshold_mode", [True, False], ids=["thresholds", "no-thresholds"])
     @pytest.mark.parametrize("J", ["auto", 0, (2, 4), (3, 1), 9], ids=str)
-    @pytest.mark.parametrize("levels", [(0, 0), (2, 1)], ids=["full-depth", "depth-2-1"])
+    @pytest.mark.parametrize("sigma_robust", [True, False], ids=["mad", "std"])
     @pytest.mark.parametrize("shape", [(32, 32), (16, 64), (64, 8), (128, 128)], ids=str)
     @pytest.mark.parametrize("family", ["haar", "daub4"])
-    def test_matches_the_full_array_with_a_mask(self, family, shape, levels, J, threshold_mode):
+    def test_matches_the_full_array_with_a_mask(self, family, shape, sigma_robust, J, threshold_mode):
         J1, J2 = J if isinstance(J, tuple) else (J, J)
         grid = TimeGrid(n=16, T=5.0)
         g = np.exp(-grid.points / 2.0)
@@ -452,8 +452,9 @@ class TestOmegaBlock:
         # eps ~ 0.25, so the auto depth is 4: a truncation on every side above 16
         Y = Cube(grid=grid, data=g[:, None, None] * cosine_field(*shape)
                  + 0.2 * rng.standard_normal((16, *shape)))
-        cfg = EstimatorConfig(M=6, J1=J1, J2=J2, threshold_mode=threshold_mode)
-        plan = Plan(grid, shape, g, WaveletSpec(family, *levels), cfg, g_zero=1.0)
+        cfg = EstimatorConfig(M=6, J1=J1, J2=J2, threshold_mode=threshold_mode,
+                              sigma_robust=sigma_robust)
+        plan = Plan(grid, shape, g, WaveletSpec(family), cfg, g_zero=1.0)
 
         f_hat, diag = plan.apply(Y)
         f_ref, ref = full_array_apply(plan, Y)
@@ -463,6 +464,25 @@ class TestOmegaBlock:
         for key in ("keep_counts", "total_counts", "lambdas"):
             got, want = getattr(diag, key), ref[key]
             assert (got is None and want is None) or np.array_equal(got, want)
+
+    @pytest.mark.parametrize("J", [0, 2, "auto"], ids=str)
+    def test_a_huge_nu_keeps_only_the_scaling_coefficient(self, J):
+        # Every detail coefficient of Omega falls below its lambda and the
+        # scaling coefficient at (0, 0) is kept regardless, so each frame of
+        # the fit is constant: the threshold-free fit of Omega(0, 0).
+        grid = TimeGrid(n=16, T=5.0)
+        g = np.exp(-grid.points / 2.0)
+        rng = np.random.Generator(np.random.Philox(7))
+        Y = Cube(grid=grid, data=g[:, None, None] * cosine_field()
+                 + 0.2 * rng.standard_normal((16, 32, 32)))
+        cfg = EstimatorConfig(M=6, J1=J, J2=J, nu=1e6)
+        f_hat, diag = deconvolve(Y, g, WaveletSpec(), cfg, g_zero=1.0)
+        assert (diag.J1 > 0) == (J != 0) and diag.J1 == diag.J2
+        assert np.array_equal(diag.keep_counts, np.ones(6))
+        assert np.all(diag.total_counts == 4 ** diag.J1)
+        scaling = EstimatorConfig(M=6, J1=0, J2=0, threshold_mode=False)
+        f_ref = deconvolve(Y, g, WaveletSpec(), scaling, g_zero=1.0)[0].data
+        assert np.abs(f_hat.data - f_ref).max() <= 1e-13 * np.abs(f_ref).max()
 
     def test_default_settings_truncate_a_large_noisy_cube(self):
         # The auto depth is below log2(128) = 7, so a default fit computes a
@@ -639,6 +659,19 @@ class TestConfigValidation:
     def test_rejects_settings_that_give_a_wrong_estimate(self, field, value):
         with pytest.raises(ValueError, match=field):
             EstimatorConfig(**{field: value})
+
+    # A truthy non-bool used to pass as a flag: sigma_robust="std" and
+    # threshold_mode="off" ran a thresholded MAD fit.
+    @pytest.mark.parametrize("field", ["threshold_mode", "sigma_robust"])
+    @pytest.mark.parametrize("value", ["off", "std", 0, 1, None], ids=repr)
+    def test_rejects_a_flag_that_is_not_a_bool(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be True or False, got {value!r}"):
+            EstimatorConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["threshold_mode", "sigma_robust"])
+    @pytest.mark.parametrize("value", [True, False, np.True_], ids=repr)
+    def test_accepts_a_bool_flag(self, field, value):
+        assert getattr(EstimatorConfig(**{field: value}), field) == value
 
     # An infinite eps or A fails deep in the fit (log(1/eps),
     # floor(log2(A^2/eps^2))); nu = inf runs and zeroes every detail.

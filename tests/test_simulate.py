@@ -44,8 +44,18 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
             SimConfig(seed=seed)
 
+    # run_table1 is the only reader of runs; 2.5 and "3" used to construct
+    # and then fail inside it with a TypeError.
+    @pytest.mark.parametrize("runs", [1, 0, 2.5, "3", True, None], ids=repr)
+    def test_rejects_runs_that_give_no_standard_error(self, runs):
+        with pytest.raises(ValueError, match=f"need at least 2 runs for a standard error, got {runs!r}"):
+            SimConfig(runs=runs)
+
     def test_accepts_a_numpy_integer_seed(self):
         assert SimConfig(seed=np.int64(0)).seed == 0
+
+    def test_accepts_a_numpy_integer_run_count(self):
+        assert SimConfig(runs=np.int64(2)).runs == 2
 
     def test_accepts_numpy_integers_and_one_frame(self):
         cfg = SimConfig(n=1, n1=np.int64(4), n2=np.int32(2))

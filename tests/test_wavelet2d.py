@@ -1,11 +1,11 @@
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from lagdeconv import WaveletSpec, dwt2_array, estimate_sigma, idwt2_array, wavelet2d
-from lagdeconv.wavelet2d import _level_index, _matrix, wavelet_taps
+from lagdeconv.wavelet2d import _matrix, wavelet_taps
 
 FAMILIES = ["haar", "daub4"]
 
@@ -60,14 +60,14 @@ def ref_idwt_step(y, h, g):
 
 
 def ref_transform(data, spec, inverse=False):
+    """Full-depth transform of the last two axes, one fancy-index step at a time."""
     h, g = spec.taps, spec.highpass
     out = np.array(data, dtype=float)
-    axes = [(-2, spec.levels1), (-1, spec.levels2)]
-    for axis, levels in axes[::-1] if inverse else axes:
+    for axis in (-1, -2) if inverse else (-2, -1):
         out = np.moveaxis(out, axis, -1)
-        depth = spec.depth_for(out.shape[-1], levels)
+        depth = int(np.log2(out.shape[-1]))
         if inverse:
-            n = out.shape[-1] >> depth
+            n = 1
             for _ in range(depth):
                 n *= 2
                 out[..., :n] = ref_idwt_step(out[..., :n], h, g)
@@ -97,25 +97,11 @@ class TestSpec:
         a, b = WaveletSpec(), WaveletSpec()
         assert a == b and hash(a) == hash(b)
         assert WaveletSpec("haar") != a
-        assert WaveletSpec(levels1=2) != a
+        assert [f.name for f in fields(WaveletSpec) if f.init] == ["family"]
         assert np.array_equal(a.taps, wavelet_taps("daub4"))
         assert np.array_equal(WaveletSpec("haar").taps, wavelet_taps("haar"))
         with pytest.raises(AttributeError):
             a.taps = wavelet_taps("haar")
-
-    @pytest.mark.parametrize("levels", [2.5, "2", -3, None], ids=["float", "str", "negative", "none"])
-    @pytest.mark.parametrize("field", ["levels1", "levels2"])
-    def test_rejects_a_depth_that_is_not_an_integer_at_least_zero(self, field, levels):
-        with pytest.raises(ValueError):
-            WaveletSpec(**{field: levels})
-
-    def test_accepts_numpy_integer_depths(self):
-        assert WaveletSpec(levels1=np.int64(2), levels2=np.int32(0)) == WaveletSpec(levels1=2)
-
-    def test_depth_bound(self):
-        spec = WaveletSpec(levels1=6, levels2=1)
-        with pytest.raises(ValueError):
-            dwt2_array(np.zeros((32, 32)), spec)
 
 
 class TestTransform:
@@ -128,18 +114,11 @@ class TestTransform:
         assert np.abs(rest).max() <= 1e-10
 
     @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("shape", [(32, 32), (16, 64)])
+    @pytest.mark.parametrize("shape", [(32, 32), (16, 64), (2, 2), (128, 4)])
     def test_perfect_reconstruction(self, family, shape):
         rng = np.random.default_rng(hash((family, shape)) % 2**32)
         spec = WaveletSpec(family=family)
         img = rng.standard_normal(shape)
-        back = idwt2_array(dwt2_array(img, spec), spec)
-        assert np.abs(back - img).max() <= 1e-10
-
-    def test_partial_depths(self):
-        rng = np.random.default_rng(9)
-        spec = WaveletSpec(levels1=2, levels2=4)
-        img = rng.standard_normal((32, 32))
         back = idwt2_array(dwt2_array(img, spec), spec)
         assert np.abs(back - img).max() <= 1e-10
 
@@ -163,6 +142,32 @@ class TestTransform:
         with pytest.raises(ValueError):
             dwt2_array(np.zeros((24, 32)), WaveletSpec())
 
+    @pytest.mark.parametrize(
+        "shape", [(32, 24), (24, 32), (1, 8), (8, 1), (0, 8), (12,)],
+        ids=["n2-not-dyadic", "n1-not-dyadic", "n1-one", "n2-one", "n1-zero", "one-axis"],
+    )
+    def test_rejects_a_side_that_is_not_a_power_of_two_at_least_2(self, shape):
+        with pytest.raises(ValueError):
+            dwt2_array(np.zeros(shape), WaveletSpec())
+        with pytest.raises(ValueError):
+            idwt2_array(np.zeros(shape), WaveletSpec())
+
+    @pytest.mark.parametrize("J1, J2", [(0, 0), (1, 3), (3, 1), (2, 4), (5, 5)], ids=str)
+    def test_a_coarse_haar_image_lives_in_the_leading_block(self, J1, J2):
+        # An image constant on 2^-J1 x 2^-J2 tiles is a sum of Haar scaling
+        # functions of levels J1, J2: its coefficients are exactly the
+        # levels below J1 and J2, the leading 2^J1 x 2^J2 block.
+        rng = np.random.default_rng(10 * J1 + J2)
+        tiles = rng.standard_normal((2**J1, 2**J2))
+        img = np.kron(tiles, np.ones((32 >> J1, 32 >> J2)))
+        c = dwt2_array(img, WaveletSpec("haar"))
+        r1, r2 = 2**J1, 2**J2
+        outside = c.copy()
+        outside[:r1, :r2] = 0.0
+        assert np.abs(outside).max() <= 1e-13 * np.abs(img).max()
+        assert np.sum(c[:r1, :r2] ** 2) == pytest.approx(np.sum(img**2), rel=1e-12)
+        assert np.abs(c[r1 - 1, :r2]).max() > 1e-3 and np.abs(c[:r1, r2 - 1]).max() > 1e-3
+
     def test_zero_coefficients_to_zero_image(self):
         spec = WaveletSpec()
         assert np.all(idwt2_array(np.zeros((16, 16)), spec) == 0.0)
@@ -182,33 +187,23 @@ class TestTransform:
         again = dwt2_array(img, spec)
         assert np.abs(again - values).max() <= 1e-10
 
-    def test_level_layout(self):
-        lev = _level_index(32, 5)
-        assert lev[0] == -1
-        assert lev[1] == 0
-        assert list(lev[2:4]) == [1, 1]
-        assert list(lev[16:]) == [4] * 16
-        assert np.outer(lev == -1, lev == -1).sum() == 1
 
-
-def block_sizes(n, depth):
-    """Block sides from the scaling block alone up to n, one not a power of two."""
-    return sorted({n >> depth, min(3, n), n // 2, n})
+def block_sizes(n):
+    """Block sides from the scaling coefficient alone up to n, one not a power of two."""
+    return sorted({1, min(3, n), n // 2, n})
 
 
 class TestLeadingBlock:
     @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("levels", [(0, 0), (2, 1)])
-    @pytest.mark.parametrize("shape", [(3, 16, 32), (2, 64, 8)])
-    def test_block_is_the_corner_of_the_full_transform(self, family, levels, shape):
-        spec = WaveletSpec(family, *levels)
-        rng = np.random.default_rng(sum(shape) + levels[0])
+    @pytest.mark.parametrize("shape", [(3, 16, 32), (2, 64, 8), (1, 2, 4), (2, 8, 128)])
+    def test_block_is_the_corner_of_the_full_transform(self, family, shape):
+        spec = WaveletSpec(family)
+        rng = np.random.default_rng(sum(shape))
         x = rng.standard_normal(shape)
         full = dwt2_array(x, spec)
         scale = np.abs(full).max()
-        (n1, d1), (n2, d2) = ((n, spec.depth_for(n, lv)) for n, lv in zip(shape[1:], levels))
-        for r1 in block_sizes(n1, d1):
-            for r2 in block_sizes(n2, d2):
+        for r1 in block_sizes(shape[1]):
+            for r2 in block_sizes(shape[2]):
                 block = dwt2_array(x, spec, (r1, r2))
                 assert block.shape == (shape[0], r1, r2)
                 assert np.abs(block - full[:, :r1, :r2]).max() <= 1e-14 * scale
@@ -245,14 +240,14 @@ class TestLeadingBlock:
 
 class TestReferenceFilterBank:
     @pytest.mark.parametrize("family", sorted(SPECS))
-    @pytest.mark.parametrize("levels", [(0, 0), (2, 1)])
     @pytest.mark.parametrize(
-        "shape", [(3, 16, 8), (2, 8, 32), (2, 16, 16), (1, 8, 256)]
+        "shape",
+        [(3, 16, 8), (2, 8, 32), (2, 16, 16), (1, 8, 256),
+         (1, 2, 2), (2, 4, 64), (1, 128, 4), (2, 32, 2)],
     )
-    def test_matches_fancy_index_steps(self, family, levels, shape):
-        l1, l2 = levels
-        spec = replace(SPECS[family], levels1=l1, levels2=l2)
-        rng = np.random.default_rng(sum(shape) + 10 * l1)
+    def test_matches_fancy_index_steps(self, family, shape):
+        spec = SPECS[family]
+        rng = np.random.default_rng(sum(shape))
         x = rng.standard_normal(shape)
         scale = np.abs(x).max()
         ref = ref_transform(x, spec)
@@ -264,7 +259,7 @@ class TestReferenceFilterBank:
     def test_one_spec_serves_several_shapes(self, family):
         # the spec caches one matrix per (side, depth); a second shape on the
         # same object must not pick up the first shape's matrices
-        spec = replace(SPECS[family], levels2=2)
+        spec = replace(SPECS[family])  # a fresh cache
         rng = np.random.default_rng(14)
         for shape in [(16, 16), (32, 8)]:
             x = rng.standard_normal(shape)
