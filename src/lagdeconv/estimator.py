@@ -33,7 +33,6 @@ applies it once.  Nothing mutates its inputs.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,6 +44,7 @@ from .laguerre import (
     LagCoeffs,
     LaguerreBasis,
     TimeGrid,
+    _is_int_at_least,
     _series_with_zero,
     fit_coeffs,
     tabulate_basis,
@@ -153,10 +153,6 @@ class EstimatorConfig:
                 raise ValueError("eps must be a finite nonnegative number or 'auto'")
         elif not (self.eps >= 0 and math.isfinite(self.eps)):
             raise ValueError("eps must be a finite nonnegative number or 'auto'")
-
-
-def _is_int_at_least(value, low: int) -> bool:
-    return isinstance(value, numbers.Integral) and value >= low
 
 
 @dataclass

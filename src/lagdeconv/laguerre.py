@@ -38,6 +38,11 @@ __all__ = [
 DEFAULT_RCOND = 0.1
 
 
+def _is_int_at_least(value, low: int) -> bool:
+    # bool subclasses int, but True is not a size, an order or a depth
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform sampling t_k = T*k/n, k = 1..n, of the interval (0, T]."""
@@ -46,8 +51,8 @@ class TimeGrid:
     T: float
 
     def __post_init__(self):
-        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
-            raise ValueError("n must be a positive integer")
+        if not _is_int_at_least(self.n, 1):
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if not (isinstance(self.T, numbers.Real) and 0 < self.T < math.inf):
             raise ValueError("T must be positive and finite")
 

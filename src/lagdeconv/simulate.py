@@ -9,13 +9,12 @@ values embedded for comparison.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimator import Cube, Diagnostics, EstimatorConfig, Plan, deconvolve
-from .laguerre import TimeGrid, _series_with_zero
+from .laguerre import TimeGrid, _is_int_at_least, _series_with_zero
 from .wavelet2d import WaveletSpec
 
 __all__ = [
@@ -60,18 +59,14 @@ class SimConfig:
 
     def __post_init__(self):
         TimeGrid(n=self.n, T=self.T)  # raises on a bad n or T
-        if not all(isinstance(s, numbers.Integral) and s >= 1 for s in (self.n1, self.n2)):
-            raise ValueError("n1 and n2 must be positive integers")
+        if not (_is_int_at_least(self.n1, 1) and _is_int_at_least(self.n2, 1)):
+            raise ValueError(f"n1 and n2 must be positive integers, got {(self.n1, self.n2)!r}")
         if not self.snr > 0:
             raise ValueError("snr must be positive")
-        if isinstance(self.seed, bool) or not (
-            isinstance(self.seed, numbers.Integral) and self.seed >= 0
-        ):
+        if not _is_int_at_least(self.seed, 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         # run_table1 reports a standard error across the runs
-        if isinstance(self.runs, bool) or not (
-            isinstance(self.runs, numbers.Integral) and self.runs >= 2
-        ):
+        if not _is_int_at_least(self.runs, 2):
             raise ValueError(f"need at least 2 runs for a standard error, got {self.runs!r}")
 
     @property
@@ -86,12 +81,14 @@ class SimConfig:
 
 
 def _test_function(fid: str, t: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Closed forms on a (t, x1, x2) meshgrid, time-major.
+    """Closed forms on the (t, x1, x2) grid, time-major.
 
     f1 and f2 are separable (time profile times a spatial factor); f3 is
-    their sum; f4 adds a time-independent spatial term to f2.
+    their sum; f4 adds a time-independent spatial term to f2.  Each factor
+    is evaluated on its own axis and broadcasting forms the full cube, since
+    every function has a time factor and a spatial factor.
     """
-    tt, xx1, xx2 = np.meshgrid(t, x1, x2, indexing="ij")
+    tt, xx1, xx2 = t[:, None, None], x1[None, :, None], x2[None, None, :]
     poly = (xx1 - 0.5) ** 2 * (xx2 - 0.5) ** 2
     cosine = np.cos(2.0 * np.pi * xx1 * xx2)
     if fid == "f1":
@@ -181,7 +178,9 @@ def add_noise(q: Cube, snr: float, seed: int) -> tuple[Cube, float]:
     Returns the noisy cube and the sigma actually used.
     """
     sigma = _noise_sigma(q, snr)
-    noisy = q.data + sigma * _unit_noise(seed, q.data.shape)
+    noisy = _unit_noise(seed, q.data.shape)
+    noisy *= sigma
+    noisy += q.data
     return Cube(grid=q.grid, data=noisy), sigma
 
 

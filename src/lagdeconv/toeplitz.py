@@ -6,9 +6,9 @@ where G is lower triangular Toeplitz with first column
 lower-triangular Toeplitz, so one recurrence for its first column gives all
 of G^-1.  This module builds G from kernel coefficients, solves triangular
 systems by applying that inverse, and tabulates the inverse norms
-||(G^(m))^-1|| exactly, from singular values of the dense inverse, to track
-how fast they grow with the dimension m - the quantity that drives both the
-truncation rule for M and the threshold levels.
+||(G^(m))^-1|| exactly, from the largest eigenvalues of one Gram matrix of
+the inverse, to track how fast they grow with the dimension m - the quantity
+that drives both the truncation rule for M and the threshold levels.
 """
 
 from __future__ import annotations
@@ -30,6 +30,11 @@ __all__ = [
     "inverse_norms",
     "select_M",
 ]
+
+
+# Consecutive table sizes whose Gram blocks share one zero-padded eigenvalue
+# call; entry m is always padded to _BUCKET * ceil(m / _BUCKET).
+_BUCKET = 8
 
 
 class SingularOperatorError(ValueError):
@@ -128,22 +133,35 @@ def inverse_norms(g_coeffs: LagCoeffs, max_m: int) -> InverseNormTable:
 
     The inverse of a lower-triangular Toeplitz matrix is again lower
     triangular Toeplitz, so one triangular solve against e_0 yields its first
-    column c, and the leading m x m block of the dense max_m x max_m inverse
-    is (G^(m))^-1.  The Frobenius norms accumulate incrementally:
-    ||(G^(m))^-1||_F^2 = ||(G^(m-1))^-1||_F^2 + ||c[:m]||^2, where c[:m]
-    reversed is the last inverse row upsilon^(m).  Each spectral norm is the
-    largest singular value of its block, exact up to rounding and free of
-    randomness; the m-th entry depends only on the first m kernel
-    coefficients.  The SVDs cost O(max_m^4) in total.
+    column c, and (G^(m))^-1 is the leading m x m block of G^-1.  Hence the
+    leading m x m block of K = G^-1 G^-T is the Gram matrix of (G^(m))^-1,
+    and K comes from c alone: K[i, i+d] = sum_{p<=i} c_p c_{p+d}, one
+    cumulative sum down the (p, d) table c_p c_{p+d}.  The squared Frobenius
+    norms are the partial sums of its diagonal, and each spectral norm is
+    sqrt(lambda_max(K[:m, :m])), exact up to rounding and free of randomness.
+    The eigenvalues are taken _BUCKET consecutive sizes per call, each block
+    zero-padded to the next multiple of _BUCKET, so entry m's arithmetic
+    depends on m alone: the m-th entry depends only on the first m kernel
+    coefficients, bit for bit.  Building K costs O(max_m^2); the eigenvalue
+    calls cost O(max_m^4) in total.
     """
     if max_m < 1:
         raise ValueError("max_m must be a positive integer")
-    inv_col = solve_lower(build_G(g_coeffs, max_m), np.eye(max_m)[0])
-    frob = np.sqrt(np.cumsum(np.cumsum(inv_col**2)))
-    inv = LowerToeplitz(inv_col).dense()
-    spectral = np.array(
-        [np.linalg.svd(inv[:m, :m], compute_uv=False)[0] for m in range(1, max_m + 1)]
-    )
+    c = solve_lower(build_G(g_coeffs, max_m), np.eye(max_m)[0])
+    ix = np.arange(max_m)
+    shifted = np.concatenate([c, np.zeros(max_m)])[np.add.outer(ix, ix)]
+    cum = np.cumsum(c[:, None] * shifted, axis=0)  # cum[i, d] = K[i, i+d]
+    frob = np.sqrt(np.cumsum(cum[:, 0]))
+    width = _BUCKET * -(-max_m // _BUCKET)
+    gram = np.zeros((width, width))
+    gram[:max_m, :max_m] = cum[np.minimum.outer(ix, ix), np.abs(np.subtract.outer(ix, ix))]
+    spectral = np.empty(max_m)
+    for start in range(0, max_m, _BUCKET):
+        w = start + _BUCKET
+        sizes = np.arange(start + 1, min(w, max_m) + 1)
+        inside = np.arange(w) < sizes[:, None]
+        stack = np.where(inside[:, :, None] & inside[:, None, :], gram[:w, :w], 0.0)
+        spectral[start : start + sizes.size] = np.sqrt(np.linalg.eigvalsh(stack)[:, -1])
     return InverseNormTable(spectral=spectral, frobenius=frob)
 
 

@@ -684,3 +684,15 @@ class TestConfigValidation:
     def test_accepts_numpy_integers_and_the_range_ends(self):
         cfg = EstimatorConfig(M=np.int64(8), J1=np.int32(0), J2=3, m_cap=np.int64(1), rcond=0.0)
         assert (cfg.M, cfg.J1, cfg.J2, cfg.m_cap) == (8, 0, 3, 1)
+
+    # bool subclasses int: M=True, J1=True, J2=False used to fit as M = 1,
+    # J1 = 1, J2 = 0.
+    @pytest.mark.parametrize("field", ["M", "J1", "J2", "m_cap"])
+    @pytest.mark.parametrize("value", [True, False], ids=repr)
+    def test_rejects_a_bool_for_an_integer_setting(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            EstimatorConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["M", "J1", "J2", "m_cap"])
+    def test_accepts_a_numpy_integer_for_an_integer_setting(self, field):
+        assert getattr(EstimatorConfig(**{field: np.int64(8)}), field) == 8

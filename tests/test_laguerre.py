@@ -50,6 +50,14 @@ class TestTimeGrid:
         g = TimeGrid(n=np.int64(4), T=np.float64(4.0))
         assert np.array_equal(g.points, TimeGrid(n=4, T=4.0).points)
 
+    @pytest.mark.parametrize("n", [True, False], ids=repr)
+    def test_rejects_a_bool_size(self, n):
+        with pytest.raises(ValueError, match=f"n must be a positive integer, got {n!r}"):
+            TimeGrid(n=n, T=5.0)
+
+    def test_accepts_a_numpy_integer_size(self):
+        assert TimeGrid(n=np.int64(8), T=5.0).n == 8
+
 
 class TestEvalLaguerre:
     def test_at_zero(self):

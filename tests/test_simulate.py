@@ -62,6 +62,16 @@ class TestSimConfig:
         assert cfg.grid == TimeGrid(n=1, T=5.0)
         assert [x.size for x in cfg.spatial_points()] == [4, 2]
 
+    @pytest.mark.parametrize("field", ["n", "n1", "n2"])
+    @pytest.mark.parametrize("value", [True, False], ids=repr)
+    def test_rejects_a_bool_size(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} .*must be .*positive integer"):
+            SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["n", "n1", "n2"])
+    def test_accepts_a_numpy_integer_size(self, field):
+        assert getattr(SimConfig(**{field: np.int64(8)}), field) == 8
+
 
 class TestTestFunctions:
     def test_f1_vanishes_at_time_zero(self):
@@ -91,6 +101,29 @@ class TestTestFunctions:
     def test_unknown_id(self):
         with pytest.raises(ValueError):
             eval_test_function("f9", SimConfig())
+
+    # The closed forms evaluated on the full (t, x1, x2) meshgrid, the way
+    # they were before each factor was evaluated on its own axis.
+    @staticmethod
+    def meshgrid_reference(fid, cfg):
+        x1, x2 = cfg.spatial_points()
+        tt, xx1, xx2 = np.meshgrid(cfg.grid.points, x1, x2, indexing="ij")
+        poly = (xx1 - 0.5) ** 2 * (xx2 - 0.5) ** 2
+        cosine = np.cos(2.0 * np.pi * xx1 * xx2)
+        return {
+            "f1": tt * np.exp(-tt) * poly,
+            "f2": np.exp(-tt / 2.0) * cosine,
+            "f3": tt * np.exp(-tt) * poly + np.exp(-tt / 2.0) * cosine,
+            "f4": np.exp(-tt / 2.0) * cosine + poly,
+        }[fid]
+
+    @pytest.mark.parametrize("fid", ["f1", "f2", "f3", "f4"])
+    @pytest.mark.parametrize("n, n1, n2", [(32, 32, 32), (32, 256, 256), (7, 16, 8), (1, 2, 4)])
+    def test_broadcast_evaluation_matches_the_meshgrid(self, fid, n, n1, n2):
+        cfg = SimConfig(n=n, n1=n1, n2=n2)
+        data = eval_test_function(fid, cfg).data
+        assert data.shape == (n, n1, n2) and data.flags.c_contiguous
+        assert np.array_equal(data, self.meshgrid_reference(fid, cfg))
 
 
 class TestForwardConvolve:
@@ -210,6 +243,12 @@ class TestAddNoise:
         Y, sigma = add_noise(q, 3.0, seed=7)
         resid = Y.data - q.data
         assert resid.std() == pytest.approx(sigma, rel=0.02)
+
+    def test_in_place_draw_matches_the_out_of_place_sum(self):
+        q = self.base_cube()
+        Y, sigma = add_noise(q, 3.0, seed=9)
+        z = np.random.Generator(np.random.Philox(9)).standard_normal(q.data.shape)
+        assert np.array_equal(Y.data, q.data + sigma * z)
 
     def test_zero_variance_rejected(self):
         grid = TimeGrid(n=8, T=5.0)

@@ -188,6 +188,34 @@ class TestInverseNorms:
         assert np.array_equal(short.spectral, tab.spectral[:40])
         assert np.array_equal(short.frobenius, tab.frobenius[:40])
 
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    @pytest.mark.parametrize("max_m", [1, 7, 9, 37, 63])
+    def test_prefix_closed_off_the_bucket_width(self, name, max_m):
+        g = KERNELS[name]
+        full = inverse_norms(g, 64)
+        short = inverse_norms(g, max_m)
+        assert np.array_equal(short.spectral, full.spectral[:max_m])
+        assert np.array_equal(short.frobenius, full.frobenius[:max_m])
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_one_entry_table_spectral_equals_frobenius(self, name):
+        tab = inverse_norms(KERNELS[name], 1)
+        assert tab.spectral_at(1) == tab.frobenius_at(1)
+
+    def test_every_m_to_256_matches_dense_inverse_oracle(self):
+        G = random_well_conditioned(np.random.default_rng(256), 256)
+        tab = inverse_norms(LagCoeffs(np.cumsum(G.col)), 256)
+        # the leading m x m block of a lower-triangular inverse is (G^(m))^-1
+        dense_inv = np.linalg.inv(G.dense())
+        for m in range(1, 257):
+            block = dense_inv[:m, :m]
+            assert tab.spectral_at(m) == pytest.approx(
+                np.linalg.svd(block, compute_uv=False)[0], rel=1e-12
+            )
+            assert tab.frobenius_at(m) == pytest.approx(
+                np.linalg.norm(block, "fro"), rel=1e-12
+            )
+
     def test_monotone_and_dominated(self):
         tab = inverse_norms(PHI0_COEFFS, 64)
         assert np.all(np.diff(tab.spectral) >= 0)
