@@ -60,9 +60,10 @@ def _build_parser() -> _Parser:
 
     pd = sub.add_parser("deconvolve", help="recover f from an observation cube")
     pd.add_argument("--input", required=True, help="cube stem (JSON+bin)")
-    pd.add_argument("--kernel", help="kernel SeriesFile sampled on the cube grid")
-    pd.add_argument("--kernel-coeffs",
-                    help="CSV of kernel Laguerre coefficients (index, value)")
+    kernel = pd.add_mutually_exclusive_group(required=True)
+    kernel.add_argument("--kernel", help="kernel SeriesFile sampled on the cube grid")
+    kernel.add_argument("--kernel-coeffs",
+                        help="CSV of kernel Laguerre coefficients (index, value)")
     pd.add_argument("--out", required=True, help="output stem for the estimate")
     pd.add_argument("--M", type=_auto_or(int), default="auto", help="Laguerre order or 'auto'")
     pd.add_argument("--nu", type=float, default=EstimatorConfig().nu)
@@ -151,8 +152,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_deconvolve(args) -> int:
-    if (args.kernel is None) == (args.kernel_coeffs is None):
-        raise ValueError("provide exactly one of --kernel / --kernel-coeffs")
     if args.smooth_kernel and args.kernel_coeffs is not None:
         raise ValueError("--smooth-kernel smooths kernel samples (--kernel); "
                          "it does not apply to --kernel-coeffs")

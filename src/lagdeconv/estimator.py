@@ -45,6 +45,7 @@ from .laguerre import (
     LaguerreBasis,
     TimeGrid,
     _is_int_at_least,
+    _is_real,
     _series_with_zero,
     fit_coeffs,
     tabulate_basis,
@@ -132,10 +133,10 @@ class EstimatorConfig:
     def __post_init__(self):
         # Infinite values pass "> 0" but break the fit: eps and A reach
         # log(1/eps) and the auto depth log2(A^2/eps^2), nu makes every lambda infinite.
-        if not (self.nu > 0 and math.isfinite(self.nu)):
-            raise ValueError("nu must be positive and finite")
-        if not (self.A > 0 and math.isfinite(self.A)):
-            raise ValueError("A must be positive and finite")
+        for name in ("nu", "A"):
+            value = getattr(self, name)
+            if not (_is_real(value) and 0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         for name, low in (("M", 1), ("J1", 0), ("J2", 0)):
             value = getattr(self, name)
             if value != "auto" and not _is_int_at_least(value, low):
@@ -146,13 +147,10 @@ class EstimatorConfig:
                 raise ValueError(f"{name} must be True or False, got {value!r}")
         if not _is_int_at_least(self.m_cap, 1):
             raise ValueError("m_cap must be an integer >= 1")
-        if not 0.0 <= self.rcond < 1.0:
-            raise ValueError("rcond must lie in [0, 1)")
-        if isinstance(self.eps, str):
-            if self.eps != "auto":
-                raise ValueError("eps must be a finite nonnegative number or 'auto'")
-        elif not (self.eps >= 0 and math.isfinite(self.eps)):
-            raise ValueError("eps must be a finite nonnegative number or 'auto'")
+        if not (_is_real(self.rcond) and 0.0 <= self.rcond < 1.0):
+            raise ValueError(f"rcond must lie in [0, 1), got {self.rcond!r}")
+        if self.eps != "auto" and not (_is_real(self.eps) and 0 <= self.eps < math.inf):
+            raise ValueError(f"eps must be a finite nonnegative number or 'auto', got {self.eps!r}")
 
 
 @dataclass
@@ -319,8 +317,12 @@ class Plan:
     ):
         n1, n2 = shape
         _axes(shape)  # both sides powers of two >= 2
-        if g_series is None and g_coeffs is None:
-            raise ValueError("provide the kernel as samples or as Laguerre coefficients")
+        if (g_series is None) == (g_coeffs is None):
+            raise ValueError("provide exactly one of g_series (kernel samples) "
+                             "and g_coeffs (Laguerre coefficients)")
+        if g_coeffs is not None and g_zero is not None:
+            raise ValueError("g_zero is the t = 0 value of kernel samples; "
+                             "it does not apply to Laguerre coefficients")
         if g_coeffs is None:
             g_series = np.array(g_series, dtype=float)  # kept for orders fitted later
             if g_series.shape != (grid.n,):

@@ -43,6 +43,11 @@ def _is_int_at_least(value, low: int) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
+def _is_real(value) -> bool:
+    # likewise True is not a time span, a constant or a ratio
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform sampling t_k = T*k/n, k = 1..n, of the interval (0, T]."""
@@ -53,8 +58,8 @@ class TimeGrid:
     def __post_init__(self):
         if not _is_int_at_least(self.n, 1):
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not (isinstance(self.T, numbers.Real) and 0 < self.T < math.inf):
-            raise ValueError("T must be positive and finite")
+        if not (_is_real(self.T) and 0 < self.T < math.inf):
+            raise ValueError(f"T must be positive and finite, got {self.T!r}")
 
     @property
     def step(self) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import Cube, Diagnostics, EstimatorConfig, Plan, deconvolve
-from .laguerre import TimeGrid, _is_int_at_least, _series_with_zero
+from .laguerre import TimeGrid, _is_int_at_least, _is_real, _series_with_zero
 from .wavelet2d import WaveletSpec
 
 __all__ = [
@@ -61,8 +61,8 @@ class SimConfig:
         TimeGrid(n=self.n, T=self.T)  # raises on a bad n or T
         if not (_is_int_at_least(self.n1, 1) and _is_int_at_least(self.n2, 1)):
             raise ValueError(f"n1 and n2 must be positive integers, got {(self.n1, self.n2)!r}")
-        if not self.snr > 0:
-            raise ValueError("snr must be positive")
+        if not (_is_real(self.snr) and self.snr > 0):
+            raise ValueError(f"snr must be positive, got {self.snr!r}")
         if not _is_int_at_least(self.seed, 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         # run_table1 reports a standard error across the runs
@@ -266,15 +266,15 @@ def run_single(
     cfg: SimConfig,
     est_cfg: EstimatorConfig | None = None,
     spec: WaveletSpec | None = None,
-    seed: int | None = None,
 ) -> tuple[float, Diagnostics]:
-    """One replicate of one cell; returns (relative error, diagnostics)."""
+    """One replicate of one cell, its noise seeded by cfg.seed; returns
+    (relative error, diagnostics)."""
     if est_cfg is None:
         est_cfg = EstimatorConfig(M=8)
     if spec is None:
         spec = WaveletSpec()
     f, q = _forward_model(fid, cfg)
-    Y, _ = add_noise(q, cfg.snr, cfg.seed if seed is None else seed)
+    Y, _ = add_noise(q, cfg.snr, cfg.seed)
     g = default_kernel(cfg.grid.points)
     f_hat, diag = deconvolve(Y, g, spec, est_cfg, g_zero=1.0)
     return relative_error(f_hat, f), diag

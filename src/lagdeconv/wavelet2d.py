@@ -18,12 +18,14 @@ below J1 and J2, the truncation set Omega(J1, J2), are the leading
 touch only it: the rows W1[:r1] and W2[:r2].  The transform is orthonormal:
 Parseval holds exactly and inner products are preserved.
 
-`estimate_sigma` reads the finest (detail, detail) quadrant H1 X H2^T, H
-the lower half of the one-level W.  A row of H holds only the L filter
-taps, so H is block-banded: cut an axis into blocks of B = 16 samples and
-every block's detail rows are one shared (B/2 x B) matrix, plus a tail of
-L/2 - 1 rows that also reach the first L - 2 samples of the next block.
-Applied that way the quadrant costs O(n1 n2 B) instead of the dense
+`estimate_sigma` reads the finest (detail, detail) quadrant H1 X H2^T.  The
+first analysis level writes the finest details and deeper levels only
+transform the first half, so H is W's last n/2 rows, bit for bit.  A row
+of H holds only the L filter taps, so H is block-banded: cut an axis into
+blocks of B = 16 samples and every block's detail rows are one shared
+(B/2 x B) matrix, plus a tail of L/2 - 1 rows that also reach the first
+L - 2 samples of the next block.  Both are cut from the W of a 2B-sample
+axis.  Applied that way the quadrant costs O(n1 n2 B) instead of the dense
 O(n1 n2 (n1 + n2)).  Frames with n1 n2 (n1 + n2) up to 2^21 (96 x 96,
 128 x 64, 256 x 16 and smaller) keep the dense product, bit for bit:
 there the blocks' fixed costs outweigh the saving.
@@ -82,8 +84,8 @@ class WaveletSpec:
     """
 
     family: str = "daub4"
-    # Transform matrices keyed by (n, depth) and estimate_sigma's blocks by
-    # ("band", n); idempotent, so safe to share.
+    # W keyed by its side n and estimate_sigma's blocks by ("band", n);
+    # idempotent, so safe to share.
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -114,26 +116,22 @@ def _filter_down(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return y
 
 
-def _dwt_step(x: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """One periodized analysis step along the last axis."""
-    return np.concatenate([_filter_down(x, h), _filter_down(x, g)], axis=-1)
-
-
-def _matrix(spec: WaveletSpec, n: int, depth: int) -> np.ndarray:
-    """The n x n orthogonal matrix of the depth-level transform of one axis.
+def _matrix(spec: WaveletSpec, n: int) -> np.ndarray:
+    """W of an n-pixel axis: the n x n orthogonal matrix of the full-depth,
+    log2(n)-level transform.
 
     Row j of the filter bank's output on np.eye(n) is the transform of the
     j-th unit vector, i.e. column j of the matrix.
     """
-    key = (n, depth)
-    if key not in spec._cache:
+    if n not in spec._cache:
         h, g = spec.taps, spec.highpass
         out = np.eye(n)
-        for level in range(depth):
+        for level in range(int(math.log2(n))):
             m = n >> level
-            out[:, :m] = _dwt_step(out[:, :m], h, g)
-        spec._cache[key] = np.ascontiguousarray(out.T)
-    return spec._cache[key]
+            x = out[:, :m]
+            out[:, :m] = np.concatenate([_filter_down(x, h), _filter_down(x, g)], axis=-1)
+        spec._cache[n] = np.ascontiguousarray(out.T)
+    return spec._cache[n]
 
 
 def _axes(shape: tuple) -> tuple[int, int]:
@@ -148,11 +146,6 @@ def _axes(shape: tuple) -> tuple[int, int]:
         if n < 2 or n & (n - 1):
             raise ValueError(f"{name} must be a power of two >= 2, got {n}")
     return tuple(shape[-2:])
-
-
-def _full(spec: WaveletSpec, n: int) -> np.ndarray:
-    """W of an n-pixel axis: the full-depth, log2(n)-level transform."""
-    return _matrix(spec, n, int(math.log2(n)))
 
 
 def _block(sides: tuple[int, int], block) -> tuple[int, int]:
@@ -175,7 +168,7 @@ def dwt2_array(images: np.ndarray, spec: WaveletSpec, block=None) -> np.ndarray:
     """
     n1, n2 = sides = _axes(images.shape)
     r1, r2 = _block(sides, block)
-    return _full(spec, n1)[:r1] @ images @ _full(spec, n2)[:r2].T
+    return _matrix(spec, n1)[:r1] @ images @ _matrix(spec, n2)[:r2].T
 
 
 def idwt2_array(coeffs: np.ndarray, spec: WaveletSpec, shape=None) -> np.ndarray:
@@ -187,7 +180,7 @@ def idwt2_array(coeffs: np.ndarray, spec: WaveletSpec, shape=None) -> np.ndarray
     """
     n1, n2 = sides = _axes(coeffs.shape if shape is None else tuple(shape))
     r1, r2 = _block(sides, coeffs.shape[-2:])
-    return _full(spec, n1)[:r1].T @ coeffs @ _full(spec, n2)[:r2]
+    return _matrix(spec, n1)[:r1].T @ coeffs @ _matrix(spec, n2)[:r2]
 
 
 def _median(x: np.ndarray) -> float:
@@ -209,19 +202,20 @@ def _band(spec: WaveletSpec, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     (D, T, heads): D is the (B/2 x B) matrix that every block of B =
     _BLOCK samples shares.  T (L/2 - 1 x L - 2) is how the last L/2 - 1
     rows of a block read the first L - 2 samples after it; row b of heads
-    holds those samples' indices (periodic in n) for block b.
+    holds those samples' indices (periodic in n) for block b.  D and T are
+    cut from the finest rows of the 2B-sample W, where the first block's
+    rows do not wrap; they do not depend on n.
     """
     key = ("band", n)
     if key not in spec._cache:
-        g = spec.highpass
-        # the detail rows of one block followed by L - 2 samples, unwrapped
-        window = _filter_down(np.eye(_BLOCK + g.size - 2), g).T[: _BLOCK // 2]
-        tail = g.size // 2 - 1
-        ends = _BLOCK * np.arange(1, -(-n // _BLOCK) + 1)
+        L = spec.taps.size
+        H = _matrix(spec, 2 * _BLOCK)[_BLOCK:]
+        half, tail = _BLOCK // 2, L // 2 - 1
+        ends = _BLOCK * np.arange(1, n // _BLOCK + 1)
         spec._cache[key] = (
-            np.ascontiguousarray(window[:, :_BLOCK]),
-            np.ascontiguousarray(window[_BLOCK // 2 - tail :, _BLOCK:]),
-            (ends[:, None] + np.arange(g.size - 2)) % n,
+            H[:half, :_BLOCK],
+            H[half - tail : half, _BLOCK : _BLOCK + L - 2],
+            (ends[:, None] + np.arange(L - 2)) % n,
         )
     return spec._cache[key]
 
@@ -229,29 +223,27 @@ def _band(spec: WaveletSpec, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def _detail_rows(x: np.ndarray, spec: WaveletSpec) -> np.ndarray:
     """H @ x for a 2-D x, H the finest-detail rows of its first axis.
 
-    The axis is cut into blocks (see _band).  A side that _BLOCK does not
-    divide is first extended periodically to whole blocks, and the
-    surplus output rows, which repeat the first ones, are dropped.
+    An axis of two blocks or more is applied block by block (see _band);
+    a shorter one by its own H.
     """
     n, m = x.shape
+    if n < 2 * _BLOCK:
+        return _matrix(spec, n)[n // 2 :] @ x
     D, T, heads = _band(spec, n)
-    blocks = heads.shape[0]
-    if blocks * _BLOCK != n:
-        x = x[np.arange(blocks * _BLOCK) % n]
-    y = D @ x.reshape(blocks, _BLOCK, m)
+    y = D @ x.reshape(-1, _BLOCK, m)
     if T.size:
         y[:, y.shape[1] - T.shape[0] :] += T @ x[heads]
-    return y.reshape(-1, m)[: n // 2]
+    return y.reshape(n // 2, m)
 
 
 def estimate_sigma(image, spec: WaveletSpec, robust: bool = True) -> float:
     """Noise scale from the finest-level detail coefficients.
 
-    The (detail, detail) quadrant of one analysis step along both axes,
-    H1 X H2^T with H the finest-detail rows of the one-level matrix W of
-    each axis; both sides must be even.  A row of H holds only the L taps
-    of the highpass filter, so on a large frame each axis is applied block
-    by block (_detail_rows): O(n1 n2 B) work for B = _BLOCK instead of the
+    The (detail, detail) quadrant H1 X H2^T, H the finest-detail rows of
+    each axis: the last n/2 rows of its W.  Both sides must be powers of
+    two >= 2, as for the transforms.  A row of H holds only the L taps of
+    the highpass filter, so on a large frame each axis is applied block by
+    block (_detail_rows): O(n1 n2 B) work for B = _BLOCK instead of the
     dense product's O(n1 n2 (n1 + n2)).  A frame with n1 n2 (n1 + n2) up
     to _DENSE_WORK, where the blocks' fixed costs outweigh that saving,
     runs the dense H1 @ X @ H2.T.
@@ -261,16 +253,9 @@ def estimate_sigma(image, spec: WaveletSpec, robust: bool = True) -> float:
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
         raise ValueError(f"expected a 2-D image, got shape {image.shape}")
-    if min(image.shape) < 2:
-        raise ValueError("expected an image of size at least 2 x 2")
-    for name, n in zip(("n1", "n2"), image.shape):
-        if n % 2:
-            raise ValueError(f"{name} = {n} is odd: the finest detail step needs an even side")
-    n1, n2 = image.shape
+    n1, n2 = _axes(image.shape)
     if n1 * n2 * (n1 + n2) <= _DENSE_WORK:
-        H1 = _matrix(spec, n1, 1)[n1 // 2 :]
-        H2 = _matrix(spec, n2, 1)[n2 // 2 :]
-        dd = H1 @ image @ H2.T
+        dd = _matrix(spec, n1)[n1 // 2 :] @ image @ _matrix(spec, n2)[n2 // 2 :].T
     else:  # the transpose of H1 X H2^T, which has the same median and std
         dd = _detail_rows(_detail_rows(image, spec).T, spec)
     if robust:

@@ -345,14 +345,28 @@ class TestDeconvolveCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "fhat.json").exists()
 
-    def test_both_kernel_flags_exit_1(self, tmp_path):
+    def test_both_kernel_flags_exit_1(self, tmp_path, capsys):
         out = self.simulate_fixture(tmp_path, n=32, T=5.0, snr="5")
         kpath = write_kernel_csv(tmp_path / "g.csv", TimeGrid(n=32, T=5.0))
+        capsys.readouterr()
         code = run_cli("deconvolve", "--input", str(out) + "_Y",
                        "--kernel", str(kpath),
                        "--kernel-coeffs", str(kpath),
                        "--out", str(tmp_path / "fhat"))
         assert code == 1
+        err = capsys.readouterr().err
+        assert "argument --kernel-coeffs: not allowed with argument --kernel" in err
+        assert not (tmp_path / "fhat.json").exists()
+
+    def test_no_kernel_flag_exits_1(self, tmp_path, capsys):
+        out = self.simulate_fixture(tmp_path, n=32, T=5.0, snr="5")
+        capsys.readouterr()
+        code = run_cli("deconvolve", "--input", str(out) + "_Y",
+                       "--out", str(tmp_path / "fhat"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "one of the arguments --kernel --kernel-coeffs is required" in err
+        assert not (tmp_path / "fhat.json").exists()
 
 
 class TestNormsCommand:

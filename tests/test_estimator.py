@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -160,6 +161,16 @@ class TestDeconvolve:
         assert relative_error(f_hat, f_true) < 1e-3
         assert diag.M == 8
         assert diag.rank == 8  # long grid: nothing truncated
+
+    def test_a_32_cube_fit_caches_one_matrix(self):
+        # the transforms and sigma-hat all read the one W of the 32-pixel axis
+        grid = TimeGrid(n=32, T=5.0)
+        spec = WaveletSpec()
+        rng = np.random.default_rng(3)
+        data = cosine_field()[None] + 0.1 * rng.standard_normal((32, 32, 32))
+        deconvolve(Cube(grid=grid, data=data), np.exp(-grid.points / 2.0), spec,
+                   EstimatorConfig(M=8), g_zero=1.0)
+        assert list(spec._cache) == [32]
 
     def test_zero_cube_gives_zero(self):
         grid = TimeGrid(n=32, T=5.0)
@@ -553,6 +564,24 @@ class TestPlan:
             Plan(grid, (1, 8), np.exp(-grid.points / 2.0), WaveletSpec(),
                  EstimatorConfig(M=4), g_zero=1.0)
 
+    # Samples beside coefficients, or a t = 0 sample beside coefficients,
+    # used to be ignored without a word: the fit read the coefficients alone.
+    @pytest.mark.parametrize(
+        "g_series, g_zero, g_coeffs, message",
+        [(None, None, None, "exactly one of g_series"),
+         ("samples", None, PHI0, "exactly one of g_series"),
+         ("samples", 1.0, PHI0, "exactly one of g_series"),
+         (None, 1.0, PHI0, "g_zero .* does not apply to Laguerre coefficients")],
+        ids=["neither", "both", "both-with-zero", "coeffs-with-zero"],
+    )
+    def test_rejects_a_kernel_given_twice_or_not_at_all(self, g_series, g_zero, g_coeffs, message):
+        grid = TimeGrid(n=16, T=5.0)
+        if g_series == "samples":
+            g_series = np.exp(-grid.points / 2.0)
+        with pytest.raises(ValueError, match=message):
+            Plan(grid, (8, 8), g_series, WaveletSpec(), EstimatorConfig(M=4),
+                 g_zero=g_zero, g_coeffs=g_coeffs)
+
     def test_rejects_a_cube_of_another_grid_or_shape(self):
         grid = TimeGrid(n=32, T=5.0)
         plan = Plan(grid, (16, 16), np.exp(-grid.points / 2.0), WaveletSpec(),
@@ -696,3 +725,16 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field", ["M", "J1", "J2", "m_cap"])
     def test_accepts_a_numpy_integer_for_an_integer_setting(self, field):
         assert getattr(EstimatorConfig(**{field: np.int64(8)}), field) == 8
+
+    # nu=True, A=True and eps=True used to fit as 1.0, rcond=False as 0.0;
+    # nu="1" raised a TypeError from the comparison.
+    @pytest.mark.parametrize("field", ["nu", "A", "eps", "rcond"])
+    @pytest.mark.parametrize("value", [True, False, "1", None], ids=repr)
+    def test_rejects_a_real_setting_that_is_not_a_real_number(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must .*, got {re.escape(repr(value))}"):
+            EstimatorConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["nu", "A", "eps", "rcond"])
+    @pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5)], ids=repr)
+    def test_accepts_a_numpy_float_for_a_real_setting(self, field, value):
+        assert getattr(EstimatorConfig(**{field: value}), field) == 0.5

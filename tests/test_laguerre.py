@@ -58,6 +58,16 @@ class TestTimeGrid:
     def test_accepts_a_numpy_integer_size(self):
         assert TimeGrid(n=np.int64(8), T=5.0).n == 8
 
+    # bool subclasses int: T=True used to run as a grid of length 1.0
+    @pytest.mark.parametrize("T", [True, False], ids=repr)
+    def test_rejects_a_bool_length(self, T):
+        with pytest.raises(ValueError, match=f"T must be positive and finite, got {T!r}"):
+            TimeGrid(n=4, T=T)
+
+    @pytest.mark.parametrize("T", [np.float64(5.0), np.float32(5.0), np.int64(5)], ids=repr)
+    def test_accepts_a_numpy_real_length(self, T):
+        assert TimeGrid(n=4, T=T).T == 5.0
+
 
 class TestEvalLaguerre:
     def test_at_zero(self):

@@ -72,6 +72,16 @@ class TestSimConfig:
     def test_accepts_a_numpy_integer_size(self, field):
         assert getattr(SimConfig(**{field: np.int64(8)}), field) == 8
 
+    # snr=True used to run as an SNR of 1.0
+    @pytest.mark.parametrize("snr", [True, False, "3", None], ids=repr)
+    def test_rejects_an_snr_that_is_not_a_real_number(self, snr):
+        with pytest.raises(ValueError, match=f"snr must be positive, got {snr!r}"):
+            SimConfig(snr=snr)
+
+    @pytest.mark.parametrize("snr", [np.float64(3.0), np.float32(3.0), np.int64(3)], ids=repr)
+    def test_accepts_a_numpy_real_snr(self, snr):
+        assert SimConfig(snr=snr).snr == 3.0
+
 
 class TestTestFunctions:
     def test_f1_vanishes_at_time_zero(self):
