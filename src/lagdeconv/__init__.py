@@ -6,25 +6,8 @@ periodized orthogonal wavelets in space, a triangular Toeplitz solve against
 the kernel, and level-dependent hard thresholding.
 """
 
-from .estimator import (
-    Cube,
-    Diagnostics,
-    EstimatorConfig,
-    Plan,
-    deconvolve,
-    hard_threshold,
-    thresholds,
-)
-from .laguerre import (
-    LagCoeffs,
-    LaguerreBasis,
-    TimeGrid,
-    eval_laguerre,
-    fit_coeffs,
-    reconstruct,
-    smooth_series,
-    tabulate_basis,
-)
+from .estimator import Cube, Diagnostics, EstimatorConfig, Plan, deconvolve
+from .laguerre import LagCoeffs, TimeGrid
 from .simulate import (
     REFERENCE_TABLE1,
     SimConfig,
@@ -34,35 +17,15 @@ from .simulate import (
     relative_error,
     run_table1,
 )
-from .toeplitz import (
-    InverseNormTable,
-    LowerToeplitz,
-    SingularOperatorError,
-    build_G,
-    inverse_norms,
-    select_M,
-    solve_lower,
-)
-from .wavelet2d import (
-    WaveletSpec,
-    dwt2_array,
-    estimate_sigma,
-    idwt2_array,
-)
+from .toeplitz import SingularOperatorError, inverse_norms
+from .wavelet2d import WaveletSpec
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cube", "Diagnostics", "EstimatorConfig", "Plan",
-    "deconvolve", "hard_threshold", "thresholds",
-    "LagCoeffs", "LaguerreBasis", "TimeGrid",
-    "eval_laguerre", "fit_coeffs", "reconstruct",
-    "smooth_series", "tabulate_basis",
-    "REFERENCE_TABLE1", "SimConfig",
-    "add_noise", "eval_test_function", "forward_convolve",
-    "relative_error", "run_table1",
-    "InverseNormTable", "LowerToeplitz",
-    "SingularOperatorError",
-    "build_G", "inverse_norms", "select_M", "solve_lower",
-    "WaveletSpec", "dwt2_array", "estimate_sigma", "idwt2_array",
+    "Cube", "TimeGrid", "WaveletSpec", "EstimatorConfig", "Plan",
+    "deconvolve", "Diagnostics", "LagCoeffs", "SingularOperatorError",
+    "SimConfig", "run_table1", "REFERENCE_TABLE1",
+    "add_noise", "forward_convolve", "eval_test_function", "relative_error",
+    "inverse_norms",
 ]

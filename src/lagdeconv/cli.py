@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Commands: simulate, deconvolve, bench-table1, norms, smooth.  Everything is
+Commands: simulate, deconvolve, bench-table1, norms.  Everything is
 flag-driven and deterministic given --seed.  Flags are only parsed here; the
 library objects they build check the values.  Exit codes: 0 success, 1 usage
 or validation, 2 I/O, 3 numeric failure (singular kernel, linear-algebra
@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .estimator import Cube, EstimatorConfig, deconvolve
-from .io import FileFormatError, read_cube, read_series, write_cube, write_series
-from .laguerre import LagCoeffs, TimeGrid, fit_coeffs, smooth_series, tabulate_basis
+from .io import FileFormatError, read_cube, read_series, write_cube
+from .laguerre import LagCoeffs, TimeGrid, fit_coeffs, tabulate_basis
 from .simulate import SimConfig, _forward_model, add_noise, run_table1
 from .toeplitz import SingularOperatorError, inverse_norms
 from .wavelet2d import WaveletSpec
@@ -72,9 +72,6 @@ def _build_parser() -> _Parser:
     pd.add_argument("--no-threshold", action="store_true")
     pd.add_argument("--symmetrize", action="store_true",
                     help="reflect to a periodic dyadic image, crop back after")
-    pd.add_argument("--smooth-kernel", action="store_true",
-                    help="Laguerre-smooth the --kernel samples before use")
-    pd.add_argument("--sigma-est", choices=["mad", "std"], default="mad")
     pd.add_argument("--rcond", type=float, default=EstimatorConfig().rcond)
     pd.add_argument("--diagnostics", help="path for the diagnostics JSON")
 
@@ -90,11 +87,6 @@ def _build_parser() -> _Parser:
     pn.add_argument("--kernel", required=True, help="kernel SeriesFile")
     pn.add_argument("--max-m", type=int, default=64)
     pn.add_argument("--out", help="CSV path (default: stdout)")
-
-    pm = sub.add_parser("smooth", help="Laguerre-smooth a sampled series")
-    pm.add_argument("--input", required=True, help="SeriesFile to smooth")
-    pm.add_argument("--M", type=int, default=8)
-    pm.add_argument("--out", required=True, help="output SeriesFile")
     return p
 
 
@@ -152,9 +144,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_deconvolve(args) -> int:
-    if args.smooth_kernel and args.kernel_coeffs is not None:
-        raise ValueError("--smooth-kernel smooths kernel samples (--kernel); "
-                         "it does not apply to --kernel-coeffs")
     Y = read_cube(args.input)
 
     g_series = g_zero = g_coeffs = None
@@ -168,14 +157,8 @@ def cmd_deconvolve(args) -> int:
         M=args.M, nu=args.nu, eps=args.eps,
         threshold_mode=not args.no_threshold,
         rcond=args.rcond,
-        sigma_robust=(args.sigma_est == "mad"),
     )
     spec = WaveletSpec()
-
-    if args.smooth_kernel:
-        order = 8 if cfg.M == "auto" else cfg.M
-        basis = tabulate_basis(min(order, Y.grid.n), Y.grid)
-        g_series = smooth_series(g_series, basis, cfg.rcond, g_zero)
 
     n1, n2 = Y.n1, Y.n2
     dyadic = (n1 & (n1 - 1) == 0) and (n2 & (n2 - 1) == 0)
@@ -252,22 +235,11 @@ def cmd_norms(args) -> int:
     return EXIT_OK
 
 
-def cmd_smooth(args) -> int:
-    t, values = read_series(args.input)
-    grid, series, zero_value = _series_to_grid(t, values)
-    basis = tabulate_basis(min(args.M, grid.n), grid)
-    smoothed = smooth_series(series, basis, zero_value=zero_value)
-    write_series(args.out, grid.points, smoothed)
-    print(f"wrote {args.out}")
-    return EXIT_OK
-
-
 _COMMANDS = {
     "simulate": cmd_simulate,
     "deconvolve": cmd_deconvolve,
     "bench-table1": cmd_bench_table1,
     "norms": cmd_norms,
-    "smooth": cmd_smooth,
 }
 
 

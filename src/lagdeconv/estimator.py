@@ -4,7 +4,7 @@ Pipeline for observations Y = g*f + noise on an (n, n1, n2) grid:
 
 1. noise level: sigma_hat is the median over time slices of the MAD of the
    finest (detail, detail) wavelet coefficients, H1 X H2^T with H the
-   finest-detail rows of each axis's one-level transform matrix W, and
+   finest-detail rows of each axis's transform matrix W (its last n/2), and
    eps = T * sigma_hat / sqrt(n),
 2. in time, per pixel: the M x n operator A = G^-1 P E, which folds the
    t = 0 slice extrapolation E, the stable least-squares projection P onto
@@ -112,8 +112,11 @@ class EstimatorConfig:
     nu:     threshold constant; the theory only bounds it through unknowable
             absolute constants, so the default is calibrated once against the
             reference simulation study and frozen.
+    A:      constant of the "auto" depths above, positive and finite.
     eps:    noise intensity, or "auto" for T*sigma_hat/sqrt(n) with sigma_hat
-            from the finest wavelet details.
+            the MAD of the finest wavelet details.
+    threshold_mode: hard-threshold the coefficients of Omega(J1, J2);
+            False keeps them all, and "auto" depths then mean full depth.
     rcond:  spectral cutoff of the Laguerre least-squares projection, in
             [0, 1).
     m_cap:  largest order the "auto" rule may choose.
@@ -127,7 +130,6 @@ class EstimatorConfig:
     eps: float | str = "auto"
     threshold_mode: bool = True
     rcond: float = DEFAULT_RCOND
-    sigma_robust: bool = True
     m_cap: int = DEFAULT_M_CAP
 
     def __post_init__(self):
@@ -141,10 +143,8 @@ class EstimatorConfig:
             value = getattr(self, name)
             if value != "auto" and not _is_int_at_least(value, low):
                 raise ValueError(f"{name} must be an integer >= {low} or 'auto'")
-        for name in ("threshold_mode", "sigma_robust"):
-            value = getattr(self, name)
-            if not isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{name} must be True or False, got {value!r}")
+        if not isinstance(self.threshold_mode, (bool, np.bool_)):
+            raise ValueError(f"threshold_mode must be True or False, got {self.threshold_mode!r}")
         if not _is_int_at_least(self.m_cap, 1):
             raise ValueError("m_cap must be an integer >= 1")
         if not (_is_real(self.rcond) and 0.0 <= self.rcond < 1.0):
@@ -199,8 +199,8 @@ def _projector(basis: LaguerreBasis, rcond: float) -> np.ndarray:
     return basis.projection_matrix(rcond) @ extrapolate
 
 
-def _sigma_hat(Y: Cube, spec: WaveletSpec, robust: bool) -> float:
-    per_slice = [estimate_sigma(Y.data[k], spec, robust) for k in range(Y.grid.n)]
+def _sigma_hat(Y: Cube, spec: WaveletSpec) -> float:
+    per_slice = [estimate_sigma(Y.data[k], spec) for k in range(Y.grid.n)]
     return float(np.median(per_slice))
 
 
@@ -360,7 +360,7 @@ class Plan:
             raise ValueError("cube does not match the plan's time grid and spatial shape")
         cfg, spec = self.cfg, self.spec
         n1, n2 = self.shape
-        sigma_hat = _sigma_hat(Y, spec, cfg.sigma_robust)
+        sigma_hat = _sigma_hat(Y, spec)
         eps = (
             Y.grid.T * sigma_hat / math.sqrt(Y.grid.n)
             if cfg.eps == "auto"

@@ -29,8 +29,6 @@ __all__ = [
     "eval_laguerre",
     "tabulate_basis",
     "fit_coeffs",
-    "reconstruct",
-    "smooth_series",
 ]
 
 # Spectral cutoff for the least-squares fit, calibrated against the
@@ -234,25 +232,3 @@ def fit_coeffs(
         )
     full = _series_with_zero(series, zero_value)
     return LagCoeffs(basis.projection_matrix(rcond) @ full)
-
-
-def reconstruct(coeffs: LagCoeffs, basis: LaguerreBasis) -> np.ndarray:
-    """Pointwise sum_l coeffs[l] * phi_l(t_k) on the grid."""
-    if coeffs.m > basis.M:
-        raise ValueError(f"got {coeffs.m} coefficients for a basis of order {basis.M}")
-    return coeffs.values @ basis.values[: coeffs.m]
-
-
-def smooth_series(
-    series,
-    basis: LaguerreBasis,
-    rcond: float = DEFAULT_RCOND,
-    zero_value=None,
-) -> np.ndarray:
-    """Project a sampled series onto span{phi_0..phi_{M-1}} and resample it.
-
-    The workhorse for denoising sampled kernels (arterial input curves): the
-    result is the least-squares projection of the data onto the basis span,
-    so the weighted residual never grows.
-    """
-    return reconstruct(fit_coeffs(series, basis, rcond, zero_value), basis)

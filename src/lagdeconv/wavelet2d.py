@@ -34,10 +34,11 @@ there the blocks' fixed costs outweigh the saving.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .laguerre import _is_int_at_least
 
 __all__ = [
     "WaveletSpec",
@@ -143,7 +144,7 @@ def _axes(shape: tuple) -> tuple[int, int]:
     if len(shape) < 2:
         raise ValueError(f"expected at least 2 axes, got shape {tuple(shape)}")
     for name, n in zip(("n1", "n2"), shape[-2:]):
-        if n < 2 or n & (n - 1):
+        if not _is_int_at_least(n, 2) or n & (n - 1):
             raise ValueError(f"{name} must be a power of two >= 2, got {n}")
     return tuple(shape[-2:])
 
@@ -154,7 +155,7 @@ def _block(sides: tuple[int, int], block) -> tuple[int, int]:
         return sides
     block = tuple(block)
     if len(block) != len(sides) or not all(
-        isinstance(r, numbers.Integral) and 1 <= r <= n for r, n in zip(block, sides)
+        _is_int_at_least(r, 1) and r <= n for r, n in zip(block, sides)
     ):
         raise ValueError(f"coefficient block {block} must lie within [1, n] per axis of {sides}")
     return block
@@ -236,8 +237,9 @@ def _detail_rows(x: np.ndarray, spec: WaveletSpec) -> np.ndarray:
     return y.reshape(n // 2, m)
 
 
-def estimate_sigma(image, spec: WaveletSpec, robust: bool = True) -> float:
-    """Noise scale from the finest-level detail coefficients.
+def estimate_sigma(image, spec: WaveletSpec) -> float:
+    """Noise scale from the finest-level detail coefficients: their MAD,
+    median|d| / 0.6745, which signal leaking into fine scales barely moves.
 
     The (detail, detail) quadrant H1 X H2^T, H the finest-detail rows of
     each axis: the last n/2 rows of its W.  Both sides must be powers of
@@ -247,8 +249,6 @@ def estimate_sigma(image, spec: WaveletSpec, robust: bool = True) -> float:
     dense product's O(n1 n2 (n1 + n2)).  A frame with n1 n2 (n1 + n2) up
     to _DENSE_WORK, where the blocks' fixed costs outweigh that saving,
     runs the dense H1 @ X @ H2.T.
-    Default is the MAD estimate (median|d| / 0.6745), insensitive to signal
-    leaking into fine scales; robust=False gives the plain standard deviation.
     """
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
@@ -256,8 +256,6 @@ def estimate_sigma(image, spec: WaveletSpec, robust: bool = True) -> float:
     n1, n2 = _axes(image.shape)
     if n1 * n2 * (n1 + n2) <= _DENSE_WORK:
         dd = _matrix(spec, n1)[n1 // 2 :] @ image @ _matrix(spec, n2)[n2 // 2 :].T
-    else:  # the transpose of H1 X H2^T, which has the same median and std
+    else:  # the transpose of H1 X H2^T, which has the same median
         dd = _detail_rows(_detail_rows(image, spec).T, spec)
-    if robust:
-        return _median(np.abs(dd).ravel()) / MAD_TO_SIGMA
-    return float(dd.std())
+    return _median(np.abs(dd).ravel()) / MAD_TO_SIGMA

@@ -1,6 +1,7 @@
 import pytest
 
-from lagdeconv import TimeGrid, tabulate_basis
+from lagdeconv import TimeGrid
+from lagdeconv.laguerre import tabulate_basis
 
 # Grid long and fine enough that phi_0..phi_9 have decayed inside [0, T] and
 # the composite quadrature resolves them; the Gram matrix is then within

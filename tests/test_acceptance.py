@@ -12,20 +12,15 @@ from lagdeconv import (
     Cube,
     EstimatorConfig,
     LagCoeffs,
-    LowerToeplitz,
     TimeGrid,
     WaveletSpec,
     deconvolve,
-    dwt2_array,
-    eval_laguerre,
-    idwt2_array,
     inverse_norms,
     relative_error,
-    solve_lower,
-    tabulate_basis,
 )
 from lagdeconv.cli import main as cli_main
 from lagdeconv.io import read_cube, write_cube
+from lagdeconv.laguerre import eval_laguerre, tabulate_basis
 from lagdeconv.simulate import (
     SimConfig,
     TEST_FUNCTION_IDS,
@@ -36,6 +31,8 @@ from lagdeconv.simulate import (
     run_table1,
     zero_time_slice,
 )
+from lagdeconv.toeplitz import LowerToeplitz, solve_lower
+from lagdeconv.wavelet2d import dwt2_array, idwt2_array
 
 from conftest import ORACLE_N, ORACLE_T
 

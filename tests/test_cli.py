@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -246,30 +247,6 @@ class TestDeconvolveCommand:
                        "--kernel", str(kpath), "--out", str(tmp_path / "f"))
         assert code == 1
 
-    def test_smooth_kernel_flag(self, tmp_path):
-        out = self.simulate_fixture(tmp_path, n=32, T=5.0, snr="5")
-        grid = TimeGrid(n=32, T=5.0)
-        t = grid.points_with_zero
-        rng = np.random.default_rng(5)
-        noisy = default_kernel(t) + 0.01 * rng.standard_normal(t.size)
-        write_series(tmp_path / "g.csv", t, noisy)
-        code = run_cli("deconvolve", "--input", str(out) + "_Y",
-                       "--kernel", str(tmp_path / "g.csv"), "--M", "8",
-                       "--smooth-kernel", "--out", str(tmp_path / "fhat"))
-        assert code == 0
-
-    def test_smooth_kernel_with_coefficients_exits_1(self, tmp_path, capsys):
-        # smoothing acts on kernel samples; coefficients would pass unsmoothed
-        out = self.simulate_fixture(tmp_path, n=32, T=5.0, snr="5")
-        write_series(tmp_path / "gc.csv", np.arange(8.0), np.eye(8)[0])
-        code = run_cli("deconvolve", "--input", str(out) + "_Y",
-                       "--kernel-coeffs", str(tmp_path / "gc.csv"), "--M", "8",
-                       "--smooth-kernel", "--out", str(tmp_path / "fhat"))
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "--smooth-kernel" in err and "--kernel-coeffs" in err
-        assert not (tmp_path / "fhat.json").exists()
-
     def test_kernel_as_coefficient_file(self, tmp_path):
         out = self.simulate_fixture(tmp_path, n=32, T=5.0, snr="5")
         # g = exp(-t/2) = phi_0 has expansion (1, 0, 0, ...); the first
@@ -436,30 +413,23 @@ class TestBenchCommand:
         assert "nu must be positive and finite" in capsys.readouterr().err
 
 
-class TestSmoothCommand:
-    def test_smoothing_reduces_residual(self, tmp_path):
-        grid = TimeGrid(n=256, T=20.0)
-        t = grid.points_with_zero
-        rng = np.random.default_rng(12)
-        clean = default_kernel(t)
-        noisy = clean + 0.05 * rng.standard_normal(t.size)
-        write_series(tmp_path / "noisy.csv", t, noisy)
-        code = run_cli("smooth", "--input", str(tmp_path / "noisy.csv"),
-                       "--M", "4", "--out", str(tmp_path / "smooth.csv"))
-        assert code == 0
-        t2, smoothed = read_series(tmp_path / "smooth.csv")
-        assert np.allclose(t2, grid.points)
-        before = np.linalg.norm(noisy[1:] - clean[1:])
-        after = np.linalg.norm(smoothed - clean[1:])
-        assert after < before
+class TestCommandSet:
+    def test_help_lists_the_four_commands(self, capsys):
+        assert run_cli("--help") == 0
+        choices = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1)
+        assert choices.split(",") == ["simulate", "deconvolve", "bench-table1", "norms"]
 
-    def test_bad_flag_exits_1(self, capsys):
-        assert run_cli("smooth", "--input", "x.csv") == 1  # missing --out
-        assert "the following arguments are required: --out" in capsys.readouterr().err
-
-    def test_order_zero_exits_1(self, tmp_path, capsys):
-        kpath = write_kernel_csv(tmp_path / "g.csv", TimeGrid(n=64, T=20.0))
-        code = run_cli("smooth", "--input", str(kpath), "--M", "0",
-                       "--out", str(tmp_path / "s.csv"))
-        assert code == 1
-        assert "M must be a positive integer" in capsys.readouterr().err
+    # unknown to argparse, which rejects them before any file is read: the
+    # paths need not exist
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [(["smooth", "--input", "x.csv", "--out", "y.csv"], "invalid choice: 'smooth'"),
+         (["deconvolve", "--input", "c", "--kernel", "g.csv", "--out", "f", "--smooth-kernel"],
+          "unrecognized arguments: --smooth-kernel"),
+         (["deconvolve", "--input", "c", "--kernel", "g.csv", "--out", "f", "--sigma-est", "std"],
+          "unrecognized arguments: --sigma-est std")],
+        ids=["smooth", "smooth-kernel", "sigma-est"],
+    )
+    def test_removed_options_exit_1_with_the_reason(self, argv, reason, capsys):
+        assert run_cli(*argv) == 1
+        assert reason in capsys.readouterr().err

@@ -13,22 +13,15 @@ from lagdeconv import (
     SimConfig,
     TimeGrid,
     WaveletSpec,
-    build_G,
     deconvolve,
-    dwt2_array,
-    estimate_sigma,
-    fit_coeffs,
-    hard_threshold,
-    idwt2_array,
     inverse_norms,
     relative_error,
-    select_M,
-    solve_lower,
-    tabulate_basis,
-    thresholds,
 )
 from lagdeconv import simulate
-from lagdeconv.estimator import _depth
+from lagdeconv.estimator import _depth, hard_threshold, thresholds
+from lagdeconv.laguerre import fit_coeffs, tabulate_basis
+from lagdeconv.toeplitz import build_G, select_M, solve_lower
+from lagdeconv.wavelet2d import dwt2_array, estimate_sigma, idwt2_array
 
 PHI0 = LagCoeffs(np.concatenate([[1.0], np.zeros(15)]))
 
@@ -343,9 +336,7 @@ def old_order_deconvolve(Y, g, spec, cfg, g_zero):
     """
     grid = Y.grid
     n, n1, n2 = Y.data.shape
-    sigma = float(
-        np.median([estimate_sigma(Y.data[k], spec, cfg.sigma_robust) for k in range(n)])
-    )
+    sigma = float(np.median([estimate_sigma(Y.data[k], spec) for k in range(n)]))
     eps = grid.T * sigma / math.sqrt(n) if cfg.eps == "auto" else float(cfg.eps)
     if cfg.M == "auto":
         m_cap = min(cfg.m_cap, n)
@@ -429,7 +420,7 @@ def full_array_apply(plan, Y):
     threshold of the whole array, full inverse transform.
     """
     cfg, spec, (n1, n2) = plan.cfg, plan.spec, plan.shape
-    sigma = float(np.median([estimate_sigma(y, spec, cfg.sigma_robust) for y in Y.data]))
+    sigma = float(np.median([estimate_sigma(y, spec) for y in Y.data]))
     eps = Y.grid.T * sigma / math.sqrt(Y.grid.n) if cfg.eps == "auto" else float(cfg.eps)
     order = plan._order(cfg.M)
     theta = dwt2_array(np.tensordot(order.op, Y.data, axes=(1, 0)), spec)
@@ -452,10 +443,11 @@ def full_array_apply(plan, Y):
 class TestOmegaBlock:
     @pytest.mark.parametrize("threshold_mode", [True, False], ids=["thresholds", "no-thresholds"])
     @pytest.mark.parametrize("J", ["auto", 0, (2, 4), (3, 1), 9], ids=str)
-    @pytest.mark.parametrize("sigma_robust", [True, False], ids=["mad", "std"])
+    # a given eps bypasses sigma-hat and moves the auto depth and the lambdas
+    @pytest.mark.parametrize("eps", ["auto", 0.1], ids=["eps-auto", "eps-0.1"])
     @pytest.mark.parametrize("shape", [(32, 32), (16, 64), (64, 8), (128, 128)], ids=str)
     @pytest.mark.parametrize("family", ["haar", "daub4"])
-    def test_matches_the_full_array_with_a_mask(self, family, shape, sigma_robust, J, threshold_mode):
+    def test_matches_the_full_array_with_a_mask(self, family, shape, eps, J, threshold_mode):
         J1, J2 = J if isinstance(J, tuple) else (J, J)
         grid = TimeGrid(n=16, T=5.0)
         g = np.exp(-grid.points / 2.0)
@@ -463,8 +455,7 @@ class TestOmegaBlock:
         # eps ~ 0.25, so the auto depth is 4: a truncation on every side above 16
         Y = Cube(grid=grid, data=g[:, None, None] * cosine_field(*shape)
                  + 0.2 * rng.standard_normal((16, *shape)))
-        cfg = EstimatorConfig(M=6, J1=J1, J2=J2, threshold_mode=threshold_mode,
-                              sigma_robust=sigma_robust)
+        cfg = EstimatorConfig(M=6, J1=J1, J2=J2, eps=eps, threshold_mode=threshold_mode)
         plan = Plan(grid, shape, g, WaveletSpec(family), cfg, g_zero=1.0)
 
         f_hat, diag = plan.apply(Y)
@@ -557,11 +548,19 @@ class TestPlan:
             _, diag = plan.apply(self.cubes(grid)[0])
         assert diag.rank == 5
 
-    def test_rejects_a_side_below_two_at_construction(self):
+    @pytest.mark.parametrize(
+        "shape, message",
+        [((1, 8), "n1 must be a power of two >= 2, got 1"),
+         ((32.0, 32), "n1 must be a power of two >= 2, got 32.0"),
+         ((32, np.float64(32)), "n2 must be a power of two >= 2, got 32.0"),
+         ((True, 32), "n1 must be a power of two >= 2, got True")],
+        ids=["below-two", "float-n1", "numpy-float-n2", "bool-n1"],
+    )
+    def test_rejects_a_bad_side_at_construction(self, shape, message):
         # the wavelet layout is checked when the plan is built, not in apply
         grid = TimeGrid(n=16, T=5.0)
-        with pytest.raises(ValueError, match="n1 must be a power of two >= 2, got 1"):
-            Plan(grid, (1, 8), np.exp(-grid.points / 2.0), WaveletSpec(),
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Plan(grid, shape, np.exp(-grid.points / 2.0), WaveletSpec(),
                  EstimatorConfig(M=4), g_zero=1.0)
 
     # Samples beside coefficients, or a t = 0 sample beside coefficients,
@@ -689,18 +688,26 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             EstimatorConfig(**{field: value})
 
-    # A truthy non-bool used to pass as a flag: sigma_robust="std" and
-    # threshold_mode="off" ran a thresholded MAD fit.
-    @pytest.mark.parametrize("field", ["threshold_mode", "sigma_robust"])
-    @pytest.mark.parametrize("value", ["off", "std", 0, 1, None], ids=repr)
-    def test_rejects_a_flag_that_is_not_a_bool(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be True or False, got {value!r}"):
-            EstimatorConfig(**{field: value})
+    # A truthy non-bool used to pass as a flag: threshold_mode="off" ran a
+    # thresholded fit.
+    @pytest.mark.parametrize(
+        "value", ["off", "std", 0, 1, None, 1.0, "True", np.int64(1), np.array(True), [True]],
+        ids=repr,
+    )
+    def test_rejects_a_flag_that_is_not_a_bool(self, value):
+        with pytest.raises(
+            ValueError, match=re.escape(f"threshold_mode must be True or False, got {value!r}")
+        ):
+            EstimatorConfig(threshold_mode=value)
 
-    @pytest.mark.parametrize("field", ["threshold_mode", "sigma_robust"])
-    @pytest.mark.parametrize("value", [True, False, np.True_], ids=repr)
-    def test_accepts_a_bool_flag(self, field, value):
-        assert getattr(EstimatorConfig(**{field: value}), field) == value
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_], ids=repr)
+    def test_accepts_a_bool_flag(self, value):
+        assert EstimatorConfig(threshold_mode=value).threshold_mode == value
+
+    def test_has_no_sigma_robust_field(self):
+        # sigma-hat is always the MAD
+        with pytest.raises(TypeError, match="sigma_robust"):
+            EstimatorConfig(sigma_robust=False)
 
     # An infinite eps or A fails deep in the fit (log(1/eps),
     # floor(log2(A^2/eps^2))); nu = inf runs and zeroes every detail.

@@ -1,5 +1,6 @@
 """Every name a module exports in `__all__` exists there, and only once; the
-package exports only names its submodules export."""
+package exports exactly the public API, and only names its submodules
+export."""
 
 import importlib
 
@@ -24,6 +25,20 @@ def test_all_names_resolve_without_duplicates(name):
     missing = [attr for attr in exported if not hasattr(mod, attr)]
     assert not missing, f"{name}.__all__ names what the module lacks: {missing}"
 
+
+PUBLIC_API = {
+    "Cube", "TimeGrid", "WaveletSpec", "EstimatorConfig", "Plan", "deconvolve",
+    "Diagnostics", "LagCoeffs", "SingularOperatorError",
+    "SimConfig", "run_table1", "REFERENCE_TABLE1", "add_noise", "forward_convolve",
+    "eval_test_function", "relative_error", "inverse_norms",
+}
+
+
+def test_package_exports_exactly_the_public_api():
+    # a new package-level name is an API change: add it here on purpose
+    package = importlib.import_module("lagdeconv")
+    assert len(package.__all__) == len(PUBLIC_API) == 17
+    assert set(package.__all__) == PUBLIC_API
 
 
 def test_package_names_come_from_a_submodule_all():

@@ -3,16 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lagdeconv import (
-    LagCoeffs,
-    TimeGrid,
-    eval_laguerre,
-    fit_coeffs,
-    reconstruct,
-    smooth_series,
-    tabulate_basis,
-)
-from lagdeconv.laguerre import _simpson_weights
+from lagdeconv import LagCoeffs, TimeGrid
+from lagdeconv.laguerre import _simpson_weights, eval_laguerre, fit_coeffs, tabulate_basis
 
 
 def laguerre_sum(l: int, t: float) -> float:
@@ -181,52 +173,13 @@ class TestFitCoeffs:
         assert basis.projection_rank(0.1) == 5
         assert basis.projection_rank(1e-12) == 8
 
-
-class TestReconstruct:
-    def test_unit_coefficient(self, short_grid):
-        basis = tabulate_basis(6, short_grid)
-        out = reconstruct(LagCoeffs([1.0, 0.0, 0.0]), basis)
-        assert np.array_equal(out, basis.values[0])
-
-    def test_zero_coefficients(self, short_grid):
-        basis = tabulate_basis(6, short_grid)
-        assert np.all(reconstruct(LagCoeffs([0.0, 0.0]), basis) == 0.0)
-
-    def test_too_many_coefficients(self, short_grid):
-        basis = tabulate_basis(2, short_grid)
-        with pytest.raises(ValueError):
-            reconstruct(LagCoeffs([1.0, 2.0, 3.0]), basis)
-
     def test_roundtrip_on_oracle_grid(self, oracle_grid):
         rng = np.random.default_rng(11)
         basis = tabulate_basis(8, oracle_grid)
         coeffs = rng.standard_normal(8)
-        series = reconstruct(LagCoeffs(coeffs), basis)
+        series = coeffs @ basis.values
         back = fit_coeffs(series, basis, zero_value=float(coeffs.sum()))
         assert np.abs(back.values - coeffs).max() <= 1e-6
-
-
-class TestSmoothSeries:
-    def test_idempotent_on_in_span_series(self, short_grid):
-        basis = tabulate_basis(4, short_grid)
-        series = 0.7 * basis.values[0] - 0.2 * basis.values[3]
-        out = smooth_series(series, basis, rcond=1e-12, zero_value=0.5)
-        assert np.abs(out - series).max() <= 1e-8
-
-    def test_zero_series(self, short_grid):
-        basis = tabulate_basis(4, short_grid)
-        assert np.all(smooth_series(np.zeros(short_grid.n), basis) == 0.0)
-
-    def test_reduces_residual(self):
-        grid = TimeGrid(n=256, T=20.0)
-        basis = tabulate_basis(4, grid)
-        clean = basis.values[0]
-        noisy = clean + 0.3 * np.sin(40.0 * grid.points)
-        out = smooth_series(noisy, basis)
-        w = basis.quad_weights[1:]
-        before = np.sum(w * (noisy - clean) ** 2)
-        after = np.sum(w * (out - clean) ** 2)
-        assert after < before
 
 
 class TestConvolutionIdentity:

@@ -2,18 +2,14 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from lagdeconv import (
+from lagdeconv import LagCoeffs, SingularOperatorError, TimeGrid, inverse_norms
+from lagdeconv.laguerre import fit_coeffs, tabulate_basis
+from lagdeconv.toeplitz import (
     InverseNormTable,
-    LagCoeffs,
     LowerToeplitz,
-    SingularOperatorError,
-    TimeGrid,
     build_G,
-    fit_coeffs,
-    inverse_norms,
     select_M,
     solve_lower,
-    tabulate_basis,
 )
 
 PHI0_COEFFS = LagCoeffs(np.concatenate([[1.0], np.zeros(299)]))

@@ -4,8 +4,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from lagdeconv import WaveletSpec, dwt2_array, estimate_sigma, idwt2_array, wavelet2d
-from lagdeconv.wavelet2d import _matrix, wavelet_taps
+from lagdeconv import WaveletSpec, wavelet2d
+from lagdeconv.wavelet2d import _matrix, dwt2_array, estimate_sigma, idwt2_array, wavelet_taps
 
 FAMILIES = ["haar", "daub4"]
 
@@ -221,8 +221,8 @@ class TestLeadingBlock:
         assert np.array_equal(idwt2_array(c, spec, (16, 32)), idwt2_array(c, spec))
 
     @pytest.mark.parametrize(
-        "block", [(0, 4), (4, 0), (17, 4), (4, 33), (4,), (4, 4, 4), (2.0, 4)],
-        ids=["zero-1", "zero-2", "over-1", "over-2", "one-side", "three-sides", "float"],
+        "block", [(0, 4), (4, 0), (17, 4), (4, 33), (4,), (4, 4, 4), (2.0, 4), (True, True)],
+        ids=["zero-1", "zero-2", "over-1", "over-2", "one-side", "three-sides", "float", "bool"],
     )
     def test_rejects_a_block_outside_the_array(self, block):
         with pytest.raises(ValueError):
@@ -230,8 +230,9 @@ class TestLeadingBlock:
 
     @pytest.mark.parametrize(
         "coeffs, shape",
-        [((17, 4), (16, 32)), ((4, 33), (16, 32)), ((4, 4), (12, 32)), ((4, 4), (16,))],
-        ids=["taller", "wider", "not-dyadic", "one-side"],
+        [((17, 4), (16, 32)), ((4, 33), (16, 32)), ((4, 4), (12, 32)), ((4, 4), (16,)),
+         ((4, 4), (16.0, 32)), ((4, 4), (16, np.float64(32))), ((4, 4), (16, True))],
+        ids=["taller", "wider", "not-dyadic", "one-side", "float-n1", "float-n2", "bool-n2"],
     )
     def test_rejects_coefficients_that_do_not_fit_the_shape(self, coeffs, shape):
         with pytest.raises(ValueError):
@@ -278,35 +279,38 @@ class TestReferenceFilterBank:
         assert np.abs(idwt2_array(c, spec) - x).max() <= 1e-12
         assert np.sum(c**2) == pytest.approx(np.sum(x**2), rel=1e-12)
 
+    # The estimate must not depend on how the frame is laid out in memory:
+    # "F" passes a column-major copy, so the products and the blocks'
+    # reshape read strided data.
+    @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("family", sorted(SPECS))
-    @pytest.mark.parametrize("robust", [True, False])
-    def test_sigma_reads_the_reference_detail_quadrant(self, family, robust):
-        self.check_sigma(SPECS[family], robust, (16, 8))
+    def test_sigma_reads_the_reference_detail_quadrant(self, family, order):
+        self.check_sigma(SPECS[family], (16, 8), order)
 
     @pytest.mark.parametrize("path", ["default", "blocks"])
     @pytest.mark.parametrize("family", sorted(SPECS))
-    @pytest.mark.parametrize("robust", [True, False])
+    @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize(
         "shape",
         [(64, 64), (128, 32), (32, 256), (256, 256), (512, 64),
          # an axis shorter than two blocks is applied by its own H
          (2, 2048), (16, 1024), (1024, 8)],
     )
-    def test_sigma_on_many_blocks(self, monkeypatch, path, family, robust, shape):
+    def test_sigma_on_many_blocks(self, monkeypatch, path, family, order, shape):
         # "blocks" sends every frame down the block path, small ones included
         if path == "blocks":
             monkeypatch.setattr(wavelet2d, "_DENSE_WORK", 0)
         spec = replace(SPECS[family])  # a fresh cache
-        self.check_sigma(spec, robust, shape)
+        self.check_sigma(spec, shape, order)
 
-    def check_sigma(self, spec, robust, shape):
+    def check_sigma(self, spec, shape, order):
         rng = np.random.default_rng(13)
         img = rng.standard_normal(shape)
         h, g = spec.taps, spec.highpass
         step = ref_dwt_step(ref_dwt_step(img, h, g).T, h, g).T
         dd = step[shape[0] // 2 :, shape[1] // 2 :]
-        want = np.median(np.abs(dd)) / 0.6745 if robust else dd.std()
-        assert estimate_sigma(img, spec, robust) == pytest.approx(want, rel=1e-13)
+        want = np.median(np.abs(dd)) / 0.6745
+        assert estimate_sigma(np.array(img, order=order), spec) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("family", sorted(SPECS))
     @pytest.mark.parametrize("shape", [(32, 32), (64, 64), (64, 32), (16, 8)])
@@ -317,7 +321,6 @@ class TestReferenceFilterBank:
         img = np.random.default_rng(15).standard_normal(shape)
         dd = _matrix(spec, n1)[n1 // 2 :] @ img @ _matrix(spec, n2)[n2 // 2 :].T
         assert estimate_sigma(img, spec) == wavelet2d._median(np.abs(dd).ravel()) / 0.6745
-        assert estimate_sigma(img, spec, robust=False) == float(dd.std())
 
     @pytest.mark.parametrize("family", sorted(SPECS))
     @pytest.mark.parametrize("n", [2, 4, 8, 32, 256])
@@ -358,11 +361,19 @@ class TestEstimateSigma:
             3.0 * estimate_sigma(img, spec), rel=1e-12
         )
 
-    def test_std_mode(self):
+    def test_a_few_outliers_barely_move_the_mad(self):
+        # the MAD is the only rule: 4 pixels of 4096 at 1000 sigma shift it
+        # by a few percent, where the detail std would grow about thirtyfold
         spec = WaveletSpec()
         rng = np.random.default_rng(9)
-        img = rng.standard_normal((32, 32))
-        assert estimate_sigma(img, spec, robust=False) > 0.0
+        img = rng.standard_normal((64, 64))
+        spiked = img.copy()
+        spiked.flat[rng.choice(img.size, size=4, replace=False)] = 1000.0
+        assert estimate_sigma(spiked, spec) == pytest.approx(estimate_sigma(img, spec), rel=0.05)
+
+    def test_has_no_robust_switch(self):
+        with pytest.raises(TypeError):
+            estimate_sigma(np.zeros((8, 8)), WaveletSpec(), False)
 
     @pytest.mark.parametrize("shape", [(4, 4, 4), (8,), ()])
     def test_not_an_image(self, shape):
