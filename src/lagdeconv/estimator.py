@@ -23,11 +23,14 @@ Pipeline for observations Y = g*f + noise on an (n, n1, n2) grid:
 
 All steps are linear except the thresholding.  The time operators commute
 with the per-slice spatial transform, so the spatial work is M transforms
-each way rather than n.  A `Plan` holds everything that depends only on
-the grid, the kernel, the spec and the config: in a cache keyed by the
-Laguerre order, each order's basis, kernel fit, A and inverse-norm table.
-Cubes that share a kernel share one plan; `deconvolve` builds one and
-applies it once.  Nothing mutates its inputs.
+each way rather than n.  The work that does not depend on the
+observations comes in two halves.  The grid half, each order's Laguerre
+basis with its quadrature weights and projector P, depends only on the
+grid and is cached on the `TimeGrid` object by `tabulate_basis`, so every
+plan on that grid shares it.  The kernel half, each order's kernel fit, A
+and inverse-norm table, is held by a `Plan` in a cache keyed by the
+Laguerre order.  Cubes that share a kernel share one plan; `deconvolve`
+builds one and applies it once.  Nothing mutates its inputs.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .laguerre import (
     LagCoeffs,
     LaguerreBasis,
     TimeGrid,
+    _check_rcond,
     _is_int_at_least,
     _is_real,
     _series_with_zero,
@@ -147,8 +151,7 @@ class EstimatorConfig:
             raise ValueError(f"threshold_mode must be True or False, got {self.threshold_mode!r}")
         if not _is_int_at_least(self.m_cap, 1):
             raise ValueError("m_cap must be an integer >= 1")
-        if not (_is_real(self.rcond) and 0.0 <= self.rcond < 1.0):
-            raise ValueError(f"rcond must lie in [0, 1), got {self.rcond!r}")
+        _check_rcond(self.rcond)
         if self.eps != "auto" and not (_is_real(self.eps) and 0 <= self.eps < math.inf):
             raise ValueError(f"eps must be a finite nonnegative number or 'auto', got {self.eps!r}")
 
@@ -271,7 +274,8 @@ def _depth(J, n_side: int, A: float, eps: float, auto_on: bool) -> int:
 class _Order:
     """Kernel-side state of a fit of one Laguerre order M.
 
-    A and the norm table are built on first read.
+    `basis` is the grid's shared basis of order M.  A and the norm table
+    are built on first read.
     """
 
     basis: LaguerreBasis
@@ -294,15 +298,18 @@ class Plan:
     """The estimator for one grid, spatial shape, kernel, spec and config.
 
     A plan holds the work that does not depend on the observations: the
-    Laguerre basis, the kernel fit, the folded M x n time operator
-    A = G^-1 P E (zero-slice extrapolation E, least-squares projector P,
-    Toeplitz inverse G^-1) and the inverse-norm table.  `_order(M)` builds
-    the state of one order, the only path that does, and caches it; A and
-    the norm table are built on first read.  With M="auto" the rule reads
-    the norm table of order m_cap, and the order it chooses comes from the
-    same cache.  `apply` does the per-cube work, so one plan serves every
-    cube that shares the kernel.  Its caches hold only idempotent derived
-    state, so a plan is safe to share across threads.
+    kernel fit, the folded M x n time operator A = G^-1 P E (zero-slice
+    extrapolation E, least-squares projector P, Toeplitz inverse G^-1) and
+    the inverse-norm table.  The Laguerre basis and its projector P depend
+    only on the grid: `tabulate_basis` caches them on the grid object, so
+    plans with different kernels on one grid share them.  `_order(M)`
+    builds the kernel state of one order, the only path that does, and
+    caches it; A and the norm table are built on first read.  With
+    M="auto" the rule reads the norm table of order m_cap, and the order it
+    chooses comes from the same cache.  `apply` does the per-cube work, so
+    one plan serves every cube that shares the kernel.  Its caches, and the
+    grid's, hold only idempotent derived state, so a plan is safe to share
+    across threads.
     """
 
     def __init__(

@@ -46,12 +46,33 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _check_rcond(rcond) -> float:
+    """The projection's spectral cutoff as a float, or ValueError.
+
+    A cutoff of 1 or more drops every direction, a negative one none.
+    """
+    if not (_is_real(rcond) and 0.0 <= rcond < 1.0):
+        raise ValueError(f"rcond must lie in [0, 1), got {rcond!r}")
+    return float(rcond)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling t_k = T*k/n, k = 1..n, of the interval (0, T]."""
+    """Uniform sampling t_k = T*k/n, k = 1..n, of the interval (0, T].
+
+    Grids compare and hash by (n, T); each grid object caches the Laguerre
+    bases built on it (see `tabulate_basis`) for as long as it lives.
+    """
 
     n: int
     T: float
+    # order M -> LaguerreBasis; filled only by tabulate_basis
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not _is_int_at_least(self.n, 1):
@@ -95,8 +116,8 @@ def eval_laguerre(l: int, t):
 
     Accepts a scalar or an array of nonnegative abscissae.
     """
-    if l < 0:
-        raise ValueError("order l must be nonnegative")
+    if not _is_int_at_least(l, 0):
+        raise ValueError(f"order l must be a nonnegative integer, got {l!r}")
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("t must be nonnegative")
@@ -120,31 +141,33 @@ def _phi_rows(M: int, t: np.ndarray) -> np.ndarray:
     return table
 
 
-@dataclass
+@dataclass(frozen=True)
 class LaguerreBasis:
     """First M Laguerre functions tabulated on a TimeGrid.
 
     `values` is the M x n table values[l][k] = phi_l(t_k) on the grid points
     t_1..t_n.  The t = 0 column (phi_l(0) = 1 for every l) is kept implicit
     and supplied analytically by the quadrature helpers.  Derived tables
-    are built on first read and never change, so instances are safe to
-    share across threads.
+    are built on first read and never change.  Every table, the projectors
+    included, is read-only, so one instance is shared by every plan on its
+    grid and across threads.  Bases compare and hash by (M, grid).
     """
 
     M: int
     grid: TimeGrid
-    values: np.ndarray
-    _projectors: dict = field(default_factory=dict, repr=False)  # rcond -> (P, rank)
+    values: np.ndarray = field(compare=False)
+    # rcond -> (P, rank)
+    _projectors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def values_with_zero(self) -> np.ndarray:
         """M x (n+1) table including the exact t = 0 column of ones."""
-        return np.concatenate([np.ones((self.M, 1)), self.values], axis=1)
+        return _read_only(np.concatenate([np.ones((self.M, 1)), self.values], axis=1))
 
     @cached_property
     def quad_weights(self) -> np.ndarray:
         """Composite Simpson weights on the n+1 nodes {0, t_1, .., t_n}."""
-        return _simpson_weights(self.grid.n, self.grid.step)
+        return _read_only(_simpson_weights(self.grid.n, self.grid.step))
 
     def projection_matrix(self, rcond: float = DEFAULT_RCOND) -> np.ndarray:
         """M x (n+1) weighted least-squares projector with spectral cutoff.
@@ -152,19 +175,21 @@ class LaguerreBasis:
         Singular directions of the sqrt-weighted design below rcond * s_max
         are dropped; on grids that resolve the basis nothing is dropped and
         the matrix equals plain quadrature (values_with_zero * quad_weights)
-        up to the Gram error.
+        up to the Gram error.  rcond must lie in [0, 1).  Built once per
+        rcond and read-only.
         """
-        key = float(rcond)
+        key = _check_rcond(rcond)
         if key not in self._projectors:
             sw = np.sqrt(self.quad_weights)
             u, s, vt = np.linalg.svd((self.values_with_zero * sw).T, full_matrices=False)
-            k = int(np.sum(s > rcond * s[0]))
-            self._projectors[key] = (((vt[:k].T / s[:k]) @ u[:, :k].T) * sw, k)
+            k = int(np.sum(s > key * s[0]))
+            P = _read_only(((vt[:k].T / s[:k]) @ u[:, :k].T) * sw)
+            self._projectors.setdefault(key, (P, k))
         return self._projectors[key][0]
 
     def projection_rank(self, rcond: float = DEFAULT_RCOND) -> int:
         """Number of basis directions the cutoff retains."""
-        self.projection_matrix(rcond)
+        self.projection_matrix(rcond)  # checks rcond
         return self._projectors[float(rcond)][1]
 
 
@@ -193,10 +218,23 @@ def _simpson_weights(n_intervals: int, h: float) -> np.ndarray:
 
 
 def tabulate_basis(M: int, grid: TimeGrid) -> LaguerreBasis:
-    """Tabulate phi_0..phi_{M-1} on the grid points."""
-    if M < 1:
-        raise ValueError("M must be a positive integer")
-    return LaguerreBasis(M=M, grid=grid, values=_phi_rows(M, grid.points))
+    """phi_0..phi_{M-1} on the grid points, the only path that builds a basis.
+
+    The basis is cached on the grid object by order, so every caller that
+    asks for order M on that grid gets one shared, read-only instance, with
+    the projectors it has built.  Its `grid` is an equal copy without a
+    cache: holding the grid itself would make a reference cycle, and the
+    bases of a dropped grid would wait for the garbage collector.
+    """
+    if not _is_int_at_least(M, 1):
+        raise ValueError(f"order M must be a positive integer, got {M!r}")
+    M = int(M)
+    basis = grid._cache.get(M)
+    if basis is None:
+        values = _read_only(_phi_rows(M, grid.points))
+        basis = LaguerreBasis(M=M, grid=TimeGrid(grid.n, grid.T), values=values)
+        basis = grid._cache.setdefault(M, basis)
+    return basis
 
 
 def _series_with_zero(series: np.ndarray, zero_value) -> np.ndarray:

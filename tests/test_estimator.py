@@ -17,7 +17,7 @@ from lagdeconv import (
     inverse_norms,
     relative_error,
 )
-from lagdeconv import simulate
+from lagdeconv import laguerre, simulate
 from lagdeconv.estimator import _depth, hard_threshold, thresholds
 from lagdeconv.laguerre import fit_coeffs, tabulate_basis
 from lagdeconv.toeplitz import build_G, select_M, solve_lower
@@ -525,6 +525,55 @@ class TestPlan:
         for (f, d), (f_ref, d_ref) in zip(outs, [fresh[0], fresh[1], fresh[0]]):
             assert np.array_equal(f.data, f_ref.data)
             assert d.to_dict() == d_ref.to_dict()
+
+    @pytest.mark.parametrize(
+        "cfg", [EstimatorConfig(M=8), EstimatorConfig(m_cap=16)], ids=["M=8", "M=auto"]
+    )
+    def test_plans_with_different_kernels_on_one_grid_share_the_basis(self, cfg):
+        grid = TimeGrid(n=32, T=5.0)
+        kernels = [np.exp(-grid.points / 2.0), np.exp(-grid.points) * grid.points]
+        one, two = (Plan(grid, (16, 16), g, WaveletSpec(), cfg) for g in kernels)
+        (M,) = set(one._orders) & set(two._orders)
+        assert one._orders[M].basis is two._orders[M].basis is grid._cache[M]
+        assert one._orders[M].g_hat.values.tolist() != two._orders[M].g_hat.values.tolist()
+
+    def test_a_second_auto_plan_on_the_grid_tabulates_and_factors_nothing(self, monkeypatch):
+        grid = TimeGrid(n=64, T=5.0)
+        A, B = self.cubes(grid)
+        Plan(grid, (16, 16), np.exp(-grid.points / 2.0), WaveletSpec()).apply(A)
+        calls = {"rows": 0, "svd": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(laguerre, "_phi_rows", counted("rows", laguerre._phi_rows))
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        kernel = np.exp(-grid.points) * (1.0 + grid.points)
+        _, diag = Plan(grid, (16, 16), kernel, WaveletSpec()).apply(A)
+        assert diag.M in grid._cache
+        assert calls == {"rows": 0, "svd": 0}
+
+    @pytest.mark.parametrize(
+        "cfg", [EstimatorConfig(M=8), EstimatorConfig()], ids=["M=8", "M=auto"]
+    )
+    def test_a_fit_through_a_warm_grid_equals_one_on_a_fresh_grid(self, cfg):
+        grid = TimeGrid(n=64, T=5.0)
+        A, B = self.cubes(grid)
+        for g in (np.exp(-grid.points), grid.points * np.exp(-grid.points)):
+            Plan(grid, (16, 16), g, WaveletSpec(), cfg).apply(B)  # warms the grid
+        warmed = grid._cache[64 if cfg.M == "auto" else cfg.M]
+        g = np.exp(-grid.points / 2.0)
+        warm, dw = deconvolve(A, g, WaveletSpec(), cfg, g_zero=1.0)
+        fresh_grid = TimeGrid(n=64, T=5.0)
+        fresh, df = deconvolve(Cube(grid=fresh_grid, data=A.data), g, WaveletSpec(), cfg,
+                               g_zero=1.0)
+        assert grid._cache[warmed.M] is warmed
+        assert fresh_grid._cache[warmed.M] is not warmed
+        assert np.array_equal(warm.data, fresh.data)
+        assert dw.to_dict() == df.to_dict()
 
     def test_warns_once_at_construction_when_M_exceeds_the_frames(self):
         grid = TimeGrid(n=16, T=5.0)

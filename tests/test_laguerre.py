@@ -1,4 +1,7 @@
+import gc
 import math
+import re
+import weakref
 
 import numpy as np
 import pytest
@@ -85,6 +88,15 @@ class TestEvalLaguerre:
         got = eval_laguerre(l, t)
         assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
+    # a float order used to reach np.empty, and True reshaped a 2-row table
+    @pytest.mark.parametrize("l", [2.0, 2.5, True, "2", None], ids=repr)
+    def test_rejects_an_order_that_is_not_an_integer(self, l):
+        with pytest.raises(ValueError, match=re.escape(f"order l must be a nonnegative integer, got {l!r}")):
+            eval_laguerre(l, 1.0)
+
+    def test_accepts_a_numpy_integer_order(self):
+        assert eval_laguerre(np.int64(3), 2.0) == eval_laguerre(3, 2.0)
+
     def test_array_input(self):
         t = np.linspace(0.0, 10.0, 11)
         vals = eval_laguerre(3, t)
@@ -107,6 +119,16 @@ class TestTabulateBasis:
     def test_rejects_zero_order(self):
         with pytest.raises(ValueError):
             tabulate_basis(0, TimeGrid(n=4, T=4.0))
+
+    # True and 8.0 hash like 1 and 8: they must fail before the grid's cache
+    @pytest.mark.parametrize("M", [2.5, 8.0, True, False, "4", None, -1], ids=repr)
+    def test_rejects_an_order_that_is_not_a_positive_integer(self, M):
+        g = TimeGrid(n=16, T=5.0)
+        tabulate_basis(8, g)
+        tabulate_basis(1, g)
+        with pytest.raises(ValueError, match=re.escape(f"order M must be a positive integer, got {M!r}")):
+            tabulate_basis(M, g)
+        assert sorted(g._cache) == [1, 8]
 
     def test_orthonormality_on_oracle_grid(self, oracle_basis):
         # acceptance tolerance 1e-6; needs a grid that holds the basis decay
@@ -180,6 +202,87 @@ class TestFitCoeffs:
         series = coeffs @ basis.values
         back = fit_coeffs(series, basis, zero_value=float(coeffs.sum()))
         assert np.abs(back.values - coeffs).max() <= 1e-6
+
+
+class TestBasisCache:
+    """The grid half of a plan: one read-only basis per (grid object, M)."""
+
+    def test_one_basis_per_grid_and_order(self):
+        g = TimeGrid(n=16, T=5.0)
+        b8 = tabulate_basis(8, g)
+        assert tabulate_basis(8, g) is b8
+        assert tabulate_basis(np.int64(8), g) is b8
+        assert tabulate_basis(4, g) is not b8
+        assert sorted(g._cache) == [4, 8]
+
+    def test_equal_grids_that_are_separate_objects_keep_separate_caches(self):
+        g, h = TimeGrid(n=16, T=5.0), TimeGrid(n=16, T=5.0)
+        assert g == h and hash(g) == hash(h)
+        a, b = tabulate_basis(8, g), tabulate_basis(8, h)
+        assert a is not b and a.grid == g and b.grid == h
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.projection_matrix(), b.projection_matrix())
+
+    def test_a_dropped_grid_frees_its_bases_without_the_garbage_collector(self):
+        # a basis that held its grid would form a cycle through the cache
+        g = TimeGrid(n=16, T=5.0)
+        b = tabulate_basis(8, g)
+        b.projection_matrix()
+        grid_ref, basis_ref = weakref.ref(g), weakref.ref(b)
+        assert b.grid == g and b.grid is not g and not b.grid._cache
+        gc.disable()
+        try:
+            del g, b
+            assert grid_ref() is None and basis_ref() is None
+        finally:
+            gc.enable()
+
+    def test_each_rcond_gets_its_own_projector(self):
+        b = tabulate_basis(8, TimeGrid(n=16, T=5.0))
+        P = b.projection_matrix(0.1)
+        assert b.projection_matrix(0.1) is P
+        assert b.projection_matrix(np.float64(0.1)) is P
+        assert b.projection_matrix(1e-12) is not P
+        assert sorted(b._projectors) == [1e-12, 0.1]
+        assert (b.projection_rank(0.1), b.projection_rank(1e-12)) == (5, 8)
+
+    def test_tables_are_read_only(self):
+        b = tabulate_basis(4, TimeGrid(n=16, T=5.0))
+        for table in (b.values, b.values_with_zero, b.quad_weights, b.projection_matrix()):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+        with pytest.raises(AttributeError):
+            b.values = np.zeros((4, 16))
+
+    def test_bases_compare_and_hash_by_order_and_grid(self):
+        g, h = TimeGrid(n=16, T=5.0), TimeGrid(n=16, T=5.0)
+        a = tabulate_basis(4, g)
+        a.projection_matrix()  # a filled projector cache takes no part
+        assert a == tabulate_basis(4, h) and hash(a) == hash(tabulate_basis(4, h))
+        assert a != tabulate_basis(5, g)
+        assert a != tabulate_basis(4, TimeGrid(n=16, T=6.0))
+        assert "_projectors" not in repr(a)
+
+    # 1, 1.5 and nan used to drop every direction (all-zero coefficients,
+    # rank 0), a negative cutoff kept all of them
+    @pytest.mark.parametrize("rcond", [1.0, 1.5, float("nan"), -0.5, float("inf"), True, "0.1"],
+                             ids=repr)
+    def test_rejects_a_cutoff_outside_the_unit_interval(self, rcond):
+        g = TimeGrid(n=16, T=5.0)
+        b = tabulate_basis(8, g)
+        message = re.escape(f"rcond must lie in [0, 1), got {rcond!r}")
+        with pytest.raises(ValueError, match=message):
+            fit_coeffs(np.exp(-g.points / 2.0), b, rcond=rcond)
+        with pytest.raises(ValueError, match=message):
+            b.projection_matrix(rcond)
+        with pytest.raises(ValueError, match=message):
+            b.projection_rank(rcond)
+        assert b._projectors == {}
+
+    @pytest.mark.parametrize("rcond", [0, 0.0, np.float32(0.5), 0.999], ids=repr)
+    def test_accepts_a_cutoff_in_the_unit_interval(self, rcond):
+        b = tabulate_basis(8, TimeGrid(n=16, T=5.0))
+        assert 1 <= b.projection_rank(rcond) <= 8
 
 
 class TestConvolutionIdentity:
