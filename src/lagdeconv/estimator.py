@@ -218,10 +218,10 @@ def thresholds(M: int, eps: float, nu: float, norms: InverseNormTable) -> np.nda
     """
     if M < 1:
         raise ValueError("M must be positive")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    if not nu > 0:
-        raise ValueError("nu must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    if not 0 < nu < math.inf:
+        raise ValueError(f"nu must be positive and finite, got {nu!r}")
     if norms.max_m < max(M - 1, 1):
         raise ValueError(f"norm table covers m <= {norms.max_m}, need {max(M - 1, 1)}")
     log_term = -math.log(eps)  # log(1/eps) without overflowing 1/eps at subnormal eps

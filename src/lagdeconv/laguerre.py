@@ -37,12 +37,17 @@ DEFAULT_RCOND = 0.1
 
 
 def _is_int_at_least(value, low: int) -> bool:
-    # bool subclasses int, but True is not a size, an order or a depth
+    # bool subclasses int, but True is not a size, an order or a depth.  A
+    # plain int, the common case, skips the slow ABC check.
+    if type(value) is int:
+        return value >= low
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
 def _is_real(value) -> bool:
     # likewise True is not a time span, a constant or a ratio
+    if type(value) is float:
+        return True
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 

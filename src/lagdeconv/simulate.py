@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +59,7 @@ class SimConfig:
     runs: int = 100
 
     def __post_init__(self):
-        TimeGrid(n=self.n, T=self.T)  # raises on a bad n or T
+        self.grid  # raises on a bad n or T
         if not (_is_int_at_least(self.n1, 1) and _is_int_at_least(self.n2, 1)):
             raise ValueError(f"n1 and n2 must be positive integers, got {(self.n1, self.n2)!r}")
         if not (_is_real(self.snr) and self.snr > 0):
@@ -69,8 +70,9 @@ class SimConfig:
         if not _is_int_at_least(self.runs, 2):
             raise ValueError(f"need at least 2 runs for a standard error, got {self.runs!r}")
 
-    @property
+    @cached_property
     def grid(self) -> TimeGrid:
+        """One grid per config, so its cached Laguerre bases are shared."""
         return TimeGrid(n=self.n, T=self.T)
 
     def spatial_points(self) -> tuple[np.ndarray, np.ndarray]:
@@ -159,8 +161,8 @@ def _forward_model(fid: str, cfg: SimConfig) -> tuple[Cube, Cube]:
 
 def _noise_sigma(q: Cube, snr: float) -> float:
     """sigma = sd(q)/snr, the noise level of a given signal-to-noise ratio."""
-    if not snr > 0:
-        raise ValueError("snr must be positive")
+    if not (_is_real(snr) and snr > 0):
+        raise ValueError(f"snr must be positive, got {snr!r}")
     sd = float(q.data.std())
     if sd == 0.0:
         raise ValueError("q has zero variance; cannot calibrate noise to an SNR")
@@ -177,6 +179,8 @@ def add_noise(q: Cube, snr: float, seed: int) -> tuple[Cube, float]:
 
     Returns the noisy cube and the sigma actually used.
     """
+    if not _is_int_at_least(seed, 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     sigma = _noise_sigma(q, snr)
     noisy = _unit_noise(seed, q.data.shape)
     noisy *= sigma
@@ -192,12 +196,20 @@ def relative_error(f_hat: Cube, f: Cube) -> float:
     """
     if f_hat.data.shape != f.data.shape:
         raise ValueError("cubes have different shapes")
-    w = (f.grid.step) * (1.0 / (f.n1 * f.n2))
-    denom = math.sqrt(float(np.sum(w * f.data**2)))
+    denom = _weighted_norm(f.data.copy(), f)
     if denom == 0.0:
         raise ValueError("reference function has zero norm")
-    num = math.sqrt(float(np.sum(w * (f_hat.data - f.data) ** 2)))
-    return num / denom
+    return _weighted_norm(f_hat.data - f.data, f) / denom
+
+
+def _weighted_norm(x: np.ndarray, f: Cube) -> float:
+    """sqrt(sum(w x^2)), w the quadrature weight of f's grid.
+
+    Squares and weights x in place: pass an array the caller can spend.
+    """
+    np.square(x, out=x)
+    x *= f.grid.step * (1.0 / (f.n1 * f.n2))
+    return math.sqrt(float(np.sum(x)))
 
 
 @dataclass(frozen=True)
@@ -237,16 +249,20 @@ def run_table1(
     # Every replicate of every cell shares the grid, the kernel and the
     # settings, so one plan serves them all.
     plan = Plan(cfg.grid, (cfg.n1, cfg.n2), g, spec, est_cfg, g_zero=1.0)
-    cells = []  # (fid, snr, f, q, sigma) in row order
+    cells = []  # (fid, snr, f, ||f||, q, sigma) in row order
     for fid in TEST_FUNCTION_IDS:
         f, q = _forward_model(fid, cfg)
-        cells.extend((fid, snr, f, q, _noise_sigma(q, snr)) for snr in snrs)
+        norm = _weighted_norm(f.data.copy(), f)  # never zero for these truths
+        cells.extend((fid, snr, f, norm, q, _noise_sigma(q, snr)) for snr in snrs)
     deltas = np.empty((len(cells), cfg.runs))
     for i in range(cfg.runs):
         z = _unit_noise(cfg.seed + i, (cfg.n, cfg.n1, cfg.n2))
-        for c, (_, _, f, q, sigma) in enumerate(cells):
+        for c, (_, _, f, norm, q, sigma) in enumerate(cells):
             f_hat, _ = plan.apply(Cube(grid=q.grid, data=q.data + sigma * z))
-            deltas[c, i] = relative_error(f_hat, f)
+            # relative_error(f_hat, f), the fit's own array spent on the numerator
+            err = f_hat.data
+            err -= f.data
+            deltas[c, i] = _weighted_norm(err, f) / norm
     return [
         Table1Row(
             function=fid,

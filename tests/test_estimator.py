@@ -106,6 +106,18 @@ class TestThresholds:
         with pytest.raises(ValueError):
             thresholds(8, 0.1, 1.0, norms)
 
+    # a direct call with eps = inf used to warn and return NaN thresholds,
+    # and nu = inf infinite ones; EstimatorConfig already rejects both
+    @pytest.mark.parametrize("name, value", [
+        ("eps", math.inf), ("eps", math.nan), ("eps", 0.0), ("eps", -0.1),
+        ("nu", math.inf), ("nu", math.nan), ("nu", 0.0), ("nu", -1.0),
+    ], ids=repr)
+    def test_rejects_an_eps_or_nu_that_is_not_positive_and_finite(self, name, value):
+        settings = {"eps": 0.1, "nu": 1.0, name: value}
+        msg = f"{name} must be positive and finite, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            thresholds(4, norms=inverse_norms(PHI0, 4), **settings)
+
 
 class TestHardThreshold:
     def test_zero_thresholds_keep_everything(self):

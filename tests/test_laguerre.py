@@ -1,5 +1,7 @@
+import enum
 import gc
 import math
+import numbers
 import re
 import weakref
 
@@ -7,7 +9,14 @@ import numpy as np
 import pytest
 
 from lagdeconv import LagCoeffs, TimeGrid
-from lagdeconv.laguerre import _simpson_weights, eval_laguerre, fit_coeffs, tabulate_basis
+from lagdeconv.laguerre import (
+    _is_int_at_least,
+    _is_real,
+    _simpson_weights,
+    eval_laguerre,
+    fit_coeffs,
+    tabulate_basis,
+)
 
 
 def laguerre_sum(l: int, t: float) -> float:
@@ -317,3 +326,28 @@ class TestSimpsonWeights:
         exact = (m * h) ** (deg + 1) / (deg + 1)
         assert np.sum(w * poly) == pytest.approx(exact, rel=1e-12)
         assert np.sum(w) == pytest.approx(m * h, rel=1e-12)
+
+
+class _Level(enum.IntEnum):
+    TWO = 2
+
+
+# Every kind of value a setting may be given; the type checks' fast paths
+# for a plain int and float must answer as the ABC checks alone do.
+SETTING_VALUES = [
+    0, 1, 2, -3, 2**80, -(2**80), np.int64(2), np.int64(-1), True, False,
+    np.bool_(True), 2.0, np.float64(2.0), math.nan, math.inf, "3", None, _Level.TWO,
+]
+
+
+class TestSettingTypeChecks:
+    @pytest.mark.parametrize("low", [0, 1, 2])
+    @pytest.mark.parametrize("value", SETTING_VALUES, ids=repr)
+    def test_int_check_matches_the_abc_check(self, value, low):
+        want = isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+        assert _is_int_at_least(value, low) == want
+
+    @pytest.mark.parametrize("value", SETTING_VALUES, ids=repr)
+    def test_real_check_matches_the_abc_check(self, value):
+        want = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        assert _is_real(value) == want

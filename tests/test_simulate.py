@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from lagdeconv import laguerre
 from lagdeconv import (
     Cube,
     EstimatorConfig,
@@ -81,6 +83,26 @@ class TestSimConfig:
     @pytest.mark.parametrize("snr", [np.float64(3.0), np.float32(3.0), np.int64(3)], ids=repr)
     def test_accepts_a_numpy_real_snr(self, snr):
         assert SimConfig(snr=snr).snr == 3.0
+
+    def test_builds_one_grid(self):
+        cfg = SimConfig()
+        assert cfg.grid is cfg.grid
+
+    def test_compares_and_hashes_by_its_fields(self):
+        a, b = SimConfig(), SimConfig()
+        a.grid  # a cached grid is not a field
+        assert a == b and hash(a) == hash(b)
+        assert a.grid == b.grid and a.grid is not b.grid
+        assert SimConfig(seed=1) != a
+
+    def test_two_table_runs_on_one_config_tabulate_the_basis_once(self, monkeypatch):
+        calls = []
+        phi_rows = laguerre._phi_rows
+        monkeypatch.setattr(laguerre, "_phi_rows", lambda *a: calls.append(a) or phi_rows(*a))
+        cfg = SimConfig(n=16, n1=8, n2=8, runs=2)
+        first = run_table1(cfg, snrs=(3.0,))
+        assert run_table1(cfg, snrs=(3.0,)) == first
+        assert len(calls) == 1
 
 
 class TestTestFunctions:
@@ -260,6 +282,27 @@ class TestAddNoise:
         z = np.random.Generator(np.random.Philox(9)).standard_normal(q.data.shape)
         assert np.array_equal(Y.data, q.data + sigma * z)
 
+    # seed=True and snr=True used to run as seed 1 and SNR 1, and seed=2.5
+    # raised numpy's TypeError
+    @pytest.mark.parametrize(
+        "seed", [True, False, 2.5, np.float64(3.0), "7", None, -1], ids=repr
+    )
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        msg = f"seed must be a non-negative integer, got {seed!r}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            add_noise(self.base_cube(), 3.0, seed)
+
+    @pytest.mark.parametrize("snr", [True, False, "3", None, -3.0, 0.0], ids=repr)
+    def test_rejects_an_snr_that_is_not_a_positive_real(self, snr):
+        with pytest.raises(ValueError, match=re.escape(f"snr must be positive, got {snr!r}")):
+            add_noise(self.base_cube(), snr, 0)
+
+    def test_accepts_a_numpy_integer_seed_and_real_snr(self):
+        q = self.base_cube()
+        Y, sigma = add_noise(q, np.float64(3.0), np.int64(5))
+        want, _ = add_noise(q, 3.0, 5)
+        assert np.array_equal(Y.data, want.data)
+
     def test_zero_variance_rejected(self):
         grid = TimeGrid(n=8, T=5.0)
         q = Cube(grid=grid, data=np.ones((8, 4, 4)))
@@ -299,6 +342,17 @@ class TestRelativeError:
         f = self.cube(rng.standard_normal((8, 4, 4)))
         double = self.cube(2.0 * f.data)
         assert relative_error(double, f) == pytest.approx(1.0)
+
+    def test_leaves_both_cubes_alone_and_keeps_the_plain_expression(self):
+        rng = np.random.default_rng(5)
+        f = self.cube(rng.standard_normal((8, 4, 16)))
+        f_hat = self.cube(rng.standard_normal((8, 4, 16)))
+        kept = f.data.copy(), f_hat.data.copy()
+        w = f.grid.step * (1.0 / (4 * 16))
+        num = math.sqrt(float(np.sum(w * (f_hat.data - f.data) ** 2)))
+        denom = math.sqrt(float(np.sum(w * f.data**2)))
+        assert relative_error(f_hat, f) == num / denom
+        assert np.array_equal(f.data, kept[0]) and np.array_equal(f_hat.data, kept[1])
 
     def test_zero_reference_rejected(self):
         zero = self.cube(np.zeros((8, 4, 4)))

@@ -371,6 +371,23 @@ class TestEstimateSigma:
         spiked.flat[rng.choice(img.size, size=4, replace=False)] = 1000.0
         assert estimate_sigma(spiked, spec) == pytest.approx(estimate_sigma(img, spec), rel=0.05)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("shape", [(2, 2), (32, 32), (256, 256)])
+    def test_leaves_the_frame_alone_and_is_the_reference_mad(self, family, shape):
+        # sigma-hat takes |d| and partitions it in place, on its own product
+        # only.  A 2 x 2 frame has one coefficient, an odd count; a 256 x 256
+        # frame runs the block path, so its reference is that product.
+        spec = WaveletSpec(family)
+        img = np.random.default_rng(17).standard_normal(shape)
+        kept = img.copy()
+        n1, n2 = shape
+        if n1 * n2 * (n1 + n2) <= wavelet2d._DENSE_WORK:
+            dd = _matrix(spec, n1)[n1 // 2 :] @ img @ _matrix(spec, n2)[n2 // 2 :].T
+        else:
+            dd = wavelet2d._detail_rows(wavelet2d._detail_rows(img, spec).T, spec)
+        assert estimate_sigma(img, spec) == np.median(np.abs(dd)) / 0.6745
+        assert np.array_equal(img, kept)
+
     def test_has_no_robust_switch(self):
         with pytest.raises(TypeError):
             estimate_sigma(np.zeros((8, 8)), WaveletSpec(), False)
