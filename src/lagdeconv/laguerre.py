@@ -46,8 +46,6 @@ def _is_int_at_least(value, low: int) -> bool:
 
 def _is_real(value) -> bool:
     # likewise True is not a time span, a constant or a ratio
-    if type(value) is float:
-        return True
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 

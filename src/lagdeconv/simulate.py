@@ -63,7 +63,7 @@ class SimConfig:
         if not (_is_int_at_least(self.n1, 1) and _is_int_at_least(self.n2, 1)):
             raise ValueError(f"n1 and n2 must be positive integers, got {(self.n1, self.n2)!r}")
         if not (_is_real(self.snr) and self.snr > 0):
-            raise ValueError(f"snr must be positive, got {self.snr!r}")
+            raise ValueError(f"snr must be a positive real, got {self.snr!r}")
         if not _is_int_at_least(self.seed, 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         # run_table1 reports a standard error across the runs
@@ -162,7 +162,7 @@ def _forward_model(fid: str, cfg: SimConfig) -> tuple[Cube, Cube]:
 def _noise_sigma(q: Cube, snr: float) -> float:
     """sigma = sd(q)/snr, the noise level of a given signal-to-noise ratio."""
     if not (_is_real(snr) and snr > 0):
-        raise ValueError(f"snr must be positive, got {snr!r}")
+        raise ValueError(f"snr must be a positive real, got {snr!r}")
     sd = float(q.data.std())
     if sd == 0.0:
         raise ValueError("q has zero variance; cannot calibrate noise to an SNR")
@@ -259,10 +259,7 @@ def run_table1(
         z = _unit_noise(cfg.seed + i, (cfg.n, cfg.n1, cfg.n2))
         for c, (_, _, f, norm, q, sigma) in enumerate(cells):
             f_hat, _ = plan.apply(Cube(grid=q.grid, data=q.data + sigma * z))
-            # relative_error(f_hat, f), the fit's own array spent on the numerator
-            err = f_hat.data
-            err -= f.data
-            deltas[c, i] = _weighted_norm(err, f) / norm
+            deltas[c, i] = _weighted_norm(f_hat.data - f.data, f) / norm
     return [
         Table1Row(
             function=fid,

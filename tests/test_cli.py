@@ -83,7 +83,7 @@ class TestSimulateCommand:
         assert read_cube(str(out) + "_Y").data.shape == (1, 32, 32)
 
     @pytest.mark.parametrize("flags, message", [
-        (["--snr", "0"], "snr must be positive"),
+        (["--snr", "0"], "snr must be a positive real"),
         (["--snr", "3", "--n", "0"], "n must be a positive integer"),
         (["--snr", "3", "--n1", "0"], "n1 and n2 must be positive integers"),
         (["--snr", "3", "--T", "-1"], "T must be positive and finite"),
