@@ -61,7 +61,7 @@ from .toeplitz import (
     select_M,
     solve_lower,
 )
-from .wavelet2d import WaveletSpec, _axes, dwt2_array, estimate_sigma, idwt2_array
+from .wavelet2d import WaveletSpec, _axes, _median, dwt2_array, estimate_sigma, idwt2_array
 
 __all__ = [
     "Cube",
@@ -80,7 +80,12 @@ DEFAULT_M_CAP = 64
 
 @dataclass
 class Cube:
-    """Time-major real 3D array: data[k, i1, i2] at time t_{k+1}."""
+    """Time-major real 3D array: data[k, i1, i2] at time t_{k+1}.
+
+    Construction scans the data once for non-finite values.  `Plan.apply`
+    wraps its output in a Cube and so keeps that scan: a finite input can
+    still give an estimate that overflowed, and the scan is the only guard.
+    """
 
     grid: TimeGrid
     data: np.ndarray
@@ -203,8 +208,8 @@ def _projector(basis: LaguerreBasis, rcond: float) -> np.ndarray:
 
 
 def _sigma_hat(Y: Cube, spec: WaveletSpec) -> float:
-    per_slice = [estimate_sigma(Y.data[k], spec) for k in range(Y.grid.n)]
-    return float(np.median(per_slice))
+    # _median is np.median of the per-frame values without its dispatch
+    return _median(np.array([estimate_sigma(Y.data[k], spec) for k in range(Y.grid.n)]))
 
 
 def thresholds(M: int, eps: float, nu: float, norms: InverseNormTable) -> np.ndarray:
@@ -216,8 +221,8 @@ def thresholds(M: int, eps: float, nu: float, norms: InverseNormTable) -> np.nda
     nonpositive; the log is floored at zero, which produces all-zero
     thresholds and a warning.
     """
-    if M < 1:
-        raise ValueError("M must be positive")
+    if not _is_int_at_least(M, 1):
+        raise ValueError(f"M must be an integer >= 1, got {M!r}")
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
     if not 0 < nu < math.inf:
@@ -239,9 +244,9 @@ def hard_threshold(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Zero every entry of theta[l, i1, i2] with |theta_{l;omega}| <= lambda_l.
 
-    `protect` is an optional spatial mask of entries kept regardless (the
-    scaling coefficient).  Returns the thresholded array and the per-l
-    count of surviving entries.
+    `protect` is an optional (n1, n2) spatial mask of entries kept
+    regardless (the scaling coefficient).  Returns the thresholded array
+    and the per-l count of surviving entries.
     """
     values = np.asarray(values, dtype=float)
     lambdas = np.asarray(lambdas, dtype=float)
@@ -250,7 +255,11 @@ def hard_threshold(
                          f"{values.shape} and {lambdas.shape}")
     keep = np.abs(values) > lambdas[:, None, None]
     if protect is not None:
-        keep |= np.asarray(protect, dtype=bool)[None, :, :]
+        protect = np.asarray(protect, dtype=bool)
+        if protect.shape != values.shape[1:]:  # a broadcast mask would keep whole rows
+            raise ValueError(f"protect mask has shape {protect.shape}, "
+                             f"need {values.shape[1:]} to match the values")
+        keep |= protect
     return np.where(keep, values, 0.0), keep.sum(axis=(1, 2))
 
 
@@ -388,7 +397,11 @@ class Plan:
         J1 = _depth(cfg.J1, n1, cfg.A, eps, cfg.threshold_mode)
         J2 = _depth(cfg.J2, n2, cfg.A, eps, cfg.threshold_mode)
         r1, r2 = 1 << J1, 1 << J2
-        theta = dwt2_array(np.tensordot(order.op, Y.data, axes=(1, 0)), spec, (r1, r2))
+        # Both time contractions are the 2-D np.dot that np.tensordot would
+        # build, without its Python setup: A Y over the n frames here and the
+        # Laguerre synthesis over the M orders below.
+        AY = np.dot(order.op, Y.data.reshape(Y.grid.n, -1)).reshape(M, n1, n2)
+        theta = dwt2_array(AY, spec, (r1, r2))
 
         keep_counts = total_counts = lambdas = disabled = None
         if not cfg.threshold_mode:
@@ -407,9 +420,8 @@ class Plan:
 
         # Synthesis: inverse wavelet transform of the M blocks, then Laguerre
         # evaluation in time (the two commute, and this order runs M transforms).
-        f_hat = np.tensordot(
-            order.basis.values, idwt2_array(theta, spec, self.shape), axes=(0, 0)
-        )
+        C = idwt2_array(theta, spec, self.shape)
+        f_hat = np.dot(order.basis.values.T, C.reshape(M, -1)).reshape(Y.grid.n, n1, n2)
 
         diag = Diagnostics(
             sigma_hat=sigma_hat,

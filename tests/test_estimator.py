@@ -18,7 +18,7 @@ from lagdeconv import (
     relative_error,
 )
 from lagdeconv import laguerre, simulate
-from lagdeconv.estimator import _depth, hard_threshold, thresholds
+from lagdeconv.estimator import Diagnostics, _depth, hard_threshold, thresholds
 from lagdeconv.laguerre import fit_coeffs, tabulate_basis
 from lagdeconv.toeplitz import build_G, select_M, solve_lower
 from lagdeconv.wavelet2d import dwt2_array, estimate_sigma, idwt2_array
@@ -118,6 +118,20 @@ class TestThresholds:
         with pytest.raises(ValueError, match=re.escape(msg)):
             thresholds(4, norms=inverse_norms(PHI0, 4), **settings)
 
+    # 2.5 used to raise numpy's IndexError and True to run as M = 1
+    @pytest.mark.parametrize(
+        "M", [2.5, 4.0, np.float64(4.0), True, False, 0, -1, np.int64(0), "4", None], ids=repr
+    )
+    def test_rejects_an_order_that_is_not_an_integer_of_at_least_one(self, M):
+        msg = f"M must be an integer >= 1, got {M!r}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            thresholds(M, 0.1, 1.0, inverse_norms(PHI0, 8))
+
+    @pytest.mark.parametrize("M", [np.int64(4), np.int32(4), np.uint8(4)], ids=repr)
+    def test_takes_a_numpy_integer_order_as_its_value(self, M):
+        norms = inverse_norms(PHI0, 8)
+        assert np.array_equal(thresholds(M, 0.1, 1.0, norms), thresholds(4, 0.1, 1.0, norms))
+
 
 class TestHardThreshold:
     def test_zero_thresholds_keep_everything(self):
@@ -147,6 +161,25 @@ class TestHardThreshold:
     def test_lambda_length_check(self):
         with pytest.raises(ValueError):
             hard_threshold(np.ones((3, 2, 2)), np.zeros(2))
+
+    # a (1, 1) True mask used to broadcast and keep every coefficient, and a
+    # 1-D mask to raise IndexError
+    @pytest.mark.parametrize(
+        "protect",
+        [np.ones((1, 1), dtype=bool), np.array([True, False]), np.ones((2, 3), dtype=bool),
+         np.zeros((2, 2, 2), dtype=bool), np.bool_(True)],
+        ids=["1x1", "1-D", "2x3", "3-D", "scalar"],
+    )
+    def test_rejects_a_protect_mask_of_another_shape(self, protect):
+        msg = f"protect mask has shape {protect.shape}, need (2, 2)"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            hard_threshold(np.ones((2, 2, 2)), np.full(2, 10.0), protect)
+
+    def test_takes_a_nested_list_mask(self):
+        t = np.array([[[0.1, 0.2], [0.3, 0.4]]])
+        out, counts = hard_threshold(t, np.array([10.0]), [[False, False], [False, True]])
+        assert np.array_equal(out, [[[0.0, 0.0], [0.0, 0.4]]])
+        assert list(counts) == [1]
 
 
 class TestDeconvolve:
@@ -651,6 +684,57 @@ class TestPlan:
         for Y in (other_shape, other_grid):
             with pytest.raises(ValueError):
                 plan.apply(Y)
+
+
+class TestApplyBitIdentity:
+    """`Plan.apply` against the pipeline written out with np.tensordot for
+    both time contractions and np.median of the per-frame sigma-hats: every
+    bit of the estimate and of the diagnostics must agree."""
+
+    @staticmethod
+    def reference(plan, Y):
+        cfg, spec, (n1, n2) = plan.cfg, plan.spec, plan.shape
+        sigma_hat = float(np.median([estimate_sigma(frame, spec) for frame in Y.data]))
+        eps = Y.grid.T * sigma_hat / math.sqrt(Y.grid.n)
+        M = cfg.M if cfg.M != "auto" else select_M(plan._order(plan._m_cap).norms, eps)
+        order = plan._order(M)
+        J1, J2 = (_depth(J, n, cfg.A, eps, True) for J, n in ((cfg.J1, n1), (cfg.J2, n2)))
+        r1, r2 = 1 << J1, 1 << J2
+        theta = dwt2_array(np.tensordot(order.op, Y.data, axes=(1, 0)), spec, (r1, r2))
+        lambdas = thresholds(M, eps, cfg.nu, order.norms)
+        protect = np.zeros((r1, r2), dtype=bool)
+        protect[0, 0] = True
+        theta, keep_counts = hard_threshold(theta, lambdas, protect)
+        f_hat = np.tensordot(order.basis.values, idwt2_array(theta, spec, (n1, n2)),
+                             axes=(0, 0))
+        diag = Diagnostics(
+            sigma_hat=sigma_hat, eps=eps, M=M, J1=J1, J2=J2,
+            rank=order.basis.projection_rank(cfg.rcond), keep_counts=keep_counts,
+            total_counts=np.full(M, r1 * r2), lambdas=lambdas,
+            omega_dropped=M * (n1 * n2 - r1 * r2), thresholds_disabled_reason=None,
+        )
+        return f_hat, diag
+
+    # an even and an odd frame count, so both branches of the median run
+    @pytest.mark.parametrize(
+        "n, M", [(32, 8), (31, 8), (64, "auto"), (63, "auto")],
+        ids=["32^3-M=8", "31x32^2-M=8", "64x32^2-M=auto", "63x32^2-M=auto"],
+    )
+    def test_apply_equals_the_written_out_pipeline(self, n, M):
+        grid = TimeGrid(n=n, T=5.0)
+        g = np.exp(-grid.points / 2.0)
+        plan = Plan(grid, (32, 32), g, WaveletSpec(), EstimatorConfig(M=M), g_zero=1.0)
+        rng = np.random.Generator(np.random.Philox(n))
+        for noise in (0.02, 0.2):
+            data = g[:, None, None] * cosine_field() + noise * rng.standard_normal((n, 32, 32))
+            Y = Cube(grid=grid, data=data)
+            before = Y.data.copy()
+            f_hat, diag = plan.apply(Y)
+            f_ref, d_ref = self.reference(plan, Y)
+            assert np.array_equal(Y.data, before)  # apply leaves its input alone
+            assert np.array_equal(f_hat.data, f_ref)
+            assert diag.to_dict() == d_ref.to_dict()
+            assert diag.thresholds_disabled_reason is None
 
 
 class TestDiagnostics:
