@@ -122,8 +122,7 @@ def _next_pow2(n: int) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = SimConfig(n=args.n, T=args.T, n1=args.n1, n2=args.n2,
-                    snr=args.snr, seed=args.seed)
+    cfg = SimConfig(n=args.n, T=args.T, n1=args.n1, n2=args.n2)
     f, q = _forward_model(args.function, cfg)
     Y, sigma = add_noise(q, args.snr, args.seed)
     out = Path(args.out)
@@ -211,9 +210,11 @@ def cmd_bench_table1(args) -> int:
 def cmd_norms(args) -> int:
     t, values = read_series(args.kernel)
     grid, series, zero_value = _series_to_grid(t, values)
-    basis = tabulate_basis(min(args.max_m, grid.n), grid)
-    g_hat = fit_coeffs(series, basis, zero_value=zero_value)
-    max_m = min(args.max_m, g_hat.m)
+    max_m = min(args.max_m, grid.n)
+    if max_m < args.max_m:
+        print(f"norms: --max-m {args.max_m} capped at the kernel's n = {grid.n} samples",
+              file=sys.stderr)
+    g_hat = fit_coeffs(series, tabulate_basis(max_m, grid), zero_value=zero_value)
     table = inverse_norms(g_hat, max_m)
     ms = np.arange(1, max_m + 1)
     slope = float("nan")

@@ -61,7 +61,7 @@ from .toeplitz import (
     select_M,
     solve_lower,
 )
-from .wavelet2d import WaveletSpec, _axes, _median, dwt2_array, estimate_sigma, idwt2_array
+from .wavelet2d import WaveletSpec, _median, dwt2_array, estimate_sigma, idwt2_array
 
 __all__ = [
     "Cube",
@@ -116,12 +116,11 @@ class EstimatorConfig:
 
     M:      Laguerre order, or "auto" for the rule
             M = max{m : ||(G^(m))^-1|| <= eps^-2} clamped to [1, m_cap].
-    J1, J2: wavelet truncation depths, or "auto" for 2^J = A^2 eps^-2
-            clamped to the grid's dyadic depth.
+    J1, J2: wavelet truncation depths, or "auto" for 2^J = eps^-2
+            clamped to each side's dyadic depth.
     nu:     threshold constant; the theory only bounds it through unknowable
             absolute constants, so the default is calibrated once against the
             reference simulation study and frozen.
-    A:      constant of the "auto" depths above, positive and finite.
     eps:    noise intensity, or "auto" for T*sigma_hat/sqrt(n) with sigma_hat
             the MAD of the finest wavelet details.
     threshold_mode: hard-threshold the coefficients of Omega(J1, J2);
@@ -135,19 +134,16 @@ class EstimatorConfig:
     J1: int | str = "auto"
     J2: int | str = "auto"
     nu: float = DEFAULT_NU
-    A: float = 1.0
     eps: float | str = "auto"
     threshold_mode: bool = True
     rcond: float = DEFAULT_RCOND
     m_cap: int = DEFAULT_M_CAP
 
     def __post_init__(self):
-        # Infinite values pass "> 0" but break the fit: eps and A reach
-        # log(1/eps) and the auto depth log2(A^2/eps^2), nu makes every lambda infinite.
-        for name in ("nu", "A"):
-            value = getattr(self, name)
-            if not (_is_real(value) and 0 < value < math.inf):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        # Infinite values pass "> 0" but break the fit: eps reaches log(1/eps)
+        # and the auto depth, nu makes every lambda infinite.
+        if not (_is_real(self.nu) and 0 < self.nu < math.inf):
+            raise ValueError(f"nu must be positive and finite, got {self.nu!r}")
         for name, low in (("M", 1), ("J1", 0), ("J2", 0)):
             value = getattr(self, name)
             if value != "auto" and not _is_int_at_least(value, low):
@@ -237,16 +233,12 @@ def thresholds(M: int, eps: float, nu: float, norms: InverseNormTable) -> np.nda
     return 2.0 * eps * np.sqrt(2.0 * nu * log_term / lv) * norms.spectral[lv - 1]
 
 
-def hard_threshold(
-    values: np.ndarray,
-    lambdas: np.ndarray,
-    protect: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def hard_threshold(values: np.ndarray, lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Zero every entry of theta[l, i1, i2] with |theta_{l;omega}| <= lambda_l.
 
-    `protect` is an optional (n1, n2) spatial mask of entries kept
-    regardless (the scaling coefficient).  Returns the thresholded array
-    and the per-l count of surviving entries.
+    The scaling coefficient theta[l, 0, 0] of every level is kept
+    regardless.  Returns the thresholded array and the per-l count of
+    surviving entries, the scaling coefficient included.
     """
     values = np.asarray(values, dtype=float)
     lambdas = np.asarray(lambdas, dtype=float)
@@ -254,29 +246,25 @@ def hard_threshold(
         raise ValueError(f"need (M, n1, n2) values and M thresholds, got "
                          f"{values.shape} and {lambdas.shape}")
     keep = np.abs(values) > lambdas[:, None, None]
-    if protect is not None:
-        protect = np.asarray(protect, dtype=bool)
-        if protect.shape != values.shape[1:]:  # a broadcast mask would keep whole rows
-            raise ValueError(f"protect mask has shape {protect.shape}, "
-                             f"need {values.shape[1:]} to match the values")
-        keep |= protect
+    keep[:, 0, 0] = True
     return np.where(keep, values, 0.0), keep.sum(axis=(1, 2))
 
 
-def _depth(J, n_side: int, A: float, eps: float, auto_on: bool) -> int:
+def _depth(J, n_side: int, eps: float, auto_on: bool) -> int:
     """Truncation depth along one axis, clamped to [0, log2 n_side].
 
-    J is an integer or "auto" for 2^J = A^2 eps^-2.  The auto rule exists to
-    control the variance of the thresholded estimator, so with thresholding
-    off (or eps = 0) it means full depth.  It is evaluated in logs, so no
-    finite A or eps overflows or divides by zero.
+    J is an integer or "auto" for 2^J = eps^-2, i.e. floor(-2 log2 eps).
+    The auto rule exists to control the variance of the thresholded
+    estimator, so with thresholding off (or eps = 0) it means full depth.
+    It is evaluated in logs, so no positive eps overflows or divides by
+    zero.
     """
     full = int(math.log2(n_side))
     if J != "auto":
         return min(int(J), full)
     if not auto_on or eps <= 0.0:
         return full
-    return min(max(math.floor(2.0 * (math.log2(A) - math.log2(eps))), 0), full)
+    return min(max(math.floor(-2.0 * math.log2(eps)), 0), full)
 
 
 @dataclass
@@ -304,7 +292,7 @@ class _Order:
 
 
 class Plan:
-    """The estimator for one grid, spatial shape, kernel, spec and config.
+    """The estimator for one grid, kernel, spec and config.
 
     A plan holds the work that does not depend on the observations: the
     kernel fit, the folded M x n time operator A = G^-1 P E (zero-slice
@@ -315,24 +303,23 @@ class Plan:
     builds the kernel state of one order, the only path that does, and
     caches it; A and the norm table are built on first read.  With
     M="auto" the rule reads the norm table of order m_cap, and the order it
-    chooses comes from the same cache.  `apply` does the per-cube work, so
-    one plan serves every cube that shares the kernel.  Its caches, and the
-    grid's, hold only idempotent derived state, so a plan is safe to share
+    chooses comes from the same cache.  None of this depends on the
+    raster: `apply` takes n1 and n2 from each cube, and the spec caches W
+    per side, so one plan serves every cube on its grid that shares the
+    kernel, whatever its dyadic raster.  Its caches, the grid's and the
+    spec's hold only idempotent derived state, so a plan is safe to share
     across threads.
     """
 
     def __init__(
         self,
         grid: TimeGrid,
-        shape: tuple[int, int],
         g_series: np.ndarray | None,
         spec: WaveletSpec,
         cfg: EstimatorConfig = EstimatorConfig(),
         g_zero: float | None = None,
         g_coeffs: LagCoeffs | None = None,
     ):
-        n1, n2 = shape
-        _axes(shape)  # both sides powers of two >= 2
         if (g_series is None) == (g_coeffs is None):
             raise ValueError("provide exactly one of g_series (kernel samples) "
                              "and g_coeffs (Laguerre coefficients)")
@@ -343,7 +330,7 @@ class Plan:
             g_series = np.array(g_series, dtype=float)  # kept for orders fitted later
             if g_series.shape != (grid.n,):
                 raise ValueError("kernel samples must live on the cube's time grid")
-        self.grid, self.shape, self.spec, self.cfg = grid, (n1, n2), spec, cfg
+        self.grid, self.spec, self.cfg = grid, spec, cfg
         self._g_series, self._g_zero, self._g_coeffs = g_series, g_zero, g_coeffs
         self._orders: dict[int, _Order] = {}
         if cfg.M == "auto":
@@ -371,11 +358,15 @@ class Plan:
         return self._orders[M]
 
     def apply(self, Y: Cube) -> tuple[Cube, Diagnostics]:
-        """Deconvolve one cube on the plan's grid and shape."""
-        if Y.grid != self.grid or (Y.n1, Y.n2) != self.shape:
-            raise ValueError("cube does not match the plan's time grid and spatial shape")
+        """Deconvolve one cube on the plan's grid.
+
+        Both sides of the raster must be powers of two >= 2; sigma-hat
+        rejects any other when it reads the first frame.
+        """
+        if Y.grid != self.grid:
+            raise ValueError("cube does not match the plan's time grid")
         cfg, spec = self.cfg, self.spec
-        n1, n2 = self.shape
+        n1, n2 = Y.n1, Y.n2
         sigma_hat = _sigma_hat(Y, spec)
         eps = (
             Y.grid.T * sigma_hat / math.sqrt(Y.grid.n)
@@ -394,8 +385,8 @@ class Plan:
         # depth the scaling coefficient is index 0 and level j holds indices
         # [2^j, 2^(j+1)), so Omega is the leading 2^J1 x 2^J2 block of the
         # coefficient array, and only that block is ever computed.
-        J1 = _depth(cfg.J1, n1, cfg.A, eps, cfg.threshold_mode)
-        J2 = _depth(cfg.J2, n2, cfg.A, eps, cfg.threshold_mode)
+        J1 = _depth(cfg.J1, n1, eps, cfg.threshold_mode)
+        J2 = _depth(cfg.J2, n2, eps, cfg.threshold_mode)
         r1, r2 = 1 << J1, 1 << J2
         # Both time contractions are the 2-D np.dot that np.tensordot would
         # build, without its Python setup: A Y over the n frames here and the
@@ -413,14 +404,12 @@ class Plan:
             if eps >= 1.0:
                 disabled = "eps >= 1"  # thresholds() warns and returns zeros
             lambdas = thresholds(M, eps, cfg.nu, order.norms)
-            protect = np.zeros((r1, r2), dtype=bool)
-            protect[0, 0] = True  # the scaling coefficient
-            theta, keep_counts = hard_threshold(theta, lambdas, protect)
+            theta, keep_counts = hard_threshold(theta, lambdas)
             total_counts = np.full(M, r1 * r2)
 
         # Synthesis: inverse wavelet transform of the M blocks, then Laguerre
         # evaluation in time (the two commute, and this order runs M transforms).
-        C = idwt2_array(theta, spec, self.shape)
+        C = idwt2_array(theta, spec, (n1, n2))
         f_hat = np.dot(order.basis.values.T, C.reshape(M, -1)).reshape(Y.grid.n, n1, n2)
 
         diag = Diagnostics(
@@ -452,7 +441,7 @@ def deconvolve(
     The kernel enters either as samples on Y's grid (`g_series`, optionally
     with its exact t = 0 value `g_zero`) or directly as Laguerre coefficients
     (`g_coeffs`).  Returns the estimate cube and diagnostics.  This builds a
-    `Plan` for Y's grid and shape and applies it once; cubes that share a
-    kernel can share one plan instead.
+    `Plan` for Y's grid and applies it once; cubes on one grid that share a
+    kernel can share one plan instead, whatever their rasters.
     """
-    return Plan(Y.grid, (Y.n1, Y.n2), g_series, spec, cfg, g_zero, g_coeffs).apply(Y)
+    return Plan(Y.grid, g_series, spec, cfg, g_zero, g_coeffs).apply(Y)

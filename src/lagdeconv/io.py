@@ -83,10 +83,12 @@ def read_cube(stem) -> Cube:
         raise FileFormatError(
             f"cube header {header_path} needs positive sizes and a positive finite T"
         )
-    if header.get("dtype", _HEADER_DTYPE) != _HEADER_DTYPE:
-        raise FileFormatError(f"unsupported dtype {header.get('dtype')!r}")
-    if header.get("endianness", _HEADER_ENDIAN) != _HEADER_ENDIAN:
-        raise FileFormatError(f"unsupported endianness {header.get('endianness')!r}")
+    # the one layout this reader decodes; a header may leave any of it out
+    for key, value in (("dtype", _HEADER_DTYPE), ("order", _HEADER_ORDER),
+                       ("endianness", _HEADER_ENDIAN)):
+        if header.get(key, value) != value:
+            raise FileFormatError(f"{header_path}: unsupported {key} {header[key]!r}, "
+                                  f"need {value!r}")
     expected = 8 * n * n1 * n2
     actual = bin_path.stat().st_size
     if actual != expected:
@@ -115,7 +117,8 @@ def write_series(path, t: np.ndarray, values: np.ndarray) -> Path:
 
 
 def read_series(path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a (t, value) CSV; enforces strictly increasing t."""
+    """Parse a (t, value) CSV; enforces finite entries and strictly
+    increasing t."""
     path = Path(path)
     t_vals: list[float] = []
     y_vals: list[float] = []
@@ -133,10 +136,14 @@ def read_series(path) -> tuple[np.ndarray, np.ndarray]:
         if len(row) < 2:
             raise FileFormatError(f"{path}: expected two columns, got {row!r}")
         try:
-            t_vals.append(float(row[0]))
-            y_vals.append(float(row[1]))
+            t_i, y_i = float(row[0]), float(row[1])
         except ValueError as exc:
             raise FileFormatError(f"{path}: non-numeric entry in {row!r}") from exc
+        # float() parses "nan" and "inf"; a NaN t would also pass the order check
+        if not (math.isfinite(t_i) and math.isfinite(y_i)):
+            raise FileFormatError(f"{path}: non-finite entry in {row!r}")
+        t_vals.append(t_i)
+        y_vals.append(y_i)
     t = np.array(t_vals)
     y = np.array(y_vals)
     if t.size == 0:

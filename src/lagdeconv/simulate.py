@@ -54,7 +54,6 @@ class SimConfig:
     T: float = 5.0
     n1: int = 32
     n2: int = 32
-    snr: float = 3.0
     seed: int = 1234
     runs: int = 100
 
@@ -62,8 +61,6 @@ class SimConfig:
         self.grid  # raises on a bad n or T
         if not (_is_int_at_least(self.n1, 1) and _is_int_at_least(self.n2, 1)):
             raise ValueError(f"n1 and n2 must be positive integers, got {(self.n1, self.n2)!r}")
-        if not (_is_real(self.snr) and self.snr > 0):
-            raise ValueError(f"snr must be a positive real, got {self.snr!r}")
         if not _is_int_at_least(self.seed, 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         # run_table1 reports a standard error across the runs
@@ -230,25 +227,23 @@ class Table1Row:
 def run_table1(
     cfg: SimConfig,
     est_cfg: EstimatorConfig | None = None,
-    spec: WaveletSpec | None = None,
     snrs: tuple[float, ...] = TABLE1_SNRS,
 ) -> list[Table1Row]:
     """Replicate the benchmark: 4 test functions x the SNR scenarios.
 
-    Each (function, snr) cell averages cfg.runs replicates, reporting the
-    mean relative error and its standard error.  Replicate i of every cell
-    adds sd(q)/snr times the same unit-normal draw from Philox(cfg.seed + i)
-    (common random numbers, exactly as `add_noise(q, snr, cfg.seed + i)`),
-    and that draw is made once per replicate, not once per cell.
+    Each (function, snr) cell averages cfg.runs replicates of the daub4
+    fit, as the reference values were made, reporting the mean relative
+    error and its standard error.  Replicate i of every cell adds sd(q)/snr
+    times the same unit-normal draw from Philox(cfg.seed + i) (common
+    random numbers, exactly as `add_noise(q, snr, cfg.seed + i)`), and that
+    draw is made once per replicate, not once per cell.
     """
     if est_cfg is None:
         est_cfg = EstimatorConfig(M=8)
-    if spec is None:
-        spec = WaveletSpec()
     g = default_kernel(cfg.grid.points)
     # Every replicate of every cell shares the grid, the kernel and the
     # settings, so one plan serves them all.
-    plan = Plan(cfg.grid, (cfg.n1, cfg.n2), g, spec, est_cfg, g_zero=1.0)
+    plan = Plan(cfg.grid, g, WaveletSpec(), est_cfg, g_zero=1.0)
     cells = []  # (fid, snr, f, ||f||, q, sigma) in row order
     for fid in TEST_FUNCTION_IDS:
         f, q = _forward_model(fid, cfg)
@@ -279,18 +274,16 @@ def run_table1(
 
 def run_single(
     fid: str,
+    snr: float,
     cfg: SimConfig,
     est_cfg: EstimatorConfig | None = None,
-    spec: WaveletSpec | None = None,
 ) -> tuple[float, Diagnostics]:
-    """One replicate of one cell, its noise seeded by cfg.seed; returns
-    (relative error, diagnostics)."""
+    """One replicate of one cell at one SNR, its noise seeded by cfg.seed,
+    fitted with daub4; returns (relative error, diagnostics)."""
     if est_cfg is None:
         est_cfg = EstimatorConfig(M=8)
-    if spec is None:
-        spec = WaveletSpec()
     f, q = _forward_model(fid, cfg)
-    Y, _ = add_noise(q, cfg.snr, cfg.seed)
+    Y, _ = add_noise(q, snr, cfg.seed)
     g = default_kernel(cfg.grid.points)
-    f_hat, diag = deconvolve(Y, g, spec, est_cfg, g_zero=1.0)
+    f_hat, diag = deconvolve(Y, g, WaveletSpec(), est_cfg, g_zero=1.0)
     return relative_error(f_hat, f), diag

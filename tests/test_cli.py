@@ -385,6 +385,60 @@ class TestNormsCommand:
         assert "M must be a positive integer" in capsys.readouterr().err
 
 
+    def test_max_m_above_the_samples_says_it_is_capped(self, tmp_path, capsys):
+        kpath = write_kernel_csv(tmp_path / "g.csv", TimeGrid(n=32, T=5.0))
+        assert run_cli("norms", "--kernel", str(kpath), "--max-m", "256") == 0
+        out, err = capsys.readouterr()
+        assert err == "norms: --max-m 256 capped at the kernel's n = 32 samples\n"
+        assert out.splitlines()[-1].startswith("32,") and len(out.splitlines()) == 34
+
+    @pytest.mark.parametrize("max_m", ["8", "32"])
+    def test_max_m_within_the_samples_is_silent(self, tmp_path, capsys, max_m):
+        kpath = write_kernel_csv(tmp_path / "g.csv", TimeGrid(n=32, T=5.0))
+        assert run_cli("norms", "--kernel", str(kpath), "--max-m", max_m) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and len(out.splitlines()) == 2 + int(max_m)
+
+
+class TestUndecodableInputs:
+    """A file the readers cannot decode exits 2 naming the file."""
+
+    def test_cube_of_another_order_exits_2(self, tmp_path, capsys):
+        grid = TimeGrid(n=8, T=5.0)
+        header_path, _ = write_cube(tmp_path / "c", Cube(grid=grid, data=np.ones((8, 4, 4))))
+        header = json.loads(header_path.read_text())
+        header["order"] = "x-major column-major"
+        header_path.write_text(json.dumps(header))
+        kpath = write_kernel_csv(tmp_path / "g.csv", grid)
+        code = run_cli("deconvolve", "--input", str(tmp_path / "c"),
+                       "--kernel", str(kpath), "--out", str(tmp_path / "f"))
+        assert code == 2
+        assert "unsupported order 'x-major column-major'" in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
+
+    @pytest.mark.parametrize("command", ["--kernel", "--kernel-coeffs", "norms"])
+    @pytest.mark.parametrize("bad", ["nan-t", "nan-value", "inf-value"])
+    def test_non_finite_series_exits_2(self, tmp_path, capsys, command, bad):
+        grid = TimeGrid(n=8, T=5.0)
+        # a kernel on the cube's grid, or its first 8 Laguerre coefficients
+        t = np.arange(8.0) if command == "--kernel-coeffs" else grid.points_with_zero
+        path = write_series(tmp_path / "g.csv", t, default_kernel(t))
+        lines = path.read_text().splitlines()
+        row_t, row_v = lines[3].split(",")  # the third data row
+        lines[3] = {"nan-t": f"nan,{row_v}", "nan-value": f"{row_t},nan",
+                    "inf-value": f"{row_t},inf"}[bad]
+        path.write_text("\n".join(lines) + "\n")
+        if command == "norms":
+            argv = ["norms", "--kernel", str(path)]
+        else:
+            write_cube(tmp_path / "c", Cube(grid=grid, data=np.ones((8, 4, 4))))
+            argv = ["deconvolve", "--input", str(tmp_path / "c"), command, str(path),
+                    "--M", "4", "--out", str(tmp_path / "f")]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert f"file error: {path}: non-finite entry in" in err
+
+
 class TestBenchCommand:
     def test_small_run_csv_shape(self, tmp_path, capsys):
         code = run_cli("bench-table1", "--runs", "2", "--seed", "9",

@@ -41,10 +41,10 @@ def level_of(size):
     return lev
 
 
-def eps_plan(grid, shape=(32, 32)):
+def eps_plan(grid):
     """A threshold-free plan whose fits report eps_hat in Diagnostics.eps."""
     cfg = EstimatorConfig(M=1, threshold_mode=False)
-    return Plan(grid, shape, np.exp(-grid.points / 2.0), WaveletSpec(), cfg, g_zero=1.0)
+    return Plan(grid, np.exp(-grid.points / 2.0), WaveletSpec(), cfg, g_zero=1.0)
 
 
 def eps_hat(plan, data):
@@ -54,7 +54,7 @@ def eps_hat(plan, data):
 
 class TestEstimateEps:
     def test_zero_cube(self):
-        plan = eps_plan(TimeGrid(n=8, T=5.0), (8, 8))
+        plan = eps_plan(TimeGrid(n=8, T=5.0))
         assert eps_hat(plan, np.zeros((8, 8, 8))) == 0.0
 
     def test_white_noise_calibration(self):
@@ -68,7 +68,7 @@ class TestEstimateEps:
         assert abs(np.mean(vals) - target) <= 0.1 * target
 
     def test_scale_equivariance(self):
-        plan = eps_plan(TimeGrid(n=16, T=5.0), (16, 16))
+        plan = eps_plan(TimeGrid(n=16, T=5.0))
         rng = np.random.default_rng(5)
         data = rng.standard_normal((16, 16, 16))
         e1 = eps_hat(plan, data)
@@ -140,46 +140,26 @@ class TestHardThreshold:
         assert np.array_equal(out, t)
         assert list(counts) == [4, 4]
 
-    def test_infinite_thresholds_zero_everything(self):
+    def test_infinite_thresholds_keep_only_the_scaling_coefficients(self):
         out, counts = hard_threshold(np.ones((2, 2, 2)), np.full(2, np.inf))
-        assert np.all(out == 0.0)
-        assert list(counts) == [0, 0]
+        assert np.array_equal(out, [[[1.0, 0.0], [0.0, 0.0]]] * 2)
+        assert list(counts) == [1, 1]
 
     def test_strict_inequality(self):
         out, counts = hard_threshold([[[0.5, -0.2]]], np.array([0.3]))
         assert np.array_equal(out, [[[0.5, 0.0]]])
         assert list(counts) == [1]
 
-    def test_protect_mask(self):
-        t = np.array([[[0.1, 0.2], [0.3, 0.4]]])
-        protect = np.array([[True, False], [False, False]])
-        out, counts = hard_threshold(t, np.array([10.0]), protect)
-        assert out[0, 0, 0] == 0.1
-        assert np.all(out.ravel()[1:] == 0.0)
-        assert list(counts) == [1]
+    def test_keeps_and_counts_the_scaling_coefficient_below_its_lambda(self):
+        # (l, 0, 0) survives at every level l, whatever its size or sign
+        t = np.array([[[0.1, 0.2], [0.3, 0.4]], [[-0.0, 5.0], [-6.0, 0.5]]])
+        out, counts = hard_threshold(t, np.array([10.0, 1.0]))
+        assert np.array_equal(out, [[[0.1, 0.0], [0.0, 0.0]], [[-0.0, 5.0], [-6.0, 0.0]]])
+        assert list(counts) == [1, 3]
 
     def test_lambda_length_check(self):
         with pytest.raises(ValueError):
             hard_threshold(np.ones((3, 2, 2)), np.zeros(2))
-
-    # a (1, 1) True mask used to broadcast and keep every coefficient, and a
-    # 1-D mask to raise IndexError
-    @pytest.mark.parametrize(
-        "protect",
-        [np.ones((1, 1), dtype=bool), np.array([True, False]), np.ones((2, 3), dtype=bool),
-         np.zeros((2, 2, 2), dtype=bool), np.bool_(True)],
-        ids=["1x1", "1-D", "2x3", "3-D", "scalar"],
-    )
-    def test_rejects_a_protect_mask_of_another_shape(self, protect):
-        msg = f"protect mask has shape {protect.shape}, need (2, 2)"
-        with pytest.raises(ValueError, match=re.escape(msg)):
-            hard_threshold(np.ones((2, 2, 2)), np.full(2, 10.0), protect)
-
-    def test_takes_a_nested_list_mask(self):
-        t = np.array([[[0.1, 0.2], [0.3, 0.4]]])
-        out, counts = hard_threshold(t, np.array([10.0]), [[False, False], [False, True]])
-        assert np.array_equal(out, [[[0.0, 0.0], [0.0, 0.4]]])
-        assert list(counts) == [1]
 
 
 class TestDeconvolve:
@@ -286,7 +266,7 @@ class TestDeconvolve:
         from lagdeconv.simulate import SimConfig, run_single
 
         deltas = [
-            run_single(fid, SimConfig(snr=snr, seed=77))[0] for snr in (3.0, 5.0, 7.0)
+            run_single(fid, snr, SimConfig(seed=77))[0] for snr in (3.0, 5.0, 7.0)
         ]
         assert deltas[0] >= deltas[1] >= deltas[2]
 
@@ -404,7 +384,7 @@ def old_order_deconvolve(Y, g, spec, cfg, g_zero):
             return min(int(J), top)
         if not cfg.threshold_mode or eps == 0.0:
             return top
-        ratio = cfg.A**2 / eps**2
+        ratio = 1.0 / eps**2
         return min(max(math.floor(math.log2(ratio)), 0), top) if ratio > 1 else 0
 
     lev1, lev2 = level_of(n1), level_of(n2)
@@ -464,19 +444,19 @@ def full_array_apply(plan, Y):
     Full n1 x n2 transform of the M slices, Omega(J1, J2) mask, hard
     threshold of the whole array, full inverse transform.
     """
-    cfg, spec, (n1, n2) = plan.cfg, plan.spec, plan.shape
+    cfg, spec, (n1, n2) = plan.cfg, plan.spec, Y.data.shape[1:]
     sigma = float(np.median([estimate_sigma(y, spec) for y in Y.data]))
     eps = Y.grid.T * sigma / math.sqrt(Y.grid.n) if cfg.eps == "auto" else float(cfg.eps)
     order = plan._order(cfg.M)
     theta = dwt2_array(np.tensordot(order.op, Y.data, axes=(1, 0)), spec)
-    J1, J2 = (_depth(J, n, cfg.A, eps, cfg.threshold_mode) for J, n in ((cfg.J1, n1), (cfg.J2, n2)))
+    J1, J2 = (_depth(J, n, eps, cfg.threshold_mode) for J, n in ((cfg.J1, n1), (cfg.J2, n2)))
     lev1, lev2 = level_of(n1), level_of(n2)
     in_omega = np.outer(lev1 < J1, lev2 < J2)
     theta = theta * in_omega
     keep_counts = lambdas = None
     if cfg.threshold_mode:
         lambdas = thresholds(cfg.M, eps, cfg.nu, order.norms)
-        theta, keep_counts = hard_threshold(theta, lambdas, np.outer(lev1 == -1, lev2 == -1))
+        theta, keep_counts = hard_threshold(theta, lambdas)
     f_hat = np.tensordot(order.basis.values, idwt2_array(theta, spec), axes=(0, 0))
     return f_hat, dict(
         J1=J1, J2=J2, omega_dropped=cfg.M * int((~in_omega).sum()), keep_counts=keep_counts,
@@ -501,7 +481,7 @@ class TestOmegaBlock:
         Y = Cube(grid=grid, data=g[:, None, None] * cosine_field(*shape)
                  + 0.2 * rng.standard_normal((16, *shape)))
         cfg = EstimatorConfig(M=6, J1=J1, J2=J2, eps=eps, threshold_mode=threshold_mode)
-        plan = Plan(grid, shape, g, WaveletSpec(family), cfg, g_zero=1.0)
+        plan = Plan(grid, g, WaveletSpec(family), cfg, g_zero=1.0)
 
         f_hat, diag = plan.apply(Y)
         f_ref, ref = full_array_apply(plan, Y)
@@ -560,7 +540,7 @@ class TestPlan:
         spec = WaveletSpec()
         g = np.exp(-grid.points / 2.0)
         A, B = self.cubes(grid)
-        plan = Plan(grid, (16, 16), g, spec, cfg, g_zero=1.0)
+        plan = Plan(grid, g, spec, cfg, g_zero=1.0)
         outs = [plan.apply(Y) for Y in (A, B, A)]
         fresh = [deconvolve(Y, g, spec, cfg, g_zero=1.0) for Y in (A, B)]
         (fa, da), (fb, db) = fresh
@@ -577,7 +557,7 @@ class TestPlan:
     def test_plans_with_different_kernels_on_one_grid_share_the_basis(self, cfg):
         grid = TimeGrid(n=32, T=5.0)
         kernels = [np.exp(-grid.points / 2.0), np.exp(-grid.points) * grid.points]
-        one, two = (Plan(grid, (16, 16), g, WaveletSpec(), cfg) for g in kernels)
+        one, two = (Plan(grid, g, WaveletSpec(), cfg) for g in kernels)
         (M,) = set(one._orders) & set(two._orders)
         assert one._orders[M].basis is two._orders[M].basis is grid._cache[M]
         assert one._orders[M].g_hat.values.tolist() != two._orders[M].g_hat.values.tolist()
@@ -585,7 +565,7 @@ class TestPlan:
     def test_a_second_auto_plan_on_the_grid_tabulates_and_factors_nothing(self, monkeypatch):
         grid = TimeGrid(n=64, T=5.0)
         A, B = self.cubes(grid)
-        Plan(grid, (16, 16), np.exp(-grid.points / 2.0), WaveletSpec()).apply(A)
+        Plan(grid, np.exp(-grid.points / 2.0), WaveletSpec()).apply(A)
         calls = {"rows": 0, "svd": 0}
 
         def counted(name, fn):
@@ -597,7 +577,7 @@ class TestPlan:
         monkeypatch.setattr(laguerre, "_phi_rows", counted("rows", laguerre._phi_rows))
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
         kernel = np.exp(-grid.points) * (1.0 + grid.points)
-        _, diag = Plan(grid, (16, 16), kernel, WaveletSpec()).apply(A)
+        _, diag = Plan(grid, kernel, WaveletSpec()).apply(A)
         assert diag.M in grid._cache
         assert calls == {"rows": 0, "svd": 0}
 
@@ -608,7 +588,7 @@ class TestPlan:
         grid = TimeGrid(n=64, T=5.0)
         A, B = self.cubes(grid)
         for g in (np.exp(-grid.points), grid.points * np.exp(-grid.points)):
-            Plan(grid, (16, 16), g, WaveletSpec(), cfg).apply(B)  # warms the grid
+            Plan(grid, g, WaveletSpec(), cfg).apply(B)  # warms the grid
         warmed = grid._cache[64 if cfg.M == "auto" else cfg.M]
         g = np.exp(-grid.points / 2.0)
         warm, dw = deconvolve(A, g, WaveletSpec(), cfg, g_zero=1.0)
@@ -623,7 +603,7 @@ class TestPlan:
     def test_warns_once_at_construction_when_M_exceeds_the_frames(self):
         grid = TimeGrid(n=16, T=5.0)
         with pytest.warns(UserWarning, match="M=40 exceeds the n=16 frames") as caught:
-            plan = Plan(grid, (8, 8), np.exp(-grid.points / 2.0), WaveletSpec(),
+            plan = Plan(grid, np.exp(-grid.points / 2.0), WaveletSpec(),
                         EstimatorConfig(M=40), g_zero=1.0)
         assert len(caught) == 1
         (Y,) = self.cubes(grid, (8, 8))[:1]
@@ -637,25 +617,25 @@ class TestPlan:
         grid = TimeGrid(n=32, T=5.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            plan = Plan(grid, (16, 16), np.exp(-grid.points / 2.0), WaveletSpec(),
+            plan = Plan(grid, np.exp(-grid.points / 2.0), WaveletSpec(),
                         EstimatorConfig(M=8), g_zero=1.0)
             _, diag = plan.apply(self.cubes(grid)[0])
         assert diag.rank == 5
 
     @pytest.mark.parametrize(
         "shape, message",
-        [((1, 8), "n1 must be a power of two >= 2, got 1"),
-         ((32.0, 32), "n1 must be a power of two >= 2, got 32.0"),
-         ((32, np.float64(32)), "n2 must be a power of two >= 2, got 32.0"),
-         ((True, 32), "n1 must be a power of two >= 2, got True")],
-        ids=["below-two", "float-n1", "numpy-float-n2", "bool-n1"],
+        [((12, 12), "n1 must be a power of two >= 2, got 12"),
+         ((1, 8), "n1 must be a power of two >= 2, got 1"),
+         ((8, 12), "n2 must be a power of two >= 2, got 12")],
+        ids=["12x12", "1x8", "8x12"],
     )
-    def test_rejects_a_bad_side_at_construction(self, shape, message):
-        # the wavelet layout is checked when the plan is built, not in apply
+    def test_rejects_a_bad_side_at_apply(self, shape, message):
+        # the plan holds no raster: sigma-hat checks each cube's first frame
         grid = TimeGrid(n=16, T=5.0)
+        plan = Plan(grid, np.exp(-grid.points / 2.0), WaveletSpec(), EstimatorConfig(M=4),
+                    g_zero=1.0)
         with pytest.raises(ValueError, match=re.escape(message)):
-            Plan(grid, shape, np.exp(-grid.points / 2.0), WaveletSpec(),
-                 EstimatorConfig(M=4), g_zero=1.0)
+            plan.apply(Cube(grid=grid, data=np.ones((16, *shape))))
 
     # Samples beside coefficients, or a t = 0 sample beside coefficients,
     # used to be ignored without a word: the fit read the coefficients alone.
@@ -672,18 +652,32 @@ class TestPlan:
         if g_series == "samples":
             g_series = np.exp(-grid.points / 2.0)
         with pytest.raises(ValueError, match=message):
-            Plan(grid, (8, 8), g_series, WaveletSpec(), EstimatorConfig(M=4),
+            Plan(grid, g_series, WaveletSpec(), EstimatorConfig(M=4),
                  g_zero=g_zero, g_coeffs=g_coeffs)
 
-    def test_rejects_a_cube_of_another_grid_or_shape(self):
+    def test_rejects_a_cube_of_another_grid(self):
         grid = TimeGrid(n=32, T=5.0)
-        plan = Plan(grid, (16, 16), np.exp(-grid.points / 2.0), WaveletSpec(),
+        plan = Plan(grid, np.exp(-grid.points / 2.0), WaveletSpec(),
                     EstimatorConfig(M=4), g_zero=1.0)
-        (other_shape,) = self.cubes(grid, (16, 8))[:1]
         (other_grid,) = self.cubes(TimeGrid(n=32, T=6.0))[:1]
-        for Y in (other_shape, other_grid):
-            with pytest.raises(ValueError):
-                plan.apply(Y)
+        with pytest.raises(ValueError, match="time grid"):
+            plan.apply(other_grid)
+
+    @pytest.mark.parametrize(
+        "cfg", [EstimatorConfig(M=8), EstimatorConfig(m_cap=16)], ids=["M=8", "M=auto"]
+    )
+    def test_one_plan_serves_cubes_of_two_rasters(self, cfg):
+        # no plan state depends on n1 x n2: W is cached per side on the spec
+        grid = TimeGrid(n=32, T=5.0)
+        g = np.exp(-grid.points / 2.0)
+        plan = Plan(grid, g, WaveletSpec(), cfg, g_zero=1.0)
+        square, wide = self.cubes(grid, (16, 16)), self.cubes(grid, (32, 8))
+        for Y in (square[0], wide[0], square[1], wide[1], square[0]):
+            f_hat, diag = plan.apply(Y)
+            f_ref, d_ref = deconvolve(Y, g, WaveletSpec(), cfg, g_zero=1.0)
+            assert f_hat.data.shape == Y.data.shape
+            assert np.array_equal(f_hat.data, f_ref.data)
+            assert diag.to_dict() == d_ref.to_dict()
 
 
 class TestApplyBitIdentity:
@@ -693,18 +687,16 @@ class TestApplyBitIdentity:
 
     @staticmethod
     def reference(plan, Y):
-        cfg, spec, (n1, n2) = plan.cfg, plan.spec, plan.shape
+        cfg, spec, (n1, n2) = plan.cfg, plan.spec, Y.data.shape[1:]
         sigma_hat = float(np.median([estimate_sigma(frame, spec) for frame in Y.data]))
         eps = Y.grid.T * sigma_hat / math.sqrt(Y.grid.n)
         M = cfg.M if cfg.M != "auto" else select_M(plan._order(plan._m_cap).norms, eps)
         order = plan._order(M)
-        J1, J2 = (_depth(J, n, cfg.A, eps, True) for J, n in ((cfg.J1, n1), (cfg.J2, n2)))
+        J1, J2 = (_depth(J, n, eps, True) for J, n in ((cfg.J1, n1), (cfg.J2, n2)))
         r1, r2 = 1 << J1, 1 << J2
         theta = dwt2_array(np.tensordot(order.op, Y.data, axes=(1, 0)), spec, (r1, r2))
         lambdas = thresholds(M, eps, cfg.nu, order.norms)
-        protect = np.zeros((r1, r2), dtype=bool)
-        protect[0, 0] = True
-        theta, keep_counts = hard_threshold(theta, lambdas, protect)
+        theta, keep_counts = hard_threshold(theta, lambdas)
         f_hat = np.tensordot(order.basis.values, idwt2_array(theta, spec, (n1, n2)),
                              axes=(0, 0))
         diag = Diagnostics(
@@ -723,7 +715,7 @@ class TestApplyBitIdentity:
     def test_apply_equals_the_written_out_pipeline(self, n, M):
         grid = TimeGrid(n=n, T=5.0)
         g = np.exp(-grid.points / 2.0)
-        plan = Plan(grid, (32, 32), g, WaveletSpec(), EstimatorConfig(M=M), g_zero=1.0)
+        plan = Plan(grid, g, WaveletSpec(), EstimatorConfig(M=M), g_zero=1.0)
         rng = np.random.Generator(np.random.Philox(n))
         for noise in (0.02, 0.2):
             data = g[:, None, None] * cosine_field() + noise * rng.standard_normal((n, 32, 32))
@@ -769,11 +761,10 @@ class TestDiagnostics:
         if reason == "eps >= 1":
             assert np.all(diag.lambdas == 0.0)
 
-    # Formed directly, A^2 / eps^2 divides by zero for eps <= 1e-162 and
-    # overflows for A >= 1e160; the depth must not depend on it.
+    # Formed directly, eps^-2 divides by zero for eps <= 1e-162; the depth
+    # must not depend on it.
     @pytest.mark.parametrize(
-        "cfg, depth",
-        [({"eps": 1e-170}, 4), ({"eps": 1e-300}, 4), ({"A": 1e200}, 4), ({"A": 1e-200}, 0)],
+        "cfg, depth", [({"eps": 1e-170}, 4), ({"eps": 1e-300}, 4), ({"eps": 0.3}, 3)]
     )
     def test_auto_depth_at_extreme_scales(self, cfg, depth):
         diag = self.fit(0.05, **cfg)
@@ -854,9 +845,14 @@ class TestConfigValidation:
         with pytest.raises(TypeError, match="sigma_robust"):
             EstimatorConfig(sigma_robust=False)
 
-    # An infinite eps or A fails deep in the fit (log(1/eps),
-    # floor(log2(A^2/eps^2))); nu = inf runs and zeroes every detail.
-    @pytest.mark.parametrize("field", ["nu", "A", "eps"])
+    def test_has_no_depth_constant_field(self):
+        # the auto depth is 2^J = eps^-2, the paper's rule with its constant at 1
+        with pytest.raises(TypeError, match="'A'"):
+            EstimatorConfig(A=2.0)
+
+    # An infinite eps fails deep in the fit (log(1/eps), floor(-2 log2 eps));
+    # nu = inf runs and zeroes every detail.
+    @pytest.mark.parametrize("field", ["nu", "eps"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_rejects_nonfinite_constants(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be .*finite"):
@@ -878,15 +874,15 @@ class TestConfigValidation:
     def test_accepts_a_numpy_integer_for_an_integer_setting(self, field):
         assert getattr(EstimatorConfig(**{field: np.int64(8)}), field) == 8
 
-    # nu=True, A=True and eps=True used to fit as 1.0, rcond=False as 0.0;
+    # nu=True and eps=True used to fit as 1.0, rcond=False as 0.0;
     # nu="1" raised a TypeError from the comparison.
-    @pytest.mark.parametrize("field", ["nu", "A", "eps", "rcond"])
+    @pytest.mark.parametrize("field", ["nu", "eps", "rcond"])
     @pytest.mark.parametrize("value", [True, False, "1", None], ids=repr)
     def test_rejects_a_real_setting_that_is_not_a_real_number(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must .*, got {re.escape(repr(value))}"):
             EstimatorConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["nu", "A", "eps", "rcond"])
+    @pytest.mark.parametrize("field", ["nu", "eps", "rcond"])
     @pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5)], ids=repr)
     def test_accepts_a_numpy_float_for_a_real_setting(self, field, value):
         assert getattr(EstimatorConfig(**{field: value}), field) == 0.5

@@ -1,8 +1,11 @@
 """Every name a module exports in `__all__` exists there, and only once; the
 package exports exactly the public API, and only names its submodules
-export."""
+export.  The settable surface, config fields and the parameters of the
+entry points, is pinned by name."""
 
+import dataclasses
 import importlib
+import inspect
 
 import pytest
 
@@ -54,3 +57,37 @@ def test_package_names_come_from_a_submodule_all():
         )
     ]
     assert not orphans, f"lagdeconv.__all__ names no submodule exports: {orphans}"
+
+
+# Every setting a caller can pass, by name and in order: an input added or
+# removed is an API change, so it shows up here as a deliberate edit.
+SETTABLE_FIELDS = {
+    "estimator.EstimatorConfig": (
+        "M", "J1", "J2", "nu", "eps", "threshold_mode", "rcond", "m_cap",
+    ),
+    "simulate.SimConfig": ("n", "T", "n1", "n2", "seed", "runs"),
+}
+
+PARAMETERS = {
+    "estimator.Plan": ("grid", "g_series", "spec", "cfg", "g_zero", "g_coeffs"),
+    "estimator.deconvolve": ("Y", "g_series", "spec", "cfg", "g_zero", "g_coeffs"),
+    "estimator.hard_threshold": ("values", "lambdas"),
+    "simulate.run_table1": ("cfg", "est_cfg", "snrs"),
+    "simulate.run_single": ("fid", "snr", "cfg", "est_cfg"),
+}
+
+
+def _resolve(where: str):
+    module, name = where.split(".")
+    return getattr(importlib.import_module(f"lagdeconv.{module}"), name)
+
+
+@pytest.mark.parametrize("where", SETTABLE_FIELDS)
+def test_config_fields_are_pinned(where):
+    names = tuple(f.name for f in dataclasses.fields(_resolve(where)))
+    assert names == SETTABLE_FIELDS[where]
+
+
+@pytest.mark.parametrize("where", PARAMETERS)
+def test_parameters_are_pinned(where):
+    assert tuple(inspect.signature(_resolve(where)).parameters) == PARAMETERS[where]

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -81,6 +84,30 @@ class TestCubeFile:
         with pytest.raises(FileFormatError):
             read_cube(tmp_path / "c")
 
+    # "order" used to be ignored: an x-major header read as t-major
+    @pytest.mark.parametrize(
+        "key, value",
+        [("order", "x-major column-major"), ("order", "t-major column-major"),
+         ("order", None), ("dtype", "f32"), ("endianness", "big")],
+        ids=repr,
+    )
+    def test_rejects_a_layout_it_does_not_decode(self, tmp_path, key, value):
+        header_path, _ = write_cube(tmp_path / "c", random_cube())
+        header = json.loads(header_path.read_text())
+        header[key] = value
+        header_path.write_text(json.dumps(header))
+        with pytest.raises(FileFormatError, match=re.escape(f"unsupported {key} {value!r}")):
+            read_cube(tmp_path / "c")
+
+    @pytest.mark.parametrize("key", ["order", "dtype", "endianness"])
+    def test_reads_a_header_that_leaves_out_a_layout_field(self, tmp_path, key):
+        cube = random_cube()
+        header_path, _ = write_cube(tmp_path / "c", cube)
+        header = json.loads(header_path.read_text())
+        del header[key]
+        header_path.write_text(json.dumps(header))
+        assert read_cube(tmp_path / "c").data.tobytes() == cube.data.tobytes()
+
     def test_malformed_header(self, tmp_path):
         cube = random_cube()
         header_path, _ = write_cube(tmp_path / "c", cube)
@@ -121,3 +148,13 @@ class TestSeriesFile:
         t, v = read_series(tmp_path / "plain.csv")
         assert list(t) == [0.5, 1.0]
         assert list(v) == [1.0, 2.0]
+
+    # float() parses these; a NaN t also passed the strictly-increasing check
+    # and a non-finite value failed later without naming the file
+    @pytest.mark.parametrize("row", ["nan,1.0", "1.0,nan", "1.0,inf", "1.0,-inf", "inf,1.0"])
+    def test_rejects_a_non_finite_entry_naming_the_file_and_row(self, tmp_path, row):
+        path = tmp_path / "s.csv"
+        path.write_text(f"t,value\n0.5,1.0\n{row}\n2.0,3.0\n")
+        msg = f"{path}: non-finite entry in {row.split(',')!r}"
+        with pytest.raises(FileFormatError, match=re.escape(msg)):
+            read_series(path)

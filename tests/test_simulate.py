@@ -24,6 +24,7 @@ from lagdeconv.simulate import (
     default_kernel,
     eval_test_function,
     forward_convolve,
+    run_single,
     run_table1,
     zero_time_slice,
 )
@@ -32,9 +33,9 @@ from lagdeconv.simulate import (
 class TestSimConfig:
     @pytest.mark.parametrize("kwargs", [
         {"T": math.inf}, {"T": 0.0}, {"n": 2.5}, {"n": 0},
-        {"n1": 2.5}, {"n2": 2.5}, {"n1": 0}, {"n2": "32"}, {"snr": 0.0},
+        {"n1": 2.5}, {"n2": 2.5}, {"n1": 0}, {"n2": "32"},
     ], ids=repr)
-    def test_rejects_a_bad_grid_or_snr_when_built(self, kwargs):
+    def test_rejects_a_bad_grid_when_built(self, kwargs):
         # T and n are checked by the TimeGrid the config builds; n = 2.5
         # and T = inf used to construct and fail on the first .grid, and
         # n1 = 2.5 built a 3-pixel axis reaching x = 1.2
@@ -74,16 +75,11 @@ class TestSimConfig:
     def test_accepts_a_numpy_integer_size(self, field):
         assert getattr(SimConfig(**{field: np.int64(8)}), field) == 8
 
-    # snr=True used to run as an SNR of 1.0
-    @pytest.mark.parametrize("snr", [True, False, "3", None], ids=repr)
-    def test_rejects_an_snr_that_is_not_a_real_number(self, snr):
-        msg = f"snr must be a positive real, got {snr!r}"
-        with pytest.raises(ValueError, match=re.escape(msg)):
-            SimConfig(snr=snr)
-
-    @pytest.mark.parametrize("snr", [np.float64(3.0), np.float32(3.0), np.int64(3)], ids=repr)
-    def test_accepts_a_numpy_real_snr(self, snr):
-        assert SimConfig(snr=snr).snr == 3.0
+    # run_table1 ignored an snr field and ran its snrs; the SNR is an
+    # argument of run_table1, run_single and add_noise, which check it
+    def test_has_no_snr_field(self):
+        with pytest.raises(TypeError, match="'snr'"):
+            SimConfig(snr=5.0)
 
     def test_builds_one_grid(self):
         cfg = SimConfig()
@@ -314,8 +310,8 @@ class TestAddNoise:
     def test_eps_hat_tracks_injected_noise(self):
         q = self.base_cube()
         cfg = SimConfig()
-        plan = Plan(cfg.grid, (cfg.n1, cfg.n2), default_kernel(cfg.grid.points),
-                    WaveletSpec(), EstimatorConfig(M=1, threshold_mode=False), g_zero=1.0)
+        plan = Plan(cfg.grid, default_kernel(cfg.grid.points), WaveletSpec(),
+                    EstimatorConfig(M=1, threshold_mode=False), g_zero=1.0)
         ratios = []
         for seed in range(100):
             Y, sigma = add_noise(q, 3.0, seed)
@@ -430,7 +426,7 @@ class TestRunTable1:
         cfg = SimConfig(n=32, n1=16, n2=16, runs=3, seed=17)
         snrs = (3.0, 7.0)
         g = default_kernel(cfg.grid.points)
-        plan = Plan(cfg.grid, (cfg.n1, cfg.n2), g, WaveletSpec(), est, g_zero=1.0)
+        plan = Plan(cfg.grid, g, WaveletSpec(), est, g_zero=1.0)
         expected = []
         for fid in TEST_FUNCTION_IDS:
             f = eval_test_function(fid, cfg)
@@ -463,3 +459,23 @@ class TestRunTable1:
         for ra, rb in zip(rows_a, rows_b):
             pooled = np.hypot(ra.stderr, rb.stderr)
             assert abs(ra.mean_delta - rb.mean_delta) <= 3.0 * pooled
+
+
+class TestRunSingle:
+    @pytest.mark.parametrize("snr", [3.0, 7.0])
+    def test_is_one_seeded_fit_at_the_given_snr(self, snr):
+        cfg = SimConfig(n=16, n1=16, n2=16, seed=21)
+        delta, diag = run_single("f2", snr, cfg)
+        f = eval_test_function("f2", cfg)
+        g = default_kernel(cfg.grid.points)
+        q = forward_convolve(f, g, g_zero=1.0, f_zero=zero_time_slice("f2", cfg))
+        Y, _ = add_noise(q, snr, cfg.seed)
+        f_hat, d_ref = deconvolve(Y, g, WaveletSpec(), EstimatorConfig(M=8), g_zero=1.0)
+        assert delta == relative_error(f_hat, f)
+        assert diag.to_dict() == d_ref.to_dict()
+
+    @pytest.mark.parametrize("snr", [0.0, -3.0, True, None], ids=repr)
+    def test_rejects_an_snr_through_add_noise(self, snr):
+        msg = f"snr must be a positive real, got {snr!r}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            run_single("f1", snr, SimConfig(n=8, n1=8, n2=8))
