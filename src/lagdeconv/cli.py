@@ -117,6 +117,17 @@ def _kernel_on_grid(args, grid: TimeGrid):
     return values, zero_value
 
 
+def _kernel_coeffs(path) -> LagCoeffs:
+    """Laguerre coefficients from --kernel-coeffs, indexed exactly 0..m-1."""
+    index, values = read_series(path)
+    bad = np.flatnonzero(index != np.arange(index.size))
+    if bad.size:
+        k = int(bad[0])
+        raise FileFormatError(f"{path}: data row {k + 1} has index {index[k]:g}, "
+                              f"need {k}: indices must run 0, 1, ..., m-1")
+    return LagCoeffs(values)
+
+
 def _next_pow2(n: int) -> int:
     return 1 << max(1, (n - 1).bit_length())
 
@@ -147,8 +158,7 @@ def cmd_deconvolve(args) -> int:
 
     g_series = g_zero = g_coeffs = None
     if args.kernel_coeffs is not None:
-        _, coeff_values = read_series(args.kernel_coeffs)
-        g_coeffs = LagCoeffs(coeff_values)
+        g_coeffs = _kernel_coeffs(args.kernel_coeffs)
     else:
         g_series, g_zero = _kernel_on_grid(args, Y.grid)
 

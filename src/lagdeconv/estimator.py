@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -159,14 +159,18 @@ class EstimatorConfig:
 
 @dataclass
 class Diagnostics:
-    """What the pipeline actually did, for logs and JSON output."""
+    """What the pipeline actually did, for logs and JSON output.
+
+    The field names are the JSON keys: `to_dict` maps each field to its
+    value, arrays as lists and numpy scalars as Python scalars.
+    """
 
     sigma_hat: float
-    eps: float
+    eps_hat: float
     M: int
     J1: int
     J2: int
-    rank: int
+    projection_rank: int
     keep_counts: np.ndarray | None
     total_counts: np.ndarray | None
     lambdas: np.ndarray | None
@@ -176,25 +180,12 @@ class Diagnostics:
     thresholds_disabled_reason: str | None
 
     def to_dict(self) -> dict:
-        return {
-            "sigma_hat": self.sigma_hat,
-            "eps_hat": self.eps,
-            "M": self.M,
-            "J1": self.J1,
-            "J2": self.J2,
-            "projection_rank": self.rank,
-            "keep_counts": None
-            if self.keep_counts is None
-            else [int(k) for k in self.keep_counts],
-            "total_counts": None
-            if self.total_counts is None
-            else [int(k) for k in self.total_counts],
-            "lambdas": None
-            if self.lambdas is None
-            else [float(v) for v in self.lambdas],
-            "omega_dropped": self.omega_dropped,
-            "thresholds_disabled_reason": self.thresholds_disabled_reason,
-        }
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(value):
+    """value with arrays as lists and numpy scalars as Python scalars."""
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
 
 
 def _projector(basis: LaguerreBasis, rcond: float) -> np.ndarray:
@@ -334,7 +325,7 @@ class Plan:
         self._g_series, self._g_zero, self._g_coeffs = g_series, g_zero, g_coeffs
         self._orders: dict[int, _Order] = {}
         if cfg.M == "auto":
-            self._m_cap = min(cfg.m_cap, grid.n, grid.n if g_coeffs is None else g_coeffs.m)
+            self._m_cap = int(min(cfg.m_cap, grid.n, grid.n if g_coeffs is None else g_coeffs.m))
             self._order(self._m_cap)
             return
         if cfg.M > grid.n:
@@ -414,11 +405,11 @@ class Plan:
 
         diag = Diagnostics(
             sigma_hat=sigma_hat,
-            eps=eps,
+            eps_hat=eps,
             M=M,
             J1=J1,
             J2=J2,
-            rank=order.basis.projection_rank(cfg.rcond),
+            projection_rank=order.basis.projection_rank(cfg.rcond),
             keep_counts=keep_counts,
             total_counts=total_counts,
             lambdas=lambdas,

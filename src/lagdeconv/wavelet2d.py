@@ -42,7 +42,6 @@ from .laguerre import _is_int_at_least
 
 __all__ = [
     "WaveletSpec",
-    "wavelet_taps",
     "dwt2_array",
     "idwt2_array",
     "estimate_sigma",
@@ -67,16 +66,6 @@ _BLOCK = 16
 _DENSE_WORK = 2**21
 
 
-def wavelet_taps(family: str) -> np.ndarray:
-    """Lowpass taps of a named orthogonal family."""
-    try:
-        return _TAP_REGISTRY[family].copy()
-    except KeyError:
-        raise ValueError(
-            f"unknown wavelet family {family!r}; have {sorted(_TAP_REGISTRY)}"
-        ) from None
-
-
 @dataclass(frozen=True)
 class WaveletSpec:
     """Filter family of the spatial transform, which runs at full depth.
@@ -90,11 +79,15 @@ class WaveletSpec:
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        wavelet_taps(self.family)  # rejects an unknown family
+        if self.family not in _TAP_REGISTRY:
+            raise ValueError(
+                f"unknown wavelet family {self.family!r}; have {sorted(_TAP_REGISTRY)}"
+            )
 
     @property
     def taps(self) -> np.ndarray:
-        return wavelet_taps(self.family)
+        """Lowpass taps of the family, a fresh copy."""
+        return _TAP_REGISTRY[self.family].copy()
 
     @property
     def highpass(self) -> np.ndarray:

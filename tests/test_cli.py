@@ -259,6 +259,23 @@ class TestDeconvolveCommand:
         assert code == 0
         assert read_cube(tmp_path / "fhat").data.shape == (32, 32, 32)
 
+    # The first column is the coefficient's index: a gap or an offset used to
+    # be read as if the rows ran 0, 1, 2, ...
+    @pytest.mark.parametrize(
+        "index, row", [((0.0, 1.0, 5.0), "data row 3 has index 5, need 2"),
+                       ((1.0, 2.0, 3.0), "data row 1 has index 1, need 0")],
+        ids=["gap", "offset"],
+    )
+    def test_kernel_coeffs_with_other_indices_exit_2(self, tmp_path, capsys, index, row):
+        grid = TimeGrid(n=8, T=5.0)
+        write_cube(tmp_path / "c", Cube(grid=grid, data=np.ones((8, 4, 4))))
+        path = write_series(tmp_path / "gc.csv", np.array(index), np.array([1.0, 0.0, 0.5]))
+        code = run_cli("deconvolve", "--input", str(tmp_path / "c"),
+                       "--kernel-coeffs", str(path), "--M", "3", "--out", str(tmp_path / "f"))
+        assert code == 2
+        assert f"file error: {path}: {row}" in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
+
     def test_rcond_one_exits_1(self, tmp_path, capsys):
         # rcond = 1 cuts every singular value: the fit would return f_hat = 0
         out = self.simulate_fixture(tmp_path, n=32, T=5.0, snr="5")

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import warnings
@@ -42,14 +43,14 @@ def level_of(size):
 
 
 def eps_plan(grid):
-    """A threshold-free plan whose fits report eps_hat in Diagnostics.eps."""
+    """A threshold-free plan whose fits report Diagnostics.eps_hat."""
     cfg = EstimatorConfig(M=1, threshold_mode=False)
     return Plan(grid, np.exp(-grid.points / 2.0), WaveletSpec(), cfg, g_zero=1.0)
 
 
 def eps_hat(plan, data):
     """The eps a fit of this cube uses: T * sigma_hat / sqrt(n)."""
-    return plan.apply(Cube(grid=plan.grid, data=data))[1].eps
+    return plan.apply(Cube(grid=plan.grid, data=data))[1].eps_hat
 
 
 class TestEstimateEps:
@@ -178,7 +179,7 @@ class TestDeconvolve:
         )
         assert relative_error(f_hat, f_true) < 1e-3
         assert diag.M == 8
-        assert diag.rank == 8  # long grid: nothing truncated
+        assert diag.projection_rank == 8  # long grid: nothing truncated
 
     def test_a_32_cube_fit_caches_one_matrix(self):
         # the transforms and sigma-hat all read the one W of the 32-pixel axis
@@ -610,7 +611,7 @@ class TestPlan:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, diag = plan.apply(Y)
-        assert diag.M == 40 and diag.rank < grid.n
+        assert diag.M == 40 and diag.projection_rank < grid.n
 
     def test_silent_when_M_is_within_the_frames(self):
         # M = 8 on 32 frames (the benchmark's setting) fits rank 5: normal
@@ -620,7 +621,7 @@ class TestPlan:
             plan = Plan(grid, np.exp(-grid.points / 2.0), WaveletSpec(),
                         EstimatorConfig(M=8), g_zero=1.0)
             _, diag = plan.apply(self.cubes(grid)[0])
-        assert diag.rank == 5
+        assert diag.projection_rank == 5
 
     @pytest.mark.parametrize(
         "shape, message",
@@ -700,8 +701,8 @@ class TestApplyBitIdentity:
         f_hat = np.tensordot(order.basis.values, idwt2_array(theta, spec, (n1, n2)),
                              axes=(0, 0))
         diag = Diagnostics(
-            sigma_hat=sigma_hat, eps=eps, M=M, J1=J1, J2=J2,
-            rank=order.basis.projection_rank(cfg.rcond), keep_counts=keep_counts,
+            sigma_hat=sigma_hat, eps_hat=eps, M=M, J1=J1, J2=J2,
+            projection_rank=order.basis.projection_rank(cfg.rcond), keep_counts=keep_counts,
             total_counts=np.full(M, r1 * r2), lambdas=lambdas,
             omega_dropped=M * (n1 * n2 - r1 * r2), thresholds_disabled_reason=None,
         )
@@ -791,6 +792,31 @@ class TestDiagnostics:
         assert np.all(diag.total_counts == 4 * 8)
         assert self.fit(0.05, threshold_mode=False).omega_dropped == 0
         assert diag.to_dict()["omega_dropped"] == diag.omega_dropped
+
+    # With M="auto" and eps = 0 the order is the cap min(m_cap, n, ...), which
+    # a numpy integer among the inputs used to carry into M and omega_dropped.
+    @pytest.mark.parametrize(
+        "grid, cfg",
+        [(TimeGrid(n=16, T=5.0), EstimatorConfig(M="auto", m_cap=np.int64(8), eps=0.0)),
+         (TimeGrid(n=np.int64(8), T=5.0), EstimatorConfig(eps=0.0))],
+        ids=["numpy-m_cap", "numpy-n"],
+    )
+    def test_numpy_integer_inputs_give_python_ints(self, grid, cfg):
+        Y = Cube(grid=grid, data=np.ones((grid.n, 8, 8)))
+        with pytest.warns(UserWarning, match="eps = 0"):
+            diag = deconvolve(Y, np.exp(-grid.points / 2.0), WaveletSpec(), cfg,
+                              g_zero=1.0)[1]
+        assert type(diag.M) is int and type(diag.omega_dropped) is int
+        assert json.loads(json.dumps(diag.to_dict()))["M"] == 8
+
+    def test_to_dict_turns_numpy_values_into_python_ones(self):
+        diag = self.fit(0.05)
+        diag.M, diag.sigma_hat = np.int64(4), np.float64(diag.sigma_hat)
+        d = diag.to_dict()
+        assert type(d["M"]) is int and type(d["sigma_hat"]) is float
+        assert d["keep_counts"] == [int(k) for k in diag.keep_counts]
+        assert d["lambdas"] == [float(v) for v in diag.lambdas]
+        assert json.loads(json.dumps(d)) == d
 
 
 class TestConfigValidation:

@@ -7,6 +7,7 @@ import dataclasses
 import importlib
 import inspect
 
+import numpy as np
 import pytest
 
 MODULES = [
@@ -77,6 +78,14 @@ PARAMETERS = {
 }
 
 
+# What a fit reports, by name and in order: each field is also its key in
+# `to_dict()` and in the CLI's --diagnostics JSON.
+DIAGNOSTICS_FIELDS = (
+    "sigma_hat", "eps_hat", "M", "J1", "J2", "projection_rank", "keep_counts",
+    "total_counts", "lambdas", "omega_dropped", "thresholds_disabled_reason",
+)
+
+
 def _resolve(where: str):
     module, name = where.split(".")
     return getattr(importlib.import_module(f"lagdeconv.{module}"), name)
@@ -91,3 +100,18 @@ def test_config_fields_are_pinned(where):
 @pytest.mark.parametrize("where", PARAMETERS)
 def test_parameters_are_pinned(where):
     assert tuple(inspect.signature(_resolve(where)).parameters) == PARAMETERS[where]
+
+
+def test_diagnostics_fields_are_pinned():
+    names = tuple(f.name for f in dataclasses.fields(_resolve("estimator.Diagnostics")))
+    assert names == DIAGNOSTICS_FIELDS
+
+
+def test_diagnostics_json_keys_are_its_fields():
+    from lagdeconv import Cube, TimeGrid, WaveletSpec, deconvolve
+
+    grid = TimeGrid(n=8, T=5.0)
+    Y = Cube(grid=grid, data=0.01 * np.random.default_rng(0).standard_normal((8, 8, 8)))
+    diag = deconvolve(Y, np.exp(-grid.points / 2.0), WaveletSpec(), g_zero=1.0)[1]
+    assert diag.thresholds_disabled_reason is None  # every field holds a value
+    assert tuple(diag.to_dict()) == DIAGNOSTICS_FIELDS

@@ -316,7 +316,7 @@ class TestAddNoise:
         for seed in range(100):
             Y, sigma = add_noise(q, 3.0, seed)
             target = cfg.T * sigma / np.sqrt(cfg.n)
-            ratios.append(plan.apply(Y)[1].eps / target)
+            ratios.append(plan.apply(Y)[1].eps_hat / target)
         assert abs(np.mean(ratios) - 1.0) <= 0.15
 
 

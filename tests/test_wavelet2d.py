@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lagdeconv import WaveletSpec, wavelet2d
-from lagdeconv.wavelet2d import _matrix, dwt2_array, estimate_sigma, idwt2_array, wavelet_taps
+from lagdeconv.wavelet2d import _matrix, dwt2_array, estimate_sigma, idwt2_array
 
 FAMILIES = ["haar", "daub4"]
 
@@ -83,25 +83,30 @@ def ref_transform(data, spec, inverse=False):
 class TestSpec:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_registry_taps_are_orthogonal(self, family):
-        h = wavelet_taps(family)
+        h = WaveletSpec(family).taps
         assert h @ h == pytest.approx(1.0, abs=1e-12)
         assert h.sum() == pytest.approx(np.sqrt(2.0), abs=1e-12)
         for shift in range(2, h.size, 2):
             assert abs(h[:-shift] @ h[shift:]) <= 1e-12
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown wavelet family 'nope'; have ['daub4', 'haar']")):
             WaveletSpec(family="nope")
+
+    def test_taps_are_a_fresh_copy(self):
+        # the spec is the one route to the taps: a caller's edit must not reach them
+        spec = WaveletSpec("haar")
+        spec.taps[:] = 0.0
+        assert np.array_equal(spec.taps, np.array([1.0, 1.0]) / np.sqrt(2.0))
 
     def test_specs_compare_and_hash_by_value(self):
         a, b = WaveletSpec(), WaveletSpec()
         assert a == b and hash(a) == hash(b)
         assert WaveletSpec("haar") != a
         assert [f.name for f in fields(WaveletSpec) if f.init] == ["family"]
-        assert np.array_equal(a.taps, wavelet_taps("daub4"))
-        assert np.array_equal(WaveletSpec("haar").taps, wavelet_taps("haar"))
         with pytest.raises(AttributeError):
-            a.taps = wavelet_taps("haar")
+            a.taps = WaveletSpec("haar").taps
 
 
 class TestTransform:
