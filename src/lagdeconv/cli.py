@@ -2,9 +2,12 @@
 
 Commands: simulate, deconvolve, bench-table1, norms.  Everything is
 flag-driven and deterministic given --seed.  Flags are only parsed here; the
-library objects they build check the values.  Exit codes: 0 success, 1 usage
-or validation, 2 I/O, 3 numeric failure (singular kernel, linear-algebra
-error).
+library objects they build check the values.  `deconvolve --kernel` and
+`norms` read a kernel file by one rule: an optional t = 0 row, then samples
+at t_k = T k/n, on the cube's grid or on the file's own.  Exit codes: 0
+success, 1 usage or validation (a kernel off its grid included), 2 I/O or a
+malformed file (any fault of a cube file, payload values included), 3
+numeric failure (singular kernel, linear-algebra error).
 """
 
 from __future__ import annotations
@@ -90,31 +93,26 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _peel_zero(t: np.ndarray, values: np.ndarray):
-    """Split off a t=0 row: (positive-time t, values, value at 0 or None)."""
+def _kernel_series(path, grid: TimeGrid | None = None):
+    """(grid, samples at t_1..t_n, value at t = 0 or None) from a kernel SeriesFile.
+
+    The file may open with an exact t = 0 row; its other times must be
+    t_k = T k/n, k = 1..n, to within rtol 1e-9 and atol 1e-12.  (n, T) is
+    `grid`'s when given (the cube's) and else the file's sample count and
+    last time.
+    """
+    t, values = read_series(path)
+    zero_value = None
     if t[0] == 0.0:
-        return t[1:], values[1:], float(values[0])
-    return t, values, None
-
-
-def _series_to_grid(t: np.ndarray, values: np.ndarray):
-    """Interpret a series as samples on t_k = T k/n, peeling a t=0 row."""
-    t, values, zero_value = _peel_zero(t, values)
-    if t.size < 2:
-        raise ValueError("series needs at least two positive-time samples")
-    # uniform spacing equal to t[0] means t_k = T k/n exactly
-    if not np.allclose(np.diff(t), t[0], rtol=1e-8, atol=1e-12):
-        raise ValueError("series must be sampled uniformly at t_k = T k/n")
-    grid = TimeGrid(n=t.size, T=float(t[-1]))
-    return grid, values, zero_value
-
-
-def _kernel_on_grid(args, grid: TimeGrid):
-    """Kernel samples + zero value from --kernel, matched to the cube grid."""
-    t, values, zero_value = _peel_zero(*read_series(args.kernel))
+        t, values, zero_value = t[1:], values[1:], float(values[0])
+    if grid is None:
+        if t.size == 0:
+            raise ValueError(f"kernel series {path} has no sample at t > 0")
+        grid = TimeGrid(n=t.size, T=float(t[-1]))
     if t.size != grid.n or not np.allclose(t, grid.points, rtol=1e-9, atol=1e-12):
-        raise ValueError("kernel series is not sampled on the cube's time grid")
-    return values, zero_value
+        raise ValueError(f"kernel series {path} is not sampled at t_k = T k/n, "
+                         f"k = 1..n, with n = {grid.n} and T = {grid.T:g}")
+    return grid, values, zero_value
 
 
 def _kernel_coeffs(path) -> LagCoeffs:
@@ -160,7 +158,7 @@ def cmd_deconvolve(args) -> int:
     if args.kernel_coeffs is not None:
         g_coeffs = _kernel_coeffs(args.kernel_coeffs)
     else:
-        g_series, g_zero = _kernel_on_grid(args, Y.grid)
+        _, g_series, g_zero = _kernel_series(args.kernel, Y.grid)
 
     cfg = EstimatorConfig(
         M=args.M, nu=args.nu, eps=args.eps,
@@ -218,8 +216,7 @@ def cmd_bench_table1(args) -> int:
 
 
 def cmd_norms(args) -> int:
-    t, values = read_series(args.kernel)
-    grid, series, zero_value = _series_to_grid(t, values)
+    grid, series, zero_value = _kernel_series(args.kernel)
     max_m = min(args.max_m, grid.n)
     if max_m < args.max_m:
         print(f"norms: --max-m {args.max_m} capped at the kernel's n = {grid.n} samples",

@@ -318,9 +318,7 @@ class Plan:
             raise ValueError("g_zero is the t = 0 value of kernel samples; "
                              "it does not apply to Laguerre coefficients")
         if g_coeffs is None:
-            g_series = np.array(g_series, dtype=float)  # kept for orders fitted later
-            if g_series.shape != (grid.n,):
-                raise ValueError("kernel samples must live on the cube's time grid")
+            g_series = np.array(g_series, dtype=float)  # kept for later fits; fit_coeffs checks it
         self.grid, self.spec, self.cfg = grid, spec, cfg
         self._g_series, self._g_zero, self._g_coeffs = g_series, g_zero, g_coeffs
         self._orders: dict[int, _Order] = {}

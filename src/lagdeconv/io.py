@@ -2,8 +2,9 @@
 
 A cube is stored as `<stem>.json` (metadata) next to `<stem>.bin` holding
 n * n1 * n2 little-endian float64 values, time-major, row-major within each
-slice.  Roundtrips are bit-exact, and the declared byte length is checked
-before anything is computed.  Kernel/AIF curves travel as two-column CSV
+slice.  Roundtrips are bit-exact.  Any fault of a cube file, in the header
+or in the payload values, raises `FileFormatError` naming the file, before
+anything is computed.  Kernel/AIF curves travel as two-column CSV
 (t, value) with strictly increasing t at 17 significant digits.
 """
 
@@ -61,7 +62,11 @@ def write_cube(stem, cube: Cube) -> tuple[Path, Path]:
 
 
 def read_cube(stem) -> Cube:
-    """Read a cube, validating the header against the payload length."""
+    """Read a cube; any fault of either file raises FileFormatError naming it.
+
+    `TimeGrid` checks n and T and `Cube` the payload values; this reader
+    checks the rest: the JSON, its keys and layout, n1, n2 and the length.
+    """
     header_path, bin_path = _paths(stem)
     try:
         header = json.loads(header_path.read_text())
@@ -72,31 +77,31 @@ def read_cube(stem) -> Cube:
     for key in ("n", "n1", "n2", "T"):
         if key not in header:
             raise FileFormatError(f"cube header {header_path} lacks field {key!r}")
-    # JSON integers and numbers only: int() would truncate 4.9, read true as 1
-    # and parse "2"; float() would read 1e999 as inf.
-    n, n1, n2, T = (header[key] for key in ("n", "n1", "n2", "T"))
-    if not (all(type(v) is int for v in (n, n1, n2)) and type(T) in (int, float)):
-        raise FileFormatError(
-            f"cube header {header_path}: n, n1 and n2 must be JSON integers and T a JSON number"
-        )
-    if min(n, n1, n2) < 1 or not 0 < T < math.inf:
-        raise FileFormatError(
-            f"cube header {header_path} needs positive sizes and a positive finite T"
-        )
     # the one layout this reader decodes; a header may leave any of it out
     for key, value in (("dtype", _HEADER_DTYPE), ("order", _HEADER_ORDER),
                        ("endianness", _HEADER_ENDIAN)):
         if header.get(key, value) != value:
             raise FileFormatError(f"{header_path}: unsupported {key} {header[key]!r}, "
                                   f"need {value!r}")
-    expected = 8 * n * n1 * n2
+    n1, n2 = header["n1"], header["n2"]
+    # JSON integers only: true, 4.0 and "4" are not sides
+    if not (type(n1) is int and type(n2) is int and min(n1, n2) >= 1):
+        raise FileFormatError(f"cube header {header_path}: n1 and n2 must be JSON integers >= 1")
+    try:
+        grid = TimeGrid(n=header["n"], T=header["T"])
+    except ValueError as exc:
+        raise FileFormatError(f"cube header {header_path}: {exc}") from exc
+    expected = 8 * grid.n * n1 * n2
     actual = bin_path.stat().st_size
     if actual != expected:
         raise FileFormatError(
             f"{bin_path}: payload is {actual} bytes, header implies {expected}"
         )
-    data = np.fromfile(bin_path, dtype="<f8").reshape(n, n1, n2)
-    return Cube(grid=TimeGrid(n=n, T=float(T)), data=data)
+    data = np.fromfile(bin_path, dtype="<f8").reshape(grid.n, n1, n2)
+    try:
+        return Cube(grid=grid, data=data)
+    except ValueError as exc:
+        raise FileFormatError(f"{bin_path}: {exc}") from exc
 
 
 def write_series(path, t: np.ndarray, values: np.ndarray) -> Path:

@@ -89,11 +89,8 @@ class TimeGrid:
 
     @property
     def points(self) -> np.ndarray:
-        return self.T * np.arange(1, self.n + 1) / self.n
-
-    @property
-    def points_with_zero(self) -> np.ndarray:
-        return self.T * np.arange(0, self.n + 1) / self.n
+        # float steps: an int T times an int array could wrap around
+        return self.T * np.arange(1, self.n + 1, dtype=float) / self.n
 
 
 @dataclass

@@ -14,7 +14,6 @@ that drives both the truncation rule for M and the threshold levels.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,16 +69,13 @@ def build_G(g_coeffs: LagCoeffs, m: int) -> LowerToeplitz:
     """Convolution operator of dimension m from kernel Laguerre coefficients.
 
     First column: col[0] = g_0 and col[i] = g_i - g_{i-1} for i >= 1.
-    A vanishing g_0 makes the operator singular; it is flagged here with a
-    warning and rejected at solve time.
+    A vanishing g_0 makes the operator singular; `solve_lower` rejects it.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
     if g_coeffs.m < m:
         raise ValueError(f"need at least {m} kernel coefficients, got {g_coeffs.m}")
     g = g_coeffs.values[:m]
-    if g[0] == 0.0:
-        warnings.warn("g_0 = 0: operator is singular and cannot be solved")
     col = np.empty(m)
     col[0] = g[0]
     col[1:] = np.diff(g)

@@ -22,7 +22,7 @@ def run_cli(*args):
 
 
 def write_kernel_csv(path, grid, include_zero=True):
-    t = grid.points_with_zero if include_zero else grid.points
+    t = np.r_[0.0, grid.points] if include_zero else grid.points
     write_series(path, t, default_kernel(t))
     return path
 
@@ -389,12 +389,13 @@ class TestNormsCommand:
         # the all-zero kernel fits to exactly zero coefficients, g_0 = 0,
         # and inverse_norms refuses it
         grid = TimeGrid(n=64, T=20.0)
-        t = grid.points_with_zero
+        t = np.r_[0.0, grid.points]
         write_series(tmp_path / "g.csv", t, np.zeros(t.size))
-        with pytest.warns(UserWarning, match="g_0 = 0"):
-            code = run_cli("norms", "--kernel", str(tmp_path / "g.csv"), "--max-m", "4")
+        code = run_cli("norms", "--kernel", str(tmp_path / "g.csv"), "--max-m", "4")
         assert code == 3
-        assert "numeric error: singular operator" in capsys.readouterr().err
+        # one line: the solve's error, with no warning before it
+        assert capsys.readouterr().err == (
+            "numeric error: singular operator: zero diagonal (g_0 = 0)\n")
 
     def test_max_m_zero_exits_1(self, tmp_path, capsys):
         kpath = write_kernel_csv(tmp_path / "g.csv", TimeGrid(n=64, T=20.0))
@@ -433,12 +434,28 @@ class TestUndecodableInputs:
         assert "unsupported order 'x-major column-major'" in capsys.readouterr().err
         assert not (tmp_path / "f.json").exists()
 
+    # Cube's finiteness scan used to surface as exit 1, "error: cube data
+    # must be finite", without the file
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=repr)
+    def test_non_finite_payload_exits_2_naming_the_payload(self, tmp_path, capsys, value):
+        grid = TimeGrid(n=8, T=5.0)
+        data = np.ones((8, 4, 4))
+        _, bin_path = write_cube(tmp_path / "c", Cube(grid=grid, data=data))
+        data[2, 1, 3] = value
+        data.astype("<f8").tofile(bin_path)
+        kpath = write_kernel_csv(tmp_path / "g.csv", grid)
+        code = run_cli("deconvolve", "--input", str(tmp_path / "c"),
+                       "--kernel", str(kpath), "--out", str(tmp_path / "f"))
+        assert code == 2
+        assert capsys.readouterr().err == f"file error: {bin_path}: cube data must be finite\n"
+        assert not (tmp_path / "f.json").exists()
+
     @pytest.mark.parametrize("command", ["--kernel", "--kernel-coeffs", "norms"])
     @pytest.mark.parametrize("bad", ["nan-t", "nan-value", "inf-value"])
     def test_non_finite_series_exits_2(self, tmp_path, capsys, command, bad):
         grid = TimeGrid(n=8, T=5.0)
         # a kernel on the cube's grid, or its first 8 Laguerre coefficients
-        t = np.arange(8.0) if command == "--kernel-coeffs" else grid.points_with_zero
+        t = np.arange(8.0) if command == "--kernel-coeffs" else np.r_[0.0, grid.points]
         path = write_series(tmp_path / "g.csv", t, default_kernel(t))
         lines = path.read_text().splitlines()
         row_t, row_v = lines[3].split(",")  # the third data row
@@ -454,6 +471,43 @@ class TestUndecodableInputs:
         assert run_cli(*argv) == 2
         err = capsys.readouterr().err
         assert f"file error: {path}: non-finite entry in" in err
+
+
+class TestKernelSeries:
+    """`deconvolve --kernel` and `norms` read a kernel file by one rule."""
+
+    # Each file got different verdicts from the two commands: norms checked
+    # the spacing at rtol 1e-8 and wanted two positive times, deconvolve the
+    # times themselves at rtol 1e-9.
+    @pytest.mark.parametrize("n, index, scale, code", [
+        (64, 62, 1 + 0.9e-9, 0),  # deconvolve accepted it, norms rejected it
+        (64, 1, 1 + 1.5e-9, 1),  # norms accepted it, deconvolve rejected it
+        (1, None, 1.0, 0),  # deconvolve accepted it, norms rejected it
+    ], ids=["t62-off-by-0.9e-9", "t1-off-by-1.5e-9", "one-frame"])
+    @pytest.mark.parametrize("command", ["norms", "deconvolve"])
+    def test_both_commands_give_one_verdict(self, tmp_path, capsys, command,
+                                            n, index, scale, code):
+        grid = TimeGrid(n=n, T=5.0)
+        t = np.r_[0.0, grid.points]
+        if index is not None:
+            t[index] *= scale
+        kpath = write_series(tmp_path / "g.csv", t, np.exp(-t / 2.0))
+        if command == "norms":
+            argv = ["norms", "--kernel", str(kpath)]
+        else:
+            data = 1.0 + np.random.default_rng(0).standard_normal((n, 8, 8))
+            write_cube(tmp_path / "Y", Cube(grid=grid, data=data))
+            argv = ["deconvolve", "--input", str(tmp_path / "Y"), "--kernel", str(kpath),
+                    "--M", "1", "--no-threshold", "--out", str(tmp_path / "f")]
+        assert run_cli(*argv) == code
+        if code:
+            assert (f"error: kernel series {kpath} is not sampled at t_k = T k/n, "
+                    f"k = 1..n, with n = {n} and T = 5") in capsys.readouterr().err
+
+    def test_norms_of_a_lone_zero_row_exits_1(self, tmp_path, capsys):
+        kpath = write_series(tmp_path / "g.csv", np.zeros(1), np.ones(1))
+        assert run_cli("norms", "--kernel", str(kpath)) == 1
+        assert f"kernel series {kpath} has no sample at t > 0" in capsys.readouterr().err
 
 
 class TestBenchCommand:

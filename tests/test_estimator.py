@@ -656,6 +656,16 @@ class TestPlan:
             Plan(grid, g_series, WaveletSpec(), EstimatorConfig(M=4),
                  g_zero=g_zero, g_coeffs=g_coeffs)
 
+    # fit_coeffs checks the samples' length in the constructor's first fit,
+    # on the fixed-M path and the M="auto" path alike
+    @pytest.mark.parametrize("cfg", [EstimatorConfig(M=4), EstimatorConfig(m_cap=8)],
+                             ids=["M=4", "M=auto"])
+    def test_rejects_kernel_samples_of_another_length(self, cfg):
+        grid = TimeGrid(n=16, T=5.0)
+        message = "series length (15,) does not match grid n=16"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Plan(grid, np.exp(-grid.points[:15] / 2.0), WaveletSpec(), cfg, g_zero=1.0)
+
     def test_rejects_a_cube_of_another_grid(self):
         grid = TimeGrid(n=32, T=5.0)
         plan = Plan(grid, np.exp(-grid.points / 2.0), WaveletSpec(),

@@ -108,6 +108,45 @@ class TestCubeFile:
         header_path.write_text(json.dumps(header))
         assert read_cube(tmp_path / "c").data.tobytes() == cube.data.tobytes()
 
+    # TimeGrid checks n and T, read_cube n1 and n2; each fault names the header
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", 8.9, "n must be a positive integer, got 8.9"),
+        ("n", True, "n must be a positive integer, got True"),
+        ("T", -5.0, "T must be positive and finite, got -5.0"),
+        ("T", "5.0", "T must be positive and finite, got '5.0'"),
+        ("n1", 0, "n1 and n2 must be JSON integers >= 1"),
+        ("n2", 4.0, "n1 and n2 must be JSON integers >= 1"),
+    ], ids=repr)
+    def test_a_bad_size_or_length_names_the_header(self, tmp_path, key, value, message):
+        header_path, _ = write_cube(tmp_path / "c", random_cube())
+        header = json.loads(header_path.read_text())
+        header[key] = value
+        header_path.write_text(json.dumps(header))
+        with pytest.raises(FileFormatError, match=re.escape(f"cube header {header_path}: {message}")):
+            read_cube(tmp_path / "c")
+
+    def test_reads_a_T_written_as_a_JSON_integer(self, tmp_path):
+        cube = random_cube()
+        header_path, _ = write_cube(tmp_path / "c", cube)
+        header = json.loads(header_path.read_text())
+        header["T"] = 5
+        header_path.write_text(json.dumps(header))
+        back = read_cube(tmp_path / "c")
+        assert back.grid == cube.grid
+        assert np.array_equal(back.grid.points, cube.grid.points)
+
+    # Cube scans the payload; its ValueError used to leave read_cube bare
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=repr)
+    def test_a_non_finite_sample_is_a_fault_of_the_payload(self, tmp_path, value):
+        cube = random_cube()
+        _, bin_path = write_cube(tmp_path / "c", cube)
+        data = cube.data.copy()
+        data[3, 1, 2] = value
+        data.astype("<f8").tofile(bin_path)
+        with pytest.raises(FileFormatError,
+                           match=re.escape(f"{bin_path}: cube data must be finite")):
+            read_cube(tmp_path / "c")
+
     def test_malformed_header(self, tmp_path):
         cube = random_cube()
         header_path, _ = write_cube(tmp_path / "c", cube)

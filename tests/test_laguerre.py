@@ -72,6 +72,13 @@ class TestTimeGrid:
     def test_accepts_a_numpy_real_length(self, T):
         assert TimeGrid(n=4, T=T).T == 5.0
 
+    # An int T was multiplied by an int64 array of step numbers, and
+    # 2**62 * 2 wrapped around to a negative time.  A cube header's T reaches
+    # the grid as the JSON integer it may be.
+    @pytest.mark.parametrize("T", [5, 2**62], ids=repr)
+    def test_points_of_an_int_length_equal_those_of_its_float(self, T):
+        assert np.array_equal(TimeGrid(n=8, T=T).points, TimeGrid(n=8, T=float(T)).points)
+
 
 class TestEvalLaguerre:
     def test_at_zero(self):

@@ -66,10 +66,6 @@ class TestBuildG:
         with pytest.raises(ValueError):
             build_G(LagCoeffs([1.0]), 0)
 
-    def test_warns_on_singular(self):
-        with pytest.warns(UserWarning):
-            build_G(LagCoeffs([0.0, 1.0]), 2)
-
     def test_dense_layout(self):
         G = build_G(LagCoeffs([1.0, 0.5, 0.25]), 3)
         dense = G.dense()
@@ -124,8 +120,7 @@ class TestSolveLower:
                 assert np.allclose(got[:, j, k], solve_lower(G, stacked[:, j, k]))
 
     def test_singular_raises(self):
-        with pytest.warns(UserWarning):
-            G = build_G(LagCoeffs([0.0, 1.0]), 2)
+        G = build_G(LagCoeffs([0.0, 1.0]), 2)
         with pytest.raises(SingularOperatorError):
             solve_lower(G, np.ones(2))
 
@@ -237,9 +232,8 @@ class TestInverseNorms:
         assert abs(slope - 1.0) <= 0.3
 
     def test_singular_kernel_rejected(self):
-        with pytest.warns(UserWarning):
-            with pytest.raises(SingularOperatorError):
-                inverse_norms(LagCoeffs([0.0, 1.0]), 2)
+        with pytest.raises(SingularOperatorError):
+            inverse_norms(LagCoeffs([0.0, 1.0]), 2)
 
 
 class TestSelectM:
