@@ -7,7 +7,9 @@ library objects they build check the values.  `deconvolve --kernel` and
 at t_k = T k/n, on the cube's grid or on the file's own.  Exit codes: 0
 success, 1 usage or validation (a kernel off its grid included), 2 I/O or a
 malformed file (any fault of a cube file, payload values included), 3
-numeric failure (singular kernel, linear-algebra error).
+numeric failure (singular kernel, linear-algebra error).  `deconvolve
+--symmetrize` (mirror to dyadic sides, fit, crop) is a convenience of this
+command line only; the library rejects non-dyadic sides.
 """
 
 from __future__ import annotations
@@ -232,10 +234,8 @@ def cmd_norms(args) -> int:
         slope = float(np.polyfit(np.log(ms[fit_from]),
                                  np.log(table.frobenius[fit_from] ** 2), 1)[0])
     lines = [f"# frobenius_sq_loglog_slope: {slope:.6g}", "m,spectral,frobenius"]
-    for m in ms:
-        lines.append(
-            f"{m},{table.spectral_at(m):.17g},{table.frobenius_at(m):.17g}"
-        )
+    for m, spectral, frobenius in zip(ms, table.spectral, table.frobenius):
+        lines.append(f"{m},{spectral:.17g},{frobenius:.17g}")
     csv_text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(csv_text)

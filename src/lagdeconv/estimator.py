@@ -56,7 +56,6 @@ from .laguerre import (
 )
 from .toeplitz import (
     InverseNormTable,
-    build_G,
     inverse_norms,
     select_M,
     solve_lower,
@@ -273,7 +272,7 @@ class _Order:
     @cached_property
     def op(self) -> np.ndarray:
         """A = G^-1 P E, M x n: one solve against the folded projector."""
-        return solve_lower(build_G(self.g_hat, self.basis.M), _projector(self.basis, self.rcond))
+        return solve_lower(self.g_hat, _projector(self.basis, self.rcond))
 
     @cached_property
     def norms(self) -> InverseNormTable:

@@ -26,7 +26,6 @@ __all__ = [
     "TimeGrid",
     "LaguerreBasis",
     "LagCoeffs",
-    "eval_laguerre",
     "tabulate_basis",
     "fit_coeffs",
 ]
@@ -80,7 +79,11 @@ class TimeGrid:
     def __post_init__(self):
         if not _is_int_at_least(self.n, 1):
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not (_is_real(self.T) and 0 < self.T < math.inf):
+        try:  # an int beyond the double range overflows float(), not the test
+            ok = _is_real(self.T) and 0 < float(self.T) < math.inf
+        except OverflowError:
+            ok = False
+        if not ok:
             raise ValueError(f"T must be positive and finite, got {self.T!r}")
 
     @property
@@ -109,20 +112,6 @@ class LagCoeffs:
     @property
     def m(self) -> int:
         return self.values.size
-
-
-def eval_laguerre(l: int, t):
-    """phi_l(t) = exp(-t/2) L_l(t) via the stable three-term recurrence.
-
-    Accepts a scalar or an array of nonnegative abscissae.
-    """
-    if not _is_int_at_least(l, 0):
-        raise ValueError(f"order l must be a nonnegative integer, got {l!r}")
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("t must be nonnegative")
-    res = _phi_rows(l + 1, t_arr.ravel())[l].reshape(t_arr.shape)
-    return float(res) if t_arr.ndim == 0 else res
 
 
 def _phi_rows(M: int, t: np.ndarray) -> np.ndarray:

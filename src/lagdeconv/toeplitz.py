@@ -4,11 +4,12 @@ Convolution with a kernel g maps Laguerre coefficients theta to q = G theta,
 where G is lower triangular Toeplitz with first column
 (g_0, g_1 - g_0, g_2 - g_1, ...).  The inverse of such a matrix is again
 lower-triangular Toeplitz, so one recurrence for its first column gives all
-of G^-1.  This module builds G from kernel coefficients, solves triangular
-systems by applying that inverse, and tabulates the inverse norms
-||(G^(m))^-1|| exactly, from the largest eigenvalues of one Gram matrix of
-the inverse, to track how fast they grow with the dimension m - the quantity
-that drives both the truncation rule for M and the threshold levels.
+of G^-1.  G itself is never materialised: `solve_lower` takes the kernel's
+coefficients and applies that inverse, and `inverse_norms` tabulates the
+inverse norms ||(G^(m))^-1|| exactly, from the largest eigenvalues of one
+Gram matrix of the inverse, to track how fast they grow with the dimension
+m - the quantity that drives both the truncation rule for M and the
+threshold levels.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ import numpy as np
 from .laguerre import LagCoeffs
 
 __all__ = [
-    "LowerToeplitz",
     "InverseNormTable",
     "SingularOperatorError",
-    "build_G",
     "solve_lower",
     "inverse_norms",
     "select_M",
@@ -40,65 +39,32 @@ class SingularOperatorError(ValueError):
     """Raised when the operator has a zero diagonal (g_0 = 0)."""
 
 
-@dataclass(frozen=True)
-class LowerToeplitz:
-    """Lower-triangular Toeplitz operator defined by its first column.
+def solve_lower(g_coeffs: LagCoeffs, rhs) -> np.ndarray:
+    """Solve G x = rhs as x = G^-1 rhs, for rhs of shape (m,) or (m, ...).
 
-    Entry (i, j) equals col[i-j] for j <= i and 0 otherwise; the operator is
-    invertible iff col[0] != 0.
+    G is the m x m convolution operator of the kernel: lower triangular
+    Toeplitz with first column col = (g_0, g_1 - g_0, ..., g_{m-1} - g_{m-2}),
+    from the first m of g_coeffs.  Its inverse is lower-triangular Toeplitz
+    with first column c: c_0 = 1/col_0 and
+    c_i = -(col_1 c_{i-1} + ... + col_i c_0)/col_0.
     """
-
-    col: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "col", np.asarray(self.col, dtype=float))
-        if self.col.ndim != 1 or self.col.size < 1:
-            raise ValueError("col must be a nonempty 1-D vector")
-
-    @property
-    def m(self) -> int:
-        return self.col.size
-
-    def dense(self) -> np.ndarray:
-        """Materialize the m x m matrix."""
-        d = np.subtract.outer(np.arange(self.m), np.arange(self.m))
-        return np.where(d >= 0, self.col[d], 0.0)
-
-
-def build_G(g_coeffs: LagCoeffs, m: int) -> LowerToeplitz:
-    """Convolution operator of dimension m from kernel Laguerre coefficients.
-
-    First column: col[0] = g_0 and col[i] = g_i - g_{i-1} for i >= 1.
-    A vanishing g_0 makes the operator singular; `solve_lower` rejects it.
-    """
+    rhs = np.asarray(rhs, dtype=float)
+    m = rhs.shape[0] if rhs.ndim else 0
     if m < 1:
-        raise ValueError("m must be a positive integer")
+        raise ValueError(f"rhs needs a nonempty leading axis, got shape {rhs.shape}")
     if g_coeffs.m < m:
         raise ValueError(f"need at least {m} kernel coefficients, got {g_coeffs.m}")
     g = g_coeffs.values[:m]
-    col = np.empty(m)
-    col[0] = g[0]
-    col[1:] = np.diff(g)
-    return LowerToeplitz(col)
-
-
-def solve_lower(G: LowerToeplitz, rhs) -> np.ndarray:
-    """Solve G x = rhs for rhs of shape (m,) or (m, ...) as x = G^-1 rhs.
-
-    G^-1 is lower-triangular Toeplitz with first column c: c_0 = 1/g_0 and
-    c_i = -(g_1 c_{i-1} + ... + g_i c_0)/g_0, with g the first column of G.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] != G.m:
-        raise ValueError(f"rhs has leading dimension {rhs.shape[0]}, expected {G.m}")
-    if G.col[0] == 0.0:
+    col = g.copy()
+    col[1:] -= g[:-1]
+    if col[0] == 0.0:
         raise SingularOperatorError("singular operator: zero diagonal (g_0 = 0)")
-    col = G.col
-    c = np.empty(G.m)
+    c = np.empty(m)
     c[0] = 1.0 / col[0]
-    for i in range(1, G.m):
+    for i in range(1, m):
         c[i] = -(col[1 : i + 1] @ c[i - 1 :: -1]) / col[0]
-    return np.tensordot(LowerToeplitz(c).dense(), rhs, axes=(1, 0))
+    d = np.subtract.outer(np.arange(m), np.arange(m))
+    return np.tensordot(np.where(d >= 0, c[d], 0.0), rhs, axes=(1, 0))
 
 
 @dataclass(frozen=True)
@@ -116,12 +82,6 @@ class InverseNormTable:
     @property
     def max_m(self) -> int:
         return self.spectral.size
-
-    def spectral_at(self, m: int) -> float:
-        return float(self.spectral[m - 1])
-
-    def frobenius_at(self, m: int) -> float:
-        return float(self.frobenius[m - 1])
 
 
 def inverse_norms(g_coeffs: LagCoeffs, max_m: int) -> InverseNormTable:
@@ -143,7 +103,7 @@ def inverse_norms(g_coeffs: LagCoeffs, max_m: int) -> InverseNormTable:
     """
     if max_m < 1:
         raise ValueError("max_m must be a positive integer")
-    c = solve_lower(build_G(g_coeffs, max_m), np.eye(max_m)[0])
+    c = solve_lower(g_coeffs, np.eye(max_m)[0])
     ix = np.arange(max_m)
     shifted = np.concatenate([c, np.zeros(max_m)])[np.add.outer(ix, ix)]
     cum = np.cumsum(c[:, None] * shifted, axis=0)  # cum[i, d] = K[i, i+d]

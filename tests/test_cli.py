@@ -450,6 +450,21 @@ class TestUndecodableInputs:
         assert capsys.readouterr().err == f"file error: {bin_path}: cube data must be finite\n"
         assert not (tmp_path / "f.json").exists()
 
+    # T = 10**400 used to end in an OverflowError traceback
+    def test_T_beyond_the_double_range_exits_2(self, tmp_path, capsys):
+        grid = TimeGrid(n=8, T=5.0)
+        header_path, _ = write_cube(tmp_path / "c", Cube(grid=grid, data=np.ones((8, 4, 4))))
+        header = json.loads(header_path.read_text())
+        header["T"] = 10**400
+        header_path.write_text(json.dumps(header))
+        kpath = write_kernel_csv(tmp_path / "g.csv", grid)
+        code = run_cli("deconvolve", "--input", str(tmp_path / "c"),
+                       "--kernel", str(kpath), "--out", str(tmp_path / "f"))
+        assert code == 2
+        assert capsys.readouterr().err == (f"file error: cube header {header_path}: "
+                                           f"T must be positive and finite, got {10**400}\n")
+        assert not (tmp_path / "f.json").exists()
+
     @pytest.mark.parametrize("command", ["--kernel", "--kernel-coeffs", "norms"])
     @pytest.mark.parametrize("bad", ["nan-t", "nan-value", "inf-value"])
     def test_non_finite_series_exits_2(self, tmp_path, capsys, command, bad):

@@ -21,7 +21,7 @@ from lagdeconv import (
 from lagdeconv import laguerre, simulate
 from lagdeconv.estimator import Diagnostics, _depth, hard_threshold, thresholds
 from lagdeconv.laguerre import fit_coeffs, tabulate_basis
-from lagdeconv.toeplitz import build_G, select_M, solve_lower
+from lagdeconv.toeplitz import select_M, solve_lower
 from lagdeconv.wavelet2d import dwt2_array, estimate_sigma, idwt2_array
 
 PHI0 = LagCoeffs(np.concatenate([[1.0], np.zeros(15)]))
@@ -377,7 +377,7 @@ def old_order_deconvolve(Y, g, spec, cfg, g_zero):
     zero = 2.0 * slices[0] - slices[1] if n >= 2 else slices[0]
     full = np.concatenate([zero[None], slices])
     q = np.tensordot(basis.projection_matrix(cfg.rcond), full, axes=(1, 0))
-    theta = solve_lower(build_G(g_hat, M), q)
+    theta = solve_lower(g_hat, q)
 
     def depth_J(J, size):
         top = int(math.log2(size))

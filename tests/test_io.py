@@ -114,6 +114,9 @@ class TestCubeFile:
         ("n", True, "n must be a positive integer, got True"),
         ("T", -5.0, "T must be positive and finite, got -5.0"),
         ("T", "5.0", "T must be positive and finite, got '5.0'"),
+        # beyond the double range: used to read, then overflow in grid.points
+        pytest.param("T", 10**400, f"T must be positive and finite, got {10**400}",
+                     id="T-10**400"),
         ("n1", 0, "n1 and n2 must be JSON integers >= 1"),
         ("n2", 4.0, "n1 and n2 must be JSON integers >= 1"),
     ], ids=repr)

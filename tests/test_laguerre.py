@@ -3,17 +3,18 @@ import gc
 import math
 import numbers
 import re
+import sys
 import weakref
 
 import numpy as np
 import pytest
+from scipy import special
 
 from lagdeconv import LagCoeffs, TimeGrid
 from lagdeconv.laguerre import (
     _is_int_at_least,
     _is_real,
     _simpson_weights,
-    eval_laguerre,
     fit_coeffs,
     tabulate_basis,
 )
@@ -24,6 +25,11 @@ def laguerre_sum(l: int, t: float) -> float:
     return sum(
         (-1) ** j * math.comb(l, j) * t**j / math.factorial(j) for j in range(l + 1)
     )
+
+
+def phi_oracle(l: int, t):
+    """Independent oracle: scipy's Laguerre polynomial L_l times exp(-t/2)."""
+    return special.eval_laguerre(l, t) * np.exp(-np.asarray(t, dtype=float) / 2.0)
 
 
 class TestTimeGrid:
@@ -72,52 +78,29 @@ class TestTimeGrid:
     def test_accepts_a_numpy_real_length(self, T):
         assert TimeGrid(n=4, T=T).T == 5.0
 
+    # float(T) of an int beyond the double range overflows: 10**400 passed
+    # 0 < T < inf and ended in an OverflowError traceback from `points`
+    @pytest.mark.parametrize("T", [10**400, 2**1024, -(10**400)],
+                             ids=["1e400", "2**1024", "-1e400"])
+    def test_rejects_an_int_length_beyond_the_double_range(self, T):
+        with pytest.raises(ValueError, match=f"T must be positive and finite, got {T!r}"):
+            TimeGrid(1, T)
+
+    # the largest of each kind converts without overflow, and warnings are
+    # errors in this suite
+    @pytest.mark.parametrize("T", [int(sys.float_info.max), np.finfo(np.float32).max,
+                                   np.float64(sys.float_info.max)],
+                             ids=["int", "float32", "float64"])
+    def test_accepts_the_largest_length_of_each_kind(self, T):
+        g = TimeGrid(1, T)
+        assert g.points[0] == float(T)
+
     # An int T was multiplied by an int64 array of step numbers, and
     # 2**62 * 2 wrapped around to a negative time.  A cube header's T reaches
     # the grid as the JSON integer it may be.
     @pytest.mark.parametrize("T", [5, 2**62], ids=repr)
     def test_points_of_an_int_length_equal_those_of_its_float(self, T):
         assert np.array_equal(TimeGrid(n=8, T=T).points, TimeGrid(n=8, T=float(T)).points)
-
-
-class TestEvalLaguerre:
-    def test_at_zero(self):
-        assert eval_laguerre(0, 0.0) == 1.0
-        assert eval_laguerre(5, 0.0) == 1.0
-
-    def test_l1_closed_form(self):
-        # L_1(t) = 1 - t, so phi_1(2) = -e^{-1}
-        assert eval_laguerre(1, 2.0) == pytest.approx(-math.exp(-1.0), rel=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            eval_laguerre(-1, 1.0)
-        with pytest.raises(ValueError):
-            eval_laguerre(2, -0.5)
-        with pytest.raises(ValueError):
-            eval_laguerre(2, np.array([0.5, -0.1]))
-
-    @pytest.mark.parametrize("l", range(13))
-    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0, 5.0])
-    def test_recurrence_matches_explicit_sum(self, l, t):
-        expected = math.exp(-t / 2.0) * laguerre_sum(l, t)
-        got = eval_laguerre(l, t)
-        assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
-
-    # a float order used to reach np.empty, and True reshaped a 2-row table
-    @pytest.mark.parametrize("l", [2.0, 2.5, True, "2", None], ids=repr)
-    def test_rejects_an_order_that_is_not_an_integer(self, l):
-        with pytest.raises(ValueError, match=re.escape(f"order l must be a nonnegative integer, got {l!r}")):
-            eval_laguerre(l, 1.0)
-
-    def test_accepts_a_numpy_integer_order(self):
-        assert eval_laguerre(np.int64(3), 2.0) == eval_laguerre(3, 2.0)
-
-    def test_array_input(self):
-        t = np.linspace(0.0, 10.0, 11)
-        vals = eval_laguerre(3, t)
-        assert vals.shape == t.shape
-        assert vals[0] == pytest.approx(1.0)
 
 
 class TestTabulateBasis:
@@ -128,9 +111,22 @@ class TestTabulateBasis:
 
     def test_rows_match_pointwise(self):
         g = TimeGrid(n=17, T=7.0)
-        b = tabulate_basis(3, g)
-        for l in range(3):
-            assert np.allclose(b.values[l], eval_laguerre(l, g.points), rtol=1e-12)
+        b = tabulate_basis(13, g)
+        t = np.r_[0.0, g.points]
+        for l in range(13):
+            assert np.allclose(b.values_with_zero[l], phi_oracle(l, t), rtol=1e-12, atol=1e-14)
+
+    def test_l1_closed_form(self):
+        # L_1(t) = 1 - t, so phi_1(2) = -e^{-1}; a one-point grid samples t_1 = T
+        b = tabulate_basis(2, TimeGrid(n=1, T=2.0))
+        assert b.values[1, 0] == pytest.approx(-math.exp(-1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("l", range(13))
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 5.0, 10.0])
+    def test_recurrence_matches_explicit_sum(self, l, t):
+        expected = math.exp(-t / 2.0) * laguerre_sum(l, t)
+        got = tabulate_basis(13, TimeGrid(n=1, T=t)).values[l, 0]
+        assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
     def test_rejects_zero_order(self):
         with pytest.raises(ValueError):
@@ -306,17 +302,17 @@ class TestConvolutionIdentity:
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 5.0, 10.0])
     def test_identity(self, t):
+        # the basis on the nodes z_i = t i/4096 of [0, t]; the nodes are
+        # symmetric, so phi_j(t - z) is row j reversed
         steps = 4096
-        z = np.linspace(0.0, t, steps + 1)
+        v = tabulate_basis(11, TimeGrid(n=steps, T=t)).values_with_zero
         w = np.full(steps + 1, t / steps)
         w[0] *= 0.5
         w[-1] *= 0.5
         for k in range(10):
             for j in range(10 - k):
-                if k + j + 1 > 10:
-                    continue
-                val = np.sum(w * eval_laguerre(k, z) * eval_laguerre(j, t - z))
-                ref = eval_laguerre(k + j, t) - eval_laguerre(k + j + 1, t)
+                val = np.sum(w * v[k] * v[j][::-1])
+                ref = phi_oracle(k + j, t) - phi_oracle(k + j + 1, t)
                 assert abs(val - ref) <= 1e-4
 
 

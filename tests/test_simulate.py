@@ -34,6 +34,7 @@ class TestSimConfig:
     @pytest.mark.parametrize("kwargs", [
         {"T": math.inf}, {"T": 0.0}, {"n": 2.5}, {"n": 0},
         {"n1": 2.5}, {"n2": 2.5}, {"n1": 0}, {"n2": "32"},
+        pytest.param({"T": 10**400}, id="{'T': 10**400}"),
     ], ids=repr)
     def test_rejects_a_bad_grid_when_built(self, kwargs):
         # T and n are checked by the TimeGrid the config builds; n = 2.5

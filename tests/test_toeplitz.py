@@ -1,25 +1,35 @@
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import solve_triangular, toeplitz
 
 from lagdeconv import LagCoeffs, SingularOperatorError, TimeGrid, inverse_norms
 from lagdeconv.laguerre import fit_coeffs, tabulate_basis
-from lagdeconv.toeplitz import (
-    InverseNormTable,
-    LowerToeplitz,
-    build_G,
-    select_M,
-    solve_lower,
-)
+from lagdeconv.toeplitz import InverseNormTable, select_M, solve_lower
 
 PHI0_COEFFS = LagCoeffs(np.concatenate([[1.0], np.zeros(299)]))
+
+
+def dense(col):
+    """The lower-triangular Toeplitz matrix with first column col."""
+    return toeplitz(col, np.zeros(len(col)))
+
+
+def kernel_of(col):
+    """Kernel coefficients whose operator has first column col: g = cumsum(col)."""
+    return LagCoeffs(np.cumsum(col))
+
+
+def operator(g_coeffs, m):
+    """Dense m x m convolution operator: first column (g_0, g_1 - g_0, ...)."""
+    g = g_coeffs.values[:m]
+    return dense(np.r_[g[0], g[1:] - g[:-1]])
 
 
 def random_well_conditioned(rng, m):
     """Diagonally dominant first column keeps the solve well conditioned."""
     col = rng.standard_normal(m) * 0.3 / np.arange(1, m + 1)
     col[0] = 1.0 + rng.uniform(0.0, 1.0)
-    return LowerToeplitz(col)
+    return col
 
 
 def aif_coeffs(m=64):
@@ -36,8 +46,8 @@ def aif_coeffs(m=64):
 def norm_kernels():
     kernels = {"phi0": PHI0_COEFFS, "aif": aif_coeffs()}
     for seed in range(3):
-        G = random_well_conditioned(np.random.default_rng(seed), 64)
-        kernels[f"random{seed}"] = LagCoeffs(np.cumsum(G.col))
+        col = random_well_conditioned(np.random.default_rng(seed), 64)
+        kernels[f"random{seed}"] = kernel_of(col)
     return kernels
 
 
@@ -46,125 +56,127 @@ KERNELS = norm_kernels()
 
 def svd_oracle(g_coeffs, m):
     """||(G^(m))^-1|| from the dense inverse of the m x m operator."""
-    return np.linalg.svd(np.linalg.inv(build_G(g_coeffs, m).dense()), compute_uv=False)[0]
-
-
-class TestBuildG:
-    def test_phi0_kernel(self):
-        G = build_G(LagCoeffs([1.0, 0.0, 0.0]), 3)
-        assert np.allclose(G.col, [1.0, -1.0, 0.0])
-
-    def test_one_by_one(self):
-        G = build_G(LagCoeffs([2.0, 0.0, 0.0]), 1)
-        assert G.m == 1 and G.col[0] == 2.0
-
-    def test_differences(self):
-        G = build_G(LagCoeffs([1.0, 0.5, 0.25]), 3)
-        assert np.allclose(G.col, [1.0, -0.5, -0.25])
-
-    def test_rejects_m_zero(self):
-        with pytest.raises(ValueError):
-            build_G(LagCoeffs([1.0]), 0)
-
-    def test_dense_layout(self):
-        G = build_G(LagCoeffs([1.0, 0.5, 0.25]), 3)
-        dense = G.dense()
-        assert np.allclose(dense, [[1.0, 0, 0], [-0.5, 1.0, 0], [-0.25, -0.5, 1.0]])
+    return np.linalg.svd(np.linalg.inv(operator(g_coeffs, m)), compute_uv=False)[0]
 
 
 class TestSolveLower:
+    def test_phi0_kernel(self):
+        # g = phi_0: G has first column (1, -1, 0), so G^-1 is all ones below
+        # the diagonal
+        got = solve_lower(LagCoeffs([1.0, 0.0, 0.0]), np.eye(3))
+        assert np.allclose(got, np.tril(np.ones((3, 3))))
+        assert np.allclose(dense([1.0, -1.0, 0.0]) @ got, np.eye(3))
+
+    def test_one_by_one(self):
+        # a one-row rhs reads g_0 alone
+        assert np.array_equal(solve_lower(LagCoeffs([2.0, 0.0, 0.0]), [4.0]), [2.0])
+
+    def test_differences(self):
+        # the operator's column is (g_0, g_1 - g_0, g_2 - g_1)
+        got = solve_lower(LagCoeffs([1.0, 0.5, 0.25]), np.eye(3))
+        assert np.allclose(dense([1.0, -0.5, -0.25]) @ got, np.eye(3))
+
+    @pytest.mark.parametrize("rhs", [np.ones(0), np.ones((0, 3)), np.float64(1.0)],
+                             ids=["m-0", "m-0-stack", "scalar"])
+    def test_rejects_an_empty_rhs(self, rhs):
+        with pytest.raises(ValueError, match="rhs needs a nonempty leading axis"):
+            solve_lower(LagCoeffs([1.0]), rhs)
+
     def test_identity(self):
-        G = LowerToeplitz([1.0, 0.0, 0.0])
         rhs = np.array([3.0, -1.0, 2.0])
-        assert np.allclose(solve_lower(G, rhs), rhs)
+        assert np.allclose(solve_lower(kernel_of([1.0, 0.0, 0.0]), rhs), rhs)
 
     def test_two_by_two_hand_solve(self):
-        G = LowerToeplitz([2.0, 1.0])
-        assert np.allclose(solve_lower(G, np.array([2.0, 5.0])), [1.0, 2.0])
+        got = solve_lower(kernel_of([2.0, 1.0]), np.array([2.0, 5.0]))
+        assert np.allclose(got, [1.0, 2.0])
 
     def test_phi0_gives_cumulative_sums(self):
         # G from g = phi_0 has the all-ones lower-triangular inverse
-        G = build_G(PHI0_COEFFS, 6)
         rhs = np.arange(1.0, 7.0)
-        assert np.allclose(solve_lower(G, rhs), np.cumsum(rhs))
+        assert np.allclose(solve_lower(PHI0_COEFFS, rhs), np.cumsum(rhs))
 
     @pytest.mark.parametrize("m", [2, 8, 33, 64])
     def test_against_dense_oracle(self, m):
         rng = np.random.default_rng(m)
-        G = random_well_conditioned(rng, m)
+        col = random_well_conditioned(rng, m)
         rhs = rng.standard_normal(m)
-        got = solve_lower(G, rhs)
-        ref = solve_triangular(G.dense(), rhs, lower=True)
+        got = solve_lower(kernel_of(col), rhs)
+        ref = solve_triangular(dense(col), rhs, lower=True)
         assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
 
     @pytest.mark.parametrize("m", [4, 16, 64])
     def test_matvec_roundtrip(self, m):
         rng = np.random.default_rng(100 + m)
-        G = random_well_conditioned(rng, m)
+        col = random_well_conditioned(rng, m)
         rhs = rng.standard_normal(m)
-        back = G.dense() @ solve_lower(G, rhs)
+        back = dense(col) @ solve_lower(kernel_of(col), rhs)
         assert np.abs(back - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
 
     def test_multiple_rhs(self):
         rng = np.random.default_rng(5)
-        G = random_well_conditioned(rng, 8)
+        g = kernel_of(random_well_conditioned(rng, 8))
         rhs = rng.standard_normal((8, 7))
-        got = solve_lower(G, rhs)
+        got = solve_lower(g, rhs)
         for j in range(7):
-            assert np.allclose(got[:, j], solve_lower(G, rhs[:, j]))
+            assert np.allclose(got[:, j], solve_lower(g, rhs[:, j]))
         stacked = rng.standard_normal((8, 3, 5))
-        got = solve_lower(G, stacked)
+        got = solve_lower(g, stacked)
         assert got.shape == (8, 3, 5)
         for j in range(3):
             for k in range(5):
-                assert np.allclose(got[:, j, k], solve_lower(G, stacked[:, j, k]))
+                assert np.allclose(got[:, j, k], solve_lower(g, stacked[:, j, k]))
 
     def test_singular_raises(self):
-        G = build_G(LagCoeffs([0.0, 1.0]), 2)
         with pytest.raises(SingularOperatorError):
-            solve_lower(G, np.ones(2))
+            solve_lower(LagCoeffs([0.0, 1.0]), np.ones(2))
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_lower(LowerToeplitz([1.0, 0.5]), np.ones(3))
+    def test_too_few_coefficients(self):
+        with pytest.raises(ValueError, match="need at least 3 kernel coefficients, got 2"):
+            solve_lower(LagCoeffs([1.0, 0.5]), np.ones(3))
+
+    def test_reads_only_the_leading_m_coefficients(self):
+        rng = np.random.default_rng(11)
+        col = random_well_conditioned(rng, 12)
+        rhs = rng.standard_normal(5)
+        assert np.array_equal(solve_lower(kernel_of(col), rhs),
+                              solve_lower(kernel_of(col[:5]), rhs))
 
 
 class TestInverseNorms:
     def test_phi0_m1(self):
         tab = inverse_norms(PHI0_COEFFS, 1)
-        assert tab.spectral_at(1) == pytest.approx(1.0)
-        assert tab.frobenius_at(1) == pytest.approx(1.0)
+        assert tab.spectral[1 - 1] == pytest.approx(1.0)
+        assert tab.frobenius[1 - 1] == pytest.approx(1.0)
 
     def test_phi0_frobenius_counts_unit_entries(self):
         # all-ones inverse: squared Frobenius norm is m(m+1)/2
         tab = inverse_norms(PHI0_COEFFS, 4)
-        assert tab.frobenius_at(4) ** 2 == pytest.approx(10.0, rel=1e-12)
+        assert tab.frobenius[4 - 1] ** 2 == pytest.approx(10.0, rel=1e-12)
 
     @pytest.mark.parametrize("m", [2, 5, 17, 64])
     def test_frobenius_matches_dense_oracle(self, m):
         rng = np.random.default_rng(m + 7)
-        G = random_well_conditioned(rng, m)
-        tab = inverse_norms(LagCoeffs(np.cumsum(G.col)), m)
-        dense_inv = np.linalg.inv(G.dense())
-        assert tab.frobenius_at(m) == pytest.approx(
+        col = random_well_conditioned(rng, m)
+        tab = inverse_norms(kernel_of(col), m)
+        dense_inv = np.linalg.inv(dense(col))
+        assert tab.frobenius[m - 1] == pytest.approx(
             np.linalg.norm(dense_inv, "fro"), rel=1e-10
         )
 
     @pytest.mark.parametrize("m", [2, 8, 32, 64])
     def test_spectral_matches_svd_oracle(self, m):
         rng = np.random.default_rng(m + 13)
-        G = random_well_conditioned(rng, m)
-        g = LagCoeffs(np.cumsum(G.col))
+        g = kernel_of(random_well_conditioned(rng, m))
         tab = inverse_norms(g, m)
         for k in range(1, m + 1):
-            assert tab.spectral_at(k) == pytest.approx(svd_oracle(g, k), rel=1e-10)
+            assert tab.spectral[k - 1] == pytest.approx(svd_oracle(g, k), rel=1e-10)
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
     def test_every_m_matches_svd_oracle(self, name):
         g = KERNELS[name]
         tab = inverse_norms(g, 64)
         for m in range(1, 65):
-            assert tab.spectral_at(m) == pytest.approx(svd_oracle(g, m), rel=1e-10)
+            assert tab.spectral[m - 1] == pytest.approx(svd_oracle(g, m), rel=1e-10)
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
     def test_table_is_deterministic_monotone_and_prefix_closed(self, name):
@@ -191,19 +203,19 @@ class TestInverseNorms:
     @pytest.mark.parametrize("name", sorted(KERNELS))
     def test_one_entry_table_spectral_equals_frobenius(self, name):
         tab = inverse_norms(KERNELS[name], 1)
-        assert tab.spectral_at(1) == tab.frobenius_at(1)
+        assert tab.spectral[1 - 1] == tab.frobenius[1 - 1]
 
     def test_every_m_to_256_matches_dense_inverse_oracle(self):
-        G = random_well_conditioned(np.random.default_rng(256), 256)
-        tab = inverse_norms(LagCoeffs(np.cumsum(G.col)), 256)
+        col = random_well_conditioned(np.random.default_rng(256), 256)
+        tab = inverse_norms(kernel_of(col), 256)
         # the leading m x m block of a lower-triangular inverse is (G^(m))^-1
-        dense_inv = np.linalg.inv(G.dense())
+        dense_inv = np.linalg.inv(dense(col))
         for m in range(1, 257):
             block = dense_inv[:m, :m]
-            assert tab.spectral_at(m) == pytest.approx(
+            assert tab.spectral[m - 1] == pytest.approx(
                 np.linalg.svd(block, compute_uv=False)[0], rel=1e-12
             )
-            assert tab.frobenius_at(m) == pytest.approx(
+            assert tab.frobenius[m - 1] == pytest.approx(
                 np.linalg.norm(block, "fro"), rel=1e-12
             )
 
@@ -223,9 +235,8 @@ class TestInverseNorms:
 
     def test_variance_growth_under_white_noise(self):
         # Var[theta_l] for G from phi_0 grows like l^{2r-1} = l
-        G = build_G(PHI0_COEFFS, 64)
         rng = np.random.default_rng(42)
-        theta = solve_lower(G, rng.standard_normal((64, 4000)))
+        theta = solve_lower(PHI0_COEFFS, rng.standard_normal((64, 4000)))
         var = theta.var(axis=1)
         ls = np.arange(1, 65)
         slope = np.polyfit(np.log(ls[1:]), np.log(var[1:]), 1)[0]
@@ -242,8 +253,7 @@ class TestSelectM:
         tab = inverse_norms(PHI0_COEFFS, 32)
         dense_norms = []
         for m in range(1, 33):
-            G = build_G(PHI0_COEFFS, m).dense()
-            dense_norms.append(np.linalg.svd(np.linalg.inv(G), compute_uv=False)[0])
+            dense_norms.append(svd_oracle(PHI0_COEFFS, m))
         crossing = next(i for i, v in enumerate(dense_norms, start=1) if v > 4.0)
         assert select_M(tab, eps=0.5) == crossing - 1
 
