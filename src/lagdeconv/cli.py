@@ -156,11 +156,10 @@ def cmd_simulate(args) -> int:
 def cmd_deconvolve(args) -> int:
     Y = read_cube(args.input)
 
-    g_series = g_zero = g_coeffs = None
     if args.kernel_coeffs is not None:
-        g_coeffs = _kernel_coeffs(args.kernel_coeffs)
+        kernel, g_zero = _kernel_coeffs(args.kernel_coeffs), None
     else:
-        _, g_series, g_zero = _kernel_series(args.kernel, Y.grid)
+        _, kernel, g_zero = _kernel_series(args.kernel, Y.grid)
 
     cfg = EstimatorConfig(
         M=args.M, nu=args.nu, eps=args.eps,
@@ -182,8 +181,7 @@ def cmd_deconvolve(args) -> int:
         raise ValueError("spatial sides are not powers of two; pass --symmetrize")
     work = Cube(grid=Y.grid, data=data)
 
-    f_hat, diag = deconvolve(work, g_series, spec, cfg,
-                             g_zero=g_zero, g_coeffs=g_coeffs)
+    f_hat, diag = deconvolve(work, kernel, spec, cfg, g_zero=g_zero)
 
     out_data = f_hat.data[:, :n1, :n2]
     write_cube(args.out, Cube(grid=Y.grid, data=out_data))

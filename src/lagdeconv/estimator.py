@@ -27,10 +27,11 @@ each way rather than n.  The work that does not depend on the
 observations comes in two halves.  The grid half, each order's Laguerre
 basis with its quadrature weights and projector P, depends only on the
 grid and is cached on the `TimeGrid` object by `tabulate_basis`, so every
-plan on that grid shares it.  The kernel half, each order's kernel fit, A
-and inverse-norm table, is held by a `Plan` in a cache keyed by the
-Laguerre order.  Cubes that share a kernel share one plan; `deconvolve`
-builds one and applies it once.  Nothing mutates its inputs.
+plan on that grid shares it.  The kernel half, each order's kernel
+coefficients (a `LagCoeffs` kernel's first M, or the fit of kernel
+samples), A and inverse-norm table, is held by a `Plan` in a cache keyed by
+the Laguerre order.  Cubes that share a kernel share one plan;
+`deconvolve` builds one and applies it once.  Nothing mutates its inputs.
 """
 
 from __future__ import annotations
@@ -284,45 +285,47 @@ class _Order:
 class Plan:
     """The estimator for one grid, kernel, spec and config.
 
-    A plan holds the work that does not depend on the observations: the
-    kernel fit, the folded M x n time operator A = G^-1 P E (zero-slice
-    extrapolation E, least-squares projector P, Toeplitz inverse G^-1) and
-    the inverse-norm table.  The Laguerre basis and its projector P depend
-    only on the grid: `tabulate_basis` caches them on the grid object, so
-    plans with different kernels on one grid share them.  `_order(M)`
-    builds the kernel state of one order, the only path that does, and
-    caches it; A and the norm table are built on first read.  With
-    M="auto" the rule reads the norm table of order m_cap, and the order it
-    chooses comes from the same cache.  None of this depends on the
-    raster: `apply` takes n1 and n2 from each cube, and the spec caches W
-    per side, so one plan serves every cube on its grid that shares the
-    kernel, whatever its dyadic raster.  Its caches, the grid's and the
-    spec's hold only idempotent derived state, so a plan is safe to share
-    across threads.
+    The kernel is a `LagCoeffs`, its Laguerre coefficients, which must cover
+    every order the plan fits (M="auto" stops at their count), or anything
+    else, read as its samples at t_1..t_n with `g_zero` their exact t = 0
+    value if known.  A plan holds the work that does not depend on the
+    observations: the kernel's coefficients, the folded M x n time operator
+    A = G^-1 P E (zero-slice extrapolation E, least-squares projector P,
+    Toeplitz inverse G^-1) and the inverse-norm table.  The Laguerre basis
+    and its projector P depend only on the grid: `tabulate_basis` caches
+    them on the grid object, so plans with different kernels on one grid
+    share them.  `_order(M)` builds the kernel state of one order, the only
+    path that does, and caches it; A and the norm table are built on first
+    read.  With M="auto" the rule reads the norm table of order m_cap, and
+    the order it chooses comes from the same cache.  None of this depends
+    on the raster: `apply` takes n1 and n2 from each cube, and the spec
+    caches W per side, so one plan serves every cube on its grid that
+    shares the kernel, whatever its dyadic raster.  Its caches, the grid's
+    and the spec's hold only idempotent derived state, so a plan is safe to
+    share across threads.
     """
 
     def __init__(
         self,
         grid: TimeGrid,
-        g_series: np.ndarray | None,
+        kernel: LagCoeffs | np.ndarray,
         spec: WaveletSpec,
         cfg: EstimatorConfig = EstimatorConfig(),
         g_zero: float | None = None,
-        g_coeffs: LagCoeffs | None = None,
     ):
-        if (g_series is None) == (g_coeffs is None):
-            raise ValueError("provide exactly one of g_series (kernel samples) "
-                             "and g_coeffs (Laguerre coefficients)")
-        if g_coeffs is not None and g_zero is not None:
-            raise ValueError("g_zero is the t = 0 value of kernel samples; "
-                             "it does not apply to Laguerre coefficients")
-        if g_coeffs is None:
-            g_series = np.array(g_series, dtype=float)  # kept for later fits; fit_coeffs checks it
+        if isinstance(kernel, LagCoeffs):
+            if g_zero is not None:
+                raise ValueError("g_zero is the t = 0 value of kernel samples; "
+                                 "it does not apply to Laguerre coefficients")
+            m_kernel = kernel.m
+        else:
+            kernel = np.array(kernel, dtype=float)  # kept for later fits; fit_coeffs checks it
+            m_kernel = grid.n
         self.grid, self.spec, self.cfg = grid, spec, cfg
-        self._g_series, self._g_zero, self._g_coeffs = g_series, g_zero, g_coeffs
+        self._kernel, self._g_zero = kernel, g_zero
         self._orders: dict[int, _Order] = {}
         if cfg.M == "auto":
-            self._m_cap = int(min(cfg.m_cap, grid.n, grid.n if g_coeffs is None else g_coeffs.m))
+            self._m_cap = int(min(cfg.m_cap, grid.n, m_kernel))
             self._order(self._m_cap)
             return
         if cfg.M > grid.n:
@@ -334,14 +337,14 @@ class Plan:
 
     def _order(self, M: int) -> _Order:
         if M not in self._orders:
-            g_coeffs = self._g_coeffs
-            if g_coeffs is not None and g_coeffs.m < M:
-                raise ValueError(f"kernel coefficients cover m={g_coeffs.m}, need {M}")
+            kernel = self._kernel
             basis = tabulate_basis(M, self.grid)
-            if g_coeffs is not None:
-                g_hat = LagCoeffs(g_coeffs.values[:M])
+            if not isinstance(kernel, LagCoeffs):
+                g_hat = fit_coeffs(kernel, basis, self.cfg.rcond, self._g_zero)
+            elif kernel.m < M:
+                raise ValueError(f"kernel coefficients cover m={kernel.m}, need {M}")
             else:
-                g_hat = fit_coeffs(self._g_series, basis, self.cfg.rcond, self._g_zero)
+                g_hat = LagCoeffs(kernel.values[:M])
             self._orders[M] = _Order(basis, g_hat, self.cfg.rcond)
         return self._orders[M]
 
@@ -418,18 +421,17 @@ class Plan:
 
 def deconvolve(
     Y: Cube,
-    g_series: np.ndarray | None,
+    kernel: LagCoeffs | np.ndarray,
     spec: WaveletSpec,
     cfg: EstimatorConfig = EstimatorConfig(),
     g_zero: float | None = None,
-    g_coeffs: LagCoeffs | None = None,
 ) -> tuple[Cube, Diagnostics]:
     """Recover f from Y = g*f + noise.
 
-    The kernel enters either as samples on Y's grid (`g_series`, optionally
-    with its exact t = 0 value `g_zero`) or directly as Laguerre coefficients
-    (`g_coeffs`).  Returns the estimate cube and diagnostics.  This builds a
-    `Plan` for Y's grid and applies it once; cubes on one grid that share a
-    kernel can share one plan instead, whatever their rasters.
+    The kernel is either its Laguerre coefficients, a `LagCoeffs`, or
+    anything else, read as its samples on Y's grid, with `g_zero` its exact
+    t = 0 value if known.  Returns the estimate cube and diagnostics.  This
+    builds a `Plan` for Y's grid and applies it once; cubes on one grid that
+    share a kernel can share one plan instead, whatever their rasters.
     """
-    return Plan(Y.grid, g_series, spec, cfg, g_zero, g_coeffs).apply(Y)
+    return Plan(Y.grid, kernel, spec, cfg, g_zero).apply(Y)

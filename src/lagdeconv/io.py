@@ -122,8 +122,8 @@ def write_series(path, t: np.ndarray, values: np.ndarray) -> Path:
 
 
 def read_series(path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a (t, value) CSV; enforces finite entries and strictly
-    increasing t."""
+    """Parse a (t, value) CSV; enforces two fields per data row, finite
+    entries and strictly increasing t."""
     path = Path(path)
     t_vals: list[float] = []
     y_vals: list[float] = []
@@ -138,7 +138,7 @@ def read_series(path) -> tuple[np.ndarray, np.ndarray]:
     except ValueError:
         start = 1  # header row
     for row in rows[start:]:
-        if len(row) < 2:
+        if len(row) != 2:
             raise FileFormatError(f"{path}: expected two columns, got {row!r}")
         try:
             t_i, y_i = float(row[0]), float(row[1])

@@ -250,12 +250,18 @@ def fit_coeffs(
     """Stable projection: weighted least-squares fit with spectral cutoff.
 
     Minimizes the quadrature-weighted residual sum over span{phi_0..phi_{M-1}}
-    after dropping design directions below rcond * s_max.
+    after dropping design directions below rcond * s_max.  The series must
+    be n finite samples and zero_value, its t = 0 value, None or a finite
+    real.
     """
     series = np.asarray(series, dtype=float)
     if series.shape != (basis.grid.n,):
         raise ValueError(
             f"series length {series.shape} does not match grid n={basis.grid.n}"
         )
+    if not np.all(np.isfinite(series)):
+        raise ValueError("series samples must be finite")
+    if zero_value is not None and not (_is_real(zero_value) and math.isfinite(zero_value)):
+        raise ValueError(f"series t = 0 value must be a finite real, got {zero_value!r}")
     full = _series_with_zero(series, zero_value)
     return LagCoeffs(basis.projection_matrix(rcond) @ full)

@@ -272,18 +272,11 @@ def run_table1(
     ]
 
 
-def run_single(
-    fid: str,
-    snr: float,
-    cfg: SimConfig,
-    est_cfg: EstimatorConfig | None = None,
-) -> tuple[float, Diagnostics]:
+def run_single(fid: str, snr: float, cfg: SimConfig) -> tuple[float, Diagnostics]:
     """One replicate of one cell at one SNR, its noise seeded by cfg.seed,
-    fitted with daub4; returns (relative error, diagnostics)."""
-    if est_cfg is None:
-        est_cfg = EstimatorConfig(M=8)
+    fitted with daub4 at M = 8; returns (relative error, diagnostics)."""
     f, q = _forward_model(fid, cfg)
     Y, _ = add_noise(q, snr, cfg.seed)
     g = default_kernel(cfg.grid.points)
-    f_hat, diag = deconvolve(Y, g, WaveletSpec(), est_cfg, g_zero=1.0)
+    f_hat, diag = deconvolve(Y, g, WaveletSpec(), EstimatorConfig(M=8), g_zero=1.0)
     return relative_error(f_hat, f), diag

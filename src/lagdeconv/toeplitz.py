@@ -39,22 +39,22 @@ class SingularOperatorError(ValueError):
     """Raised when the operator has a zero diagonal (g_0 = 0)."""
 
 
-def solve_lower(g_coeffs: LagCoeffs, rhs) -> np.ndarray:
+def solve_lower(kernel: LagCoeffs, rhs) -> np.ndarray:
     """Solve G x = rhs as x = G^-1 rhs, for rhs of shape (m,) or (m, ...).
 
     G is the m x m convolution operator of the kernel: lower triangular
     Toeplitz with first column col = (g_0, g_1 - g_0, ..., g_{m-1} - g_{m-2}),
-    from the first m of g_coeffs.  Its inverse is lower-triangular Toeplitz
-    with first column c: c_0 = 1/col_0 and
+    from the kernel's first m coefficients.  Its inverse is lower-triangular
+    Toeplitz with first column c: c_0 = 1/col_0 and
     c_i = -(col_1 c_{i-1} + ... + col_i c_0)/col_0.
     """
     rhs = np.asarray(rhs, dtype=float)
     m = rhs.shape[0] if rhs.ndim else 0
     if m < 1:
         raise ValueError(f"rhs needs a nonempty leading axis, got shape {rhs.shape}")
-    if g_coeffs.m < m:
-        raise ValueError(f"need at least {m} kernel coefficients, got {g_coeffs.m}")
-    g = g_coeffs.values[:m]
+    if kernel.m < m:
+        raise ValueError(f"need at least {m} kernel coefficients, got {kernel.m}")
+    g = kernel.values[:m]
     col = g.copy()
     col[1:] -= g[:-1]
     if col[0] == 0.0:
@@ -84,7 +84,7 @@ class InverseNormTable:
         return self.spectral.size
 
 
-def inverse_norms(g_coeffs: LagCoeffs, max_m: int) -> InverseNormTable:
+def inverse_norms(kernel: LagCoeffs, max_m: int) -> InverseNormTable:
     """Tabulate ||(G^(m))^-1|| and ||(G^(m))^-1||_F for m = 1..max_m.
 
     The inverse of a lower-triangular Toeplitz matrix is again lower
@@ -103,7 +103,7 @@ def inverse_norms(g_coeffs: LagCoeffs, max_m: int) -> InverseNormTable:
     """
     if max_m < 1:
         raise ValueError("max_m must be a positive integer")
-    c = solve_lower(g_coeffs, np.eye(max_m)[0])
+    c = solve_lower(kernel, np.eye(max_m)[0])
     ix = np.arange(max_m)
     shifted = np.concatenate([c, np.zeros(max_m)])[np.add.outer(ix, ix)]
     cum = np.cumsum(c[:, None] * shifted, axis=0)  # cum[i, d] = K[i, i+d]

@@ -487,6 +487,27 @@ class TestUndecodableInputs:
         err = capsys.readouterr().err
         assert f"file error: {path}: non-finite entry in" in err
 
+    # read_series once read the first two fields of a row and dropped the
+    # rest, so a (t, value, 7) file exited 0
+    @pytest.mark.parametrize("command", ["--kernel", "--kernel-coeffs", "norms"])
+    def test_a_third_column_exits_2_naming_the_file_and_row(self, tmp_path, capsys, command):
+        grid = TimeGrid(n=8, T=5.0)
+        t = np.arange(8.0) if command == "--kernel-coeffs" else np.r_[0.0, grid.points]
+        path = write_series(tmp_path / "g.csv", t, default_kernel(t))
+        lines = path.read_text().splitlines()
+        lines[3] += ",7"  # the third data row
+        path.write_text("\n".join(lines) + "\n")
+        if command == "norms":
+            argv = ["norms", "--kernel", str(path)]
+        else:
+            write_cube(tmp_path / "c", Cube(grid=grid, data=np.ones((8, 4, 4))))
+            argv = ["deconvolve", "--input", str(tmp_path / "c"), command, str(path),
+                    "--M", "4", "--out", str(tmp_path / "f")]
+        assert run_cli(*argv) == 2
+        row = lines[3].split(",")
+        assert f"file error: {path}: expected two columns, got {row!r}" in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
+
 
 class TestKernelSeries:
     """`deconvolve --kernel` and `norms` read a kernel file by one rule."""

@@ -304,9 +304,7 @@ class TestDeconvolve:
         Y = Cube(grid=grid, data=base)
         cfg = EstimatorConfig(M=6, threshold_mode=False)
         via_series = deconvolve(Y, np.exp(-grid.points / 2.0), spec, cfg, g_zero=1.0)
-        via_coeffs = deconvolve(
-            Y, None, spec, cfg, g_coeffs=LagCoeffs(np.eye(6)[0])
-        )
+        via_coeffs = deconvolve(Y, LagCoeffs(np.eye(6)[0]), spec, cfg)
         # same operator up to the fitted-vs-exact kernel coefficients
         assert relative_error(via_series[0], via_coeffs[0]) < 0.05
 
@@ -331,12 +329,12 @@ class TestDeconvolve:
         base = np.exp(-grid.points / 2.0)[:, None, None] * cosine_field(16, 16)
         Y = Cube(grid=grid, data=base + sigma * rng.standard_normal((32, 16, 16)))
         if kernel == "samples":
-            kw = dict(g_series=np.exp(-grid.points / 2.0), g_zero=1.0)
+            g, g_zero = np.exp(-grid.points / 2.0), 1.0
         else:
-            kw = dict(g_series=None, g_coeffs=LagCoeffs(np.eye(32)[0]))
-        auto, diag = deconvolve(Y, spec=spec, cfg=EstimatorConfig(m_cap=m_cap), **kw)
+            g, g_zero = LagCoeffs(np.eye(32)[0]), None
+        auto, diag = deconvolve(Y, g, spec, EstimatorConfig(m_cap=m_cap), g_zero)
         assert diag.M == expect_M
-        fixed, ref = deconvolve(Y, spec=spec, cfg=EstimatorConfig(M=diag.M), **kw)
+        fixed, ref = deconvolve(Y, g, spec, EstimatorConfig(M=diag.M), g_zero)
         assert np.array_equal(auto.data, fixed.data)
         assert np.array_equal(diag.lambdas, ref.lambdas)
 
@@ -638,23 +636,39 @@ class TestPlan:
         with pytest.raises(ValueError, match=re.escape(message)):
             plan.apply(Cube(grid=grid, data=np.ones((16, *shape))))
 
-    # Samples beside coefficients, or a t = 0 sample beside coefficients,
-    # used to be ignored without a word: the fit read the coefficients alone.
+    # A kernel is one argument: a missing one is a series of no samples, and
+    # a t = 0 sample beside coefficients, once ignored without a word, is an
+    # error.
     @pytest.mark.parametrize(
-        "g_series, g_zero, g_coeffs, message",
-        [(None, None, None, "exactly one of g_series"),
-         ("samples", None, PHI0, "exactly one of g_series"),
-         ("samples", 1.0, PHI0, "exactly one of g_series"),
-         (None, 1.0, PHI0, "g_zero .* does not apply to Laguerre coefficients")],
-        ids=["neither", "both", "both-with-zero", "coeffs-with-zero"],
+        "kernel, g_zero, message",
+        [(None, None, "series length () does not match grid n=16"),
+         (PHI0, 1.0, "g_zero is the t = 0 value of kernel samples; "
+                     "it does not apply to Laguerre coefficients")],
+        ids=["none", "coeffs-with-zero"],
     )
-    def test_rejects_a_kernel_given_twice_or_not_at_all(self, g_series, g_zero, g_coeffs, message):
+    def test_rejects_a_missing_kernel_or_a_zero_beside_coefficients(self, kernel, g_zero,
+                                                                     message):
         grid = TimeGrid(n=16, T=5.0)
-        if g_series == "samples":
-            g_series = np.exp(-grid.points / 2.0)
-        with pytest.raises(ValueError, match=message):
-            Plan(grid, g_series, WaveletSpec(), EstimatorConfig(M=4),
-                 g_zero=g_zero, g_coeffs=g_coeffs)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Plan(grid, kernel, WaveletSpec(), EstimatorConfig(M=4), g_zero=g_zero)
+
+    # fit_coeffs checks the samples and their t = 0 value where they become
+    # coefficients: a NaN once failed as "coefficients must be finite", and
+    # a string t = 0 value was fitted as its float
+    @pytest.mark.parametrize(
+        "sample, g_zero, message",
+        [(math.nan, 1.0, "series samples must be finite"),
+         (0.5, math.nan, "series t = 0 value must be a finite real, got nan"),
+         (0.5, "1", "series t = 0 value must be a finite real, got '1'")],
+        ids=["nan-sample", "nan-zero", "str-zero"],
+    )
+    def test_rejects_non_finite_or_non_real_kernel_samples(self, sample, g_zero, message):
+        grid = TimeGrid(n=16, T=5.0)
+        g = np.exp(-grid.points / 2.0)
+        g[3] = sample
+        for cfg in (EstimatorConfig(M=4), EstimatorConfig(m_cap=8)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                Plan(grid, g, WaveletSpec(), cfg, g_zero=g_zero)
 
     # fit_coeffs checks the samples' length in the constructor's first fit,
     # on the fixed-M path and the M="auto" path alike

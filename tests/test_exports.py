@@ -70,11 +70,11 @@ SETTABLE_FIELDS = {
 }
 
 PARAMETERS = {
-    "estimator.Plan": ("grid", "g_series", "spec", "cfg", "g_zero", "g_coeffs"),
-    "estimator.deconvolve": ("Y", "g_series", "spec", "cfg", "g_zero", "g_coeffs"),
+    "estimator.Plan": ("grid", "kernel", "spec", "cfg", "g_zero"),
+    "estimator.deconvolve": ("Y", "kernel", "spec", "cfg", "g_zero"),
     "estimator.hard_threshold": ("values", "lambdas"),
     "simulate.run_table1": ("cfg", "est_cfg", "snrs"),
-    "simulate.run_single": ("fid", "snr", "cfg", "est_cfg"),
+    "simulate.run_single": ("fid", "snr", "cfg"),
 }
 
 

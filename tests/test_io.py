@@ -200,3 +200,12 @@ class TestSeriesFile:
         msg = f"{path}: non-finite entry in {row.split(',')!r}"
         with pytest.raises(FileFormatError, match=re.escape(msg)):
             read_series(path)
+
+    # the first two fields of a row were read and the rest dropped
+    @pytest.mark.parametrize("row", ["1.0,2.0,7", "1.0,2.0,", "1.0"])
+    def test_rejects_a_row_of_other_than_two_fields_naming_the_file_and_row(self, tmp_path, row):
+        path = tmp_path / "s.csv"
+        path.write_text(f"t,value\n0.5,1.0\n{row}\n2.0,3.0\n")
+        msg = f"{path}: expected two columns, got {row.split(',')!r}"
+        with pytest.raises(FileFormatError, match=re.escape(msg)):
+            read_series(path)

@@ -173,6 +173,22 @@ class TestFitCoeffs:
         with pytest.raises(ValueError):
             fit_coeffs(np.zeros(10), basis)
 
+    @pytest.mark.parametrize(
+        "sample, zero_value, message",
+        [(math.nan, None, "series samples must be finite"),
+         (-math.inf, 1.0, "series samples must be finite"),
+         (0.0, math.inf, "series t = 0 value must be a finite real, got inf"),
+         (0.0, True, "series t = 0 value must be a finite real, got True"),
+         (0.0, np.zeros(2), "series t = 0 value must be a finite real, got array")],
+    )
+    def test_rejects_non_finite_samples_and_a_non_real_zero_value(
+        self, oracle_grid, sample, zero_value, message
+    ):
+        series = np.zeros(oracle_grid.n)
+        series[1] = sample
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_coeffs(series, tabulate_basis(4, oracle_grid), zero_value=zero_value)
+
     def test_projection_is_linear(self, oracle_grid):
         rng = np.random.default_rng(3)
         basis = tabulate_basis(5, oracle_grid)
