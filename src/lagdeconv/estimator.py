@@ -25,13 +25,13 @@ All steps are linear except the thresholding.  The time operators commute
 with the per-slice spatial transform, so the spatial work is M transforms
 each way rather than n.  The work that does not depend on the
 observations comes in two halves.  The grid half, each order's Laguerre
-basis with its quadrature weights and projector P, depends only on the
+basis with its projector P at the config's rcond, depends only on the
 grid and is cached on the `TimeGrid` object by `tabulate_basis`, so every
-plan on that grid shares it.  The kernel half, each order's kernel
-coefficients (a `LagCoeffs` kernel's first M, or the fit of kernel
-samples), A and inverse-norm table, is held by a `Plan` in a cache keyed by
-the Laguerre order.  Cubes that share a kernel share one plan;
-`deconvolve` builds one and applies it once.  Nothing mutates its inputs.
+plan on that grid shares it.  The kernel half, A and the inverse-norm
+table of each order, is built with the order by a `Plan`, in one step,
+and held in a cache keyed by the Laguerre order.  Cubes that share a
+kernel share one plan; `deconvolve` builds one and applies it once.
+Nothing mutates its inputs.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -188,12 +187,6 @@ def _plain(value):
     return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
 
 
-def _projector(basis: LaguerreBasis, rcond: float) -> np.ndarray:
-    """P E: the zero-slice extrapolation folded into the M x (n+1) projector."""
-    extrapolate = _series_with_zero(np.eye(basis.grid.n), None)  # (n+1) x n
-    return basis.projection_matrix(rcond) @ extrapolate
-
-
 def _sigma_hat(Y: Cube, spec: WaveletSpec) -> float:
     # _median is np.median of the per-frame values without its dispatch
     return _median(np.array([estimate_sigma(Y.data[k], spec) for k in range(Y.grid.n)]))
@@ -258,28 +251,16 @@ def _depth(J, n_side: int, eps: float, auto_on: bool) -> int:
     return min(max(math.floor(-2.0 * math.log2(eps)), 0), full)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Order:
-    """Kernel-side state of a fit of one Laguerre order M.
-
-    `basis` is the grid's shared basis of order M.  A and the norm table
-    are built on first read.
-    """
+    """What `Plan.apply` reads for one Laguerre order M: the grid's shared
+    basis of order M, the M x n operator A = G^-1 P E and the norm table
+    ||(G^(m))^-1||, m = 1..M (the M="auto" rule reads entry M at m_cap,
+    the thresholds entries up to M-1)."""
 
     basis: LaguerreBasis
-    g_hat: LagCoeffs
-    rcond: float
-
-    @cached_property
-    def op(self) -> np.ndarray:
-        """A = G^-1 P E, M x n: one solve against the folded projector."""
-        return solve_lower(self.g_hat, _projector(self.basis, self.rcond))
-
-    @cached_property
-    def norms(self) -> InverseNormTable:
-        """||(G^(m))^-1|| for m = 1..M: the M="auto" rule reads entry M (at
-        m_cap), the thresholds entries up to M-1."""
-        return inverse_norms(self.g_hat, self.basis.M)
+    op: np.ndarray
+    norms: InverseNormTable
 
 
 class Plan:
@@ -288,21 +269,20 @@ class Plan:
     The kernel is a `LagCoeffs`, its Laguerre coefficients, which must cover
     every order the plan fits (M="auto" stops at their count), or anything
     else, read as its samples at t_1..t_n with `g_zero` their exact t = 0
-    value if known.  A plan holds the work that does not depend on the
-    observations: the kernel's coefficients, the folded M x n time operator
+    value if known.  A plan holds, per Laguerre order, the work that does
+    not depend on the observations: the basis, the M x n time operator
     A = G^-1 P E (zero-slice extrapolation E, least-squares projector P,
-    Toeplitz inverse G^-1) and the inverse-norm table.  The Laguerre basis
-    and its projector P depend only on the grid: `tabulate_basis` caches
-    them on the grid object, so plans with different kernels on one grid
-    share them.  `_order(M)` builds the kernel state of one order, the only
-    path that does, and caches it; A and the norm table are built on first
-    read.  With M="auto" the rule reads the norm table of order m_cap, and
-    the order it chooses comes from the same cache.  None of this depends
-    on the raster: `apply` takes n1 and n2 from each cube, and the spec
-    caches W per side, so one plan serves every cube on its grid that
-    shares the kernel, whatever its dyadic raster.  Its caches, the grid's
-    and the spec's hold only idempotent derived state, so a plan is safe to
-    share across threads.
+    Toeplitz inverse G^-1) and the inverse-norm table.  `_order(M)` builds
+    all three at once, the only path that does, and caches them.  The
+    constructor builds order cfg.M, or m_cap, whose norm table the M="auto"
+    rule reads, so a kernel with g_0 = 0 fails here, not at the first cube.
+    The basis depends only on the grid and is cached on it, so plans with
+    different kernels on one grid share it.  None of this depends on the
+    raster: `apply` takes n1 and n2 from each cube, and the spec caches W
+    per side, so one plan serves every cube on its grid that shares the
+    kernel, whatever its dyadic raster.  Its caches, the grid's and the
+    spec's hold only idempotent derived state, so a plan is safe to share
+    across threads.
     """
 
     def __init__(
@@ -338,14 +318,14 @@ class Plan:
     def _order(self, M: int) -> _Order:
         if M not in self._orders:
             kernel = self._kernel
-            basis = tabulate_basis(M, self.grid)
+            basis = tabulate_basis(M, self.grid, self.cfg.rcond)
             if not isinstance(kernel, LagCoeffs):
-                g_hat = fit_coeffs(kernel, basis, self.cfg.rcond, self._g_zero)
+                kernel = fit_coeffs(kernel, basis, self._g_zero)
             elif kernel.m < M:
                 raise ValueError(f"kernel coefficients cover m={kernel.m}, need {M}")
-            else:
-                g_hat = LagCoeffs(kernel.values[:M])
-            self._orders[M] = _Order(basis, g_hat, self.cfg.rcond)
+            # P E, the zero-slice extrapolation folded into the projector
+            pe = basis.projector @ _series_with_zero(np.eye(self.grid.n), None)
+            self._orders[M] = _Order(basis, solve_lower(kernel, pe), inverse_norms(kernel, M))
         return self._orders[M]
 
     def apply(self, Y: Cube) -> tuple[Cube, Diagnostics]:
@@ -409,7 +389,7 @@ class Plan:
             M=M,
             J1=J1,
             J2=J2,
-            projection_rank=order.basis.projection_rank(cfg.rcond),
+            projection_rank=order.basis.rank,
             keep_counts=keep_counts,
             total_counts=total_counts,
             lambdas=lambdas,

@@ -10,7 +10,8 @@ biased, it still behaves like an actual projection.
 
 Grid convention: t_k = T*k/n for k = 1..n, so there is no t = 0 sample.
 Quadrature is carried out on the n+1 nodes {0, t_1, ..., t_n}; the t = 0
-value of a data series is linearly extrapolated unless supplied.
+value of a data series is linearly extrapolated unless supplied.  A basis
+is built whole by `tabulate_basis`, its projector at one cutoff included.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -73,7 +73,7 @@ class TimeGrid:
 
     n: int
     T: float
-    # order M -> LaguerreBasis; filled only by tabulate_basis
+    # (M, rcond) -> LaguerreBasis; filled only by tabulate_basis
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -132,54 +132,22 @@ def _phi_rows(M: int, t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LaguerreBasis:
-    """First M Laguerre functions tabulated on a TimeGrid.
+    """First M Laguerre functions on a TimeGrid, with their projector.
 
-    `values` is the M x n table values[l][k] = phi_l(t_k) on the grid points
-    t_1..t_n.  The t = 0 column (phi_l(0) = 1 for every l) is kept implicit
-    and supplied analytically by the quadrature helpers.  Derived tables
-    are built on first read and never change.  Every table, the projectors
-    included, is read-only, so one instance is shared by every plan on its
-    grid and across threads.  Bases compare and hash by (M, grid).
+    `values` is the M x n table values[l][k] = phi_l(t_k), k = 1..n.
+    `projector` is the M x (n+1) Simpson-weighted least-squares projector
+    on the nodes {0, t_1, .., t_n} that keeps the `rank` singular
+    directions of the design above rcond * s_max.  Both tables are
+    read-only, so one instance is shared by every plan on its grid and
+    across threads.  Bases compare and hash by (M, grid, rcond).
     """
 
     M: int
     grid: TimeGrid
+    rcond: float
     values: np.ndarray = field(compare=False)
-    # rcond -> (P, rank)
-    _projectors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    @cached_property
-    def values_with_zero(self) -> np.ndarray:
-        """M x (n+1) table including the exact t = 0 column of ones."""
-        return _read_only(np.concatenate([np.ones((self.M, 1)), self.values], axis=1))
-
-    @cached_property
-    def quad_weights(self) -> np.ndarray:
-        """Composite Simpson weights on the n+1 nodes {0, t_1, .., t_n}."""
-        return _read_only(_simpson_weights(self.grid.n, self.grid.step))
-
-    def projection_matrix(self, rcond: float = DEFAULT_RCOND) -> np.ndarray:
-        """M x (n+1) weighted least-squares projector with spectral cutoff.
-
-        Singular directions of the sqrt-weighted design below rcond * s_max
-        are dropped; on grids that resolve the basis nothing is dropped and
-        the matrix equals plain quadrature (values_with_zero * quad_weights)
-        up to the Gram error.  rcond must lie in [0, 1).  Built once per
-        rcond and read-only.
-        """
-        key = _check_rcond(rcond)
-        if key not in self._projectors:
-            sw = np.sqrt(self.quad_weights)
-            u, s, vt = np.linalg.svd((self.values_with_zero * sw).T, full_matrices=False)
-            k = int(np.sum(s > key * s[0]))
-            P = _read_only(((vt[:k].T / s[:k]) @ u[:, :k].T) * sw)
-            self._projectors.setdefault(key, (P, k))
-        return self._projectors[key][0]
-
-    def projection_rank(self, rcond: float = DEFAULT_RCOND) -> int:
-        """Number of basis directions the cutoff retains."""
-        self.projection_matrix(rcond)  # checks rcond
-        return self._projectors[float(rcond)][1]
+    projector: np.ndarray = field(compare=False, repr=False)
+    rank: int = field(compare=False)
 
 
 def _simpson_weights(n_intervals: int, h: float) -> np.ndarray:
@@ -206,51 +174,66 @@ def _simpson_weights(n_intervals: int, h: float) -> np.ndarray:
     return w
 
 
-def tabulate_basis(M: int, grid: TimeGrid) -> LaguerreBasis:
-    """phi_0..phi_{M-1} on the grid points, the only path that builds a basis.
+def tabulate_basis(M: int, grid: TimeGrid, rcond: float = DEFAULT_RCOND) -> LaguerreBasis:
+    """phi_0..phi_{M-1} on the grid points with their projector at cutoff
+    rcond in [0, 1), the only path that builds a basis.
 
-    The basis is cached on the grid object by order, so every caller that
-    asks for order M on that grid gets one shared, read-only instance, with
-    the projectors it has built.  Its `grid` is an equal copy without a
-    cache: holding the grid itself would make a reference cycle, and the
-    bases of a dropped grid would wait for the garbage collector.
+    The basis is cached on the grid object by (M, rcond), so every caller
+    that asks for it on that grid gets one shared, read-only instance.  Its
+    `grid` is an equal copy without a cache: holding the grid itself would
+    make a reference cycle, and the bases of a dropped grid would wait for
+    the garbage collector.
     """
     if not _is_int_at_least(M, 1):
         raise ValueError(f"order M must be a positive integer, got {M!r}")
-    M = int(M)
-    basis = grid._cache.get(M)
+    key = (int(M), _check_rcond(rcond))
+    basis = grid._cache.get(key)
     if basis is None:
-        values = _read_only(_phi_rows(M, grid.points))
-        basis = LaguerreBasis(M=M, grid=TimeGrid(grid.n, grid.T), values=values)
-        basis = grid._cache.setdefault(M, basis)
+        M, rcond = key
+        values = _phi_rows(M, grid.points)
+        # the t = 0 column is phi_l(0) = 1 for every l
+        sw = np.sqrt(_simpson_weights(grid.n, grid.step))
+        design = np.concatenate([np.ones((M, 1)), values], axis=1) * sw
+        u, s, vt = np.linalg.svd(design.T, full_matrices=False)
+        rank = int(np.sum(s > rcond * s[0]))
+        projector = ((vt[:rank].T / s[:rank]) @ u[:, :rank].T) * sw
+        basis = LaguerreBasis(M=M, grid=TimeGrid(grid.n, grid.T), rcond=rcond,
+                              values=_read_only(values), projector=_read_only(projector),
+                              rank=rank)
+        basis = grid._cache.setdefault(key, basis)
     return basis
 
 
-def _series_with_zero(series: np.ndarray, zero_value) -> np.ndarray:
+def _series_with_zero(series: np.ndarray, zero_value, name: str = "t = 0 value") -> np.ndarray:
     """Prepend the t = 0 sample, extrapolating linearly when not supplied.
 
-    Works for a 1-D series or for a stack with nodes along axis 0.
+    Works for a 1-D series or for a stack with nodes along axis 0.  A given
+    zero_value must be finite reals that broadcast to one node (a real for
+    a 1-D series); the ValueError for any other calls it `name`.
     """
     if zero_value is None:
-        if series.shape[0] >= 2:
-            zero = 2.0 * series[0] - series[1]
-        else:
-            zero = series[0]
+        zero = 2.0 * series[0] - series[1] if series.shape[0] >= 2 else series[0]
     else:
-        zero = np.broadcast_to(np.asarray(zero_value, dtype=float), series.shape[1:])
+        try:  # an int beyond the double range overflows float(), not the test
+            zero = np.asarray(float(zero_value) if _is_real(zero_value) else zero_value)
+            # neither True nor "1" is a value of the series
+            ok = zero.dtype.kind in "iuf" and bool(np.all(np.isfinite(zero)))
+            zero = np.broadcast_to(zero, series.shape[1:])
+        except (OverflowError, ValueError):
+            ok = False
+        if not ok:
+            shape = series.shape[1:]
+            kind = f"a finite array that broadcasts to shape {shape}" if shape else "a finite real"
+            raise ValueError(f"{name} must be {kind}, got {zero_value!r}")
     return np.concatenate([np.asarray(zero)[None, ...], series], axis=0)
 
 
-def fit_coeffs(
-    series,
-    basis: LaguerreBasis,
-    rcond: float = DEFAULT_RCOND,
-    zero_value=None,
-) -> LagCoeffs:
-    """Stable projection: weighted least-squares fit with spectral cutoff.
+def fit_coeffs(series, basis: LaguerreBasis, zero_value=None) -> LagCoeffs:
+    """Stable projection: the basis's weighted least-squares fit with
+    spectral cutoff, the projector built at the basis's rcond.
 
     Minimizes the quadrature-weighted residual sum over span{phi_0..phi_{M-1}}
-    after dropping design directions below rcond * s_max.  The series must
+    after dropping the design directions the cutoff drops.  The series must
     be n finite samples and zero_value, its t = 0 value, None or a finite
     real.
     """
@@ -261,7 +244,5 @@ def fit_coeffs(
         )
     if not np.all(np.isfinite(series)):
         raise ValueError("series samples must be finite")
-    if zero_value is not None and not (_is_real(zero_value) and math.isfinite(zero_value)):
-        raise ValueError(f"series t = 0 value must be a finite real, got {zero_value!r}")
-    full = _series_with_zero(series, zero_value)
-    return LagCoeffs(basis.projection_matrix(rcond) @ full)
+    full = _series_with_zero(series, zero_value, "series t = 0 value")
+    return LagCoeffs(basis.projector @ full)

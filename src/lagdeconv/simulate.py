@@ -129,15 +129,19 @@ def forward_convolve(
 
     The quadrature runs over the nodes {0, t_1, .., t_k}; t = 0 values of f
     and g are taken from `f_zero`/`g_zero` when given and linearly
-    extrapolated otherwise.  Causal: q at t_k never touches later samples.
+    extrapolated otherwise.  The kernel samples must be finite, `g_zero` a
+    finite real and `f_zero` a finite array that broadcasts to one frame.
+    Causal: q at t_k never touches later samples.
     """
     g_series = np.asarray(g_series, dtype=float)
     n = f.grid.n
     if g_series.shape != (n,):
         raise ValueError("kernel samples must live on the cube's time grid")
+    if not np.all(np.isfinite(g_series)):
+        raise ValueError("kernel samples must be finite")
     h = f.grid.step
-    g_full = _series_with_zero(g_series, g_zero)
-    f_full = _series_with_zero(f.data, f_zero)
+    g_full = _series_with_zero(g_series, g_zero, "g_zero")
+    f_full = _series_with_zero(f.data, f_zero, "f_zero")  # f, a Cube, is finite
 
     # Row k-1 integrates over nodes j = 0..k: weights h*(1/2, 1, .., 1, 1/2)
     # times g(t_k - t_j), and zero beyond the diagonal.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laguerre import LagCoeffs
+from .laguerre import LagCoeffs, _is_int_at_least
 
 __all__ = [
     "InverseNormTable",
@@ -101,8 +101,8 @@ def inverse_norms(kernel: LagCoeffs, max_m: int) -> InverseNormTable:
     coefficients, bit for bit.  Building K costs O(max_m^2); the eigenvalue
     calls cost O(max_m^4) in total.
     """
-    if max_m < 1:
-        raise ValueError("max_m must be a positive integer")
+    if not _is_int_at_least(max_m, 1):
+        raise ValueError(f"max_m must be a positive integer, got {max_m!r}")
     c = solve_lower(kernel, np.eye(max_m)[0])
     ix = np.arange(max_m)
     shifted = np.concatenate([c, np.zeros(max_m)])[np.add.outer(ix, ix)]

@@ -26,9 +26,9 @@ blocks of B = 16 samples and every block's detail rows are one shared
 (B/2 x B) matrix, plus a tail of L/2 - 1 rows that also reach the first
 L - 2 samples of the next block.  Both are cut from the W of a 2B-sample
 axis.  Applied that way the quadrant costs O(n1 n2 B) instead of the dense
-O(n1 n2 (n1 + n2)).  Frames with n1 n2 (n1 + n2) up to 2^21 (96 x 96,
-128 x 64, 256 x 16 and smaller) keep the dense product, bit for bit:
-there the blocks' fixed costs outweigh the saving.
+O(n1 n2 (n1 + n2)).  Frames with n1 n2 (n1 + n2) up to 2^21 (64 x 64,
+128 x 64, 256 x 16 and smaller; 128 x 128 is above) keep the dense
+product, bit for bit: there the blocks' fixed costs outweigh the saving.
 """
 
 from __future__ import annotations

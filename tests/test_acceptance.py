@@ -123,8 +123,12 @@ class TestCriterion4ForwardOracles:
 
 class TestCriterion5PropertySuites:
     def test_laguerre_orthonormality(self):
-        basis = tabulate_basis(10, TimeGrid(n=ORACLE_N, T=ORACLE_T))
-        v, w = basis.values_with_zero, basis.quad_weights
+        grid = TimeGrid(n=ORACLE_N, T=ORACLE_T)
+        # the basis on the nodes {0, t_1, .., t_n}, phi_l(0) = 1, and their
+        # composite Simpson weights
+        v = np.concatenate([np.ones((10, 1)), tabulate_basis(10, grid).values], axis=1)
+        w = np.where(np.arange(grid.n + 1) % 2, 4.0, 2.0) * grid.step / 3.0  # n is even
+        w[0] = w[-1] = grid.step / 3.0
         err = np.abs((v * w) @ v.T - np.eye(10)).max()
         report("5a Laguerre orthonormality", err <= 1e-6, f"max |Gram - I| = {err:.2e}")
 
@@ -136,7 +140,8 @@ class TestCriterion5PropertySuites:
         for t in (0.5, 1.0, 2.0, 5.0, 10.0):
             # the basis on the symmetric nodes t i/4096: phi_j(t - z) is row j reversed
             steps = 4096
-            v = tabulate_basis(11, TimeGrid(n=steps, T=t)).values_with_zero
+            v = np.concatenate([np.ones((11, 1)), tabulate_basis(11, TimeGrid(n=steps, T=t)).values],
+                               axis=1)
             w = np.full(steps + 1, t / steps)
             w[0] *= 0.5
             w[-1] *= 0.5

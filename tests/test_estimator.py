@@ -12,6 +12,7 @@ from lagdeconv import (
     LagCoeffs,
     Plan,
     SimConfig,
+    SingularOperatorError,
     TimeGrid,
     WaveletSpec,
     deconvolve,
@@ -364,17 +365,17 @@ def old_order_deconvolve(Y, g, spec, cfg, g_zero):
     eps = grid.T * sigma / math.sqrt(n) if cfg.eps == "auto" else float(cfg.eps)
     if cfg.M == "auto":
         m_cap = min(cfg.m_cap, n)
-        probe = fit_coeffs(g, tabulate_basis(m_cap, grid), cfg.rcond, g_zero)
+        probe = fit_coeffs(g, tabulate_basis(m_cap, grid, cfg.rcond), g_zero)
         M = select_M(inverse_norms(probe, m_cap), eps)
     else:
         M = cfg.M
-    basis = tabulate_basis(M, grid)
-    g_hat = fit_coeffs(g, basis, cfg.rcond, g_zero)
+    basis = tabulate_basis(M, grid, cfg.rcond)
+    g_hat = fit_coeffs(g, basis, g_zero)
 
     slices = dwt2_array(Y.data, spec)
     zero = 2.0 * slices[0] - slices[1] if n >= 2 else slices[0]
     full = np.concatenate([zero[None], slices])
-    q = np.tensordot(basis.projection_matrix(cfg.rcond), full, axes=(1, 0))
+    q = np.tensordot(basis.projector, full, axes=(1, 0))
     theta = solve_lower(g_hat, q)
 
     def depth_J(J, size):
@@ -524,6 +525,27 @@ class TestOmegaBlock:
 
 
 class TestPlan:
+    @pytest.mark.parametrize(
+        "cfg", [EstimatorConfig(M=4), EstimatorConfig(m_cap=4)], ids=["M=4", "M=auto"]
+    )
+    def test_a_singular_kernel_fails_when_the_plan_is_built(self, cfg):
+        # g_0 = 0: G has a zero diagonal; no cube is needed to find out
+        grid = TimeGrid(n=16, T=5.0)
+        with pytest.raises(SingularOperatorError, match="zero diagonal"):
+            Plan(grid, LagCoeffs([0.0, 1.0, 1.0, 1.0]), WaveletSpec(), cfg)
+
+    @pytest.mark.parametrize(
+        "cfg", [EstimatorConfig(M=6, rcond=0.01), EstimatorConfig(m_cap=12, rcond=0.01)],
+        ids=["M=6", "M=auto"],
+    )
+    def test_the_built_order_is_complete(self, cfg):
+        grid = TimeGrid(n=32, T=5.0)
+        plan = Plan(grid, np.exp(-grid.points / 2.0), WaveletSpec(), cfg, g_zero=1.0)
+        ((M, order),) = plan._orders.items()
+        assert M == (cfg.M if cfg.M != "auto" else cfg.m_cap)
+        assert order.basis is grid._cache[M, 0.01] and order.basis.rcond == 0.01
+        assert order.op.shape == (M, grid.n) and order.norms.max_m == M
+
     def cubes(self, grid, shape=(16, 16)):
         base = np.exp(-grid.points / 2.0)[:, None, None] * cosine_field(*shape)
         rng = np.random.Generator(np.random.Philox(21))
@@ -558,8 +580,8 @@ class TestPlan:
         kernels = [np.exp(-grid.points / 2.0), np.exp(-grid.points) * grid.points]
         one, two = (Plan(grid, g, WaveletSpec(), cfg) for g in kernels)
         (M,) = set(one._orders) & set(two._orders)
-        assert one._orders[M].basis is two._orders[M].basis is grid._cache[M]
-        assert one._orders[M].g_hat.values.tolist() != two._orders[M].g_hat.values.tolist()
+        assert one._orders[M].basis is two._orders[M].basis is grid._cache[M, cfg.rcond]
+        assert not np.array_equal(one._orders[M].op, two._orders[M].op)
 
     def test_a_second_auto_plan_on_the_grid_tabulates_and_factors_nothing(self, monkeypatch):
         grid = TimeGrid(n=64, T=5.0)
@@ -577,7 +599,7 @@ class TestPlan:
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
         kernel = np.exp(-grid.points) * (1.0 + grid.points)
         _, diag = Plan(grid, kernel, WaveletSpec()).apply(A)
-        assert diag.M in grid._cache
+        assert (diag.M, laguerre.DEFAULT_RCOND) in grid._cache
         assert calls == {"rows": 0, "svd": 0}
 
     @pytest.mark.parametrize(
@@ -588,14 +610,14 @@ class TestPlan:
         A, B = self.cubes(grid)
         for g in (np.exp(-grid.points), grid.points * np.exp(-grid.points)):
             Plan(grid, g, WaveletSpec(), cfg).apply(B)  # warms the grid
-        warmed = grid._cache[64 if cfg.M == "auto" else cfg.M]
+        warmed = grid._cache[64 if cfg.M == "auto" else cfg.M, cfg.rcond]
         g = np.exp(-grid.points / 2.0)
         warm, dw = deconvolve(A, g, WaveletSpec(), cfg, g_zero=1.0)
         fresh_grid = TimeGrid(n=64, T=5.0)
         fresh, df = deconvolve(Cube(grid=fresh_grid, data=A.data), g, WaveletSpec(), cfg,
                                g_zero=1.0)
-        assert grid._cache[warmed.M] is warmed
-        assert fresh_grid._cache[warmed.M] is not warmed
+        assert grid._cache[warmed.M, warmed.rcond] is warmed
+        assert fresh_grid._cache[warmed.M, warmed.rcond] is not warmed
         assert np.array_equal(warm.data, fresh.data)
         assert dw.to_dict() == df.to_dict()
 
@@ -726,7 +748,7 @@ class TestApplyBitIdentity:
                              axes=(0, 0))
         diag = Diagnostics(
             sigma_hat=sigma_hat, eps_hat=eps, M=M, J1=J1, J2=J2,
-            projection_rank=order.basis.projection_rank(cfg.rcond), keep_counts=keep_counts,
+            projection_rank=order.basis.rank, keep_counts=keep_counts,
             total_counts=np.full(M, r1 * r2), lambdas=lambdas,
             omega_dropped=M * (n1 * n2 - r1 * r2), thresholds_disabled_reason=None,
         )

@@ -73,6 +73,9 @@ PARAMETERS = {
     "estimator.Plan": ("grid", "kernel", "spec", "cfg", "g_zero"),
     "estimator.deconvolve": ("Y", "kernel", "spec", "cfg", "g_zero"),
     "estimator.hard_threshold": ("values", "lambdas"),
+    "laguerre.tabulate_basis": ("M", "grid", "rcond"),
+    "laguerre.fit_coeffs": ("series", "basis", "zero_value"),
+    "toeplitz.inverse_norms": ("kernel", "max_m"),
     "simulate.run_table1": ("cfg", "est_cfg", "snrs"),
     "simulate.run_single": ("fid", "snr", "cfg"),
 }

@@ -32,6 +32,11 @@ def phi_oracle(l: int, t):
     return special.eval_laguerre(l, t) * np.exp(-np.asarray(t, dtype=float) / 2.0)
 
 
+def with_zero_column(basis) -> np.ndarray:
+    """The basis on the nodes {0, t_1, .., t_n}: phi_l(0) = 1 for every l."""
+    return np.concatenate([np.ones((basis.M, 1)), basis.values], axis=1)
+
+
 class TestTimeGrid:
     def test_points(self):
         g = TimeGrid(n=4, T=4.0)
@@ -112,9 +117,8 @@ class TestTabulateBasis:
     def test_rows_match_pointwise(self):
         g = TimeGrid(n=17, T=7.0)
         b = tabulate_basis(13, g)
-        t = np.r_[0.0, g.points]
         for l in range(13):
-            assert np.allclose(b.values_with_zero[l], phi_oracle(l, t), rtol=1e-12, atol=1e-14)
+            assert np.allclose(b.values[l], phi_oracle(l, g.points), rtol=1e-12, atol=1e-14)
 
     def test_l1_closed_form(self):
         # L_1(t) = 1 - t, so phi_1(2) = -e^{-1}; a one-point grid samples t_1 = T
@@ -140,12 +144,12 @@ class TestTabulateBasis:
         tabulate_basis(1, g)
         with pytest.raises(ValueError, match=re.escape(f"order M must be a positive integer, got {M!r}")):
             tabulate_basis(M, g)
-        assert sorted(g._cache) == [1, 8]
+        assert sorted(g._cache) == [(1, 0.1), (8, 0.1)]
 
     def test_orthonormality_on_oracle_grid(self, oracle_basis):
         # acceptance tolerance 1e-6; needs a grid that holds the basis decay
-        w = oracle_basis.quad_weights
-        v = oracle_basis.values_with_zero
+        w = _simpson_weights(oracle_basis.grid.n, oracle_basis.grid.step)
+        v = with_zero_column(oracle_basis)
         gram = (v * w) @ v.T
         assert np.abs(gram - np.eye(10)).max() <= 1e-6
 
@@ -179,7 +183,13 @@ class TestFitCoeffs:
          (-math.inf, 1.0, "series samples must be finite"),
          (0.0, math.inf, "series t = 0 value must be a finite real, got inf"),
          (0.0, True, "series t = 0 value must be a finite real, got True"),
-         (0.0, np.zeros(2), "series t = 0 value must be a finite real, got array")],
+         (0.0, np.zeros(2), "series t = 0 value must be a finite real, got array"),
+         # an int beyond the double range used to end in OverflowError, "1"
+         # used to be fitted as 1.0
+         (0.0, 10**400, f"series t = 0 value must be a finite real, got {10**400}"),
+         (0.0, "1", "series t = 0 value must be a finite real, got '1'"),
+         (0.0, np.float64(math.nan), "series t = 0 value must be a finite real, got ")],
+        ids=["nan-sample", "inf-sample", "inf", "True", "array", "10**400", "str", "nan"],
     )
     def test_rejects_non_finite_samples_and_a_non_real_zero_value(
         self, oracle_grid, sample, zero_value, message
@@ -205,23 +215,22 @@ class TestFitCoeffs:
         # reference: composite Simpson of series * phi_l on {0, t_1, .., t_n},
         # the t = 0 sample extrapolated linearly as fit_coeffs does
         full = np.concatenate([[2.0 * series[0] - series[1]], series])
-        a = basis.values_with_zero @ (_simpson_weights(oracle_grid.n, oracle_grid.step) * full)
+        a = with_zero_column(basis) @ (_simpson_weights(oracle_grid.n, oracle_grid.step) * full)
         b = fit_coeffs(series, basis).values
         assert np.abs(a - b).max() <= 1e-5 * max(1.0, np.abs(a).max())
 
     def test_in_span_recovery_on_short_grid(self, short_grid):
         # the stable projection nails in-span signals even where plain
         # quadrature is badly biased, provided no directions are dropped
-        basis = tabulate_basis(8, short_grid)
+        basis = tabulate_basis(8, short_grid, rcond=1e-12)
         truth = np.array([1.0, -1.0, 0.5, 0.0, 0.25, 0.0, 0.0, 0.0])
         series = truth @ basis.values
-        got = fit_coeffs(series, basis, rcond=1e-12, zero_value=float(truth.sum()))
+        got = fit_coeffs(series, basis, zero_value=float(truth.sum()))
         assert np.abs(got.values - truth).max() <= 1e-6
 
     def test_cutoff_rank_on_short_grid(self, short_grid):
-        basis = tabulate_basis(8, short_grid)
-        assert basis.projection_rank(0.1) == 5
-        assert basis.projection_rank(1e-12) == 8
+        assert tabulate_basis(8, short_grid, 0.1).rank == 5
+        assert tabulate_basis(8, short_grid, 1e-12).rank == 8
 
     def test_roundtrip_on_oracle_grid(self, oracle_grid):
         rng = np.random.default_rng(11)
@@ -233,15 +242,15 @@ class TestFitCoeffs:
 
 
 class TestBasisCache:
-    """The grid half of a plan: one read-only basis per (grid object, M)."""
+    """The grid half of a plan: one read-only basis per (grid object, M, rcond)."""
 
-    def test_one_basis_per_grid_and_order(self):
+    def test_one_basis_per_grid_order_and_cutoff(self):
         g = TimeGrid(n=16, T=5.0)
         b8 = tabulate_basis(8, g)
         assert tabulate_basis(8, g) is b8
-        assert tabulate_basis(np.int64(8), g) is b8
+        assert tabulate_basis(np.int64(8), g, np.float64(0.1)) is b8
         assert tabulate_basis(4, g) is not b8
-        assert sorted(g._cache) == [4, 8]
+        assert sorted(g._cache) == [(4, 0.1), (8, 0.1)]
 
     def test_equal_grids_that_are_separate_objects_keep_separate_caches(self):
         g, h = TimeGrid(n=16, T=5.0), TimeGrid(n=16, T=5.0)
@@ -249,13 +258,13 @@ class TestBasisCache:
         a, b = tabulate_basis(8, g), tabulate_basis(8, h)
         assert a is not b and a.grid == g and b.grid == h
         assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.projection_matrix(), b.projection_matrix())
+        assert np.array_equal(a.projector, b.projector)
 
     def test_a_dropped_grid_frees_its_bases_without_the_garbage_collector(self):
         # a basis that held its grid would form a cycle through the cache
         g = TimeGrid(n=16, T=5.0)
         b = tabulate_basis(8, g)
-        b.projection_matrix()
+        tabulate_basis(8, g, 1e-12)
         grid_ref, basis_ref = weakref.ref(g), weakref.ref(b)
         assert b.grid == g and b.grid is not g and not b.grid._cache
         gc.disable()
@@ -265,31 +274,43 @@ class TestBasisCache:
         finally:
             gc.enable()
 
-    def test_each_rcond_gets_its_own_projector(self):
-        b = tabulate_basis(8, TimeGrid(n=16, T=5.0))
-        P = b.projection_matrix(0.1)
-        assert b.projection_matrix(0.1) is P
-        assert b.projection_matrix(np.float64(0.1)) is P
-        assert b.projection_matrix(1e-12) is not P
-        assert sorted(b._projectors) == [1e-12, 0.1]
-        assert (b.projection_rank(0.1), b.projection_rank(1e-12)) == (5, 8)
+    def test_each_rcond_gets_its_own_basis(self):
+        g = TimeGrid(n=16, T=5.0)
+        b = tabulate_basis(8, g, 0.1)
+        fine = tabulate_basis(8, g, 1e-12)
+        assert fine is not b and fine != b
+        assert (b.rcond, fine.rcond) == (0.1, 1e-12)
+        assert (b.rank, fine.rank) == (5, 8)
+        assert np.array_equal(b.values, fine.values)
+        assert not np.array_equal(b.projector, fine.projector)
+        assert sorted(g._cache) == [(8, 1e-12), (8, 0.1)]
+
+    def test_projector_is_the_weighted_least_squares_fit(self, short_grid):
+        # at rcond = 0 nothing is dropped: the projector is the normal-equation
+        # solution (V W V^T)^-1 V W of the Simpson-weighted fit
+        b = tabulate_basis(6, short_grid, 0.0)
+        v = with_zero_column(b)
+        w = _simpson_weights(short_grid.n, short_grid.step)
+        expected = np.linalg.solve((v * w) @ v.T, v * w)
+        assert b.projector.shape == (6, short_grid.n + 1) and b.rank == 6
+        assert np.allclose(b.projector, expected, rtol=1e-8, atol=1e-8)
 
     def test_tables_are_read_only(self):
         b = tabulate_basis(4, TimeGrid(n=16, T=5.0))
-        for table in (b.values, b.values_with_zero, b.quad_weights, b.projection_matrix()):
+        for table in (b.values, b.projector):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0.0
         with pytest.raises(AttributeError):
             b.values = np.zeros((4, 16))
 
-    def test_bases_compare_and_hash_by_order_and_grid(self):
+    def test_bases_compare_and_hash_by_order_grid_and_cutoff(self):
         g, h = TimeGrid(n=16, T=5.0), TimeGrid(n=16, T=5.0)
         a = tabulate_basis(4, g)
-        a.projection_matrix()  # a filled projector cache takes no part
         assert a == tabulate_basis(4, h) and hash(a) == hash(tabulate_basis(4, h))
         assert a != tabulate_basis(5, g)
+        assert a != tabulate_basis(4, g, 0.2)
         assert a != tabulate_basis(4, TimeGrid(n=16, T=6.0))
-        assert "_projectors" not in repr(a)
+        assert "projector" not in repr(a)
 
     # 1, 1.5 and nan used to drop every direction (all-zero coefficients,
     # rank 0), a negative cutoff kept all of them
@@ -297,20 +318,16 @@ class TestBasisCache:
                              ids=repr)
     def test_rejects_a_cutoff_outside_the_unit_interval(self, rcond):
         g = TimeGrid(n=16, T=5.0)
-        b = tabulate_basis(8, g)
         message = re.escape(f"rcond must lie in [0, 1), got {rcond!r}")
         with pytest.raises(ValueError, match=message):
-            fit_coeffs(np.exp(-g.points / 2.0), b, rcond=rcond)
-        with pytest.raises(ValueError, match=message):
-            b.projection_matrix(rcond)
-        with pytest.raises(ValueError, match=message):
-            b.projection_rank(rcond)
-        assert b._projectors == {}
+            tabulate_basis(8, g, rcond)
+        assert g._cache == {}
 
     @pytest.mark.parametrize("rcond", [0, 0.0, np.float32(0.5), 0.999], ids=repr)
     def test_accepts_a_cutoff_in_the_unit_interval(self, rcond):
-        b = tabulate_basis(8, TimeGrid(n=16, T=5.0))
-        assert 1 <= b.projection_rank(rcond) <= 8
+        b = tabulate_basis(8, TimeGrid(n=16, T=5.0), rcond)
+        assert b.rcond == float(rcond) and type(b.rcond) is float
+        assert 1 <= b.rank <= 8
 
 
 class TestConvolutionIdentity:
@@ -321,7 +338,7 @@ class TestConvolutionIdentity:
         # the basis on the nodes z_i = t i/4096 of [0, t]; the nodes are
         # symmetric, so phi_j(t - z) is row j reversed
         steps = 4096
-        v = tabulate_basis(11, TimeGrid(n=steps, T=t)).values_with_zero
+        v = with_zero_column(tabulate_basis(11, TimeGrid(n=steps, T=t)))
         w = np.full(steps + 1, t / steps)
         w[0] *= 0.5
         w[-1] *= 0.5

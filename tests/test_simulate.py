@@ -221,6 +221,47 @@ class TestForwardConvolve:
         with pytest.raises(ValueError):
             forward_convolve(Cube(grid=grid, data=np.zeros((32, 2, 2))), np.ones(16))
 
+    # 10**400 used to end in OverflowError, "1" and True were used as 1.0,
+    # a NaN failed as "cube data must be finite" and a (2, 2) f_zero with
+    # numpy's broadcast message
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"g_zero": 10**400}, f"g_zero must be a finite real, got {10**400}"),
+         ({"g_zero": "1"}, "g_zero must be a finite real, got '1'"),
+         ({"g_zero": True}, "g_zero must be a finite real, got True"),
+         ({"g_zero": math.nan}, "g_zero must be a finite real, got nan"),
+         ({"g_zero": np.ones(1)}, "g_zero must be a finite real, got array"),
+         ({"g_sample": math.nan}, "kernel samples must be finite"),
+         ({"g_sample": -math.inf}, "kernel samples must be finite"),
+         ({"f_zero": math.nan}, "f_zero must be a finite array that broadcasts to shape (4, 4)"),
+         ({"f_zero": np.zeros((2, 2))},
+          "f_zero must be a finite array that broadcasts to shape (4, 4)"),
+         ({"f_zero": [[10**400]]}, "f_zero must be a finite array that broadcasts"),
+         ({"f_zero": np.full((4, 4), "1")}, "f_zero must be a finite array that broadcasts"),
+         ({"f_zero": np.ones((4, 4), dtype=bool)},
+          "f_zero must be a finite array that broadcasts")],
+        ids=["g0-10**400", "g0-str", "g0-True", "g0-nan", "g0-array", "g-nan", "g-inf",
+             "f0-nan", "f0-2x2", "f0-10**400", "f0-str", "f0-bool"],
+    )
+    def test_rejects_a_bad_kernel_or_t0_value_by_name(self, change, message):
+        grid = TimeGrid(n=8, T=5.0)
+        f = Cube(grid=grid, data=np.ones((8, 4, 4)))
+        g = default_kernel(grid.points)
+        g[3] = change.pop("g_sample", g[3])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            forward_convolve(f, g, **change)
+
+    @pytest.mark.parametrize(
+        "f_zero", [2.0, 2, np.int64(2), [[2.0, 2.0, 2.0, 2.0]], np.full((4, 1), 2.0)],
+        ids=["float", "int", "np.int64", "row", "column"],
+    )
+    def test_takes_an_f_zero_that_broadcasts_to_one_frame(self, f_zero):
+        grid = TimeGrid(n=8, T=5.0)
+        f = Cube(grid=grid, data=np.ones((8, 4, 4)))
+        g = default_kernel(grid.points)
+        want = forward_convolve(f, g, g_zero=1, f_zero=np.full((4, 4), 2.0)).data
+        assert np.array_equal(forward_convolve(f, g, g_zero=1.0, f_zero=f_zero).data, want)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 32, 64, 1024])
     @pytest.mark.parametrize("exact_zeros", [False, True])
     def test_matches_the_row_by_row_trapezoid(self, n, exact_zeros):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular, toeplitz
@@ -245,6 +247,18 @@ class TestInverseNorms:
     def test_singular_kernel_rejected(self):
         with pytest.raises(SingularOperatorError):
             inverse_norms(LagCoeffs([0.0, 1.0]), 2)
+
+    # 2.5, True and None used to fail with a TypeError from deep inside
+    @pytest.mark.parametrize("max_m", [2.5, 4.0, True, None, "4", 0, -1], ids=repr)
+    def test_rejects_a_size_that_is_not_a_positive_integer(self, max_m):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"max_m must be a positive integer, got {max_m!r}")):
+            inverse_norms(PHI0_COEFFS, max_m)
+
+    def test_takes_a_numpy_integer_size(self):
+        tab = inverse_norms(PHI0_COEFFS, np.int64(4))
+        assert tab.max_m == 4
+        assert np.array_equal(tab.spectral, inverse_norms(PHI0_COEFFS, 4).spectral)
 
 
 class TestSelectM:
