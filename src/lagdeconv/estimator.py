@@ -188,7 +188,8 @@ def _plain(value):
 
 
 def _sigma_hat(Y: Cube, spec: WaveletSpec) -> float:
-    # _median is np.median of the per-frame values without its dispatch
+    # the median over frames of each frame's MAD estimate: _median is
+    # np.median without its dispatch, and sorts up to 1,024 frame values
     return _median(np.array([estimate_sigma(Y.data[k], spec) for k in range(Y.grid.n)]))
 
 

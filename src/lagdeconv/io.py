@@ -105,12 +105,17 @@ def read_cube(stem) -> Cube:
 
 
 def write_series(path, t: np.ndarray, values: np.ndarray) -> Path:
-    """Two-column CSV (t, value) at 17 significant digits."""
+    """Two-column CSV (t, value) at 17 significant digits; raises
+    ValueError, before the file is opened, for what read_series rejects."""
     path = Path(path)
     t = np.asarray(t, dtype=float)
     values = np.asarray(values, dtype=float)
     if t.shape != values.shape or t.ndim != 1:
         raise ValueError("t and values must be 1-D arrays of equal length")
+    if t.size == 0:
+        raise ValueError("empty series")
+    if not (np.isfinite(t).all() and np.isfinite(values).all()):
+        raise ValueError("t and values must be finite")
     if np.any(np.diff(t) <= 0):
         raise ValueError("t must be strictly increasing")
     with path.open("w", newline="") as fh:

@@ -64,6 +64,8 @@ MAD_TO_SIGMA = 0.6745  # MAD of a standard normal
 # the largest n1 n2 (n1 + n2) of a frame that runs the dense product.
 _BLOCK = 16
 _DENSE_WORK = 2**21
+# The largest count _median sorts; above it one partition is faster.
+_SORT_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -132,10 +134,16 @@ def _axes(shape: tuple) -> tuple[int, int]:
     """(n1, n2), the last two axes of an array of this shape.
 
     The one place the spatial layout is checked: both sides must be powers
-    of two >= 2.
+    of two >= 2.  Plain-int sides that pass return at once, which is every
+    ndarray's shape; the loop below checks the rest and names the fault.
     """
     if len(shape) < 2:
         raise ValueError(f"expected at least 2 axes, got shape {tuple(shape)}")
+    n1, n2 = shape[-2:]
+    if type(n1) is int and type(n2) is int and n1 >= 2 and n2 >= 2 and not (
+        n1 & (n1 - 1) or n2 & (n2 - 1)
+    ):
+        return n1, n2
     for name, n in zip(("n1", "n2"), shape[-2:]):
         if not _is_int_at_least(n, 2) or n & (n - 1):
             raise ValueError(f"{name} must be a power of two >= 2, got {n}")
@@ -178,14 +186,26 @@ def idwt2_array(coeffs: np.ndarray, spec: WaveletSpec, shape=None) -> np.ndarray
 
 
 def _median(x: np.ndarray) -> float:
-    """np.median of a 1-D array, from one partition at the middle.
+    """np.median of a 1-D array, from a sort or from one partition.
 
-    Partitions x in place, so x is reordered: pass an array the caller can
-    spend.  For an even count the lower middle value is the largest entry
-    below the partition point.  One partition point is much faster than
-    the pair (k - 1, k): 45 against 264 us at 16,384 values.
+    Works in place, so x is reordered: pass an array the caller can spend.
+    Up to _SORT_MAX values x is sorted and the middle one or two entries
+    are read.  Above it x is partitioned at the middle, and for an even
+    count the lower middle value is the largest entry below the partition
+    point: one partition point is much faster than the pair (k - 1, k), 45
+    against 264 us at 16,384 values.  Both branches give the exact order
+    statistics, so they agree bit for bit.  The cutoff is where the two
+    cost the same, about 4 us at 1,024 values on one core of a 2-vCPU
+    Xeon host; a 32 x 32 frame's 256 details sort in 1.4 us against the
+    partition and lower-half max's 3.1 us, and at 2,048 values the sort
+    takes 7.8 us against 6.2 us.
     """
     k = x.size // 2
+    if x.size <= _SORT_MAX:
+        x.sort()
+        if x.size % 2:
+            return float(x[k])
+        return float((x[k - 1] + x[k]) / 2)
     x.partition(k)
     if x.size % 2:
         return float(x[k])
@@ -256,5 +276,5 @@ def estimate_sigma(image, spec: WaveletSpec) -> float:
         dd = np.dot(np.dot(H1, image), H2.T)
     else:  # the transpose of H1 X H2^T, which has the same median
         dd = _detail_rows(_detail_rows(image, spec).T, spec)
-    # dd is a fresh array: take |dd| and partition it in place
+    # dd is a fresh array: take |dd| and let _median reorder it in place
     return _median(np.abs(dd, out=dd).ravel()) / MAD_TO_SIGMA

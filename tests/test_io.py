@@ -177,6 +177,19 @@ class TestSeriesFile:
         with pytest.raises(FileFormatError):
             read_series(tmp_path / "bad.csv")
 
+    # each of these used to be written, and the file then failed read_series
+    @pytest.mark.parametrize("t, v", [
+        ([], []),
+        ([0.0, np.nan, 2.0], [1.0, 2.0, 3.0]),
+        ([0.0, 1.0, 2.0], [1.0, np.inf, 3.0]),
+        ([0.0, 1.0, np.inf], [1.0, 2.0, 3.0]),
+    ], ids=["empty", "nan-t", "inf-value", "inf-t"])
+    def test_write_rejects_what_read_rejects_and_leaves_no_file(self, tmp_path, t, v):
+        path = tmp_path / "s.csv"
+        with pytest.raises(ValueError):
+            write_series(path, np.array(t), np.array(v))
+        assert not path.exists()
+
     def test_rejects_garbage(self, tmp_path):
         (tmp_path / "bad.csv").write_text("t,value\n1.0,zap\n")
         with pytest.raises(FileFormatError):

@@ -243,6 +243,13 @@ class TestLeadingBlock:
         with pytest.raises(ValueError):
             idwt2_array(np.zeros(coeffs), WaveletSpec(), shape)
 
+    def test_numpy_integer_sides_are_sides(self):
+        # only plain ints skip _axes's loop; numpy integers pass through it
+        spec = WaveletSpec()
+        c = dwt2_array(np.random.default_rng(3).standard_normal((16, 32)), spec)[:4, :8]
+        want = idwt2_array(c, spec, (16, 32))
+        assert np.array_equal(idwt2_array(c, spec, (np.int64(16), np.int32(32))), want)
+
 
 class TestReferenceFilterBank:
     @pytest.mark.parametrize("family", sorted(SPECS))
@@ -377,11 +384,15 @@ class TestEstimateSigma:
         assert estimate_sigma(spiked, spec) == pytest.approx(estimate_sigma(img, spec), rel=0.05)
 
     @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("shape", [(2, 2), (32, 32), (256, 256)])
+    @pytest.mark.parametrize(
+        "shape", [(2, 2), (32, 32), (64, 64), (128, 64), (64, 128), (256, 256)]
+    )
     def test_leaves_the_frame_alone_and_is_the_reference_mad(self, family, shape):
-        # sigma-hat takes |d| and partitions it in place, on its own product
-        # only.  A 2 x 2 frame has one coefficient, an odd count; a 256 x 256
-        # frame runs the block path, so its reference is that product.
+        # sigma-hat takes |d| and lets _median reorder it in place, on its
+        # own product only.  A 2 x 2 frame has one coefficient, an odd count;
+        # 64 x 64 has 1,024 details, the most that are sorted; 128 x 64 and
+        # 64 x 128 run the dense product but partition their 2,048; a
+        # 256 x 256 frame runs the block path, so its reference is that product.
         spec = WaveletSpec(family)
         img = np.random.default_rng(17).standard_normal(shape)
         kept = img.copy()
@@ -392,6 +403,17 @@ class TestEstimateSigma:
             dd = wavelet2d._detail_rows(wavelet2d._detail_rows(img, spec).T, spec)
         assert estimate_sigma(img, spec) == np.median(np.abs(dd)) / 0.6745
         assert np.array_equal(img, kept)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 32, 1023, 1024, 1025, 2048, 16384])
+    @pytest.mark.parametrize("values", ["random", "ties", "equal"])
+    def test_median_is_np_median_on_both_sides_of_the_sort_cutoff(self, n, values):
+        # up to _SORT_MAX values are sorted, more are partitioned
+        x = np.random.default_rng(n).standard_normal(n)
+        if values == "ties":
+            x = np.round(x, 1)
+        elif values == "equal":
+            x = np.full(n, 0.3)
+        assert wavelet2d._median(x.copy()) == np.median(x)
 
     def test_has_no_robust_switch(self):
         with pytest.raises(TypeError):
