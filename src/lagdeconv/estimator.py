@@ -29,7 +29,9 @@ basis with its projector P at the config's rcond, depends only on the
 grid and is cached on the `TimeGrid` object by `tabulate_basis`, so every
 plan on that grid shares it.  The kernel half, A and the inverse-norm
 table of each order, is built with the order by a `Plan`, in one step,
-and held in a cache keyed by the Laguerre order.  Cubes that share a
+and held in a cache keyed by the Laguerre order.  A plan builds its first
+order when it is made, M or, under M="auto", min(m_cap, n, kernel.m); a
+fit picks another only under "auto" with eps > 0.  Cubes that share a
 kernel share one plan; `deconvolve` builds one and applies it once.
 Nothing mutates its inputs.
 """
@@ -256,8 +258,8 @@ def _depth(J, n_side: int, eps: float, auto_on: bool) -> int:
 class _Order:
     """What `Plan.apply` reads for one Laguerre order M: the grid's shared
     basis of order M, the M x n operator A = G^-1 P E and the norm table
-    ||(G^(m))^-1||, m = 1..M (the M="auto" rule reads entry M at m_cap,
-    the thresholds entries up to M-1)."""
+    ||(G^(m))^-1||, m = 1..M (the M="auto" rule reads the plan's first
+    order's table, the thresholds entries up to M-1)."""
 
     basis: LaguerreBasis
     op: np.ndarray
@@ -267,16 +269,18 @@ class _Order:
 class Plan:
     """The estimator for one grid, kernel, spec and config.
 
-    The kernel is a `LagCoeffs`, its Laguerre coefficients, which must cover
-    every order the plan fits (M="auto" stops at their count), or anything
+    The kernel is a `LagCoeffs`, its Laguerre coefficients, or anything
     else, read as its samples at t_1..t_n with `g_zero` their exact t = 0
     value if known.  A plan holds, per Laguerre order, the work that does
     not depend on the observations: the basis, the M x n time operator
     A = G^-1 P E (zero-slice extrapolation E, least-squares projector P,
     Toeplitz inverse G^-1) and the inverse-norm table.  `_order(M)` builds
     all three at once, the only path that does, and caches them.  The
-    constructor builds order cfg.M, or m_cap, whose norm table the M="auto"
-    rule reads, so a kernel with g_0 = 0 fails here, not at the first cube.
+    constructor builds the first order, cfg.M or, under M="auto",
+    min(m_cap, n, kernel.m), so a kernel with g_0 = 0, or with fewer
+    coefficients than a fixed M (`solve_lower` checks), fails here, not at
+    the first cube.  `apply` starts from that order and picks another only
+    under M="auto" with eps > 0, by the rule on the first order's norm table.
     The basis depends only on the grid and is cached on it, so plans with
     different kernels on one grid share it.  None of this depends on the
     raster: `apply` takes n1 and n2 from each cube, and the spec caches W
@@ -305,16 +309,13 @@ class Plan:
         self.grid, self.spec, self.cfg = grid, spec, cfg
         self._kernel, self._g_zero = kernel, g_zero
         self._orders: dict[int, _Order] = {}
-        if cfg.M == "auto":
-            self._m_cap = int(min(cfg.m_cap, grid.n, m_kernel))
-            self._order(self._m_cap)
-            return
-        if cfg.M > grid.n:
+        M = int(cfg.M if cfg.M != "auto" else min(cfg.m_cap, grid.n, m_kernel))
+        if M > grid.n:  # a fixed M only: "auto" takes at most n
             warnings.warn(
-                f"M={cfg.M} exceeds the n={grid.n} frames: the projection has "
+                f"M={M} exceeds the n={grid.n} frames: the projection has "
                 f"rank at most {grid.n}, so some orders are not determined by the data"
             )
-        self._order(int(cfg.M))
+        self._first = self._order(M)
 
     def _order(self, M: int) -> _Order:
         if M not in self._orders:
@@ -322,8 +323,6 @@ class Plan:
             basis = tabulate_basis(M, self.grid, self.cfg.rcond)
             if not isinstance(kernel, LagCoeffs):
                 kernel = fit_coeffs(kernel, basis, self._g_zero)
-            elif kernel.m < M:
-                raise ValueError(f"kernel coefficients cover m={kernel.m}, need {M}")
             # P E, the zero-slice extrapolation folded into the projector
             pe = basis.projector @ _series_with_zero(np.eye(self.grid.n), None)
             self._orders[M] = _Order(basis, solve_lower(kernel, pe), inverse_norms(kernel, M))
@@ -345,13 +344,10 @@ class Plan:
             if cfg.eps == "auto"
             else float(cfg.eps)
         )
-        if cfg.M != "auto":
-            M = int(cfg.M)
-        elif eps > 0:
-            M = select_M(self._order(self._m_cap).norms, eps)
-        else:
-            M = self._m_cap
-        order = self._order(M)
+        order = self._first
+        if cfg.M == "auto" and eps > 0:
+            order = self._order(select_M(order.norms, eps))
+        M = order.op.shape[0]
 
         # Truncation set Omega(J1, J2): the levels < J along each axis.  At full
         # depth the scaling coefficient is index 0 and level j holds indices

@@ -557,6 +557,13 @@ class TestBenchCommand:
         stderr_col = [float(line.split(",")[3]) for line in lines[1:]]
         assert all(s >= 0 for s in stderr_col)
 
+    def test_without_out_prints_the_csv_the_out_file_gets(self, tmp_path, capsys):
+        path = tmp_path / "bench.csv"
+        assert run_cli("bench-table1", "--runs", "2", "--seed", "9", "--out", str(path)) == 0
+        capsys.readouterr()
+        assert run_cli("bench-table1", "--runs", "2", "--seed", "9") == 0
+        assert capsys.readouterr().out.encode() == path.read_bytes()
+
     def test_negative_seed_exits_1_naming_the_seed(self, capsys):
         assert run_cli("bench-table1", "--runs", "2", "--seed", "-1") == 1
         assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err

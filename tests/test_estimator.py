@@ -54,6 +54,18 @@ def eps_hat(plan, data):
     return plan.apply(Cube(grid=plan.grid, data=data))[1].eps_hat
 
 
+class TestCube:
+    @pytest.mark.parametrize(
+        "data, message",
+        [(np.zeros((16, 8)), "cube data must be a 3-D array (time, x1, x2)"),
+         (np.zeros((15, 8, 8)), "time dimension 15 does not match grid n=16")],
+        ids=["2-D", "15-frames"],
+    )
+    def test_rejects_data_that_is_not_a_cube_on_its_grid(self, data, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Cube(grid=TimeGrid(n=16, T=5.0), data=data)
+
+
 class TestEstimateEps:
     def test_zero_cube(self):
         plan = eps_plan(TimeGrid(n=8, T=5.0))
@@ -546,6 +558,24 @@ class TestPlan:
         assert order.basis is grid._cache[M, 0.01] and order.basis.rcond == 0.01
         assert order.op.shape == (M, grid.n) and order.norms.max_m == M
 
+    # M="auto" starts from min(m_cap, n, kernel.m): coefficients shorter than
+    # both the cap and the frames bound every order the plan builds, and the
+    # rule may still pick a lower one
+    @pytest.mark.parametrize(
+        "cfg, M, built",
+        [(EstimatorConfig(m_cap=12, eps=1e-12), 5, [5]),
+         (EstimatorConfig(m_cap=12, eps=0.65), 4, [5, 4]),
+         (EstimatorConfig(m_cap=12, eps=0.0, threshold_mode=False), 5, [5])],
+        ids=["tiny-eps", "eps=0.65", "eps=0"],
+    )
+    def test_an_auto_plan_stops_at_the_count_of_short_coefficients(self, cfg, M, built):
+        grid = TimeGrid(n=32, T=5.0)
+        plan = Plan(grid, LagCoeffs([1.0, 0.4, 0.1, 0.05, 0.02]), WaveletSpec(), cfg)
+        assert list(plan._orders) == [5]
+        for Y in self.cubes(grid) * 2:
+            assert plan.apply(Y)[1].M == M
+        assert list(plan._orders) == built
+
     def cubes(self, grid, shape=(16, 16)):
         base = np.exp(-grid.points / 2.0)[:, None, None] * cosine_field(*shape)
         rng = np.random.Generator(np.random.Philox(21))
@@ -660,13 +690,15 @@ class TestPlan:
 
     # A kernel is one argument: a missing one is a series of no samples, and
     # a t = 0 sample beside coefficients, once ignored without a word, is an
-    # error.
+    # error.  Coefficients fewer than a fixed M fail in the constructor's
+    # first order, by solve_lower's own count check.
     @pytest.mark.parametrize(
         "kernel, g_zero, message",
         [(None, None, "series length () does not match grid n=16"),
          (PHI0, 1.0, "g_zero is the t = 0 value of kernel samples; "
-                     "it does not apply to Laguerre coefficients")],
-        ids=["none", "coeffs-with-zero"],
+                     "it does not apply to Laguerre coefficients"),
+         (LagCoeffs([1.0, 0.5]), None, "need at least 4 kernel coefficients, got 2")],
+        ids=["none", "coeffs-with-zero", "coeffs-shorter-than-M"],
     )
     def test_rejects_a_missing_kernel_or_a_zero_beside_coefficients(self, kernel, g_zero,
                                                                      message):
@@ -737,7 +769,8 @@ class TestApplyBitIdentity:
         cfg, spec, (n1, n2) = plan.cfg, plan.spec, Y.data.shape[1:]
         sigma_hat = float(np.median([estimate_sigma(frame, spec) for frame in Y.data]))
         eps = Y.grid.T * sigma_hat / math.sqrt(Y.grid.n)
-        M = cfg.M if cfg.M != "auto" else select_M(plan._order(plan._m_cap).norms, eps)
+        m_cap = min(cfg.m_cap, Y.grid.n)  # kernel samples: kernel.m is n
+        M = cfg.M if cfg.M != "auto" else select_M(plan._order(m_cap).norms, eps)
         order = plan._order(M)
         J1, J2 = (_depth(J, n, eps, True) for J, n in ((cfg.J1, n1), (cfg.J2, n2)))
         r1, r2 = 1 << J1, 1 << J2

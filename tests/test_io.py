@@ -39,6 +39,15 @@ class TestCubeFile:
         assert back.grid == TimeGrid(n=4, T=5.0)
         assert back.data.tobytes() == cube.data.tobytes()
 
+    # a stem given with either file's suffix names the same pair of files
+    @pytest.mark.parametrize("suffix", [".json", ".bin"])
+    def test_a_stem_may_carry_either_suffix(self, tmp_path, suffix):
+        cube = random_cube(1)
+        paths = write_cube(tmp_path / f"c{suffix}", cube)
+        assert paths == (tmp_path / "c.json", tmp_path / "c.bin")
+        back = read_cube(tmp_path / f"c{suffix}")
+        assert back.data.tobytes() == cube.data.tobytes()
+
     def test_write_is_deterministic(self, tmp_path):
         cube = random_cube(3)
         write_cube(tmp_path / "a", cube)
@@ -189,6 +198,20 @@ class TestSeriesFile:
         with pytest.raises(ValueError):
             write_series(path, np.array(t), np.array(v))
         assert not path.exists()
+
+    @pytest.mark.parametrize("t, v", [([0.0, 1.0], [1.0]), ([[0.0, 1.0]], [[1.0, 2.0]])],
+                             ids=["lengths", "2-D"])
+    def test_write_rejects_t_and_values_that_are_not_one_series(self, tmp_path, t, v):
+        path = tmp_path / "s.csv"
+        with pytest.raises(ValueError, match="t and values must be 1-D arrays of equal length"):
+            write_series(path, np.array(t), np.array(v))
+        assert not path.exists()
+
+    def test_rejects_a_file_of_only_a_header(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("t,value\n")
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}: no data rows")):
+            read_series(path)
 
     def test_rejects_garbage(self, tmp_path):
         (tmp_path / "bad.csv").write_text("t,value\n1.0,zap\n")

@@ -154,6 +154,20 @@ class TestTabulateBasis:
         assert np.abs(gram - np.eye(10)).max() <= 1e-6
 
 
+class TestLagCoeffs:
+    @pytest.mark.parametrize(
+        "values, message",
+        [(np.ones((2, 2)), "coefficients must be a nonempty 1-D vector"),
+         ([], "coefficients must be a nonempty 1-D vector"),
+         (1.0, "coefficients must be a nonempty 1-D vector"),
+         ([1.0, math.nan], "coefficients must be finite")],
+        ids=["2-D", "empty", "scalar", "nan"],
+    )
+    def test_rejects_what_is_not_a_finite_nonempty_vector(self, values, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LagCoeffs(values)
+
+
 class TestFitCoeffs:
     def test_phi0_coefficients(self, oracle_grid):
         basis = tabulate_basis(4, oracle_grid)

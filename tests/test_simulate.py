@@ -399,6 +399,11 @@ class TestRelativeError:
         with pytest.raises(ValueError):
             relative_error(zero, zero)
 
+    def test_cubes_of_different_shapes_rejected(self):
+        f = self.cube(np.ones((8, 4, 4)))
+        with pytest.raises(ValueError, match="cubes have different shapes"):
+            relative_error(self.cube(np.ones((8, 4, 8))), f)
+
 
 class TestRunTable1:
     def test_deterministic_replicates_without_noise(self):
