@@ -25,15 +25,12 @@ All steps are linear except the thresholding.  The time operators commute
 with the per-slice spatial transform, so the spatial work is M transforms
 each way rather than n.  The work that does not depend on the
 observations comes in two halves.  The grid half, each order's Laguerre
-basis with its projector P at the config's rcond, depends only on the
-grid and is cached on the `TimeGrid` object by `tabulate_basis`, so every
-plan on that grid shares it.  The kernel half, A and the inverse-norm
-table of each order, is built with the order by a `Plan`, in one step,
-and held in a cache keyed by the Laguerre order.  A plan builds its first
-order when it is made, M or, under M="auto", min(m_cap, n, kernel.m); a
-fit picks another only under "auto" with eps > 0.  Cubes that share a
-kernel share one plan; `deconvolve` builds one and applies it once.
-Nothing mutates its inputs.
+basis with its projector P at the config's rcond and P E, depends only on
+the grid; `tabulate_basis` caches it on the `TimeGrid` object, so every
+plan on that grid shares it.  The kernel half, A = G^-1 (P E) and the
+inverse-norm table of each order, is built with the order by a `Plan` and
+cached by the order.  Cubes that share a kernel share one plan;
+`deconvolve` builds one and applies it once.  Nothing mutates its inputs.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ from .laguerre import (
     _check_rcond,
     _is_int_at_least,
     _is_real,
-    _series_with_zero,
+    _real_array,
     fit_coeffs,
     tabulate_basis,
 )
@@ -92,15 +89,13 @@ class Cube:
     data: np.ndarray
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
+        self.data = _real_array(self.data, "cube data")
         if self.data.ndim != 3:
             raise ValueError("cube data must be a 3-D array (time, x1, x2)")
         if self.data.shape[0] != self.grid.n:
             raise ValueError(
                 f"time dimension {self.data.shape[0]} does not match grid n={self.grid.n}"
             )
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("cube data must be finite")
 
     @property
     def n1(self) -> int:
@@ -257,9 +252,9 @@ def _depth(J, n_side: int, eps: float, auto_on: bool) -> int:
 @dataclass(frozen=True)
 class _Order:
     """What `Plan.apply` reads for one Laguerre order M: the grid's shared
-    basis of order M, the M x n operator A = G^-1 P E and the norm table
-    ||(G^(m))^-1||, m = 1..M (the M="auto" rule reads the plan's first
-    order's table, the thresholds entries up to M-1)."""
+    basis, A = G^-1 (P E) and the norm table ||(G^(m))^-1||, m = 1..M (the
+    M="auto" rule reads the first order's table, the thresholds entries up
+    to M-1)."""
 
     basis: LaguerreBasis
     op: np.ndarray
@@ -271,23 +266,19 @@ class Plan:
 
     The kernel is a `LagCoeffs`, its Laguerre coefficients, or anything
     else, read as its samples at t_1..t_n with `g_zero` their exact t = 0
-    value if known.  A plan holds, per Laguerre order, the work that does
-    not depend on the observations: the basis, the M x n time operator
-    A = G^-1 P E (zero-slice extrapolation E, least-squares projector P,
-    Toeplitz inverse G^-1) and the inverse-norm table.  `_order(M)` builds
-    all three at once, the only path that does, and caches them.  The
-    constructor builds the first order, cfg.M or, under M="auto",
-    min(m_cap, n, kernel.m), so a kernel with g_0 = 0, or with fewer
-    coefficients than a fixed M (`solve_lower` checks), fails here, not at
-    the first cube.  `apply` starts from that order and picks another only
-    under M="auto" with eps > 0, by the rule on the first order's norm table.
-    The basis depends only on the grid and is cached on it, so plans with
-    different kernels on one grid share it.  None of this depends on the
-    raster: `apply` takes n1 and n2 from each cube, and the spec caches W
-    per side, so one plan serves every cube on its grid that shares the
-    kernel, whatever its dyadic raster.  Its caches, the grid's and the
-    spec's hold only idempotent derived state, so a plan is safe to share
-    across threads.
+    value if known.  `_order(M)`, the only path that builds an order, takes
+    the grid's basis of order M, applies G^-1 to its P E and tabulates the
+    norms, and caches all three.  The constructor builds the first order,
+    cfg.M or, under M="auto", min(m_cap, n, kernel.m), so a kernel that is
+    singular at that order (g_0 = 0, or so small that G^-1 overflows), or
+    shorter than a fixed M (`solve_lower` checks), fails here, not at the
+    first cube.  `apply` starts from that order and picks another only
+    under M="auto" with eps > 0, by the rule on the first order's norm
+    table.  None of this depends on the raster: `apply` takes n1 and n2
+    from each cube and the spec caches W per side, so one plan serves every
+    dyadic raster on its grid.  Its caches, the grid's and the spec's hold
+    only idempotent derived state, so a plan is safe to share across
+    threads.
     """
 
     def __init__(
@@ -304,7 +295,7 @@ class Plan:
                                  "it does not apply to Laguerre coefficients")
             m_kernel = kernel.m
         else:
-            kernel = np.array(kernel, dtype=float)  # kept for later fits; fit_coeffs checks it
+            kernel = np.array(kernel)  # a copy kept for later fits; fit_coeffs checks it
             m_kernel = grid.n
         self.grid, self.spec, self.cfg = grid, spec, cfg
         self._kernel, self._g_zero = kernel, g_zero
@@ -323,9 +314,8 @@ class Plan:
             basis = tabulate_basis(M, self.grid, self.cfg.rcond)
             if not isinstance(kernel, LagCoeffs):
                 kernel = fit_coeffs(kernel, basis, self._g_zero)
-            # P E, the zero-slice extrapolation folded into the projector
-            pe = basis.projector @ _series_with_zero(np.eye(self.grid.n), None)
-            self._orders[M] = _Order(basis, solve_lower(kernel, pe), inverse_norms(kernel, M))
+            self._orders[M] = _Order(basis, solve_lower(kernel, basis.pe),
+                                     inverse_norms(kernel, M))
         return self._orders[M]
 
     def apply(self, Y: Cube) -> tuple[Cube, Diagnostics]:

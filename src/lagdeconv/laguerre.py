@@ -11,7 +11,8 @@ biased, it still behaves like an actual projection.
 Grid convention: t_k = T*k/n for k = 1..n, so there is no t = 0 sample.
 Quadrature is carried out on the n+1 nodes {0, t_1, ..., t_n}; the t = 0
 value of a data series is linearly extrapolated unless supplied.  A basis
-is built whole by `tabulate_basis`, its projector at one cutoff included.
+is built whole by `tabulate_basis`: its values, its projector P at one
+cutoff and P E, the projector with that extrapolation E folded in.
 """
 
 from __future__ import annotations
@@ -46,6 +47,20 @@ def _is_int_at_least(value, low: int) -> bool:
 def _is_real(value) -> bool:
     # likewise True is not a time span, a constant or a ratio
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real_array(values, name: str, finite: bool = True) -> np.ndarray:
+    """values as a float array of finite reals, or a ValueError naming it:
+    integer and float dtypes only, as _is_real for scalars, so complex,
+    string and bool arrays are not read as numbers.  finite=False skips
+    the scan for non-finite values."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold real numbers, got dtype {a.dtype}")
+    a = np.asarray(a, dtype=float)
+    if finite and not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite")
+    return a
 
 
 def _check_rcond(rcond) -> float:
@@ -103,11 +118,9 @@ class LagCoeffs:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = _real_array(self.values, "coefficients")
         if self.values.ndim != 1 or self.values.size < 1:
             raise ValueError("coefficients must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("coefficients must be finite")
 
     @property
     def m(self) -> int:
@@ -130,24 +143,24 @@ def _phi_rows(M: int, t: np.ndarray) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaguerreBasis:
     """First M Laguerre functions on a TimeGrid, with their projector.
 
     `values` is the M x n table values[l][k] = phi_l(t_k), k = 1..n.
     `projector` is the M x (n+1) Simpson-weighted least-squares projector
-    on the nodes {0, t_1, .., t_n} that keeps the `rank` singular
-    directions of the design above rcond * s_max.  Both tables are
-    read-only, so one instance is shared by every plan on its grid and
-    across threads.  Bases compare and hash by (M, grid, rcond).
+    P on the nodes {0, t_1, .., t_n} that keeps the `rank` singular
+    directions of the design above the cutoff.  `pe` is the M x n matrix
+    P E, E the linear extrapolation of the t = 0 node from the n samples.
+    All three tables are read-only, so one instance is shared by every plan
+    on its grid and across threads.
     """
 
     M: int
-    grid: TimeGrid
-    rcond: float
-    values: np.ndarray = field(compare=False)
-    projector: np.ndarray = field(compare=False, repr=False)
-    rank: int = field(compare=False)
+    values: np.ndarray = field(repr=False)
+    projector: np.ndarray = field(repr=False)
+    pe: np.ndarray = field(repr=False)
+    rank: int
 
 
 def _simpson_weights(n_intervals: int, h: float) -> np.ndarray:
@@ -176,13 +189,10 @@ def _simpson_weights(n_intervals: int, h: float) -> np.ndarray:
 
 def tabulate_basis(M: int, grid: TimeGrid, rcond: float = DEFAULT_RCOND) -> LaguerreBasis:
     """phi_0..phi_{M-1} on the grid points with their projector at cutoff
-    rcond in [0, 1), the only path that builds a basis.
+    rcond in [0, 1) and P E, the only path that builds a basis.
 
     The basis is cached on the grid object by (M, rcond), so every caller
-    that asks for it on that grid gets one shared, read-only instance.  Its
-    `grid` is an equal copy without a cache: holding the grid itself would
-    make a reference cycle, and the bases of a dropped grid would wait for
-    the garbage collector.
+    that asks for it on that grid gets one shared, read-only instance.
     """
     if not _is_int_at_least(M, 1):
         raise ValueError(f"order M must be a positive integer, got {M!r}")
@@ -197,9 +207,9 @@ def tabulate_basis(M: int, grid: TimeGrid, rcond: float = DEFAULT_RCOND) -> Lagu
         u, s, vt = np.linalg.svd(design.T, full_matrices=False)
         rank = int(np.sum(s > rcond * s[0]))
         projector = ((vt[:rank].T / s[:rank]) @ u[:, :rank].T) * sw
-        basis = LaguerreBasis(M=M, grid=TimeGrid(grid.n, grid.T), rcond=rcond,
-                              values=_read_only(values), projector=_read_only(projector),
-                              rank=rank)
+        pe = projector @ _series_with_zero(np.eye(grid.n), None)
+        basis = LaguerreBasis(M=M, values=_read_only(values), projector=_read_only(projector),
+                              pe=_read_only(pe), rank=rank)
         basis = grid._cache.setdefault(key, basis)
     return basis
 
@@ -230,19 +240,16 @@ def _series_with_zero(series: np.ndarray, zero_value, name: str = "t = 0 value")
 
 def fit_coeffs(series, basis: LaguerreBasis, zero_value=None) -> LagCoeffs:
     """Stable projection: the basis's weighted least-squares fit with
-    spectral cutoff, the projector built at the basis's rcond.
+    spectral cutoff, the projector built at the basis's cutoff.
 
     Minimizes the quadrature-weighted residual sum over span{phi_0..phi_{M-1}}
     after dropping the design directions the cutoff drops.  The series must
     be n finite samples and zero_value, its t = 0 value, None or a finite
     real.
     """
-    series = np.asarray(series, dtype=float)
-    if series.shape != (basis.grid.n,):
+    series = _real_array(series, "series samples")
+    if series.shape != basis.values.shape[1:]:
         raise ValueError(
-            f"series length {series.shape} does not match grid n={basis.grid.n}"
-        )
-    if not np.all(np.isfinite(series)):
-        raise ValueError("series samples must be finite")
+            f"series length {series.shape} does not match grid n={basis.values.shape[1]}")
     full = _series_with_zero(series, zero_value, "series t = 0 value")
     return LagCoeffs(basis.projector @ full)

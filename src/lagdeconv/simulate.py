@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .estimator import Cube, Diagnostics, EstimatorConfig, Plan, deconvolve
-from .laguerre import TimeGrid, _is_int_at_least, _is_real, _series_with_zero
+from .laguerre import TimeGrid, _is_int_at_least, _is_real, _real_array, _series_with_zero
 from .wavelet2d import WaveletSpec
 
 __all__ = [
@@ -133,12 +133,10 @@ def forward_convolve(
     finite real and `f_zero` a finite array that broadcasts to one frame.
     Causal: q at t_k never touches later samples.
     """
-    g_series = np.asarray(g_series, dtype=float)
+    g_series = _real_array(g_series, "kernel samples")
     n = f.grid.n
     if g_series.shape != (n,):
         raise ValueError("kernel samples must live on the cube's time grid")
-    if not np.all(np.isfinite(g_series)):
-        raise ValueError("kernel samples must be finite")
     h = f.grid.step
     g_full = _series_with_zero(g_series, g_zero, "g_zero")
     f_full = _series_with_zero(f.data, f_zero, "f_zero")  # f, a Cube, is finite

@@ -36,7 +36,8 @@ _BUCKET = 8
 
 
 class SingularOperatorError(ValueError):
-    """Raised when the operator has a zero diagonal (g_0 = 0)."""
+    """Raised when the operator has a zero diagonal (g_0 = 0) or is
+    numerically singular: G^-1 or its Gram matrix overflows at that order."""
 
 
 def solve_lower(kernel: LagCoeffs, rhs) -> np.ndarray:
@@ -45,8 +46,8 @@ def solve_lower(kernel: LagCoeffs, rhs) -> np.ndarray:
     G is the m x m convolution operator of the kernel: lower triangular
     Toeplitz with first column col = (g_0, g_1 - g_0, ..., g_{m-1} - g_{m-2}),
     from the kernel's first m coefficients.  Its inverse is lower-triangular
-    Toeplitz with first column c: c_0 = 1/col_0 and
-    c_i = -(col_1 c_{i-1} + ... + col_i c_0)/col_0.
+    Toeplitz with first column c: c_0 = 1/col_0 and c_i = -(col_1 c_{i-1}
+    + ... + col_i c_0)/col_0; a c that overflows raises SingularOperatorError.
     """
     rhs = np.asarray(rhs, dtype=float)
     m = rhs.shape[0] if rhs.ndim else 0
@@ -60,9 +61,13 @@ def solve_lower(kernel: LagCoeffs, rhs) -> np.ndarray:
     if col[0] == 0.0:
         raise SingularOperatorError("singular operator: zero diagonal (g_0 = 0)")
     c = np.empty(m)
-    c[0] = 1.0 / col[0]
-    for i in range(1, m):
-        c[i] = -(col[1 : i + 1] @ c[i - 1 :: -1]) / col[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        c[0] = 1.0 / col[0]
+        for i in range(1, m):
+            c[i] = -(col[1 : i + 1] @ c[i - 1 :: -1]) / col[0]
+    if not np.all(np.isfinite(c)):
+        raise SingularOperatorError(
+            f"numerically singular operator: G^-1 overflows at order {m} (g_0 = {float(g[0])!r})")
     d = np.subtract.outer(np.arange(m), np.arange(m))
     return np.tensordot(np.where(d >= 0, c[d], 0.0), rhs, axes=(1, 0))
 
@@ -99,15 +104,21 @@ def inverse_norms(kernel: LagCoeffs, max_m: int) -> InverseNormTable:
     zero-padded to the next multiple of _BUCKET, so entry m's arithmetic
     depends on m alone: the m-th entry depends only on the first m kernel
     coefficients, bit for bit.  Building K costs O(max_m^2); the eigenvalue
-    calls cost O(max_m^4) in total.
+    calls cost O(max_m^4) in total.  A Gram table that overflows raises
+    SingularOperatorError.
     """
     if not _is_int_at_least(max_m, 1):
         raise ValueError(f"max_m must be a positive integer, got {max_m!r}")
     c = solve_lower(kernel, np.eye(max_m)[0])
     ix = np.arange(max_m)
     shifted = np.concatenate([c, np.zeros(max_m)])[np.add.outer(ix, ix)]
-    cum = np.cumsum(c[:, None] * shifted, axis=0)  # cum[i, d] = K[i, i+d]
-    frob = np.sqrt(np.cumsum(cum[:, 0]))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        cum = np.cumsum(c[:, None] * shifted, axis=0)  # cum[i, d] = K[i, i+d]
+        frob = np.sqrt(np.cumsum(cum[:, 0]))
+    if not np.isfinite(frob[-1]):  # the trace bounds every |K[i, j]|
+        raise SingularOperatorError(
+            f"numerically singular operator: the Gram matrix of G^-1 overflows at order "
+            f"{max_m} (g_0 = {float(kernel.values[0])!r})")
     width = _BUCKET * -(-max_m // _BUCKET)
     gram = np.zeros((width, width))
     gram[:max_m, :max_m] = cum[np.minimum.outer(ix, ix), np.abs(np.subtract.outer(ix, ix))]

@@ -20,15 +20,10 @@ Parseval holds exactly and inner products are preserved.
 
 `estimate_sigma` reads the finest (detail, detail) quadrant H1 X H2^T.  The
 first analysis level writes the finest details and deeper levels only
-transform the first half, so H is W's last n/2 rows, bit for bit.  A row
-of H holds only the L filter taps, so H is block-banded: cut an axis into
-blocks of B = 16 samples and every block's detail rows are one shared
-(B/2 x B) matrix, plus a tail of L/2 - 1 rows that also reach the first
-L - 2 samples of the next block.  Both are cut from the W of a 2B-sample
-axis.  Applied that way the quadrant costs O(n1 n2 B) instead of the dense
-O(n1 n2 (n1 + n2)).  Frames with n1 n2 (n1 + n2) up to 2^21 (64 x 64,
-128 x 64, 256 x 16 and smaller; 128 x 128 is above) keep the dense
-product, bit for bit: there the blocks' fixed costs outweigh the saving.
+transform the first half, so H is W's last n/2 rows, bit for bit.  H is
+block-banded: one pair of block matrices per filter (`_band`) applies it
+to any axis of 32 samples or more.  Frames with n1 n2 (n1 + n2) up to 2^21
+(64 x 64, 128 x 64, 256 x 16 and smaller) keep the dense product.
 """
 
 from __future__ import annotations
@@ -38,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .laguerre import _is_int_at_least
+from .laguerre import _is_int_at_least, _real_array
 
 __all__ = [
     "WaveletSpec",
@@ -76,7 +71,7 @@ class WaveletSpec:
     """
 
     family: str = "daub4"
-    # W keyed by its side n and estimate_sigma's blocks by ("band", n);
+    # W keyed by its side n and estimate_sigma's block matrices by "band";
     # idempotent, so safe to share.
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -212,28 +207,23 @@ def _median(x: np.ndarray) -> float:
     return float((x[:k].max() + x[k]) / 2)
 
 
-def _band(spec: WaveletSpec, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The finest-detail rows of an n-sample axis, block by block.
+def _band(spec: WaveletSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(D, T), the finest-detail rows of any axis of two blocks or more.
 
-    (D, T, heads): D is the (B/2 x B) matrix that every block of B =
-    _BLOCK samples shares.  T (L/2 - 1 x L - 2) is how the last L/2 - 1
-    rows of a block read the first L - 2 samples after it; row b of heads
-    holds those samples' indices (periodic in n) for block b.  D and T are
-    cut from the finest rows of the 2B-sample W, where the first block's
-    rows do not wrap; they do not depend on n.
+    D (B/2 x B) is every block's own rows, for B = _BLOCK samples; T
+    (L/2 - 1 x L - 2) is how the last L/2 - 1 of them read the first L - 2
+    samples of the next block, the last block's next being the first.  Both
+    are cut from the 2B-sample W, where the first block's rows do not wrap.
     """
-    key = ("band", n)
-    if key not in spec._cache:
+    if "band" not in spec._cache:
         L = spec.taps.size
         H = _matrix(spec, 2 * _BLOCK)[_BLOCK:]
         half, tail = _BLOCK // 2, L // 2 - 1
-        ends = _BLOCK * np.arange(1, n // _BLOCK + 1)
-        spec._cache[key] = (
+        spec._cache["band"] = (
             H[:half, :_BLOCK],
             H[half - tail : half, _BLOCK : _BLOCK + L - 2],
-            (ends[:, None] + np.arange(L - 2)) % n,
         )
-    return spec._cache[key]
+    return spec._cache["band"]
 
 
 def _detail_rows(x: np.ndarray, spec: WaveletSpec) -> np.ndarray:
@@ -245,10 +235,12 @@ def _detail_rows(x: np.ndarray, spec: WaveletSpec) -> np.ndarray:
     n, m = x.shape
     if n < 2 * _BLOCK:
         return _matrix(spec, n)[n // 2 :] @ x
-    D, T, heads = _band(spec, n)
-    y = D @ x.reshape(-1, _BLOCK, m)
-    if T.size:
-        y[:, y.shape[1] - T.shape[0] :] += T @ x[heads]
+    D, T = _band(spec)
+    blocks = x.reshape(-1, _BLOCK, m)
+    y = D @ blocks
+    tail, head = y[:, y.shape[1] - T.shape[0] :], T.shape[1]
+    tail[:-1] += T @ blocks[1:, :head]
+    tail[-1] += T @ blocks[0, :head]
     return y.reshape(n // 2, m)
 
 
@@ -265,7 +257,7 @@ def estimate_sigma(image, spec: WaveletSpec) -> float:
     to _DENSE_WORK, where the blocks' fixed costs outweigh that saving,
     runs the dense H1 X H2^T.
     """
-    image = np.asarray(image, dtype=float)
+    image = _real_array(image, "image", finite=False)  # a per-frame scan costs a third
     if image.ndim != 2:
         raise ValueError(f"expected a 2-D image, got shape {image.shape}")
     n1, n2 = _axes(image.shape)

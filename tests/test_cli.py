@@ -259,6 +259,18 @@ class TestDeconvolveCommand:
         assert code == 0
         assert read_cube(tmp_path / "fhat").data.shape == (32, 32, 32)
 
+    def test_numerically_singular_kernel_coeffs_exit_3(self, tmp_path, capsys):
+        grid = TimeGrid(n=8, T=5.0)
+        write_cube(tmp_path / "c", Cube(grid=grid, data=np.ones((8, 4, 4))))
+        path = write_series(tmp_path / "gc.csv", np.arange(8.0), np.r_[1e-200, np.ones(7)])
+        code = run_cli("deconvolve", "--input", str(tmp_path / "c"),
+                       "--kernel-coeffs", str(path), "--M", "8", "--out", str(tmp_path / "f"))
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numeric error: numerically singular operator: G^-1 overflows at order 8 "
+            "(g_0 = 1e-200)\n")
+        assert not (tmp_path / "f.json").exists()
+
     # The first column is the coefficient's index: a gap or an offset used to
     # be read as if the rows ran 0, 1, 2, ...
     @pytest.mark.parametrize(

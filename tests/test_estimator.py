@@ -66,6 +66,50 @@ class TestCube:
             Cube(grid=TimeGrid(n=16, T=5.0), data=data)
 
 
+GRID16 = TimeGrid(n=16, T=5.0)
+# each entry point that takes an array of numbers, fed a 16-value array, and
+# the name its ValueError gives that array
+REAL_ARRAY_INPUTS = {
+    "Cube": (lambda a: Cube(GRID16, a.reshape(16, 1, 1)), "cube data"),
+    "LagCoeffs": (LagCoeffs, "coefficients"),
+    "fit_coeffs": (lambda a: fit_coeffs(a, tabulate_basis(4, GRID16)), "series samples"),
+    "Plan": (lambda a: Plan(GRID16, a, WaveletSpec(), EstimatorConfig(M=4)), "series samples"),
+    "forward_convolve": (lambda a: simulate.forward_convolve(Cube(GRID16, np.ones((16, 2, 2))), a),
+                         "kernel samples"),
+    "estimate_sigma": (lambda a: estimate_sigma(a.reshape(4, 4), WaveletSpec()), "image"),
+}
+
+
+class TestRealArrays:
+    """An array input holds integers or floats, as a scalar setting must be
+    a real: complex values once kept their real part after a
+    ComplexWarning, and strings and bools were read as numbers."""
+
+    SAMPLES = np.exp(-GRID16.points / 2.0)
+
+    @pytest.mark.parametrize(
+        "values, dtype",
+        [(SAMPLES + 0j, "complex128"), (SAMPLES.astype(str), "<U"), (SAMPLES > 0.5, "bool")],
+        ids=["complex", "str", "bool"],
+    )
+    @pytest.mark.parametrize("entry", sorted(REAL_ARRAY_INPUTS))
+    def test_rejects_values_that_are_not_real_numbers(self, entry, values, dtype):
+        call, name = REAL_ARRAY_INPUTS[entry]
+        with pytest.raises(ValueError, match=re.escape(f"{name} must hold real numbers, got dtype {dtype}")):
+            call(values)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint16, np.float32])
+    @pytest.mark.parametrize("entry", sorted(REAL_ARRAY_INPUTS))
+    def test_integer_and_float32_arrays_are_numbers(self, entry, dtype):
+        call, _ = REAL_ARRAY_INPUTS[entry]
+        call(np.arange(16, 0, -1).astype(dtype))
+
+    def test_deconvolve_rejects_complex_kernel_samples(self):
+        Y = Cube(GRID16, 0.01 * cosine_field(8, 8) * np.ones((16, 1, 1)))
+        with pytest.raises(ValueError, match="series samples must hold real numbers"):
+            deconvolve(Y, self.SAMPLES + 1j, WaveletSpec(), EstimatorConfig(M=4))
+
+
 class TestEstimateEps:
     def test_zero_cube(self):
         plan = eps_plan(TimeGrid(n=8, T=5.0))
@@ -546,6 +590,22 @@ class TestPlan:
         with pytest.raises(SingularOperatorError, match="zero diagonal"):
             Plan(grid, LagCoeffs([0.0, 1.0, 1.0, 1.0]), WaveletSpec(), cfg)
 
+    # a tiny g_0 once gave dozens of overflow warnings and then eigvalsh's
+    # "Eigenvalues did not converge": at 1e-200 and 1e-12 G^-1 overflows,
+    # at 1e-3 only its Gram table does
+    @pytest.mark.parametrize("g0, M", [(1e-200, 8), (1e-12, 64), (1e-3, 64)])
+    def test_a_numerically_singular_kernel_fails_when_the_plan_is_built(self, g0, M):
+        grid = TimeGrid(n=64, T=5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularOperatorError, match=f"order {M} \\(g_0 = {g0!r}\\)"):
+                Plan(grid, LagCoeffs([g0] + [1.0] * 63), WaveletSpec(), EstimatorConfig(M=M))
+
+    def test_a_small_g0_within_the_double_range_still_builds(self):
+        grid = TimeGrid(n=64, T=5.0)
+        plan = Plan(grid, LagCoeffs([1e-2] + [1.0] * 63), WaveletSpec(), EstimatorConfig(M=64))
+        assert np.all(np.isfinite(plan._first.op)) and np.isfinite(plan._first.norms.spectral[-1])
+
     @pytest.mark.parametrize(
         "cfg", [EstimatorConfig(M=6, rcond=0.01), EstimatorConfig(m_cap=12, rcond=0.01)],
         ids=["M=6", "M=auto"],
@@ -555,7 +615,7 @@ class TestPlan:
         plan = Plan(grid, np.exp(-grid.points / 2.0), WaveletSpec(), cfg, g_zero=1.0)
         ((M, order),) = plan._orders.items()
         assert M == (cfg.M if cfg.M != "auto" else cfg.m_cap)
-        assert order.basis is grid._cache[M, 0.01] and order.basis.rcond == 0.01
+        assert order.basis is grid._cache[M, 0.01]
         assert order.op.shape == (M, grid.n) and order.norms.max_m == M
 
     # M="auto" starts from min(m_cap, n, kernel.m): coefficients shorter than
@@ -640,14 +700,15 @@ class TestPlan:
         A, B = self.cubes(grid)
         for g in (np.exp(-grid.points), grid.points * np.exp(-grid.points)):
             Plan(grid, g, WaveletSpec(), cfg).apply(B)  # warms the grid
-        warmed = grid._cache[64 if cfg.M == "auto" else cfg.M, cfg.rcond]
+        key = (64 if cfg.M == "auto" else cfg.M, cfg.rcond)
+        warmed = grid._cache[key]
         g = np.exp(-grid.points / 2.0)
         warm, dw = deconvolve(A, g, WaveletSpec(), cfg, g_zero=1.0)
         fresh_grid = TimeGrid(n=64, T=5.0)
         fresh, df = deconvolve(Cube(grid=fresh_grid, data=A.data), g, WaveletSpec(), cfg,
                                g_zero=1.0)
-        assert grid._cache[warmed.M, warmed.rcond] is warmed
-        assert fresh_grid._cache[warmed.M, warmed.rcond] is not warmed
+        assert grid._cache[key] is warmed
+        assert fresh_grid._cache[key] is not warmed
         assert np.array_equal(warm.data, fresh.data)
         assert dw.to_dict() == df.to_dict()
 
@@ -688,13 +749,13 @@ class TestPlan:
         with pytest.raises(ValueError, match=re.escape(message)):
             plan.apply(Cube(grid=grid, data=np.ones((16, *shape))))
 
-    # A kernel is one argument: a missing one is a series of no samples, and
-    # a t = 0 sample beside coefficients, once ignored without a word, is an
-    # error.  Coefficients fewer than a fixed M fail in the constructor's
-    # first order, by solve_lower's own count check.
+    # A kernel is one argument: a missing one is an object array, not
+    # samples, and a t = 0 sample beside coefficients, once ignored without
+    # a word, is an error.  Coefficients fewer than a fixed M fail in the
+    # constructor's first order, by solve_lower's own count check.
     @pytest.mark.parametrize(
         "kernel, g_zero, message",
-        [(None, None, "series length () does not match grid n=16"),
+        [(None, None, "series samples must hold real numbers, got dtype object"),
          (PHI0, 1.0, "g_zero is the t = 0 value of kernel samples; "
                      "it does not apply to Laguerre coefficients"),
          (LagCoeffs([1.0, 0.5]), None, "need at least 4 kernel coefficients, got 2")],

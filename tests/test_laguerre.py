@@ -146,9 +146,9 @@ class TestTabulateBasis:
             tabulate_basis(M, g)
         assert sorted(g._cache) == [(1, 0.1), (8, 0.1)]
 
-    def test_orthonormality_on_oracle_grid(self, oracle_basis):
+    def test_orthonormality_on_oracle_grid(self, oracle_grid, oracle_basis):
         # acceptance tolerance 1e-6; needs a grid that holds the basis decay
-        w = _simpson_weights(oracle_basis.grid.n, oracle_basis.grid.step)
+        w = _simpson_weights(oracle_grid.n, oracle_grid.step)
         v = with_zero_column(oracle_basis)
         gram = (v * w) @ v.T
         assert np.abs(gram - np.eye(10)).max() <= 1e-6
@@ -270,9 +270,7 @@ class TestBasisCache:
         g, h = TimeGrid(n=16, T=5.0), TimeGrid(n=16, T=5.0)
         assert g == h and hash(g) == hash(h)
         a, b = tabulate_basis(8, g), tabulate_basis(8, h)
-        assert a is not b and a.grid == g and b.grid == h
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.projector, b.projector)
+        assert a is not b and g._cache[8, 0.1] is a and h._cache[8, 0.1] is b
 
     def test_a_dropped_grid_frees_its_bases_without_the_garbage_collector(self):
         # a basis that held its grid would form a cycle through the cache
@@ -280,7 +278,6 @@ class TestBasisCache:
         b = tabulate_basis(8, g)
         tabulate_basis(8, g, 1e-12)
         grid_ref, basis_ref = weakref.ref(g), weakref.ref(b)
-        assert b.grid == g and b.grid is not g and not b.grid._cache
         gc.disable()
         try:
             del g, b
@@ -292,8 +289,7 @@ class TestBasisCache:
         g = TimeGrid(n=16, T=5.0)
         b = tabulate_basis(8, g, 0.1)
         fine = tabulate_basis(8, g, 1e-12)
-        assert fine is not b and fine != b
-        assert (b.rcond, fine.rcond) == (0.1, 1e-12)
+        assert fine is not b and g._cache[8, 0.1] is b and g._cache[8, 1e-12] is fine
         assert (b.rank, fine.rank) == (5, 8)
         assert np.array_equal(b.values, fine.values)
         assert not np.array_equal(b.projector, fine.projector)
@@ -311,20 +307,32 @@ class TestBasisCache:
 
     def test_tables_are_read_only(self):
         b = tabulate_basis(4, TimeGrid(n=16, T=5.0))
-        for table in (b.values, b.projector):
+        for table in (b.values, b.projector, b.pe):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0.0
         with pytest.raises(AttributeError):
             b.values = np.zeros((4, 16))
 
-    def test_bases_compare_and_hash_by_order_grid_and_cutoff(self):
-        g, h = TimeGrid(n=16, T=5.0), TimeGrid(n=16, T=5.0)
-        a = tabulate_basis(4, g)
-        assert a == tabulate_basis(4, h) and hash(a) == hash(tabulate_basis(4, h))
-        assert a != tabulate_basis(5, g)
-        assert a != tabulate_basis(4, g, 0.2)
-        assert a != tabulate_basis(4, TimeGrid(n=16, T=6.0))
-        assert "projector" not in repr(a)
+    def test_equal_grids_build_equal_tables_each_its_own_object(self):
+        # a basis is its tables: it compares by identity and its repr
+        # leaves them out
+        a, b = tabulate_basis(4, TimeGrid(n=16, T=5.0)), tabulate_basis(4, TimeGrid(n=16, T=5.0))
+        assert a != b and (a.M, a.rank) == (b.M, b.rank) == (4, 4)
+        for name in ("values", "projector", "pe"):
+            mine, theirs = getattr(a, name), getattr(b, name)
+            assert mine is not theirs and np.array_equal(mine, theirs)
+        assert repr(a) == "LaguerreBasis(M=4, rank=4)"
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 32])
+    def test_pe_is_the_projector_times_the_extrapolation(self, n):
+        # E maps the n samples to the n + 1 nodes: the t = 0 row is
+        # 2 s_1 - s_2 (s_1 alone when n = 1), the rest the identity
+        E = np.eye(n + 1, n, -1)
+        E[0, 0] = 1.0 if n == 1 else 2.0
+        if n > 1:
+            E[0, 1] = -1.0
+        b = tabulate_basis(6, TimeGrid(n=n, T=5.0))
+        assert b.pe.shape == (6, n) and np.array_equal(b.pe, b.projector @ E)
 
     # 1, 1.5 and nan used to drop every direction (all-zero coefficients,
     # rank 0), a negative cutoff kept all of them
@@ -339,8 +347,10 @@ class TestBasisCache:
 
     @pytest.mark.parametrize("rcond", [0, 0.0, np.float32(0.5), 0.999], ids=repr)
     def test_accepts_a_cutoff_in_the_unit_interval(self, rcond):
-        b = tabulate_basis(8, TimeGrid(n=16, T=5.0), rcond)
-        assert b.rcond == float(rcond) and type(b.rcond) is float
+        g = TimeGrid(n=16, T=5.0)
+        b = tabulate_basis(8, g, rcond)
+        ((key, cached),) = g._cache.items()
+        assert key == (8, float(rcond)) and type(key[1]) is float and cached is b
         assert 1 <= b.rank <= 8
 
 

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,16 @@ class TestSolveLower:
         with pytest.raises(SingularOperatorError):
             solve_lower(LagCoeffs([0.0, 1.0]), np.ones(2))
 
+    @pytest.mark.parametrize("g0, m", [(1e-200, 8), (1e-200, 2), (1e-12, 64)])
+    def test_an_inverse_that_overflows_is_singular(self, g0, m):
+        # the column grows by about 1/g_0 a step: at 1e-200 its second
+        # entry overflows, at 1e-12 it passes the double range near m = 26
+        message = f"numerically singular operator: G^-1 overflows at order {m} (g_0 = {g0!r})"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularOperatorError, match=re.escape(message)):
+                solve_lower(LagCoeffs([g0] + [1.0] * (m - 1)), np.eye(m))
+
     def test_too_few_coefficients(self):
         with pytest.raises(ValueError, match="need at least 3 kernel coefficients, got 2"):
             solve_lower(LagCoeffs([1.0, 0.5]), np.ones(3))
@@ -247,6 +258,19 @@ class TestInverseNorms:
     def test_singular_kernel_rejected(self):
         with pytest.raises(SingularOperatorError):
             inverse_norms(LagCoeffs([0.0, 1.0]), 2)
+
+    # g_0 = 1e-3: G^-1's first column stays finite (up to about 1e192) at
+    # m = 64, but its squares, the Gram table, overflow; that once surfaced
+    # as overflow warnings and then eigvalsh's "Eigenvalues did not converge"
+    def test_a_gram_table_that_overflows_is_singular(self):
+        kernel = LagCoeffs([1e-3] + [1.0] * 63)
+        assert np.all(np.isfinite(solve_lower(kernel, np.eye(64)[0])))
+        message = ("numerically singular operator: the Gram matrix of G^-1 overflows "
+                   "at order 64 (g_0 = 0.001)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularOperatorError, match=re.escape(message)):
+                inverse_norms(kernel, 64)
 
     # 2.5, True and None used to fail with a TypeError from deep inside
     @pytest.mark.parametrize("max_m", [2.5, 4.0, True, None, "4", 0, -1], ids=repr)

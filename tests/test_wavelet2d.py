@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from lagdeconv import WaveletSpec, wavelet2d
+from lagdeconv import Cube, EstimatorConfig, TimeGrid, WaveletSpec, deconvolve, wavelet2d
 from lagdeconv.wavelet2d import _matrix, dwt2_array, estimate_sigma, idwt2_array
 
 FAMILIES = ["haar", "daub4"]
@@ -78,6 +78,24 @@ def ref_transform(data, spec, inverse=False):
                 n //= 2
         out = np.moveaxis(out, -1, axis)
     return out
+
+
+def heads_detail_rows(x, spec):
+    """Oracle for _detail_rows: the block form with an index table of each
+    block's next L - 2 samples (periodic in n), gathered by fancy indexing."""
+    n, m = x.shape
+    if n < 2 * wavelet2d._BLOCK:
+        return _matrix(spec, n)[n // 2 :] @ x
+    B, L = wavelet2d._BLOCK, spec.taps.size
+    H = _matrix(spec, 2 * B)[B:]
+    half, tail = B // 2, L // 2 - 1
+    D, T = H[:half, :B], H[half - tail : half, B : B + L - 2]
+    ends = B * np.arange(1, n // B + 1)
+    heads = (ends[:, None] + np.arange(L - 2)) % n
+    y = D @ x.reshape(-1, B, m)
+    if T.size:
+        y[:, y.shape[1] - T.shape[0] :] += T @ x[heads]
+    return y.reshape(n // 2, m)
 
 
 class TestSpec:
@@ -343,6 +361,43 @@ class TestReferenceFilterBank:
         h, g = spec.taps, spec.highpass
         one_level = ref_dwt_step(np.eye(n), h, g).T
         assert np.array_equal(_matrix(spec, n)[n // 2 :], one_level[n // 2 :])
+
+
+class TestBandOracle:
+    """The block form, bit for bit against heads_detail_rows."""
+
+    @pytest.mark.parametrize("layout", ["C", "transposed"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", [32, 64, 256, 4096])
+    def test_detail_rows(self, n, family, layout):
+        # an axis of 32 is two blocks, so the last block's head is the first
+        spec = replace(SPECS[family])  # a fresh cache
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 24)) if layout == "C" else rng.standard_normal((24, n)).T
+        assert np.array_equal(wavelet2d._detail_rows(x, spec), heads_detail_rows(x, spec))
+
+    @pytest.mark.parametrize("layout", ["C", "transposed"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("shape", [(256, 256), (128, 128), (512, 64), (32, 2048),
+                                       (4096, 16), (16, 4096)])
+    def test_estimate_sigma(self, shape, family, layout):
+        # 4096 x 16 runs the blocks along its long axis and the dense H of
+        # the short one
+        spec = replace(SPECS[family])
+        rng = np.random.default_rng(sum(shape))
+        img = rng.standard_normal(shape) if layout == "C" else rng.standard_normal(shape[::-1]).T
+        assert shape[0] * shape[1] * sum(shape) > wavelet2d._DENSE_WORK
+        dd = heads_detail_rows(heads_detail_rows(img, spec).T, spec)
+        assert estimate_sigma(img, spec) == np.median(np.abs(dd)) / 0.6745
+
+    def test_one_band_per_spec_whatever_the_sides(self):
+        # a 256 x 128 fit: W of each side, the 32-sample W the band is cut
+        # from, and one band
+        spec = WaveletSpec()
+        grid = TimeGrid(n=8, T=5.0)
+        data = 0.01 * np.random.default_rng(3).standard_normal((8, 256, 128))
+        deconvolve(Cube(grid, data), np.exp(-grid.points / 2.0), spec, EstimatorConfig(M=4))
+        assert sorted(spec._cache, key=str) == [128, 256, 32, "band"]
 
 
 class TestEstimateSigma:
