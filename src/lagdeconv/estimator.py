@@ -222,8 +222,8 @@ def hard_threshold(values: np.ndarray, lambdas: np.ndarray) -> tuple[np.ndarray,
     regardless.  Returns the thresholded array and the per-l count of
     surviving entries, the scaling coefficient included.
     """
-    values = np.asarray(values, dtype=float)
-    lambdas = np.asarray(lambdas, dtype=float)
+    values = _real_array(values, "values", finite=False)
+    lambdas = _real_array(lambdas, "lambdas", finite=False)  # inf keeps no detail coefficient
     if values.ndim != 3 or lambdas.shape != values.shape[:1]:
         raise ValueError(f"need (M, n1, n2) values and M thresholds, got "
                          f"{values.shape} and {lambdas.shape}")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimator import Cube
-from .laguerre import TimeGrid
+from .laguerre import TimeGrid, _real_array
 
 __all__ = [
     "FileFormatError",
@@ -108,8 +108,8 @@ def write_series(path, t: np.ndarray, values: np.ndarray) -> Path:
     """Two-column CSV (t, value) at 17 significant digits; raises
     ValueError, before the file is opened, for what read_series rejects."""
     path = Path(path)
-    t = np.asarray(t, dtype=float)
-    values = np.asarray(values, dtype=float)
+    t = _real_array(t, "t", finite=False)
+    values = _real_array(values, "values", finite=False)
     if t.shape != values.shape or t.ndim != 1:
         raise ValueError("t and values must be 1-D arrays of equal length")
     if t.size == 0:

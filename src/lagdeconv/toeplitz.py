@@ -6,10 +6,10 @@ where G is lower triangular Toeplitz with first column
 lower-triangular Toeplitz, so one recurrence for its first column gives all
 of G^-1.  G itself is never materialised: `solve_lower` takes the kernel's
 coefficients and applies that inverse, and `inverse_norms` tabulates the
-inverse norms ||(G^(m))^-1|| exactly, from the largest eigenvalues of one
-Gram matrix of the inverse, to track how fast they grow with the dimension
-m - the quantity that drives both the truncation rule for M and the
-threshold levels.
+inverse norms ||(G^(m))^-1|| exactly, from the largest eigenvalue of each
+leading block of one Gram matrix of the inverse, to track how fast they
+grow with the dimension m - the quantity that drives both the truncation
+rule for M and the threshold levels.
 """
 
 from __future__ import annotations
@@ -28,11 +28,6 @@ __all__ = [
     "inverse_norms",
     "select_M",
 ]
-
-
-# Consecutive table sizes whose Gram blocks share one zero-padded eigenvalue
-# call; entry m is always padded to _BUCKET * ceil(m / _BUCKET).
-_BUCKET = 8
 
 
 class SingularOperatorError(ValueError):
@@ -99,13 +94,12 @@ def inverse_norms(kernel: LagCoeffs, max_m: int) -> InverseNormTable:
     and K comes from c alone: K[i, i+d] = sum_{p<=i} c_p c_{p+d}, one
     cumulative sum down the (p, d) table c_p c_{p+d}.  The squared Frobenius
     norms are the partial sums of its diagonal, and each spectral norm is
-    sqrt(lambda_max(K[:m, :m])), exact up to rounding and free of randomness.
-    The eigenvalues are taken _BUCKET consecutive sizes per call, each block
-    zero-padded to the next multiple of _BUCKET, so entry m's arithmetic
-    depends on m alone: the m-th entry depends only on the first m kernel
-    coefficients, bit for bit.  Building K costs O(max_m^2); the eigenvalue
-    calls cost O(max_m^4) in total.  A Gram table that overflows raises
-    SingularOperatorError.
+    sqrt(lambda_max(K[:m, :m])), exact up to rounding and free of randomness,
+    from one eigenvalue call on that block.  The cumulative sum makes
+    K[:m, :m] independent of max_m, so entry m depends on K[:m, :m] alone,
+    and hence only on the first m kernel coefficients, bit for bit.
+    Building K costs O(max_m^2); the eigenvalue calls cost O(max_m^4) in
+    total.  A Gram table that overflows raises SingularOperatorError.
     """
     if not _is_int_at_least(max_m, 1):
         raise ValueError(f"max_m must be a positive integer, got {max_m!r}")
@@ -119,17 +113,9 @@ def inverse_norms(kernel: LagCoeffs, max_m: int) -> InverseNormTable:
         raise SingularOperatorError(
             f"numerically singular operator: the Gram matrix of G^-1 overflows at order "
             f"{max_m} (g_0 = {float(kernel.values[0])!r})")
-    width = _BUCKET * -(-max_m // _BUCKET)
-    gram = np.zeros((width, width))
-    gram[:max_m, :max_m] = cum[np.minimum.outer(ix, ix), np.abs(np.subtract.outer(ix, ix))]
-    spectral = np.empty(max_m)
-    for start in range(0, max_m, _BUCKET):
-        w = start + _BUCKET
-        sizes = np.arange(start + 1, min(w, max_m) + 1)
-        inside = np.arange(w) < sizes[:, None]
-        stack = np.where(inside[:, :, None] & inside[:, None, :], gram[:w, :w], 0.0)
-        spectral[start : start + sizes.size] = np.sqrt(np.linalg.eigvalsh(stack)[:, -1])
-    return InverseNormTable(spectral=spectral, frobenius=frob)
+    gram = cum[np.minimum.outer(ix, ix), np.abs(np.subtract.outer(ix, ix))]
+    top = [np.linalg.eigvalsh(gram[:m, :m])[-1] for m in range(1, max_m + 1)]
+    return InverseNormTable(spectral=np.sqrt(top), frobenius=frob)
 
 
 def select_M(norms: InverseNormTable, eps: float) -> int:

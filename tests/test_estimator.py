@@ -77,6 +77,8 @@ REAL_ARRAY_INPUTS = {
     "forward_convolve": (lambda a: simulate.forward_convolve(Cube(GRID16, np.ones((16, 2, 2))), a),
                          "kernel samples"),
     "estimate_sigma": (lambda a: estimate_sigma(a.reshape(4, 4), WaveletSpec()), "image"),
+    "hard_threshold values": (lambda a: hard_threshold(a.reshape(1, 4, 4), [0.5]), "values"),
+    "hard_threshold lambdas": (lambda a: hard_threshold(np.ones((16, 1, 1)), a), "lambdas"),
 }
 
 

@@ -207,6 +207,21 @@ class TestSeriesFile:
             write_series(path, np.array(t), np.array(v))
         assert not path.exists()
 
+    # complex values were once written as their real parts after a
+    # ComplexWarning, and strings and bools as numbers
+    @pytest.mark.parametrize("bad, dtype", [
+        (np.array([1 + 1j, 2 + 5j]), "complex128"),
+        (np.array(["0.5", "1.5"]), "<U"),
+        (np.array([False, True]), "bool"),
+    ], ids=["complex", "str", "bool"])
+    @pytest.mark.parametrize("name", ["t", "values"])
+    def test_write_rejects_arrays_that_are_not_real_numbers(self, tmp_path, name, bad, dtype):
+        path = tmp_path / "s.csv"
+        series = {"t": np.array([0.0, 1.0]), "values": np.array([1.0, 2.0]), name: bad}
+        with pytest.raises(ValueError, match=re.escape(f"{name} must hold real numbers, got dtype {dtype}")):
+            write_series(path, series["t"], series["values"])
+        assert not path.exists()
+
     def test_rejects_a_file_of_only_a_header(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("t,value\n")

@@ -206,12 +206,29 @@ class TestInverseNorms:
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
     @pytest.mark.parametrize("max_m", [1, 7, 9, 37, 63])
-    def test_prefix_closed_off_the_bucket_width(self, name, max_m):
+    def test_prefix_closed_at_any_table_size(self, name, max_m):
         g = KERNELS[name]
         full = inverse_norms(g, 64)
         short = inverse_norms(g, max_m)
         assert np.array_equal(short.spectral, full.spectral[:max_m])
         assert np.array_equal(short.frobenius, full.frobenius[:max_m])
+
+    # K[i, j] = K[i-1, j-1] + c_i c_j adds the products in the order of the
+    # cumulative sum, so K matches the table's Gram matrix bit for bit, and
+    # each entry is the eigenvalue of its own unpadded leading block
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    @pytest.mark.parametrize("max_m", [1, 7, 8, 9, 17, 64])
+    def test_each_entry_is_the_top_eigenvalue_of_its_leading_block(self, name, max_m):
+        g = KERNELS[name]
+        c = solve_lower(g, np.eye(max_m)[0])
+        gram = np.zeros((max_m, max_m))
+        for i in range(max_m):
+            for j in range(i, max_m):
+                gram[i, j] = c[i] * c[j] if i == 0 else gram[i - 1, j - 1] + c[i] * c[j]
+                gram[j, i] = gram[i, j]
+        tab = inverse_norms(g, max_m)
+        for m in range(1, max_m + 1):
+            assert tab.spectral[m - 1] == np.sqrt(np.linalg.eigvalsh(gram[:m, :m])[-1])
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
     def test_one_entry_table_spectral_equals_frobenius(self, name):
