@@ -187,7 +187,7 @@ def _plain(value):
 def _sigma_hat(Y: Cube, spec: WaveletSpec) -> float:
     # the median over frames of each frame's MAD estimate: _median is
     # np.median without its dispatch, and sorts up to 1,024 frame values
-    return _median(np.array([estimate_sigma(Y.data[k], spec) for k in range(Y.grid.n)]))
+    return _median(np.array([estimate_sigma(frame, spec) for frame in Y.data]))
 
 
 def thresholds(M: int, eps: float, nu: float, norms: InverseNormTable) -> np.ndarray:

@@ -49,15 +49,22 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+_FLOAT64 = np.dtype(float)  # native byte order: '>f8' differs on little-endian hosts
+
+
 def _real_array(values, name: str, finite: bool = True) -> np.ndarray:
     """values as a float array of finite reals, or a ValueError naming it:
     integer and float dtypes only, as _is_real for scalars, so complex,
     string and bool arrays are not read as numbers.  finite=False skips
-    the scan for non-finite values."""
-    a = np.asarray(values)
-    if a.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must hold real numbers, got dtype {a.dtype}")
-    a = np.asarray(a, dtype=float)
+    the scan for non-finite values.  An ndarray of native float64 comes
+    back as it is, as np.asarray would return it, without its call cost."""
+    if type(values) is np.ndarray and values.dtype == _FLOAT64:
+        a = values
+    else:
+        a = np.asarray(values)
+        if a.dtype.kind not in "iuf":
+            raise ValueError(f"{name} must hold real numbers, got dtype {a.dtype}")
+        a = np.asarray(a, dtype=float)
     if finite and not np.all(np.isfinite(a)):
         raise ValueError(f"{name} must be finite")
     return a

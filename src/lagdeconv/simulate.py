@@ -116,7 +116,7 @@ def zero_time_slice(fid: str, cfg: SimConfig) -> np.ndarray:
 
 def default_kernel(t) -> np.ndarray:
     """The benchmark convolution kernel g(t) = exp(-t/2) (equals phi_0)."""
-    return np.exp(-np.asarray(t, dtype=float) / 2.0)
+    return np.exp(-_real_array(t, "t") / 2.0)
 
 
 def forward_convolve(
@@ -158,14 +158,15 @@ def _forward_model(fid: str, cfg: SimConfig) -> tuple[Cube, Cube]:
     return f, forward_convolve(f, g, g_zero=1.0, f_zero=zero_time_slice(fid, cfg))
 
 
-def _noise_sigma(q: Cube, snr: float) -> float:
-    """sigma = sd(q)/snr, the noise level of a given signal-to-noise ratio."""
-    if not (_is_real(snr) and snr > 0):
-        raise ValueError(f"snr must be a positive real, got {snr!r}")
+def _noise_sigmas(q: Cube, snrs) -> list[float]:
+    """sigma = sd(q)/snr for each given signal-to-noise ratio, from one sd(q)."""
+    for snr in snrs:
+        if not (_is_real(snr) and snr > 0):
+            raise ValueError(f"snr must be a positive real, got {snr!r}")
     sd = float(q.data.std())
     if sd == 0.0:
         raise ValueError("q has zero variance; cannot calibrate noise to an SNR")
-    return sd / snr
+    return [sd / snr for snr in snrs]
 
 
 def _unit_noise(seed: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -180,7 +181,7 @@ def add_noise(q: Cube, snr: float, seed: int) -> tuple[Cube, float]:
     """
     if not _is_int_at_least(seed, 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    sigma = _noise_sigma(q, snr)
+    (sigma,) = _noise_sigmas(q, (snr,))
     noisy = _unit_noise(seed, q.data.shape)
     noisy *= sigma
     noisy += q.data
@@ -250,7 +251,8 @@ def run_table1(
     for fid in TEST_FUNCTION_IDS:
         f, q = _forward_model(fid, cfg)
         norm = _weighted_norm(f.data.copy(), f)  # never zero for these truths
-        cells.extend((fid, snr, f, norm, q, _noise_sigma(q, snr)) for snr in snrs)
+        sigmas = _noise_sigmas(q, snrs)
+        cells.extend((fid, snr, f, norm, q, sigma) for snr, sigma in zip(snrs, sigmas))
     deltas = np.empty((len(cells), cfg.runs))
     for i in range(cfg.runs):
         z = _unit_noise(cfg.seed + i, (cfg.n, cfg.n1, cfg.n2))

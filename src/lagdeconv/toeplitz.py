@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laguerre import LagCoeffs, _is_int_at_least
+from .laguerre import LagCoeffs, _is_int_at_least, _real_array
 
 __all__ = [
     "InverseNormTable",
@@ -44,7 +44,7 @@ def solve_lower(kernel: LagCoeffs, rhs) -> np.ndarray:
     Toeplitz with first column c: c_0 = 1/col_0 and c_i = -(col_1 c_{i-1}
     + ... + col_i c_0)/col_0; a c that overflows raises SingularOperatorError.
     """
-    rhs = np.asarray(rhs, dtype=float)
+    rhs = _real_array(rhs, "rhs", finite=False)
     m = rhs.shape[0] if rhs.ndim else 0
     if m < 1:
         raise ValueError(f"rhs needs a nonempty leading axis, got shape {rhs.shape}")

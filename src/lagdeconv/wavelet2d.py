@@ -71,8 +71,9 @@ class WaveletSpec:
     """
 
     family: str = "daub4"
-    # W keyed by its side n and estimate_sigma's block matrices by "band";
-    # idempotent, so safe to share.
+    # W keyed by its side n, estimate_sigma's block matrices by "band" and
+    # its product for a frame shape by that shape (n1, n2); idempotent, so
+    # safe to share.
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -255,17 +256,25 @@ def estimate_sigma(image, spec: WaveletSpec) -> float:
     block (_detail_rows): O(n1 n2 B) work for B = _BLOCK instead of the
     dense product's O(n1 n2 (n1 + n2)).  A frame with n1 n2 (n1 + n2) up
     to _DENSE_WORK, where the blocks' fixed costs outweigh that saving,
-    runs the dense H1 X H2^T.
+    runs the dense H1 X H2^T.  The first frame of a shape checks it and
+    fixes its product on the spec: (H1, H2^T) as views of each side's W,
+    or () for the block path.  Later frames of that shape look it up.
     """
     image = _real_array(image, "image", finite=False)  # a per-frame scan costs a third
-    if image.ndim != 2:
-        raise ValueError(f"expected a 2-D image, got shape {image.shape}")
-    n1, n2 = _axes(image.shape)
-    if n1 * n2 * (n1 + n2) <= _DENSE_WORK:
+    pair = spec._cache.get(image.shape)
+    if pair is None:  # a shape that fails its checks stores nothing
+        if image.ndim != 2:
+            raise ValueError(f"expected a 2-D image, got shape {image.shape}")
+        n1, n2 = _axes(image.shape)
+        pair = ()
+        if n1 * n2 * (n1 + n2) <= _DENSE_WORK:
+            pair = _matrix(spec, n1)[n1 // 2 :], _matrix(spec, n2)[n2 // 2 :].T
+        spec._cache[image.shape] = pair
+    if pair:
         # np.dot runs the same 2-D products as @, bit for bit, with less call
         # setup, which is most of a small frame's cost
-        H1, H2 = _matrix(spec, n1)[n1 // 2 :], _matrix(spec, n2)[n2 // 2 :]
-        dd = np.dot(np.dot(H1, image), H2.T)
+        H1, H2T = pair
+        dd = np.dot(np.dot(H1, image), H2T)
     else:  # the transpose of H1 X H2^T, which has the same median
         dd = _detail_rows(_detail_rows(image, spec).T, spec)
     # dd is a fresh array: take |dd| and let _median reorder it in place

@@ -79,6 +79,8 @@ REAL_ARRAY_INPUTS = {
     "estimate_sigma": (lambda a: estimate_sigma(a.reshape(4, 4), WaveletSpec()), "image"),
     "hard_threshold values": (lambda a: hard_threshold(a.reshape(1, 4, 4), [0.5]), "values"),
     "hard_threshold lambdas": (lambda a: hard_threshold(np.ones((16, 1, 1)), a), "lambdas"),
+    "solve_lower": (lambda a: solve_lower(LagCoeffs(np.ones(16)), a), "rhs"),
+    "default_kernel": (simulate.default_kernel, "t"),
 }
 
 
@@ -248,7 +250,13 @@ class TestDeconvolve:
         data = cosine_field()[None] + 0.1 * rng.standard_normal((32, 32, 32))
         deconvolve(Cube(grid=grid, data=data), np.exp(-grid.points / 2.0), spec,
                    EstimatorConfig(M=8), g_zero=1.0)
-        assert list(spec._cache) == [32]
+        # beside W, sigma-hat's product for the 32 x 32 frame shape: its two
+        # finest-detail blocks, views of that W
+        assert list(spec._cache) == [32, (32, 32)]
+        W = spec._cache[32]
+        H1, H2T = spec._cache[32, 32]
+        assert np.shares_memory(H1, W) and np.shares_memory(H2T, W)
+        assert np.array_equal(H1, W[16:]) and np.array_equal(H2T, W[16:].T)
 
     def test_zero_cube_gives_zero(self):
         grid = TimeGrid(n=32, T=5.0)

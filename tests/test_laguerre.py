@@ -14,6 +14,7 @@ from lagdeconv import LagCoeffs, TimeGrid
 from lagdeconv.laguerre import (
     _is_int_at_least,
     _is_real,
+    _real_array,
     _simpson_weights,
     fit_coeffs,
     tabulate_basis,
@@ -411,3 +412,27 @@ class TestSettingTypeChecks:
     def test_real_check_matches_the_abc_check(self, value):
         want = isinstance(value, numbers.Real) and not isinstance(value, bool)
         assert _is_real(value) == want
+
+
+class TestRealArray:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_returns_a_native_float64_array_as_it_is(self, order):
+        a = np.asarray(np.random.default_rng(4).standard_normal((8, 4)), order=order)
+        assert _real_array(a, "x") is a
+        assert _real_array(a[:, ::2], "x", finite=False).base is a
+
+    @pytest.mark.parametrize("finite", [True, False])
+    def test_scans_a_float64_array_only_when_asked(self, finite):
+        a = np.array([1.0, np.nan, 3.0])
+        if finite:
+            with pytest.raises(ValueError, match="x must be finite"):
+                _real_array(a, "x")
+        else:
+            assert _real_array(a, "x", finite=False) is a
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, ">f8", np.float32])
+    def test_converts_other_real_dtypes_to_native_float64(self, dtype):
+        a = np.array([3, 1, 2], dtype=dtype)
+        got = _real_array(a, "x")
+        assert got is not a and got.dtype == np.dtype(float) and got.dtype.isnative
+        assert np.array_equal(got, [3.0, 1.0, 2.0])

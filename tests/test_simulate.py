@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from lagdeconv import laguerre
+from lagdeconv import laguerre, simulate
 from lagdeconv import (
     Cube,
     EstimatorConfig,
@@ -497,6 +497,15 @@ class TestRunTable1:
     def test_nonpositive_snr_rejected(self):
         with pytest.raises(ValueError, match="snr"):
             run_table1(SimConfig(n=16, n1=16, n2=16, runs=2), snrs=(0.0,))
+
+    def test_zero_variance_q_rejected(self, monkeypatch):
+        # sd(q) is taken once per function and keeps add_noise's check
+        cfg = SimConfig(n=16, n1=16, n2=16, runs=2)
+        f, q = simulate._forward_model("f1", cfg)
+        flat = Cube(grid=q.grid, data=np.ones(q.data.shape))
+        monkeypatch.setattr(simulate, "_forward_model", lambda fid, cfg: (f, flat))
+        with pytest.raises(ValueError, match="q has zero variance"):
+            run_table1(cfg, snrs=(3.0,))
 
     def test_means_stable_across_master_seeds(self):
         # independent master seeds agree within three pooled standard errors

@@ -397,7 +397,9 @@ class TestBandOracle:
         grid = TimeGrid(n=8, T=5.0)
         data = 0.01 * np.random.default_rng(3).standard_normal((8, 256, 128))
         deconvolve(Cube(grid, data), np.exp(-grid.points / 2.0), spec, EstimatorConfig(M=4))
-        assert sorted(spec._cache, key=str) == [128, 256, 32, "band"]
+        # and sigma-hat's entry for the frame shape, which marks the block path
+        assert sorted(spec._cache, key=str) == [(256, 128), 128, 256, 32, "band"]
+        assert spec._cache[256, 128] == ()
 
 
 class TestEstimateSigma:
@@ -469,6 +471,53 @@ class TestEstimateSigma:
         elif values == "equal":
             x = np.full(n, 0.3)
         assert wavelet2d._median(x.copy()) == np.median(x)
+
+    @pytest.mark.parametrize("shape", [(32, 32), (64, 16), (256, 256)])
+    def test_one_entry_per_frame_shape(self, shape):
+        # the first frame of a shape checks it and fixes its product; later
+        # frames of that shape reuse it and give the same bits
+        spec = WaveletSpec()
+        rng = np.random.default_rng(21)
+        first, second = rng.standard_normal((2,) + shape)
+        want = [estimate_sigma(first, spec), estimate_sigma(second, spec)]
+        entry = spec._cache[shape]
+        assert [estimate_sigma(first, spec), estimate_sigma(second, spec)] == want
+        assert spec._cache[shape] is entry
+        n1, n2 = shape
+        if n1 * n2 * (n1 + n2) > wavelet2d._DENSE_WORK:
+            assert entry == ()
+        else:
+            H1, H2T = entry
+            assert np.shares_memory(H1, spec._cache[n1]) and np.shares_memory(H2T, spec._cache[n2])
+            assert np.array_equal(H1, _matrix(spec, n1)[n1 // 2 :])
+            assert np.array_equal(H2T, _matrix(spec, n2)[n2 // 2 :].T)
+
+    @pytest.mark.parametrize(
+        "shape, msg",
+        [((4, 4, 4), "expected a 2-D image"), ((6, 10), "n1 must be a power of two"),
+         ((8, 12), "n2 must be a power of two")],
+    )
+    def test_a_rejected_shape_raises_on_every_call_and_stores_nothing(self, shape, msg):
+        spec = WaveletSpec()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=msg):
+                estimate_sigma(np.ones(shape), spec)
+        assert spec._cache == {}
+
+    def test_a_shape_keeps_the_path_of_its_first_frame(self, monkeypatch):
+        # a fresh spec first used with every frame sent down the block path
+        # keeps that choice for the shape once the rule is back
+        spec = WaveletSpec()
+        img = np.random.default_rng(22).standard_normal((32, 32))
+        monkeypatch.setattr(wavelet2d, "_DENSE_WORK", 0)
+        blocks = estimate_sigma(img, spec)
+        monkeypatch.undo()
+        assert 32 * 32 * 64 <= wavelet2d._DENSE_WORK
+        assert spec._cache[32, 32] == ()
+        assert estimate_sigma(img, spec) == blocks
+        assert spec._cache[32, 32] == ()
+        dd = wavelet2d._detail_rows(wavelet2d._detail_rows(img, spec).T, spec)
+        assert blocks == np.median(np.abs(dd)) / 0.6745
 
     def test_has_no_robust_switch(self):
         with pytest.raises(TypeError):
