@@ -15,17 +15,18 @@ command line only; the library rejects non-dyadic sides.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .estimator import Cube, EstimatorConfig, deconvolve
+from .estimator import Cube, EstimatorConfig, Plan, deconvolve
 from .io import FileFormatError, read_cube, read_series, write_cube
-from .laguerre import LagCoeffs, TimeGrid, fit_coeffs, tabulate_basis
-from .simulate import SimConfig, _forward_model, add_noise, run_table1
-from .toeplitz import SingularOperatorError, inverse_norms
+from .laguerre import LagCoeffs, TimeGrid
+from .simulate import _TABLE1_CFG, SimConfig, _forward_model, add_noise, run_table1
+from .toeplitz import SingularOperatorError
 from .wavelet2d import WaveletSpec
 
 EXIT_OK = 0
@@ -194,8 +195,7 @@ def cmd_deconvolve(args) -> int:
 
 def cmd_bench_table1(args) -> int:
     cfg = SimConfig(runs=args.runs, seed=args.seed)
-    est_cfg = EstimatorConfig(M=8, nu=args.nu)
-    rows = run_table1(cfg, est_cfg)
+    rows = run_table1(cfg, dataclasses.replace(_TABLE1_CFG, nu=args.nu))
     lines = ["function,snr,mean_delta,stderr,runs,seed,reference_delta,ratio"]
     for r in rows:
         lines.append(
@@ -221,8 +221,9 @@ def cmd_norms(args) -> int:
     if max_m < args.max_m:
         print(f"norms: --max-m {args.max_m} capped at the kernel's n = {grid.n} samples",
               file=sys.stderr)
-    g_hat = fit_coeffs(series, tabulate_basis(max_m, grid), zero_value=zero_value)
-    table = inverse_norms(g_hat, max_m)
+    # the norm table of the plan at M = max_m, the one M="auto" reads
+    plan = Plan(grid, series, WaveletSpec(), EstimatorConfig(M=max_m), zero_value)
+    table = plan._order(max_m).norms
     ms = np.arange(1, max_m + 1)
     slope = float("nan")
     # asymptotic growth: fit the upper part of the range, from m = 8 when

@@ -186,8 +186,10 @@ def _plain(value):
 
 def _sigma_hat(Y: Cube, spec: WaveletSpec) -> float:
     # the median over frames of each frame's MAD estimate: _median is
-    # np.median without its dispatch, and sorts up to 1,024 frame values
-    return _median(np.array([estimate_sigma(frame, spec) for frame in Y.data]))
+    # np.median without its dispatch, and sorts up to 1,024 frame values.
+    # Details that overflow give inf or NaN, which Plan._fit rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _median(np.array([estimate_sigma(frame, spec) for frame in Y.data]))
 
 
 def thresholds(M: int, eps: float, nu: float, norms: InverseNormTable) -> np.ndarray:
@@ -251,7 +253,7 @@ def _depth(J, n_side: int, eps: float, auto_on: bool) -> int:
 
 @dataclass(frozen=True)
 class _Order:
-    """What `Plan.apply` reads for one Laguerre order M: the grid's shared
+    """What a plan's fit reads for one Laguerre order M: the grid's shared
     basis, A = G^-1 (P E) and the norm table ||(G^(m))^-1||, m = 1..M (the
     M="auto" rule reads the first order's table, the thresholds entries up
     to M-1)."""
@@ -272,13 +274,14 @@ class Plan:
     cfg.M or, under M="auto", min(m_cap, n, kernel.m), so a kernel that is
     singular at that order (g_0 = 0, or so small that G^-1 overflows), or
     shorter than a fixed M (`solve_lower` checks), fails here, not at the
-    first cube.  `apply` starts from that order and picks another only
-    under M="auto" with eps > 0, by the rule on the first order's norm
-    table.  None of this depends on the raster: `apply` takes n1 and n2
-    from each cube and the spec caches W per side, so one plan serves every
-    dyadic raster on its grid.  Its caches, the grid's and the spec's hold
-    only idempotent derived state, so a plan is safe to share across
-    threads.
+    first cube.  `apply` fits a cube's Laguerre coefficient maps C, in
+    `_fit`, then synthesises f_hat = B^T C in time.  The fit starts from
+    the first order and picks another only under M="auto" with eps > 0, by
+    the rule on the first order's norm table.  None of this depends on the
+    raster: `_fit` takes n1 and n2 from each cube and the spec caches W per
+    side, so one plan serves every dyadic raster on its grid.  Its caches,
+    the grid's and the spec's hold only idempotent derived state, so a plan
+    is safe to share across threads.
     """
 
     def __init__(
@@ -318,22 +321,25 @@ class Plan:
                                      inverse_norms(kernel, M))
         return self._orders[M]
 
-    def apply(self, Y: Cube) -> tuple[Cube, Diagnostics]:
-        """Deconvolve one cube on the plan's grid.
-
-        Both sides of the raster must be powers of two >= 2; sigma-hat
-        rejects any other when it reads the first frame.
+    def _fit(self, Y: Cube) -> tuple[_Order, np.ndarray, Diagnostics]:
+        """(order, C, diagnostics) of one cube: C[l] is the estimate of the
+        l-th Laguerre coefficient map, l < M, and every adaptive choice, the
+        order included, is made here.
         """
         if Y.grid != self.grid:
             raise ValueError("cube does not match the plan's time grid")
         cfg, spec = self.cfg, self.spec
         n1, n2 = Y.n1, Y.n2
         sigma_hat = _sigma_hat(Y, spec)
+        # a finite cube can still overflow its finest details, and eps its
+        # product with T; either would reach the auto depth and the order rule
         eps = (
             Y.grid.T * sigma_hat / math.sqrt(Y.grid.n)
             if cfg.eps == "auto"
             else float(cfg.eps)
         )
+        if not (math.isfinite(sigma_hat) and math.isfinite(eps)):
+            raise ValueError(f"the noise level is not finite: sigma_hat = {sigma_hat}, eps = {eps}")
         order = self._first
         if cfg.M == "auto" and eps > 0:
             order = self._order(select_M(order.norms, eps))
@@ -348,7 +354,7 @@ class Plan:
         r1, r2 = 1 << J1, 1 << J2
         # Both time contractions are the 2-D np.dot that np.tensordot would
         # build, without its Python setup: A Y over the n frames here and the
-        # Laguerre synthesis over the M orders below.
+        # Laguerre synthesis over the M orders in `apply`.
         AY = np.dot(order.op, Y.data.reshape(Y.grid.n, -1)).reshape(M, n1, n2)
         theta = dwt2_array(AY, spec, (r1, r2))
 
@@ -365,11 +371,9 @@ class Plan:
             theta, keep_counts = hard_threshold(theta, lambdas)
             total_counts = np.full(M, r1 * r2)
 
-        # Synthesis: inverse wavelet transform of the M blocks, then Laguerre
-        # evaluation in time (the two commute, and this order runs M transforms).
+        # The inverse wavelet transform of the M blocks: it commutes with the
+        # Laguerre synthesis, and in this order runs M transforms, not n.
         C = idwt2_array(theta, spec, (n1, n2))
-        f_hat = np.dot(order.basis.values.T, C.reshape(M, -1)).reshape(Y.grid.n, n1, n2)
-
         diag = Diagnostics(
             sigma_hat=sigma_hat,
             eps_hat=eps,
@@ -383,7 +387,19 @@ class Plan:
             omega_dropped=M * (n1 * n2 - r1 * r2),
             thresholds_disabled_reason=disabled,
         )
-        return Cube(grid=Y.grid, data=f_hat), diag
+        return order, C, diag
+
+    def apply(self, Y: Cube) -> tuple[Cube, Diagnostics]:
+        """Deconvolve one cube on the plan's grid: fit its Laguerre
+        coefficient maps C, then synthesise f_hat = B^T C in time, B the
+        order's basis values.
+
+        Both sides of the raster must be powers of two >= 2; sigma-hat
+        rejects any other when it reads the first frame.
+        """
+        order, C, diag = self._fit(Y)
+        f_hat = np.dot(order.basis.values.T, C.reshape(diag.M, -1))
+        return Cube(grid=Y.grid, data=f_hat.reshape(Y.data.shape)), diag
 
 
 def deconvolve(

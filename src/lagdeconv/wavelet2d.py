@@ -130,16 +130,10 @@ def _axes(shape: tuple) -> tuple[int, int]:
     """(n1, n2), the last two axes of an array of this shape.
 
     The one place the spatial layout is checked: both sides must be powers
-    of two >= 2.  Plain-int sides that pass return at once, which is every
-    ndarray's shape; the loop below checks the rest and names the fault.
+    of two >= 2, and the first that is not is named.
     """
     if len(shape) < 2:
         raise ValueError(f"expected at least 2 axes, got shape {tuple(shape)}")
-    n1, n2 = shape[-2:]
-    if type(n1) is int and type(n2) is int and n1 >= 2 and n2 >= 2 and not (
-        n1 & (n1 - 1) or n2 & (n2 - 1)
-    ):
-        return n1, n2
     for name, n in zip(("n1", "n2"), shape[-2:]):
         if not _is_int_at_least(n, 2) or n & (n - 1):
             raise ValueError(f"{name} must be a power of two >= 2, got {n}")

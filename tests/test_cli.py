@@ -309,6 +309,21 @@ class TestDeconvolveCommand:
         assert "eps must be a finite" in capsys.readouterr().err
         assert not (tmp_path / "fhat.json").exists()
 
+    @pytest.mark.parametrize("order", ["8", "auto"])
+    def test_a_cube_whose_noise_level_overflows_exits_1(self, tmp_path, capsys, order):
+        # finite values whose finest details overflow: sigma-hat is inf
+        grid = TimeGrid(n=16, T=5.0)
+        data = 1.7e308 * np.random.default_rng(0).uniform(-1.0, 1.0, (16, 8, 8))
+        write_cube(tmp_path / "Y", Cube(grid=grid, data=data))
+        kpath = write_kernel_csv(tmp_path / "g.csv", grid)
+        code = run_cli("deconvolve", "--input", str(tmp_path / "Y"), "--kernel", str(kpath),
+                       "--M", order, "--out", str(tmp_path / "fhat"))
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the noise level is not finite: sigma_hat = inf, eps = inf\n"
+        assert not (tmp_path / "fhat.json").exists() and not (tmp_path / "fhat.bin").exists()
+
     def test_eps_zero_runs_threshold_free(self, tmp_path):
         # EstimatorConfig(eps=0) is a documented path; the CLI used to reject it
         out = self.simulate_fixture(tmp_path, n=32, T=5.0, snr="5")
@@ -412,7 +427,7 @@ class TestNormsCommand:
     def test_max_m_zero_exits_1(self, tmp_path, capsys):
         kpath = write_kernel_csv(tmp_path / "g.csv", TimeGrid(n=64, T=20.0))
         assert run_cli("norms", "--kernel", str(kpath), "--max-m", "0") == 1
-        assert "M must be a positive integer" in capsys.readouterr().err
+        assert "M must be an integer >= 1" in capsys.readouterr().err
 
 
     def test_max_m_above_the_samples_says_it_is_capped(self, tmp_path, capsys):

@@ -137,6 +137,34 @@ class TestEstimateEps:
         e2 = eps_hat(plan, -4.0 * data)
         assert e2 == pytest.approx(4.0 * e1, rel=1e-12)
 
+    # Finite cubes whose noise level is not: details that overflow give an
+    # infinite sigma-hat, +inf - inf a NaN one, and a large T overflows
+    # eps = T sigma_hat / sqrt(n) of a finite sigma-hat.
+    HUGE = 1.7e308 * np.random.default_rng(0).uniform(-1.0, 1.0, (16, 8, 8))
+    CHECKER = np.broadcast_to(1.7e308 * (-1.0) ** np.add.outer(np.arange(8), np.arange(8)),
+                              (16, 8, 8))
+
+    @pytest.mark.parametrize(
+        "T, data, cfg",
+        [
+            (5.0, HUGE, {"M": 8}),
+            (5.0, HUGE, {"M": "auto"}),
+            (5.0, HUGE, {"M": 8, "eps": 0.1}),
+            (5.0, CHECKER, {"M": 8}),
+            (5.0, CHECKER, {"M": "auto"}),
+            (1e4, HUGE / 100.0, {"M": 8}),
+            (1e4, HUGE / 100.0, {"M": "auto"}),
+        ],
+        ids=["sigma-inf-M=8", "sigma-inf-M=auto", "sigma-inf-fixed-eps", "sigma-nan-M=8",
+             "sigma-nan-M=auto", "eps-inf-M=8", "eps-inf-M=auto"],
+    )
+    def test_a_noise_level_that_is_not_finite_is_named(self, T, data, cfg):
+        grid = TimeGrid(n=16, T=T)
+        plan = Plan(grid, np.exp(-grid.points / 2.0), WaveletSpec(),
+                    EstimatorConfig(**cfg), g_zero=1.0)
+        with pytest.raises(ValueError, match="the noise level is not finite: sigma_hat = "):
+            plan.apply(Cube(grid=grid, data=data))
+
 
 class TestThresholds:
     def test_unit_eps_warns_and_zeroes(self):
@@ -833,7 +861,8 @@ class TestPlan:
 class TestApplyBitIdentity:
     """`Plan.apply` against the pipeline written out with np.tensordot for
     both time contractions and np.median of the per-frame sigma-hats: every
-    bit of the estimate and of the diagnostics must agree."""
+    bit of the estimate, of the coefficient maps C that `Plan._fit` ends at
+    and of the diagnostics must agree."""
 
     @staticmethod
     def reference(plan, Y):
@@ -848,15 +877,15 @@ class TestApplyBitIdentity:
         theta = dwt2_array(np.tensordot(order.op, Y.data, axes=(1, 0)), spec, (r1, r2))
         lambdas = thresholds(M, eps, cfg.nu, order.norms)
         theta, keep_counts = hard_threshold(theta, lambdas)
-        f_hat = np.tensordot(order.basis.values, idwt2_array(theta, spec, (n1, n2)),
-                             axes=(0, 0))
+        C = idwt2_array(theta, spec, (n1, n2))
+        f_hat = np.tensordot(order.basis.values, C, axes=(0, 0))
         diag = Diagnostics(
             sigma_hat=sigma_hat, eps_hat=eps, M=M, J1=J1, J2=J2,
             projection_rank=order.basis.rank, keep_counts=keep_counts,
             total_counts=np.full(M, r1 * r2), lambdas=lambdas,
             omega_dropped=M * (n1 * n2 - r1 * r2), thresholds_disabled_reason=None,
         )
-        return f_hat, diag
+        return f_hat, C, diag
 
     # an even and an odd frame count, so both branches of the median run
     @pytest.mark.parametrize(
@@ -873,11 +902,17 @@ class TestApplyBitIdentity:
             Y = Cube(grid=grid, data=data)
             before = Y.data.copy()
             f_hat, diag = plan.apply(Y)
-            f_ref, d_ref = self.reference(plan, Y)
+            f_ref, C_ref, d_ref = self.reference(plan, Y)
             assert np.array_equal(Y.data, before)  # apply leaves its input alone
             assert np.array_equal(f_hat.data, f_ref)
             assert diag.to_dict() == d_ref.to_dict()
             assert diag.thresholds_disabled_reason is None
+            # the fit ends at C, and apply's estimate is the one synthesis B^T C
+            order, C, fit_diag = plan._fit(Y)
+            assert np.array_equal(C, C_ref)
+            assert fit_diag.to_dict() == d_ref.to_dict()
+            synthesis = np.dot(order.basis.values.T, C.reshape(diag.M, -1))
+            assert np.array_equal(f_hat.data, synthesis.reshape(Y.data.shape))
 
 
 class TestDiagnostics:

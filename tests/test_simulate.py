@@ -507,6 +507,24 @@ class TestRunTable1:
         with pytest.raises(ValueError, match="q has zero variance"):
             run_table1(cfg, snrs=(3.0,))
 
+    def test_a_short_run_keeps_its_values(self):
+        """The 12 mean errors of a 3-run table at the default settings.
+
+        They pin every stage of the Table-1 fit.  Between the OpenBLAS core
+        kernels SkylakeX, Haswell and Sandybridge they differ by at most
+        5.1e-15 relative, well inside rtol 1e-12.  A change that moves them
+        changes the Table-1 estimates and must say so in CHANGES.md.
+        """
+        want = [
+            0.14176760037956362, 0.10363839391513023, 0.08808260968492933,
+            0.16495823281809077, 0.09085256887754604, 0.06754892531444924,
+            0.16466168661738992, 0.09090367999483112, 0.06740939472414219,
+            0.1660405023574746, 0.09253733346222648, 0.06721088042673362,
+        ]
+        rows = run_table1(SimConfig(runs=3, seed=1234))
+        assert [(r.function, r.snr) for r in rows] == list(REFERENCE_TABLE1)
+        assert np.allclose([r.mean_delta for r in rows], want, rtol=1e-12, atol=0.0)
+
     def test_means_stable_across_master_seeds(self):
         # independent master seeds agree within three pooled standard errors
         est = EstimatorConfig(M=8)

@@ -262,7 +262,7 @@ class TestLeadingBlock:
             idwt2_array(np.zeros(coeffs), WaveletSpec(), shape)
 
     def test_numpy_integer_sides_are_sides(self):
-        # only plain ints skip _axes's loop; numpy integers pass through it
+        # a shape given as numpy integers is checked and used like plain ints
         spec = WaveletSpec()
         c = dwt2_array(np.random.default_rng(3).standard_normal((16, 32)), spec)[:4, :8]
         want = idwt2_array(c, spec, (16, 32))
