@@ -15,7 +15,6 @@ command line only; the library rejects non-dyadic sides.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -25,7 +24,7 @@ import numpy as np
 from .estimator import Cube, EstimatorConfig, Plan, deconvolve
 from .io import FileFormatError, read_cube, read_series, write_cube
 from .laguerre import LagCoeffs, TimeGrid
-from .simulate import _TABLE1_CFG, SimConfig, _forward_model, add_noise, run_table1
+from .simulate import SimConfig, _forward_model, add_noise, run_table1
 from .toeplitz import SingularOperatorError
 from .wavelet2d import WaveletSpec
 
@@ -84,7 +83,6 @@ def _build_parser() -> _Parser:
     pb = sub.add_parser("bench-table1", help="replicate the benchmark table")
     pb.add_argument("--runs", type=int, default=100)
     pb.add_argument("--seed", type=int, default=1234)
-    pb.add_argument("--nu", type=float, default=EstimatorConfig().nu)
     pb.add_argument("--out",
                     help="write the CSV here and print an aligned table; "
                          "without it the CSV goes to stdout")
@@ -195,7 +193,7 @@ def cmd_deconvolve(args) -> int:
 
 def cmd_bench_table1(args) -> int:
     cfg = SimConfig(runs=args.runs, seed=args.seed)
-    rows = run_table1(cfg, dataclasses.replace(_TABLE1_CFG, nu=args.nu))
+    rows = run_table1(cfg)
     lines = ["function,snr,mean_delta,stderr,runs,seed,reference_delta,ratio"]
     for r in rows:
         lines.append(

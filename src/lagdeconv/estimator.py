@@ -55,6 +55,7 @@ from .laguerre import (
 )
 from .toeplitz import (
     InverseNormTable,
+    SingularOperatorError,
     inverse_norms,
     select_M,
     solve_lower,
@@ -270,11 +271,12 @@ class Plan:
     else, read as its samples at t_1..t_n with `g_zero` their exact t = 0
     value if known.  `_order(M)`, the only path that builds an order, takes
     the grid's basis of order M, applies G^-1 to its P E and tabulates the
-    norms, and caches all three.  The constructor builds the first order,
-    cfg.M or, under M="auto", min(m_cap, n, kernel.m), so a kernel that is
-    singular at that order (g_0 = 0, or so small that G^-1 overflows), or
-    shorter than a fixed M (`solve_lower` checks), fails here, not at the
-    first cube.  `apply` fits a cube's Laguerre coefficient maps C, in
+    norms, and caches all three.  The constructor builds the first order:
+    cfg.M or, under M="auto", the largest order up to min(m_cap, n,
+    kernel.m) that builds, since the rule never picks an order whose norm
+    is infinite.  So a kernel with g_0 = 0, one whose G^-1 or Gram matrix
+    overflows at a fixed M, or one shorter than a fixed M (`solve_lower`
+    checks) fails here, not at the first cube.  `apply` fits a cube's Laguerre coefficient maps C, in
     `_fit`, then synthesises f_hat = B^T C in time.  The fit starts from
     the first order and picks another only under M="auto" with eps > 0, by
     the rule on the first order's norm table.  None of this depends on the
@@ -309,7 +311,16 @@ class Plan:
                 f"M={M} exceeds the n={grid.n} frames: the projection has "
                 f"rank at most {grid.n}, so some orders are not determined by the data"
             )
-        self._first = self._order(M)
+        # "auto" never picks an order whose norm is infinite, so it starts
+        # from the largest order that builds; a fixed M, or order 1, raises
+        while True:
+            try:
+                self._first = self._order(M)
+                break
+            except SingularOperatorError:
+                if cfg.M != "auto" or M == 1:
+                    raise
+                M -= 1
 
     def _order(self, M: int) -> _Order:
         if M not in self._orders:

@@ -4,8 +4,8 @@ A cube is stored as `<stem>.json` (metadata) next to `<stem>.bin` holding
 n * n1 * n2 little-endian float64 values, time-major, row-major within each
 slice.  Roundtrips are bit-exact.  Any fault of a cube file, in the header
 or in the payload values, raises `FileFormatError` naming the file, before
-anything is computed.  Kernel/AIF curves travel as two-column CSV
-(t, value) with strictly increasing t at 17 significant digits.
+anything is computed.  Kernel/AIF curves are read from two-column CSV
+(t, value) with strictly increasing t.
 """
 
 from __future__ import annotations
@@ -18,13 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from .estimator import Cube
-from .laguerre import TimeGrid, _real_array
+from .laguerre import TimeGrid
 
 __all__ = [
     "FileFormatError",
     "write_cube",
     "read_cube",
-    "write_series",
     "read_series",
 ]
 
@@ -102,28 +101,6 @@ def read_cube(stem) -> Cube:
         return Cube(grid=grid, data=data)
     except ValueError as exc:
         raise FileFormatError(f"{bin_path}: {exc}") from exc
-
-
-def write_series(path, t: np.ndarray, values: np.ndarray) -> Path:
-    """Two-column CSV (t, value) at 17 significant digits; raises
-    ValueError, before the file is opened, for what read_series rejects."""
-    path = Path(path)
-    t = _real_array(t, "t", finite=False)
-    values = _real_array(values, "values", finite=False)
-    if t.shape != values.shape or t.ndim != 1:
-        raise ValueError("t and values must be 1-D arrays of equal length")
-    if t.size == 0:
-        raise ValueError("empty series")
-    if not (np.isfinite(t).all() and np.isfinite(values).all()):
-        raise ValueError("t and values must be finite")
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("t must be strictly increasing")
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "value"])
-        for ti, vi in zip(t, values):
-            writer.writerow([format(ti, ".17g"), format(vi, ".17g")])
-    return path
 
 
 def read_series(path) -> tuple[np.ndarray, np.ndarray]:

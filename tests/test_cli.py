@@ -13,7 +13,7 @@ from lagdeconv import (
     relative_error,
 )
 from lagdeconv.cli import main
-from lagdeconv.io import read_cube, read_series, write_cube, write_series
+from lagdeconv.io import read_cube, read_series, write_cube
 from lagdeconv.simulate import default_kernel
 
 
@@ -21,9 +21,15 @@ def run_cli(*args):
     return main(list(args))
 
 
+def save_series(path, t, values):
+    """A (t, value) CSV, written the way README's example writes one."""
+    np.savetxt(path, np.c_[t, values], delimiter=",", header="t,value", comments="")
+    return path
+
+
 def write_kernel_csv(path, grid, include_zero=True):
     t = np.r_[0.0, grid.points] if include_zero else grid.points
-    write_series(path, t, default_kernel(t))
+    save_series(path, t, default_kernel(t))
     return path
 
 
@@ -252,7 +258,7 @@ class TestDeconvolveCommand:
         # g = exp(-t/2) = phi_0 has expansion (1, 0, 0, ...); the first
         # column is the coefficient index
         idx = np.arange(8.0)
-        write_series(tmp_path / "gc.csv", idx, np.eye(8)[0])
+        save_series(tmp_path / "gc.csv", idx, np.eye(8)[0])
         code = run_cli("deconvolve", "--input", str(out) + "_Y",
                        "--kernel-coeffs", str(tmp_path / "gc.csv"),
                        "--M", "8", "--out", str(tmp_path / "fhat"))
@@ -262,7 +268,7 @@ class TestDeconvolveCommand:
     def test_numerically_singular_kernel_coeffs_exit_3(self, tmp_path, capsys):
         grid = TimeGrid(n=8, T=5.0)
         write_cube(tmp_path / "c", Cube(grid=grid, data=np.ones((8, 4, 4))))
-        path = write_series(tmp_path / "gc.csv", np.arange(8.0), np.r_[1e-200, np.ones(7)])
+        path = save_series(tmp_path / "gc.csv", np.arange(8.0), np.r_[1e-200, np.ones(7)])
         code = run_cli("deconvolve", "--input", str(tmp_path / "c"),
                        "--kernel-coeffs", str(path), "--M", "8", "--out", str(tmp_path / "f"))
         assert code == 3
@@ -281,7 +287,7 @@ class TestDeconvolveCommand:
     def test_kernel_coeffs_with_other_indices_exit_2(self, tmp_path, capsys, index, row):
         grid = TimeGrid(n=8, T=5.0)
         write_cube(tmp_path / "c", Cube(grid=grid, data=np.ones((8, 4, 4))))
-        path = write_series(tmp_path / "gc.csv", np.array(index), np.array([1.0, 0.0, 0.5]))
+        path = save_series(tmp_path / "gc.csv", np.array(index), np.array([1.0, 0.0, 0.5]))
         code = run_cli("deconvolve", "--input", str(tmp_path / "c"),
                        "--kernel-coeffs", str(path), "--M", "3", "--out", str(tmp_path / "f"))
         assert code == 2
@@ -291,7 +297,7 @@ class TestDeconvolveCommand:
     def test_rcond_one_exits_1(self, tmp_path, capsys):
         # rcond = 1 cuts every singular value: the fit would return f_hat = 0
         out = self.simulate_fixture(tmp_path, n=32, T=5.0, snr="5")
-        write_series(tmp_path / "gc.csv", np.arange(8.0), np.eye(8)[0])
+        save_series(tmp_path / "gc.csv", np.arange(8.0), np.eye(8)[0])
         code = run_cli("deconvolve", "--input", str(out) + "_Y",
                        "--kernel-coeffs", str(tmp_path / "gc.csv"),
                        "--M", "8", "--rcond", "1", "--out", str(tmp_path / "fhat"))
@@ -307,6 +313,18 @@ class TestDeconvolveCommand:
                        "--out", str(tmp_path / "fhat"))
         assert code == 1
         assert "eps must be a finite" in capsys.readouterr().err
+        assert not (tmp_path / "fhat.json").exists()
+
+    # the config refuses the value after the files are read, before any fit
+    @pytest.mark.parametrize("nu", ["inf", "nan", "0", "-1"])
+    def test_a_nu_that_is_not_positive_and_finite_exits_1(self, tmp_path, capsys, nu):
+        out = self.simulate_fixture(tmp_path, n=32, T=5.0, snr="5")
+        kpath = write_kernel_csv(tmp_path / "g.csv", TimeGrid(n=32, T=5.0))
+        code = run_cli("deconvolve", "--input", str(out) + "_Y",
+                       "--kernel", str(kpath), "--M", "8", "--nu", nu,
+                       "--out", str(tmp_path / "fhat"))
+        assert code == 1
+        assert "nu must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "fhat.json").exists()
 
     @pytest.mark.parametrize("order", ["8", "auto"])
@@ -417,7 +435,7 @@ class TestNormsCommand:
         # and inverse_norms refuses it
         grid = TimeGrid(n=64, T=20.0)
         t = np.r_[0.0, grid.points]
-        write_series(tmp_path / "g.csv", t, np.zeros(t.size))
+        save_series(tmp_path / "g.csv", t, np.zeros(t.size))
         code = run_cli("norms", "--kernel", str(tmp_path / "g.csv"), "--max-m", "4")
         assert code == 3
         # one line: the solve's error, with no warning before it
@@ -498,7 +516,7 @@ class TestUndecodableInputs:
         grid = TimeGrid(n=8, T=5.0)
         # a kernel on the cube's grid, or its first 8 Laguerre coefficients
         t = np.arange(8.0) if command == "--kernel-coeffs" else np.r_[0.0, grid.points]
-        path = write_series(tmp_path / "g.csv", t, default_kernel(t))
+        path = save_series(tmp_path / "g.csv", t, default_kernel(t))
         lines = path.read_text().splitlines()
         row_t, row_v = lines[3].split(",")  # the third data row
         lines[3] = {"nan-t": f"nan,{row_v}", "nan-value": f"{row_t},nan",
@@ -520,7 +538,7 @@ class TestUndecodableInputs:
     def test_a_third_column_exits_2_naming_the_file_and_row(self, tmp_path, capsys, command):
         grid = TimeGrid(n=8, T=5.0)
         t = np.arange(8.0) if command == "--kernel-coeffs" else np.r_[0.0, grid.points]
-        path = write_series(tmp_path / "g.csv", t, default_kernel(t))
+        path = save_series(tmp_path / "g.csv", t, default_kernel(t))
         lines = path.read_text().splitlines()
         lines[3] += ",7"  # the third data row
         path.write_text("\n".join(lines) + "\n")
@@ -554,7 +572,7 @@ class TestKernelSeries:
         t = np.r_[0.0, grid.points]
         if index is not None:
             t[index] *= scale
-        kpath = write_series(tmp_path / "g.csv", t, np.exp(-t / 2.0))
+        kpath = save_series(tmp_path / "g.csv", t, np.exp(-t / 2.0))
         if command == "norms":
             argv = ["norms", "--kernel", str(kpath)]
         else:
@@ -568,7 +586,7 @@ class TestKernelSeries:
                     f"k = 1..n, with n = {n} and T = 5") in capsys.readouterr().err
 
     def test_norms_of_a_lone_zero_row_exits_1(self, tmp_path, capsys):
-        kpath = write_series(tmp_path / "g.csv", np.zeros(1), np.ones(1))
+        kpath = save_series(tmp_path / "g.csv", np.zeros(1), np.ones(1))
         assert run_cli("norms", "--kernel", str(kpath)) == 1
         assert f"kernel series {kpath} has no sample at t > 0" in capsys.readouterr().err
 
@@ -603,10 +621,6 @@ class TestBenchCommand:
         assert run_cli("bench-table1", "--runs", "x") == 1
         assert "argument --runs: invalid int value: 'x'" in capsys.readouterr().err
 
-    def test_infinite_nu_exits_1(self, capsys):
-        assert run_cli("bench-table1", "--runs", "2", "--nu", "inf") == 1
-        assert "nu must be positive and finite" in capsys.readouterr().err
-
 
 class TestCommandSet:
     def test_help_lists_the_four_commands(self, capsys):
@@ -622,8 +636,9 @@ class TestCommandSet:
          (["deconvolve", "--input", "c", "--kernel", "g.csv", "--out", "f", "--smooth-kernel"],
           "unrecognized arguments: --smooth-kernel"),
          (["deconvolve", "--input", "c", "--kernel", "g.csv", "--out", "f", "--sigma-est", "std"],
-          "unrecognized arguments: --sigma-est std")],
-        ids=["smooth", "smooth-kernel", "sigma-est"],
+          "unrecognized arguments: --sigma-est std"),
+         (["bench-table1", "--runs", "2", "--nu", "2.0"], "unrecognized arguments: --nu 2.0")],
+        ids=["smooth", "smooth-kernel", "sigma-est", "bench-nu"],
     )
     def test_removed_options_exit_1_with_the_reason(self, argv, reason, capsys):
         assert run_cli(*argv) == 1

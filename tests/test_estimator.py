@@ -631,7 +631,7 @@ class TestPlan:
     # a tiny g_0 once gave dozens of overflow warnings and then eigvalsh's
     # "Eigenvalues did not converge": at 1e-200 and 1e-12 G^-1 overflows,
     # at 1e-3 only its Gram table does
-    @pytest.mark.parametrize("g0, M", [(1e-200, 8), (1e-12, 64), (1e-3, 64)])
+    @pytest.mark.parametrize("g0, M", [(1e-200, 8), (1e-12, 64), (1e-3, 52), (1e-3, 64)])
     def test_a_numerically_singular_kernel_fails_when_the_plan_is_built(self, g0, M):
         grid = TimeGrid(n=64, T=5.0)
         with warnings.catch_warnings():
@@ -639,9 +639,45 @@ class TestPlan:
             with pytest.raises(SingularOperatorError, match=f"order {M} \\(g_0 = {g0!r}\\)"):
                 Plan(grid, LagCoeffs([g0] + [1.0] * 63), WaveletSpec(), EstimatorConfig(M=M))
 
-    def test_a_small_g0_within_the_double_range_still_builds(self):
+    # M="auto" never picks an order whose norm is infinite: with g_0 = 1e-3
+    # the Gram table overflows from order 52, so the plan starts from 51,
+    # while a fixed M of 52 or more still raises (the cases above)
+    def test_an_auto_plan_starts_below_the_first_order_that_overflows(self):
         grid = TimeGrid(n=64, T=5.0)
-        plan = Plan(grid, LagCoeffs([1e-2] + [1.0] * 63), WaveletSpec(), EstimatorConfig(M=64))
+        plan = Plan(grid, LagCoeffs([1e-3] + [1.0] * 63), WaveletSpec(), EstimatorConfig())
+        assert list(plan._orders) == [51] and np.isfinite(plan._first.norms.spectral[-1])
+
+    @pytest.mark.parametrize("noise", [0, 1], ids=["sigma=0.01", "sigma=0.5"])
+    def test_a_fit_on_an_auto_plan_below_the_overflow_is_finite(self, noise):
+        grid = TimeGrid(n=64, T=5.0)
+        plan = Plan(grid, LagCoeffs([1e-3] + [1.0] * 63), WaveletSpec(), EstimatorConfig())
+        f_hat, diag = plan.apply(self.cubes(grid)[noise])
+        assert diag.M <= 51 and np.all(np.isfinite(f_hat.data))
+
+    # g_0 = 0 is singular at every order, order 1 included
+    def test_an_auto_plan_of_a_kernel_with_g0_zero_still_fails(self):
+        grid = TimeGrid(n=64, T=5.0)
+        with pytest.raises(SingularOperatorError, match="zero diagonal"):
+            Plan(grid, LagCoeffs([0.0] + [1.0] * 63), WaveletSpec(), EstimatorConfig())
+
+    # a kernel that builds at the first order takes no step down
+    @pytest.mark.parametrize("kernel, g_zero, first", [
+        (LagCoeffs([1e-2] + [1.0] * 63), None, 64),
+        (LagCoeffs([1.0, 0.4, 0.1, 0.05, 0.02]), None, 5),
+        (np.exp(-TimeGrid(n=64, T=5.0).points / 2.0), 1.0, 64),
+    ], ids=["g0=1e-2", "5-coeffs", "samples"])
+    def test_an_auto_plan_that_builds_at_its_first_order_builds_only_that(
+        self, kernel, g_zero, first
+    ):
+        grid = TimeGrid(n=64, T=5.0)
+        plan = Plan(grid, kernel, WaveletSpec(), EstimatorConfig(), g_zero=g_zero)
+        assert list(plan._orders) == [first]
+
+    # every fixed M up to 51 builds with g_0 = 1e-3; 52 is the first that fails
+    @pytest.mark.parametrize("g0, M", [(1e-2, 64), (1e-3, 51)])
+    def test_a_small_g0_within_the_double_range_still_builds(self, g0, M):
+        grid = TimeGrid(n=64, T=5.0)
+        plan = Plan(grid, LagCoeffs([g0] + [1.0] * 63), WaveletSpec(), EstimatorConfig(M=M))
         assert np.all(np.isfinite(plan._first.op)) and np.isfinite(plan._first.norms.spectral[-1])
 
     @pytest.mark.parametrize(

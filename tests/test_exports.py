@@ -1,7 +1,7 @@
 """Every name a module exports in `__all__` exists there, and only once; the
 package exports exactly the public API, and only names its submodules
-export.  The settable surface, config fields and the parameters of the
-entry points, is pinned by name."""
+export.  The settable surface, config fields, the parameters of the entry
+points and the command line's flags, is pinned by name."""
 
 import dataclasses
 import importlib
@@ -81,6 +81,18 @@ PARAMETERS = {
 }
 
 
+# Every flag of each command, in order, help aside.
+CLI_OPTIONS = {
+    "simulate": ("--function", "--snr", "--seed", "--n", "--n1", "--n2", "--T", "--out"),
+    "deconvolve": (
+        "--input", "--kernel", "--kernel-coeffs", "--out", "--M", "--nu", "--eps",
+        "--no-threshold", "--symmetrize", "--rcond", "--diagnostics",
+    ),
+    "bench-table1": ("--runs", "--seed", "--out"),
+    "norms": ("--kernel", "--max-m", "--out"),
+}
+
+
 # What a fit reports, by name and in order: each field is also its key in
 # `to_dict()` and in the CLI's --diagnostics JSON.
 DIAGNOSTICS_FIELDS = (
@@ -103,6 +115,18 @@ def test_config_fields_are_pinned(where):
 @pytest.mark.parametrize("where", PARAMETERS)
 def test_parameters_are_pinned(where):
     assert tuple(inspect.signature(_resolve(where)).parameters) == PARAMETERS[where]
+
+
+# the command set itself is pinned by test_cli.py's TestCommandSet
+@pytest.mark.parametrize("command", CLI_OPTIONS)
+def test_cli_options_are_pinned(command):
+    from lagdeconv.cli import _build_parser
+
+    (commands,) = [a for a in _build_parser()._actions if a.choices]
+    sub = commands.choices[command]
+    options = tuple(flag for a in sub._actions if "-h" not in a.option_strings
+                    for flag in a.option_strings)
+    assert options == CLI_OPTIONS[command]
 
 
 def test_diagnostics_fields_are_pinned():

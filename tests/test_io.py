@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 from lagdeconv import Cube, TimeGrid
-from lagdeconv.io import (
-    FileFormatError,
-    read_cube,
-    read_series,
-    write_cube,
-    write_series,
-)
+from lagdeconv.io import FileFormatError, read_cube, read_series, write_cube
 
 
 def random_cube(seed=0, n=8, n1=4, n2=4):
@@ -173,54 +167,28 @@ class TestSeriesFile:
         t = np.sort(rng.uniform(0.0, 10.0, 32))
         t += np.arange(32) * 1e-9  # enforce strict monotonicity
         v = rng.standard_normal(32)
-        write_series(tmp_path / "s.csv", t, v)
+        np.savetxt(tmp_path / "s.csv", np.c_[t, v], fmt="%.17g", delimiter=",",
+                   header="t,value", comments="")
         t2, v2 = read_series(tmp_path / "s.csv")
         # 17 significant digits reproduce IEEE doubles exactly
         assert np.array_equal(t, t2)
         assert np.array_equal(v, v2)
 
+    def test_reads_the_default_savetxt_format_bit_for_bit(self, tmp_path):
+        # README's example writes with np.savetxt's default "%.18e"
+        rng = np.random.default_rng(2)
+        t = np.cumsum(rng.uniform(0.01, 1.0, 32))
+        v = rng.standard_normal(32)
+        np.savetxt(tmp_path / "s.csv", np.c_[t, v], delimiter=",",
+                   header="t,value", comments="")
+        t2, v2 = read_series(tmp_path / "s.csv")
+        assert np.array_equal(t, t2)
+        assert np.array_equal(v, v2)
+
     def test_rejects_non_increasing(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_series(tmp_path / "s.csv", np.array([0.0, 1.0, 1.0]), np.zeros(3))
         (tmp_path / "bad.csv").write_text("t,value\n1.0,0.0\n0.5,0.0\n")
         with pytest.raises(FileFormatError):
             read_series(tmp_path / "bad.csv")
-
-    # each of these used to be written, and the file then failed read_series
-    @pytest.mark.parametrize("t, v", [
-        ([], []),
-        ([0.0, np.nan, 2.0], [1.0, 2.0, 3.0]),
-        ([0.0, 1.0, 2.0], [1.0, np.inf, 3.0]),
-        ([0.0, 1.0, np.inf], [1.0, 2.0, 3.0]),
-    ], ids=["empty", "nan-t", "inf-value", "inf-t"])
-    def test_write_rejects_what_read_rejects_and_leaves_no_file(self, tmp_path, t, v):
-        path = tmp_path / "s.csv"
-        with pytest.raises(ValueError):
-            write_series(path, np.array(t), np.array(v))
-        assert not path.exists()
-
-    @pytest.mark.parametrize("t, v", [([0.0, 1.0], [1.0]), ([[0.0, 1.0]], [[1.0, 2.0]])],
-                             ids=["lengths", "2-D"])
-    def test_write_rejects_t_and_values_that_are_not_one_series(self, tmp_path, t, v):
-        path = tmp_path / "s.csv"
-        with pytest.raises(ValueError, match="t and values must be 1-D arrays of equal length"):
-            write_series(path, np.array(t), np.array(v))
-        assert not path.exists()
-
-    # complex values were once written as their real parts after a
-    # ComplexWarning, and strings and bools as numbers
-    @pytest.mark.parametrize("bad, dtype", [
-        (np.array([1 + 1j, 2 + 5j]), "complex128"),
-        (np.array(["0.5", "1.5"]), "<U"),
-        (np.array([False, True]), "bool"),
-    ], ids=["complex", "str", "bool"])
-    @pytest.mark.parametrize("name", ["t", "values"])
-    def test_write_rejects_arrays_that_are_not_real_numbers(self, tmp_path, name, bad, dtype):
-        path = tmp_path / "s.csv"
-        series = {"t": np.array([0.0, 1.0]), "values": np.array([1.0, 2.0]), name: bad}
-        with pytest.raises(ValueError, match=re.escape(f"{name} must hold real numbers, got dtype {dtype}")):
-            write_series(path, series["t"], series["values"])
-        assert not path.exists()
 
     def test_rejects_a_file_of_only_a_header(self, tmp_path):
         path = tmp_path / "s.csv"
