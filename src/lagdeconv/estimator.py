@@ -31,6 +31,9 @@ plan on that grid shares it.  The kernel half, A = G^-1 (P E) and the
 inverse-norm table of each order, is built with the order by a `Plan` and
 cached by the order.  Cubes that share a kernel share one plan;
 `deconvolve` builds one and applies it once.  Nothing mutates its inputs.
+
+A value is checked where it enters, in `Cube`, `EstimatorConfig` and `Plan`:
+the stages a plan runs, here and in the other modules, trust what it passes.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from .laguerre import (
     LagCoeffs,
     LaguerreBasis,
     TimeGrid,
-    _check_rcond,
     _is_int_at_least,
     _is_real,
     _real_array,
@@ -149,7 +151,9 @@ class EstimatorConfig:
             raise ValueError(f"threshold_mode must be True or False, got {self.threshold_mode!r}")
         if not _is_int_at_least(self.m_cap, 1):
             raise ValueError("m_cap must be an integer >= 1")
-        _check_rcond(self.rcond)
+        # a cutoff of 1 or more drops every direction, a negative one none
+        if not (_is_real(self.rcond) and 0.0 <= self.rcond < 1.0):
+            raise ValueError(f"rcond must lie in [0, 1), got {self.rcond!r}")
         if self.eps != "auto" and not (_is_real(self.eps) and 0 <= self.eps < math.inf):
             raise ValueError(f"eps must be a finite nonnegative number or 'auto', got {self.eps!r}")
 
@@ -202,14 +206,6 @@ def thresholds(M: int, eps: float, nu: float, norms: InverseNormTable) -> np.nda
     nonpositive; the log is floored at zero, which produces all-zero
     thresholds and a warning.
     """
-    if not _is_int_at_least(M, 1):
-        raise ValueError(f"M must be an integer >= 1, got {M!r}")
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    if not 0 < nu < math.inf:
-        raise ValueError(f"nu must be positive and finite, got {nu!r}")
-    if norms.max_m < max(M - 1, 1):
-        raise ValueError(f"norm table covers m <= {norms.max_m}, need {max(M - 1, 1)}")
     log_term = -math.log(eps)  # log(1/eps) without overflowing 1/eps at subnormal eps
     if log_term <= 0.0:
         warnings.warn("eps >= 1 floors log(1/eps) at 0: all thresholds are zero")
@@ -225,11 +221,6 @@ def hard_threshold(values: np.ndarray, lambdas: np.ndarray) -> tuple[np.ndarray,
     regardless.  Returns the thresholded array and the per-l count of
     surviving entries, the scaling coefficient included.
     """
-    values = _real_array(values, "values", finite=False)
-    lambdas = _real_array(lambdas, "lambdas", finite=False)  # inf keeps no detail coefficient
-    if values.ndim != 3 or lambdas.shape != values.shape[:1]:
-        raise ValueError(f"need (M, n1, n2) values and M thresholds, got "
-                         f"{values.shape} and {lambdas.shape}")
     keep = np.abs(values) > lambdas[:, None, None]
     keep[:, 0, 0] = True
     return np.where(keep, values, 0.0), keep.sum(axis=(1, 2))

@@ -103,9 +103,18 @@ def read_cube(stem) -> Cube:
         raise FileFormatError(f"{bin_path}: {exc}") from exc
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def read_series(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse a (t, value) CSV; enforces two fields per data row, finite
-    entries and strictly increasing t."""
+    entries and strictly increasing t.  The first row is a header when none
+    of its cells is a number."""
     path = Path(path)
     t_vals: list[float] = []
     y_vals: list[float] = []
@@ -114,11 +123,7 @@ def read_series(path) -> tuple[np.ndarray, np.ndarray]:
         rows = [row for row in reader if row and not row[0].lstrip().startswith("#")]
     if not rows:
         raise FileFormatError(f"{path}: empty series file")
-    start = 0
-    try:
-        float(rows[0][0])
-    except ValueError:
-        start = 1  # header row
+    start = 0 if any(_is_number(cell) for cell in rows[0]) else 1
     for row in rows[start:]:
         if len(row) != 2:
             raise FileFormatError(f"{path}: expected two columns, got {row!r}")

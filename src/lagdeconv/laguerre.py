@@ -70,16 +70,6 @@ def _real_array(values, name: str, finite: bool = True) -> np.ndarray:
     return a
 
 
-def _check_rcond(rcond) -> float:
-    """The projection's spectral cutoff as a float, or ValueError.
-
-    A cutoff of 1 or more drops every direction, a negative one none.
-    """
-    if not (_is_real(rcond) and 0.0 <= rcond < 1.0):
-        raise ValueError(f"rcond must lie in [0, 1), got {rcond!r}")
-    return float(rcond)
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -201,12 +191,9 @@ def tabulate_basis(M: int, grid: TimeGrid, rcond: float = DEFAULT_RCOND) -> Lagu
     The basis is cached on the grid object by (M, rcond), so every caller
     that asks for it on that grid gets one shared, read-only instance.
     """
-    if not _is_int_at_least(M, 1):
-        raise ValueError(f"order M must be a positive integer, got {M!r}")
-    key = (int(M), _check_rcond(rcond))
+    key = (M, rcond)
     basis = grid._cache.get(key)
     if basis is None:
-        M, rcond = key
         values = _phi_rows(M, grid.points)
         # the t = 0 column is phi_l(0) = 1 for every l
         sw = np.sqrt(_simpson_weights(grid.n, grid.step))

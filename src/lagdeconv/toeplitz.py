@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laguerre import LagCoeffs, _is_int_at_least, _real_array
+from .laguerre import LagCoeffs, _is_int_at_least
 
 __all__ = [
     "InverseNormTable",
@@ -43,11 +43,9 @@ def solve_lower(kernel: LagCoeffs, rhs) -> np.ndarray:
     from the kernel's first m coefficients.  Its inverse is lower-triangular
     Toeplitz with first column c: c_0 = 1/col_0 and c_i = -(col_1 c_{i-1}
     + ... + col_i c_0)/col_0; a c that overflows raises SingularOperatorError.
+    rhs is a real array with m >= 1, as a plan builds it; the kernel is checked.
     """
-    rhs = _real_array(rhs, "rhs", finite=False)
-    m = rhs.shape[0] if rhs.ndim else 0
-    if m < 1:
-        raise ValueError(f"rhs needs a nonempty leading axis, got shape {rhs.shape}")
+    m = rhs.shape[0]
     if kernel.m < m:
         raise ValueError(f"need at least {m} kernel coefficients, got {kernel.m}")
     g = kernel.values[:m]
@@ -122,10 +120,8 @@ def select_M(norms: InverseNormTable, eps: float) -> int:
     """Largest m with ||(G^(m))^-1|| <= eps^-2, clamped to [1, max_m].
 
     The truncation rule behind the estimator's Laguerre order; simulations
-    may override it with a fixed order.
+    may override it with a fixed order.  A plan runs it only for eps > 0.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
     try:
         bound = eps**-2
     except OverflowError:  # eps below about 1e-154: every finite norm is within it

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .laguerre import _is_int_at_least, _real_array
+from .laguerre import _is_int_at_least
 
 __all__ = [
     "WaveletSpec",
@@ -140,26 +140,15 @@ def _axes(shape: tuple) -> tuple[int, int]:
     return tuple(shape[-2:])
 
 
-def _block(sides: tuple[int, int], block) -> tuple[int, int]:
-    """(r1, r2) of a leading coefficient block, each within [1, n] of its axis."""
-    if block is None:
-        return sides
-    block = tuple(block)
-    if len(block) != len(sides) or not all(
-        _is_int_at_least(r, 1) and r <= n for r, n in zip(block, sides)
-    ):
-        raise ValueError(f"coefficient block {block} must lie within [1, n] per axis of {sides}")
-    return block
-
-
 def dwt2_array(images: np.ndarray, spec: WaveletSpec, block=None) -> np.ndarray:
     """Tensor 2D transform W1 X W2^T of (..., n1, n2) data; batch dims pass through.
 
     block = (r1, r2) computes only the leading r1 x r2 coefficients,
-    W1[:r1] X W2[:r2]^T, i.e. dwt2_array(images, spec)[..., :r1, :r2].
+    W1[:r1] X W2[:r2]^T: dwt2_array(images, spec)[..., :r1, :r2] up to
+    rounding, with numpy's slice semantics for any integers r1, r2.
     """
-    n1, n2 = sides = _axes(images.shape)
-    r1, r2 = _block(sides, block)
+    n1, n2 = _axes(images.shape)
+    r1, r2 = (n1, n2) if block is None else block
     return _matrix(spec, n1)[:r1] @ images @ _matrix(spec, n2)[:r2].T
 
 
@@ -168,10 +157,11 @@ def idwt2_array(coeffs: np.ndarray, spec: WaveletSpec, shape=None) -> np.ndarray
 
     shape = (n1, n2) reads coeffs as the leading block of an n1 x n2
     coefficient array, zero elsewhere: W1[:r1]^T C W2[:r2] for an
-    (..., r1, r2) block.  By default the block is the whole array.
+    (..., r1, r2) block.  By default the block is the whole array; a block
+    larger than shape raises numpy's ValueError.
     """
-    n1, n2 = sides = _axes(coeffs.shape if shape is None else tuple(shape))
-    r1, r2 = _block(sides, coeffs.shape[-2:])
+    n1, n2 = _axes(coeffs.shape if shape is None else tuple(shape))
+    r1, r2 = coeffs.shape[-2:]
     return _matrix(spec, n1)[:r1].T @ coeffs @ _matrix(spec, n2)[:r2]
 
 
@@ -244,21 +234,19 @@ def estimate_sigma(image, spec: WaveletSpec) -> float:
     median|d| / 0.6745, which signal leaking into fine scales barely moves.
 
     The (detail, detail) quadrant H1 X H2^T, H the finest-detail rows of
-    each axis: the last n/2 rows of its W.  Both sides must be powers of
-    two >= 2, as for the transforms.  A row of H holds only the L taps of
-    the highpass filter, so on a large frame each axis is applied block by
-    block (_detail_rows): O(n1 n2 B) work for B = _BLOCK instead of the
-    dense product's O(n1 n2 (n1 + n2)).  A frame with n1 n2 (n1 + n2) up
+    each axis: the last n/2 rows of its W.  image is a 2-D float64 array,
+    a `Cube`'s frame, whose sides must be powers of two >= 2, as for the
+    transforms.  A row of H holds only the L taps of the highpass filter,
+    so on a large frame each axis is applied block by block
+    (_detail_rows): O(n1 n2 B) work for B = _BLOCK instead of the dense
+    product's O(n1 n2 (n1 + n2)).  A frame with n1 n2 (n1 + n2) up
     to _DENSE_WORK, where the blocks' fixed costs outweigh that saving,
     runs the dense H1 X H2^T.  The first frame of a shape checks it and
     fixes its product on the spec: (H1, H2^T) as views of each side's W,
     or () for the block path.  Later frames of that shape look it up.
     """
-    image = _real_array(image, "image", finite=False)  # a per-frame scan costs a third
     pair = spec._cache.get(image.shape)
-    if pair is None:  # a shape that fails its checks stores nothing
-        if image.ndim != 2:
-            raise ValueError(f"expected a 2-D image, got shape {image.shape}")
+    if pair is None:  # a shape that fails its check stores nothing
         n1, n2 = _axes(image.shape)
         pair = ()
         if n1 * n2 * (n1 + n2) <= _DENSE_WORK:

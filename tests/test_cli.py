@@ -510,6 +510,23 @@ class TestUndecodableInputs:
                                            f"T must be positive and finite, got {10**400}\n")
         assert not (tmp_path / "f.json").exists()
 
+    # a headerless kernel file whose t = 0 row had a typo lost that row as
+    # a header: deconvolve extrapolated g(0) instead of reading it, exit 0
+    def test_a_typo_in_the_first_row_exits_2(self, tmp_path, capsys):
+        grid = TimeGrid(n=8, T=5.0)
+        t = np.r_[0.0, grid.points]
+        path = tmp_path / "g.csv"
+        np.savetxt(path, np.c_[t, default_kernel(t)], delimiter=",")
+        lines = path.read_text().splitlines()
+        lines[0] = "0.0O," + lines[0].split(",")[1]
+        path.write_text("\n".join(lines) + "\n")
+        write_cube(tmp_path / "c", Cube(grid=grid, data=np.ones((8, 4, 4))))
+        code = run_cli("deconvolve", "--input", str(tmp_path / "c"), "--kernel", str(path),
+                       "--M", "4", "--out", str(tmp_path / "f"))
+        assert code == 2
+        assert f"file error: {path}: non-numeric entry in ['0.0O', " in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
+
     @pytest.mark.parametrize("command", ["--kernel", "--kernel-coeffs", "norms"])
     @pytest.mark.parametrize("bad", ["nan-t", "nan-value", "inf-value"])
     def test_non_finite_series_exits_2(self, tmp_path, capsys, command, bad):

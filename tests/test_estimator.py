@@ -19,7 +19,7 @@ from lagdeconv import (
     inverse_norms,
     relative_error,
 )
-from lagdeconv import laguerre, simulate
+from lagdeconv import estimator, laguerre, simulate
 from lagdeconv.estimator import Diagnostics, _depth, hard_threshold, thresholds
 from lagdeconv.laguerre import fit_coeffs, tabulate_basis
 from lagdeconv.toeplitz import select_M, solve_lower
@@ -76,10 +76,6 @@ REAL_ARRAY_INPUTS = {
     "Plan": (lambda a: Plan(GRID16, a, WaveletSpec(), EstimatorConfig(M=4)), "series samples"),
     "forward_convolve": (lambda a: simulate.forward_convolve(Cube(GRID16, np.ones((16, 2, 2))), a),
                          "kernel samples"),
-    "estimate_sigma": (lambda a: estimate_sigma(a.reshape(4, 4), WaveletSpec()), "image"),
-    "hard_threshold values": (lambda a: hard_threshold(a.reshape(1, 4, 4), [0.5]), "values"),
-    "hard_threshold lambdas": (lambda a: hard_threshold(np.ones((16, 1, 1)), a), "lambdas"),
-    "solve_lower": (lambda a: solve_lower(LagCoeffs(np.ones(16)), a), "rhs"),
     "default_kernel": (simulate.default_kernel, "t"),
 }
 
@@ -112,6 +108,83 @@ class TestRealArrays:
         Y = Cube(GRID16, 0.01 * cosine_field(8, 8) * np.ones((16, 1, 1)))
         with pytest.raises(ValueError, match="series samples must hold real numbers"):
             deconvolve(Y, self.SAMPLES + 1j, WaveletSpec(), EstimatorConfig(M=4))
+
+
+def _float64(a, ndim):
+    return type(a) is np.ndarray and a.dtype == np.float64 and a.ndim == ndim
+
+
+def _order(M):
+    return type(M) is int and M >= 1
+
+
+# what each stage a plan runs once checked for itself, as a test of the
+# arguments of one call
+STAGE_CONDITIONS = {
+    "tabulate_basis": lambda M, grid, rcond: _order(M) and 0.0 <= rcond < 1.0,
+    "solve_lower": lambda kernel, rhs: _float64(rhs, 2) and rhs.shape[0] >= 1,
+    "estimate_sigma": lambda image, spec: _float64(image, 2),
+    "select_M": lambda norms, eps: 0.0 < eps < math.inf,
+    "dwt2_array": lambda images, spec, block: (
+        _float64(images, 3) and len(block) == 2
+        and all(type(r) is int and 1 <= r <= n for r, n in zip(block, images.shape[1:]))
+    ),
+    "thresholds": lambda M, eps, nu, norms: (
+        _order(M) and 0.0 < eps < math.inf and 0.0 < nu < math.inf
+        and norms.max_m >= max(M - 1, 1)
+    ),
+    "hard_threshold": lambda values, lambdas: (
+        _float64(values, 3) and _float64(lambdas, 1) and lambdas.shape == values.shape[:1]
+    ),
+    "idwt2_array": lambda coeffs, spec, shape: (
+        _float64(coeffs, 3) and all(1 <= r <= n for r, n in zip(coeffs.shape[1:], shape))
+    ),
+}
+
+_COUNTS = np.random.default_rng(8).integers(0, 80, (16, 8, 8))
+_NOISY = (0.5 * cosine_field(16, 16) * np.ones((16, 1, 1))
+          + 0.05 * np.random.default_rng(9).standard_normal((16, 16, 16)))
+_SAMPLES = np.exp(-GRID16.points / 2.0)
+_EPS = EstimatorConfig(eps=0.1)
+
+
+def _plan_case(data, kernel=_SAMPLES, cfg=_EPS, g_zero=1.0):
+    """(plan, cube) of a case, the plan built when called."""
+    return lambda: (Plan(GRID16, kernel, WaveletSpec(), cfg, g_zero), Cube(GRID16, data))
+
+
+# every stage runs in every case: M="auto" and 0 < eps < 1
+PLAN_CASES = {
+    **{f"{dtype} cube": _plan_case(_COUNTS.astype(dtype))
+       for dtype in ("int64", "int8", "uint16", "float32")},
+    "samples without g_zero": _plan_case(_NOISY, g_zero=None),
+    "5 kernel coefficients": _plan_case(_NOISY, LagCoeffs(np.exp(-np.arange(5.0))), g_zero=None),
+    "8x32 raster, depths past it": _plan_case(
+        _NOISY[:, :8, :].repeat(2, axis=2), cfg=EstimatorConfig(J1=6, J2=9, eps=0.1)
+    ),
+    "eps from the cube": _plan_case(_NOISY, cfg=EstimatorConfig()),
+}
+
+
+class TestStagesTrustThePlan:
+    """The stages a plan runs take its arguments as given: Cube,
+    EstimatorConfig and Plan check what enters.  Every call a plan makes,
+    on any cube those accept, meets the condition its stage once checked."""
+
+    @pytest.mark.parametrize("case", sorted(PLAN_CASES))
+    @pytest.mark.parametrize("stage", sorted(STAGE_CONDITIONS))
+    def test_each_call_meets_what_the_stage_once_checked(self, monkeypatch, stage, case):
+        stage_fn, holds = getattr(estimator, stage), STAGE_CONDITIONS[stage]
+        seen = []
+
+        def checked(*args):
+            seen.append(holds(*args))
+            return stage_fn(*args)
+
+        monkeypatch.setattr(estimator, stage, checked)
+        plan, Y = PLAN_CASES[case]()
+        plan.apply(Y)
+        assert seen and all(seen)
 
 
 class TestEstimateEps:
@@ -191,32 +264,6 @@ class TestThresholds:
         lam = thresholds(4, 0.1, 1.0, norms)
         assert lam[0] == lam[1]  # l = 0 uses the l = 1 operator and divisor
 
-    def test_norm_table_coverage(self):
-        norms = inverse_norms(PHI0, 2)
-        with pytest.raises(ValueError):
-            thresholds(8, 0.1, 1.0, norms)
-
-    # a direct call with eps = inf used to warn and return NaN thresholds,
-    # and nu = inf infinite ones; EstimatorConfig already rejects both
-    @pytest.mark.parametrize("name, value", [
-        ("eps", math.inf), ("eps", math.nan), ("eps", 0.0), ("eps", -0.1),
-        ("nu", math.inf), ("nu", math.nan), ("nu", 0.0), ("nu", -1.0),
-    ], ids=repr)
-    def test_rejects_an_eps_or_nu_that_is_not_positive_and_finite(self, name, value):
-        settings = {"eps": 0.1, "nu": 1.0, name: value}
-        msg = f"{name} must be positive and finite, got {value!r}"
-        with pytest.raises(ValueError, match=re.escape(msg)):
-            thresholds(4, norms=inverse_norms(PHI0, 4), **settings)
-
-    # 2.5 used to raise numpy's IndexError and True to run as M = 1
-    @pytest.mark.parametrize(
-        "M", [2.5, 4.0, np.float64(4.0), True, False, 0, -1, np.int64(0), "4", None], ids=repr
-    )
-    def test_rejects_an_order_that_is_not_an_integer_of_at_least_one(self, M):
-        msg = f"M must be an integer >= 1, got {M!r}"
-        with pytest.raises(ValueError, match=re.escape(msg)):
-            thresholds(M, 0.1, 1.0, inverse_norms(PHI0, 8))
-
     @pytest.mark.parametrize("M", [np.int64(4), np.int32(4), np.uint8(4)], ids=repr)
     def test_takes_a_numpy_integer_order_as_its_value(self, M):
         norms = inverse_norms(PHI0, 8)
@@ -236,7 +283,7 @@ class TestHardThreshold:
         assert list(counts) == [1, 1]
 
     def test_strict_inequality(self):
-        out, counts = hard_threshold([[[0.5, -0.2]]], np.array([0.3]))
+        out, counts = hard_threshold(np.array([[[0.5, -0.2]]]), np.array([0.3]))
         assert np.array_equal(out, [[[0.5, 0.0]]])
         assert list(counts) == [1]
 
@@ -246,10 +293,6 @@ class TestHardThreshold:
         out, counts = hard_threshold(t, np.array([10.0, 1.0]))
         assert np.array_equal(out, [[[0.1, 0.0], [0.0, 0.0]], [[-0.0, 5.0], [-6.0, 0.0]]])
         assert list(counts) == [1, 3]
-
-    def test_lambda_length_check(self):
-        with pytest.raises(ValueError):
-            hard_threshold(np.ones((3, 2, 2)), np.zeros(2))
 
 
 class TestDeconvolve:
@@ -1050,6 +1093,17 @@ class TestConfigValidation:
             EstimatorConfig(M="sometimes")
         with pytest.raises(ValueError):
             EstimatorConfig(M=0)
+
+    # thresholds and tabulate_basis once checked the order themselves (2.5
+    # raised numpy's IndexError and True ran as M = 1), and the grid caches a
+    # basis by its order, where 4.0 hashes like 4: an order that is not an
+    # integer stops here, before any basis is built
+    @pytest.mark.parametrize(
+        "M", [2.5, 4.0, np.float64(4.0), True, False, 0, -1, np.int64(0), "4", None], ids=repr
+    )
+    def test_rejects_an_order_that_is_not_an_integer_of_at_least_one(self, M):
+        with pytest.raises(ValueError, match=re.escape("M must be an integer >= 1 or 'auto'")):
+            EstimatorConfig(M=M)
 
     def test_eps_validation(self):
         with pytest.raises(ValueError):

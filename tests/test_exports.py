@@ -1,11 +1,14 @@
 """Every name a module exports in `__all__` exists there, and only once; the
 package exports exactly the public API, and only names its submodules
 export.  The settable surface, config fields, the parameters of the entry
-points and the command line's flags, is pinned by name."""
+points and the command line's flags, is pinned by name, and so are the
+functions that check an array where it enters."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,3 +145,28 @@ def test_diagnostics_json_keys_are_its_fields():
     diag = deconvolve(Y, np.exp(-grid.points / 2.0), WaveletSpec(), g_zero=1.0)[1]
     assert diag.thresholds_disabled_reason is None  # every field holds a value
     assert tuple(diag.to_dict()) == DIAGNOSTICS_FIELDS
+
+
+# A value is checked where it enters the program: the stages a Plan runs
+# trust the arrays it hands them, so only these functions call the array check.
+REAL_ARRAY_CALLERS = {
+    "Cube.__post_init__", "LagCoeffs.__post_init__", "fit_coeffs", "forward_convolve",
+    "default_kernel",
+}
+
+
+def test_arrays_are_checked_only_where_they_enter():
+    callers = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "_real_array":
+                callers.add(".".join(scope))
+            walk(child, scope)
+
+    for path in Path(importlib.import_module("lagdeconv").__file__).parent.glob("*.py"):
+        walk(ast.parse(path.read_text()), ())
+    assert callers == REAL_ARRAY_CALLERS

@@ -204,6 +204,31 @@ class TestSeriesFile:
         with pytest.raises(FileFormatError):
             read_series(tmp_path / "empty.csv")
 
+    # the first row was a header whenever its first cell was not a number,
+    # so a typo in a headerless file's first t dropped that row
+    @pytest.mark.parametrize("row", ["0.0O,1.0", "t,1.0", "0.0,1.0O"])
+    def test_a_first_row_with_a_number_is_data(self, tmp_path, row):
+        path = tmp_path / "s.csv"
+        path.write_text(f"{row}\n0.5,0.8\n")
+        msg = f"{path}: non-numeric entry in {row.split(',')!r}"
+        with pytest.raises(FileFormatError, match=re.escape(msg)):
+            read_series(path)
+
+    @pytest.mark.parametrize("header", ["t,value", "index,value", "time"])
+    def test_a_first_row_without_a_number_is_a_header(self, tmp_path, header):
+        (tmp_path / "s.csv").write_text(f"{header}\n0.5,1.0\n1.0,2.0\n")
+        t, v = read_series(tmp_path / "s.csv")
+        assert list(t) == [0.5, 1.0] and list(v) == [1.0, 2.0]
+
+    # float() reads "nan" and "inf", so such a first row is data, and rejected
+    @pytest.mark.parametrize("row", ["nan,1.0", "0.0,inf"])
+    def test_a_first_row_with_a_non_finite_number_is_rejected_data(self, tmp_path, row):
+        path = tmp_path / "s.csv"
+        path.write_text(f"{row}\n0.5,0.8\n")
+        msg = f"{path}: non-finite entry in {row.split(',')!r}"
+        with pytest.raises(FileFormatError, match=re.escape(msg)):
+            read_series(path)
+
     def test_headerless_files_accepted(self, tmp_path):
         (tmp_path / "plain.csv").write_text("0.5,1.0\n1.0,2.0\n")
         t, v = read_series(tmp_path / "plain.csv")

@@ -133,20 +133,6 @@ class TestTabulateBasis:
         got = tabulate_basis(13, TimeGrid(n=1, T=t)).values[l, 0]
         assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
-    def test_rejects_zero_order(self):
-        with pytest.raises(ValueError):
-            tabulate_basis(0, TimeGrid(n=4, T=4.0))
-
-    # True and 8.0 hash like 1 and 8: they must fail before the grid's cache
-    @pytest.mark.parametrize("M", [2.5, 8.0, True, False, "4", None, -1], ids=repr)
-    def test_rejects_an_order_that_is_not_a_positive_integer(self, M):
-        g = TimeGrid(n=16, T=5.0)
-        tabulate_basis(8, g)
-        tabulate_basis(1, g)
-        with pytest.raises(ValueError, match=re.escape(f"order M must be a positive integer, got {M!r}")):
-            tabulate_basis(M, g)
-        assert sorted(g._cache) == [(1, 0.1), (8, 0.1)]
-
     def test_orthonormality_on_oracle_grid(self, oracle_grid, oracle_basis):
         # acceptance tolerance 1e-6; needs a grid that holds the basis decay
         w = _simpson_weights(oracle_grid.n, oracle_grid.step)
@@ -335,23 +321,13 @@ class TestBasisCache:
         b = tabulate_basis(6, TimeGrid(n=n, T=5.0))
         assert b.pe.shape == (6, n) and np.array_equal(b.pe, b.projector @ E)
 
-    # 1, 1.5 and nan used to drop every direction (all-zero coefficients,
-    # rank 0), a negative cutoff kept all of them
-    @pytest.mark.parametrize("rcond", [1.0, 1.5, float("nan"), -0.5, float("inf"), True, "0.1"],
-                             ids=repr)
-    def test_rejects_a_cutoff_outside_the_unit_interval(self, rcond):
-        g = TimeGrid(n=16, T=5.0)
-        message = re.escape(f"rcond must lie in [0, 1), got {rcond!r}")
-        with pytest.raises(ValueError, match=message):
-            tabulate_basis(8, g, rcond)
-        assert g._cache == {}
-
+    # a cutoff is cached as given: one that equals its float shares its entry
     @pytest.mark.parametrize("rcond", [0, 0.0, np.float32(0.5), 0.999], ids=repr)
     def test_accepts_a_cutoff_in_the_unit_interval(self, rcond):
         g = TimeGrid(n=16, T=5.0)
         b = tabulate_basis(8, g, rcond)
         ((key, cached),) = g._cache.items()
-        assert key == (8, float(rcond)) and type(key[1]) is float and cached is b
+        assert key == (8, rcond) and cached is b and tabulate_basis(8, g, float(rcond)) is b
         assert 1 <= b.rank <= 8
 
 

@@ -72,18 +72,12 @@ class TestSolveLower:
 
     def test_one_by_one(self):
         # a one-row rhs reads g_0 alone
-        assert np.array_equal(solve_lower(LagCoeffs([2.0, 0.0, 0.0]), [4.0]), [2.0])
+        assert np.array_equal(solve_lower(LagCoeffs([2.0, 0.0, 0.0]), np.array([4.0])), [2.0])
 
     def test_differences(self):
         # the operator's column is (g_0, g_1 - g_0, g_2 - g_1)
         got = solve_lower(LagCoeffs([1.0, 0.5, 0.25]), np.eye(3))
         assert np.allclose(dense([1.0, -0.5, -0.25]) @ got, np.eye(3))
-
-    @pytest.mark.parametrize("rhs", [np.ones(0), np.ones((0, 3)), np.float64(1.0)],
-                             ids=["m-0", "m-0-stack", "scalar"])
-    def test_rejects_an_empty_rhs(self, rhs):
-        with pytest.raises(ValueError, match="rhs needs a nonempty leading axis"):
-            solve_lower(LagCoeffs([1.0]), rhs)
 
     def test_identity(self):
         rhs = np.array([3.0, -1.0, 2.0])
@@ -321,8 +315,3 @@ class TestSelectM:
         assert select_M(tab, eps=1e-9) == 8
         head = InverseNormTable(tab.spectral[:5], tab.frobenius[:5])  # the cap is the table's length
         assert select_M(head, eps=1e-9) == 5
-
-    def test_rejects_bad_eps(self):
-        tab = inverse_norms(PHI0_COEFFS, 4)
-        with pytest.raises(ValueError):
-            select_M(tab, eps=0.0)
