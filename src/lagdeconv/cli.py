@@ -1,13 +1,16 @@
 """Command-line interface.
 
 Commands: simulate, deconvolve, bench-table1, norms.  Everything is
-flag-driven and deterministic given --seed.  Flags are only parsed here; the
-library objects they build check the values.  `deconvolve --kernel` and
-`norms` read a kernel file by one rule: an optional t = 0 row, then samples
-at t_k = T k/n, on the cube's grid or on the file's own.  Exit codes: 0
-success, 1 usage or validation (a kernel off its grid included), 2 I/O or a
-malformed file (any fault of a cube file, payload values included), 3
-numeric failure (singular kernel, linear-algebra error).  `deconvolve
+flag-driven and deterministic given --seed.  Each command prints one result
+document, and its file flag writes exactly those bytes: simulate's manifest
+JSON (next to the cubes at --out), deconvolve's diagnostics JSON
+(--diagnostics), the Table-1 CSV and the norm CSV (--out).  Flags are only
+parsed here; the library objects they build check the values.  `deconvolve
+--kernel` and `norms` read a kernel file by one rule: an optional t = 0 row,
+then samples at t_k = T k/n, on the cube's grid or on the file's own.  Exit
+codes: 0 success, 1 usage or validation (a kernel off its grid included), 2
+I/O or a malformed file (any fault of a cube file, payload values included),
+3 numeric failure (singular kernel, linear-algebra error).  `deconvolve
 --symmetrize` (mirror to dyadic sides, fit, crop) is a convenience of this
 command line only; the library rejects non-dyadic sides.
 """
@@ -83,14 +86,12 @@ def _build_parser() -> _Parser:
     pb = sub.add_parser("bench-table1", help="replicate the benchmark table")
     pb.add_argument("--runs", type=int, default=100)
     pb.add_argument("--seed", type=int, default=1234)
-    pb.add_argument("--out",
-                    help="write the CSV here and print an aligned table; "
-                         "without it the CSV goes to stdout")
+    pb.add_argument("--out", help="also write the CSV here")
 
     pn = sub.add_parser("norms", help="tabulate inverse-operator norm growth")
     pn.add_argument("--kernel", required=True, help="kernel SeriesFile")
     pn.add_argument("--max-m", type=int, default=64)
-    pn.add_argument("--out", help="CSV path (default: stdout)")
+    pn.add_argument("--out", help="also write the CSV here")
     return p
 
 
@@ -131,25 +132,29 @@ def _next_pow2(n: int) -> int:
     return 1 << max(1, (n - 1).bit_length())
 
 
+def _emit(text: str, path) -> int:
+    """Write a command's result document to `path`, if given, and print it."""
+    if path:
+        Path(path).write_text(text)
+    print(text, end="")
+    return EXIT_OK
+
+
 def cmd_simulate(args) -> int:
     cfg = SimConfig(n=args.n, T=args.T, n1=args.n1, n2=args.n2)
     f, q = _forward_model(args.function, cfg)
     Y, sigma = add_noise(q, args.snr, args.seed)
     out = Path(args.out)
-    write_cube(str(out) + "_f", f)
-    write_cube(str(out) + "_q", q)
-    write_cube(str(out) + "_Y", Y)
+    for k, cube in (("f", f), ("q", q), ("Y", Y)):
+        write_cube(f"{out}_{k}", cube)
     manifest = {
         "function": args.function, "snr": args.snr, "seed": args.seed,
         "n": args.n, "n1": args.n1, "n2": args.n2, "T": args.T,
         "sigma_used": sigma, "kernel": "exp(-t/2)",
         "outputs": {k: f"{out}_{k}" for k in ("f", "q", "Y")},
     }
-    Path(str(out) + "_manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    )
-    print(f"wrote {out}_f, {out}_q, {out}_Y (sigma = {sigma:.6g})")
-    return EXIT_OK
+    return _emit(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
+                 f"{out}_manifest.json")
 
 
 def cmd_deconvolve(args) -> int:
@@ -169,26 +174,23 @@ def cmd_deconvolve(args) -> int:
 
     n1, n2 = Y.n1, Y.n2
     dyadic = (n1 & (n1 - 1) == 0) and (n2 & (n2 - 1) == 0)
-    data = Y.data
     if args.symmetrize:
         # Mirror each slice about its far edges: to (2 n1, 2 n2) when both
         # sides are dyadic, else to the next powers of two (never more than
         # doubling a side); the fit is cropped back to the original quadrant.
         t1, t2 = (2 * n1, 2 * n2) if dyadic else (_next_pow2(n1), _next_pow2(n2))
-        data = np.pad(data, ((0, 0), (0, t1 - n1), (0, t2 - n2)), mode="symmetric")
+        Y = Cube(grid=Y.grid, data=np.pad(Y.data, ((0, 0), (0, t1 - n1), (0, t2 - n2)),
+                                          mode="symmetric"))
     elif not dyadic:
         raise ValueError("spatial sides are not powers of two; pass --symmetrize")
-    work = Cube(grid=Y.grid, data=data)
 
-    f_hat, diag = deconvolve(work, kernel, spec, cfg, g_zero=g_zero)
+    f_hat, diag = deconvolve(Y, kernel, spec, cfg, g_zero=g_zero)
 
-    out_data = f_hat.data[:, :n1, :n2]
-    write_cube(args.out, Cube(grid=Y.grid, data=out_data))
-    diag_json = json.dumps(diag.to_dict(), sort_keys=True, indent=2)
-    if args.diagnostics:
-        Path(args.diagnostics).write_text(diag_json + "\n")
-    print(diag_json)
-    return EXIT_OK
+    if args.symmetrize:
+        f_hat = Cube(grid=f_hat.grid, data=f_hat.data[:, :n1, :n2])
+    write_cube(args.out, f_hat)
+    return _emit(json.dumps(diag.to_dict(), sort_keys=True, indent=2) + "\n",
+                 args.diagnostics)
 
 
 def cmd_bench_table1(args) -> int:
@@ -200,17 +202,7 @@ def cmd_bench_table1(args) -> int:
             f"{r.function},{r.snr:g},{r.mean_delta:.17g},{r.stderr:.17g},"
             f"{r.runs},{r.seed},{r.reference_delta:.4f},{r.ratio:.17g}"
         )
-    csv_text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(csv_text)
-        print(f"{'function':>8} {'snr':>4} {'mean':>8} {'stderr':>8} "
-              f"{'reference':>9} {'ratio':>6}")
-        for r in rows:
-            print(f"{r.function:>8} {r.snr:>4g} {r.mean_delta:>8.4f} "
-                  f"{r.stderr:>8.4f} {r.reference_delta:>9.4f} {r.ratio:>6.2f}")
-    else:
-        print(csv_text, end="")
-    return EXIT_OK
+    return _emit("\n".join(lines) + "\n", args.out)
 
 
 def cmd_norms(args) -> int:
@@ -233,11 +225,7 @@ def cmd_norms(args) -> int:
     lines = [f"# frobenius_sq_loglog_slope: {slope:.6g}", "m,spectral,frobenius"]
     for m, spectral, frobenius in zip(ms, table.spectral, table.frobenius):
         lines.append(f"{m},{spectral:.17g},{frobenius:.17g}")
-    csv_text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(csv_text)
-    print(csv_text, end="")
-    return EXIT_OK
+    return _emit("\n".join(lines) + "\n", args.out)
 
 
 _COMMANDS = {

@@ -5,7 +5,8 @@ n * n1 * n2 little-endian float64 values, time-major, row-major within each
 slice.  Roundtrips are bit-exact.  Any fault of a cube file, in the header
 or in the payload values, raises `FileFormatError` naming the file, before
 anything is computed.  Kernel/AIF curves are read from two-column CSV
-(t, value) with strictly increasing t.
+(t, value) with strictly increasing t.  Both text files are read as UTF-8,
+and a leading byte-order mark is ignored.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def read_cube(stem) -> Cube:
     """
     header_path, bin_path = _paths(stem)
     try:
-        header = json.loads(header_path.read_text())
+        header = json.loads(header_path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"malformed cube header {header_path}: {exc}") from exc
     if not isinstance(header, dict):
@@ -118,7 +119,7 @@ def read_series(path) -> tuple[np.ndarray, np.ndarray]:
     path = Path(path)
     t_vals: list[float] = []
     y_vals: list[float] = []
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rows = [row for row in reader if row and not row[0].lstrip().startswith("#")]
     if not rows:

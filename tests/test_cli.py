@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -602,6 +603,23 @@ class TestKernelSeries:
             assert (f"error: kernel series {kpath} is not sampled at t_k = T k/n, "
                     f"k = 1..n, with n = {n} and T = 5") in capsys.readouterr().err
 
+    # a headerless kernel saved with a byte-order mark exited 2:
+    # non-numeric entry in ['\ufeff0.0', '1.0']
+    def test_a_kernel_with_a_byte_order_mark_gives_the_same_cube(self, tmp_path):
+        grid = TimeGrid(n=8, T=5.0)
+        t = np.r_[0.0, grid.points]
+        plain, marked = tmp_path / "g.csv", tmp_path / "g_bom.csv"
+        np.savetxt(plain, np.c_[t, default_kernel(t)], delimiter=",")
+        marked.write_text(plain.read_text(), encoding="utf-8-sig")
+        data = 1.0 + 0.01 * np.random.default_rng(5).standard_normal((8, 4, 4))
+        write_cube(tmp_path / "c", Cube(grid=grid, data=data))
+        for kernel, out in ((plain, "f"), (marked, "f_bom")):
+            assert run_cli("deconvolve", "--input", str(tmp_path / "c"), "--kernel", str(kernel),
+                           "--M", "4", "--out", str(tmp_path / out)) == 0
+        for suffix in (".json", ".bin"):
+            assert (tmp_path / f"f_bom{suffix}").read_bytes() == (
+                tmp_path / f"f{suffix}").read_bytes()
+
     def test_norms_of_a_lone_zero_row_exits_1(self, tmp_path, capsys):
         kpath = save_series(tmp_path / "g.csv", np.zeros(1), np.ones(1))
         assert run_cli("norms", "--kernel", str(kpath)) == 1
@@ -640,6 +658,27 @@ class TestBenchCommand:
 
 
 class TestCommandSet:
+    # simulate printed a "wrote ..." line and bench-table1 --out an aligned
+    # table rounded to 4 digits; each now prints what its file flag writes
+    @pytest.mark.parametrize("command, argv, written", [
+        ("simulate", ["--function", "f2", "--snr", "5", "--seed", "7", "--out", "{d}/sim"],
+         "{d}/sim_manifest.json"),
+        ("deconvolve", ["--input", "{d}/Y", "--kernel", "{d}/g.csv", "--M", "8",
+                        "--out", "{d}/f", "--diagnostics", "{d}/diag.json"], "{d}/diag.json"),
+        ("bench-table1", ["--runs", "2", "--seed", "9", "--out", "{d}/t.csv"], "{d}/t.csv"),
+        ("norms", ["--kernel", "{d}/g.csv", "--max-m", "8", "--out", "{d}/n.csv"], "{d}/n.csv"),
+    ], ids=["simulate", "deconvolve", "bench-table1", "norms"])
+    def test_stdout_is_the_file_the_command_writes(self, tmp_path, capsys,
+                                                   command, argv, written):
+        grid = TimeGrid(n=32, T=5.0)
+        write_kernel_csv(tmp_path / "g.csv", grid)
+        data = 0.01 * np.random.default_rng(3).standard_normal((32, 8, 8))
+        write_cube(tmp_path / "Y", Cube(grid=grid, data=data))
+        assert run_cli(command, *(a.format(d=tmp_path) for a in argv)) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.encode() == Path(written.format(d=tmp_path)).read_bytes()
+
     def test_help_lists_the_four_commands(self, capsys):
         assert run_cli("--help") == 0
         choices = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1)

@@ -153,6 +153,16 @@ class TestCubeFile:
                            match=re.escape(f"{bin_path}: cube data must be finite")):
             read_cube(tmp_path / "c")
 
+    # json.loads rejected the mark: "Unexpected UTF-8 BOM"
+    def test_reads_a_header_that_opens_with_a_byte_order_mark(self, tmp_path):
+        cube = random_cube()
+        header_path, _ = write_cube(tmp_path / "c", cube)
+        header_path.write_text(header_path.read_text(), encoding="utf-8-sig")
+        assert header_path.read_bytes().startswith(b"\xef\xbb\xbf")
+        back = read_cube(tmp_path / "c")
+        assert back.grid == cube.grid
+        assert back.data.tobytes() == cube.data.tobytes()
+
     def test_malformed_header(self, tmp_path):
         cube = random_cube()
         header_path, _ = write_cube(tmp_path / "c", cube)
@@ -228,6 +238,20 @@ class TestSeriesFile:
         msg = f"{path}: non-finite entry in {row.split(',')!r}"
         with pytest.raises(FileFormatError, match=re.escape(msg)):
             read_series(path)
+
+    # the mark stuck to the first cell: a headerless file failed on
+    # '\ufeff0.0', and a header read only because the mark landed in it
+    @pytest.mark.parametrize("header", ["", "t,value\n"], ids=["headerless", "header"])
+    def test_a_byte_order_mark_is_ignored(self, tmp_path, header):
+        text = header + "0.0,1.0\n0.5,0.8\n1.0,0.6\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        t, v = read_series(marked)
+        t0, v0 = read_series(plain)
+        assert list(t) == list(t0) == [0.0, 0.5, 1.0]
+        assert list(v) == list(v0) == [1.0, 0.8, 0.6]
 
     def test_headerless_files_accepted(self, tmp_path):
         (tmp_path / "plain.csv").write_text("0.5,1.0\n1.0,2.0\n")

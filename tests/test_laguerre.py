@@ -395,16 +395,11 @@ class TestRealArray:
     def test_returns_a_native_float64_array_as_it_is(self, order):
         a = np.asarray(np.random.default_rng(4).standard_normal((8, 4)), order=order)
         assert _real_array(a, "x") is a
-        assert _real_array(a[:, ::2], "x", finite=False).base is a
+        assert _real_array(a[:, ::2], "x").base is a
 
-    @pytest.mark.parametrize("finite", [True, False])
-    def test_scans_a_float64_array_only_when_asked(self, finite):
-        a = np.array([1.0, np.nan, 3.0])
-        if finite:
-            with pytest.raises(ValueError, match="x must be finite"):
-                _real_array(a, "x")
-        else:
-            assert _real_array(a, "x", finite=False) is a
+    def test_scans_a_float64_array_for_non_finite_values(self):
+        with pytest.raises(ValueError, match="x must be finite"):
+            _real_array(np.array([1.0, np.nan, 3.0]), "x")
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, ">f8", np.float32])
     def test_converts_other_real_dtypes_to_native_float64(self, dtype):
