@@ -23,7 +23,10 @@ first analysis level writes the finest details and deeper levels only
 transform the first half, so H is W's last n/2 rows, bit for bit.  H is
 block-banded: one pair of block matrices per filter (`_band`) applies it
 to any axis of 32 samples or more.  Frames with n1 n2 (n1 + n2) up to 2^21
-(64 x 64, 128 x 64, 256 x 16 and smaller) keep the dense product.
+(64 x 64, 128 x 64, 256 x 16 and smaller) keep the dense product.  A raster
+is checked once (`_axes`), when `estimate_sigma` reads the first frame of
+its shape, before a fit runs either transform; the transforms take the
+block a plan builds unchecked.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .laguerre import _is_int_at_least
 
 __all__ = [
     "WaveletSpec",
@@ -127,40 +128,36 @@ def _matrix(spec: WaveletSpec, n: int) -> np.ndarray:
 
 
 def _axes(shape: tuple) -> tuple[int, int]:
-    """(n1, n2), the last two axes of an array of this shape.
+    """(n1, n2), the last two axes of an array's shape.
 
-    The one place the spatial layout is checked: both sides must be powers
-    of two >= 2, and the first that is not is named.
+    The one raster check, on a shape's first frame in estimate_sigma: both
+    sides must be powers of two >= 2, and the first that is not is named.
     """
-    if len(shape) < 2:
-        raise ValueError(f"expected at least 2 axes, got shape {tuple(shape)}")
     for name, n in zip(("n1", "n2"), shape[-2:]):
-        if not _is_int_at_least(n, 2) or n & (n - 1):
+        if n < 2 or n & (n - 1):
             raise ValueError(f"{name} must be a power of two >= 2, got {n}")
-    return tuple(shape[-2:])
+    return shape[-2:]
 
 
-def dwt2_array(images: np.ndarray, spec: WaveletSpec, block=None) -> np.ndarray:
-    """Tensor 2D transform W1 X W2^T of (..., n1, n2) data; batch dims pass through.
+def dwt2_array(images: np.ndarray, spec: WaveletSpec, block) -> np.ndarray:
+    """The leading block = (r1, r2) of the 2D transform of (..., n1, n2)
+    data, W1[:r1] X W2[:r2]^T; batch dims pass through.
 
-    block = (r1, r2) computes only the leading r1 x r2 coefficients,
-    W1[:r1] X W2[:r2]^T: dwt2_array(images, spec)[..., :r1, :r2] up to
-    rounding, with numpy's slice semantics for any integers r1, r2.
+    Blocks slice as numpy slices do, so (n1, n2) is the whole transform.
+    The sides are unchecked; one not a power of two fails to build its W.
     """
-    n1, n2 = _axes(images.shape)
-    r1, r2 = (n1, n2) if block is None else block
+    n1, n2 = images.shape[-2:]
+    r1, r2 = block
     return _matrix(spec, n1)[:r1] @ images @ _matrix(spec, n2)[:r2].T
 
 
-def idwt2_array(coeffs: np.ndarray, spec: WaveletSpec, shape=None) -> np.ndarray:
-    """Inverse of dwt2_array: W1^T C W2, the transposes of its matrices.
-
-    shape = (n1, n2) reads coeffs as the leading block of an n1 x n2
-    coefficient array, zero elsewhere: W1[:r1]^T C W2[:r2] for an
-    (..., r1, r2) block.  By default the block is the whole array; a block
-    larger than shape raises numpy's ValueError.
+def idwt2_array(coeffs: np.ndarray, spec: WaveletSpec, shape) -> np.ndarray:
+    """Inverse of dwt2_array: W1[:r1]^T C W2[:r2] of an (..., r1, r2) block
+    C, read as the leading block of an n1 x n2 coefficient array, zero
+    elsewhere, for shape = (n1, n2), which is unchecked.  A block larger
+    than shape raises numpy's ValueError.
     """
-    n1, n2 = _axes(coeffs.shape if shape is None else tuple(shape))
+    n1, n2 = shape
     r1, r2 = coeffs.shape[-2:]
     return _matrix(spec, n1)[:r1].T @ coeffs @ _matrix(spec, n2)[:r2]
 
@@ -235,15 +232,15 @@ def estimate_sigma(image, spec: WaveletSpec) -> float:
 
     The (detail, detail) quadrant H1 X H2^T, H the finest-detail rows of
     each axis: the last n/2 rows of its W.  image is a 2-D float64 array,
-    a `Cube`'s frame, whose sides must be powers of two >= 2, as for the
-    transforms.  A row of H holds only the L taps of the highpass filter,
-    so on a large frame each axis is applied block by block
-    (_detail_rows): O(n1 n2 B) work for B = _BLOCK instead of the dense
-    product's O(n1 n2 (n1 + n2)).  A frame with n1 n2 (n1 + n2) up
-    to _DENSE_WORK, where the blocks' fixed costs outweigh that saving,
-    runs the dense H1 X H2^T.  The first frame of a shape checks it and
-    fixes its product on the spec: (H1, H2^T) as views of each side's W,
-    or () for the block path.  Later frames of that shape look it up.
+    a `Cube`'s frame, whose sides must be powers of two >= 2.  A row of H
+    holds only the L taps of the highpass filter, so on a large frame each
+    axis is applied block by block (_detail_rows): O(n1 n2 B) work for
+    B = _BLOCK instead of the dense product's O(n1 n2 (n1 + n2)).  A frame
+    with n1 n2 (n1 + n2) up to _DENSE_WORK, where the blocks' fixed costs
+    outweigh that saving, runs the dense H1 X H2^T.  The first frame of a
+    shape checks it, the one raster check of a fit, and fixes its product
+    on the spec: (H1, H2^T) as views of each side's W, or () for the block
+    path.  Later frames of that shape look it up.
     """
     pair = spec._cache.get(image.shape)
     if pair is None:  # a shape that fails its check stores nothing

@@ -162,8 +162,8 @@ class TestCriterion5PropertySuites:
         worst_pr, worst_pv = 0.0, 0.0
         for _ in range(5):
             img = rng.standard_normal((32, 32))
-            c = dwt2_array(img, spec)
-            worst_pr = max(worst_pr, np.abs(idwt2_array(c, spec) - img).max())
+            c = dwt2_array(img, spec, img.shape[-2:])
+            worst_pr = max(worst_pr, np.abs(idwt2_array(c, spec, c.shape[-2:]) - img).max())
             worst_pv = max(
                 worst_pv,
                 abs(np.sum(c**2) - np.sum(img**2)) / np.sum(img**2),

@@ -375,7 +375,7 @@ class TestDeconvolve:
         rng = np.random.default_rng(2)
         theta = rng.standard_normal((8, 16, 16))
         theta[max_l:] = 0.0  # convolution raises the Laguerre degree by one
-        imgs = np.stack([idwt2_array(theta[l], spec) for l in range(8)])
+        imgs = np.stack([idwt2_array(theta[l], spec, theta.shape[-2:]) for l in range(8)])
         f_time = np.tensordot(basis.values, imgs, axes=(0, 0))
         q_imgs = imgs.copy()
         q_imgs[1:] -= imgs[:-1]  # G from phi_0 is bidiagonal (1, -1)
@@ -509,7 +509,7 @@ def old_order_deconvolve(Y, g, spec, cfg, g_zero):
     basis = tabulate_basis(M, grid, cfg.rcond)
     g_hat = fit_coeffs(g, basis, g_zero)
 
-    slices = dwt2_array(Y.data, spec)
+    slices = dwt2_array(Y.data, spec, Y.data.shape[-2:])
     zero = 2.0 * slices[0] - slices[1] if n >= 2 else slices[0]
     full = np.concatenate([zero[None], slices])
     q = np.tensordot(basis.projector, full, axes=(1, 0))
@@ -536,7 +536,7 @@ def old_order_deconvolve(Y, g, spec, cfg, g_zero):
         keep_counts = keep.sum(axis=(1, 2))
 
     rec = np.tensordot(basis.values, theta, axes=(0, 0))
-    f = idwt2_array(rec, spec)
+    f = idwt2_array(rec, spec, rec.shape[-2:])
     return f, dict(
         sigma_hat=sigma, M=M, J1=J1, J2=J2, keep_counts=keep_counts, lambdas=lambdas
     )
@@ -585,7 +585,7 @@ def full_array_apply(plan, Y):
     sigma = float(np.median([estimate_sigma(y, spec) for y in Y.data]))
     eps = Y.grid.T * sigma / math.sqrt(Y.grid.n) if cfg.eps == "auto" else float(cfg.eps)
     order = plan._order(cfg.M)
-    theta = dwt2_array(np.tensordot(order.op, Y.data, axes=(1, 0)), spec)
+    theta = dwt2_array(np.tensordot(order.op, Y.data, axes=(1, 0)), spec, (n1, n2))
     J1, J2 = (_depth(J, n, eps, cfg.threshold_mode) for J, n in ((cfg.J1, n1), (cfg.J2, n2)))
     lev1, lev2 = level_of(n1), level_of(n2)
     in_omega = np.outer(lev1 < J1, lev2 < J2)
@@ -594,7 +594,7 @@ def full_array_apply(plan, Y):
     if cfg.threshold_mode:
         lambdas = thresholds(cfg.M, eps, cfg.nu, order.norms)
         theta, keep_counts = hard_threshold(theta, lambdas)
-    f_hat = np.tensordot(order.basis.values, idwt2_array(theta, spec), axes=(0, 0))
+    f_hat = np.tensordot(order.basis.values, idwt2_array(theta, spec, (n1, n2)), axes=(0, 0))
     return f_hat, dict(
         J1=J1, J2=J2, omega_dropped=cfg.M * int((~in_omega).sum()), keep_counts=keep_counts,
         total_counts=None if lambdas is None else np.full(cfg.M, int(in_omega.sum())),

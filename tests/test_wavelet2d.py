@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from lagdeconv import Cube, EstimatorConfig, TimeGrid, WaveletSpec, deconvolve, wavelet2d
+from lagdeconv import Cube, EstimatorConfig, Plan, TimeGrid, WaveletSpec, deconvolve, wavelet2d
 from lagdeconv.wavelet2d import _matrix, dwt2_array, estimate_sigma, idwt2_array
 
 FAMILIES = ["haar", "daub4"]
@@ -130,7 +130,7 @@ class TestSpec:
 class TestTransform:
     def test_constant_image_concentrates_on_scaling(self):
         spec = WaveletSpec()
-        c = dwt2_array(np.full((32, 32), 2.5), spec)
+        c = dwt2_array(np.full((32, 32), 2.5), spec, (32, 32))
         assert c[0, 0] == pytest.approx(2.5 * 32.0, rel=1e-12)
         rest = c.copy()
         rest[0, 0] = 0.0
@@ -142,13 +142,13 @@ class TestTransform:
         rng = np.random.default_rng(hash((family, shape)) % 2**32)
         spec = WaveletSpec(family=family)
         img = rng.standard_normal(shape)
-        back = idwt2_array(dwt2_array(img, spec), spec)
+        back = idwt2_array(dwt2_array(img, spec, img.shape[-2:]), spec, img.shape[-2:])
         assert np.abs(back - img).max() <= 1e-10
 
     def test_parseval(self):
         rng = np.random.default_rng(1)
         img = rng.standard_normal((32, 32))
-        c = dwt2_array(img, WaveletSpec())
+        c = dwt2_array(img, WaveletSpec(), img.shape[-2:])
         assert np.sum(c**2) == pytest.approx(np.sum(img**2), rel=1e-8)
 
     def test_inner_products_preserved(self):
@@ -156,24 +156,20 @@ class TestTransform:
         spec = WaveletSpec()
         a = rng.standard_normal((32, 32))
         b = rng.standard_normal((32, 32))
-        ca, cb = dwt2_array(a, spec), dwt2_array(b, spec)
+        ca, cb = dwt2_array(a, spec, a.shape[-2:]), dwt2_array(b, spec, b.shape[-2:])
         assert np.sum(ca * cb) == pytest.approx(
             np.sum(a * b), rel=1e-8
         )
 
     def test_rejects_non_dyadic(self):
+        # the transforms check no side (sigma-hat checks a fit's raster), but
+        # the W of a side that is not a power of two fails on its odd level,
+        # so a direct call never returns a wrong transform
+        x = np.zeros((24, 32))
         with pytest.raises(ValueError):
-            dwt2_array(np.zeros((24, 32)), WaveletSpec())
-
-    @pytest.mark.parametrize(
-        "shape", [(32, 24), (24, 32), (1, 8), (8, 1), (0, 8), (12,)],
-        ids=["n2-not-dyadic", "n1-not-dyadic", "n1-one", "n2-one", "n1-zero", "one-axis"],
-    )
-    def test_rejects_a_side_that_is_not_a_power_of_two_at_least_2(self, shape):
+            dwt2_array(x, WaveletSpec(), x.shape[-2:])
         with pytest.raises(ValueError):
-            dwt2_array(np.zeros(shape), WaveletSpec())
-        with pytest.raises(ValueError):
-            idwt2_array(np.zeros(shape), WaveletSpec())
+            idwt2_array(x, WaveletSpec(), x.shape[-2:])
 
     @pytest.mark.parametrize("J1, J2", [(0, 0), (1, 3), (3, 1), (2, 4), (5, 5)], ids=str)
     def test_a_coarse_haar_image_lives_in_the_leading_block(self, J1, J2):
@@ -183,7 +179,7 @@ class TestTransform:
         rng = np.random.default_rng(10 * J1 + J2)
         tiles = rng.standard_normal((2**J1, 2**J2))
         img = np.kron(tiles, np.ones((32 >> J1, 32 >> J2)))
-        c = dwt2_array(img, WaveletSpec("haar"))
+        c = dwt2_array(img, WaveletSpec("haar"), img.shape[-2:])
         r1, r2 = 2**J1, 2**J2
         outside = c.copy()
         outside[:r1, :r2] = 0.0
@@ -193,21 +189,21 @@ class TestTransform:
 
     def test_zero_coefficients_to_zero_image(self):
         spec = WaveletSpec()
-        assert np.all(idwt2_array(np.zeros((16, 16)), spec) == 0.0)
+        assert np.all(idwt2_array(np.zeros((16, 16)), spec, (16, 16)) == 0.0)
 
     def test_unit_detail_atom_has_unit_norm(self):
         spec = WaveletSpec()
         values = np.zeros((32, 32))
         values[19, 7] = 1.0
-        atom = idwt2_array(values, spec)
+        atom = idwt2_array(values, spec, values.shape[-2:])
         assert np.sum(atom**2) == pytest.approx(1.0, abs=1e-10)
 
     def test_roundtrip_from_coefficient_side(self):
         rng = np.random.default_rng(3)
         spec = WaveletSpec()
         values = rng.standard_normal((32, 32))
-        img = idwt2_array(values, spec)
-        again = dwt2_array(img, spec)
+        img = idwt2_array(values, spec, values.shape[-2:])
+        again = dwt2_array(img, spec, img.shape[-2:])
         assert np.abs(again - values).max() <= 1e-10
 
 
@@ -223,7 +219,7 @@ class TestLeadingBlock:
         spec = WaveletSpec(family)
         rng = np.random.default_rng(sum(shape))
         x = rng.standard_normal(shape)
-        full = dwt2_array(x, spec)
+        full = dwt2_array(x, spec, x.shape[-2:])
         scale = np.abs(full).max()
         for r1 in block_sizes(shape[1]):
             for r2 in block_sizes(shape[2]):
@@ -234,38 +230,57 @@ class TestLeadingBlock:
                 padded[:, :r1, :r2] = block
                 back = idwt2_array(block, spec, shape[1:])
                 assert back.shape == shape
-                assert np.abs(back - idwt2_array(padded, spec)).max() <= 1e-14 * scale
-
-    def test_whole_block_is_the_default_bit_for_bit(self):
-        spec = WaveletSpec()
-        x = np.random.default_rng(4).standard_normal((2, 16, 32))
-        assert np.array_equal(dwt2_array(x, spec, (16, 32)), dwt2_array(x, spec))
-        c = dwt2_array(x, spec)
-        assert np.array_equal(idwt2_array(c, spec, (16, 32)), idwt2_array(c, spec))
+                whole = idwt2_array(padded, spec, x.shape[-2:])
+                assert np.abs(back - whole).max() <= 1e-14 * scale
 
     # a block slices each side's rows as numpy slices do, so a side past n
     # is the whole side (1 to n: the corner test above)
     def test_a_block_past_the_array_is_the_whole_transform_bit_for_bit(self):
         spec = WaveletSpec()
         x = np.random.default_rng(6).standard_normal((3, 16, 32))
-        assert np.array_equal(dwt2_array(x, spec, (19, 35)), dwt2_array(x, spec))
+        assert np.array_equal(dwt2_array(x, spec, (19, 35)), dwt2_array(x, spec, (16, 32)))
 
     @pytest.mark.parametrize(
         "coeffs, shape",
-        [((17, 4), (16, 32)), ((4, 33), (16, 32)), ((4, 4), (12, 32)), ((4, 4), (16,)),
-         ((4, 4), (16.0, 32)), ((4, 4), (16, np.float64(32))), ((4, 4), (16, True))],
-        ids=["taller", "wider", "not-dyadic", "one-side", "float-n1", "float-n2", "bool-n2"],
+        [((17, 4), (16, 32)), ((4, 33), (16, 32))],
+        ids=["taller", "wider"],
     )
     def test_rejects_coefficients_that_do_not_fit_the_shape(self, coeffs, shape):
         with pytest.raises(ValueError):
             idwt2_array(np.zeros(coeffs), WaveletSpec(), shape)
 
     def test_numpy_integer_sides_are_sides(self):
-        # a shape given as numpy integers is checked and used like plain ints
+        # a shape given as numpy integers is used like plain ints
         spec = WaveletSpec()
-        c = dwt2_array(np.random.default_rng(3).standard_normal((16, 32)), spec)[:4, :8]
+        c = dwt2_array(np.random.default_rng(3).standard_normal((16, 32)), spec, (4, 8))
         want = idwt2_array(c, spec, (16, 32))
         assert np.array_equal(idwt2_array(c, spec, (np.int64(16), np.int32(32))), want)
+
+
+class TestOneRasterCheck:
+    def test_a_fit_checks_each_new_frame_shape_once(self, monkeypatch):
+        # sigma-hat checks the first frame of a shape on the spec; the
+        # transforms take the block the plan builds and check nothing
+        calls, check = [], wavelet2d._axes
+
+        def counted(shape):
+            calls.append(shape)
+            return check(shape)
+
+        monkeypatch.setattr(wavelet2d, "_axes", counted)
+        grid = TimeGrid(n=8, T=5.0)
+        plan = Plan(grid, np.exp(-grid.points / 2.0), WaveletSpec(), EstimatorConfig(M=4),
+                    g_zero=1.0)
+        rng = np.random.default_rng(23)
+        square, wide = (Cube(grid, 0.01 * rng.standard_normal((8, *s)))
+                        for s in [(16, 16), (32, 8)])
+        for Y, want in [(square, [(16, 16)]), (wide, [(32, 8)]), (square, []), (wide, [])]:
+            calls.clear()
+            plan.apply(Y)
+            assert calls == want
+        spec = WaveletSpec()  # a fresh cache
+        idwt2_array(dwt2_array(rng.standard_normal((2, 8, 64)), spec, (4, 8)), spec, (8, 64))
+        assert calls == []
 
 
 class TestReferenceFilterBank:
@@ -281,9 +296,9 @@ class TestReferenceFilterBank:
         x = rng.standard_normal(shape)
         scale = np.abs(x).max()
         ref = ref_transform(x, spec)
-        assert np.abs(dwt2_array(x, spec) - ref).max() <= 1e-13 * scale
+        assert np.abs(dwt2_array(x, spec, x.shape[-2:]) - ref).max() <= 1e-13 * scale
         back = ref_transform(x, spec, inverse=True)
-        assert np.abs(idwt2_array(x, spec) - back).max() <= 1e-13 * scale
+        assert np.abs(idwt2_array(x, spec, x.shape[-2:]) - back).max() <= 1e-13 * scale
 
     @pytest.mark.parametrize("family", sorted(SPECS))
     def test_one_spec_serves_several_shapes(self, family):
@@ -295,17 +310,17 @@ class TestReferenceFilterBank:
             x = rng.standard_normal(shape)
             scale = np.abs(x).max()
             ref = ref_transform(x, spec)
-            assert np.abs(dwt2_array(x, spec) - ref).max() <= 1e-13 * scale
+            assert np.abs(dwt2_array(x, spec, x.shape[-2:]) - ref).max() <= 1e-13 * scale
             back = ref_transform(x, spec, inverse=True)
-            assert np.abs(idwt2_array(x, spec) - back).max() <= 1e-13 * scale
+            assert np.abs(idwt2_array(x, spec, x.shape[-2:]) - back).max() <= 1e-13 * scale
 
     def test_daub6_wraps_at_coarse_levels(self):
         # 6 taps on 16 x 8 at full depth: the last levels filter N = 2 and 4
         spec = SPECS["daub6"]
         rng = np.random.default_rng(12)
         x = rng.standard_normal((3, 16, 8))
-        c = dwt2_array(x, spec)
-        assert np.abs(idwt2_array(c, spec) - x).max() <= 1e-12
+        c = dwt2_array(x, spec, x.shape[-2:])
+        assert np.abs(idwt2_array(c, spec, x.shape[-2:]) - x).max() <= 1e-12
         assert np.sum(c**2) == pytest.approx(np.sum(x**2), rel=1e-12)
 
     # The estimate must not depend on how the frame is laid out in memory:
