@@ -4,7 +4,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from lagdeconv import Cube, EstimatorConfig, Plan, TimeGrid, WaveletSpec, deconvolve, wavelet2d
+from lagdeconv import (
+    Cube, EstimatorConfig, Plan, TimeGrid, WaveletSpec, deconvolve, estimator, wavelet2d,
+)
 from lagdeconv.wavelet2d import _matrix, dwt2_array, estimate_sigma, idwt2_array
 
 FAMILIES = ["haar", "daub4"]
@@ -171,6 +173,25 @@ class TestTransform:
         with pytest.raises(ValueError):
             idwt2_array(x, WaveletSpec(), x.shape[-2:])
 
+    @pytest.mark.parametrize(
+        "shape, message",
+        [((32, 24), "n2 must be a power of two >= 2, got 24"),
+         ((24, 32), "n1 must be a power of two >= 2, got 24"),
+         ((1, 8), "n1 must be a power of two >= 2, got 1"),
+         ((8, 1), "n2 must be a power of two >= 2, got 1"),
+         ((0, 8), "n1 must be a power of two >= 2, got 0"),
+         ((12,), "n1 must be a power of two >= 2, got 12")],
+        ids=["n2-not-dyadic", "n1-not-dyadic", "n1-one", "n2-one", "n1-zero", "one-axis"],
+    )
+    def test_rejects_a_side_that_is_not_a_power_of_two_at_least_2(self, shape, message):
+        # the raster rule of the transforms, checked where a fit meets it:
+        # sigma-hat on the first frame of a shape, which stores nothing for
+        # a shape that fails
+        spec = WaveletSpec()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            estimate_sigma(np.zeros(shape), spec)
+        assert shape not in spec._cache
+
     @pytest.mark.parametrize("J1, J2", [(0, 0), (1, 3), (3, 1), (2, 4), (5, 5)], ids=str)
     def test_a_coarse_haar_image_lives_in_the_leading_block(self, J1, J2):
         # An image constant on 2^-J1 x 2^-J2 tiles is a sum of Haar scaling
@@ -233,6 +254,15 @@ class TestLeadingBlock:
                 whole = idwt2_array(padded, spec, x.shape[-2:])
                 assert np.abs(back - whole).max() <= 1e-14 * scale
 
+    def test_whole_block_is_the_default_bit_for_bit(self):
+        # the block (n1, n2) is the whole transform W1 X W2^T and its inverse
+        spec = WaveletSpec()
+        x = np.random.default_rng(4).standard_normal((2, 16, 32))
+        W1, W2 = _matrix(spec, 16), _matrix(spec, 32)
+        assert np.array_equal(dwt2_array(x, spec, (16, 32)), W1 @ x @ W2.T)
+        c = dwt2_array(x, spec, (16, 32))
+        assert np.array_equal(idwt2_array(c, spec, (16, 32)), W1.T @ c @ W2)
+
     # a block slices each side's rows as numpy slices do, so a side past n
     # is the whole side (1 to n: the corner test above)
     def test_a_block_past_the_array_is_the_whole_transform_bit_for_bit(self):
@@ -242,10 +272,12 @@ class TestLeadingBlock:
 
     @pytest.mark.parametrize(
         "coeffs, shape",
-        [((17, 4), (16, 32)), ((4, 33), (16, 32))],
-        ids=["taller", "wider"],
+        [((17, 4), (16, 32)), ((4, 33), (16, 32)), ((4, 4), (12, 32)), ((4, 4), (16,))],
+        ids=["taller", "wider", "not-dyadic", "one-side"],
     )
     def test_rejects_coefficients_that_do_not_fit_the_shape(self, coeffs, shape):
+        # the shape is unchecked, but a block larger than it, a side whose W
+        # fails on its odd level, or a shape without two sides all raise
         with pytest.raises(ValueError):
             idwt2_array(np.zeros(coeffs), WaveletSpec(), shape)
 
@@ -281,6 +313,19 @@ class TestOneRasterCheck:
         spec = WaveletSpec()  # a fresh cache
         idwt2_array(dwt2_array(rng.standard_normal((2, 8, 64)), spec, (4, 8)), spec, (8, 64))
         assert calls == []
+
+    @pytest.mark.parametrize("shape", [(12, 16), (16, 1), (0, 8)], ids=["12x16", "16x1", "0x8"])
+    def test_a_bad_raster_fails_before_either_transform(self, monkeypatch, shape):
+        # a fit runs sigma-hat, and so the raster check, before it transforms
+        ran = []
+        for name in ["dwt2_array", "idwt2_array"]:
+            monkeypatch.setattr(estimator, name, lambda *args, name=name: ran.append(name))
+        grid = TimeGrid(n=8, T=5.0)
+        plan = Plan(grid, np.exp(-grid.points / 2.0), WaveletSpec(), EstimatorConfig(M=4),
+                    g_zero=1.0)
+        with pytest.raises(ValueError, match="must be a power of two >= 2"):
+            plan.apply(Cube(grid, np.ones((8, *shape))))
+        assert ran == []
 
 
 class TestReferenceFilterBank:
@@ -542,7 +587,7 @@ class TestEstimateSigma:
          ((6, 10), "n1"), ((12, 20), "n1"), ((1, 4), "n1")],
     )
     def test_rejects_a_side_that_is_not_a_power_of_two_at_least_2(self, shape, side):
-        # the transforms' layout rule, with their message
+        # the raster rule, with its message
         bad = shape[0] if side == "n1" else shape[1]
         msg = f"{side} must be a power of two >= 2, got {bad}"
         with pytest.raises(ValueError, match=re.escape(msg)):
