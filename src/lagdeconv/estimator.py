@@ -17,7 +17,8 @@ Pipeline for observations Y = g*f + noise on an (n, n1, n2) grid:
    only W1[:r1] X W2[:r2]^T is computed and the coefficients the truncation
    discards never are,
 4. level-dependent hard thresholding of the coefficients theta_{l;omega}
-   of that block, all but the scaling coefficient at (0, 0),
+   of that block, all but the scaling coefficient at (0, 0), in one
+   stage, `_threshold`, which also decides when no threshold applies,
 5. inverse wavelet transform of the M blocks, W1[:r1]^T C W2[:r2], then
    Laguerre evaluation in time.
 
@@ -176,8 +177,8 @@ class Diagnostics:
     total_counts: np.ndarray | None
     lambdas: np.ndarray | None
     omega_dropped: int  # coefficients outside Omega(J1, J2), never computed
-    # None, or why no coefficient was thresholded: "threshold_mode off",
-    # "eps = 0" or "eps >= 1" (log(1/eps) floored at 0: all thresholds zero).
+    # None, or why the paper's thresholds were not applied, as the
+    # threshold stage `_threshold` names it.
     thresholds_disabled_reason: str | None
 
     def to_dict(self) -> dict:
@@ -198,18 +199,13 @@ def _sigma_hat(Y: Cube, spec: WaveletSpec) -> float:
 
 
 def thresholds(M: int, eps: float, nu: float, norms: InverseNormTable) -> np.ndarray:
-    """Level-dependent thresholds lambda_l, l = 0..M-1.
+    """Level-dependent thresholds lambda_l, l = 0..M-1, for 0 < eps < 1.
 
     lambda_l = 2 eps sqrt(2 nu log(1/eps) / (l v 1)) * ||(G^(l v 1))^-1||,
     with l replaced by max(l, 1) both in the denominator and in the norm
-    index (the l = 0 operator is empty).  eps >= 1 makes log(1/eps)
-    nonpositive; the log is floored at zero, which produces all-zero
-    thresholds and a warning.
+    index (the l = 0 operator is empty).
     """
     log_term = -math.log(eps)  # log(1/eps) without overflowing 1/eps at subnormal eps
-    if log_term <= 0.0:
-        warnings.warn("eps >= 1 floors log(1/eps) at 0: all thresholds are zero")
-        log_term = 0.0
     lv = np.maximum(np.arange(M), 1)
     return 2.0 * eps * np.sqrt(2.0 * nu * log_term / lv) * norms.spectral[lv - 1]
 
@@ -226,12 +222,37 @@ def hard_threshold(values: np.ndarray, lambdas: np.ndarray) -> tuple[np.ndarray,
     return np.where(keep, values, 0.0), keep.sum(axis=(1, 2))
 
 
+def _threshold(theta: np.ndarray, eps: float, cfg: EstimatorConfig, norms: InverseNormTable):
+    """The threshold stage of a fit, on its (M, r1, r2) coefficient block:
+    (theta, keep_counts, total_counts, lambdas, reason).
+
+    For 0 < eps < 1 it is the paper's rule, `thresholds` then
+    `hard_threshold`, and reason is None.  Otherwise reason says why not:
+    "threshold_mode off" and "eps = 0" (which warns) return the block as
+    it is, with no counts or lambdas; "eps >= 1" warns, floors log(1/eps)
+    at 0 and hard-thresholds at zero.
+    """
+    M, r1, r2 = theta.shape
+    if not cfg.threshold_mode:
+        return theta, None, None, None, "threshold_mode off"
+    if eps == 0.0:
+        warnings.warn("eps = 0 with thresholding on: proceeding threshold-free")
+        return theta, None, None, None, "eps = 0"
+    if eps >= 1.0:
+        warnings.warn("eps >= 1 floors log(1/eps) at 0: all thresholds are zero")
+        lambdas, reason = np.zeros(M), "eps >= 1"
+    else:
+        lambdas, reason = thresholds(M, eps, cfg.nu, norms), None
+    theta, keep_counts = hard_threshold(theta, lambdas)
+    return theta, keep_counts, np.full(M, r1 * r2), lambdas, reason
+
+
 def _depth(J, n_side: int, eps: float, auto_on: bool) -> int:
     """Truncation depth along one axis, clamped to [0, log2 n_side].
 
     J is an integer or "auto" for 2^J = eps^-2, i.e. floor(-2 log2 eps).
     The auto rule exists to control the variance of the thresholded
-    estimator, so with thresholding off (or eps = 0) it means full depth.
+    estimator, so with thresholding off, or a zero eps, it means full depth.
     It is evaluated in logs, so no positive eps overflows or divides by
     zero.
     """
@@ -289,6 +310,7 @@ class Plan:
             if g_zero is not None:
                 raise ValueError("g_zero is the t = 0 value of kernel samples; "
                                  "it does not apply to Laguerre coefficients")
+            kernel = LagCoeffs(np.array(kernel.values))  # a copy kept for later fits
             m_kernel = kernel.m
         else:
             kernel = np.array(kernel)  # a copy kept for later fits; fit_coeffs checks it
@@ -358,20 +380,8 @@ class Plan:
         # build, without its Python setup: A Y over the n frames here and the
         # Laguerre synthesis over the M orders in `apply`.
         AY = np.dot(order.op, Y.data.reshape(Y.grid.n, -1)).reshape(M, n1, n2)
-        theta = dwt2_array(AY, spec, (r1, r2))
-
-        keep_counts = total_counts = lambdas = disabled = None
-        if not cfg.threshold_mode:
-            disabled = "threshold_mode off"
-        elif eps == 0.0:
-            disabled = "eps = 0"
-            warnings.warn("eps = 0 with thresholding on: proceeding threshold-free")
-        else:
-            if eps >= 1.0:
-                disabled = "eps >= 1"  # thresholds() warns and returns zeros
-            lambdas = thresholds(M, eps, cfg.nu, order.norms)
-            theta, keep_counts = hard_threshold(theta, lambdas)
-            total_counts = np.full(M, r1 * r2)
+        theta, keep_counts, total_counts, lambdas, disabled = _threshold(
+            dwt2_array(AY, spec, (r1, r2)), eps, cfg, order.norms)
 
         # The inverse wavelet transform of the M blocks: it commutes with the
         # Laguerre synthesis, and in this order runs M transforms, not n.

@@ -130,7 +130,7 @@ STAGE_CONDITIONS = {
         and all(type(r) is int and 1 <= r <= n for r, n in zip(block, images.shape[1:]))
     ),
     "thresholds": lambda M, eps, nu, norms: (
-        _order(M) and 0.0 < eps < math.inf and 0.0 < nu < math.inf
+        _order(M) and 0.0 < eps < 1.0 and 0.0 < nu < math.inf
         and norms.max_m >= max(M - 1, 1)
     ),
     "hard_threshold": lambda values, lambdas: (
@@ -240,12 +240,6 @@ class TestEstimateEps:
 
 
 class TestThresholds:
-    def test_unit_eps_warns_and_zeroes(self):
-        norms = inverse_norms(PHI0, 4)
-        with pytest.warns(UserWarning):
-            lam = thresholds(4, 1.0, 1.0, norms)
-        assert np.all(lam == 0.0)
-
     def test_single_level_value(self):
         # lambda_0 = 2 * 0.1 * sqrt(2 ln 10) * ||(G^(1))^-1|| with norm 1
         norms = inverse_norms(PHI0, 1)
@@ -759,6 +753,21 @@ class TestPlan:
         noise = rng.standard_normal((2, grid.n, *shape))
         return [Cube(grid=grid, data=base + s * z) for s, z in zip((0.01, 0.5), noise)]
 
+    # the order M="auto" picks for this cube, 3, is built after the caller
+    # has changed its coefficient array: it is built from the plan's copy
+    def test_a_plan_keeps_its_own_copy_of_the_kernel_coefficients(self):
+        grid = TimeGrid(n=32, T=5.0)
+        cfg = EstimatorConfig(m_cap=16, eps=0.3)
+        values = np.array([0.5, 1.5] + [2.0] * 14)
+        ref = Plan(grid, LagCoeffs(values.copy()), WaveletSpec(), cfg)
+        plan = Plan(grid, LagCoeffs(values), WaveletSpec(), cfg)
+        values *= 2.0
+        Y = self.cubes(grid)[0]
+        (f, diag), (f_ref, diag_ref) = plan.apply(Y), ref.apply(Y)
+        assert list(plan._orders) == [16, 3]
+        assert np.array_equal(f.data, f_ref.data)
+        assert diag.to_dict() == diag_ref.to_dict()
+
     @pytest.mark.parametrize(
         "cfg", [EstimatorConfig(M=8), EstimatorConfig(m_cap=16)], ids=["M=8", "M=auto"]
     )
@@ -1011,7 +1020,10 @@ class TestDiagnostics:
             (0.05, {}, None),
             (0.05, {"threshold_mode": False}, "threshold_mode off"),
             (0.05, {"eps": 0.0}, "eps = 0"),
+            (0.05, {"eps": np.nextafter(1.0, 0.0)}, None),
             (0.05, {"eps": 1.0}, "eps >= 1"),
+            (0.05, {"eps": 1e308}, "eps >= 1"),
+            (0.05, {"eps": 1e308, "J1": 2, "J2": 2}, "eps >= 1"),
             (3.0, {}, "eps >= 1"),
         ],
     )
@@ -1019,12 +1031,13 @@ class TestDiagnostics:
         if reason is None or reason == "threshold_mode off":
             diag = self.fit(noise, **cfg)
         else:
-            with pytest.warns(UserWarning):
+            with pytest.warns(UserWarning, match=reason):
                 diag = self.fit(noise, **cfg)
         assert diag.thresholds_disabled_reason == reason
         assert diag.to_dict()["thresholds_disabled_reason"] == reason
-        if reason == "eps >= 1":
+        if reason == "eps >= 1":  # no coefficient of this cube is exactly zero
             assert np.all(diag.lambdas == 0.0)
+            assert np.array_equal(diag.keep_counts, diag.total_counts)
 
     # Formed directly, eps^-2 divides by zero for eps <= 1e-162; the depth
     # must not depend on it.
