@@ -10,9 +10,11 @@ parsed here; the library objects they build check the values.  `deconvolve
 then samples at t_k = T k/n, on the cube's grid or on the file's own.  Exit
 codes: 0 success, 1 usage or validation (a kernel off its grid included), 2
 I/O or a malformed file (any fault of a cube file, payload values included),
-3 numeric failure (singular kernel, linear-algebra error).  `deconvolve
---symmetrize` (mirror to dyadic sides, fit, crop) is a convenience of this
-command line only; the library rejects non-dyadic sides.
+3 numeric failure (singular kernel, linear-algebra error).  On stderr a
+command writes one `warning: <message>` line per warning, then at most one
+failure line; for a bad flag that is argparse's error line, after its usage.
+`deconvolve --symmetrize` (mirror to dyadic sides, fit, crop) is a
+convenience of this command line only; the library rejects non-dyadic sides.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,13 +40,6 @@ EXIT_IO = 2
 EXIT_NUMERIC = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit 1 on bad flags, per the CLI contract
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def _auto_or(kind):
     """argparse type: "auto" or a `kind` value, named in parse errors."""
     def parse(text: str):
@@ -52,8 +48,8 @@ def _auto_or(kind):
     return parse
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="lagdeconv", description=__doc__)
+def _build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(prog="lagdeconv", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("simulate", help="generate clean q, noisy Y and truth f cubes")
@@ -65,6 +61,7 @@ def _build_parser() -> _Parser:
     ps.add_argument("--n2", type=int, default=32)
     ps.add_argument("--T", type=float, default=5.0)
     ps.add_argument("--out", required=True, help="output path prefix")
+    ps.set_defaults(run=cmd_simulate)
 
     pd = sub.add_parser("deconvolve", help="recover f from an observation cube")
     pd.add_argument("--input", required=True, help="cube stem (JSON+bin)")
@@ -82,16 +79,19 @@ def _build_parser() -> _Parser:
                     help="reflect to a periodic dyadic image, crop back after")
     pd.add_argument("--rcond", type=float, default=EstimatorConfig().rcond)
     pd.add_argument("--diagnostics", help="path for the diagnostics JSON")
+    pd.set_defaults(run=cmd_deconvolve)
 
     pb = sub.add_parser("bench-table1", help="replicate the benchmark table")
     pb.add_argument("--runs", type=int, default=100)
     pb.add_argument("--seed", type=int, default=1234)
     pb.add_argument("--out", help="also write the CSV here")
+    pb.set_defaults(run=cmd_bench_table1)
 
     pn = sub.add_parser("norms", help="tabulate inverse-operator norm growth")
     pn.add_argument("--kernel", required=True, help="kernel SeriesFile")
     pn.add_argument("--max-m", type=int, default=64)
     pn.add_argument("--out", help="also write the CSV here")
+    pn.set_defaults(run=cmd_norms)
     return p
 
 
@@ -209,8 +209,7 @@ def cmd_norms(args) -> int:
     grid, series, zero_value = _kernel_series(args.kernel)
     max_m = min(args.max_m, grid.n)
     if max_m < args.max_m:
-        print(f"norms: --max-m {args.max_m} capped at the kernel's n = {grid.n} samples",
-              file=sys.stderr)
+        warnings.warn(f"--max-m {args.max_m} capped at the kernel's n = {grid.n} samples")
     # the norm table of the plan at M = max_m, the one M="auto" reads
     plan = Plan(grid, series, WaveletSpec(), EstimatorConfig(M=max_m), zero_value)
     table = plan._order(max_m).norms
@@ -228,22 +227,18 @@ def cmd_norms(args) -> int:
     return _emit("\n".join(lines) + "\n", args.out)
 
 
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "deconvolve": cmd_deconvolve,
-    "bench-table1": cmd_bench_table1,
-    "norms": cmd_norms,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a bad flag, 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_OK
+    # each warning one line, no source echo; the caller's filters and
+    # showwarning still decide what is shown.  catch_warnings() does not
+    # restore formatwarning, so the finally does.
+    shown = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except FileFormatError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -256,6 +251,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        warnings.formatwarning = shown
 
 
 if __name__ == "__main__":

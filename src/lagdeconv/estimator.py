@@ -316,6 +316,8 @@ class Plan:
             kernel = np.array(kernel)  # a copy kept for later fits; fit_coeffs checks it
             m_kernel = grid.n
         self.grid, self.spec, self.cfg = grid, spec, cfg
+        if isinstance(g_zero, np.ndarray):  # a 0-d array is mutable too
+            g_zero = np.array(g_zero)
         self._kernel, self._g_zero = kernel, g_zero
         self._orders: dict[int, _Order] = {}
         M = int(cfg.M if cfg.M != "auto" else min(cfg.m_cap, grid.n, m_kernel))

@@ -37,10 +37,7 @@ DEFAULT_RCOND = 0.1
 
 
 def _is_int_at_least(value, low: int) -> bool:
-    # bool subclasses int, but True is not a size, an order or a depth.  A
-    # plain int, the common case, skips the slow ABC check.
-    if type(value) is int:
-        return value >= low
+    # bool subclasses int, but True is not a size, an order or a depth
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
@@ -49,22 +46,15 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-_FLOAT64 = np.dtype(float)  # native byte order: '>f8' differs on little-endian hosts
-
-
 def _real_array(values, name: str) -> np.ndarray:
     """values as a float array of finite reals, or a ValueError naming it:
     integer and float dtypes only, as _is_real for scalars, so complex,
     string and bool arrays are not read as numbers.  An ndarray of native
-    float64 comes back as it is, as np.asarray would return it, without its
-    call cost."""
-    if type(values) is np.ndarray and values.dtype == _FLOAT64:
-        a = values
-    else:
-        a = np.asarray(values)
-        if a.dtype.kind not in "iuf":
-            raise ValueError(f"{name} must hold real numbers, got dtype {a.dtype}")
-        a = np.asarray(a, dtype=float)
+    float64 comes back as it is."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold real numbers, got dtype {a.dtype}")
+    a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} must be finite")
     return a

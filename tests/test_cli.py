@@ -1,5 +1,8 @@
+import contextlib
 import json
 import re
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,19 @@ from lagdeconv.simulate import default_kernel
 
 def run_cli(*args):
     return main(list(args))
+
+
+@pytest.fixture
+def shown_warnings():
+    """Every warning written to stderr by the interpreter's default path,
+    formatwarning then the write, where pytest would record or raise it."""
+    def show(message, category, filename, lineno, file=None, line=None):
+        (file or sys.stderr).write(warnings.formatwarning(message, category, filename,
+                                                          lineno, line))
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = show
+        yield
 
 
 def save_series(path, t, values):
@@ -449,11 +465,12 @@ class TestNormsCommand:
         assert "M must be an integer >= 1" in capsys.readouterr().err
 
 
-    def test_max_m_above_the_samples_says_it_is_capped(self, tmp_path, capsys):
+    def test_max_m_above_the_samples_says_it_is_capped(self, tmp_path, capsys,
+                                                       shown_warnings):
         kpath = write_kernel_csv(tmp_path / "g.csv", TimeGrid(n=32, T=5.0))
         assert run_cli("norms", "--kernel", str(kpath), "--max-m", "256") == 0
         out, err = capsys.readouterr()
-        assert err == "norms: --max-m 256 capped at the kernel's n = 32 samples\n"
+        assert err == "warning: --max-m 256 capped at the kernel's n = 32 samples\n"
         assert out.splitlines()[-1].startswith("32,") and len(out.splitlines()) == 34
 
     @pytest.mark.parametrize("max_m", ["8", "32"])
@@ -598,7 +615,11 @@ class TestKernelSeries:
             write_cube(tmp_path / "Y", Cube(grid=grid, data=data))
             argv = ["deconvolve", "--input", str(tmp_path / "Y"), "--kernel", str(kpath),
                     "--M", "1", "--no-threshold", "--out", str(tmp_path / "f")]
-        assert run_cli(*argv) == code
+        # the one-frame kernel caps norms' default --max-m 64
+        capped = command == "norms" and n == 1
+        with (pytest.warns(UserWarning, match="--max-m 64 capped at the kernel's n = 1 samples")
+              if capped else contextlib.nullcontext()):
+            assert run_cli(*argv) == code
         if code:
             assert (f"error: kernel series {kpath} is not sampled at t_k = T k/n, "
                     f"k = 1..n, with n = {n} and T = 5") in capsys.readouterr().err
@@ -679,6 +700,31 @@ class TestCommandSet:
         assert err == ""
         assert out.encode() == Path(written.format(d=tmp_path)).read_bytes()
 
+    # a warning reached stderr in Python's two-line form, naming the
+    # library's source file and line and echoing the warnings.warn call, and
+    # norms printed its cap as "norms: ..."
+    @pytest.mark.parametrize("argv, message", [
+        (["deconvolve", "--eps", "0"], "eps = 0 with thresholding on: proceeding threshold-free"),
+        (["deconvolve", "--eps", "2"], "eps >= 1 floors log(1/eps) at 0: all thresholds are zero"),
+        (["deconvolve", "--M", "40"], "M=40 exceeds the n=32 frames: the projection has rank "
+                                      "at most 32, so some orders are not determined by the data"),
+        (["norms", "--max-m", "40"], "--max-m 40 capped at the kernel's n = 32 samples"),
+    ], ids=["eps0", "eps2", "M40", "norms-max-m-40"])
+    def test_each_warning_is_one_line_on_stderr(self, tmp_path, capsys, shown_warnings,
+                                                argv, message):
+        grid = TimeGrid(n=32, T=5.0)
+        kpath = write_kernel_csv(tmp_path / "g.csv", grid)
+        data = 0.01 * np.random.default_rng(3).standard_normal((32, 8, 8))
+        write_cube(tmp_path / "Y", Cube(grid=grid, data=data))
+        files = ["--kernel", str(kpath)]
+        if argv[0] == "deconvolve":
+            files += ["--input", str(tmp_path / "Y"), "--out", str(tmp_path / "f")]
+        shown = warnings.formatwarning
+        assert run_cli(*argv, *files) == 0
+        assert warnings.formatwarning is shown  # main puts the caller's back
+        err = capsys.readouterr().err
+        assert err == f"warning: {message}\n"  # no source path, line or code echo
+
     def test_help_lists_the_four_commands(self, capsys):
         assert run_cli("--help") == 0
         choices = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1)
@@ -697,5 +743,11 @@ class TestCommandSet:
         ids=["smooth", "smooth-kernel", "sigma-est", "bench-nu"],
     )
     def test_removed_options_exit_1_with_the_reason(self, argv, reason, capsys):
+        assert run_cli("--help") == 0
+        usage = capsys.readouterr().out.split("\n\n")[0] + "\n"
         assert run_cli(*argv) == 1
-        assert reason in capsys.readouterr().err
+        *head, last = capsys.readouterr().err.splitlines(keepends=True)
+        # argparse's usage lines, then its one error line
+        assert "".join(head) == usage
+        assert last.startswith("lagdeconv: error: ") and last.endswith("\n")
+        assert reason in last

@@ -768,6 +768,22 @@ class TestPlan:
         assert np.array_equal(f.data, f_ref.data)
         assert diag.to_dict() == diag_ref.to_dict()
 
+    def test_a_plan_keeps_its_own_copy_of_an_array_g_zero(self):
+        # the plan kept the caller's 0-d array, so the order M="auto" picks
+        # later was fitted to g_zero = 50
+        grid = TimeGrid(n=16, T=5.0)
+        g = np.exp(-grid.points / 2.0) + 0.3 * np.exp(-grid.points)
+        cfg = EstimatorConfig(m_cap=16, eps=0.8)
+        g_zero = np.array(1.3)
+        ref = Plan(grid, g, WaveletSpec(), cfg, g_zero=1.3)
+        plan = Plan(grid, g, WaveletSpec(), cfg, g_zero=g_zero)
+        g_zero[...] = 50.0
+        Y = Cube(grid=grid, data=1.0 + 0.3 * np.random.default_rng(3).standard_normal((16, 8, 8)))
+        (f, diag), (f_ref, diag_ref) = plan.apply(Y), ref.apply(Y)
+        assert list(plan._orders) == [16, 2]
+        assert np.array_equal(f.data, f_ref.data)
+        assert diag.to_dict() == diag_ref.to_dict()
+
     @pytest.mark.parametrize(
         "cfg", [EstimatorConfig(M=8), EstimatorConfig(m_cap=16)], ids=["M=8", "M=auto"]
     )
