@@ -5,7 +5,7 @@ flag-driven and deterministic given --seed.  Each command prints one result
 document, and its file flag writes exactly those bytes: simulate's manifest
 JSON (next to the cubes at --out), deconvolve's diagnostics JSON
 (--diagnostics), the Table-1 CSV and the norm CSV (--out).  Flags are only
-parsed here; the library objects they build check the values.  `deconvolve
+parsed here (--max-m as an int >= 1); the library checks the rest.  `deconvolve
 --kernel` and `norms` read a kernel file by one rule: an optional t = 0 row,
 then samples at t_k = T k/n, on the cube's grid or on the file's own.  Exit
 codes: 0 success, 1 usage or validation (a kernel off its grid included), 2
@@ -46,6 +46,16 @@ def _auto_or(kind):
         return text if text == "auto" else kind(text)
     parse.__name__ = f"'auto' or {kind.__name__}"
     return parse
+
+
+def _positive_int(text: str) -> int:
+    """argparse type "positive int": an integer >= 1."""
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
+
+
+_positive_int.__name__ = "positive int"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pn = sub.add_parser("norms", help="tabulate inverse-operator norm growth")
     pn.add_argument("--kernel", required=True, help="kernel SeriesFile")
-    pn.add_argument("--max-m", type=int, default=64)
+    pn.add_argument("--max-m", type=_positive_int, default=64)
     pn.add_argument("--out", help="also write the CSV here")
     pn.set_defaults(run=cmd_norms)
     return p

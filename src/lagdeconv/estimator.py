@@ -264,7 +264,7 @@ def _depth(J, n_side: int, eps: float, auto_on: bool) -> int:
     return min(max(math.floor(-2.0 * math.log2(eps)), 0), full)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Order:
     """What a plan's fit reads for one Laguerre order M: the grid's shared
     basis, A = G^-1 (P E) and the norm table ||(G^(m))^-1||, m = 1..M (the

@@ -176,7 +176,8 @@ def _simpson_weights(n_intervals: int, h: float) -> np.ndarray:
 
 def tabulate_basis(M: int, grid: TimeGrid, rcond: float = DEFAULT_RCOND) -> LaguerreBasis:
     """phi_0..phi_{M-1} on the grid points with their projector at cutoff
-    rcond in [0, 1) and P E, the only path that builds a basis.
+    rcond in [0, 1) and P E, the only path that builds a basis.  P E is P's
+    sample columns plus P's t = 0 column times E's t = 0 row, e0 below.
 
     The basis is cached on the grid object by (M, rcond), so every caller
     that asks for it on that grid gets one shared, read-only instance.
@@ -191,7 +192,8 @@ def tabulate_basis(M: int, grid: TimeGrid, rcond: float = DEFAULT_RCOND) -> Lagu
         u, s, vt = np.linalg.svd(design.T, full_matrices=False)
         rank = int(np.sum(s > rcond * s[0]))
         projector = ((vt[:rank].T / s[:rank]) @ u[:, :rank].T) * sw
-        pe = projector @ _series_with_zero(np.eye(grid.n), None)
+        e0 = _series_with_zero(np.eye(min(grid.n, 2), grid.n), None)[0]  # n = 1: e0 = (1,)
+        pe = projector[:, 1:] + np.outer(projector[:, 0], e0)
         basis = LaguerreBasis(M=M, values=_read_only(values), projector=_read_only(projector),
                               pe=_read_only(pe), rank=rank)
         basis = grid._cache.setdefault(key, basis)

@@ -133,7 +133,8 @@ def forward_convolve(
     and g are taken from `f_zero`/`g_zero` when given and linearly
     extrapolated otherwise.  The kernel samples must be finite, `g_zero` a
     finite real and `f_zero` a finite array that broadcasts to one frame.
-    Causal: q at t_k never touches later samples.
+    Causal: q at t_k never touches later samples.  Quadrature row k is
+    h g(t_k - t_j), j <= k, a reversed window of g halved at j = 0 and j = k.
     """
     g_series = _real_array(g_series, "kernel samples")
     n = f.grid.n
@@ -143,12 +144,10 @@ def forward_convolve(
     g_full = _series_with_zero(g_series, g_zero, "g_zero")
     f_full = _series_with_zero(f.data, f_zero, "f_zero")  # f, a Cube, is finite
 
-    # Row k-1 integrates over nodes j = 0..k: weights h*(1/2, 1, .., 1, 1/2)
-    # times g(t_k - t_j), and zero beyond the diagonal.
-    k = np.arange(1, n + 1)[:, None]
-    j = np.arange(n + 1)[None, :]
-    w = np.where((j == 0) | (j == k), 0.5 * h, h)
-    kernel_rows = np.where(j <= k, w * g_full[np.maximum(k - j, 0)], 0.0)
+    padded = np.concatenate([np.zeros(n), g_full])
+    kernel_rows = h * np.lib.stride_tricks.sliding_window_view(padded, n + 1)[1:, ::-1]
+    kernel_rows[:, 0] *= 0.5
+    kernel_rows[np.arange(n), np.arange(1, n + 1)] *= 0.5
     q = np.tensordot(kernel_rows, f_full, axes=(1, 0))
     return Cube(grid=f.grid, data=q)
 

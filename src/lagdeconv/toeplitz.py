@@ -42,7 +42,8 @@ def solve_lower(kernel: LagCoeffs, rhs) -> np.ndarray:
     Toeplitz with first column col = (g_0, g_1 - g_0, ..., g_{m-1} - g_{m-2}),
     from the kernel's first m coefficients.  Its inverse is lower-triangular
     Toeplitz with first column c: c_0 = 1/col_0 and c_i = -(col_1 c_{i-1}
-    + ... + col_i c_0)/col_0; a c that overflows raises SingularOperatorError.
+    + ... + col_i c_0)/col_0, applied as reversed windows of c after m - 1
+    zeros; a c that overflows raises SingularOperatorError.
     rhs is a real array with m >= 1, as a plan builds it; the kernel is checked.
     """
     m = rhs.shape[0]
@@ -61,11 +62,11 @@ def solve_lower(kernel: LagCoeffs, rhs) -> np.ndarray:
     if not np.all(np.isfinite(c)):
         raise SingularOperatorError(
             f"numerically singular operator: G^-1 overflows at order {m} (g_0 = {float(g[0])!r})")
-    d = np.subtract.outer(np.arange(m), np.arange(m))
-    return np.tensordot(np.where(d >= 0, c[d], 0.0), rhs, axes=(1, 0))
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([np.zeros(m - 1), c]), m)
+    return np.tensordot(windows[:, ::-1], rhs, axes=(1, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InverseNormTable:
     """Norms of (G^(m))^-1 for m = 1..max_m.
 

@@ -459,10 +459,15 @@ class TestNormsCommand:
         assert capsys.readouterr().err == (
             "numeric error: singular operator: zero diagonal (g_0 = 0)\n")
 
-    def test_max_m_zero_exits_1(self, tmp_path, capsys):
+    def test_max_m_zero_exits_1(self, tmp_path, capsys, monkeypatch):
+        # argparse rejects it, naming the flag, before the kernel is read;
+        # COLUMNS keeps the usage on one line in a narrow terminal
+        monkeypatch.setenv("COLUMNS", "80")
         kpath = write_kernel_csv(tmp_path / "g.csv", TimeGrid(n=64, T=20.0))
         assert run_cli("norms", "--kernel", str(kpath), "--max-m", "0") == 1
-        assert "M must be an integer >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "usage: lagdeconv norms [-h] --kernel KERNEL [--max-m MAX_M] [--out OUT]\n"
+            "lagdeconv norms: error: argument --max-m: invalid positive int value: '0'\n")
 
 
     def test_max_m_above_the_samples_says_it_is_capped(self, tmp_path, capsys,

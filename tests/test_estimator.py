@@ -729,6 +729,15 @@ class TestPlan:
         assert order.basis is grid._cache[M, 0.01]
         assert order.op.shape == (M, grid.n) and order.norms.max_m == M
 
+    def test_an_order_compares_and_hashes_by_identity(self):
+        # its fields are arrays: a generated __eq__ raised numpy's ambiguous
+        # truth value and a generated __hash__ a TypeError
+        grid = TimeGrid(n=32, T=5.0)
+        cfg = EstimatorConfig(M=6)
+        a, b = (Plan(grid, np.exp(-grid.points / 2.0), WaveletSpec(), cfg)._order(6)
+                for _ in range(2))
+        assert a == a and a != b and len({a, b}) == 2
+
     # M="auto" starts from min(m_cap, n, kernel.m): coefficients shorter than
     # both the cap and the frames bound every order the plan builds, and the
     # rule may still pick a lower one

@@ -4,6 +4,7 @@ import math
 import numbers
 import re
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,6 +16,7 @@ from lagdeconv.laguerre import (
     _is_int_at_least,
     _is_real,
     _real_array,
+    _series_with_zero,
     _simpson_weights,
     fit_coeffs,
     tabulate_basis,
@@ -310,16 +312,34 @@ class TestBasisCache:
             assert mine is not theirs and np.array_equal(mine, theirs)
         assert repr(a) == "LaguerreBasis(M=4, rank=4)"
 
-    @pytest.mark.parametrize("n", [1, 2, 16, 32])
-    def test_pe_is_the_projector_times_the_extrapolation(self, n):
+    @pytest.mark.parametrize("rcond", [0.0, 0.1])
+    @pytest.mark.parametrize("M", [1, 6, 8, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 32, 33, 257])
+    def test_pe_is_the_projector_times_the_extrapolation(self, n, M, rcond):
         # E maps the n samples to the n + 1 nodes: the t = 0 row is
-        # 2 s_1 - s_2 (s_1 alone when n = 1), the rest the identity
+        # 2 s_1 - s_2 (s_1 alone when n = 1), the rest the identity.  P E is
+        # formed from that one row; the dense product through E is the
+        # reference, bit for bit and zero signs included
         E = np.eye(n + 1, n, -1)
         E[0, 0] = 1.0 if n == 1 else 2.0
         if n > 1:
             E[0, 1] = -1.0
-        b = tabulate_basis(6, TimeGrid(n=n, T=5.0))
-        assert b.pe.shape == (6, n) and np.array_equal(b.pe, b.projector @ E)
+        assert np.array_equal(E, _series_with_zero(np.eye(n), None))
+        b = tabulate_basis(M, TimeGrid(n=n, T=5.0), rcond)
+        dense = b.projector @ E
+        assert b.pe.shape == (M, n) and np.array_equal(b.pe, dense)
+        assert np.array_equal(np.signbit(b.pe), np.signbit(dense))
+
+    def test_builds_no_n_by_n_helper(self):
+        # an n x n float64 array at n = 16,384 alone takes 2 GiB; the tables
+        # of M = 10 take about 4 MiB
+        tracemalloc.start()
+        try:
+            tabulate_basis(10, TimeGrid(n=16384, T=100.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     # a cutoff is cached as given: one that equals its float shares its entry
     @pytest.mark.parametrize("rcond", [0, 0.0, np.float32(0.5), 0.999], ids=repr)

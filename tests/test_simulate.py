@@ -262,10 +262,11 @@ class TestForwardConvolve:
         want = forward_convolve(f, g, g_zero=1, f_zero=np.full((4, 4), 2.0)).data
         assert np.array_equal(forward_convolve(f, g, g_zero=1.0, f_zero=f_zero).data, want)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 32, 64, 1024])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 32, 64, 1024])
     @pytest.mark.parametrize("exact_zeros", [False, True])
     def test_matches_the_row_by_row_trapezoid(self, n, exact_zeros):
-        # reference: one trapezoid row per output time, built in a loop
+        # references: one trapezoid row per output time, built in a loop, and
+        # the whole quadrature matrix built from index grids
         grid = TimeGrid(n=n, T=5.0)
         rng = np.random.default_rng(n)
         f = Cube(grid=grid, data=rng.standard_normal((n, 2, 3)))
@@ -282,6 +283,12 @@ class TestForwardConvolve:
         want = np.tensordot(rows, f_full, axes=(1, 0))
         got = forward_convolve(f, g, g_zero=g_zero, f_zero=f_zero).data
         assert np.array_equal(got, want)
+        k = np.arange(1, n + 1)[:, None]
+        j = np.arange(n + 1)[None, :]
+        w = np.where((j == 0) | (j == k), 0.5 * grid.step, grid.step)
+        grid_rows = np.where(j <= k, w * g_full[np.maximum(k - j, 0)], 0.0)
+        want = np.tensordot(grid_rows, f_full, axes=(1, 0))
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestAddNoise:

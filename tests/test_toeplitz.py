@@ -148,6 +148,17 @@ class TestSolveLower:
         assert np.array_equal(solve_lower(kernel_of(col), rhs),
                               solve_lower(kernel_of(col[:5]), rhs))
 
+    # G^-1 is read as reversed windows of its first column c; the reference
+    # is the former index-grid construction with its masked negative indices
+    @pytest.mark.parametrize("m", [1, 2, 5, 64])
+    def test_inverse_matches_the_index_grid_bit_for_bit(self, m):
+        kernel = aif_coeffs(m)
+        c = solve_lower(kernel, np.eye(m)[0])
+        d = np.subtract.outer(np.arange(m), np.arange(m))
+        want = np.tensordot(np.where(d >= 0, c[d], 0.0), np.eye(m), axes=(1, 0))
+        got = solve_lower(kernel, np.eye(m))
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
 
 class TestInverseNorms:
     def test_phi0_m1(self):
@@ -289,6 +300,12 @@ class TestInverseNorms:
         with pytest.raises(ValueError,
                            match=re.escape(f"max_m must be a positive integer, got {max_m!r}")):
             inverse_norms(PHI0_COEFFS, max_m)
+
+    def test_a_table_compares_and_hashes_by_identity(self):
+        # its fields are arrays: a generated __eq__ raised numpy's ambiguous
+        # truth value and a generated __hash__ a TypeError
+        a, b = inverse_norms(PHI0_COEFFS, 3), inverse_norms(PHI0_COEFFS, 3)
+        assert a == a and a != b and len({a, b}) == 2
 
     def test_takes_a_numpy_integer_size(self):
         tab = inverse_norms(PHI0_COEFFS, np.int64(4))
