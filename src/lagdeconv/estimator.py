@@ -140,9 +140,7 @@ class EstimatorConfig:
     m_cap: int = DEFAULT_M_CAP
 
     def __post_init__(self):
-        # Infinite values pass "> 0" but break the fit: eps reaches log(1/eps)
-        # and the auto depth, nu makes every lambda infinite.
-        if not (_is_real(self.nu) and 0 < self.nu < math.inf):
+        if not (_is_real(self.nu) and self.nu > 0):
             raise ValueError(f"nu must be positive and finite, got {self.nu!r}")
         for name, low in (("M", 1), ("J1", 0), ("J2", 0)):
             value = getattr(self, name)
@@ -155,7 +153,7 @@ class EstimatorConfig:
         # a cutoff of 1 or more drops every direction, a negative one none
         if not (_is_real(self.rcond) and 0.0 <= self.rcond < 1.0):
             raise ValueError(f"rcond must lie in [0, 1), got {self.rcond!r}")
-        if self.eps != "auto" and not (_is_real(self.eps) and 0 <= self.eps < math.inf):
+        if self.eps != "auto" and not (_is_real(self.eps) and self.eps >= 0):
             raise ValueError(f"eps must be a finite nonnegative number or 'auto', got {self.eps!r}")
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimator import Cube
-from .laguerre import TimeGrid
+from .laguerre import TimeGrid, _is_int_at_least
 
 __all__ = [
     "FileFormatError",
@@ -85,7 +85,7 @@ def read_cube(stem) -> Cube:
                                   f"need {value!r}")
     n1, n2 = header["n1"], header["n2"]
     # JSON integers only: true, 4.0 and "4" are not sides
-    if not (type(n1) is int and type(n2) is int and min(n1, n2) >= 1):
+    if not (_is_int_at_least(n1, 1) and _is_int_at_least(n2, 1)):
         raise FileFormatError(f"cube header {header_path}: n1 and n2 must be JSON integers >= 1")
     try:
         grid = TimeGrid(n=header["n"], T=header["T"])

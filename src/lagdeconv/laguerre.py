@@ -42,15 +42,19 @@ def _is_int_at_least(value, low: int) -> bool:
 
 
 def _is_real(value) -> bool:
-    # likewise True is not a time span, a constant or a ratio
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # a finite double; likewise True is not a time span, a constant or a ratio
+    try:  # an int beyond the double range overflows float() in isfinite
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
 
 
 def _real_array(values, name: str) -> np.ndarray:
     """values as a float array of finite reals, or a ValueError naming it:
-    integer and float dtypes only, as _is_real for scalars, so complex,
-    string and bool arrays are not read as numbers.  An ndarray of native
-    float64 comes back as it is."""
+    integer and float dtypes only, so complex, string and bool arrays are
+    not read as numbers.  Scalars share the rule, a finite double, through
+    _is_real.  An ndarray of native float64 comes back as it is."""
     a = np.asarray(values)
     if a.dtype.kind not in "iuf":
         raise ValueError(f"{name} must hold real numbers, got dtype {a.dtype}")
@@ -81,11 +85,7 @@ class TimeGrid:
     def __post_init__(self):
         if not _is_int_at_least(self.n, 1):
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        try:  # an int beyond the double range overflows float(), not the test
-            ok = _is_real(self.T) and 0 < float(self.T) < math.inf
-        except OverflowError:
-            ok = False
-        if not ok:
+        if not (_is_real(self.T) and self.T > 0):
             raise ValueError(f"T must be positive and finite, got {self.T!r}")
 
     @property
@@ -210,12 +210,12 @@ def _series_with_zero(series: np.ndarray, zero_value, name: str = "t = 0 value")
     if zero_value is None:
         zero = 2.0 * series[0] - series[1] if series.shape[0] >= 2 else series[0]
     else:
-        try:  # an int beyond the double range overflows float(), not the test
+        try:
             zero = np.asarray(float(zero_value) if _is_real(zero_value) else zero_value)
             # neither True nor "1" is a value of the series
             ok = zero.dtype.kind in "iuf" and bool(np.all(np.isfinite(zero)))
             zero = np.broadcast_to(zero, series.shape[1:])
-        except (OverflowError, ValueError):
+        except ValueError:
             ok = False
         if not ok:
             shape = series.shape[1:]

@@ -163,7 +163,7 @@ def _noise_sigmas(q: Cube, snrs) -> list[float]:
     """sigma = sd(q)/snr for each given signal-to-noise ratio, from one sd(q)."""
     for snr in snrs:
         if not (_is_real(snr) and snr > 0):
-            raise ValueError(f"snr must be a positive real, got {snr!r}")
+            raise ValueError(f"snr must be a positive finite real, got {snr!r}")
     sd = float(q.data.std())
     if sd == 0.0:
         raise ValueError("q has zero variance; cannot calibrate noise to an SNR")

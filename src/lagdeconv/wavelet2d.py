@@ -78,7 +78,7 @@ class WaveletSpec:
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.family not in _TAP_REGISTRY:
+        if not (isinstance(self.family, str) and self.family in _TAP_REGISTRY):
             raise ValueError(
                 f"unknown wavelet family {self.family!r}; have {sorted(_TAP_REGISTRY)}"
             )

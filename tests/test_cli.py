@@ -106,12 +106,14 @@ class TestSimulateCommand:
         assert read_cube(str(out) + "_Y").data.shape == (1, 32, 32)
 
     @pytest.mark.parametrize("flags, message", [
-        (["--snr", "0"], "snr must be a positive real"),
+        (["--snr", "0"], "snr must be a positive finite real"),
         (["--snr", "3", "--n", "0"], "n must be a positive integer"),
         (["--snr", "3", "--n1", "0"], "n1 and n2 must be positive integers"),
         (["--snr", "3", "--T", "-1"], "T must be positive and finite"),
         (["--snr", "3", "--T", "inf"], "T must be positive and finite"),
         (["--snr", "3", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        # inf used to exit 0 with a noise-free Y and "snr": Infinity, not JSON
+        (["--snr", "inf"], "error: snr must be a positive finite real, got inf"),
     ])
     def test_bad_values_exit_1_with_the_library_message(self, tmp_path, capsys,
                                                         flags, message):

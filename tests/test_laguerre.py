@@ -11,7 +11,18 @@ import numpy as np
 import pytest
 from scipy import special
 
-from lagdeconv import LagCoeffs, TimeGrid
+from lagdeconv import (
+    EstimatorConfig,
+    LagCoeffs,
+    Plan,
+    SimConfig,
+    TimeGrid,
+    WaveletSpec,
+    add_noise,
+    eval_test_function,
+    forward_convolve,
+    run_table1,
+)
 from lagdeconv.laguerre import (
     _is_int_at_least,
     _is_real,
@@ -21,6 +32,7 @@ from lagdeconv.laguerre import (
     fit_coeffs,
     tabulate_basis,
 )
+from lagdeconv.simulate import run_single
 
 
 def laguerre_sum(l: int, t: float) -> float:
@@ -389,25 +401,74 @@ class _Level(enum.IntEnum):
     TWO = 2
 
 
-# Every kind of value a setting may be given; the type checks' fast paths
-# for a plain int and float must answer as the ABC checks alone do.
+# Every kind of value a setting may be given, the edges of the double range
+# included; each check must answer as its definition does.
 SETTING_VALUES = [
-    0, 1, 2, -3, 2**80, -(2**80), np.int64(2), np.int64(-1), True, False,
-    np.bool_(True), 2.0, np.float64(2.0), math.nan, math.inf, "3", None, _Level.TWO,
+    0, 1, 2, -3, 2**80, -(2**80), 10**400, -(10**400), 2**1024, int(sys.float_info.max),
+    np.int64(2), np.int64(-1), True, False, np.bool_(True), 2.0, np.float64(2.0),
+    math.nan, math.inf, -math.inf, "3", None, _Level.TWO,
 ]
+
+
+def _short_repr(value) -> str:
+    r = repr(value)
+    return r if len(r) <= 32 else f"{r[:6]}...{r[-4:]}"
 
 
 class TestSettingTypeChecks:
     @pytest.mark.parametrize("low", [0, 1, 2])
-    @pytest.mark.parametrize("value", SETTING_VALUES, ids=repr)
+    @pytest.mark.parametrize("value", SETTING_VALUES, ids=_short_repr)
     def test_int_check_matches_the_abc_check(self, value, low):
         want = isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
         assert _is_int_at_least(value, low) == want
 
-    @pytest.mark.parametrize("value", SETTING_VALUES, ids=repr)
+    # a real setting is a finite double: a non-bool Real that float() maps
+    # to a finite value, int(float_info.max) at the edge of the range
+    @pytest.mark.parametrize("value", SETTING_VALUES, ids=_short_repr)
     def test_real_check_matches_the_abc_check(self, value):
-        want = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        want = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max)
         assert _is_real(value) == want
+
+
+_GRID8 = TimeGrid(n=8, T=5.0)
+_SIM8 = SimConfig(n=8, n1=8, n2=8, runs=2)
+_G8 = np.exp(-_GRID8.points / 2.0)
+
+# (the name its ValueError gives it, whether None leaves it unset, the call)
+# for every real setting of a public entry
+REAL_SETTINGS = {
+    "TimeGrid.T": ("T", False, lambda v: TimeGrid(n=8, T=v)),
+    "SimConfig.T": ("T", False, lambda v: SimConfig(T=v)),
+    "EstimatorConfig.nu": ("nu", False, lambda v: EstimatorConfig(nu=v)),
+    "EstimatorConfig.eps": ("eps", False, lambda v: EstimatorConfig(eps=v)),
+    "EstimatorConfig.rcond": ("rcond", False, lambda v: EstimatorConfig(rcond=v)),
+    "add_noise snr": ("snr", False, lambda v: add_noise(eval_test_function("f2", _SIM8), v, 0)),
+    "run_table1 snr": ("snr", False, lambda v: run_table1(_SIM8, snrs=(v,))),
+    "run_single snr": ("snr", False, lambda v: run_single("f1", v, _SIM8)),
+    "Plan g_zero": ("t = 0 value", True,
+                    lambda v: Plan(_GRID8, _G8, WaveletSpec(), EstimatorConfig(M=4), v)),
+    "forward_convolve g_zero": ("g_zero", True, lambda v: forward_convolve(
+        eval_test_function("f2", _SIM8), _G8, g_zero=v)),
+    "fit_coeffs zero_value": ("t = 0 value", True,
+                              lambda v: fit_coeffs(_G8, tabulate_basis(4, _GRID8), v)),
+}
+BAD_REALS = {"True": True, "'1'": "1", "None": None, "nan": math.nan, "inf": math.inf,
+             "-inf": -math.inf, "1e400": 10**400, "-1e400": -(10**400)}
+
+
+class TestRealSettings:
+    # nu, eps and the snr took 10**400, and the snr +inf, then failed inside
+    # the fit with an OverflowError, or wrote a noise-free cube
+    @pytest.mark.parametrize("entry, value", [
+        pytest.param(entry, value, id=f"{entry}={label}")
+        for entry, (_, none_unsets, _) in REAL_SETTINGS.items()
+        for label, value in BAD_REALS.items() if not (value is None and none_unsets)
+    ])
+    def test_rejects_a_value_that_is_not_a_finite_double(self, entry, value):
+        name, _, call = REAL_SETTINGS[entry]
+        with pytest.raises(ValueError, match=f"{name} must .*, got {re.escape(repr(value))}$"):
+            call(value)
 
 
 class TestRealArray:

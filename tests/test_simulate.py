@@ -340,7 +340,7 @@ class TestAddNoise:
 
     @pytest.mark.parametrize("snr", [True, False, "3", None, -3.0, 0.0], ids=repr)
     def test_rejects_an_snr_that_is_not_a_positive_real(self, snr):
-        msg = f"snr must be a positive real, got {snr!r}"
+        msg = f"snr must be a positive finite real, got {snr!r}"
         with pytest.raises(ValueError, match=re.escape(msg)):
             add_noise(self.base_cube(), snr, 0)
 
@@ -557,6 +557,6 @@ class TestRunSingle:
 
     @pytest.mark.parametrize("snr", [0.0, -3.0, True, None], ids=repr)
     def test_rejects_an_snr_through_add_noise(self, snr):
-        msg = f"snr must be a positive real, got {snr!r}"
+        msg = f"snr must be a positive finite real, got {snr!r}"
         with pytest.raises(ValueError, match=re.escape(msg)):
             run_single("f1", snr, SimConfig(n=8, n1=8, n2=8))

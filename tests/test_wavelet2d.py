@@ -114,6 +114,12 @@ class TestSpec:
                 "unknown wavelet family 'nope'; have ['daub4', 'haar']")):
             WaveletSpec(family="nope")
 
+    # a list or an array family used to raise TypeError: unhashable type
+    @pytest.mark.parametrize("family", [["daub4"], np.array(["daub4"])], ids=["list", "array"])
+    def test_unknown_family_of_another_type(self, family):
+        with pytest.raises(ValueError, match=re.escape(f"unknown wavelet family {family!r}; ")):
+            WaveletSpec(family=family)
+
     def test_taps_are_a_fresh_copy(self):
         # the spec is the one route to the taps: a caller's edit must not reach them
         spec = WaveletSpec("haar")
