@@ -34,7 +34,7 @@ cached by the order.  Cubes that share a kernel share one plan;
 `deconvolve` builds one and applies it once.  Nothing mutates its inputs.
 
 A value is checked where it enters, in `Cube`, `EstimatorConfig` and `Plan`:
-the stages a plan runs, here and in the other modules, trust what it passes.
+every stage a plan runs, here or in another module, trusts what it passes.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .laguerre import (
     TimeGrid,
     _is_int_at_least,
     _is_real,
+    _kernel_nodes,
     _real_array,
     fit_coeffs,
     tabulate_basis,
@@ -277,23 +278,24 @@ class _Order:
 class Plan:
     """The estimator for one grid, kernel, spec and config.
 
-    The kernel is a `LagCoeffs`, its Laguerre coefficients, or anything
-    else, read as its samples at t_1..t_n with `g_zero` their exact t = 0
-    value if known.  `_order(M)`, the only path that builds an order, takes
-    the grid's basis of order M, applies G^-1 to its P E and tabulates the
-    norms, and caches all three.  The constructor builds the first order:
-    cfg.M or, under M="auto", the largest order up to min(m_cap, n,
-    kernel.m) that builds, since the rule never picks an order whose norm
-    is infinite.  So a kernel with g_0 = 0, one whose G^-1 or Gram matrix
-    overflows at a fixed M, or one shorter than a fixed M (`solve_lower`
-    checks) fails here, not at the first cube.  `apply` fits a cube's Laguerre coefficient maps C, in
-    `_fit`, then synthesises f_hat = B^T C in time.  The fit starts from
-    the first order and picks another only under M="auto" with eps > 0, by
-    the rule on the first order's norm table.  None of this depends on the
-    raster: `_fit` takes n1 and n2 from each cube and the spec caches W per
-    side, so one plan serves every dyadic raster on its grid.  Its caches,
-    the grid's and the spec's hold only idempotent derived state, so a plan
-    is safe to share across threads.
+    The kernel is a `LagCoeffs`, its Laguerre coefficients, or anything else,
+    read as its samples at t_1..t_n with `g_zero` their exact t = 0 value if
+    known, checked here and kept on the n + 1 nodes.  `_order(M)`, the only
+    path that builds an order, takes the grid's basis of order M, fits the
+    kernel's coefficients to it, applies G^-1 to its P E, tabulates the norms,
+    and caches the order.  The constructor builds the first order: cfg.M or,
+    under M="auto", the largest order up to min(m_cap, n, kernel.m) that
+    builds, since the rule never picks an order whose norm is infinite.  So a
+    kernel with g_0 = 0, one whose G^-1 or Gram matrix overflows at a fixed M,
+    or one shorter than a fixed M (`solve_lower` checks) fails here, not at
+    the first cube.  `apply` fits a cube's Laguerre coefficient maps C, in
+    `_fit`, then synthesises f_hat = B^T C in time.  The fit starts from the
+    first order and picks another only under M="auto" with eps > 0, by the
+    rule on the first order's norm table.  None of this depends on the raster:
+    `_fit` takes n1 and n2 from each cube and the spec caches W per side, so
+    one plan serves every dyadic raster on its grid.  Its caches, the grid's
+    and the spec's hold only idempotent derived state, so a plan is safe to
+    share across threads.
     """
 
     def __init__(
@@ -311,12 +313,9 @@ class Plan:
             kernel = LagCoeffs(np.array(kernel.values))  # a copy kept for later fits
             m_kernel = kernel.m
         else:
-            kernel = np.array(kernel)  # a copy kept for later fits; fit_coeffs checks it
+            kernel = _kernel_nodes(kernel, g_zero, grid)  # a new array, kept for later fits
             m_kernel = grid.n
-        self.grid, self.spec, self.cfg = grid, spec, cfg
-        if isinstance(g_zero, np.ndarray):  # a 0-d array is mutable too
-            g_zero = np.array(g_zero)
-        self._kernel, self._g_zero = kernel, g_zero
+        self.grid, self.spec, self.cfg, self._kernel = grid, spec, cfg, kernel
         self._orders: dict[int, _Order] = {}
         M = int(cfg.M if cfg.M != "auto" else min(cfg.m_cap, grid.n, m_kernel))
         if M > grid.n:  # a fixed M only: "auto" takes at most n
@@ -340,7 +339,7 @@ class Plan:
             kernel = self._kernel
             basis = tabulate_basis(M, self.grid, self.cfg.rcond)
             if not isinstance(kernel, LagCoeffs):
-                kernel = fit_coeffs(kernel, basis, self._g_zero)
+                kernel = fit_coeffs(kernel, basis)
             self._orders[M] = _Order(basis, solve_lower(kernel, basis.pe),
                                      inverse_norms(kernel, M))
         return self._orders[M]

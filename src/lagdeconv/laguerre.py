@@ -200,7 +200,7 @@ def tabulate_basis(M: int, grid: TimeGrid, rcond: float = DEFAULT_RCOND) -> Lagu
     return basis
 
 
-def _series_with_zero(series: np.ndarray, zero_value, name: str = "t = 0 value") -> np.ndarray:
+def _series_with_zero(series: np.ndarray, zero_value, name: str | None = None) -> np.ndarray:
     """Prepend the t = 0 sample, extrapolating linearly when not supplied.
 
     Works for a 1-D series or for a stack with nodes along axis 0.  A given
@@ -224,18 +224,18 @@ def _series_with_zero(series: np.ndarray, zero_value, name: str = "t = 0 value")
     return np.concatenate([np.asarray(zero)[None, ...], series], axis=0)
 
 
-def fit_coeffs(series, basis: LaguerreBasis, zero_value=None) -> LagCoeffs:
-    """Stable projection: the basis's weighted least-squares fit with
-    spectral cutoff, the projector built at the basis's cutoff.
+def _kernel_nodes(samples, g_zero, grid: TimeGrid) -> np.ndarray:
+    """Sample kernel g, checked where it enters, as a new array on the n + 1
+    nodes: g(0), g(t_1), .., g(t_n), g(0) = g_zero or, if None, extrapolated."""
+    samples = _real_array(samples, "kernel samples")
+    if samples.shape != (grid.n,):
+        raise ValueError(f"kernel samples must have shape (n,) = ({grid.n},), got {samples.shape}")
+    return _series_with_zero(samples, g_zero, "g_zero")
 
-    Minimizes the quadrature-weighted residual sum over span{phi_0..phi_{M-1}}
-    after dropping the design directions the cutoff drops.  The series must
-    be n finite samples and zero_value, its t = 0 value, None or a finite
-    real.
-    """
-    series = _real_array(series, "series samples")
-    if series.shape != basis.values.shape[1:]:
-        raise ValueError(
-            f"series length {series.shape} does not match grid n={basis.values.shape[1]}")
-    full = _series_with_zero(series, zero_value, "series t = 0 value")
-    return LagCoeffs(basis.projector @ full)
+
+def fit_coeffs(series: np.ndarray, basis: LaguerreBasis) -> LagCoeffs:
+    """Stable projection of a series on the n + 1 nodes, as `_kernel_nodes`
+    builds it, by the basis's weighted least-squares fit with spectral
+    cutoff: it minimizes the quadrature-weighted residual sum over
+    span{phi_0..phi_{M-1}} after dropping the design directions the cutoff drops."""
+    return LagCoeffs(basis.projector @ series)

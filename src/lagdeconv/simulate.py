@@ -15,7 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .estimator import Cube, Diagnostics, EstimatorConfig, Plan, deconvolve
-from .laguerre import TimeGrid, _is_int_at_least, _is_real, _real_array, _series_with_zero
+from .laguerre import (TimeGrid, _is_int_at_least, _is_real, _kernel_nodes, _real_array,
+                       _series_with_zero)
 from .wavelet2d import WaveletSpec
 
 __all__ = [
@@ -131,17 +132,13 @@ def forward_convolve(
 
     The quadrature runs over the nodes {0, t_1, .., t_k}; t = 0 values of f
     and g are taken from `f_zero`/`g_zero` when given and linearly
-    extrapolated otherwise.  The kernel samples must be finite, `g_zero` a
-    finite real and `f_zero` a finite array that broadcasts to one frame.
+    extrapolated otherwise.  The kernel is checked as a `Plan` checks it,
+    and `f_zero` must be a finite array that broadcasts to one frame.
     Causal: q at t_k never touches later samples.  Quadrature row k is
     h g(t_k - t_j), j <= k, a reversed window of g halved at j = 0 and j = k.
     """
-    g_series = _real_array(g_series, "kernel samples")
-    n = f.grid.n
-    if g_series.shape != (n,):
-        raise ValueError("kernel samples must live on the cube's time grid")
-    h = f.grid.step
-    g_full = _series_with_zero(g_series, g_zero, "g_zero")
+    n, h = f.grid.n, f.grid.step
+    g_full = _kernel_nodes(g_series, g_zero, f.grid)
     f_full = _series_with_zero(f.data, f_zero, "f_zero")  # f, a Cube, is finite
 
     padded = np.concatenate([np.zeros(n), g_full])
@@ -161,12 +158,14 @@ def _forward_model(fid: str, cfg: SimConfig) -> tuple[Cube, Cube]:
 
 def _noise_sigmas(q: Cube, snrs) -> list[float]:
     """sigma = sd(q)/snr for each given signal-to-noise ratio, from one sd(q)."""
-    for snr in snrs:
-        if not (_is_real(snr) and snr > 0):
-            raise ValueError(f"snr must be a positive finite real, got {snr!r}")
     sd = float(q.data.std())
     if sd == 0.0:
         raise ValueError("q has zero variance; cannot calibrate noise to an SNR")
+    for snr in snrs:
+        if not (_is_real(snr) and snr > 0):
+            raise ValueError(f"snr must be a positive finite real, got {snr!r}")
+        if math.isfinite(sd) and math.isinf(sd / float(snr)):  # the snr's fault alone
+            raise ValueError(f"snr must be large enough that sd(q)/snr is finite, got {snr!r}")
     return [sd / snr for snr in snrs]
 
 

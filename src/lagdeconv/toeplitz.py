@@ -104,7 +104,7 @@ def inverse_norms(kernel: LagCoeffs, max_m: int) -> InverseNormTable:
         raise ValueError(f"max_m must be a positive integer, got {max_m!r}")
     c = solve_lower(kernel, np.eye(max_m)[0])
     ix = np.arange(max_m)
-    shifted = np.concatenate([c, np.zeros(max_m)])[np.add.outer(ix, ix)]
+    shifted = np.lib.stride_tricks.sliding_window_view(np.append(c, np.zeros(max_m - 1)), max_m)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         cum = np.cumsum(c[:, None] * shifted, axis=0)  # cum[i, d] = K[i, i+d]
         frob = np.sqrt(np.cumsum(cum[:, 0]))

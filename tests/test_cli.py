@@ -114,6 +114,9 @@ class TestSimulateCommand:
         (["--snr", "3", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
         # inf used to exit 0 with a noise-free Y and "snr": Infinity, not JSON
         (["--snr", "inf"], "error: snr must be a positive finite real, got inf"),
+        # sd(q)/snr overflowed and failed as "error: cube data must be finite"
+        (["--snr", "1e-320"], "error: snr must be large enough that sd(q)/snr is finite, "
+                              "got 1e-320"),
     ])
     def test_bad_values_exit_1_with_the_library_message(self, tmp_path, capsys,
                                                         flags, message):

@@ -21,7 +21,7 @@ from lagdeconv import (
 )
 from lagdeconv import estimator, laguerre, simulate
 from lagdeconv.estimator import Diagnostics, _depth, hard_threshold, thresholds
-from lagdeconv.laguerre import fit_coeffs, tabulate_basis
+from lagdeconv.laguerre import _kernel_nodes, fit_coeffs, tabulate_basis
 from lagdeconv.toeplitz import select_M, solve_lower
 from lagdeconv.wavelet2d import dwt2_array, estimate_sigma, idwt2_array
 
@@ -67,13 +67,14 @@ class TestCube:
 
 
 GRID16 = TimeGrid(n=16, T=5.0)
+_SAMPLES = np.exp(-GRID16.points / 2.0)
 # each entry point that takes an array of numbers, fed a 16-value array, and
 # the name its ValueError gives that array
 REAL_ARRAY_INPUTS = {
     "Cube": (lambda a: Cube(GRID16, a.reshape(16, 1, 1)), "cube data"),
     "LagCoeffs": (LagCoeffs, "coefficients"),
-    "fit_coeffs": (lambda a: fit_coeffs(a, tabulate_basis(4, GRID16)), "series samples"),
-    "Plan": (lambda a: Plan(GRID16, a, WaveletSpec(), EstimatorConfig(M=4)), "series samples"),
+    "kernel entry": (lambda a: _kernel_nodes(a, None, GRID16), "kernel samples"),
+    "Plan": (lambda a: Plan(GRID16, a, WaveletSpec(), EstimatorConfig(M=4)), "kernel samples"),
     "forward_convolve": (lambda a: simulate.forward_convolve(Cube(GRID16, np.ones((16, 2, 2))), a),
                          "kernel samples"),
     "default_kernel": (simulate.default_kernel, "t"),
@@ -106,8 +107,43 @@ class TestRealArrays:
 
     def test_deconvolve_rejects_complex_kernel_samples(self):
         Y = Cube(GRID16, 0.01 * cosine_field(8, 8) * np.ones((16, 1, 1)))
-        with pytest.raises(ValueError, match="series samples must hold real numbers"):
+        with pytest.raises(ValueError, match="kernel samples must hold real numbers"):
             deconvolve(Y, self.SAMPLES + 1j, WaveletSpec(), EstimatorConfig(M=4))
+
+
+_CUBE16 = Cube(GRID16, np.ones((16, 2, 2)))
+# each entry where a sample kernel enters, fed (samples, g_zero)
+KERNEL_ENTRIES = {
+    "Plan": lambda g, g_zero: Plan(GRID16, g, WaveletSpec(), EstimatorConfig(M=4), g_zero),
+    "deconvolve": lambda g, g_zero: deconvolve(_CUBE16, g, WaveletSpec(), EstimatorConfig(M=4),
+                                               g_zero),
+    "forward_convolve": lambda g, g_zero: simulate.forward_convolve(_CUBE16, g, g_zero),
+}
+
+
+class TestKernelEntry:
+    """A sample kernel is checked once, where it enters, by one rule: a Plan
+    (so deconvolve) and forward_convolve name a fault alike.  A plan's fit
+    once named it `series samples`, `series length` or `series t = 0 value`."""
+
+    @pytest.mark.parametrize("samples, g_zero, message", [
+        (_SAMPLES + 0j, 1.0, "kernel samples must hold real numbers, got dtype complex128"),
+        (_SAMPLES.astype(str), 1.0, "kernel samples must hold real numbers, got dtype <U"),
+        (_SAMPLES > 0.5, 1.0, "kernel samples must hold real numbers, got dtype bool"),
+        (np.where(np.arange(16) == 3, math.nan, _SAMPLES), 1.0, "kernel samples must be finite"),
+        (_SAMPLES[:15], 1.0, "kernel samples must have shape (n,) = (16,), got (15,)"),
+        (_SAMPLES, "1", "g_zero must be a finite real, got '1'"),
+        (_SAMPLES, True, "g_zero must be a finite real, got True"),
+        (_SAMPLES, np.ones(2), "g_zero must be a finite real, got array([1., 1.])"),
+    ], ids=["complex", "str", "bool", "nan", "15-samples", "g0-str", "g0-True", "g0-array"])
+    def test_every_entry_gives_one_message(self, samples, g_zero, message):
+        messages = []
+        for entry in sorted(KERNEL_ENTRIES):
+            with pytest.raises(ValueError) as info:
+                KERNEL_ENTRIES[entry](samples, g_zero)
+            messages.append(str(info.value))
+        assert messages[0].startswith(message)
+        assert messages == [messages[0]] * len(KERNEL_ENTRIES)
 
 
 def _float64(a, ndim):
@@ -139,12 +175,15 @@ STAGE_CONDITIONS = {
     "idwt2_array": lambda coeffs, spec, shape: (
         _float64(coeffs, 3) and all(1 <= r <= n for r, n in zip(coeffs.shape[1:], shape))
     ),
+    # the kernel's samples on the n + 1 nodes, as the plan checked them
+    "fit_coeffs": lambda series, basis: (
+        _float64(series, 1) and series.shape == (basis.values.shape[1] + 1,)
+    ),
 }
 
 _COUNTS = np.random.default_rng(8).integers(0, 80, (16, 8, 8))
 _NOISY = (0.5 * cosine_field(16, 16) * np.ones((16, 1, 1))
           + 0.05 * np.random.default_rng(9).standard_normal((16, 16, 16)))
-_SAMPLES = np.exp(-GRID16.points / 2.0)
 _EPS = EstimatorConfig(eps=0.1)
 
 
@@ -153,7 +192,9 @@ def _plan_case(data, kernel=_SAMPLES, cfg=_EPS, g_zero=1.0):
     return lambda: (Plan(GRID16, kernel, WaveletSpec(), cfg, g_zero), Cube(GRID16, data))
 
 
-# every stage runs in every case: M="auto" and 0 < eps < 1
+# every stage runs in every case, M="auto" and 0 < eps < 1, but a plan
+# given coefficients fits none
+NOT_RUN = {("fit_coeffs", "5 kernel coefficients")}
 PLAN_CASES = {
     **{f"{dtype} cube": _plan_case(_COUNTS.astype(dtype))
        for dtype in ("int64", "int8", "uint16", "float32")},
@@ -184,7 +225,7 @@ class TestStagesTrustThePlan:
         monkeypatch.setattr(estimator, stage, checked)
         plan, Y = PLAN_CASES[case]()
         plan.apply(Y)
-        assert seen and all(seen)
+        assert bool(seen) != ((stage, case) in NOT_RUN) and all(seen)
 
 
 class TestEstimateEps:
@@ -494,14 +535,15 @@ def old_order_deconvolve(Y, g, spec, cfg, g_zero):
     n, n1, n2 = Y.data.shape
     sigma = float(np.median([estimate_sigma(Y.data[k], spec) for k in range(n)]))
     eps = grid.T * sigma / math.sqrt(n) if cfg.eps == "auto" else float(cfg.eps)
+    nodes = _kernel_nodes(g, g_zero, grid)
     if cfg.M == "auto":
         m_cap = min(cfg.m_cap, n)
-        probe = fit_coeffs(g, tabulate_basis(m_cap, grid, cfg.rcond), g_zero)
+        probe = fit_coeffs(nodes, tabulate_basis(m_cap, grid, cfg.rcond))
         M = select_M(inverse_norms(probe, m_cap), eps)
     else:
         M = cfg.M
     basis = tabulate_basis(M, grid, cfg.rcond)
-    g_hat = fit_coeffs(g, basis, g_zero)
+    g_hat = fit_coeffs(nodes, basis)
 
     slices = dwt2_array(Y.data, spec, Y.data.shape[-2:])
     zero = 2.0 * slices[0] - slices[1] if n >= 2 else slices[0]
@@ -906,7 +948,7 @@ class TestPlan:
     # constructor's first order, by solve_lower's own count check.
     @pytest.mark.parametrize(
         "kernel, g_zero, message",
-        [(None, None, "series samples must hold real numbers, got dtype object"),
+        [(None, None, "kernel samples must hold real numbers, got dtype object"),
          (PHI0, 1.0, "g_zero is the t = 0 value of kernel samples; "
                      "it does not apply to Laguerre coefficients"),
          (LagCoeffs([1.0, 0.5]), None, "need at least 4 kernel coefficients, got 2")],
@@ -918,14 +960,14 @@ class TestPlan:
         with pytest.raises(ValueError, match=re.escape(message)):
             Plan(grid, kernel, WaveletSpec(), EstimatorConfig(M=4), g_zero=g_zero)
 
-    # fit_coeffs checks the samples and their t = 0 value where they become
-    # coefficients: a NaN once failed as "coefficients must be finite", and
-    # a string t = 0 value was fitted as its float
+    # the plan checks the samples and their t = 0 value where they enter:
+    # a NaN once failed as "coefficients must be finite", and a string t = 0
+    # value was fitted as its float
     @pytest.mark.parametrize(
         "sample, g_zero, message",
-        [(math.nan, 1.0, "series samples must be finite"),
-         (0.5, math.nan, "series t = 0 value must be a finite real, got nan"),
-         (0.5, "1", "series t = 0 value must be a finite real, got '1'")],
+        [(math.nan, 1.0, "kernel samples must be finite"),
+         (0.5, math.nan, "g_zero must be a finite real, got nan"),
+         (0.5, "1", "g_zero must be a finite real, got '1'")],
         ids=["nan-sample", "nan-zero", "str-zero"],
     )
     def test_rejects_non_finite_or_non_real_kernel_samples(self, sample, g_zero, message):
@@ -936,13 +978,13 @@ class TestPlan:
             with pytest.raises(ValueError, match=re.escape(message)):
                 Plan(grid, g, WaveletSpec(), cfg, g_zero=g_zero)
 
-    # fit_coeffs checks the samples' length in the constructor's first fit,
-    # on the fixed-M path and the M="auto" path alike
+    # the plan checks the samples' length where they enter, on the fixed-M
+    # path and the M="auto" path alike
     @pytest.mark.parametrize("cfg", [EstimatorConfig(M=4), EstimatorConfig(m_cap=8)],
                              ids=["M=4", "M=auto"])
     def test_rejects_kernel_samples_of_another_length(self, cfg):
         grid = TimeGrid(n=16, T=5.0)
-        message = "series length (15,) does not match grid n=16"
+        message = "kernel samples must have shape (n,) = (16,), got (15,)"
         with pytest.raises(ValueError, match=re.escape(message)):
             Plan(grid, np.exp(-grid.points[:15] / 2.0), WaveletSpec(), cfg, g_zero=1.0)
 

@@ -77,7 +77,7 @@ PARAMETERS = {
     "estimator.deconvolve": ("Y", "kernel", "spec", "cfg", "g_zero"),
     "estimator.hard_threshold": ("values", "lambdas"),
     "laguerre.tabulate_basis": ("M", "grid", "rcond"),
-    "laguerre.fit_coeffs": ("series", "basis", "zero_value"),
+    "laguerre.fit_coeffs": ("series", "basis"),
     "toeplitz.inverse_norms": ("kernel", "max_m"),
     "simulate.run_table1": ("cfg", "est_cfg", "snrs"),
     "simulate.run_single": ("fid", "snr", "cfg"),
@@ -150,8 +150,7 @@ def test_diagnostics_json_keys_are_its_fields():
 # A value is checked where it enters the program: the stages a Plan runs
 # trust the arrays it hands them, so only these functions call the array check.
 REAL_ARRAY_CALLERS = {
-    "Cube.__post_init__", "LagCoeffs.__post_init__", "fit_coeffs", "forward_convolve",
-    "default_kernel",
+    "Cube.__post_init__", "LagCoeffs.__post_init__", "_kernel_nodes", "default_kernel",
 }
 
 

@@ -26,6 +26,7 @@ from lagdeconv import (
 from lagdeconv.laguerre import (
     _is_int_at_least,
     _is_real,
+    _kernel_nodes,
     _real_array,
     _series_with_zero,
     _simpson_weights,
@@ -170,55 +171,31 @@ class TestLagCoeffs:
 
 
 class TestFitCoeffs:
+    """fit_coeffs projects a series on the n + 1 nodes {0, t_1, .., t_n}, as
+    a plan hands it over; `_kernel_nodes` builds and checks that series."""
+
     def test_phi0_coefficients(self, oracle_grid):
         basis = tabulate_basis(4, oracle_grid)
         series = np.exp(-oracle_grid.points / 2.0)
-        coeffs = fit_coeffs(series, basis, zero_value=1.0)
+        coeffs = fit_coeffs(np.concatenate([[1.0], series]), basis)
         assert np.abs(coeffs.values - [1.0, 0.0, 0.0, 0.0]).max() <= 1e-6
 
     def test_zero_series(self, oracle_grid):
         basis = tabulate_basis(4, oracle_grid)
-        coeffs = fit_coeffs(np.zeros(oracle_grid.n), basis)
+        coeffs = fit_coeffs(np.zeros(oracle_grid.n + 1), basis)
         assert np.all(coeffs.values == 0.0)
 
     def test_linear_combination(self, oracle_grid):
         basis = tabulate_basis(4, oracle_grid)
         series = 2.0 * basis.values[1] + 3.0 * basis.values[2]
-        coeffs = fit_coeffs(series, basis, zero_value=5.0)  # 2*phi_1(0)+3*phi_2(0)
+        coeffs = fit_coeffs(np.concatenate([[5.0], series]), basis)  # 2*phi_1(0)+3*phi_2(0)
         assert np.abs(coeffs.values - [0.0, 2.0, 3.0, 0.0]).max() <= 1e-6
-
-    def test_length_mismatch(self, oracle_grid):
-        basis = tabulate_basis(4, oracle_grid)
-        with pytest.raises(ValueError):
-            fit_coeffs(np.zeros(10), basis)
-
-    @pytest.mark.parametrize(
-        "sample, zero_value, message",
-        [(math.nan, None, "series samples must be finite"),
-         (-math.inf, 1.0, "series samples must be finite"),
-         (0.0, math.inf, "series t = 0 value must be a finite real, got inf"),
-         (0.0, True, "series t = 0 value must be a finite real, got True"),
-         (0.0, np.zeros(2), "series t = 0 value must be a finite real, got array"),
-         # an int beyond the double range used to end in OverflowError, "1"
-         # used to be fitted as 1.0
-         (0.0, 10**400, f"series t = 0 value must be a finite real, got {10**400}"),
-         (0.0, "1", "series t = 0 value must be a finite real, got '1'"),
-         (0.0, np.float64(math.nan), "series t = 0 value must be a finite real, got ")],
-        ids=["nan-sample", "inf-sample", "inf", "True", "array", "10**400", "str", "nan"],
-    )
-    def test_rejects_non_finite_samples_and_a_non_real_zero_value(
-        self, oracle_grid, sample, zero_value, message
-    ):
-        series = np.zeros(oracle_grid.n)
-        series[1] = sample
-        with pytest.raises(ValueError, match=re.escape(message)):
-            fit_coeffs(series, tabulate_basis(4, oracle_grid), zero_value=zero_value)
 
     def test_projection_is_linear(self, oracle_grid):
         rng = np.random.default_rng(3)
         basis = tabulate_basis(5, oracle_grid)
-        u = rng.standard_normal(oracle_grid.n)
-        v = rng.standard_normal(oracle_grid.n)
+        u = _series_with_zero(rng.standard_normal(oracle_grid.n), None)
+        v = _series_with_zero(rng.standard_normal(oracle_grid.n), None)
         lhs = fit_coeffs(2.5 * u - 1.5 * v, basis).values
         rhs = 2.5 * fit_coeffs(u, basis).values - 1.5 * fit_coeffs(v, basis).values
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
@@ -228,10 +205,10 @@ class TestFitCoeffs:
         basis = tabulate_basis(8, oracle_grid)
         series = rng.standard_normal(oracle_grid.n)
         # reference: composite Simpson of series * phi_l on {0, t_1, .., t_n},
-        # the t = 0 sample extrapolated linearly as fit_coeffs does
+        # the t = 0 sample extrapolated linearly as a plan does
         full = np.concatenate([[2.0 * series[0] - series[1]], series])
         a = with_zero_column(basis) @ (_simpson_weights(oracle_grid.n, oracle_grid.step) * full)
-        b = fit_coeffs(series, basis).values
+        b = fit_coeffs(full, basis).values
         assert np.abs(a - b).max() <= 1e-5 * max(1.0, np.abs(a).max())
 
     def test_in_span_recovery_on_short_grid(self, short_grid):
@@ -240,7 +217,7 @@ class TestFitCoeffs:
         basis = tabulate_basis(8, short_grid, rcond=1e-12)
         truth = np.array([1.0, -1.0, 0.5, 0.0, 0.25, 0.0, 0.0, 0.0])
         series = truth @ basis.values
-        got = fit_coeffs(series, basis, zero_value=float(truth.sum()))
+        got = fit_coeffs(np.concatenate([[truth.sum()], series]), basis)
         assert np.abs(got.values - truth).max() <= 1e-6
 
     def test_cutoff_rank_on_short_grid(self, short_grid):
@@ -252,8 +229,56 @@ class TestFitCoeffs:
         basis = tabulate_basis(8, oracle_grid)
         coeffs = rng.standard_normal(8)
         series = coeffs @ basis.values
-        back = fit_coeffs(series, basis, zero_value=float(coeffs.sum()))
+        back = fit_coeffs(np.concatenate([[coeffs.sum()], series]), basis)
         assert np.abs(back.values - coeffs).max() <= 1e-6
+
+
+class TestKernelNodes:
+    """A sample kernel is checked where it enters, a Plan or
+    forward_convolve, by one rule; fit_coeffs once checked it at each order."""
+
+    def test_the_nodes_are_the_t0_value_then_the_samples(self):
+        grid = TimeGrid(n=4, T=4.0)
+        samples = np.array([3.0, 5.0, 4.0, 1.0])
+        assert np.array_equal(_kernel_nodes(samples, 2.5, grid), [2.5, 3.0, 5.0, 4.0, 1.0])
+        assert np.array_equal(_kernel_nodes(samples, None, grid), [1.0, 3.0, 5.0, 4.0, 1.0])
+        assert np.array_equal(_kernel_nodes([7], None, TimeGrid(n=1, T=1.0)), [7.0, 7.0])
+
+    def test_returns_a_new_array(self):
+        grid = TimeGrid(n=4, T=4.0)
+        samples, zero = np.ones(4), np.array(1.5)
+        nodes = _kernel_nodes(samples, zero, grid)
+        samples[:], zero[...] = 9.0, 9.0
+        assert np.array_equal(nodes, [1.5, 1.0, 1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("samples", [np.zeros(10), np.zeros((16, 1)), np.zeros(17), 0.0],
+                             ids=["10", "16x1", "17", "scalar"])
+    def test_length_mismatch(self, samples):
+        message = f"kernel samples must have shape (n,) = (16,), got {np.shape(samples)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _kernel_nodes(samples, None, TimeGrid(n=16, T=5.0))
+
+    @pytest.mark.parametrize(
+        "sample, g_zero, message",
+        [(math.nan, None, "kernel samples must be finite"),
+         (-math.inf, 1.0, "kernel samples must be finite"),
+         (0.0, math.inf, "g_zero must be a finite real, got inf"),
+         (0.0, True, "g_zero must be a finite real, got True"),
+         (0.0, np.zeros(2), "g_zero must be a finite real, got array"),
+         # an int beyond the double range used to end in OverflowError, "1"
+         # used to be fitted as 1.0
+         (0.0, 10**400, f"g_zero must be a finite real, got {10**400}"),
+         (0.0, "1", "g_zero must be a finite real, got '1'"),
+         (0.0, np.float64(math.nan), "g_zero must be a finite real, got ")],
+        ids=["nan-sample", "inf-sample", "inf", "True", "array", "10**400", "str", "nan"],
+    )
+    def test_rejects_non_finite_samples_and_a_non_real_zero_value(
+        self, oracle_grid, sample, g_zero, message
+    ):
+        series = np.zeros(oracle_grid.n)
+        series[1] = sample
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _kernel_nodes(series, g_zero, oracle_grid)
 
 
 class TestBasisCache:
@@ -446,12 +471,11 @@ REAL_SETTINGS = {
     "add_noise snr": ("snr", False, lambda v: add_noise(eval_test_function("f2", _SIM8), v, 0)),
     "run_table1 snr": ("snr", False, lambda v: run_table1(_SIM8, snrs=(v,))),
     "run_single snr": ("snr", False, lambda v: run_single("f1", v, _SIM8)),
-    "Plan g_zero": ("t = 0 value", True,
+    "Plan g_zero": ("g_zero", True,
                     lambda v: Plan(_GRID8, _G8, WaveletSpec(), EstimatorConfig(M=4), v)),
     "forward_convolve g_zero": ("g_zero", True, lambda v: forward_convolve(
         eval_test_function("f2", _SIM8), _G8, g_zero=v)),
-    "fit_coeffs zero_value": ("t = 0 value", True,
-                              lambda v: fit_coeffs(_G8, tabulate_basis(4, _GRID8), v)),
+    "kernel entry g_zero": ("g_zero", True, lambda v: _kernel_nodes(_G8, v, _GRID8)),
 }
 BAD_REALS = {"True": True, "'1'": "1", "None": None, "nan": math.nan, "inf": math.inf,
              "-inf": -math.inf, "1e400": 10**400, "-1e400": -(10**400)}

@@ -29,6 +29,16 @@ from lagdeconv.simulate import (
     zero_time_slice,
 )
 
+# an SNR so small that sd(q)/snr overflows once failed on the noisy cube,
+# as "cube data must be finite"
+TINY_SNR_MESSAGE = "snr must be large enough that sd(q)/snr is finite, got 1e-320"
+
+
+def bad_snrs(*snrs):
+    """(snr, message) cases: each snr that is not a positive real, then 1e-320."""
+    return [pytest.param(snr, f"snr must be a positive finite real, got {snr!r}", id=repr(snr))
+            for snr in snrs] + [pytest.param(1e-320, TINY_SNR_MESSAGE, id="1e-320")]
+
 
 class TestSimConfig:
     @pytest.mark.parametrize("kwargs", [
@@ -338,10 +348,9 @@ class TestAddNoise:
         with pytest.raises(ValueError, match=re.escape(msg)):
             add_noise(self.base_cube(), 3.0, seed)
 
-    @pytest.mark.parametrize("snr", [True, False, "3", None, -3.0, 0.0], ids=repr)
-    def test_rejects_an_snr_that_is_not_a_positive_real(self, snr):
-        msg = f"snr must be a positive finite real, got {snr!r}"
-        with pytest.raises(ValueError, match=re.escape(msg)):
+    @pytest.mark.parametrize("snr, message", bad_snrs(True, False, "3", None, -3.0, 0.0))
+    def test_rejects_an_snr_that_is_not_a_positive_real(self, snr, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             add_noise(self.base_cube(), snr, 0)
 
     def test_accepts_a_numpy_integer_seed_and_real_snr(self):
@@ -505,6 +514,12 @@ class TestRunTable1:
         with pytest.raises(ValueError, match="snr"):
             run_table1(SimConfig(n=16, n1=16, n2=16, runs=2), snrs=(0.0,))
 
+    def test_an_snr_whose_sigma_overflows_is_named(self, monkeypatch):
+        # the check comes before the first draw, and a later valid SNR does not hide it
+        monkeypatch.setattr(simulate, "_unit_noise", None)
+        with pytest.raises(ValueError, match=re.escape(TINY_SNR_MESSAGE)):
+            run_table1(SimConfig(n=16, n1=16, n2=16, runs=2), snrs=(1e-320, 3.0))
+
     def test_zero_variance_q_rejected(self, monkeypatch):
         # sd(q) is taken once per function and keeps add_noise's check
         cfg = SimConfig(n=16, n1=16, n2=16, runs=2)
@@ -555,8 +570,7 @@ class TestRunSingle:
         assert delta == relative_error(f_hat, f)
         assert diag.to_dict() == d_ref.to_dict()
 
-    @pytest.mark.parametrize("snr", [0.0, -3.0, True, None], ids=repr)
-    def test_rejects_an_snr_through_add_noise(self, snr):
-        msg = f"snr must be a positive finite real, got {snr!r}"
-        with pytest.raises(ValueError, match=re.escape(msg)):
+    @pytest.mark.parametrize("snr, message", bad_snrs(0.0, -3.0, True, None))
+    def test_rejects_an_snr_through_add_noise(self, snr, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             run_single("f1", snr, SimConfig(n=8, n1=8, n2=8))

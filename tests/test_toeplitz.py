@@ -43,7 +43,7 @@ def aif_coeffs(m=64):
     def g(t):
         return (t / 0.7) ** 2.25 * np.exp(2.25 * (1.0 - t / 0.7)) + 0.3 * np.exp(-t / 3.5)
 
-    return fit_coeffs(g(grid.points), tabulate_basis(m, grid), zero_value=g(0.0))
+    return fit_coeffs(np.concatenate([[g(0.0)], g(grid.points)]), tabulate_basis(m, grid))
 
 
 def norm_kernels():
@@ -161,6 +161,21 @@ class TestSolveLower:
 
 
 class TestInverseNorms:
+    # the c_p c_{p+d} table is read as windows of c; the reference is the
+    # former index-grid gather, bit for bit through the Gram table and norms
+    @pytest.mark.parametrize("max_m", [1, 2, 3, 8, 64, 256])
+    def test_table_matches_the_index_grid_bit_for_bit(self, max_m):
+        kernel = aif_coeffs(max_m)
+        c = solve_lower(kernel, np.eye(max_m)[0])
+        ix = np.arange(max_m)
+        shifted = np.concatenate([c, np.zeros(max_m)])[np.add.outer(ix, ix)]
+        cum = np.cumsum(c[:, None] * shifted, axis=0)
+        gram = cum[np.minimum.outer(ix, ix), np.abs(np.subtract.outer(ix, ix))]
+        top = [np.linalg.eigvalsh(gram[:m, :m])[-1] for m in range(1, max_m + 1)]
+        tab = inverse_norms(kernel, max_m)
+        assert np.array_equal(tab.frobenius, np.sqrt(np.cumsum(cum[:, 0])))
+        assert np.array_equal(tab.spectral, np.sqrt(top))
+
     def test_phi0_m1(self):
         tab = inverse_norms(PHI0_COEFFS, 1)
         assert tab.spectral[1 - 1] == pytest.approx(1.0)
