@@ -1,0 +1,49 @@
+#!/usr/bin/env bash
+# Every output and stderr of the seeded lagdeconv commands for one source
+# tree, written into DIR so that two trees compare with one `diff -r`:
+#   bash .github/outputs.sh TREE DIR
+# TREE/src goes on PYTHONPATH; OPENBLAS_CORETYPE, if set, picks the BLAS
+# kernel.  The commands run inside DIR with relative stems, so the simulate
+# manifests name the same paths for every tree.  Cases: the Table-1 CSV;
+# README's demo cube (f2, 32^3) deconvolved five ways, and the norms of its
+# kernel exp(-t/2); f3 on 1,024 frames of 8 x 8 (long), on 32 frames of
+# 256 x 256 (scan256: sigma-hat's banded product and _median's partition
+# branch) and on 64 frames at --M auto with perfbench's population AIF
+# (auto_order: the m = 64 norm table of a kernel that is not phi_0).
+set -euo pipefail
+tree=$(cd "$1" && pwd)
+mkdir -p "$2"
+cd "$2"
+export PYTHONPATH="$tree/src"
+
+python - <<'PY'
+import numpy as np
+def write(path, n, g):
+    t = np.concatenate([[0.0], 5.0 * np.arange(1, n + 1) / n])
+    np.savetxt(path, np.c_[t, g(t)], delimiter=",", header="t,value", comments="")
+write("g.csv", 32, lambda t: np.exp(-t / 2))
+write("g_long.csv", 1024, lambda t: np.exp(-t / 2))
+write("g_aif.csv", 64,
+      lambda t: (t / 0.7) ** 2.25 * np.exp(2.25 * (1 - t / 0.7)) + 0.3 * np.exp(-t / 3.5))
+PY
+
+cli() { python -m lagdeconv.cli "$@"; }
+cli bench-table1 --runs 100 --seed 1234 > table1.csv 2> table1.err
+cli simulate --function f2 --snr 5 --seed 7 --n 32 --T 5 --out demo > /dev/null 2> demo.err
+for run in M8:--M=8 Mauto:--M=auto nothr:--no-threshold eps0:--eps=0 eps2:--eps=2; do
+  name=${run%%:*}
+  cli deconvolve --input demo_Y --kernel g.csv "${run#*:}" --out "fhat_$name" \
+    --diagnostics "diag_$name.json" > /dev/null 2> "$name.err"
+done
+cli norms --kernel g.csv --max-m 32 --out norms.csv > /dev/null 2> norms.err
+
+f3_case() {  # name, kernel CSV, --M, then simulate's grid flags
+  local name=$1 kernel=$2 M=$3
+  shift 3
+  cli simulate --function f3 --snr 5 --seed 7 "$@" --out "$name" > /dev/null 2> "$name.err"
+  cli deconvolve --input "${name}_Y" --kernel "$kernel" --M "$M" --out "fhat_$name" \
+    --diagnostics "diag_$name.json" > /dev/null 2>> "$name.err"
+}
+f3_case long g_long.csv 8 --n 1024 --n1 8 --n2 8 --T 5
+f3_case scan256 g.csv 8 --n 32 --n1 256 --n2 256
+f3_case auto_order g_aif.csv auto --n 64

@@ -158,13 +158,17 @@ def _forward_model(fid: str, cfg: SimConfig) -> tuple[Cube, Cube]:
 
 def _noise_sigmas(q: Cube, snrs) -> list[float]:
     """sigma = sd(q)/snr for each given signal-to-noise ratio, from one sd(q)."""
-    sd = float(q.data.std())
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        sd = float(q.data.std())
+    if not math.isfinite(sd):
+        raise ValueError(f"sd(q) must be finite, got {sd!r}: q's values are too large "
+                         "for their variance")
     if sd == 0.0:
         raise ValueError("q has zero variance; cannot calibrate noise to an SNR")
     for snr in snrs:
         if not (_is_real(snr) and snr > 0):
             raise ValueError(f"snr must be a positive finite real, got {snr!r}")
-        if math.isfinite(sd) and math.isinf(sd / float(snr)):  # the snr's fault alone
+        if math.isinf(sd / float(snr)):
             raise ValueError(f"snr must be large enough that sd(q)/snr is finite, got {snr!r}")
     return [sd / snr for snr in snrs]
 
@@ -192,14 +196,19 @@ def relative_error(f_hat: Cube, f: Cube) -> float:
     """Discrete relative L2 error ||f_hat - f|| / ||f||.
 
     Quadrature weights (time step x pixel area) are uniform and cancel in the
-    ratio; they are kept explicit for clarity.
+    ratio; they are kept explicit for clarity.  Cubes whose norms overflow
+    the double range raise ValueError rather than give nan or 0.
     """
     if f_hat.data.shape != f.data.shape:
         raise ValueError("cubes have different shapes")
-    denom = _weighted_norm(f.data.copy(), f)
+    with np.errstate(over="ignore"):  # checked below
+        denom = _weighted_norm(f.data.copy(), f)
+        num = _weighted_norm(f_hat.data - f.data, f)
+    if not (math.isfinite(num) and math.isfinite(denom)):
+        raise ValueError("the norm of f_hat - f or of f overflows")
     if denom == 0.0:
         raise ValueError("reference function has zero norm")
-    return _weighted_norm(f_hat.data - f.data, f) / denom
+    return num / denom
 
 
 def _weighted_norm(x: np.ndarray, f: Cube) -> float:

@@ -365,6 +365,20 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(q, 3.0, seed=0)
 
+    # a finite q whose squares, or whose sum, overflow gave an sd(q) of inf or
+    # nan, and add_noise then failed on the noisy cube as "cube data must be
+    # finite"; sd(q) is now named before the SNR checks and before any draw
+    @pytest.mark.parametrize("values", [
+        np.linspace(0.0, 8e200, 32), np.tile([1.7e308, -1.7e308], 16),
+    ], ids=["squares overflow", "sum overflows"])
+    def test_an_sd_that_overflows_is_named(self, monkeypatch, values):
+        monkeypatch.setattr(simulate, "_unit_noise", None)
+        q = Cube(grid=TimeGrid(n=8, T=5.0), data=values.reshape(8, 2, 2))
+        with pytest.raises(ValueError, match=r"sd\(q\) must be finite"):
+            add_noise(q, 3.0, 0)
+        with pytest.raises(ValueError, match=r"sd\(q\) must be finite"):
+            simulate._noise_sigmas(q, (3.0, 0.0))
+
     def test_eps_hat_tracks_injected_noise(self):
         q = self.base_cube()
         cfg = SimConfig()
@@ -409,6 +423,16 @@ class TestRelativeError:
         denom = math.sqrt(float(np.sum(w * f.data**2)))
         assert relative_error(f_hat, f) == num / denom
         assert np.array_equal(f.data, kept[0]) and np.array_equal(f_hat.data, kept[1])
+
+    # the norms of a finite cube whose squares overflow gave nan for 2q
+    # against q and 0.0 for q against itself, each after overflow warnings
+    @pytest.mark.parametrize("f_hat_max, f_max", [(1.6e201, 8e200), (8e200, 8e200), (8e200, 1.0)],
+                             ids=["2q against q", "q against itself", "f_hat overflows"])
+    def test_a_norm_that_overflows_is_named(self, f_hat_max, f_max):
+        ramp = np.linspace(0.0, 1.0, 32).reshape(8, 2, 2)
+        f_hat, f = self.cube(f_hat_max * ramp), self.cube(f_max * ramp)
+        with pytest.raises(ValueError, match="the norm of f_hat - f or of f overflows"):
+            relative_error(f_hat, f)
 
     def test_zero_reference_rejected(self):
         zero = self.cube(np.zeros((8, 4, 4)))
