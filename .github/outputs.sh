@@ -10,6 +10,9 @@
 # 256 x 256 (scan256: sigma-hat's banded product and _median's partition
 # branch) and on 64 frames at --M auto with perfbench's population AIF
 # (auto_order: the m = 64 norm table of a kernel that is not phi_0).
+# Three commands must fail; their stderr and exit code are compared too: a
+# kernel of 1.7e308 (1), a Laguerre kernel with g_0 = 0 (3) and --snr 1e-320
+# (1).  Every other command stops the script if it fails.
 set -euo pipefail
 tree=$(cd "$1" && pwd)
 mkdir -p "$2"
@@ -25,6 +28,10 @@ write("g.csv", 32, lambda t: np.exp(-t / 2))
 write("g_long.csv", 1024, lambda t: np.exp(-t / 2))
 write("g_aif.csv", 64,
       lambda t: (t / 0.7) ** 2.25 * np.exp(2.25 * (1 - t / 0.7)) + 0.3 * np.exp(-t / 3.5))
+np.savetxt("g_big.csv", np.c_[5.0 * np.arange(1, 33) / 32, np.full(32, 1.7e308)],
+           delimiter=",", header="t,value", comments="")
+np.savetxt("g0_coeffs.csv", np.c_[np.arange(8), np.r_[0.0, np.ones(7)]],
+           delimiter=",", header="index,value", comments="")
 PY
 
 cli() { python -m lagdeconv.cli "$@"; }
@@ -47,3 +54,14 @@ f3_case() {  # name, kernel CSV, --M, then simulate's grid flags
 f3_case long g_long.csv 8 --n 1024 --n1 8 --n2 8 --T 5
 f3_case scan256 g.csv 8 --n 32 --n1 256 --n2 256
 f3_case auto_order g_aif.csv auto --n 64
+
+fails() {  # name, then a command that must fail: its stderr and exit code
+  local name=$1 code=0
+  shift
+  cli "$@" > /dev/null 2> "$name.err" || code=$?
+  echo "$code" > "$name.exit"
+  [ "$code" -ne 0 ]
+}
+fails big_kernel deconvolve --input demo_Y --kernel g_big.csv --M 8 --out fhat_big_kernel
+fails g0_coeffs deconvolve --input demo_Y --kernel-coeffs g0_coeffs.csv --M 8 --out fhat_g0
+fails tiny_snr simulate --function f2 --snr 1e-320 --out tiny_snr

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import Cube, EstimatorConfig, Plan, deconvolve
+from .estimator import DEFAULT_M_CAP, Cube, EstimatorConfig, Plan, deconvolve
 from .io import FileFormatError, read_cube, read_series, write_cube
 from .laguerre import LagCoeffs, TimeGrid
 from .simulate import SimConfig, _forward_model, add_noise, run_table1
@@ -59,17 +59,18 @@ _positive_int.__name__ = "positive int"
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    sim, est = SimConfig(), EstimatorConfig()  # the library's defaults
     p = argparse.ArgumentParser(prog="lagdeconv", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("simulate", help="generate clean q, noisy Y and truth f cubes")
     ps.add_argument("--function", required=True, help="one of f1..f4")
     ps.add_argument("--snr", type=float, required=True)
-    ps.add_argument("--seed", type=int, default=1234)
-    ps.add_argument("--n", type=int, default=32)
-    ps.add_argument("--n1", type=int, default=32)
-    ps.add_argument("--n2", type=int, default=32)
-    ps.add_argument("--T", type=float, default=5.0)
+    ps.add_argument("--seed", type=int, default=sim.seed)
+    ps.add_argument("--n", type=int, default=sim.n)
+    ps.add_argument("--n1", type=int, default=sim.n1)
+    ps.add_argument("--n2", type=int, default=sim.n2)
+    ps.add_argument("--T", type=float, default=sim.T)
     ps.add_argument("--out", required=True, help="output path prefix")
     ps.set_defaults(run=cmd_simulate)
 
@@ -80,26 +81,26 @@ def _build_parser() -> argparse.ArgumentParser:
     kernel.add_argument("--kernel-coeffs",
                         help="CSV of kernel Laguerre coefficients (index, value)")
     pd.add_argument("--out", required=True, help="output stem for the estimate")
-    pd.add_argument("--M", type=_auto_or(int), default="auto", help="Laguerre order or 'auto'")
-    pd.add_argument("--nu", type=float, default=EstimatorConfig().nu)
-    pd.add_argument("--eps", type=_auto_or(float), default="auto",
+    pd.add_argument("--M", type=_auto_or(int), default=est.M, help="Laguerre order or 'auto'")
+    pd.add_argument("--nu", type=float, default=est.nu)
+    pd.add_argument("--eps", type=_auto_or(float), default=est.eps,
                     help="noise intensity or 'auto'")
     pd.add_argument("--no-threshold", action="store_true")
     pd.add_argument("--symmetrize", action="store_true",
                     help="reflect to a periodic dyadic image, crop back after")
-    pd.add_argument("--rcond", type=float, default=EstimatorConfig().rcond)
+    pd.add_argument("--rcond", type=float, default=est.rcond)
     pd.add_argument("--diagnostics", help="path for the diagnostics JSON")
     pd.set_defaults(run=cmd_deconvolve)
 
     pb = sub.add_parser("bench-table1", help="replicate the benchmark table")
-    pb.add_argument("--runs", type=int, default=100)
-    pb.add_argument("--seed", type=int, default=1234)
+    pb.add_argument("--runs", type=int, default=sim.runs)
+    pb.add_argument("--seed", type=int, default=sim.seed)
     pb.add_argument("--out", help="also write the CSV here")
     pb.set_defaults(run=cmd_bench_table1)
 
     pn = sub.add_parser("norms", help="tabulate inverse-operator norm growth")
     pn.add_argument("--kernel", required=True, help="kernel SeriesFile")
-    pn.add_argument("--max-m", type=_positive_int, default=64)
+    pn.add_argument("--max-m", type=_positive_int, default=DEFAULT_M_CAP)
     pn.add_argument("--out", help="also write the CSV here")
     pn.set_defaults(run=cmd_norms)
     return p

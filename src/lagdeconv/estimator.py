@@ -190,11 +190,9 @@ def _plain(value):
 
 
 def _sigma_hat(Y: Cube, spec: WaveletSpec) -> float:
-    # the median over frames of each frame's MAD estimate: _median is
-    # np.median without its dispatch, and sorts up to 1,024 frame values.
-    # Details that overflow give inf or NaN, which Plan._fit rejects.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _median(np.array([estimate_sigma(frame, spec) for frame in Y.data]))
+    # the median over frames of each frame's MAD estimate (_median sorts up to
+    # 1,024 values); details that overflow give inf or NaN, which _fit rejects
+    return _median(np.array([estimate_sigma(frame, spec) for frame in Y.data]))
 
 
 def thresholds(M: int, eps: float, nu: float, norms: InverseNormTable) -> np.ndarray:
@@ -339,7 +337,11 @@ class Plan:
             kernel = self._kernel
             basis = tabulate_basis(M, self.grid, self.cfg.rcond)
             if not isinstance(kernel, LagCoeffs):
-                kernel = fit_coeffs(kernel, basis)
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):  # LagCoeffs checks
+                        kernel = fit_coeffs(kernel, basis)
+                except ValueError:
+                    raise ValueError(f"kernel samples overflow their order-{M} fit") from None
             self._orders[M] = _Order(basis, solve_lower(kernel, basis.pe),
                                      inverse_norms(kernel, M))
         return self._orders[M]
@@ -408,9 +410,14 @@ class Plan:
         Both sides of the raster must be powers of two >= 2; sigma-hat
         rejects any other when it reads the first frame.
         """
-        order, C, diag = self._fit(Y)
-        f_hat = np.dot(order.basis.values.T, C.reshape(diag.M, -1))
-        return Cube(grid=Y.grid, data=f_hat.reshape(Y.data.shape)), diag
+        with np.errstate(over="ignore", invalid="ignore"):  # _fit's and the estimate's checks
+            order, C, diag = self._fit(Y)
+            f_hat = np.dot(order.basis.values.T, C.reshape(diag.M, -1))
+        try:
+            return Cube(grid=Y.grid, data=f_hat.reshape(Y.data.shape)), diag
+        except ValueError:
+            raise ValueError("the estimate overflows: the cube's values are too large "
+                             f"for this kernel's G^-1 at M = {diag.M}") from None
 
 
 def deconvolve(

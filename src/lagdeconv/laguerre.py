@@ -204,23 +204,22 @@ def _series_with_zero(series: np.ndarray, zero_value, name: str | None = None) -
     """Prepend the t = 0 sample, extrapolating linearly when not supplied.
 
     Works for a 1-D series or for a stack with nodes along axis 0.  A given
-    zero_value must be finite reals that broadcast to one node (a real for
-    a 1-D series); the ValueError for any other calls it `name`.
+    zero_value must pass `_real_array` and broadcast to one node (a real for
+    a 1-D series), and an extrapolated one must not overflow; the ValueError
+    for either calls it `name`.
     """
+    shape = series.shape[1:]
     if zero_value is None:
-        zero = 2.0 * series[0] - series[1] if series.shape[0] >= 2 else series[0]
+        with np.errstate(over="ignore"):  # checked below
+            zero = 2.0 * series[0] - series[1] if series.shape[0] >= 2 else series[0]
+        if not np.all(np.isfinite(zero)):
+            raise ValueError(f"{name}, extrapolated linearly from the first two samples, overflows")
     else:
         try:
-            zero = np.asarray(float(zero_value) if _is_real(zero_value) else zero_value)
-            # neither True nor "1" is a value of the series
-            ok = zero.dtype.kind in "iuf" and bool(np.all(np.isfinite(zero)))
-            zero = np.broadcast_to(zero, series.shape[1:])
+            zero = np.broadcast_to(_real_array(zero_value, name), shape)
         except ValueError:
-            ok = False
-        if not ok:
-            shape = series.shape[1:]
             kind = f"a finite array that broadcasts to shape {shape}" if shape else "a finite real"
-            raise ValueError(f"{name} must be {kind}, got {zero_value!r}")
+            raise ValueError(f"{name} must be {kind}, got {zero_value!r}") from None
     return np.concatenate([np.asarray(zero)[None, ...], series], axis=0)
 
 

@@ -142,11 +142,15 @@ def forward_convolve(
     f_full = _series_with_zero(f.data, f_zero, "f_zero")  # f, a Cube, is finite
 
     padded = np.concatenate([np.zeros(n), g_full])
-    kernel_rows = h * np.lib.stride_tricks.sliding_window_view(padded, n + 1)[1:, ::-1]
-    kernel_rows[:, 0] *= 0.5
-    kernel_rows[np.arange(n), np.arange(1, n + 1)] *= 0.5
-    q = np.tensordot(kernel_rows, f_full, axes=(1, 0))
-    return Cube(grid=f.grid, data=q)
+    with np.errstate(over="ignore", invalid="ignore"):  # q's scan in Cube checks
+        kernel_rows = h * np.lib.stride_tricks.sliding_window_view(padded, n + 1)[1:, ::-1]
+        kernel_rows[:, 0] *= 0.5
+        kernel_rows[np.arange(n), np.arange(1, n + 1)] *= 0.5
+        q = np.tensordot(kernel_rows, f_full, axes=(1, 0))
+    try:
+        return Cube(grid=f.grid, data=q)
+    except ValueError:
+        raise ValueError("q = g * f overflows: f and the kernel are too large") from None
 
 
 def _forward_model(fid: str, cfg: SimConfig) -> tuple[Cube, Cube]:
@@ -187,9 +191,13 @@ def add_noise(q: Cube, snr: float, seed: int) -> tuple[Cube, float]:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     (sigma,) = _noise_sigmas(q, (snr,))
     noisy = _unit_noise(seed, q.data.shape)
-    noisy *= sigma
-    noisy += q.data
-    return Cube(grid=q.grid, data=noisy), sigma
+    with np.errstate(over="ignore"):  # the noisy cube's scan checks
+        noisy *= sigma
+        noisy += q.data
+    try:
+        return Cube(grid=q.grid, data=noisy), sigma
+    except ValueError:
+        raise ValueError(f"sigma = sd(q)/snr = {sigma!r} overflows the noisy cube") from None
 
 
 def relative_error(f_hat: Cube, f: Cube) -> float:

@@ -50,12 +50,11 @@ def solve_lower(kernel: LagCoeffs, rhs) -> np.ndarray:
     if kernel.m < m:
         raise ValueError(f"need at least {m} kernel coefficients, got {kernel.m}")
     g = kernel.values[:m]
-    col = g.copy()
-    col[1:] -= g[:-1]
-    if col[0] == 0.0:
+    if g[0] == 0.0:
         raise SingularOperatorError("singular operator: zero diagonal (g_0 = 0)")
-    c = np.empty(m)
+    col, c = g.copy(), np.empty(m)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        col[1:] -= g[:-1]
         c[0] = 1.0 / col[0]
         for i in range(1, m):
             c[i] = -(col[1 : i + 1] @ c[i - 1 :: -1]) / col[0]

@@ -21,12 +21,12 @@ Parseval holds exactly and inner products are preserved.
 `estimate_sigma` reads the finest (detail, detail) quadrant H1 X H2^T.  The
 first analysis level writes the finest details and deeper levels only
 transform the first half, so H is W's last n/2 rows, bit for bit.  H is
-block-banded: one pair of block matrices per filter (`_band`) applies it
-to any axis of 32 samples or more.  Frames with n1 n2 (n1 + n2) up to 2^21
-(64 x 64, 128 x 64, 256 x 16 and smaller) keep the dense product.  A raster
-is checked once (`_axes`), when `estimate_sigma` reads the first frame of
-its shape, before a fit runs either transform; the transforms take the
-block a plan builds unchecked.
+block-banded: two blocks cut from the 32-sample W where they are used
+(`_detail_rows`) apply it to any axis of 32 samples or more.  Frames with
+n1 n2 (n1 + n2) up to 2^21 (64 x 64, 128 x 64, 256 x 16 and smaller) keep
+the dense product.  A raster is checked once (`_axes`), when
+`estimate_sigma` reads the first frame of its shape, before a fit runs
+either transform; the transforms take the block a plan builds unchecked.
 """
 
 from __future__ import annotations
@@ -72,9 +72,8 @@ class WaveletSpec:
     """
 
     family: str = "daub4"
-    # W keyed by its side n, estimate_sigma's block matrices by "band" and
-    # its product for a frame shape by that shape (n1, n2); idempotent, so
-    # safe to share.
+    # W keyed by its side n and estimate_sigma's product for a frame shape
+    # by that shape (n1, n2); idempotent, so safe to share.
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -189,40 +188,25 @@ def _median(x: np.ndarray) -> float:
     return float((x[:k].max() + x[k]) / 2)
 
 
-def _band(spec: WaveletSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(D, T), the finest-detail rows of any axis of two blocks or more.
-
-    D (B/2 x B) is every block's own rows, for B = _BLOCK samples; T
-    (L/2 - 1 x L - 2) is how the last L/2 - 1 of them read the first L - 2
-    samples of the next block, the last block's next being the first.  Both
-    are cut from the 2B-sample W, where the first block's rows do not wrap.
-    """
-    if "band" not in spec._cache:
-        L = spec.taps.size
-        H = _matrix(spec, 2 * _BLOCK)[_BLOCK:]
-        half, tail = _BLOCK // 2, L // 2 - 1
-        spec._cache["band"] = (
-            H[:half, :_BLOCK],
-            H[half - tail : half, _BLOCK : _BLOCK + L - 2],
-        )
-    return spec._cache["band"]
-
-
 def _detail_rows(x: np.ndarray, spec: WaveletSpec) -> np.ndarray:
     """H @ x for a 2-D x, H the finest-detail rows of its first axis.
 
-    An axis of two blocks or more is applied block by block (see _band);
-    a shorter one by its own H.
+    An axis shorter than two blocks of B = _BLOCK samples applies its own H;
+    a longer one runs block by block: D (B/2 x B) is every block's own rows,
+    T (L/2 - 1 x L - 2) how the last L/2 - 1 read the next block's first
+    L - 2 samples (the last block's next is the first), both views of the
+    2B-sample W's H, whose first block's rows do not wrap.
     """
     n, m = x.shape
     if n < 2 * _BLOCK:
         return _matrix(spec, n)[n // 2 :] @ x
-    D, T = _band(spec)
+    H, half, k = _matrix(spec, 2 * _BLOCK)[_BLOCK:], _BLOCK // 2, spec.taps.size // 2 - 1
+    D, T = H[:half, :_BLOCK], H[half - k : half, _BLOCK : _BLOCK + 2 * k]
     blocks = x.reshape(-1, _BLOCK, m)
     y = D @ blocks
-    tail, head = y[:, y.shape[1] - T.shape[0] :], T.shape[1]
-    tail[:-1] += T @ blocks[1:, :head]
-    tail[-1] += T @ blocks[0, :head]
+    tail = y[:, half - k :]
+    tail[:-1] += T @ blocks[1:, : 2 * k]
+    tail[-1] += T @ blocks[0, : 2 * k]
     return y.reshape(n // 2, m)
 
 

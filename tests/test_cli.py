@@ -299,6 +299,24 @@ class TestDeconvolveCommand:
             "(g_0 = 1e-200)\n")
         assert not (tmp_path / "f.json").exists()
 
+    # 32 samples of 1.7e308 printed "warning: overflow encountered in scalar
+    # multiply" (the extrapolated g(0)) and "... in matmul" (the fit), then
+    # "error: coefficients must be finite"
+    @pytest.mark.parametrize("include_zero, message", [
+        (False, "g_zero, extrapolated linearly from the first two samples, overflows"),
+        (True, "kernel samples overflow their order-8 fit"),
+    ], ids=["extrapolated", "with-t0-row"])
+    def test_a_kernel_that_overflows_exits_1_naming_it(self, tmp_path, capsys, shown_warnings,
+                                                       include_zero, message):
+        grid = TimeGrid(n=32, T=5.0)
+        write_cube(tmp_path / "c", Cube(grid=grid, data=np.ones((32, 4, 4))))
+        t = np.r_[0.0, grid.points] if include_zero else grid.points
+        path = save_series(tmp_path / "g.csv", t, np.full(t.size, 1.7e308))
+        code = run_cli("deconvolve", "--input", str(tmp_path / "c"), "--kernel", str(path),
+                       "--M", "8", "--out", str(tmp_path / "f"))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     # The first column is the coefficient's index: a gap or an offset used to
     # be read as if the rows ran 0, 1, 2, ...
     @pytest.mark.parametrize(
@@ -734,6 +752,24 @@ class TestCommandSet:
         assert warnings.formatwarning is shown  # main puts the caller's back
         err = capsys.readouterr().err
         assert err == f"warning: {message}\n"  # no source path, line or code echo
+
+    # the parser restated ten library defaults as literals
+    def test_each_default_is_read_from_the_library(self, monkeypatch):
+        from lagdeconv import cli
+
+        sim = cli.SimConfig(n=16, T=2.5, n1=8, n2=4, seed=9, runs=3)
+        est = EstimatorConfig(M=5, nu=0.3, eps=0.25, rcond=0.2)
+        monkeypatch.setattr(cli, "SimConfig", lambda: sim)
+        monkeypatch.setattr(cli, "EstimatorConfig", lambda: est)
+        monkeypatch.setattr(cli, "DEFAULT_M_CAP", 7)
+        parse = cli._build_parser().parse_args
+        args = parse(["simulate", "--function", "f1", "--snr", "5", "--out", "x"])
+        assert (args.seed, args.n, args.n1, args.n2, args.T) == (9, 16, 8, 4, 2.5)
+        args = parse(["bench-table1"])
+        assert (args.runs, args.seed) == (3, 9)
+        args = parse(["deconvolve", "--input", "c", "--kernel", "g", "--out", "f"])
+        assert (args.M, args.nu, args.eps, args.rcond) == (5, 0.3, 0.25, 0.2)
+        assert parse(["norms", "--kernel", "g"]).max_m == 7
 
     def test_help_lists_the_four_commands(self, capsys):
         assert run_cli("--help") == 0

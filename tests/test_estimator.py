@@ -146,6 +146,60 @@ class TestKernelEntry:
         assert messages == [messages[0]] * len(KERNEL_ENTRIES)
 
 
+BIG = 1.7e308  # near the largest double
+_ALT = np.where(np.arange(16 * 8 * 8).reshape(16, 8, 8) % 2, BIG, -BIG)
+_NOISE = np.random.default_rng(5).standard_normal((16, 8, 8))
+_COEFFS_BIG = LagCoeffs([1.0, -BIG, BIG, 0, 0, 0, 0, 0])  # G's column difference overflows
+_M8 = EstimatorConfig(M=8)
+# entry, a call on values near the double's limit, and what a ValueError
+# must name; None when the call returns a finite result
+EDGE_CASES = {
+    "Plan-samples": (lambda: Plan(GRID16, np.full(16, BIG), WaveletSpec(), _M8), "g_zero"),
+    "Plan-samples-g_zero": (lambda: Plan(GRID16, np.full(16, BIG), WaveletSpec(), _M8, BIG),
+                            "kernel samples"),
+    "Plan-LagCoeffs": (lambda: Plan(GRID16, _COEFFS_BIG, WaveletSpec(), _M8), "G^-1"),
+    "Plan-LagCoeffs-auto": (lambda: Plan(GRID16, _COEFFS_BIG, WaveletSpec(), EstimatorConfig())
+                            .apply(Cube(GRID16, _NOISE))[0].data, None),
+    "deconvolve-samples": (lambda: deconvolve(Cube(GRID16, _NOISE), np.full(16, BIG),
+                                              WaveletSpec(), _M8), "g_zero"),
+    "deconvolve-samples-cube": (lambda: deconvolve(Cube(GRID16, _ALT), _SAMPLES, WaveletSpec(),
+                                                   _M8, 1.0), "the cube's values"),
+    "deconvolve-samples-1e307": (lambda: deconvolve(Cube(GRID16, 1e307 * _NOISE), _SAMPLES,
+                                                    WaveletSpec(), _M8, 1.0)[0].data, None),
+    "deconvolve-LagCoeffs": (lambda: deconvolve(Cube(GRID16, _NOISE), _COEFFS_BIG,
+                                                WaveletSpec(), _M8), "G^-1"),
+    "forward_convolve-f_zero": (lambda: simulate.forward_convolve(Cube(GRID16, _ALT), _SAMPLES,
+                                                                  1.0), "f_zero"),
+    "forward_convolve-g_zero": (lambda: simulate.forward_convolve(
+        Cube(GRID16, _NOISE), np.full(16, BIG)), "g_zero"),
+    "forward_convolve-q": (lambda: simulate.forward_convolve(
+        Cube(GRID16, np.full((16, 8, 8), 1e307)), np.full(16, 1e10), 1e10), "q = g * f"),
+    "add_noise-sd": (lambda: simulate.add_noise(Cube(GRID16, _ALT), 3.0, 0), "sd(q)"),
+    "add_noise-snr": (lambda: simulate.add_noise(Cube(GRID16, _NOISE), 1e-308, 0), "sd(q)/snr"),
+    "relative_error": (lambda: relative_error(Cube(GRID16, _ALT), Cube(GRID16, -_ALT)),
+                       "f_hat - f"),
+    "inverse_norms-overflow": (lambda: inverse_norms(_COEFFS_BIG, 8), "G^-1"),
+    "inverse_norms": (lambda: inverse_norms(LagCoeffs([BIG, BIG, 0.0, 0.0]), 4).spectral, None),
+}
+
+
+# kernel samples of 1.7e308 warned "overflow encountered in scalar multiply"
+# and "in matmul" before "coefficients must be finite", G's column
+# difference "in subtract", and q, a noisy cube and a fit of a huge cube
+# "in dot" or "in multiply" before "cube data must be finite"
+@pytest.mark.parametrize("entry", sorted(EDGE_CASES))
+def test_values_near_the_double_limit_give_a_finite_result_or_name_the_input(entry):
+    call, name = EDGE_CASES[entry]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if name is None:
+            assert np.all(np.isfinite(call()))
+        else:
+            with pytest.raises(ValueError, match=re.escape(name)):
+                call()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def _float64(a, ndim):
     return type(a) is np.ndarray and a.dtype == np.float64 and a.ndim == ndim
 

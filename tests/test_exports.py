@@ -149,8 +149,10 @@ def test_diagnostics_json_keys_are_its_fields():
 
 # A value is checked where it enters the program: the stages a Plan runs
 # trust the arrays it hands them, so only these functions call the array check.
+# _series_with_zero checks a given t = 0 value (g_zero, f_zero) by that rule.
 REAL_ARRAY_CALLERS = {
     "Cube.__post_init__", "LagCoeffs.__post_init__", "_kernel_nodes", "default_kernel",
+    "_series_with_zero",
 }
 
 

@@ -455,15 +455,15 @@ class TestBandOracle:
         dd = heads_detail_rows(heads_detail_rows(img, spec).T, spec)
         assert estimate_sigma(img, spec) == np.median(np.abs(dd)) / 0.6745
 
-    def test_one_band_per_spec_whatever_the_sides(self):
-        # a 256 x 128 fit: W of each side, the 32-sample W the band is cut
-        # from, and one band
+    def test_the_spec_caches_w_per_side_and_one_entry_per_frame_shape(self):
+        # a 256 x 128 fit: W of each side and the 32-sample W whose detail
+        # rows the block path cuts where it applies them, no other table
         spec = WaveletSpec()
         grid = TimeGrid(n=8, T=5.0)
         data = 0.01 * np.random.default_rng(3).standard_normal((8, 256, 128))
         deconvolve(Cube(grid, data), np.exp(-grid.points / 2.0), spec, EstimatorConfig(M=4))
         # and sigma-hat's entry for the frame shape, which marks the block path
-        assert sorted(spec._cache, key=str) == [(256, 128), 128, 256, 32, "band"]
+        assert sorted(spec._cache, key=str) == [(256, 128), 128, 256, 32]
         assert spec._cache[256, 128] == ()
 
 
