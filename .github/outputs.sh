@@ -9,7 +9,9 @@
 # kernel exp(-t/2); f3 on 1,024 frames of 8 x 8 (long), on 32 frames of
 # 256 x 256 (scan256: sigma-hat's banded product and _median's partition
 # branch) and on 64 frames at --M auto with perfbench's population AIF
-# (auto_order: the m = 64 norm table of a kernel that is not phi_0).
+# (auto_order: the m = 64 norm table of a kernel that is not phi_0); the
+# scan256 cube again at --M auto (scan256_auto: M = 32 and J = 7, so both
+# transforms run several slabs of a truncated block).
 # Three commands must fail; their stderr and exit code are compared too: a
 # kernel of 1.7e308 (1), a Laguerre kernel with g_0 = 0 (3) and --snr 1e-320
 # (1).  Every other command stops the script if it fails.
@@ -54,6 +56,8 @@ f3_case() {  # name, kernel CSV, --M, then simulate's grid flags
 f3_case long g_long.csv 8 --n 1024 --n1 8 --n2 8 --T 5
 f3_case scan256 g.csv 8 --n 32 --n1 256 --n2 256
 f3_case auto_order g_aif.csv auto --n 64
+cli deconvolve --input scan256_Y --kernel g.csv --M auto --out fhat_scan256_auto \
+  --diagnostics diag_scan256_auto.json > /dev/null 2> scan256_auto.err
 
 fails() {  # name, then a command that must fail: its stderr and exit code
   local name=$1 code=0

@@ -209,8 +209,8 @@ def relative_error(f_hat: Cube, f: Cube) -> float:
     """
     if f_hat.data.shape != f.data.shape:
         raise ValueError("cubes have different shapes")
-    with np.errstate(over="ignore"):  # checked below
-        denom = _weighted_norm(f.data.copy(), f)
+    denom = _weighted_norm(f.data.copy(), f)
+    with np.errstate(over="ignore"):  # an overflow gives inf, checked below
         num = _weighted_norm(f_hat.data - f.data, f)
     if not (math.isfinite(num) and math.isfinite(denom)):
         raise ValueError("the norm of f_hat - f or of f overflows")
@@ -220,13 +220,15 @@ def relative_error(f_hat: Cube, f: Cube) -> float:
 
 
 def _weighted_norm(x: np.ndarray, f: Cube) -> float:
-    """sqrt(sum(w x^2)), w the quadrature weight of f's grid.
+    """sqrt(sum(w x^2)), w the quadrature weight of f's grid, or inf where
+    the squares overflow the double range, with no numpy warning.
 
     Squares and weights x in place: pass an array the caller can spend.
     """
-    np.square(x, out=x)
-    x *= f.grid.step * (1.0 / (f.n1 * f.n2))
-    return math.sqrt(float(np.sum(x)))
+    with np.errstate(over="ignore"):
+        np.square(x, out=x)
+        x *= f.grid.step * (1.0 / (f.n1 * f.n2))
+        return math.sqrt(float(np.sum(x)))
 
 
 @dataclass(frozen=True)
@@ -256,7 +258,9 @@ def run_table1(
     error and its standard error.  Replicate i of every cell adds sd(q)/snr
     times the same unit-normal draw from Philox(cfg.seed + i) (common
     random numbers, exactly as `add_noise(q, snr, cfg.seed + i)`), and that
-    draw is made once per replicate, not once per cell.
+    draw is made once per replicate, not once per cell.  An SNR small enough
+    that a replicate's relative error overflows raises a ValueError naming
+    it.
     """
     g = default_kernel(cfg.grid.points)
     # Every replicate of every cell shares the grid, the kernel and the
@@ -271,12 +275,16 @@ def run_table1(
     deltas = np.empty((len(cells), cfg.runs))
     for i in range(cfg.runs):
         z = _unit_noise(cfg.seed + i, (cfg.n, cfg.n1, cfg.n2))
-        for c, (_, _, f, norm, q, sigma) in enumerate(cells):
+        for c, (_, snr, f, norm, q, sigma) in enumerate(cells):
             y = sigma * z  # the noisy cube in one buffer
             y += q.data
             f_hat, _ = plan.apply(Cube(grid=q.grid, data=y))
             f_hat.data -= f.data  # the residual in the fit's own buffer, read only here
-            deltas[c, i] = _weighted_norm(f_hat.data, f) / norm
+            delta = _weighted_norm(f_hat.data, f) / norm
+            if not math.isfinite(delta):
+                raise ValueError(f"at snr = {snr!r} the relative error ||f_hat - f|| / ||f|| "
+                                 "overflows: the noise is too large for the double range")
+            deltas[c, i] = delta
     return [
         Table1Row(
             function=fid,

@@ -16,7 +16,9 @@ level j occupying indices [2^j, 2^{j+1}).  So the coefficients of the levels
 below J1 and J2, the truncation set Omega(J1, J2), are the leading
 2^J1 x 2^J2 block; both transforms take the size of such a block and then
 touch only it: the rows W1[:r1] and W2[:r2].  The transform is orthonormal:
-Parseval holds exactly and inner products are preserved.
+Parseval holds exactly and inner products are preserved.  A batch of more
+than 8 images runs in slabs of 8 (`_sandwich`), so beside its input and
+output a transform holds 8 images of its first product, not the batch.
 
 `estimate_sigma` reads the finest (detail, detail) quadrant H1 X H2^T.  The
 first analysis level writes the finest details and deeper levels only
@@ -62,6 +64,8 @@ _BLOCK = 16
 _DENSE_WORK = 2**21
 # The largest count _median sorts; above it one partition is faster.
 _SORT_MAX = 1024
+# The most images the transforms' intermediate holds (`_sandwich`).
+_SLAB = 8
 
 
 @dataclass(frozen=True)
@@ -138,27 +142,55 @@ def _axes(shape: tuple) -> tuple[int, int]:
     return shape[-2:]
 
 
+def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ x @ right, one image per trailing pair of axes of x.
+
+    A batch of up to _SLAB images is that expression.  A larger one runs
+    in slabs of up to _SLAB images along its last batch axis: each slab's
+    first product goes into one reused slab buffer and its second straight
+    into the output, so the intermediate holds at most _SLAB images, not
+    the batch.  Every image meets the same BLAS call with the same strides
+    either way, so the result is the same bit for bit.
+    """
+    batch = x.shape[:-2]
+    if math.prod(batch) <= _SLAB:
+        return left @ x @ right
+    dtype = np.result_type(left, x, right)
+    out = np.empty(batch + (left.shape[0], right.shape[1]), dtype)
+    slab = np.empty((_SLAB, left.shape[0], x.shape[-1]), dtype)
+    for index in np.ndindex(batch[:-1]):
+        images, dest = x[index], out[index]
+        for start in range(0, len(images), _SLAB):
+            part = slab[: len(images) - start]
+            np.matmul(left, images[start : start + _SLAB], out=part)
+            np.matmul(part, right, out=dest[start : start + _SLAB])
+    return out
+
+
 def dwt2_array(images: np.ndarray, spec: WaveletSpec, block) -> np.ndarray:
     """The leading block = (r1, r2) of the 2D transform of (..., n1, n2)
     data, W1[:r1] X W2[:r2]^T; batch dims pass through.
 
     Blocks slice as numpy slices do, so (n1, n2) is the whole transform.
     The sides are unchecked; one not a power of two fails to build its W.
+    Beside its input and output it holds at most _SLAB images of
+    W1[:r1] X (`_sandwich`).
     """
     n1, n2 = images.shape[-2:]
     r1, r2 = block
-    return _matrix(spec, n1)[:r1] @ images @ _matrix(spec, n2)[:r2].T
+    return _sandwich(_matrix(spec, n1)[:r1], images, _matrix(spec, n2)[:r2].T)
 
 
 def idwt2_array(coeffs: np.ndarray, spec: WaveletSpec, shape) -> np.ndarray:
     """Inverse of dwt2_array: W1[:r1]^T C W2[:r2] of an (..., r1, r2) block
     C, read as the leading block of an n1 x n2 coefficient array, zero
     elsewhere, for shape = (n1, n2), which is unchecked.  A block larger
-    than shape raises numpy's ValueError.
+    than shape raises numpy's ValueError.  Beside its input and output it
+    holds at most _SLAB images of W1[:r1]^T C (`_sandwich`).
     """
     n1, n2 = shape
     r1, r2 = coeffs.shape[-2:]
-    return _matrix(spec, n1)[:r1].T @ coeffs @ _matrix(spec, n2)[:r2]
+    return _sandwich(_matrix(spec, n1)[:r1].T, coeffs, _matrix(spec, n2)[:r2])
 
 
 def _median(x: np.ndarray) -> float:

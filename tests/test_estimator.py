@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -382,6 +383,23 @@ class TestHardThreshold:
         out, counts = hard_threshold(t, np.array([10.0, 1.0]))
         assert np.array_equal(out, [[[0.1, 0.0], [0.0, 0.0]], [[-0.0, 5.0], [-6.0, 0.0]]])
         assert list(counts) == [1, 3]
+
+
+    # hard_threshold reads |theta| > lambda as theta > lambda or theta < -lambda;
+    # at every edge value it keeps the bytes and counts of the np.abs rule
+    @pytest.mark.parametrize(
+        "lam", [0.0, 0.75, 5e-324, 1e-310, np.inf], ids=["0", "0.75", "5e-324", "1e-310", "inf"]
+    )
+    def test_is_the_abs_rule_byte_for_byte_at_edge_values(self, lam):
+        edges = [lam, -lam, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310,
+                 np.nextafter(lam, np.inf), -np.nextafter(lam, np.inf), np.nan, 0.75, -0.75, 2.0]
+        t = np.array(edges).reshape(1, 4, 4) * np.array([1.0, -1.0])[:, None, None]
+        lambdas = np.array([lam, lam])
+        keep = np.abs(t) > lambdas[:, None, None]
+        keep[:, 0, 0] = True
+        out, counts = hard_threshold(t, lambdas)
+        assert out.tobytes() == np.where(keep, t, 0.0).tobytes()
+        assert np.array_equal(counts, keep.sum(axis=(1, 2)))
 
 
 class TestDeconvolve:
@@ -1065,6 +1083,44 @@ class TestPlan:
             assert f_hat.data.shape == Y.data.shape
             assert np.array_equal(f_hat.data, f_ref.data)
             assert diag.to_dict() == d_ref.to_dict()
+
+
+class TestWorkingSet:
+    def test_a_fit_holds_at_most_two_and_a_half_level_stacks(self, monkeypatch):
+        # A level-stack is an (M, n1, n2) array, one map per Laguerre level:
+        # A Y, theta or C.  At M = 64 on 64 frames it is as large as the cube.
+        # A fit once held A Y through the threshold and the inverse transform,
+        # a float |theta| beside theta and a full-size first product in each
+        # transform: 4.0 stacks beyond its input.  It now frees A Y after the
+        # forward transform, builds the keep mask from two comparisons and
+        # runs the transforms in slabs of 8 images: about 2.26 stacks.
+        grid = TimeGrid(n=64, T=5.0)
+        g = np.exp(-grid.points / 2.0)
+        noise = 0.02 * np.random.default_rng(43).standard_normal((64, 32, 32))
+        Y = Cube(grid=grid, data=g[:, None, None] * cosine_field() + noise)
+        plan = Plan(grid, g, WaveletSpec(), EstimatorConfig(M=64, eps=0.05), g_zero=1.0)
+        plan.apply(Y)  # fills the spec's caches of W and sigma-hat's product
+        calls = {}
+
+        def counted(name, stage):
+            def call(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return stage(*args)
+            return call
+
+        for name in ("dwt2_array", "hard_threshold", "idwt2_array"):
+            monkeypatch.setattr(estimator, name, counted(name, getattr(estimator, name)))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            f_hat, diag = plan.apply(Y)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert (diag.M, diag.J1, diag.J2) == (64, 5, 5)  # every stack full size
+        assert calls == {"dwt2_array": 1, "hard_threshold": 1, "idwt2_array": 1}
+        stack = diag.M * 32 * 32 * 8  # bytes of one float64 level-stack
+        assert peak / stack < 2.5
 
 
 class TestApplyBitIdentity:

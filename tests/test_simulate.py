@@ -544,6 +544,17 @@ class TestRunTable1:
         with pytest.raises(ValueError, match=re.escape(TINY_SNR_MESSAGE)):
             run_table1(SimConfig(n=16, n1=16, n2=16, runs=2), snrs=(1e-320, 3.0))
 
+    # sd(q)/snr is finite, but a replicate's residual norm is not: its squares
+    # overflowed with a numpy warning, then at 1e-308 a later cell failed on
+    # its noise level and at 1e-306 the rows came back with infinite errors
+    @pytest.mark.parametrize("snr", [1e-308, 1e-306, 1e-200])
+    def test_an_snr_whose_relative_error_overflows_is_named(self, snr):
+        with pytest.warns(UserWarning, match="eps >= 1") as caught:
+            with pytest.raises(ValueError, match=f"at snr = {snr!r} the relative error .* "
+                                                 "overflows"):
+                run_table1(SimConfig(runs=2), snrs=(snr,))
+        assert not [w for w in caught if not issubclass(w.category, UserWarning)]
+
     def test_zero_variance_q_rejected(self, monkeypatch):
         # sd(q) is taken once per function and keeps add_noise's check
         cfg = SimConfig(n=16, n1=16, n2=16, runs=2)

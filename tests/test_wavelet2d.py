@@ -269,6 +269,32 @@ class TestLeadingBlock:
         c = dwt2_array(x, spec, (16, 32))
         assert np.array_equal(idwt2_array(c, spec, (16, 32)), W1.T @ c @ W2)
 
+    # a batch of more than 8 images runs in slabs of 8, the first product in
+    # one reused buffer, the second into the output: each image meets the
+    # same BLAS call with the same strides as in the single expression
+    @pytest.mark.parametrize("layout", ["C", "strided", "transposed", "float32"])
+    @pytest.mark.parametrize("block", [(16, 32), (4, 8), (1, 32)], ids=str)
+    @pytest.mark.parametrize(
+        "batch", [(), (1,), (8,), (9,), (17,), (64,), (3, 5), (2, 9)], ids=str
+    )
+    def test_a_batch_is_the_single_expression_bit_for_bit(self, batch, block, layout):
+        spec = WaveletSpec()
+        rng = np.random.default_rng(len(batch) + sum(batch))
+        if layout == "transposed":  # each image F-ordered
+            x = rng.standard_normal(batch + (32, 16)).swapaxes(-1, -2)
+        elif layout == "strided" and batch:  # every other image of a longer last batch axis
+            x = rng.standard_normal(batch[:-1] + (2 * batch[-1], 16, 32))[..., ::2, :, :]
+        elif layout == "strided":  # every other column
+            x = rng.standard_normal((16, 64))[:, ::2]
+        else:
+            x = rng.standard_normal(batch + (16, 32)).astype(np.float32 if layout == "float32"
+                                                             else np.float64)
+        r1, r2 = block
+        W1, W2 = _matrix(spec, 16)[:r1], _matrix(spec, 32)[:r2]
+        c = dwt2_array(x, spec, block)
+        assert np.array_equal(c, W1 @ x @ W2.T)
+        assert np.array_equal(idwt2_array(c, spec, (16, 32)), W1.T @ c @ W2)
+
     # a block slices each side's rows as numpy slices do, so a side past n
     # is the whole side (1 to n: the corner test above)
     def test_a_block_past_the_array_is_the_whole_transform_bit_for_bit(self):
