@@ -11,10 +11,14 @@
 # branch) and on 64 frames at --M auto with perfbench's population AIF
 # (auto_order: the m = 64 norm table of a kernel that is not phi_0); the
 # scan256 cube again at --M auto (scan256_auto: M = 32 and J = 7, so both
-# transforms run several slabs of a truncated block).
-# Three commands must fail; their stderr and exit code are compared too: a
-# kernel of 1.7e308 (1), a Laguerre kernel with g_0 = 0 (3) and --snr 1e-320
-# (1).  Every other command stops the script if it fails.
+# transforms run several slabs of a truncated block); and the demo cube
+# again under the dotted stem demo.v1, deconvolved from demo.v1_Y (dotted:
+# each of its six cube files is named by the whole stem).
+# Five commands must fail; their stderr and exit code are compared too: a
+# kernel of 1.7e308 (1), a Laguerre kernel with g_0 = 0 (3), --snr 1e-320
+# (1), a kernel CSV whose header holds a Latin-1 byte (2) and one with a
+# field of 131,073 characters, past csv's limit (2).  Every other command
+# stops the script if it fails.
 set -euo pipefail
 tree=$(cd "$1" && pwd)
 mkdir -p "$2"
@@ -34,6 +38,9 @@ np.savetxt("g_big.csv", np.c_[5.0 * np.arange(1, 33) / 32, np.full(32, 1.7e308)]
            delimiter=",", header="t,value", comments="")
 np.savetxt("g0_coeffs.csv", np.c_[np.arange(8), np.r_[0.0, np.ones(7)]],
            delimiter=",", header="index,value", comments="")
+body = open("g.csv").read().split("\n", 1)[1]
+open("g_latin1.csv", "wb").write(("t,value in \u00b5M\n" + body).encode("latin-1"))
+open("g_long_field.csv", "w").write("t," + "v" * 131073 + "\n" + body)
 PY
 
 cli() { python -m lagdeconv.cli "$@"; }
@@ -58,6 +65,9 @@ f3_case scan256 g.csv 8 --n 32 --n1 256 --n2 256
 f3_case auto_order g_aif.csv auto --n 64
 cli deconvolve --input scan256_Y --kernel g.csv --M auto --out fhat_scan256_auto \
   --diagnostics diag_scan256_auto.json > /dev/null 2> scan256_auto.err
+cli simulate --function f2 --snr 5 --seed 7 --n 32 --T 5 --out demo.v1 > /dev/null 2> dotted.err
+cli deconvolve --input demo.v1_Y --kernel g.csv --M 8 --out fhat_dotted.v1 \
+  --diagnostics diag_dotted.json > /dev/null 2>> dotted.err
 
 fails() {  # name, then a command that must fail: its stderr and exit code
   local name=$1 code=0
@@ -69,3 +79,5 @@ fails() {  # name, then a command that must fail: its stderr and exit code
 fails big_kernel deconvolve --input demo_Y --kernel g_big.csv --M 8 --out fhat_big_kernel
 fails g0_coeffs deconvolve --input demo_Y --kernel-coeffs g0_coeffs.csv --M 8 --out fhat_g0
 fails tiny_snr simulate --function f2 --snr 1e-320 --out tiny_snr
+fails latin1_kernel deconvolve --input demo_Y --kernel g_latin1.csv --M 8 --out fhat_latin1
+fails long_field norms --kernel g_long_field.csv

@@ -9,10 +9,11 @@ parsed here (--max-m as an int >= 1); the library checks the rest.  `deconvolve
 --kernel` and `norms` read a kernel file by one rule: an optional t = 0 row,
 then samples at t_k = T k/n, on the cube's grid or on the file's own.  Exit
 codes: 0 success, 1 usage or validation (a kernel off its grid included), 2
-I/O or a malformed file (any fault of a cube file, payload values included),
-3 numeric failure (singular kernel, linear-algebra error).  On stderr a
-command writes one `warning: <message>` line per warning, then at most one
-failure line; for a bad flag that is argparse's error line, after its usage.
+I/O or a malformed file (any fault of a cube or series file, undecodable
+text included), 3 numeric failure (singular kernel, linear-algebra error).
+On stderr a command writes one `warning: <message>` line per warning, then
+at most one failure line; for a bad flag that is argparse's error line,
+after its usage.
 `deconvolve --symmetrize` (mirror to dyadic sides, fit, crop) is a
 convenience of this command line only; the library rejects non-dyadic sides.
 """

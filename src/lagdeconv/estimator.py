@@ -300,12 +300,13 @@ class Plan:
     or one shorter than a fixed M (`solve_lower` checks) fails here, not at
     the first cube.  `apply` fits a cube's Laguerre coefficient maps C, in
     `_fit`, then synthesises f_hat = B^T C in time.  The fit starts from the
-    first order and picks another only under M="auto" with eps > 0, by the
-    rule on the first order's norm table.  None of this depends on the raster:
-    `_fit` takes n1 and n2 from each cube and the spec caches W per side, so
-    one plan serves every dyadic raster on its grid.  Its caches, the grid's
-    and the spec's hold only idempotent derived state, so a plan is safe to
-    share across threads.
+    first order and picks another only under M="auto", by the rule on the
+    first order's norm table; eps = 0 sets no bound and keeps the first
+    order.  None of this depends on the raster: `_fit` takes n1 and n2 from
+    each cube and the spec caches W per side, so one plan serves every
+    dyadic raster on its grid.  Its caches, the grid's and the spec's hold
+    only idempotent derived state, so a plan is safe to share across
+    threads.
     """
 
     def __init__(
@@ -378,7 +379,7 @@ class Plan:
         if not (math.isfinite(sigma_hat) and math.isfinite(eps)):
             raise ValueError(f"the noise level is not finite: sigma_hat = {sigma_hat}, eps = {eps}")
         order = self._first
-        if cfg.M == "auto" and eps > 0:
+        if cfg.M == "auto":
             order = self._order(select_M(order.norms, eps))
         M = order.op.shape[0]
 

@@ -120,11 +120,12 @@ def select_M(norms: InverseNormTable, eps: float) -> int:
     """Largest m with ||(G^(m))^-1|| <= eps^-2, clamped to [1, max_m].
 
     The truncation rule behind the estimator's Laguerre order; simulations
-    may override it with a fixed order.  A plan runs it only for eps > 0.
+    may override it with a fixed order.  eps = 0, like eps below about
+    1e-154, sets no bound, so the rule returns max_m.
     """
     try:
-        bound = eps**-2
-    except OverflowError:  # eps below about 1e-154: every finite norm is within it
+        bound = float(eps) ** -2
+    except (OverflowError, ZeroDivisionError):  # eps = 0, or eps^-2 past the double range
         bound = math.inf
     ok = np.nonzero(norms.spectral <= bound)[0]
     return int(ok[-1]) + 1 if ok.size else 1

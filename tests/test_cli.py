@@ -126,6 +126,24 @@ class TestSimulateCommand:
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    # "--out run.v1" wrote all three cubes to run.json/run.bin: the noisy
+    # cube won, and every stem in the manifest read it back
+    def test_a_dotted_out_writes_three_cubes(self, tmp_path, capsys):
+        out = tmp_path / "run.v1"
+        assert run_cli("simulate", "--function", "f2", "--snr", "5", "--n", "8",
+                       "--out", str(out)) == 0
+        manifest = json.loads(capsys.readouterr().out)
+        files = {tmp_path / f"run.v1_{k}{suffix}" for k in "fqY" for suffix in (".json", ".bin")}
+        assert set(tmp_path.iterdir()) == files | {tmp_path / "run.v1_manifest.json"}
+        assert len({path.read_bytes() for path in files if path.suffix == ".bin"}) == 3
+        f, q, Y = (read_cube(manifest["outputs"][k]) for k in "fqY")
+        assert 0 < relative_error(Y, q) < 1
+        kpath = write_kernel_csv(tmp_path / "g.csv", Y.grid)
+        assert run_cli("deconvolve", "--input", str(tmp_path / "run.v1_Y"), "--kernel",
+                       str(kpath), "--M", "4", "--out", str(tmp_path / "fhat.v1")) == 0
+        assert json.loads(capsys.readouterr().out)["sigma_hat"] > 0
+        assert read_cube(tmp_path / "fhat.v1").data.shape == Y.data.shape
+
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "sim"
         run_cli("simulate", "--function", "f3", "--snr", "3", "--out", str(out))
@@ -614,6 +632,48 @@ class TestUndecodableInputs:
         assert run_cli(*argv) == 2
         row = lines[3].split(",")
         assert f"file error: {path}: expected two columns, got {row!r}" in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
+
+    # A Latin-1 byte escaped as a bare UnicodeDecodeError and a long field as
+    # csv.Error, each exit 1 with a traceback and no file name
+    @pytest.mark.parametrize("command", ["--kernel", "--kernel-coeffs", "norms"])
+    @pytest.mark.parametrize("fault, reason", [
+        ("latin-1", "'utf-8' codec can't decode byte 0xb5"),
+        ("long-field", "field larger than field limit (131072)"),
+    ], ids=["latin-1", "long-field"])
+    def test_an_unreadable_series_exits_2_naming_it(self, tmp_path, capsys, command,
+                                                     fault, reason):
+        grid = TimeGrid(n=8, T=5.0)
+        t = np.arange(8.0) if command == "--kernel-coeffs" else np.r_[0.0, grid.points]
+        path = save_series(tmp_path / "g.csv", t, default_kernel(t))
+        body = path.read_text().split("\n", 1)[1]
+        header = "t,value in \u00b5M" if fault == "latin-1" else "t," + "v" * 131_073
+        path.write_bytes((header + "\n" + body).encode("latin-1"))
+        if command == "norms":
+            argv = ["norms", "--kernel", str(path)]
+        else:
+            write_cube(tmp_path / "c", Cube(grid=grid, data=np.ones((8, 4, 4))))
+            argv = ["deconvolve", "--input", str(tmp_path / "c"), command, str(path),
+                    "--M", "4", "--out", str(tmp_path / "f")]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"file error: {path}: {reason}") and err.count("\n") == 1
+        assert not (tmp_path / "f.json").exists()
+
+    def test_a_latin_1_cube_header_exits_2_naming_it(self, tmp_path, capsys):
+        grid = TimeGrid(n=8, T=5.0)
+        header_path, _ = write_cube(tmp_path / "c", Cube(grid=grid, data=np.ones((8, 4, 4))))
+        header = json.loads(header_path.read_text())
+        header["unit"] = "\u00b5M"
+        header_path.write_bytes(json.dumps(header, ensure_ascii=False).encode("latin-1"))
+        kpath = write_kernel_csv(tmp_path / "g.csv", grid)
+        code = run_cli("deconvolve", "--input", str(tmp_path / "c"),
+                       "--kernel", str(kpath), "--out", str(tmp_path / "f"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"file error: cube header {header_path}: "
+                              "'utf-8' codec can't decode byte 0xb5")
+        assert err.count("\n") == 1
         assert not (tmp_path / "f.json").exists()
 
 

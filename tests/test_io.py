@@ -42,6 +42,15 @@ class TestCubeFile:
         back = read_cube(tmp_path / f"c{suffix}")
         assert back.data.tobytes() == cube.data.tobytes()
 
+    # with_suffix replaced ".v1" by ".json", so "scan.v1" and "scan.v2"
+    # named one pair of files
+    @pytest.mark.parametrize("stem", ["scan.v1", "scan.v1.json", "scan.v1.bin"])
+    def test_a_stem_keeps_its_other_dots(self, tmp_path, stem):
+        cube = random_cube(2)
+        paths = write_cube(tmp_path / stem, cube)
+        assert paths == (tmp_path / "scan.v1.json", tmp_path / "scan.v1.bin")
+        assert read_cube(tmp_path / "scan.v1").data.tobytes() == cube.data.tobytes()
+
     def test_write_is_deterministic(self, tmp_path):
         cube = random_cube(3)
         write_cube(tmp_path / "a", cube)
@@ -277,3 +286,49 @@ class TestSeriesFile:
         msg = f"{path}: expected two columns, got {row.split(',')!r}"
         with pytest.raises(FileFormatError, match=re.escape(msg)):
             read_series(path)
+
+
+def mutate(data: bytes, rng) -> bytes:
+    """data with 1 to 3 bytes replaced by random ones."""
+    out = bytearray(data)
+    for at in rng.integers(0, len(out), rng.integers(1, 4)):
+        out[at] = rng.integers(0, 256)
+    return bytes(out)
+
+
+class TestMutatedFiles:
+    """A valid file with a few bytes replaced reads, or fails with one
+    FileFormatError naming the file.  A bare UnicodeDecodeError used to
+    leave the readers in about three cases in four."""
+
+    def test_cube_header(self, tmp_path):
+        rng = np.random.default_rng(44)
+        for case in range(300):
+            n, n1, n2 = rng.integers(1, 5, 3)
+            cube = Cube(grid=TimeGrid(n=int(n), T=float(rng.uniform(0.5, 9.0))),
+                        data=rng.standard_normal((n, n1, n2)))
+            header_path, bin_path = write_cube(tmp_path / "c", cube)
+            header = header_path.read_bytes()
+            if case % 3 == 0:
+                header = b"\xef\xbb\xbf" + header
+            header_path.write_bytes(mutate(header, rng))
+            try:
+                read_cube(tmp_path / "c")
+            except FileFormatError as exc:
+                assert str(exc).startswith((f"cube header {header_path}: ", f"{bin_path}: "))
+
+    def test_series(self, tmp_path):
+        rng = np.random.default_rng(45)
+        path = tmp_path / "s.csv"
+        for case in range(300):
+            t = np.r_[0.0, np.cumsum(rng.uniform(0.01, 1.0, rng.integers(1, 9)))]
+            np.savetxt(path, np.c_[t, np.exp(-t / 2)], delimiter=",",
+                       header="t,value" if case % 2 else "", comments="")
+            text = path.read_bytes()
+            if case % 3 == 0:
+                text = b"\xef\xbb\xbf" + text
+            path.write_bytes(mutate(text, rng))
+            try:
+                read_series(path)
+            except FileFormatError as exc:
+                assert str(exc).startswith(f"{path}: ")

@@ -347,3 +347,11 @@ class TestSelectM:
         assert select_M(tab, eps=1e-9) == 8
         head = InverseNormTable(tab.spectral[:5], tab.frobenius[:5])  # the cap is the table's length
         assert select_M(head, eps=1e-9) == 5
+
+    # eps = 0 is no bound, as is an eps whose eps^-2 overflows; a float32
+    # eps (a grid's float32 T times sigma-hat) warned in numpy's power
+    @pytest.mark.parametrize("eps", [0.0, 1e-200, np.float32(0.0), np.float32(1e-30)],
+                             ids=repr)
+    def test_no_bound_keeps_the_last_order(self, eps):
+        tab = inverse_norms(PHI0_COEFFS, 8)
+        assert select_M(tab, eps) == tab.max_m
