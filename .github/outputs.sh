@@ -5,8 +5,10 @@
 # TREE/src goes on PYTHONPATH; OPENBLAS_CORETYPE, if set, picks the BLAS
 # kernel.  The commands run inside DIR with relative stems, so the simulate
 # manifests name the same paths for every tree.  Cases: the Table-1 CSV;
-# README's demo cube (f2, 32^3) deconvolved five ways, and the norms of its
-# kernel exp(-t/2); f3 on 1,024 frames of 8 x 8 (long), on 32 frames of
+# README's demo cube (f2, 32^3) deconvolved six ways, the last at --rcond 0
+# (rcond0: M = 32 and the projection keeps all 32 directions, so the time
+# operator's M x r factor is square), and the norms of its kernel
+# exp(-t/2); f3 on 1,024 frames of 8 x 8 (long), on 32 frames of
 # 256 x 256 (scan256: sigma-hat's banded product and _median's partition
 # branch) and on 64 frames at --M auto with perfbench's population AIF
 # (auto_order: the m = 64 norm table of a kernel that is not phi_0); the
@@ -46,7 +48,8 @@ PY
 cli() { python -m lagdeconv.cli "$@"; }
 cli bench-table1 --runs 100 --seed 1234 > table1.csv 2> table1.err
 cli simulate --function f2 --snr 5 --seed 7 --n 32 --T 5 --out demo > /dev/null 2> demo.err
-for run in M8:--M=8 Mauto:--M=auto nothr:--no-threshold eps0:--eps=0 eps2:--eps=2; do
+for run in M8:--M=8 Mauto:--M=auto nothr:--no-threshold eps0:--eps=0 eps2:--eps=2 \
+           rcond0:--rcond=0; do
   name=${run%%:*}
   cli deconvolve --input demo_Y --kernel g.csv "${run#*:}" --out "fhat_$name" \
     --diagnostics "diag_$name.json" > /dev/null 2> "$name.err"

@@ -6,16 +6,18 @@ Pipeline for observations Y = g*f + noise on an (n, n1, n2) grid:
    finest (detail, detail) wavelet coefficients, H1 X H2^T with H the
    finest-detail rows of each axis's transform matrix W (its last n/2), and
    eps = T * sigma_hat / sqrt(n),
-2. in time, per pixel: the M x n operator A = G^-1 P E, which folds the
-   t = 0 slice extrapolation E, the stable least-squares projection P onto
-   the first M Laguerre functions and the inverse of the triangular
-   Toeplitz kernel operator G into one matrix, applied to the n time
-   slices before any spatial work,
-3. orthonormal full-depth 2D wavelet transform of each of the M
-   coefficient slices, restricted to the truncation set Omega(J1, J2): it
+2. in time, per pixel: the operator A = G^-1 P E, which folds the t = 0
+   slice extrapolation E, the stable least-squares projection P onto the
+   first M Laguerre functions and the inverse of the triangular Toeplitz
+   kernel operator G into one map.  P keeps the r <= M singular directions
+   above its cutoff, so A has rank r and is applied as its two factors: an
+   r x n map contracts the n time slices to r before any spatial work, and
+   the M x r map G^-1 V_r S_r^-1 lifts their transforms to the M levels,
+3. orthonormal full-depth 2D wavelet transform of each of the r
+   contracted slices, restricted to the truncation set Omega(J1, J2): it
    is the leading r1 x r2 = 2^J1 x 2^J2 block of the coefficient array, so
    only W1[:r1] X W2[:r2]^T is computed and the coefficients the truncation
-   discards never are,
+   discards never are; the M x r lift then gives the M coefficient blocks,
 4. level-dependent hard thresholding of the coefficients theta_{l;omega}
    of that block, all but the scaling coefficient at (0, 0), in one
    stage, `_threshold`, which also decides when no threshold applies,
@@ -23,25 +25,29 @@ Pipeline for observations Y = g*f + noise on an (n, n1, n2) grid:
    Laguerre evaluation in time.
 
 All steps are linear except the thresholding.  The time operators commute
-with the per-slice spatial transform, so the spatial work is M transforms
-each way rather than n.  The work that does not depend on the
-observations comes in two halves.  The grid half, each order's Laguerre
-basis with its projector P at the config's rcond and P E, depends only on
-the grid; `tabulate_basis` caches it on the `TimeGrid` object, so every
-plan on that grid shares it.  The kernel half, A = G^-1 (P E) and the
-inverse-norm table of each order, is built with the order by a `Plan` and
-cached by the order.  Cubes that share a kernel share one plan;
-`deconvolve` builds one and applies it once.  Nothing mutates its inputs.
+with the per-slice spatial transform, so the spatial work is r forward and
+M inverse transforms rather than n each way.  The work that does not depend
+on the observations comes in two halves.  The grid half, each order's
+Laguerre basis with its projector P at the config's rcond and the two
+factors of P E, depends only on the grid; `tabulate_basis` caches it on the
+`TimeGrid` object, so every plan on that grid shares it.  The kernel half,
+G^-1 times P E's M x r factor and the inverse-norm table of each order, is
+built with the order by a `Plan` and cached by the order.  Cubes that share
+a kernel share one plan; `deconvolve` builds one and applies it once.
+Nothing mutates its inputs.
 
 A value is checked where it enters, in `Cube`, `EstimatorConfig` and `Plan`:
 every stage a plan runs, here or in another module, trusts what it passes.
 
 Beyond its cube a fit holds about two level-stacks, (M, n1, n2) arrays of
-one map per Laguerre level such as A Y, theta or C, at any one time: A Y is
-freed once the forward transform returns, both transforms hold at most 8
-images of their intermediate, and `hard_threshold` holds only boolean masks
-beside theta and its output.  An M = 64 fit of a 32 x 32 x 64 cube peaks at
-2.26 stacks of traced memory; a test pins it below 2.5.
+one map per Laguerre level such as theta or C, at any one time: A Y is
+never formed whole, only its r contracted slices and their transforms,
+each freed once used, both transforms hold at most 8 images of their
+intermediate, and `hard_threshold` holds only boolean masks beside theta
+and its output.  An M = 64 fit of a 32 x 32 x 64 cube, rank 13, peaks at
+2.26 stacks of traced memory and enters the threshold stage at 1.20
+(2.13 when A Y was formed and transformed whole); tests pin them below 2.5
+and 1.5.
 """
 
 from __future__ import annotations
@@ -276,12 +282,13 @@ def _depth(J, n_side: int, eps: float, auto_on: bool) -> int:
 @dataclass(frozen=True, eq=False)
 class _Order:
     """What a plan's fit reads for one Laguerre order M: the grid's shared
-    basis, A = G^-1 (P E) and the norm table ||(G^(m))^-1||, m = 1..M (the
-    M="auto" rule reads the first order's table, the thresholds entries up
-    to M-1)."""
+    basis, `lift`, the M x r matrix G^-1 times the basis's lift, so that
+    A = G^-1 P E is lift times the basis's reduce, and the norm table
+    ||(G^(m))^-1||, m = 1..M (the M="auto" rule reads the first order's
+    table, the thresholds entries up to M-1)."""
 
     basis: LaguerreBasis
-    op: np.ndarray
+    lift: np.ndarray
     norms: InverseNormTable
 
 
@@ -292,14 +299,15 @@ class Plan:
     read as its samples at t_1..t_n with `g_zero` their exact t = 0 value if
     known, checked here and kept on the n + 1 nodes.  `_order(M)`, the only
     path that builds an order, takes the grid's basis of order M, fits the
-    kernel's coefficients to it, applies G^-1 to its P E, tabulates the norms,
-    and caches the order.  The constructor builds the first order: cfg.M or,
-    under M="auto", the largest order up to min(m_cap, n, kernel.m) that
-    builds, since the rule never picks an order whose norm is infinite.  So a
-    kernel with g_0 = 0, one whose G^-1 or Gram matrix overflows at a fixed M,
-    or one shorter than a fixed M (`solve_lower` checks) fails here, not at
-    the first cube.  `apply` fits a cube's Laguerre coefficient maps C, in
-    `_fit`, then synthesises f_hat = B^T C in time.  The fit starts from the
+    kernel's coefficients to it, applies G^-1 to P E's M x r factor,
+    tabulates the norms, and caches the order.  The constructor builds the
+    first order: cfg.M or, under M="auto", the largest order up to
+    min(m_cap, n, kernel.m) that builds, since the rule never picks an
+    order whose norm is infinite.  So a kernel with g_0 = 0, one whose G^-1
+    or Gram matrix overflows at a fixed M, or one shorter than a fixed M
+    (`solve_lower` checks) fails here, not at the first cube.  `apply` fits
+    a cube's Laguerre coefficient maps C, in `_fit`, then synthesises
+    f_hat = B^T C in time.  The fit starts from the
     first order and picks another only under M="auto", by the rule on the
     first order's norm table; eps = 0 sets no bound and keeps the first
     order.  None of this depends on the raster: `_fit` takes n1 and n2 from
@@ -355,7 +363,7 @@ class Plan:
                         kernel = fit_coeffs(kernel, basis)
                 except ValueError:
                     raise ValueError(f"kernel samples overflow their order-{M} fit") from None
-            self._orders[M] = _Order(basis, solve_lower(kernel, basis.pe),
+            self._orders[M] = _Order(basis, solve_lower(kernel, basis.lift),
                                      inverse_norms(kernel, M))
         return self._orders[M]
 
@@ -381,7 +389,7 @@ class Plan:
         order = self._first
         if cfg.M == "auto":
             order = self._order(select_M(order.norms, eps))
-        M = order.op.shape[0]
+        M, r = order.lift.shape
 
         # Truncation set Omega(J1, J2): the levels < J along each axis.  At full
         # depth the scaling coefficient is index 0 and level j holds indices
@@ -390,13 +398,16 @@ class Plan:
         J1 = _depth(cfg.J1, n1, eps, cfg.threshold_mode)
         J2 = _depth(cfg.J2, n2, eps, cfg.threshold_mode)
         r1, r2 = 1 << J1, 1 << J2
-        # Both time contractions are the 2-D np.dot that np.tensordot would
-        # build, without its Python setup: A Y over the n frames here and the
-        # Laguerre synthesis over the M orders in `apply`.  A Y has no name,
-        # so it is freed once the forward transform returns.
+        # theta = W1[:r1] (A Y) W2[:r2]^T with A in its two factors: the n
+        # frames contract to the r kept directions, r images are transformed
+        # and one M x r product lifts their blocks to the M levels.  The time
+        # contractions are the 2-D np.dot that np.tensordot would build,
+        # without its Python setup, as is the Laguerre synthesis in `apply`.
+        # The r-image stacks have no name, so each is freed once used.
         theta, keep_counts, total_counts, lambdas, disabled = _threshold(
-            dwt2_array(np.dot(order.op, Y.data.reshape(Y.grid.n, -1)).reshape(M, n1, n2),
-                       spec, (r1, r2)),
+            np.dot(order.lift, dwt2_array(
+                np.dot(order.basis.reduce, Y.data.reshape(Y.grid.n, -1)).reshape(r, n1, n2),
+                spec, (r1, r2)).reshape(r, -1)).reshape(M, r1, r2),
             eps, cfg, order.norms)
 
         # The inverse wavelet transform of the M blocks: it commutes with the

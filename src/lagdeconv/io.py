@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -100,12 +101,16 @@ def read_cube(stem) -> Cube:
         raise FileFormatError(f"{bin_path}: {exc}") from exc
 
 
+# A number cell in ASCII decimal syntax, as np.savetxt writes it, with
+# surrounding blanks: float() alone also reads digit-group underscores (0_8)
+# and other scripts' digits.  nan and inf match, to fail the finite check.
+_NUMBER = re.compile(
+    r"\s*[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf(?:inity)?|nan)\s*",
+    re.ASCII | re.IGNORECASE)
+
+
 def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
+    return _NUMBER.fullmatch(cell) is not None
 
 
 def read_series(path) -> tuple[np.ndarray, np.ndarray]:
@@ -123,11 +128,10 @@ def read_series(path) -> tuple[np.ndarray, np.ndarray]:
         for row in rows[0 if any(map(_is_number, rows[0])) else 1:]:
             if len(row) != 2:
                 raise ValueError(f"expected two columns, got {row!r}")
-            try:
-                t_i, y_i = float(row[0]), float(row[1])
-            except ValueError:
-                raise ValueError(f"non-numeric entry in {row!r}") from None
-            # float() parses "nan" and "inf"; a NaN t would also pass the order check
+            if not all(map(_is_number, row)):
+                raise ValueError(f"non-numeric entry in {row!r}")
+            t_i, y_i = float(row[0]), float(row[1])
+            # "nan" and "inf" are numbers here; a NaN t would also pass the order check
             if not (math.isfinite(t_i) and math.isfinite(y_i)):
                 raise ValueError(f"non-finite entry in {row!r}")
             pairs.append((t_i, y_i))

@@ -12,7 +12,8 @@ Grid convention: t_k = T*k/n for k = 1..n, so there is no t = 0 sample.
 Quadrature is carried out on the n+1 nodes {0, t_1, ..., t_n}; the t = 0
 value of a data series is linearly extrapolated unless supplied.  A basis
 is built whole by `tabulate_basis`: its values, its projector P at one
-cutoff and P E, the projector with that extrapolation E folded in.
+cutoff and P E, the projector with that extrapolation E folded in, kept as
+its two factors through the r directions the cutoff keeps.
 """
 
 from __future__ import annotations
@@ -136,17 +137,21 @@ class LaguerreBasis:
 
     `values` is the M x n table values[l][k] = phi_l(t_k), k = 1..n.
     `projector` is the M x (n+1) Simpson-weighted least-squares projector
-    P on the nodes {0, t_1, .., t_n} that keeps the `rank` singular
-    directions of the design above the cutoff.  `pe` is the M x n matrix
-    P E, E the linear extrapolation of the t = 0 node from the n samples.
-    All three tables are read-only, so one instance is shared by every plan
-    on its grid and across threads.
+    P on the nodes {0, t_1, .., t_n} that keeps the r = `rank` singular
+    directions of the design above the cutoff.  P E, E the linear
+    extrapolation of the t = 0 node from the n samples, has rank r and is
+    kept as its two factors, P E = lift reduce: `reduce` is the r x n map
+    from the samples to the kept directions' coordinates and `lift` the
+    M x r map from those to the M coefficients.  All four tables are
+    read-only, so one instance is shared by every plan on its grid and
+    across threads.
     """
 
     M: int
     values: np.ndarray = field(repr=False)
     projector: np.ndarray = field(repr=False)
-    pe: np.ndarray = field(repr=False)
+    lift: np.ndarray = field(repr=False)
+    reduce: np.ndarray = field(repr=False)
     rank: int
 
 
@@ -176,8 +181,11 @@ def _simpson_weights(n_intervals: int, h: float) -> np.ndarray:
 
 def tabulate_basis(M: int, grid: TimeGrid, rcond: float = DEFAULT_RCOND) -> LaguerreBasis:
     """phi_0..phi_{M-1} on the grid points with their projector at cutoff
-    rcond in [0, 1) and P E, the only path that builds a basis.  P E is P's
-    sample columns plus P's t = 0 column times E's t = 0 row, e0 below.
+    rcond in [0, 1) and the two factors of P E, the only path that builds a
+    basis.  With the weighted design's thin SVD U S V^T and r the directions
+    kept, P = V_r S_r^-1 U_r^T sqrt(w): `lift` is V_r S_r^-1, and `reduce` is
+    U_r^T sqrt(w) with E folded in as P E folds it, its sample columns plus
+    its t = 0 column times E's t = 0 row, e0 below.
 
     The basis is cached on the grid object by (M, rcond), so every caller
     that asks for it on that grid gets one shared, read-only instance.
@@ -191,11 +199,13 @@ def tabulate_basis(M: int, grid: TimeGrid, rcond: float = DEFAULT_RCOND) -> Lagu
         design = np.concatenate([np.ones((M, 1)), values], axis=1) * sw
         u, s, vt = np.linalg.svd(design.T, full_matrices=False)
         rank = int(np.sum(s > rcond * s[0]))
-        projector = ((vt[:rank].T / s[:rank]) @ u[:, :rank].T) * sw
+        lift = vt[:rank].T / s[:rank]
+        projector = (lift @ u[:, :rank].T) * sw
+        nodes = u[:, :rank].T * sw
         e0 = _series_with_zero(np.eye(min(grid.n, 2), grid.n), None)[0]  # n = 1: e0 = (1,)
-        pe = projector[:, 1:] + np.outer(projector[:, 0], e0)
+        reduce = nodes[:, 1:] + np.outer(nodes[:, 0], e0)
         basis = LaguerreBasis(M=M, values=_read_only(values), projector=_read_only(projector),
-                              pe=_read_only(pe), rank=rank)
+                              lift=_read_only(lift), reduce=_read_only(reduce), rank=rank)
         basis = grid._cache.setdefault(key, basis)
     return basis
 

@@ -693,7 +693,8 @@ def full_array_apply(plan, Y):
     sigma = float(np.median([estimate_sigma(y, spec) for y in Y.data]))
     eps = Y.grid.T * sigma / math.sqrt(Y.grid.n) if cfg.eps == "auto" else float(cfg.eps)
     order = plan._order(cfg.M)
-    theta = dwt2_array(np.tensordot(order.op, Y.data, axes=(1, 0)), spec, (n1, n2))
+    theta = np.tensordot(order.lift, dwt2_array(
+        np.tensordot(order.basis.reduce, Y.data, axes=(1, 0)), spec, (n1, n2)), axes=(1, 0))
     J1, J2 = (_depth(J, n, eps, cfg.threshold_mode) for J, n in ((cfg.J1, n1), (cfg.J2, n2)))
     lev1, lev2 = level_of(n1), level_of(n2)
     in_omega = np.outer(lev1 < J1, lev2 < J2)
@@ -829,7 +830,8 @@ class TestPlan:
     def test_a_small_g0_within_the_double_range_still_builds(self, g0, M):
         grid = TimeGrid(n=64, T=5.0)
         plan = Plan(grid, LagCoeffs([g0] + [1.0] * 63), WaveletSpec(), EstimatorConfig(M=M))
-        assert np.all(np.isfinite(plan._first.op)) and np.isfinite(plan._first.norms.spectral[-1])
+        order = plan._first
+        assert np.all(np.isfinite(order.lift)) and np.isfinite(order.norms.spectral[-1])
 
     @pytest.mark.parametrize(
         "cfg", [EstimatorConfig(M=6, rcond=0.01), EstimatorConfig(m_cap=12, rcond=0.01)],
@@ -841,7 +843,7 @@ class TestPlan:
         ((M, order),) = plan._orders.items()
         assert M == (cfg.M if cfg.M != "auto" else cfg.m_cap)
         assert order.basis is grid._cache[M, 0.01]
-        assert order.op.shape == (M, grid.n) and order.norms.max_m == M
+        assert order.lift.shape == (M, order.basis.rank) and order.norms.max_m == M
 
     def test_an_order_compares_and_hashes_by_identity(self):
         # its fields are arrays: a generated __eq__ raised numpy's ambiguous
@@ -936,7 +938,7 @@ class TestPlan:
         one, two = (Plan(grid, g, WaveletSpec(), cfg) for g in kernels)
         (M,) = set(one._orders) & set(two._orders)
         assert one._orders[M].basis is two._orders[M].basis is grid._cache[M, cfg.rcond]
-        assert not np.array_equal(one._orders[M].op, two._orders[M].op)
+        assert not np.array_equal(one._orders[M].lift, two._orders[M].lift)
 
     def test_a_second_auto_plan_on_the_grid_tabulates_and_factors_nothing(self, monkeypatch):
         grid = TimeGrid(n=64, T=5.0)
@@ -1091,9 +1093,12 @@ class TestWorkingSet:
         # A Y, theta or C.  At M = 64 on 64 frames it is as large as the cube.
         # A fit once held A Y through the threshold and the inverse transform,
         # a float |theta| beside theta and a full-size first product in each
-        # transform: 4.0 stacks beyond its input.  It now frees A Y after the
-        # forward transform, builds the keep mask from two comparisons and
-        # runs the transforms in slabs of 8 images: about 2.26 stacks.
+        # transform: 4.0 stacks beyond its input.  It now builds the keep mask
+        # from two comparisons and runs the transforms in slabs of 8 images:
+        # about 2.26 stacks.  Its forward stage applies A's two factors, so
+        # beside theta it holds stacks of the r = 13 kept directions: about
+        # 1.20 stacks when the threshold stage is entered, against 2.13 with
+        # A Y formed whole and transformed beside its output.
         grid = TimeGrid(n=64, T=5.0)
         g = np.exp(-grid.points / 2.0)
         noise = 0.02 * np.random.default_rng(43).standard_normal((64, 32, 32))
@@ -1110,6 +1115,13 @@ class TestWorkingSet:
 
         for name in ("dwt2_array", "hard_threshold", "idwt2_array"):
             monkeypatch.setattr(estimator, name, counted(name, getattr(estimator, name)))
+        forward_peaks = []
+
+        def threshold(*args, stage=estimator._threshold):
+            forward_peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return stage(*args)
+
+        monkeypatch.setattr(estimator, "_threshold", threshold)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -1117,9 +1129,10 @@ class TestWorkingSet:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert (diag.M, diag.J1, diag.J2) == (64, 5, 5)  # every stack full size
+        assert (diag.M, diag.J1, diag.J2, diag.projection_rank) == (64, 5, 5, 13)
         assert calls == {"dwt2_array": 1, "hard_threshold": 1, "idwt2_array": 1}
         stack = diag.M * 32 * 32 * 8  # bytes of one float64 level-stack
+        assert len(forward_peaks) == 1 and forward_peaks[0] / stack < 1.5
         assert peak / stack < 2.5
 
 
@@ -1139,7 +1152,8 @@ class TestApplyBitIdentity:
         order = plan._order(M)
         J1, J2 = (_depth(J, n, eps, True) for J, n in ((cfg.J1, n1), (cfg.J2, n2)))
         r1, r2 = 1 << J1, 1 << J2
-        theta = dwt2_array(np.tensordot(order.op, Y.data, axes=(1, 0)), spec, (r1, r2))
+        theta = np.tensordot(order.lift, dwt2_array(
+            np.tensordot(order.basis.reduce, Y.data, axes=(1, 0)), spec, (r1, r2)), axes=(1, 0))
         lambdas = thresholds(M, eps, cfg.nu, order.norms)
         theta, keep_counts = hard_threshold(theta, lambdas)
         C = idwt2_array(theta, spec, (n1, n2))
@@ -1178,6 +1192,76 @@ class TestApplyBitIdentity:
             assert fit_diag.to_dict() == d_ref.to_dict()
             synthesis = np.dot(order.basis.values.T, C.reshape(diag.M, -1))
             assert np.array_equal(f_hat.data, synthesis.reshape(Y.data.shape))
+
+
+def aif(t, rng):
+    """An arterial-input-shaped kernel, gamma-variate bolus plus washout,
+    each parameter jittered by up to 10%, with its t = 0 value."""
+    tp, a, b, tau = (v * rng.uniform(0.9, 1.1) for v in (0.7, 2.25, 0.3, 3.5))
+    return (t / tp) ** a * np.exp(a * (1.0 - t / tp)) + b * np.exp(-t / tau), b
+
+
+class TestFactoredOperator:
+    """A fit applies A = G^-1 P E as its two factors, G^-1 times the
+    basis's M x r lift and its r x n reduce.  The dense M x n operator,
+    G^-1 applied to P E formed through the extrapolation matrix E, is the
+    reference, to rounding."""
+
+    @staticmethod
+    def dense(order, plan):
+        n = plan.grid.n
+        kernel = fit_coeffs(plan._kernel, order.basis)
+        E = laguerre._series_with_zero(np.eye(n), None)
+        return solve_lower(kernel, order.basis.projector @ E)
+
+    # r = M at rcond = 0 and r = 1 at rcond = 0.99.  At rcond = 0 and M >= 16
+    # the last kept direction has s_r / s_1 below 1e-14, and the two products
+    # round apart by up to 3e-6 of A's largest entry: neither is exact there
+    @pytest.mark.parametrize(
+        "n, M, rcond, rank",
+        [(32, 8, 0.0, 8), (64, 8, 0.0, 8), (16, 4, 0.0, 4), (32, 8, 0.1, 5), (16, 6, 0.99, 1),
+         (64, 64, 0.1, 13), (64, 64, 0.99, 1), (33, 16, 0.1, 7), (257, 64, 0.1, 13)],
+    )
+    def test_the_factors_multiply_to_the_dense_operator(self, n, M, rcond, rank):
+        grid = TimeGrid(n=n, T=5.0)
+        g, g_zero = aif(grid.points, np.random.default_rng(n + M))
+        plan = Plan(grid, g, WaveletSpec(), EstimatorConfig(M=M, rcond=rcond), g_zero=g_zero)
+        order = plan._first
+        dense = self.dense(order, plan)
+        assert order.basis.rank == rank and order.lift.shape == (M, rank)
+        product = order.lift @ order.basis.reduce
+        assert np.abs(product - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("seed", [901, 902, 903])
+    def test_theta_and_its_keep_decisions_match_the_dense_operator(self, monkeypatch, seed):
+        # an auto_order-like scan at M = 64: f3 through a jittered AIF at SNR 5
+        rng = np.random.default_rng(seed)
+        sim = SimConfig(n=64, T=5.0, n1=32, n2=32)
+        truth = simulate.eval_test_function("f3", sim)
+        g, g_zero = aif(truth.grid.points, rng)
+        q = simulate.forward_convolve(truth, g, g_zero=g_zero,
+                                      f_zero=simulate.zero_time_slice("f3", sim))
+        Y = simulate.add_noise(q, 5.0, seed)[0]
+        plan = Plan(Y.grid, g, WaveletSpec(), EstimatorConfig(M=64), g_zero=g_zero)
+        seen = []
+
+        def threshold(theta, eps, cfg, norms, stage=estimator._threshold):
+            seen.append((theta.copy(), eps))
+            return stage(theta, eps, cfg, norms)
+
+        monkeypatch.setattr(estimator, "_threshold", threshold)
+        diag = plan.apply(Y)[1]
+        ((theta, eps),) = seen
+        order = plan._first
+        r1, r2 = 1 << diag.J1, 1 << diag.J2
+        ref = dwt2_array(np.tensordot(self.dense(order, plan), Y.data, axes=(1, 0)),
+                         WaveletSpec(), (r1, r2))
+        assert order.basis.rank == 13 and theta.shape == ref.shape == (64, r1, r2)
+        assert np.abs(theta - ref).max() <= 1e-13 * np.abs(ref).max()
+        lambdas = thresholds(64, eps, plan.cfg.nu, order.norms)
+        keep, keep_ref = (hard_threshold(x, lambdas)[0] != 0.0 for x in (theta, ref))
+        assert np.array_equal(keep, keep_ref) and 0 < keep.sum() < keep.size
+        assert np.array_equal(diag.keep_counts, keep.sum(axis=(1, 2)))
 
 
 class TestDiagnostics:

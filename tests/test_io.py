@@ -239,6 +239,27 @@ class TestSeriesFile:
         t, v = read_series(tmp_path / "s.csv")
         assert list(t) == [0.5, 1.0] and list(v) == [1.0, 2.0]
 
+    # float() also reads digit-group underscores and other scripts' digits:
+    # 0_8 read as 8.0 and the Arabic-Indic three as 3.0
+    @pytest.mark.parametrize("cell", ["0_8", "\u0663"], ids=["underscore", "arabic-indic"])
+    @pytest.mark.parametrize("template", ["0.5,{}", "{},0.8"], ids=["value", "t"])
+    @pytest.mark.parametrize("first", [False, True], ids=["after-a-header", "first-row"])
+    def test_rejects_a_cell_outside_ascii_decimal_syntax(self, tmp_path, cell, template, first):
+        row = template.format(cell)
+        path = tmp_path / "s.csv"
+        head = "" if first else "t,value\n0.0,1.0\n"
+        path.write_text(f"{head}{row}\n9.0,0.6\n", encoding="utf-8")
+        msg = f"{path}: non-numeric entry in {row.split(',')!r}"
+        with pytest.raises(FileFormatError, match=re.escape(msg)):
+            read_series(path)
+
+    def test_reads_every_ascii_decimal_form(self, tmp_path):
+        cells = ["1", "+2.", "-.5", "2.5E-3", " 7e+2 ", "\t08"]
+        path = tmp_path / "s.csv"
+        path.write_text("".join(f"{k},{c}\n" for k, c in enumerate(cells)))
+        t, v = read_series(path)
+        assert list(t) == list(range(6)) and list(v) == [float(c) for c in cells]
+
     # float() reads "nan" and "inf", so such a first row is data, and rejected
     @pytest.mark.parametrize("row", ["nan,1.0", "0.0,inf"])
     def test_a_first_row_with_a_non_finite_number_is_rejected_data(self, tmp_path, row):

@@ -333,7 +333,7 @@ class TestBasisCache:
 
     def test_tables_are_read_only(self):
         b = tabulate_basis(4, TimeGrid(n=16, T=5.0))
-        for table in (b.values, b.projector, b.pe):
+        for table in (b.values, b.projector, b.lift, b.reduce):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0.0
         with pytest.raises(AttributeError):
@@ -344,7 +344,7 @@ class TestBasisCache:
         # leaves them out
         a, b = tabulate_basis(4, TimeGrid(n=16, T=5.0)), tabulate_basis(4, TimeGrid(n=16, T=5.0))
         assert a != b and (a.M, a.rank) == (b.M, b.rank) == (4, 4)
-        for name in ("values", "projector", "pe"):
+        for name in ("values", "projector", "lift", "reduce"):
             mine, theirs = getattr(a, name), getattr(b, name)
             assert mine is not theirs and np.array_equal(mine, theirs)
         assert repr(a) == "LaguerreBasis(M=4, rank=4)"
@@ -352,20 +352,43 @@ class TestBasisCache:
     @pytest.mark.parametrize("rcond", [0.0, 0.1])
     @pytest.mark.parametrize("M", [1, 6, 8, 64])
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 32, 33, 257])
-    def test_pe_is_the_projector_times_the_extrapolation(self, n, M, rcond):
+    def test_the_factors_are_the_svd_terms_with_the_extrapolation_folded_in(self, n, M, rcond):
         # E maps the n samples to the n + 1 nodes: the t = 0 row is
-        # 2 s_1 - s_2 (s_1 alone when n = 1), the rest the identity.  P E is
-        # formed from that one row; the dense product through E is the
-        # reference, bit for bit and zero signs included
+        # 2 s_1 - s_2 (s_1 alone when n = 1), the rest the identity.  With
+        # the weighted design's thin SVD U S V^T, lift is V_r S_r^-1 and
+        # reduce U_r^T sqrt(w) E, formed from E's one t = 0 row; the dense
+        # product through E is the reference, bit for bit and zero signs
+        # included
         E = np.eye(n + 1, n, -1)
         E[0, 0] = 1.0 if n == 1 else 2.0
         if n > 1:
             E[0, 1] = -1.0
         assert np.array_equal(E, _series_with_zero(np.eye(n), None))
+        grid = TimeGrid(n=n, T=5.0)
+        b = tabulate_basis(M, grid, rcond)
+        sw = np.sqrt(_simpson_weights(n, grid.step))
+        u, s, vt = np.linalg.svd((with_zero_column(b) * sw).T, full_matrices=False)
+        r = b.rank
+        assert r == np.sum(s > rcond * s[0])
+        assert b.lift.shape == (M, r) and np.array_equal(b.lift, vt[:r].T / s[:r])
+        dense = (u[:, :r].T * sw) @ E
+        assert b.reduce.shape == (r, n) and np.array_equal(b.reduce, dense)
+        assert np.array_equal(np.signbit(b.reduce), np.signbit(dense))
+
+    # r = M at rcond = 0 while M <= n + 1, and r = 1 at rcond = 0.99
+    @pytest.mark.parametrize(
+        "n, M, rcond, rank",
+        [(16, 8, 0.0, 8), (32, 32, 0.0, 32), (64, 64, 0.0, 64), (257, 64, 0.0, 64),
+         (3, 8, 0.0, 4), (32, 8, 0.1, 5), (64, 64, 0.1, 13), (257, 64, 0.1, 13),
+         (33, 1, 0.0, 1), (16, 6, 0.99, 1), (64, 64, 0.99, 1)],
+    )
+    def test_the_factors_multiply_to_the_projector_times_the_extrapolation(
+        self, n, M, rcond, rank
+    ):
         b = tabulate_basis(M, TimeGrid(n=n, T=5.0), rcond)
-        dense = b.projector @ E
-        assert b.pe.shape == (M, n) and np.array_equal(b.pe, dense)
-        assert np.array_equal(np.signbit(b.pe), np.signbit(dense))
+        dense = b.projector @ _series_with_zero(np.eye(n), None)
+        assert b.rank == rank
+        assert np.abs(b.lift @ b.reduce - dense).max() <= 1e-13 * np.abs(dense).max()
 
     def test_builds_no_n_by_n_helper(self):
         # an n x n float64 array at n = 16,384 alone takes 2 GiB; the tables
