@@ -74,8 +74,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class TimeGrid:
     """Uniform sampling t_k = T*k/n, k = 1..n, of the interval (0, T].
 
-    Grids compare and hash by (n, T); each grid object caches the Laguerre
-    bases built on it (see `tabulate_basis`) for as long as it lives.
+    Grids compare and hash by (n, T), T kept as a float; each grid object
+    caches the Laguerre bases built on it (see `tabulate_basis`) for as
+    long as it lives.
     """
 
     n: int
@@ -88,6 +89,9 @@ class TimeGrid:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if not (_is_real(self.T) and self.T > 0):
             raise ValueError(f"T must be positive and finite, got {self.T!r}")
+        # a Fraction or an int would carry its own arithmetic into `points`
+        # (a Fraction makes them an object array) and `step`
+        object.__setattr__(self, "T", float(self.T))
 
     @property
     def step(self) -> float:

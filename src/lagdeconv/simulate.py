@@ -15,8 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .estimator import Cube, Diagnostics, EstimatorConfig, Plan, deconvolve
-from .laguerre import (TimeGrid, _is_int_at_least, _is_real, _kernel_nodes, _real_array,
-                       _series_with_zero)
+from .laguerre import (TimeGrid, _is_int_at_least, _is_real, _kernel_nodes, _read_only,
+                       _real_array, _series_with_zero)
 from .wavelet2d import WaveletSpec
 
 __all__ = [
@@ -45,8 +45,10 @@ REFERENCE_TABLE1 = {
     ("f3", 3.0): 0.1107, ("f3", 5.0): 0.0680, ("f3", 7.0): 0.0511,
     ("f4", 3.0): 0.1080, ("f4", 5.0): 0.0690, ("f4", 7.0): 0.0519,
 }
-# the estimator of those reference values, at the default nu
+# the estimator of those reference values, at the default nu, and their
+# wavelet; one spec, so its cached W serves every Table-1 call
 _TABLE1_CFG = EstimatorConfig(M=8)
+_TABLE1_SPEC = WaveletSpec()
 
 
 @dataclass(frozen=True)
@@ -160,8 +162,9 @@ def _forward_model(fid: str, cfg: SimConfig) -> tuple[Cube, Cube]:
     return f, forward_convolve(f, g, g_zero=1.0, f_zero=zero_time_slice(fid, cfg))
 
 
-def _noise_sigmas(q: Cube, snrs) -> list[float]:
-    """sigma = sd(q)/snr for each given signal-to-noise ratio, from one sd(q)."""
+def _noise_sd(q: Cube) -> float:
+    """sd(q), the scale that `_noise_sigmas` divides by each SNR, checked
+    finite and non-zero."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         sd = float(q.data.std())
     if not math.isfinite(sd):
@@ -169,6 +172,11 @@ def _noise_sigmas(q: Cube, snrs) -> list[float]:
                          "for their variance")
     if sd == 0.0:
         raise ValueError("q has zero variance; cannot calibrate noise to an SNR")
+    return sd
+
+
+def _noise_sigmas(sd: float, snrs) -> list[float]:
+    """sigma = sd(q)/snr for each given signal-to-noise ratio, from one sd(q)."""
     for snr in snrs:
         if not (_is_real(snr) and snr > 0):
             raise ValueError(f"snr must be a positive finite real, got {snr!r}")
@@ -189,7 +197,7 @@ def add_noise(q: Cube, snr: float, seed: int) -> tuple[Cube, float]:
     """
     if not _is_int_at_least(seed, 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    (sigma,) = _noise_sigmas(q, (snr,))
+    (sigma,) = _noise_sigmas(_noise_sd(q), (snr,))
     noisy = _unit_noise(seed, q.data.shape)
     with np.errstate(over="ignore"):  # the noisy cube's scan checks
         noisy *= sigma
@@ -246,6 +254,43 @@ class Table1Row:
         return self.mean_delta / self.reference_delta
 
 
+@dataclass(frozen=True, eq=False)
+class _Table1Setup:
+    """What `run_table1` computes from the grid values alone: per truth
+    (fid, f, ||f||, q, sd(q)), f and q on `grid` with read-only data.
+    `key` is (grid, n1, n2, the `_forward_model` that built them)."""
+
+    key: tuple
+    grid: TimeGrid
+    truths: tuple[tuple[str, Cube, float, Cube, float], ...]
+
+
+_table1_setup: _Table1Setup | None = None  # the last grid's, the only one kept
+
+
+def _setup_for(cfg: SimConfig) -> _Table1Setup:
+    """The kept setup if it was built for cfg's grid values (n, T, n1, n2)
+    by the current `_forward_model`, else a new one that replaces it."""
+    global _table1_setup
+    key = (cfg.grid, cfg.n1, cfg.n2, _forward_model)
+    setup = _table1_setup
+    if setup is not None and setup.key == key:
+        return setup
+    # the last grid's cubes go before the new ones come; a concurrent call
+    # may build its own setup, and each call runs on the one it holds
+    _table1_setup = setup = None
+    truths = []
+    for fid in TEST_FUNCTION_IDS:
+        f, q = _forward_model(fid, cfg)
+        norm = _weighted_norm(f.data.copy(), f)  # never zero for these truths
+        sd = _noise_sd(q)
+        _read_only(f.data)
+        _read_only(q.data)
+        truths.append((fid, f, norm, q, sd))
+    _table1_setup = setup = _Table1Setup(key, cfg.grid, tuple(truths))
+    return setup
+
+
 def run_table1(
     cfg: SimConfig,
     est_cfg: EstimatorConfig = _TABLE1_CFG,
@@ -261,24 +306,33 @@ def run_table1(
     draw is made once per replicate, not once per cell.  An SNR small enough
     that a replicate's relative error overflows raises a ValueError naming
     it.
+
+    What the seed does not touch is kept between calls for the last grid
+    values (n, T, n1, n2) only, whatever the seed and runs: the four truths
+    f and their q = g*f, read-only (8 cubes, 64*n*n1*n2 bytes, 2 MiB at
+    32^3), ||f|| and sd(q), and the grid object, so its Laguerre bases
+    stay cached, as W does on the one Table-1 spec.  Each call checks its
+    SNRs, builds its plan's kernel half for est_cfg, draws the noise and
+    runs the fits, every noisy cube in one reused buffer.
     """
-    g = default_kernel(cfg.grid.points)
+    setup = _setup_for(cfg)
+    grid = setup.grid
     # Every replicate of every cell shares the grid, the kernel and the
     # settings, so one plan serves them all.
-    plan = Plan(cfg.grid, g, WaveletSpec(), est_cfg, g_zero=1.0)
-    cells = []  # (fid, snr, f, ||f||, q, sigma) in row order
-    for fid in TEST_FUNCTION_IDS:
-        f, q = _forward_model(fid, cfg)
-        norm = _weighted_norm(f.data.copy(), f)  # never zero for these truths
-        sigmas = _noise_sigmas(q, snrs)
-        cells.extend((fid, snr, f, norm, q, sigma) for snr, sigma in zip(snrs, sigmas))
+    plan = Plan(grid, default_kernel(grid.points), _TABLE1_SPEC, est_cfg, g_zero=1.0)
+    cells = [  # (fid, snr, f, ||f||, q, sigma) in row order
+        (fid, snr, f, norm, q, sigma)
+        for fid, f, norm, q, sd in setup.truths
+        for snr, sigma in zip(snrs, _noise_sigmas(sd, snrs))
+    ]
     deltas = np.empty((len(cells), cfg.runs))
+    y = np.empty((cfg.n, cfg.n1, cfg.n2))  # each noisy cube in turn
     for i in range(cfg.runs):
-        z = _unit_noise(cfg.seed + i, (cfg.n, cfg.n1, cfg.n2))
+        z = _unit_noise(cfg.seed + i, y.shape)
         for c, (_, snr, f, norm, q, sigma) in enumerate(cells):
-            y = sigma * z  # the noisy cube in one buffer
+            np.multiply(sigma, z, out=y)
             y += q.data
-            f_hat, _ = plan.apply(Cube(grid=q.grid, data=y))
+            f_hat, _ = plan.apply(Cube(grid=grid, data=y))
             f_hat.data -= f.data  # the residual in the fit's own buffer, read only here
             delta = _weighted_norm(f_hat.data, f) / norm
             if not math.isfinite(delta):
@@ -305,5 +359,5 @@ def run_single(fid: str, snr: float, cfg: SimConfig) -> tuple[float, Diagnostics
     f, q = _forward_model(fid, cfg)
     Y, _ = add_noise(q, snr, cfg.seed)
     g = default_kernel(cfg.grid.points)
-    f_hat, diag = deconvolve(Y, g, WaveletSpec(), _TABLE1_CFG, g_zero=1.0)
+    f_hat, diag = deconvolve(Y, g, _TABLE1_SPEC, _TABLE1_CFG, g_zero=1.0)
     return relative_error(f_hat, f), diag

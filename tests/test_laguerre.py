@@ -6,12 +6,14 @@ import re
 import sys
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import special
 
 from lagdeconv import (
+    Cube,
     EstimatorConfig,
     LagCoeffs,
     Plan,
@@ -122,6 +124,21 @@ class TestTimeGrid:
     @pytest.mark.parametrize("T", [5, 2**62], ids=repr)
     def test_points_of_an_int_length_equal_those_of_its_float(self, T):
         assert np.array_equal(TimeGrid(n=8, T=T).points, TimeGrid(n=8, T=float(T)).points)
+
+    # T = Fraction(5) passed the checks and made `points` an object array:
+    # every fit on the grid raised from numpy's exp, and run_table1 that t
+    # must hold real numbers.  T is kept as its float.
+    @pytest.mark.parametrize("T", [5, np.int64(5), Fraction(5)], ids=repr)
+    def test_a_fit_on_a_real_length_of_any_type_is_the_fit_on_its_float(self, T):
+        grid, ref = TimeGrid(n=16, T=T), TimeGrid(n=16, T=5.0)
+        assert type(grid.T) is float and grid == ref and hash(grid) == hash(ref)
+        data = 1.0 + 0.01 * np.random.default_rng(3).standard_normal((16, 8, 8))
+        (a, diag_a), (b, diag_b) = (
+            Plan(on, np.exp(-on.points / 2.0), WaveletSpec(), EstimatorConfig(M=8),
+                 g_zero=1.0).apply(Cube(grid=on, data=data))
+            for on in (grid, ref)
+        )
+        assert np.array_equal(a.data, b.data) and diag_a.to_dict() == diag_b.to_dict()
 
 
 class TestTabulateBasis:
