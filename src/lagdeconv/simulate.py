@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -45,10 +45,11 @@ REFERENCE_TABLE1 = {
     ("f3", 3.0): 0.1107, ("f3", 5.0): 0.0680, ("f3", 7.0): 0.0511,
     ("f4", 3.0): 0.1080, ("f4", 5.0): 0.0690, ("f4", 7.0): 0.0519,
 }
-# the estimator of those reference values, at the default nu, and their
-# wavelet; one spec, so its cached W serves every Table-1 call
+# the estimator of those reference values, at the default nu
 _TABLE1_CFG = EstimatorConfig(M=8)
-_TABLE1_SPEC = WaveletSpec()
+# run_table1 keeps no setup whose 8 cubes (64*n*n1*n2 bytes) pass this:
+# four times the 2 MiB of the 32^3 Table-1 grid
+_TABLE1_KEEP_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -256,29 +257,18 @@ class Table1Row:
 
 @dataclass(frozen=True, eq=False)
 class _Table1Setup:
-    """What `run_table1` computes from the grid values alone: per truth
-    (fid, f, ||f||, q, sd(q)), f and q on `grid` with read-only data.
-    `key` is (grid, n1, n2, the `_forward_model` that built them)."""
+    """What `run_table1` computes from the grid values alone: the grid, a
+    wavelet spec that caches W for its (n1, n2), and per truth
+    (fid, f, ||f||, q, sd(q)), f and q on `grid` with read-only data."""
 
-    key: tuple
     grid: TimeGrid
+    spec: WaveletSpec
     truths: tuple[tuple[str, Cube, float, Cube, float], ...]
 
 
-_table1_setup: _Table1Setup | None = None  # the last grid's, the only one kept
-
-
-def _setup_for(cfg: SimConfig) -> _Table1Setup:
-    """The kept setup if it was built for cfg's grid values (n, T, n1, n2)
-    by the current `_forward_model`, else a new one that replaces it."""
-    global _table1_setup
-    key = (cfg.grid, cfg.n1, cfg.n2, _forward_model)
-    setup = _table1_setup
-    if setup is not None and setup.key == key:
-        return setup
-    # the last grid's cubes go before the new ones come; a concurrent call
-    # may build its own setup, and each call runs on the one it holds
-    _table1_setup = setup = None
+def _table1_setup(n: int, T: float, n1: int, n2: int) -> _Table1Setup:
+    """A new setup for the grid values (n, T, n1, n2)."""
+    cfg = SimConfig(n=n, T=T, n1=n1, n2=n2)
     truths = []
     for fid in TEST_FUNCTION_IDS:
         f, q = _forward_model(fid, cfg)
@@ -287,8 +277,11 @@ def _setup_for(cfg: SimConfig) -> _Table1Setup:
         _read_only(f.data)
         _read_only(q.data)
         truths.append((fid, f, norm, q, sd))
-    _table1_setup = setup = _Table1Setup(key, cfg.grid, tuple(truths))
-    return setup
+    return _Table1Setup(cfg.grid, WaveletSpec(), tuple(truths))
+
+
+# the last grid values' setup, the only one kept between calls
+_kept_table1_setup = lru_cache(maxsize=1)(_table1_setup)
 
 
 def run_table1(
@@ -307,19 +300,25 @@ def run_table1(
     that a replicate's relative error overflows raises a ValueError naming
     it.
 
-    What the seed does not touch is kept between calls for the last grid
-    values (n, T, n1, n2) only, whatever the seed and runs: the four truths
-    f and their q = g*f, read-only (8 cubes, 64*n*n1*n2 bytes, 2 MiB at
-    32^3), ||f|| and sd(q), and the grid object, so its Laguerre bases
-    stay cached, as W does on the one Table-1 spec.  Each call checks its
-    SNRs, builds its plan's kernel half for est_cfg, draws the noise and
-    runs the fits, every noisy cube in one reused buffer.
+    What the seed does not touch stays in memory after the call, for the
+    last grid values (n, T, n1, n2) only, whatever the seed and runs: the
+    four truths f and their q = g*f, read-only (8 cubes, 64*n*n1*n2 bytes,
+    2 MiB at 32^3), ||f|| and sd(q), and one grid object and wavelet spec,
+    so the Laguerre bases and W stay cached.  A call on other grid values
+    replaces it, and a call whose cubes pass 8 MiB (n*n1*n2 above 2^17,
+    as on 32 x 128 x 128) keeps nothing.  So only repeated calls on
+    one grid gain; a process that calls once builds all of it, as before.
+    Each call checks its SNRs, builds its plan's kernel half for est_cfg,
+    draws the noise and runs the fits, every noisy cube in one reused
+    buffer.
     """
-    setup = _setup_for(cfg)
+    build = (_kept_table1_setup if 64 * cfg.n * cfg.n1 * cfg.n2 <= _TABLE1_KEEP_BYTES
+             else _table1_setup)
+    setup = build(cfg.n, cfg.grid.T, cfg.n1, cfg.n2)
     grid = setup.grid
     # Every replicate of every cell shares the grid, the kernel and the
     # settings, so one plan serves them all.
-    plan = Plan(grid, default_kernel(grid.points), _TABLE1_SPEC, est_cfg, g_zero=1.0)
+    plan = Plan(grid, default_kernel(grid.points), setup.spec, est_cfg, g_zero=1.0)
     cells = [  # (fid, snr, f, ||f||, q, sigma) in row order
         (fid, snr, f, norm, q, sigma)
         for fid, f, norm, q, sd in setup.truths
@@ -359,5 +358,5 @@ def run_single(fid: str, snr: float, cfg: SimConfig) -> tuple[float, Diagnostics
     f, q = _forward_model(fid, cfg)
     Y, _ = add_noise(q, snr, cfg.seed)
     g = default_kernel(cfg.grid.points)
-    f_hat, diag = deconvolve(Y, g, _TABLE1_SPEC, _TABLE1_CFG, g_zero=1.0)
+    f_hat, diag = deconvolve(Y, g, WaveletSpec(), _TABLE1_CFG, g_zero=1.0)
     return relative_error(f_hat, f), diag

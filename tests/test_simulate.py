@@ -1,7 +1,5 @@
 import math
 import re
-import sys
-import threading
 import weakref
 from fractions import Fraction
 
@@ -108,14 +106,32 @@ class TestSimConfig:
         assert SimConfig(seed=1) != a
 
     def test_two_table_runs_on_one_config_tabulate_the_basis_once(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_table1_setup", None)  # no grid kept from before
-        calls = []
-        phi_rows = laguerre._phi_rows
-        monkeypatch.setattr(laguerre, "_phi_rows", lambda *a: calls.append(a) or phi_rows(*a))
+        # a third run, on equal grid values with a new seed, new runs and a
+        # list of SNRs, builds no truth, convolution, basis or W either
+        simulate._kept_table1_setup.cache_clear()  # no grid kept from before
+        calls = {"truth": 0, "convolve": 0, "rows": 0, "W": 0}
+
+        def counted(name, fn, builds=lambda *args: True):
+            def wrapper(*args, **kwargs):
+                calls[name] += builds(*args)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(simulate, "_test_function",
+                            counted("truth", simulate._test_function))
+        monkeypatch.setattr(simulate, "forward_convolve",
+                            counted("convolve", simulate.forward_convolve))
+        monkeypatch.setattr(laguerre, "_phi_rows", counted("rows", laguerre._phi_rows))
+        # _matrix looks W up on every transform; count the lookups that build it
+        monkeypatch.setattr(wavelet2d, "_matrix", counted(
+            "W", wavelet2d._matrix, lambda spec, n: n not in spec._cache))
         cfg = SimConfig(n=16, n1=8, n2=8, runs=2)
         first = run_table1(cfg, snrs=(3.0,))
+        assert all(calls.values()) and calls["rows"] == 1, calls
+        calls.update(dict.fromkeys(calls, 0))
         assert run_table1(cfg, snrs=(3.0,)) == first
-        assert len(calls) == 1
+        run_table1(SimConfig(n=16, n1=8, n2=8, runs=3, seed=2), snrs=[5.0, 7.0])
+        assert calls == {"truth": 0, "convolve": 0, "rows": 0, "W": 0}
 
 
 class TestTestFunctions:
@@ -561,13 +577,14 @@ class TestRunTable1:
         assert not [w for w in caught if not issubclass(w.category, UserWarning)]
 
     def test_zero_variance_q_rejected(self, monkeypatch):
-        # sd(q) is taken once per function and keeps add_noise's check, also
-        # after a call has left this grid's setup warm
+        # sd(q) is taken once per function and keeps add_noise's check;
+        # the first call leaves this grid's setup warm whatever ran before
         cfg = SimConfig(n=16, n1=16, n2=16, runs=2)
         run_table1(cfg, snrs=(3.0,))
         f, q = simulate._forward_model("f1", cfg)
         flat = Cube(grid=q.grid, data=np.ones(q.data.shape))
         monkeypatch.setattr(simulate, "_forward_model", lambda fid, cfg: (f, flat))
+        simulate._kept_table1_setup.cache_clear()  # the warm setup holds the real q
         with pytest.raises(ValueError, match="q has zero variance"):
             run_table1(cfg, snrs=(3.0,))
 
@@ -605,39 +622,21 @@ class TestTable1Setup:
     CFG = SimConfig(n=16, n1=8, n2=8, runs=2, seed=1)
 
     @pytest.fixture
-    def cold(self, monkeypatch):
-        # no setup kept from an earlier test, and a spec with no W yet
-        monkeypatch.setattr(simulate, "_table1_setup", None)
-        monkeypatch.setattr(simulate, "_TABLE1_SPEC", WaveletSpec())
+    def cold(self):
+        simulate._kept_table1_setup.cache_clear()  # no setup kept from an earlier test
 
-    def test_a_second_call_on_an_equal_grid_builds_nothing_the_seed_does_not_touch(
-        self, monkeypatch, cold
-    ):
-        calls = {"truth": 0, "convolve": 0, "rows": 0, "W": 0}
-
-        def counted(name, fn, builds=lambda *args: True):
-            def wrapper(*args, **kwargs):
-                calls[name] += builds(*args)
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(simulate, "_test_function",
-                            counted("truth", simulate._test_function))
-        monkeypatch.setattr(simulate, "forward_convolve",
-                            counted("convolve", simulate.forward_convolve))
-        monkeypatch.setattr(laguerre, "_phi_rows", counted("rows", laguerre._phi_rows))
-        # _matrix looks W up on every transform; count the lookups that build it
-        monkeypatch.setattr(wavelet2d, "_matrix", counted(
-            "W", wavelet2d._matrix, lambda spec, n: n not in spec._cache))
-        run_table1(SimConfig(n=16, n1=8, n2=8, runs=2, seed=1), snrs=(3.0,))  # a new grid
-        assert all(calls.values()), calls
-        calls.update(dict.fromkeys(calls, 0))
-        run_table1(SimConfig(n=16, n1=8, n2=8, runs=3, seed=2), snrs=[5.0, 7.0])
-        assert calls == {"truth": 0, "convolve": 0, "rows": 0, "W": 0}
+    @staticmethod
+    def kept(cfg):
+        """The setup run_table1 keeps for cfg's grid values; it must be there."""
+        info = simulate._kept_table1_setup.cache_info
+        hits = info().hits
+        setup = simulate._kept_table1_setup(cfg.n, cfg.grid.T, cfg.n1, cfg.n2)
+        assert info().hits == hits + 1
+        return setup
 
     def test_the_kept_truths_reject_writes(self, cold):
         run_table1(self.CFG, snrs=(3.0,))
-        for _, f, _, q, _ in simulate._table1_setup.truths:
+        for _, f, _, q, _ in self.kept(self.CFG).truths:
             for data in (f.data, q.data):
                 with pytest.raises(ValueError, match="read-only"):
                     data[0, 0, 0] = 0.0
@@ -657,47 +656,29 @@ class TestTable1Setup:
 
     def test_a_call_on_a_second_grid_releases_the_first(self, cold):
         run_table1(self.CFG, snrs=(3.0,))
-        setup = weakref.ref(simulate._table1_setup)
-        f = weakref.ref(simulate._table1_setup.truths[0][1].data)
-        run_table1(SimConfig(n=8, n1=8, n2=8, runs=2), snrs=(3.0,))
-        assert setup() is None and f() is None
-        assert simulate._table1_setup.grid == TimeGrid(n=8, T=5.0)
+        setup = self.kept(self.CFG)
+        refs = [weakref.ref(setup), weakref.ref(setup.truths[0][1].data)]
+        del setup
+        second = SimConfig(n=8, n1=8, n2=8, runs=2)
+        run_table1(second, snrs=(3.0,))
+        assert [ref() for ref in refs] == [None, None]
+        assert self.kept(second).grid == TimeGrid(n=8, T=5.0)
 
     @pytest.mark.parametrize("T", [5, Fraction(5)], ids=repr)
     def test_equal_grid_values_share_one_setup(self, cold, T):
         rows = run_table1(self.CFG, snrs=(3.0,))
-        setup = simulate._table1_setup
-        assert run_table1(SimConfig(n=16, T=T, n1=8, n2=8, runs=2, seed=1), snrs=(3.0,)) == rows
-        assert simulate._table1_setup is setup
+        other = SimConfig(n=16, T=T, n1=8, n2=8, runs=2, seed=1)
+        assert run_table1(other, snrs=(3.0,)) == rows
+        assert self.kept(other) is self.kept(self.CFG)
+        assert simulate._kept_table1_setup.cache_info().misses == 1
 
-    def test_concurrent_calls_on_alternating_grids_each_get_their_own_rows(self, cold):
-        cfgs = [SimConfig(n=8, n1=8, n2=8, runs=2, seed=1),
-                SimConfig(n=16, n1=8, n2=8, runs=2, seed=2)]
-        est = EstimatorConfig(M=4)
-        want = [run_table1(cfg, est, snrs=(3.0,)) for cfg in cfgs]
-        errors = []
-
-        def work(k):
-            try:
-                for i in range(4):
-                    j = (k + i) % 2
-                    if run_table1(cfgs[j], est, snrs=(3.0,)) != want[j]:
-                        errors.append((k, i))
-            except Exception as exc:  # reported below, with the thread's index
-                errors.append((k, exc))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert not errors
+    @pytest.mark.parametrize("slack, kept", [(0, 1), (-1, 0)])
+    def test_a_setup_above_the_size_limit_is_not_kept(self, monkeypatch, cold, slack, kept):
+        rows = run_table1(self.CFG, snrs=(3.0,))
+        simulate._kept_table1_setup.cache_clear()
+        monkeypatch.setattr(simulate, "_TABLE1_KEEP_BYTES", 64 * 16 * 8 * 8 + slack)
+        assert run_table1(self.CFG, snrs=(3.0,)) == rows
+        assert simulate._kept_table1_setup.cache_info().currsize == kept
 
 
 class TestRunSingle:
