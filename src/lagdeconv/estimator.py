@@ -29,8 +29,8 @@ with the per-slice spatial transform, so the spatial work is r forward and
 M inverse transforms rather than n each way.  The work that does not depend
 on the observations comes in two halves.  The grid half, each order's
 Laguerre basis with its projector P at the config's rcond and the two
-factors of P E, depends only on the grid; `tabulate_basis` caches it on the
-`TimeGrid` object, so every plan on that grid shares it.  The kernel half,
+factors of P E, depends only on the grid; `tabulate_basis` caches it by
+value, so plans on equal grids share it.  The kernel half,
 G^-1 times P E's M x r factor and the inverse-norm table of each order, is
 built with the order by a `Plan` and cached by the order.  Cubes that share
 a kernel share one plan; `deconvolve` builds one and applies it once.
@@ -311,10 +311,9 @@ class Plan:
     first order and picks another only under M="auto", by the rule on the
     first order's norm table; eps = 0 sets no bound and keeps the first
     order.  None of this depends on the raster: `_fit` takes n1 and n2 from
-    each cube and the spec caches W per side, so one plan serves every
-    dyadic raster on its grid.  Its caches, the grid's and the spec's hold
-    only idempotent derived state, so a plan is safe to share across
-    threads.
+    each cube and W is cached per side, so one plan serves every dyadic
+    raster on its grid.  Its orders and the cached bases and W are
+    idempotent derived state, so a plan is safe to share across threads.
     """
 
     def __init__(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,9 +73,9 @@ class SimConfig:
         if not _is_int_at_least(self.runs, 2):
             raise ValueError(f"need at least 2 runs for a standard error, got {self.runs!r}")
 
-    @cached_property
+    @property
     def grid(self) -> TimeGrid:
-        """One grid per config, so its cached Laguerre bases are shared."""
+        """The time grid (n, T); equal grids share their Laguerre bases."""
         return TimeGrid(n=self.n, T=self.T)
 
     def spatial_points(self) -> tuple[np.ndarray, np.ndarray]:
@@ -255,19 +255,9 @@ class Table1Row:
         return self.mean_delta / self.reference_delta
 
 
-@dataclass(frozen=True, eq=False)
-class _Table1Setup:
-    """What `run_table1` computes from the grid values alone: the grid, a
-    wavelet spec that caches W for its (n1, n2), and per truth
-    (fid, f, ||f||, q, sd(q)), f and q on `grid` with read-only data."""
-
-    grid: TimeGrid
-    spec: WaveletSpec
-    truths: tuple[tuple[str, Cube, float, Cube, float], ...]
-
-
-def _table1_setup(n: int, T: float, n1: int, n2: int) -> _Table1Setup:
-    """A new setup for the grid values (n, T, n1, n2)."""
+def _table1_setup(n: int, T: float, n1: int, n2: int) -> tuple:
+    """What `run_table1` computes from the grid values (n, T, n1, n2) alone:
+    per truth (fid, f, ||f||, q, sd(q)), f and q with read-only data."""
     cfg = SimConfig(n=n, T=T, n1=n1, n2=n2)
     truths = []
     for fid in TEST_FUNCTION_IDS:
@@ -277,7 +267,7 @@ def _table1_setup(n: int, T: float, n1: int, n2: int) -> _Table1Setup:
         _read_only(f.data)
         _read_only(q.data)
         truths.append((fid, f, norm, q, sd))
-    return _Table1Setup(cfg.grid, WaveletSpec(), tuple(truths))
+    return tuple(truths)
 
 
 # the last grid values' setup, the only one kept between calls
@@ -303,25 +293,23 @@ def run_table1(
     What the seed does not touch stays in memory after the call, for the
     last grid values (n, T, n1, n2) only, whatever the seed and runs: the
     four truths f and their q = g*f, read-only (8 cubes, 64*n*n1*n2 bytes,
-    2 MiB at 32^3), ||f|| and sd(q), and one grid object and wavelet spec,
-    so the Laguerre bases and W stay cached.  A call on other grid values
-    replaces it, and a call whose cubes pass 8 MiB (n*n1*n2 above 2^17,
-    as on 32 x 128 x 128) keeps nothing.  So only repeated calls on
-    one grid gain; a process that calls once builds all of it, as before.
-    Each call checks its SNRs, builds its plan's kernel half for est_cfg,
-    draws the noise and runs the fits, every noisy cube in one reused
-    buffer.
+    2 MiB at 32^3), ||f|| and sd(q).  A call on other grid values replaces
+    it, and a call whose cubes pass 8 MiB (n*n1*n2 above 2^17, as on
+    32 x 128 x 128) keeps nothing.  So only repeated calls on one grid
+    gain; a process that calls once builds all of it, as before.  Each call
+    checks its SNRs, builds its plan's kernel half for est_cfg, draws the
+    noise and runs the fits, every noisy cube in one reused buffer.
     """
     build = (_kept_table1_setup if 64 * cfg.n * cfg.n1 * cfg.n2 <= _TABLE1_KEEP_BYTES
              else _table1_setup)
-    setup = build(cfg.n, cfg.grid.T, cfg.n1, cfg.n2)
-    grid = setup.grid
+    grid = cfg.grid
+    truths = build(cfg.n, grid.T, cfg.n1, cfg.n2)
     # Every replicate of every cell shares the grid, the kernel and the
     # settings, so one plan serves them all.
-    plan = Plan(grid, default_kernel(grid.points), setup.spec, est_cfg, g_zero=1.0)
+    plan = Plan(grid, default_kernel(grid.points), WaveletSpec(), est_cfg, g_zero=1.0)
     cells = [  # (fid, snr, f, ||f||, q, sigma) in row order
         (fid, snr, f, norm, q, sigma)
-        for fid, f, norm, q, sd in setup.truths
+        for fid, f, norm, q, sd in truths
         for snr, sigma in zip(snrs, _noise_sigmas(sd, snrs))
     ]
     deltas = np.empty((len(cells), cfg.runs))

@@ -4,7 +4,7 @@ The spatial basis is the product psi_{j1,k1}(x1) * psi_{j2,k2}(x2) with
 independent resolution levels along the two axes ("standard"
 decomposition).  The transform always runs at full depth: the log2(n)-level
 1D periodized transform of an n-pixel axis is an n x n orthogonal matrix W,
-built once from the filter bank and cached on the spec.  `dwt2_array` maps
+built from the filter bank once per equal spec, read-only.  `dwt2_array` maps
 (..., n1, n2) data X to W1 X W2^T, one image per trailing pair of axes, and
 `idwt2_array` maps it back by the transposes, W1^T C W2.  Coefficients of an
 n1 x n2 image live in an n1 x n2 array whose 1D layout along each axis is
@@ -27,16 +27,19 @@ block-banded: two blocks cut from the 32-sample W where they are used
 (`_detail_rows`) apply it to any axis of 32 samples or more.  Frames with
 n1 n2 (n1 + n2) up to 2^21 (64 x 64, 128 x 64, 256 x 16 and smaller) keep
 the dense product.  A raster is checked once (`_axes`), when
-`estimate_sigma` reads the first frame of its shape, before a fit runs
+`estimate_sigma` first reads a frame of its shape, before a fit runs
 either transform; the transforms take the block a plan builds unchecked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+
+from .laguerre import _read_only
 
 __all__ = [
     "WaveletSpec",
@@ -66,19 +69,19 @@ _DENSE_WORK = 2**21
 _SORT_MAX = 1024
 # The most images the transforms' intermediate holds (`_sandwich`).
 _SLAB = 8
+# The most W (`_matrix`) and sigma-hat products (`_product`) each cache keeps,
+# least recently used dropped first: W takes 8 n^2 bytes, 512 KiB at n = 256.
+_TABLES_KEPT = 16
 
 
 @dataclass(frozen=True)
 class WaveletSpec:
     """Filter family of the spatial transform, which runs at full depth.
 
-    Specs compare and hash by family.
+    A plain value, compared and hashed by family; equal specs share W.
     """
 
     family: str = "daub4"
-    # W keyed by its side n and estimate_sigma's product for a frame shape
-    # by that shape (n1, n2); idempotent, so safe to share.
-    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (isinstance(self.family, str) and self.family in _TAP_REGISTRY):
@@ -112,22 +115,22 @@ def _filter_down(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return y
 
 
+@lru_cache(maxsize=_TABLES_KEPT)
 def _matrix(spec: WaveletSpec, n: int) -> np.ndarray:
     """W of an n-pixel axis: the n x n orthogonal matrix of the full-depth,
-    log2(n)-level transform.
+    log2(n)-level transform, read-only.
 
     Row j of the filter bank's output on np.eye(n) is the transform of the
-    j-th unit vector, i.e. column j of the matrix.
+    j-th unit vector, i.e. column j of the matrix.  Cached by the spec's
+    class and family, which fix the taps: a subclass may override `taps`.
     """
-    if n not in spec._cache:
-        h, g = spec.taps, spec.highpass
-        out = np.eye(n)
-        for level in range(int(math.log2(n))):
-            m = n >> level
-            x = out[:, :m]
-            out[:, :m] = np.concatenate([_filter_down(x, h), _filter_down(x, g)], axis=-1)
-        spec._cache[n] = np.ascontiguousarray(out.T)
-    return spec._cache[n]
+    h, g = spec.taps, spec.highpass
+    out = np.eye(n)
+    for level in range(int(math.log2(n))):
+        m = n >> level
+        x = out[:, :m]
+        out[:, :m] = np.concatenate([_filter_down(x, h), _filter_down(x, g)], axis=-1)
+    return _read_only(np.ascontiguousarray(out.T))
 
 
 def _axes(shape: tuple) -> tuple[int, int]:
@@ -242,6 +245,17 @@ def _detail_rows(x: np.ndarray, spec: WaveletSpec) -> np.ndarray:
     return y.reshape(n // 2, m)
 
 
+@lru_cache(maxsize=_TABLES_KEPT)
+def _product(cls: type, family: str, shape: tuple) -> tuple:
+    """estimate_sigma's product for a frame shape and spec cls(family): views
+    (H1, H2^T) of each side's W, or () for the block path; checks the shape."""
+    n1, n2 = _axes(shape)
+    if n1 * n2 * (n1 + n2) > _DENSE_WORK:
+        return ()
+    spec = cls(family)
+    return _matrix(spec, n1)[n1 // 2 :], _matrix(spec, n2)[n2 // 2 :].T
+
+
 def estimate_sigma(image, spec: WaveletSpec) -> float:
     """Noise scale from the finest-level detail coefficients: their MAD,
     median|d| / 0.6745, which signal leaking into fine scales barely moves.
@@ -255,16 +269,10 @@ def estimate_sigma(image, spec: WaveletSpec) -> float:
     with n1 n2 (n1 + n2) up to _DENSE_WORK, where the blocks' fixed costs
     outweigh that saving, runs the dense H1 X H2^T.  The first frame of a
     shape checks it, the one raster check of a fit, and fixes its product
-    on the spec: (H1, H2^T) as views of each side's W, or () for the block
-    path.  Later frames of that shape look it up.
+    (`_product`); later frames of that shape look it up.
     """
-    pair = spec._cache.get(image.shape)
-    if pair is None:  # a shape that fails its check stores nothing
-        n1, n2 = _axes(image.shape)
-        pair = ()
-        if n1 * n2 * (n1 + n2) <= _DENSE_WORK:
-            pair = _matrix(spec, n1)[n1 // 2 :], _matrix(spec, n2)[n2 // 2 :].T
-        spec._cache[image.shape] = pair
+    # not keyed by the spec, whose dataclass hash runs in Python on every frame
+    pair = _product(type(spec), spec.family, image.shape)
     if pair:
         # np.dot runs the same 2-D products as @, bit for bit, with less call
         # setup, which is most of a small frame's cost

@@ -1,6 +1,6 @@
 import pytest
 
-from lagdeconv import TimeGrid
+from lagdeconv import TimeGrid, laguerre, simulate, wavelet2d
 from lagdeconv.laguerre import tabulate_basis
 
 # Grid long and fine enough that phi_0..phi_9 have decayed inside [0, T] and
@@ -24,3 +24,23 @@ def oracle_basis(oracle_grid):
 def short_grid() -> TimeGrid:
     # the benchmark's own grid: badly under-resolves the higher basis orders
     return TimeGrid(n=32, T=5.0)
+
+
+# Every table the package keeps between calls, each an lru_cache.
+CACHES = (laguerre._basis, wavelet2d._matrix, wavelet2d._product,
+          simulate._kept_table1_setup)
+
+
+def clear_caches():
+    for cache in CACHES:
+        cache.cache_clear()
+
+
+@pytest.fixture
+def cold():
+    """Empty caches at the start and the end of the test, so it counts its
+    own builds and leaves nothing it built under a patch to later tests.
+    The fixture's value clears them again within the test."""
+    clear_caches()
+    yield clear_caches
+    clear_caches()

@@ -111,6 +111,10 @@ class TestSimulateCommand:
         (["--snr", "3", "--n1", "0"], "n1 and n2 must be positive integers"),
         (["--snr", "3", "--T", "-1"], "T must be positive and finite"),
         (["--snr", "3", "--T", "inf"], "T must be positive and finite"),
+        # finite, but its grid points overflowed: a numpy warning, then an
+        # error naming t, not a flag
+        (["--snr", "3", "--T", "1e308", "--n", "8"],
+         "error: T * n must be finite, got T = 1e+308 for n = 8\n"),
         (["--snr", "3", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
         # inf used to exit 0 with a noise-free Y and "snr": Infinity, not JSON
         (["--snr", "inf"], "error: snr must be a positive finite real, got inf"),

@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -20,7 +22,7 @@ from lagdeconv import (
     inverse_norms,
     relative_error,
 )
-from lagdeconv import estimator, laguerre, simulate
+from lagdeconv import estimator, laguerre, simulate, wavelet2d
 from lagdeconv.estimator import Diagnostics, _depth, hard_threshold, thresholds
 from lagdeconv.laguerre import _kernel_nodes, fit_coeffs, tabulate_basis
 from lagdeconv.toeplitz import select_M, solve_lower
@@ -420,7 +422,7 @@ class TestDeconvolve:
         assert diag.M == 8
         assert diag.projection_rank == 8  # long grid: nothing truncated
 
-    def test_a_32_cube_fit_caches_one_matrix(self):
+    def test_a_32_cube_fit_caches_one_matrix(self, cold):
         # the transforms and sigma-hat all read the one W of the 32-pixel axis
         grid = TimeGrid(n=32, T=5.0)
         spec = WaveletSpec()
@@ -430,9 +432,11 @@ class TestDeconvolve:
                    EstimatorConfig(M=8), g_zero=1.0)
         # beside W, sigma-hat's product for the 32 x 32 frame shape: its two
         # finest-detail blocks, views of that W
-        assert list(spec._cache) == [32, (32, 32)]
-        W = spec._cache[32]
-        H1, H2T = spec._cache[32, 32]
+        builds = [wavelet2d._matrix.cache_info, wavelet2d._product.cache_info]
+        assert [info().currsize for info in builds] == [1, 1]
+        W = wavelet2d._matrix(spec, 32)
+        H1, H2T = wavelet2d._product(WaveletSpec, "daub4", (32, 32))
+        assert [info().misses for info in builds] == [1, 1]
         assert np.shares_memory(H1, W) and np.shares_memory(H2T, W)
         assert np.array_equal(H1, W[16:]) and np.array_equal(H2T, W[16:].T)
 
@@ -842,7 +846,7 @@ class TestPlan:
         plan = Plan(grid, np.exp(-grid.points / 2.0), WaveletSpec(), cfg, g_zero=1.0)
         ((M, order),) = plan._orders.items()
         assert M == (cfg.M if cfg.M != "auto" else cfg.m_cap)
-        assert order.basis is grid._cache[M, 0.01]
+        assert order.basis is tabulate_basis(M, grid, 0.01)
         assert order.lift.shape == (M, order.basis.rank) and order.norms.max_m == M
 
     def test_an_order_compares_and_hashes_by_identity(self):
@@ -937,10 +941,12 @@ class TestPlan:
         kernels = [np.exp(-grid.points / 2.0), np.exp(-grid.points) * grid.points]
         one, two = (Plan(grid, g, WaveletSpec(), cfg) for g in kernels)
         (M,) = set(one._orders) & set(two._orders)
-        assert one._orders[M].basis is two._orders[M].basis is grid._cache[M, cfg.rcond]
+        assert one._orders[M].basis is two._orders[M].basis is tabulate_basis(M, grid, cfg.rcond)
         assert not np.array_equal(one._orders[M].lift, two._orders[M].lift)
 
-    def test_a_second_auto_plan_on_the_grid_tabulates_and_factors_nothing(self, monkeypatch):
+    def test_a_second_auto_plan_on_an_equal_grid_tabulates_and_factors_nothing(
+        self, monkeypatch, cold
+    ):
         grid = TimeGrid(n=64, T=5.0)
         A, B = self.cubes(grid)
         Plan(grid, np.exp(-grid.points / 2.0), WaveletSpec()).apply(A)
@@ -955,29 +961,62 @@ class TestPlan:
         monkeypatch.setattr(laguerre, "_phi_rows", counted("rows", laguerre._phi_rows))
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
         kernel = np.exp(-grid.points) * (1.0 + grid.points)
-        _, diag = Plan(grid, kernel, WaveletSpec()).apply(A)
-        assert (diag.M, laguerre.DEFAULT_RCOND) in grid._cache
+        equal = TimeGrid(n=64, T=5.0)
+        Plan(equal, kernel, WaveletSpec()).apply(Cube(grid=equal, data=A.data))
         assert calls == {"rows": 0, "svd": 0}
 
     @pytest.mark.parametrize(
         "cfg", [EstimatorConfig(M=8), EstimatorConfig()], ids=["M=8", "M=auto"]
     )
-    def test_a_fit_through_a_warm_grid_equals_one_on_a_fresh_grid(self, cfg):
+    def test_a_fit_through_warm_caches_equals_one_through_cold_caches(self, cfg, cold):
         grid = TimeGrid(n=64, T=5.0)
         A, B = self.cubes(grid)
         for g in (np.exp(-grid.points), grid.points * np.exp(-grid.points)):
-            Plan(grid, g, WaveletSpec(), cfg).apply(B)  # warms the grid
-        key = (64 if cfg.M == "auto" else cfg.M, cfg.rcond)
-        warmed = grid._cache[key]
+            Plan(grid, g, WaveletSpec(), cfg).apply(B)  # warms the caches
+        M = 64 if cfg.M == "auto" else cfg.M
+        warmed = tabulate_basis(M, grid, cfg.rcond)
         g = np.exp(-grid.points / 2.0)
         warm, dw = deconvolve(A, g, WaveletSpec(), cfg, g_zero=1.0)
-        fresh_grid = TimeGrid(n=64, T=5.0)
-        fresh, df = deconvolve(Cube(grid=fresh_grid, data=A.data), g, WaveletSpec(), cfg,
-                               g_zero=1.0)
-        assert grid._cache[key] is warmed
-        assert fresh_grid._cache[key] is not warmed
+        assert tabulate_basis(M, grid, cfg.rcond) is warmed
+        cold()
+        fresh, df = deconvolve(A, g, WaveletSpec(), cfg, g_zero=1.0)
+        assert tabulate_basis(M, grid, cfg.rcond) is not warmed
         assert np.array_equal(warm.data, fresh.data)
         assert dw.to_dict() == df.to_dict()
+
+    def test_threads_applying_one_plan_on_cold_caches_agree_bit_for_bit(self, cold):
+        # every fit meets W, sigma-hat's product and, under M="auto", the
+        # basis of the order it picks uncached; a race may build one twice,
+        # but from the same inputs, so every estimate has the same bits
+        grid = TimeGrid(n=32, T=5.0)
+        cfg = EstimatorConfig(m_cap=16, eps=0.3)
+        kernel = LagCoeffs([0.5, 1.5] + [2.0] * 14)
+        plan = Plan(grid, kernel, WaveletSpec(), cfg)
+        Y = self.cubes(grid)[0]
+        workers = 4  # more than the cores of a 2-vCPU runner
+        start, out = threading.Barrier(workers, timeout=30), [None] * workers
+
+        def fit(i):
+            start.wait()
+            out[i] = plan.apply(Y)
+
+        threads = [threading.Thread(target=fit, args=(i,)) for i in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        cold()
+        want, d_want = deconvolve(Y, kernel, WaveletSpec(), cfg)
+        assert list(plan._orders) == [16, 3] and d_want.M == 3
+        for f, d in out:
+            assert np.array_equal(f.data, want.data)
+            assert d.to_dict() == d_want.to_dict()
 
     def test_warns_once_at_construction_when_M_exceeds_the_frames(self):
         grid = TimeGrid(n=16, T=5.0)
@@ -1074,7 +1113,7 @@ class TestPlan:
         "cfg", [EstimatorConfig(M=8), EstimatorConfig(m_cap=16)], ids=["M=8", "M=auto"]
     )
     def test_one_plan_serves_cubes_of_two_rasters(self, cfg):
-        # no plan state depends on n1 x n2: W is cached per side on the spec
+        # no plan state depends on n1 x n2: W is cached per side
         grid = TimeGrid(n=32, T=5.0)
         g = np.exp(-grid.points / 2.0)
         plan = Plan(grid, g, WaveletSpec(), cfg, g_zero=1.0)

@@ -115,6 +115,29 @@ def test_config_fields_are_pinned(where):
     assert names == SETTABLE_FIELDS[where]
 
 
+# The value types are their fields and nothing else, init or not: a hidden
+# field, such as a per-object cache, would make equal values behave apart.
+VALUE_FIELDS = {"laguerre.TimeGrid": ("n", "T"), "wavelet2d.WaveletSpec": ("family",)}
+
+
+@pytest.mark.parametrize("where", VALUE_FIELDS)
+def test_value_type_fields_are_pinned(where):
+    names = tuple(f.name for f in dataclasses.fields(_resolve(where)))
+    assert names == VALUE_FIELDS[where]
+
+
+# perfbench's tracer times a module's public plain functions only: a
+# decorator such as lru_cache on an exported function would stop it
+# being timed without an error
+@pytest.mark.parametrize("name", MODULES[1:])
+def test_exported_functions_are_plain_functions(name):
+    mod = importlib.import_module(name)
+    wrapped = [attr for attr in mod.__all__
+               if callable(obj := getattr(mod, attr)) and not isinstance(obj, type)
+               and not inspect.isfunction(obj)]
+    assert not wrapped, f"{name} exports callables that are not plain functions: {wrapped}"
+
+
 @pytest.mark.parametrize("where", PARAMETERS)
 def test_parameters_are_pinned(where):
     assert tuple(inspect.signature(_resolve(where)).parameters) == PARAMETERS[where]

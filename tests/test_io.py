@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from lagdeconv import Cube, TimeGrid
+from lagdeconv import Cube, EstimatorConfig, TimeGrid, WaveletSpec, deconvolve, laguerre
 from lagdeconv.io import FileFormatError, read_cube, read_series, write_cube
 
 
@@ -129,6 +129,8 @@ class TestCubeFile:
         # beyond the double range: used to read, then overflow in grid.points
         pytest.param("T", 10**400, f"T must be positive and finite, got {10**400}",
                      id="T-10**400"),
+        # finite, but T times n = 8 is not: its grid points held inf
+        ("T", 1e308, "T * n must be finite, got T = 1e+308 for n = 8"),
         ("n1", 0, "n1 and n2 must be JSON integers >= 1"),
         ("n2", 4.0, "n1 and n2 must be JSON integers >= 1"),
     ], ids=repr)
@@ -139,6 +141,22 @@ class TestCubeFile:
         header_path.write_text(json.dumps(header))
         with pytest.raises(FileFormatError, match=re.escape(f"cube header {header_path}: {message}")):
             read_cube(tmp_path / "c")
+
+    def test_two_files_on_equal_grids_share_one_basis(self, tmp_path, monkeypatch, cold):
+        # each read makes its own grid; the basis is cached by value, so
+        # the second file's fit tabulates nothing
+        rows, phi_rows = [], laguerre._phi_rows
+        monkeypatch.setattr(laguerre, "_phi_rows",
+                            lambda M, t: rows.append(M) or phi_rows(M, t))
+        fits = []
+        for seed in (1, 2):
+            data = 1.0 + 0.01 * np.random.default_rng(seed).standard_normal((8, 8, 8))
+            write_cube(tmp_path / f"c{seed}", Cube(grid=TimeGrid(n=8, T=5.0), data=data))
+            Y = read_cube(tmp_path / f"c{seed}")
+            fits.append(deconvolve(Y, np.exp(-Y.grid.points / 2.0), WaveletSpec(),
+                                   EstimatorConfig(M=4), g_zero=1.0))
+        assert rows == [4]
+        assert fits[0][0].grid is not fits[1][0].grid
 
     def test_reads_a_T_written_as_a_JSON_integer(self, tmp_path):
         cube = random_cube()

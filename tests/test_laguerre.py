@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from lagdeconv import laguerre
 from lagdeconv import (
     Cube,
     EstimatorConfig,
@@ -108,6 +109,17 @@ class TestTimeGrid:
     def test_rejects_an_int_length_beyond_the_double_range(self, T):
         with pytest.raises(ValueError, match=f"T must be positive and finite, got {T!r}"):
             TimeGrid(1, T)
+
+    # points scale T by up to n before dividing by n: 1e308 on 32 points
+    # warned "overflow encountered in multiply" and held inf.  An int n
+    # beyond the double range is the same fault, not an OverflowError.
+    @pytest.mark.parametrize("n, T", [(32, 1e308), (2, sys.float_info.max),
+                                      (np.int64(2**62), 1e300), (10**400, 5.0)],
+                             ids=["32x1e308", "2xmax", "int64", "n=1e400"])
+    def test_rejects_a_length_whose_product_with_n_overflows(self, n, T):
+        message = f"T * n must be finite, got T = {float(T)!r} for n = {n!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TimeGrid(n=n, T=T)
 
     # the largest of each kind converts without overflow, and warnings are
     # errors in this suite
@@ -299,44 +311,51 @@ class TestKernelNodes:
 
 
 class TestBasisCache:
-    """The grid half of a plan: one read-only basis per (grid object, M, rcond)."""
+    """The grid half of a plan: one read-only basis per (M, grid, rcond), by value."""
 
-    def test_one_basis_per_grid_order_and_cutoff(self):
+    def test_one_basis_per_grid_order_and_cutoff(self, cold):
         g = TimeGrid(n=16, T=5.0)
         b8 = tabulate_basis(8, g)
         assert tabulate_basis(8, g) is b8
         assert tabulate_basis(np.int64(8), g, np.float64(0.1)) is b8
         assert tabulate_basis(4, g) is not b8
-        assert sorted(g._cache) == [(4, 0.1), (8, 0.1)]
+        assert laguerre._basis.cache_info().currsize == 2
 
-    def test_equal_grids_that_are_separate_objects_keep_separate_caches(self):
-        g, h = TimeGrid(n=16, T=5.0), TimeGrid(n=16, T=5.0)
-        assert g == h and hash(g) == hash(h)
-        a, b = tabulate_basis(8, g), tabulate_basis(8, h)
-        assert a is not b and g._cache[8, 0.1] is a and h._cache[8, 0.1] is b
-
-    def test_a_dropped_grid_frees_its_bases_without_the_garbage_collector(self):
-        # a basis that held its grid would form a cycle through the cache
+    @pytest.mark.parametrize("other", [TimeGrid(n=16, T=5.0), TimeGrid(n=np.int64(16), T=5),
+                                       TimeGrid(n=16, T=Fraction(5))], ids=["float", "int", "frac"])
+    def test_equal_grids_share_one_basis(self, cold, other):
         g = TimeGrid(n=16, T=5.0)
-        b = tabulate_basis(8, g)
-        tabulate_basis(8, g, 1e-12)
-        grid_ref, basis_ref = weakref.ref(g), weakref.ref(b)
+        assert g == other and hash(g) == hash(other) and g is not other
+        assert tabulate_basis(8, g) is tabulate_basis(8, other)
+        assert laguerre._basis.cache_info().currsize == 1
+
+    def test_the_cache_keeps_its_bound_and_releases_the_oldest_basis(self, cold):
+        # a basis holds no reference back to its key, so the one the cache
+        # drops is freed without the garbage collector
+        bound = laguerre._BASES_KEPT
+        oldest = weakref.ref(tabulate_basis(4, TimeGrid(n=16, T=1.0)))
         gc.disable()
         try:
-            del g, b
-            assert grid_ref() is None and basis_ref() is None
+            for k in range(2, bound + 1):
+                tabulate_basis(4, TimeGrid(n=16, T=float(k)))
+            assert oldest() is not None
+            assert laguerre._basis.cache_info().currsize == bound
+            tabulate_basis(4, TimeGrid(n=16, T=bound + 1.0))
+            assert oldest() is None
+            assert laguerre._basis.cache_info().currsize == bound
         finally:
             gc.enable()
 
-    def test_each_rcond_gets_its_own_basis(self):
+    def test_each_rcond_gets_its_own_basis(self, cold):
         g = TimeGrid(n=16, T=5.0)
         b = tabulate_basis(8, g, 0.1)
         fine = tabulate_basis(8, g, 1e-12)
-        assert fine is not b and g._cache[8, 0.1] is b and g._cache[8, 1e-12] is fine
+        assert fine is not b
+        assert tabulate_basis(8, g, 0.1) is b and tabulate_basis(8, g, 1e-12) is fine
         assert (b.rank, fine.rank) == (5, 8)
         assert np.array_equal(b.values, fine.values)
         assert not np.array_equal(b.projector, fine.projector)
-        assert sorted(g._cache) == [(8, 1e-12), (8, 0.1)]
+        assert laguerre._basis.cache_info().currsize == 2
 
     def test_projector_is_the_weighted_least_squares_fit(self, short_grid):
         # at rcond = 0 nothing is dropped: the projector is the normal-equation
@@ -356,10 +375,12 @@ class TestBasisCache:
         with pytest.raises(AttributeError):
             b.values = np.zeros((4, 16))
 
-    def test_equal_grids_build_equal_tables_each_its_own_object(self):
+    def test_a_rebuilt_basis_has_equal_tables_in_its_own_object(self, cold):
         # a basis is its tables: it compares by identity and its repr
         # leaves them out
-        a, b = tabulate_basis(4, TimeGrid(n=16, T=5.0)), tabulate_basis(4, TimeGrid(n=16, T=5.0))
+        a = tabulate_basis(4, TimeGrid(n=16, T=5.0))
+        cold()
+        b = tabulate_basis(4, TimeGrid(n=16, T=5.0))
         assert a != b and (a.M, a.rank) == (b.M, b.rank) == (4, 4)
         for name in ("values", "projector", "lift", "reduce"):
             mine, theirs = getattr(a, name), getattr(b, name)
@@ -407,7 +428,7 @@ class TestBasisCache:
         assert b.rank == rank
         assert np.abs(b.lift @ b.reduce - dense).max() <= 1e-13 * np.abs(dense).max()
 
-    def test_builds_no_n_by_n_helper(self):
+    def test_builds_no_n_by_n_helper(self, cold):
         # an n x n float64 array at n = 16,384 alone takes 2 GiB; the tables
         # of M = 10 take about 4 MiB
         tracemalloc.start()
@@ -420,11 +441,11 @@ class TestBasisCache:
 
     # a cutoff is cached as given: one that equals its float shares its entry
     @pytest.mark.parametrize("rcond", [0, 0.0, np.float32(0.5), 0.999], ids=repr)
-    def test_accepts_a_cutoff_in_the_unit_interval(self, rcond):
+    def test_accepts_a_cutoff_in_the_unit_interval(self, cold, rcond):
         g = TimeGrid(n=16, T=5.0)
         b = tabulate_basis(8, g, rcond)
-        ((key, cached),) = g._cache.items()
-        assert key == (8, rcond) and cached is b and tabulate_basis(8, g, float(rcond)) is b
+        assert tabulate_basis(8, g, float(rcond)) is b
+        assert laguerre._basis.cache_info().currsize == 1
         assert 1 <= b.rank <= 8
 
 

@@ -94,26 +94,24 @@ class TestSimConfig:
         with pytest.raises(TypeError, match="'snr'"):
             SimConfig(snr=5.0)
 
-    def test_builds_one_grid(self):
-        cfg = SimConfig()
-        assert cfg.grid is cfg.grid
+    def test_its_grid_is_the_value_of_n_and_T(self):
+        cfg = SimConfig(n=16, T=4)
+        assert cfg.grid == TimeGrid(n=16, T=4.0)
 
     def test_compares_and_hashes_by_its_fields(self):
         a, b = SimConfig(), SimConfig()
-        a.grid  # a cached grid is not a field
         assert a == b and hash(a) == hash(b)
-        assert a.grid == b.grid and a.grid is not b.grid
+        assert a.grid == b.grid
         assert SimConfig(seed=1) != a
 
-    def test_two_table_runs_on_one_config_tabulate_the_basis_once(self, monkeypatch):
+    def test_two_table_runs_on_one_config_tabulate_the_basis_once(self, monkeypatch, cold):
         # a third run, on equal grid values with a new seed, new runs and a
         # list of SNRs, builds no truth, convolution, basis or W either
-        simulate._kept_table1_setup.cache_clear()  # no grid kept from before
-        calls = {"truth": 0, "convolve": 0, "rows": 0, "W": 0}
+        calls = {"truth": 0, "convolve": 0, "rows": 0}
 
-        def counted(name, fn, builds=lambda *args: True):
+        def counted(name, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += builds(*args)
+                calls[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -122,16 +120,14 @@ class TestSimConfig:
         monkeypatch.setattr(simulate, "forward_convolve",
                             counted("convolve", simulate.forward_convolve))
         monkeypatch.setattr(laguerre, "_phi_rows", counted("rows", laguerre._phi_rows))
-        # _matrix looks W up on every transform; count the lookups that build it
-        monkeypatch.setattr(wavelet2d, "_matrix", counted(
-            "W", wavelet2d._matrix, lambda spec, n: n not in spec._cache))
+        W = wavelet2d._matrix.cache_info  # the 8-pixel W, built once
         cfg = SimConfig(n=16, n1=8, n2=8, runs=2)
         first = run_table1(cfg, snrs=(3.0,))
-        assert all(calls.values()) and calls["rows"] == 1, calls
+        assert all(calls.values()) and calls["rows"] == 1 and W().misses == 1, calls
         calls.update(dict.fromkeys(calls, 0))
         assert run_table1(cfg, snrs=(3.0,)) == first
         run_table1(SimConfig(n=16, n1=8, n2=8, runs=3, seed=2), snrs=[5.0, 7.0])
-        assert calls == {"truth": 0, "convolve": 0, "rows": 0, "W": 0}
+        assert calls == {"truth": 0, "convolve": 0, "rows": 0} and W().misses == 1
 
 
 class TestTestFunctions:
@@ -584,7 +580,7 @@ class TestRunTable1:
         f, q = simulate._forward_model("f1", cfg)
         flat = Cube(grid=q.grid, data=np.ones(q.data.shape))
         monkeypatch.setattr(simulate, "_forward_model", lambda fid, cfg: (f, flat))
-        simulate._kept_table1_setup.cache_clear()  # the warm setup holds the real q
+        simulate._kept_table1_setup.cache_clear()  # the warm truths hold the real q
         with pytest.raises(ValueError, match="q has zero variance"):
             run_table1(cfg, snrs=(3.0,))
 
@@ -621,13 +617,9 @@ class TestTable1Setup:
 
     CFG = SimConfig(n=16, n1=8, n2=8, runs=2, seed=1)
 
-    @pytest.fixture
-    def cold(self):
-        simulate._kept_table1_setup.cache_clear()  # no setup kept from an earlier test
-
     @staticmethod
     def kept(cfg):
-        """The setup run_table1 keeps for cfg's grid values; it must be there."""
+        """The truths run_table1 keeps for cfg's grid values; they must be there."""
         info = simulate._kept_table1_setup.cache_info
         hits = info().hits
         setup = simulate._kept_table1_setup(cfg.n, cfg.grid.T, cfg.n1, cfg.n2)
@@ -636,7 +628,7 @@ class TestTable1Setup:
 
     def test_the_kept_truths_reject_writes(self, cold):
         run_table1(self.CFG, snrs=(3.0,))
-        for _, f, _, q, _ in self.kept(self.CFG).truths:
+        for _, f, _, q, _ in self.kept(self.CFG):
             for data in (f.data, q.data):
                 with pytest.raises(ValueError, match="read-only"):
                     data[0, 0, 0] = 0.0
@@ -656,13 +648,13 @@ class TestTable1Setup:
 
     def test_a_call_on_a_second_grid_releases_the_first(self, cold):
         run_table1(self.CFG, snrs=(3.0,))
-        setup = self.kept(self.CFG)
-        refs = [weakref.ref(setup), weakref.ref(setup.truths[0][1].data)]
-        del setup
+        (_, f, _, q, _), *_ = self.kept(self.CFG)
+        refs = [weakref.ref(f), weakref.ref(q.data)]
+        del f, q
         second = SimConfig(n=8, n1=8, n2=8, runs=2)
         run_table1(second, snrs=(3.0,))
         assert [ref() for ref in refs] == [None, None]
-        assert self.kept(second).grid == TimeGrid(n=8, T=5.0)
+        assert self.kept(second)[0][1].grid == TimeGrid(n=8, T=5.0)
 
     @pytest.mark.parametrize("T", [5, Fraction(5)], ids=repr)
     def test_equal_grid_values_share_one_setup(self, cold, T):

@@ -1,5 +1,5 @@
 import re
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -189,14 +189,14 @@ class TestTransform:
          ((12,), "n1 must be a power of two >= 2, got 12")],
         ids=["n2-not-dyadic", "n1-not-dyadic", "n1-one", "n2-one", "n1-zero", "one-axis"],
     )
-    def test_rejects_a_side_that_is_not_a_power_of_two_at_least_2(self, shape, message):
+    def test_rejects_a_side_that_is_not_a_power_of_two_at_least_2(self, shape, message, cold):
         # the raster rule of the transforms, checked where a fit meets it:
         # sigma-hat on the first frame of a shape, which stores nothing for
         # a shape that fails
         spec = WaveletSpec()
         with pytest.raises(ValueError, match=re.escape(message)):
             estimate_sigma(np.zeros(shape), spec)
-        assert shape not in spec._cache
+        assert wavelet2d._product.cache_info().currsize == 0
 
     @pytest.mark.parametrize("J1, J2", [(0, 0), (1, 3), (3, 1), (2, 4), (5, 5)], ids=str)
     def test_a_coarse_haar_image_lives_in_the_leading_block(self, J1, J2):
@@ -322,9 +322,9 @@ class TestLeadingBlock:
 
 
 class TestOneRasterCheck:
-    def test_a_fit_checks_each_new_frame_shape_once(self, monkeypatch):
-        # sigma-hat checks the first frame of a shape on the spec; the
-        # transforms take the block the plan builds and check nothing
+    def test_a_fit_checks_each_new_frame_shape_once(self, monkeypatch, cold):
+        # sigma-hat checks the first frame of a shape; the transforms take
+        # the block the plan builds and check nothing
         calls, check = [], wavelet2d._axes
 
         def counted(shape):
@@ -342,7 +342,7 @@ class TestOneRasterCheck:
             calls.clear()
             plan.apply(Y)
             assert calls == want
-        spec = WaveletSpec()  # a fresh cache
+        spec = WaveletSpec()
         idwt2_array(dwt2_array(rng.standard_normal((2, 8, 64)), spec, (4, 8)), spec, (8, 64))
         assert calls == []
 
@@ -378,10 +378,10 @@ class TestReferenceFilterBank:
         assert np.abs(idwt2_array(x, spec, x.shape[-2:]) - back).max() <= 1e-13 * scale
 
     @pytest.mark.parametrize("family", sorted(SPECS))
-    def test_one_spec_serves_several_shapes(self, family):
-        # the spec caches one matrix per side; a second shape on the
-        # same object must not pick up the first shape's matrices
-        spec = replace(SPECS[family])  # a fresh cache
+    def test_one_spec_serves_several_shapes(self, family, cold):
+        # W is cached per side; a second shape must not pick up the first
+        # shape's matrices
+        spec = SPECS[family]
         rng = np.random.default_rng(14)
         for shape in [(16, 16), (32, 8)]:
             x = rng.standard_normal(shape)
@@ -390,6 +390,27 @@ class TestReferenceFilterBank:
             assert np.abs(dwt2_array(x, spec, x.shape[-2:]) - ref).max() <= 1e-13 * scale
             back = ref_transform(x, spec, inverse=True)
             assert np.abs(idwt2_array(x, spec, x.shape[-2:]) - back).max() <= 1e-13 * scale
+
+    # W is cached by the spec's class and family: Daub6Spec keeps the
+    # family "daub4" but overrides the taps, so it must get its own W
+    @pytest.mark.parametrize("first", ["daub4", "daub6"])
+    def test_a_subclass_with_its_own_taps_gets_its_own_w(self, first, cold):
+        for family in (first, {"daub4": "daub6", "daub6": "daub4"}[first]):
+            spec = SPECS[family]
+            h, g = spec.taps, spec.highpass
+            assert np.array_equal(_matrix(spec, 16)[8:], ref_dwt_step(np.eye(16), h, g).T[8:])
+        assert SPECS["daub6"] == Daub6Spec() != SPECS["daub4"]
+        assert SPECS["daub6"].family == "daub4"
+        assert wavelet2d._matrix.cache_info().currsize == 2
+
+    def test_w_and_the_sigma_blocks_reject_writes(self, cold):
+        # one W serves every equal spec in the process
+        spec = WaveletSpec()
+        estimate_sigma(np.ones((16, 8)), spec)
+        for table in (_matrix(spec, 16), _matrix(spec, 8),
+                      *wavelet2d._product(WaveletSpec, "daub4", (16, 8))):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.0
 
     def test_daub6_wraps_at_coarse_levels(self):
         # 6 taps on 16 x 8 at full depth: the last levels filter N = 2 and 4
@@ -417,12 +438,12 @@ class TestReferenceFilterBank:
          # an axis shorter than two blocks is applied by its own H
          (2, 2048), (16, 1024), (1024, 8)],
     )
-    def test_sigma_on_many_blocks(self, monkeypatch, path, family, order, shape):
-        # "blocks" sends every frame down the block path, small ones included
+    def test_sigma_on_many_blocks(self, monkeypatch, path, family, order, shape, cold):
+        # "blocks" sends every frame down the block path, small ones
+        # included; the cold caches keep no other test's path for the shape
         if path == "blocks":
             monkeypatch.setattr(wavelet2d, "_DENSE_WORK", 0)
-        spec = replace(SPECS[family])  # a fresh cache
-        self.check_sigma(spec, shape, order)
+        self.check_sigma(SPECS[family], shape, order)
 
     def check_sigma(self, spec, shape, order):
         rng = np.random.default_rng(13)
@@ -448,7 +469,7 @@ class TestReferenceFilterBank:
     def test_finest_rows_of_W_are_the_one_level_detail_rows(self, family, n):
         # deeper levels only transform the first half, so the last n/2 rows
         # of the full-depth W are the detail rows of one analysis step
-        spec = replace(SPECS[family])  # a fresh cache
+        spec = SPECS[family]
         h, g = spec.taps, spec.highpass
         one_level = ref_dwt_step(np.eye(n), h, g).T
         assert np.array_equal(_matrix(spec, n)[n // 2 :], one_level[n // 2 :])
@@ -462,7 +483,7 @@ class TestBandOracle:
     @pytest.mark.parametrize("n", [32, 64, 256, 4096])
     def test_detail_rows(self, n, family, layout):
         # an axis of 32 is two blocks, so the last block's head is the first
-        spec = replace(SPECS[family])  # a fresh cache
+        spec = SPECS[family]
         rng = np.random.default_rng(n)
         x = rng.standard_normal((n, 24)) if layout == "C" else rng.standard_normal((24, n)).T
         assert np.array_equal(wavelet2d._detail_rows(x, spec), heads_detail_rows(x, spec))
@@ -474,14 +495,14 @@ class TestBandOracle:
     def test_estimate_sigma(self, shape, family, layout):
         # 4096 x 16 runs the blocks along its long axis and the dense H of
         # the short one
-        spec = replace(SPECS[family])
+        spec = SPECS[family]
         rng = np.random.default_rng(sum(shape))
         img = rng.standard_normal(shape) if layout == "C" else rng.standard_normal(shape[::-1]).T
         assert shape[0] * shape[1] * sum(shape) > wavelet2d._DENSE_WORK
         dd = heads_detail_rows(heads_detail_rows(img, spec).T, spec)
         assert estimate_sigma(img, spec) == np.median(np.abs(dd)) / 0.6745
 
-    def test_the_spec_caches_w_per_side_and_one_entry_per_frame_shape(self):
+    def test_a_fit_caches_w_per_side_and_one_entry_per_frame_shape(self, cold):
         # a 256 x 128 fit: W of each side and the 32-sample W whose detail
         # rows the block path cuts where it applies them, no other table
         spec = WaveletSpec()
@@ -489,8 +510,13 @@ class TestBandOracle:
         data = 0.01 * np.random.default_rng(3).standard_normal((8, 256, 128))
         deconvolve(Cube(grid, data), np.exp(-grid.points / 2.0), spec, EstimatorConfig(M=4))
         # and sigma-hat's entry for the frame shape, which marks the block path
-        assert sorted(spec._cache, key=str) == [(256, 128), 128, 256, 32]
-        assert spec._cache[256, 128] == ()
+        W, product = wavelet2d._matrix.cache_info, wavelet2d._product.cache_info
+        assert (W().currsize, product().currsize) == (3, 1)
+        misses = (W().misses, product().misses)
+        for n in (256, 128, 32):
+            _matrix(spec, n)
+        assert wavelet2d._product(WaveletSpec, "daub4", (256, 128)) == ()
+        assert (W().misses, product().misses) == misses
 
 
 class TestEstimateSigma:
@@ -564,22 +590,25 @@ class TestEstimateSigma:
         assert wavelet2d._median(x.copy()) == np.median(x)
 
     @pytest.mark.parametrize("shape", [(32, 32), (64, 16), (256, 256)])
-    def test_one_entry_per_frame_shape(self, shape):
+    def test_one_entry_per_frame_shape(self, shape, cold):
         # the first frame of a shape checks it and fixes its product; later
-        # frames of that shape reuse it and give the same bits
+        # frames of that shape, through any equal spec, reuse it and give
+        # the same bits
         spec = WaveletSpec()
         rng = np.random.default_rng(21)
         first, second = rng.standard_normal((2,) + shape)
         want = [estimate_sigma(first, spec), estimate_sigma(second, spec)]
-        entry = spec._cache[shape]
-        assert [estimate_sigma(first, spec), estimate_sigma(second, spec)] == want
-        assert spec._cache[shape] is entry
+        entry = wavelet2d._product(WaveletSpec, "daub4", shape)
+        assert [estimate_sigma(first, WaveletSpec()), estimate_sigma(second, spec)] == want
+        assert wavelet2d._product(WaveletSpec, "daub4", shape) is entry
+        assert wavelet2d._product.cache_info().misses == 1
         n1, n2 = shape
         if n1 * n2 * (n1 + n2) > wavelet2d._DENSE_WORK:
             assert entry == ()
         else:
             H1, H2T = entry
-            assert np.shares_memory(H1, spec._cache[n1]) and np.shares_memory(H2T, spec._cache[n2])
+            assert np.shares_memory(H1, _matrix(spec, n1))
+            assert np.shares_memory(H2T, _matrix(spec, n2))
             assert np.array_equal(H1, _matrix(spec, n1)[n1 // 2 :])
             assert np.array_equal(H2T, _matrix(spec, n2)[n2 // 2 :].T)
 
@@ -587,25 +616,25 @@ class TestEstimateSigma:
         "shape, msg",
         [((6, 10), "n1 must be a power of two"), ((8, 12), "n2 must be a power of two")],
     )
-    def test_a_rejected_shape_raises_on_every_call_and_stores_nothing(self, shape, msg):
+    def test_a_rejected_shape_raises_on_every_call_and_stores_nothing(self, shape, msg, cold):
         spec = WaveletSpec()
         for _ in range(2):
             with pytest.raises(ValueError, match=msg):
                 estimate_sigma(np.ones(shape), spec)
-        assert spec._cache == {}
+        assert wavelet2d._matrix.cache_info().currsize == 0
+        assert wavelet2d._product.cache_info().currsize == 0
 
-    def test_a_shape_keeps_the_path_of_its_first_frame(self, monkeypatch):
-        # a fresh spec first used with every frame sent down the block path
-        # keeps that choice for the shape once the rule is back
+    def test_a_shape_keeps_the_path_of_its_first_frame(self, monkeypatch, cold):
+        # a shape first met with every frame sent down the block path keeps
+        # that choice once the rule is back, until the caches are cleared
         spec = WaveletSpec()
         img = np.random.default_rng(22).standard_normal((32, 32))
         monkeypatch.setattr(wavelet2d, "_DENSE_WORK", 0)
         blocks = estimate_sigma(img, spec)
         monkeypatch.undo()
         assert 32 * 32 * 64 <= wavelet2d._DENSE_WORK
-        assert spec._cache[32, 32] == ()
         assert estimate_sigma(img, spec) == blocks
-        assert spec._cache[32, 32] == ()
+        assert wavelet2d._product(WaveletSpec, "daub4", (32, 32)) == ()
         dd = wavelet2d._detail_rows(wavelet2d._detail_rows(img, spec).T, spec)
         assert blocks == np.median(np.abs(dd)) / 0.6745
 
