@@ -45,9 +45,8 @@ never formed whole, only its r contracted slices and their transforms,
 each freed once used, both transforms hold at most 8 images of their
 intermediate, and `hard_threshold` holds only boolean masks beside theta
 and its output.  An M = 64 fit of a 32 x 32 x 64 cube, rank 13, peaks at
-2.26 stacks of traced memory and enters the threshold stage at 1.20
-(2.13 when A Y was formed and transformed whole); tests pin them below 2.5
-and 1.5.
+2.26 stacks of traced memory and enters the threshold stage at 1.20;
+tests pin them below 2.5 and 1.5.
 """
 
 from __future__ import annotations

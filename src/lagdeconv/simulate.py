@@ -296,9 +296,9 @@ def run_table1(
     2 MiB at 32^3), ||f|| and sd(q).  A call on other grid values replaces
     it, and a call whose cubes pass 8 MiB (n*n1*n2 above 2^17, as on
     32 x 128 x 128) keeps nothing.  So only repeated calls on one grid
-    gain; a process that calls once builds all of it, as before.  Each call
-    checks its SNRs, builds its plan's kernel half for est_cfg, draws the
-    noise and runs the fits, every noisy cube in one reused buffer.
+    gain; a process that calls once builds all of it.  Each call checks its
+    SNRs, builds its plan's kernel half for est_cfg, draws the noise and
+    runs the fits, every noisy cube in one reused buffer.
     """
     build = (_kept_table1_setup if 64 * cfg.n * cfg.n1 * cfg.n2 <= _TABLE1_KEEP_BYTES
              else _table1_setup)

@@ -4,7 +4,7 @@ The spatial basis is the product psi_{j1,k1}(x1) * psi_{j2,k2}(x2) with
 independent resolution levels along the two axes ("standard"
 decomposition).  The transform always runs at full depth: the log2(n)-level
 1D periodized transform of an n-pixel axis is an n x n orthogonal matrix W,
-built from the filter bank once per equal spec, read-only.  `dwt2_array` maps
+built from the filter bank once per family and side, read-only.  `dwt2_array` maps
 (..., n1, n2) data X to W1 X W2^T, one image per trailing pair of axes, and
 `idwt2_array` maps it back by the transposes, W1^T C W2.  Coefficients of an
 n1 x n2 image live in an n1 x n2 array whose 1D layout along each axis is
@@ -29,6 +29,7 @@ n1 n2 (n1 + n2) up to 2^21 (64 x 64, 128 x 64, 256 x 16 and smaller) keep
 the dense product.  A raster is checked once (`_axes`), when
 `estimate_sigma` first reads a frame of its shape, before a fit runs
 either transform; the transforms take the block a plan builds unchecked.
+Every table is keyed by plain values that hash in C: the family and sizes.
 """
 
 from __future__ import annotations
@@ -51,13 +52,16 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
 
-# Orthonormal lowpass taps (sum = sqrt(2), unit energy, even-shift orthogonal).
+# Orthonormal lowpass taps (sum = sqrt(2), unit energy, even-shift orthogonal),
+# read-only; daub6's are the published 6-tap filter (Daubechies 1988).
 _TAP_REGISTRY = {
-    "haar": np.array([1.0, 1.0]) / _SQRT2,
-    "daub4": np.array(
-        [1.0 + _SQRT3, 3.0 + _SQRT3, 3.0 - _SQRT3, 1.0 - _SQRT3]
-    )
-    / (4.0 * _SQRT2),
+    "haar": _read_only(np.array([1.0, 1.0]) / _SQRT2),
+    "daub4": _read_only(
+        np.array([1.0 + _SQRT3, 3.0 + _SQRT3, 3.0 - _SQRT3, 1.0 - _SQRT3])
+        / (4.0 * _SQRT2)
+    ),
+    "daub6": _read_only(np.array([0.33267055295008263, 0.8068915093110925, 0.45987750211849154,
+                                  -0.13501102001025458, -0.08544127388202666, 0.03522629188570953])),
 }
 
 MAD_TO_SIGMA = 0.6745  # MAD of a standard normal
@@ -78,7 +82,8 @@ _TABLES_KEPT = 16
 class WaveletSpec:
     """Filter family of the spatial transform, which runs at full depth.
 
-    A plain value, compared and hashed by family; equal specs share W.
+    A plain value, compared and hashed by family, a key of `_TAP_REGISTRY`;
+    the family alone fixes W and sigma-hat's tables.
     """
 
     family: str = "daub4"
@@ -88,17 +93,6 @@ class WaveletSpec:
             raise ValueError(
                 f"unknown wavelet family {self.family!r}; have {sorted(_TAP_REGISTRY)}"
             )
-
-    @property
-    def taps(self) -> np.ndarray:
-        """Lowpass taps of the family, a fresh copy."""
-        return _TAP_REGISTRY[self.family].copy()
-
-    @property
-    def highpass(self) -> np.ndarray:
-        g = self.taps[::-1]
-        g[1::2] *= -1.0
-        return g
 
 
 def _filter_down(x: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -116,15 +110,17 @@ def _filter_down(x: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=_TABLES_KEPT)
-def _matrix(spec: WaveletSpec, n: int) -> np.ndarray:
-    """W of an n-pixel axis: the n x n orthogonal matrix of the full-depth,
-    log2(n)-level transform, read-only.
+def _matrix(family: str, n: int) -> np.ndarray:
+    """W of an n-pixel axis for a family's filters: the n x n orthogonal
+    matrix of the full-depth, log2(n)-level transform, read-only.
 
+    The highpass taps are the lowpass taps reversed, every odd one negated.
     Row j of the filter bank's output on np.eye(n) is the transform of the
-    j-th unit vector, i.e. column j of the matrix.  Cached by the spec's
-    class and family, which fix the taps: a subclass may override `taps`.
+    j-th unit vector, i.e. column j of the matrix.
     """
-    h, g = spec.taps, spec.highpass
+    h = _TAP_REGISTRY[family]
+    g = h[::-1].copy()
+    g[1::2] *= -1.0
     out = np.eye(n)
     for level in range(int(math.log2(n))):
         m = n >> level
@@ -134,15 +130,18 @@ def _matrix(spec: WaveletSpec, n: int) -> np.ndarray:
 
 
 def _axes(shape: tuple) -> tuple[int, int]:
-    """(n1, n2), the last two axes of an array's shape.
+    """(n1, n2), a frame's shape.
 
-    The one raster check, on a shape's first frame in estimate_sigma: both
-    sides must be powers of two >= 2, and the first that is not is named.
+    The one raster check, on a shape's first frame in estimate_sigma: the
+    frame must be 2-D, else its shape is named, and both sides must be
+    powers of two >= 2, else the first that is not is named.
     """
-    for name, n in zip(("n1", "n2"), shape[-2:]):
+    if len(shape) != 2:
+        raise ValueError(f"a frame must be 2-D, got shape {shape}")
+    for name, n in zip(("n1", "n2"), shape):
         if n < 2 or n & (n - 1):
             raise ValueError(f"{name} must be a power of two >= 2, got {n}")
-    return shape[-2:]
+    return shape
 
 
 def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -181,7 +180,7 @@ def dwt2_array(images: np.ndarray, spec: WaveletSpec, block) -> np.ndarray:
     """
     n1, n2 = images.shape[-2:]
     r1, r2 = block
-    return _sandwich(_matrix(spec, n1)[:r1], images, _matrix(spec, n2)[:r2].T)
+    return _sandwich(_matrix(spec.family, n1)[:r1], images, _matrix(spec.family, n2)[:r2].T)
 
 
 def idwt2_array(coeffs: np.ndarray, spec: WaveletSpec, shape) -> np.ndarray:
@@ -193,7 +192,7 @@ def idwt2_array(coeffs: np.ndarray, spec: WaveletSpec, shape) -> np.ndarray:
     """
     n1, n2 = shape
     r1, r2 = coeffs.shape[-2:]
-    return _sandwich(_matrix(spec, n1)[:r1].T, coeffs, _matrix(spec, n2)[:r2])
+    return _sandwich(_matrix(spec.family, n1)[:r1].T, coeffs, _matrix(spec.family, n2)[:r2])
 
 
 def _median(x: np.ndarray) -> float:
@@ -223,7 +222,7 @@ def _median(x: np.ndarray) -> float:
     return float((x[:k].max() + x[k]) / 2)
 
 
-def _detail_rows(x: np.ndarray, spec: WaveletSpec) -> np.ndarray:
+def _detail_rows(x: np.ndarray, family: str) -> np.ndarray:
     """H @ x for a 2-D x, H the finest-detail rows of its first axis.
 
     An axis shorter than two blocks of B = _BLOCK samples applies its own H;
@@ -234,8 +233,9 @@ def _detail_rows(x: np.ndarray, spec: WaveletSpec) -> np.ndarray:
     """
     n, m = x.shape
     if n < 2 * _BLOCK:
-        return _matrix(spec, n)[n // 2 :] @ x
-    H, half, k = _matrix(spec, 2 * _BLOCK)[_BLOCK:], _BLOCK // 2, spec.taps.size // 2 - 1
+        return _matrix(family, n)[n // 2 :] @ x
+    H, half = _matrix(family, 2 * _BLOCK)[_BLOCK:], _BLOCK // 2
+    k = _TAP_REGISTRY[family].size // 2 - 1
     D, T = H[:half, :_BLOCK], H[half - k : half, _BLOCK : _BLOCK + 2 * k]
     blocks = x.reshape(-1, _BLOCK, m)
     y = D @ blocks
@@ -246,14 +246,13 @@ def _detail_rows(x: np.ndarray, spec: WaveletSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=_TABLES_KEPT)
-def _product(cls: type, family: str, shape: tuple) -> tuple:
-    """estimate_sigma's product for a frame shape and spec cls(family): views
+def _product(family: str, shape: tuple) -> tuple:
+    """estimate_sigma's product for a family and frame shape: views
     (H1, H2^T) of each side's W, or () for the block path; checks the shape."""
     n1, n2 = _axes(shape)
     if n1 * n2 * (n1 + n2) > _DENSE_WORK:
         return ()
-    spec = cls(family)
-    return _matrix(spec, n1)[n1 // 2 :], _matrix(spec, n2)[n2 // 2 :].T
+    return _matrix(family, n1)[n1 // 2 :], _matrix(family, n2)[n2 // 2 :].T
 
 
 def estimate_sigma(image, spec: WaveletSpec) -> float:
@@ -262,23 +261,24 @@ def estimate_sigma(image, spec: WaveletSpec) -> float:
 
     The (detail, detail) quadrant H1 X H2^T, H the finest-detail rows of
     each axis: the last n/2 rows of its W.  image is a 2-D float64 array,
-    a `Cube`'s frame, whose sides must be powers of two >= 2.  A row of H
-    holds only the L taps of the highpass filter, so on a large frame each
-    axis is applied block by block (_detail_rows): O(n1 n2 B) work for
-    B = _BLOCK instead of the dense product's O(n1 n2 (n1 + n2)).  A frame
-    with n1 n2 (n1 + n2) up to _DENSE_WORK, where the blocks' fixed costs
-    outweigh that saving, runs the dense H1 X H2^T.  The first frame of a
-    shape checks it, the one raster check of a fit, and fixes its product
-    (`_product`); later frames of that shape look it up.
+    a `Cube`'s frame, whose sides must be powers of two >= 2; any other
+    shape raises ValueError.  A row of H holds only the L taps of the
+    highpass filter, so on a large frame each axis is applied block by
+    block (_detail_rows): O(n1 n2 B) work for B = _BLOCK instead of the
+    dense product's O(n1 n2 (n1 + n2)).  A frame with n1 n2 (n1 + n2) up
+    to _DENSE_WORK, where the blocks' fixed costs outweigh that saving,
+    runs the dense H1 X H2^T.  The first frame of a shape checks it, the
+    one raster check of a fit, and fixes its product (`_product`, keyed by
+    the family and the shape); later frames of that shape look it up.
     """
     # not keyed by the spec, whose dataclass hash runs in Python on every frame
-    pair = _product(type(spec), spec.family, image.shape)
+    pair = _product(spec.family, image.shape)
     if pair:
         # np.dot runs the same 2-D products as @, bit for bit, with less call
         # setup, which is most of a small frame's cost
         H1, H2T = pair
         dd = np.dot(np.dot(H1, image), H2T)
     else:  # the transpose of H1 X H2^T, which has the same median
-        dd = _detail_rows(_detail_rows(image, spec).T, spec)
+        dd = _detail_rows(_detail_rows(image, spec.family).T, spec.family)
     # dd is a fresh array: take |dd| and let _median reorder it in place
     return _median(np.abs(dd, out=dd).ravel()) / MAD_TO_SIGMA

@@ -434,8 +434,8 @@ class TestDeconvolve:
         # finest-detail blocks, views of that W
         builds = [wavelet2d._matrix.cache_info, wavelet2d._product.cache_info]
         assert [info().currsize for info in builds] == [1, 1]
-        W = wavelet2d._matrix(spec, 32)
-        H1, H2T = wavelet2d._product(WaveletSpec, "daub4", (32, 32))
+        W = wavelet2d._matrix("daub4", 32)
+        H1, H2T = wavelet2d._product("daub4", (32, 32))
         assert [info().misses for info in builds] == [1, 1]
         assert np.shares_memory(H1, W) and np.shares_memory(H2T, W)
         assert np.array_equal(H1, W[16:]) and np.array_equal(H2T, W[16:].T)
@@ -663,8 +663,12 @@ class TestPipelineOrder:
             (32, (16, 16), "daub4", EstimatorConfig(m_cap=16)),
             (16, (8, 16), "daub4", EstimatorConfig(M=5, threshold_mode=False)),
             (1, (16, 16), "haar", EstimatorConfig(M=1)),
+            # sigma-hat's dense product on 32 x 32 frames, its blocks on 128 x 128
+            (16, (32, 32), "daub6", EstimatorConfig(M=6)),
+            (8, (128, 128), "daub6", EstimatorConfig(M=4)),
         ],
-        ids=["daub4", "haar-nonsquare", "auto-M", "threshold-off", "one-frame"],
+        ids=["daub4", "haar-nonsquare", "auto-M", "threshold-off", "one-frame",
+             "daub6-dense-sigma", "daub6-banded-sigma"],
     )
     def test_matches_the_n_slice_order(self, n, shape, family, cfg):
         grid = TimeGrid(n=n, T=5.0 if n > 1 else 1.0)

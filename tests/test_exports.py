@@ -8,6 +8,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import pkgutil
 from pathlib import Path
 
 import numpy as np
@@ -194,3 +195,16 @@ def test_arrays_are_checked_only_where_they_enter():
     for path in Path(importlib.import_module("lagdeconv").__file__).parent.glob("*.py"):
         walk(ast.parse(path.read_text()), ())
     assert callers == REAL_ARRAY_CALLERS
+
+
+def test_conftest_clears_every_cache_of_the_package():
+    # the `cold` fixture clears conftest's CACHES, kept by hand: a cache
+    # missing there would carry a table from one test into the next
+    from conftest import CACHES
+
+    package = importlib.import_module("lagdeconv")
+    modules = [package] + [importlib.import_module(f"lagdeconv.{info.name}")
+                           for info in pkgutil.iter_modules(package.__path__)]
+    caches = {obj for mod in modules for obj in vars(mod).values()
+              if hasattr(obj, "cache_info") and obj.__module__.startswith("lagdeconv")}
+    assert caches and caches == set(CACHES)

@@ -1,5 +1,5 @@
 import re
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -9,10 +9,11 @@ from lagdeconv import (
 )
 from lagdeconv.wavelet2d import _matrix, dwt2_array, estimate_sigma, idwt2_array
 
-FAMILIES = ["haar", "daub4"]
+FAMILIES = ["haar", "daub4", "daub6"]
 
-# Published 6-tap Daubechies lowpass filter; at the coarsest levels (N = 2, 4)
-# it is longer than the signal and wraps around it more than once.
+# Published 6-tap Daubechies lowpass filter, the registry's daub6; at the
+# coarsest levels (N = 2, 4) it is longer than the signal and wraps around it
+# more than once.
 DAUB6 = np.array(
     [
         0.33267055295008263,
@@ -25,20 +26,10 @@ DAUB6 = np.array(
 )
 
 
-class Daub6Spec(WaveletSpec):
-    """A spec whose filter is DAUB6, to test the filter bank on a filter
-    longer than the registry's: the matrices come from `taps` alone."""
-
-    @property
-    def taps(self):
-        return DAUB6.copy()
-
-
-SPECS = {
-    "haar": WaveletSpec(family="haar"),
-    "daub4": WaveletSpec(family="daub4"),
-    "daub6": Daub6Spec(),
-}
+def filters(family):
+    """The family's lowpass taps h and highpass taps g, g_k = (-1)^k h_{L-1-k}."""
+    h = wavelet2d._TAP_REGISTRY[family]
+    return h, h[::-1] * (-1.0) ** np.arange(h.size)
 
 
 # Reference filter bank: the direct fancy-index form of one periodized step,
@@ -61,9 +52,9 @@ def ref_idwt_step(y, h, g):
     return x
 
 
-def ref_transform(data, spec, inverse=False):
+def ref_transform(data, family, inverse=False):
     """Full-depth transform of the last two axes, one fancy-index step at a time."""
-    h, g = spec.taps, spec.highpass
+    h, g = filters(family)
     out = np.array(data, dtype=float)
     for axis in (-1, -2) if inverse else (-2, -1):
         out = np.moveaxis(out, axis, -1)
@@ -82,14 +73,14 @@ def ref_transform(data, spec, inverse=False):
     return out
 
 
-def heads_detail_rows(x, spec):
+def heads_detail_rows(x, family):
     """Oracle for _detail_rows: the block form with an index table of each
     block's next L - 2 samples (periodic in n), gathered by fancy indexing."""
     n, m = x.shape
     if n < 2 * wavelet2d._BLOCK:
-        return _matrix(spec, n)[n // 2 :] @ x
-    B, L = wavelet2d._BLOCK, spec.taps.size
-    H = _matrix(spec, 2 * B)[B:]
+        return _matrix(family, n)[n // 2 :] @ x
+    B, L = wavelet2d._BLOCK, wavelet2d._TAP_REGISTRY[family].size
+    H = _matrix(family, 2 * B)[B:]
     half, tail = B // 2, L // 2 - 1
     D, T = H[:half, :B], H[half - tail : half, B : B + L - 2]
     ends = B * np.arange(1, n // B + 1)
@@ -103,15 +94,41 @@ def heads_detail_rows(x, spec):
 class TestSpec:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_registry_taps_are_orthogonal(self, family):
-        h = WaveletSpec(family).taps
+        h = wavelet2d._TAP_REGISTRY[family]
         assert h @ h == pytest.approx(1.0, abs=1e-12)
         assert h.sum() == pytest.approx(np.sqrt(2.0), abs=1e-12)
         for shift in range(2, h.size, 2):
             assert abs(h[:-shift] @ h[shift:]) <= 1e-12
 
+    def test_daub6_is_the_published_filter(self):
+        assert wavelet2d._TAP_REGISTRY["daub6"].tobytes() == DAUB6.tobytes()
+
+    # an L-tap Daubechies highpass filter has L/2 vanishing moments; it is
+    # W's first finest-detail row, which no wrap reaches at n = 8
+    @pytest.mark.parametrize("family, moments", [("haar", 1), ("daub4", 2), ("daub6", 3)])
+    def test_highpass_vanishing_moments(self, family, moments):
+        L = wavelet2d._TAP_REGISTRY[family].size
+        g = _matrix(family, 8)[4, :L]
+        k = np.arange(L)
+        for p in range(moments):
+            assert abs(k**p @ g) <= 1e-14
+        assert abs(k**moments @ g) > 1e-3
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_w_is_orthogonal(self, family):
+        for n in 2 ** np.arange(1, 9):
+            W = _matrix(family, n)
+            assert np.abs(W @ W.T - np.eye(n)).max() <= 1e-13
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_registry_rejects_writes(self, family):
+        # the registry is the one source of the taps: no caller's edit reaches them
+        with pytest.raises(ValueError, match="read-only"):
+            wavelet2d._TAP_REGISTRY[family][0] = 0.0
+
     def test_unknown_family(self):
         with pytest.raises(ValueError, match=re.escape(
-                "unknown wavelet family 'nope'; have ['daub4', 'haar']")):
+                "unknown wavelet family 'nope'; have ['daub4', 'daub6', 'haar']")):
             WaveletSpec(family="nope")
 
     # a list or an array family used to raise TypeError: unhashable type
@@ -120,19 +137,13 @@ class TestSpec:
         with pytest.raises(ValueError, match=re.escape(f"unknown wavelet family {family!r}; ")):
             WaveletSpec(family=family)
 
-    def test_taps_are_a_fresh_copy(self):
-        # the spec is the one route to the taps: a caller's edit must not reach them
-        spec = WaveletSpec("haar")
-        spec.taps[:] = 0.0
-        assert np.array_equal(spec.taps, np.array([1.0, 1.0]) / np.sqrt(2.0))
-
     def test_specs_compare_and_hash_by_value(self):
         a, b = WaveletSpec(), WaveletSpec()
         assert a == b and hash(a) == hash(b)
         assert WaveletSpec("haar") != a
         assert [f.name for f in fields(WaveletSpec) if f.init] == ["family"]
-        with pytest.raises(AttributeError):
-            a.taps = WaveletSpec("haar").taps
+        with pytest.raises(FrozenInstanceError):
+            a.family = "haar"
 
 
 class TestTransform:
@@ -186,8 +197,12 @@ class TestTransform:
          ((1, 8), "n1 must be a power of two >= 2, got 1"),
          ((8, 1), "n2 must be a power of two >= 2, got 1"),
          ((0, 8), "n1 must be a power of two >= 2, got 0"),
-         ((12,), "n1 must be a power of two >= 2, got 12")],
-        ids=["n2-not-dyadic", "n1-not-dyadic", "n1-one", "n2-one", "n1-zero", "one-axis"],
+         # a frame that is not 2-D is named by its shape
+         ((12,), "a frame must be 2-D, got shape (12,)"),
+         ((2, 8, 8), "a frame must be 2-D, got shape (2, 8, 8)"),
+         ((), "a frame must be 2-D, got shape ()")],
+        ids=["n2-not-dyadic", "n1-not-dyadic", "n1-one", "n2-one", "n1-zero", "one-axis",
+             "three-axes", "no-axis"],
     )
     def test_rejects_a_side_that_is_not_a_power_of_two_at_least_2(self, shape, message, cold):
         # the raster rule of the transforms, checked where a fit meets it:
@@ -264,7 +279,7 @@ class TestLeadingBlock:
         # the block (n1, n2) is the whole transform W1 X W2^T and its inverse
         spec = WaveletSpec()
         x = np.random.default_rng(4).standard_normal((2, 16, 32))
-        W1, W2 = _matrix(spec, 16), _matrix(spec, 32)
+        W1, W2 = _matrix("daub4", 16), _matrix("daub4", 32)
         assert np.array_equal(dwt2_array(x, spec, (16, 32)), W1 @ x @ W2.T)
         c = dwt2_array(x, spec, (16, 32))
         assert np.array_equal(idwt2_array(c, spec, (16, 32)), W1.T @ c @ W2)
@@ -290,7 +305,7 @@ class TestLeadingBlock:
             x = rng.standard_normal(batch + (16, 32)).astype(np.float32 if layout == "float32"
                                                              else np.float64)
         r1, r2 = block
-        W1, W2 = _matrix(spec, 16)[:r1], _matrix(spec, 32)[:r2]
+        W1, W2 = _matrix("daub4", 16)[:r1], _matrix("daub4", 32)[:r2]
         c = dwt2_array(x, spec, block)
         assert np.array_equal(c, W1 @ x @ W2.T)
         assert np.array_equal(idwt2_array(c, spec, (16, 32)), W1.T @ c @ W2)
@@ -361,60 +376,48 @@ class TestOneRasterCheck:
 
 
 class TestReferenceFilterBank:
-    @pytest.mark.parametrize("family", sorted(SPECS))
+    @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize(
         "shape",
         [(3, 16, 8), (2, 8, 32), (2, 16, 16), (1, 8, 256),
          (1, 2, 2), (2, 4, 64), (1, 128, 4), (2, 32, 2)],
     )
     def test_matches_fancy_index_steps(self, family, shape):
-        spec = SPECS[family]
+        spec = WaveletSpec(family)
         rng = np.random.default_rng(sum(shape))
         x = rng.standard_normal(shape)
         scale = np.abs(x).max()
-        ref = ref_transform(x, spec)
+        ref = ref_transform(x, family)
         assert np.abs(dwt2_array(x, spec, x.shape[-2:]) - ref).max() <= 1e-13 * scale
-        back = ref_transform(x, spec, inverse=True)
+        back = ref_transform(x, family, inverse=True)
         assert np.abs(idwt2_array(x, spec, x.shape[-2:]) - back).max() <= 1e-13 * scale
 
-    @pytest.mark.parametrize("family", sorted(SPECS))
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_one_spec_serves_several_shapes(self, family, cold):
         # W is cached per side; a second shape must not pick up the first
         # shape's matrices
-        spec = SPECS[family]
+        spec = WaveletSpec(family)
         rng = np.random.default_rng(14)
         for shape in [(16, 16), (32, 8)]:
             x = rng.standard_normal(shape)
             scale = np.abs(x).max()
-            ref = ref_transform(x, spec)
+            ref = ref_transform(x, family)
             assert np.abs(dwt2_array(x, spec, x.shape[-2:]) - ref).max() <= 1e-13 * scale
-            back = ref_transform(x, spec, inverse=True)
+            back = ref_transform(x, family, inverse=True)
             assert np.abs(idwt2_array(x, spec, x.shape[-2:]) - back).max() <= 1e-13 * scale
-
-    # W is cached by the spec's class and family: Daub6Spec keeps the
-    # family "daub4" but overrides the taps, so it must get its own W
-    @pytest.mark.parametrize("first", ["daub4", "daub6"])
-    def test_a_subclass_with_its_own_taps_gets_its_own_w(self, first, cold):
-        for family in (first, {"daub4": "daub6", "daub6": "daub4"}[first]):
-            spec = SPECS[family]
-            h, g = spec.taps, spec.highpass
-            assert np.array_equal(_matrix(spec, 16)[8:], ref_dwt_step(np.eye(16), h, g).T[8:])
-        assert SPECS["daub6"] == Daub6Spec() != SPECS["daub4"]
-        assert SPECS["daub6"].family == "daub4"
-        assert wavelet2d._matrix.cache_info().currsize == 2
 
     def test_w_and_the_sigma_blocks_reject_writes(self, cold):
         # one W serves every equal spec in the process
         spec = WaveletSpec()
         estimate_sigma(np.ones((16, 8)), spec)
-        for table in (_matrix(spec, 16), _matrix(spec, 8),
-                      *wavelet2d._product(WaveletSpec, "daub4", (16, 8))):
+        for table in (_matrix("daub4", 16), _matrix("daub4", 8),
+                      *wavelet2d._product("daub4", (16, 8))):
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 0.0
 
     def test_daub6_wraps_at_coarse_levels(self):
         # 6 taps on 16 x 8 at full depth: the last levels filter N = 2 and 4
-        spec = SPECS["daub6"]
+        spec = WaveletSpec("daub6")
         rng = np.random.default_rng(12)
         x = rng.standard_normal((3, 16, 8))
         c = dwt2_array(x, spec, x.shape[-2:])
@@ -425,12 +428,12 @@ class TestReferenceFilterBank:
     # "F" passes a column-major copy, so the products and the blocks'
     # reshape read strided data.
     @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("family", sorted(SPECS))
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_sigma_reads_the_reference_detail_quadrant(self, family, order):
-        self.check_sigma(SPECS[family], (16, 8), order)
+        self.check_sigma(family, (16, 8), order)
 
     @pytest.mark.parametrize("path", ["default", "blocks"])
-    @pytest.mark.parametrize("family", sorted(SPECS))
+    @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize(
         "shape",
@@ -443,36 +446,35 @@ class TestReferenceFilterBank:
         # included; the cold caches keep no other test's path for the shape
         if path == "blocks":
             monkeypatch.setattr(wavelet2d, "_DENSE_WORK", 0)
-        self.check_sigma(SPECS[family], shape, order)
+        self.check_sigma(family, shape, order)
 
-    def check_sigma(self, spec, shape, order):
+    def check_sigma(self, family, shape, order):
         rng = np.random.default_rng(13)
         img = rng.standard_normal(shape)
-        h, g = spec.taps, spec.highpass
+        h, g = filters(family)
         step = ref_dwt_step(ref_dwt_step(img, h, g).T, h, g).T
         dd = step[shape[0] // 2 :, shape[1] // 2 :]
         want = np.median(np.abs(dd)) / 0.6745
+        spec = WaveletSpec(family)
         assert estimate_sigma(np.array(img, order=order), spec) == pytest.approx(want, rel=1e-13)
 
-    @pytest.mark.parametrize("family", sorted(SPECS))
+    @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("shape", [(32, 32), (64, 64), (64, 32), (16, 8)])
     def test_small_frames_are_the_dense_product_bit_for_bit(self, family, shape):
         n1, n2 = shape
         assert n1 * n2 * (n1 + n2) <= wavelet2d._DENSE_WORK
-        spec = SPECS[family]
         img = np.random.default_rng(15).standard_normal(shape)
-        dd = _matrix(spec, n1)[n1 // 2 :] @ img @ _matrix(spec, n2)[n2 // 2 :].T
-        assert estimate_sigma(img, spec) == wavelet2d._median(np.abs(dd).ravel()) / 0.6745
+        dd = _matrix(family, n1)[n1 // 2 :] @ img @ _matrix(family, n2)[n2 // 2 :].T
+        assert (estimate_sigma(img, WaveletSpec(family))
+                == wavelet2d._median(np.abs(dd).ravel()) / 0.6745)
 
-    @pytest.mark.parametrize("family", sorted(SPECS))
+    @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("n", [2, 4, 8, 32, 256])
     def test_finest_rows_of_W_are_the_one_level_detail_rows(self, family, n):
         # deeper levels only transform the first half, so the last n/2 rows
         # of the full-depth W are the detail rows of one analysis step
-        spec = SPECS[family]
-        h, g = spec.taps, spec.highpass
-        one_level = ref_dwt_step(np.eye(n), h, g).T
-        assert np.array_equal(_matrix(spec, n)[n // 2 :], one_level[n // 2 :])
+        one_level = ref_dwt_step(np.eye(n), *filters(family)).T
+        assert np.array_equal(_matrix(family, n)[n // 2 :], one_level[n // 2 :])
 
 
 class TestBandOracle:
@@ -483,10 +485,9 @@ class TestBandOracle:
     @pytest.mark.parametrize("n", [32, 64, 256, 4096])
     def test_detail_rows(self, n, family, layout):
         # an axis of 32 is two blocks, so the last block's head is the first
-        spec = SPECS[family]
         rng = np.random.default_rng(n)
         x = rng.standard_normal((n, 24)) if layout == "C" else rng.standard_normal((24, n)).T
-        assert np.array_equal(wavelet2d._detail_rows(x, spec), heads_detail_rows(x, spec))
+        assert np.array_equal(wavelet2d._detail_rows(x, family), heads_detail_rows(x, family))
 
     @pytest.mark.parametrize("layout", ["C", "transposed"])
     @pytest.mark.parametrize("family", FAMILIES)
@@ -495,12 +496,11 @@ class TestBandOracle:
     def test_estimate_sigma(self, shape, family, layout):
         # 4096 x 16 runs the blocks along its long axis and the dense H of
         # the short one
-        spec = SPECS[family]
         rng = np.random.default_rng(sum(shape))
         img = rng.standard_normal(shape) if layout == "C" else rng.standard_normal(shape[::-1]).T
         assert shape[0] * shape[1] * sum(shape) > wavelet2d._DENSE_WORK
-        dd = heads_detail_rows(heads_detail_rows(img, spec).T, spec)
-        assert estimate_sigma(img, spec) == np.median(np.abs(dd)) / 0.6745
+        dd = heads_detail_rows(heads_detail_rows(img, family).T, family)
+        assert estimate_sigma(img, WaveletSpec(family)) == np.median(np.abs(dd)) / 0.6745
 
     def test_a_fit_caches_w_per_side_and_one_entry_per_frame_shape(self, cold):
         # a 256 x 128 fit: W of each side and the 32-sample W whose detail
@@ -514,8 +514,8 @@ class TestBandOracle:
         assert (W().currsize, product().currsize) == (3, 1)
         misses = (W().misses, product().misses)
         for n in (256, 128, 32):
-            _matrix(spec, n)
-        assert wavelet2d._product(WaveletSpec, "daub4", (256, 128)) == ()
+            _matrix("daub4", n)
+        assert wavelet2d._product("daub4", (256, 128)) == ()
         assert (W().misses, product().misses) == misses
 
 
@@ -572,9 +572,9 @@ class TestEstimateSigma:
         kept = img.copy()
         n1, n2 = shape
         if n1 * n2 * (n1 + n2) <= wavelet2d._DENSE_WORK:
-            dd = _matrix(spec, n1)[n1 // 2 :] @ img @ _matrix(spec, n2)[n2 // 2 :].T
+            dd = _matrix(family, n1)[n1 // 2 :] @ img @ _matrix(family, n2)[n2 // 2 :].T
         else:
-            dd = wavelet2d._detail_rows(wavelet2d._detail_rows(img, spec).T, spec)
+            dd = wavelet2d._detail_rows(wavelet2d._detail_rows(img, family).T, family)
         assert estimate_sigma(img, spec) == np.median(np.abs(dd)) / 0.6745
         assert np.array_equal(img, kept)
 
@@ -598,19 +598,19 @@ class TestEstimateSigma:
         rng = np.random.default_rng(21)
         first, second = rng.standard_normal((2,) + shape)
         want = [estimate_sigma(first, spec), estimate_sigma(second, spec)]
-        entry = wavelet2d._product(WaveletSpec, "daub4", shape)
+        entry = wavelet2d._product("daub4", shape)
         assert [estimate_sigma(first, WaveletSpec()), estimate_sigma(second, spec)] == want
-        assert wavelet2d._product(WaveletSpec, "daub4", shape) is entry
+        assert wavelet2d._product("daub4", shape) is entry
         assert wavelet2d._product.cache_info().misses == 1
         n1, n2 = shape
         if n1 * n2 * (n1 + n2) > wavelet2d._DENSE_WORK:
             assert entry == ()
         else:
             H1, H2T = entry
-            assert np.shares_memory(H1, _matrix(spec, n1))
-            assert np.shares_memory(H2T, _matrix(spec, n2))
-            assert np.array_equal(H1, _matrix(spec, n1)[n1 // 2 :])
-            assert np.array_equal(H2T, _matrix(spec, n2)[n2 // 2 :].T)
+            assert np.shares_memory(H1, _matrix("daub4", n1))
+            assert np.shares_memory(H2T, _matrix("daub4", n2))
+            assert np.array_equal(H1, _matrix("daub4", n1)[n1 // 2 :])
+            assert np.array_equal(H2T, _matrix("daub4", n2)[n2 // 2 :].T)
 
     @pytest.mark.parametrize(
         "shape, msg",
@@ -634,8 +634,8 @@ class TestEstimateSigma:
         monkeypatch.undo()
         assert 32 * 32 * 64 <= wavelet2d._DENSE_WORK
         assert estimate_sigma(img, spec) == blocks
-        assert wavelet2d._product(WaveletSpec, "daub4", (32, 32)) == ()
-        dd = wavelet2d._detail_rows(wavelet2d._detail_rows(img, spec).T, spec)
+        assert wavelet2d._product("daub4", (32, 32)) == ()
+        dd = wavelet2d._detail_rows(wavelet2d._detail_rows(img, "daub4").T, "daub4")
         assert blocks == np.median(np.abs(dd)) / 0.6745
 
     def test_has_no_robust_switch(self):
