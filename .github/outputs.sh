@@ -15,7 +15,11 @@
 # scan256 cube again at --M auto (scan256_auto: M = 32 and J = 7, so both
 # transforms run several slabs of a truncated block); and the demo cube
 # again under the dotted stem demo.v1, deconvolved from demo.v1_Y (dotted:
-# each of its six cube files is named by the whole stem).
+# each of its six cube files is named by the whole stem); the demo cube
+# fitted from its kernel's Laguerre coefficients (phi0: --kernel-coeffs
+# with phi_0's (1, 0, ..., 0) at --M 8); and f3 on 16 frames of 24 x 20
+# (non-dyadic) and of 16 x 12 (README's mixed example), each fitted with
+# --symmetrize at --M 4 (sym_24x20, sym_16x12).
 # Five commands must fail; their stderr and exit code are compared too: a
 # kernel of 1.7e308 (1), a Laguerre kernel with g_0 = 0 (3), --snr 1e-320
 # (1), a kernel CSV whose header holds a Latin-1 byte (2) and one with a
@@ -34,10 +38,13 @@ def write(path, n, g):
     np.savetxt(path, np.c_[t, g(t)], delimiter=",", header="t,value", comments="")
 write("g.csv", 32, lambda t: np.exp(-t / 2))
 write("g_long.csv", 1024, lambda t: np.exp(-t / 2))
+write("g16.csv", 16, lambda t: np.exp(-t / 2))
 write("g_aif.csv", 64,
       lambda t: (t / 0.7) ** 2.25 * np.exp(2.25 * (1 - t / 0.7)) + 0.3 * np.exp(-t / 3.5))
 np.savetxt("g_big.csv", np.c_[5.0 * np.arange(1, 33) / 32, np.full(32, 1.7e308)],
            delimiter=",", header="t,value", comments="")
+np.savetxt("phi0_coeffs.csv", np.c_[np.arange(8), np.r_[1.0, np.zeros(7)]],
+           delimiter=",", header="index,value", comments="")
 np.savetxt("g0_coeffs.csv", np.c_[np.arange(8), np.r_[0.0, np.ones(7)]],
            delimiter=",", header="index,value", comments="")
 body = open("g.csv").read().split("\n", 1)[1]
@@ -71,6 +78,15 @@ cli deconvolve --input scan256_Y --kernel g.csv --M auto --out fhat_scan256_auto
 cli simulate --function f2 --snr 5 --seed 7 --n 32 --T 5 --out demo.v1 > /dev/null 2> dotted.err
 cli deconvolve --input demo.v1_Y --kernel g.csv --M 8 --out fhat_dotted.v1 \
   --diagnostics diag_dotted.json > /dev/null 2>> dotted.err
+cli deconvolve --input demo_Y --kernel-coeffs phi0_coeffs.csv --M 8 --out fhat_phi0 \
+  --diagnostics diag_phi0.json > /dev/null 2> phi0.err
+for sides in 24:20 16:12; do
+  name=sym_${sides/:/x}
+  cli simulate --function f3 --snr 5 --seed 7 --n 16 --n1 "${sides%:*}" --n2 "${sides#*:}" \
+    --out "$name" > /dev/null 2> "$name.err"
+  cli deconvolve --input "${name}_Y" --kernel g16.csv --M 4 --symmetrize --out "fhat_$name" \
+    --diagnostics "diag_$name.json" > /dev/null 2>> "$name.err"
+done
 
 fails() {  # name, then a command that must fail: its stderr and exit code
   local name=$1 code=0

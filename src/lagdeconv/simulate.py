@@ -47,9 +47,6 @@ REFERENCE_TABLE1 = {
 }
 # the estimator of those reference values, at the default nu
 _TABLE1_CFG = EstimatorConfig(M=8)
-# run_table1 keeps no setup whose 8 cubes (64*n*n1*n2 bytes) pass this:
-# four times the 2 MiB of the 32^3 Table-1 grid
-_TABLE1_KEEP_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -255,9 +252,11 @@ class Table1Row:
         return self.mean_delta / self.reference_delta
 
 
+@lru_cache(maxsize=1)
 def _table1_setup(n: int, T: float, n1: int, n2: int) -> tuple:
     """What `run_table1` computes from the grid values (n, T, n1, n2) alone:
-    per truth (fid, f, ||f||, q, sd(q)), f and q with read-only data."""
+    per truth (fid, f, ||f||, q, sd(q)), f and q with read-only data.  The
+    last grid values' setup is the only one kept between calls."""
     cfg = SimConfig(n=n, T=T, n1=n1, n2=n2)
     truths = []
     for fid in TEST_FUNCTION_IDS:
@@ -268,10 +267,6 @@ def _table1_setup(n: int, T: float, n1: int, n2: int) -> tuple:
         _read_only(q.data)
         truths.append((fid, f, norm, q, sd))
     return tuple(truths)
-
-
-# the last grid values' setup, the only one kept between calls
-_kept_table1_setup = lru_cache(maxsize=1)(_table1_setup)
 
 
 def run_table1(
@@ -290,20 +285,17 @@ def run_table1(
     that a replicate's relative error overflows raises a ValueError naming
     it.
 
-    What the seed does not touch stays in memory after the call, for the
-    last grid values (n, T, n1, n2) only, whatever the seed and runs: the
-    four truths f and their q = g*f, read-only (8 cubes, 64*n*n1*n2 bytes,
-    2 MiB at 32^3), ||f|| and sd(q).  A call on other grid values replaces
-    it, and a call whose cubes pass 8 MiB (n*n1*n2 above 2^17, as on
-    32 x 128 x 128) keeps nothing.  So only repeated calls on one grid
-    gain; a process that calls once builds all of it.  Each call checks its
-    SNRs, builds its plan's kernel half for est_cfg, draws the noise and
-    runs the fits, every noisy cube in one reused buffer.
+    What the seed does not touch stays in memory after the call, whatever
+    the seed and runs: the four truths f and their q = g*f, read-only (8
+    cubes, 64*n*n1*n2 bytes: 2 MiB at 32^3, 32 MiB on 32 x 128 x 128),
+    ||f|| and sd(q), until a call on other grid values (n, T, n1, n2)
+    replaces them.  So only repeated calls on one grid gain; a process that
+    calls once builds all of it.  Each call checks its SNRs, builds its
+    plan's kernel half for est_cfg, draws the noise and runs the fits, every
+    noisy cube in one reused buffer.
     """
-    build = (_kept_table1_setup if 64 * cfg.n * cfg.n1 * cfg.n2 <= _TABLE1_KEEP_BYTES
-             else _table1_setup)
     grid = cfg.grid
-    truths = build(cfg.n, grid.T, cfg.n1, cfg.n2)
+    truths = _table1_setup(cfg.n, grid.T, cfg.n1, cfg.n2)
     # Every replicate of every cell shares the grid, the kernel and the
     # settings, so one plan serves them all.
     plan = Plan(grid, default_kernel(grid.points), WaveletSpec(), est_cfg, g_zero=1.0)

@@ -28,7 +28,7 @@ def short_grid() -> TimeGrid:
 
 # Every table the package keeps between calls, each an lru_cache.
 CACHES = (laguerre._basis, wavelet2d._matrix, wavelet2d._product,
-          simulate._kept_table1_setup)
+          simulate._table1_setup)
 
 
 def clear_caches():

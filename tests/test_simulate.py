@@ -580,7 +580,7 @@ class TestRunTable1:
         f, q = simulate._forward_model("f1", cfg)
         flat = Cube(grid=q.grid, data=np.ones(q.data.shape))
         monkeypatch.setattr(simulate, "_forward_model", lambda fid, cfg: (f, flat))
-        simulate._kept_table1_setup.cache_clear()  # the warm truths hold the real q
+        simulate._table1_setup.cache_clear()  # the warm truths hold the real q
         with pytest.raises(ValueError, match="q has zero variance"):
             run_table1(cfg, snrs=(3.0,))
 
@@ -620,9 +620,9 @@ class TestTable1Setup:
     @staticmethod
     def kept(cfg):
         """The truths run_table1 keeps for cfg's grid values; they must be there."""
-        info = simulate._kept_table1_setup.cache_info
+        info = simulate._table1_setup.cache_info
         hits = info().hits
-        setup = simulate._kept_table1_setup(cfg.n, cfg.grid.T, cfg.n1, cfg.n2)
+        setup = simulate._table1_setup(cfg.n, cfg.grid.T, cfg.n1, cfg.n2)
         assert info().hits == hits + 1
         return setup
 
@@ -646,9 +646,13 @@ class TestTable1Setup:
         with pytest.raises(ValueError, match=re.escape(message)):
             run_table1(self.CFG, snrs=(3.0, snr))
 
-    def test_a_call_on_a_second_grid_releases_the_first(self, cold):
-        run_table1(self.CFG, snrs=(3.0,))
-        (_, f, _, q, _), *_ = self.kept(self.CFG)
+    # 33 x 64 x 64's cubes take 8.25 MiB: a setup is kept whatever its size
+    @pytest.mark.parametrize("first", [CFG, SimConfig(n=33, n1=64, n2=64, runs=2)],
+                             ids=["16x8x8", "33x64x64"])
+    def test_a_call_on_a_second_grid_releases_the_first(self, cold, first):
+        run_table1(first, snrs=(3.0,))
+        assert simulate._table1_setup.cache_info().currsize == 1
+        (_, f, _, q, _), *_ = self.kept(first)
         refs = [weakref.ref(f), weakref.ref(q.data)]
         del f, q
         second = SimConfig(n=8, n1=8, n2=8, runs=2)
@@ -662,15 +666,7 @@ class TestTable1Setup:
         other = SimConfig(n=16, T=T, n1=8, n2=8, runs=2, seed=1)
         assert run_table1(other, snrs=(3.0,)) == rows
         assert self.kept(other) is self.kept(self.CFG)
-        assert simulate._kept_table1_setup.cache_info().misses == 1
-
-    @pytest.mark.parametrize("slack, kept", [(0, 1), (-1, 0)])
-    def test_a_setup_above_the_size_limit_is_not_kept(self, monkeypatch, cold, slack, kept):
-        rows = run_table1(self.CFG, snrs=(3.0,))
-        simulate._kept_table1_setup.cache_clear()
-        monkeypatch.setattr(simulate, "_TABLE1_KEEP_BYTES", 64 * 16 * 8 * 8 + slack)
-        assert run_table1(self.CFG, snrs=(3.0,)) == rows
-        assert simulate._kept_table1_setup.cache_info().currsize == kept
+        assert simulate._table1_setup.cache_info().misses == 1
 
 
 class TestRunSingle:
