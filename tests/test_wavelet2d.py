@@ -1,5 +1,9 @@
+import os
 import re
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
@@ -11,6 +15,13 @@ from lagdeconv import (
 from lagdeconv.wavelet2d import _matrix, dwt2_array, estimate_sigma, idwt2_array
 
 FAMILIES = ["haar", "daub4", "daub6"]
+SHAPES = [(32, 32), (16, 64), (2, 2), (128, 4)]
+
+
+def case_seed(*params):
+    """A case's seed, from its parameters' text: the same in every process,
+    where hash() of a str changes with PYTHONHASHSEED."""
+    return zlib.crc32(repr(params).encode())
 
 # Published 6-tap Daubechies lowpass filter, the registry's daub6; at the
 # coarsest levels (N = 2, 4) it is longer than the signal and wraps around it
@@ -157,14 +168,24 @@ class TestTransform:
         assert np.abs(rest).max() <= 1e-10
 
     @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("shape", [(32, 32), (16, 64), (2, 2), (128, 4)])
+    @pytest.mark.parametrize("shape", SHAPES)
     def test_perfect_reconstruction(self, family, shape):
-        # seeded by the parameters' text, the same in every process
-        rng = np.random.default_rng(zlib.crc32(repr((family, shape)).encode()))
+        rng = np.random.default_rng(case_seed(family, shape))
         spec = WaveletSpec(family=family)
         img = rng.standard_normal(shape)
         back = idwt2_array(dwt2_array(img, spec, img.shape[-2:]), spec, img.shape[-2:])
         assert np.abs(back - img).max() <= 1e-10
+
+    def test_every_process_draws_the_same_reconstruction_images(self):
+        here = Path(__file__).resolve().parent
+        code = ("import numpy as np, test_wavelet2d as t; print([np.random.default_rng("
+                "t.case_seed(f, s)).standard_normal(s).sum() for f in t.FAMILIES for s in t.SHAPES])")
+        path = os.pathsep.join([str(here), str(here.parent / "src")])
+        drawn = {subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": path,
+                                                "PYTHONHASHSEED": seed}).stdout
+                 for seed in ("1", "2")}
+        assert len(drawn) == 1
 
     def test_parseval(self):
         rng = np.random.default_rng(1)
