@@ -19,7 +19,10 @@
 # fitted from its kernel's Laguerre coefficients (phi0: --kernel-coeffs
 # with phi_0's (1, 0, ..., 0) at --M 8); and f3 on 16 frames of 24 x 20
 # (non-dyadic) and of 16 x 12 (README's mixed example), each fitted with
-# --symmetrize at --M 4 (sym_24x20, sym_16x12).
+# --symmetrize at --M 4 (sym_24x20, sym_16x12); and two odd frame counts,
+# where Simpson's weights end in the 3/8 rule: f3 on 33 frames of 16 x 16
+# at --M 8 and again at --M auto (odd33, odd33_auto), and f1 on 3 frames of
+# 8 x 8 at --M 3 (odd3: the 3/8 rule is the whole weight vector).
 # Five commands must fail; their stderr and exit code are compared too: a
 # kernel of 1.7e308 (1), a Laguerre kernel with g_0 = 0 (3), --snr 1e-320
 # (1), a kernel CSV whose header holds a Latin-1 byte (2) and one with a
@@ -39,6 +42,8 @@ def write(path, n, g):
 write("g.csv", 32, lambda t: np.exp(-t / 2))
 write("g_long.csv", 1024, lambda t: np.exp(-t / 2))
 write("g16.csv", 16, lambda t: np.exp(-t / 2))
+write("g33.csv", 33, lambda t: np.exp(-t / 2))
+write("g3.csv", 3, lambda t: np.exp(-t / 2))
 write("g_aif.csv", 64,
       lambda t: (t / 0.7) ** 2.25 * np.exp(2.25 * (1 - t / 0.7)) + 0.3 * np.exp(-t / 3.5))
 np.savetxt("g_big.csv", np.c_[5.0 * np.arange(1, 33) / 32, np.full(32, 1.7e308)],
@@ -80,6 +85,12 @@ cli deconvolve --input demo.v1_Y --kernel g.csv --M 8 --out fhat_dotted.v1 \
   --diagnostics diag_dotted.json > /dev/null 2>> dotted.err
 cli deconvolve --input demo_Y --kernel-coeffs phi0_coeffs.csv --M 8 --out fhat_phi0 \
   --diagnostics diag_phi0.json > /dev/null 2> phi0.err
+f3_case odd33 g33.csv 8 --n 33 --n1 16 --n2 16
+cli deconvolve --input odd33_Y --kernel g33.csv --M auto --out fhat_odd33_auto \
+  --diagnostics diag_odd33_auto.json > /dev/null 2> odd33_auto.err
+cli simulate --function f1 --snr 5 --seed 7 --n 3 --n1 8 --n2 8 --out odd3 > /dev/null 2> odd3.err
+cli deconvolve --input odd3_Y --kernel g3.csv --M 3 --out fhat_odd3 \
+  --diagnostics diag_odd3.json > /dev/null 2>> odd3.err
 for sides in 24:20 16:12; do
   name=sym_${sides/:/x}
   cli simulate --function f3 --snr 5 --seed 7 --n 16 --n1 "${sides%:*}" --n2 "${sides#*:}" \

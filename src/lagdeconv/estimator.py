@@ -208,12 +208,15 @@ def _sigma_hat(Y: Cube, spec: WaveletSpec) -> float:
 
 
 def thresholds(M: int, eps: float, nu: float, norms: InverseNormTable) -> np.ndarray:
-    """Level-dependent thresholds lambda_l, l = 0..M-1, for 0 < eps < 1.
+    """Level-dependent thresholds lambda_l, l = 0..M-1, for eps > 0.
 
     lambda_l = 2 eps sqrt(2 nu log(1/eps) / (l v 1)) * ||(G^(l v 1))^-1||,
     with l replaced by max(l, 1) both in the denominator and in the norm
-    index (the l = 0 operator is empty).
+    index (the l = 0 operator is empty).  For eps >= 1 log(1/eps) is
+    floored at 0, so every lambda_l is +0.0.
     """
+    if eps >= 1.0:
+        return np.zeros(M)
     log_term = -math.log(eps)  # log(1/eps) without overflowing 1/eps at subnormal eps
     lv = np.maximum(np.arange(M), 1)
     return 2.0 * eps * np.sqrt(2.0 * nu * log_term / lv) * norms.spectral[lv - 1]
@@ -240,11 +243,11 @@ def _threshold(theta: np.ndarray, eps: float, cfg: EstimatorConfig, norms: Inver
     """The threshold stage of a fit, on its (M, r1, r2) coefficient block:
     (theta, keep_counts, total_counts, lambdas, reason).
 
-    For 0 < eps < 1 it is the paper's rule, `thresholds` then
-    `hard_threshold`, and reason is None.  Otherwise reason says why not:
+    For eps > 0 it is the paper's rule, `thresholds` then `hard_threshold`,
+    and reason is None below eps = 1.  Otherwise reason says why not:
     "threshold_mode off" and "eps = 0" (which warns) return the block as
-    it is, with no counts or lambdas; "eps >= 1" warns, floors log(1/eps)
-    at 0 and hard-thresholds at zero.
+    it is, with no counts or lambdas; "eps >= 1" warns that `thresholds`
+    floors log(1/eps) at 0, so the block is hard-thresholded at zero.
     """
     M, r1, r2 = theta.shape
     if not cfg.threshold_mode:
@@ -252,11 +255,11 @@ def _threshold(theta: np.ndarray, eps: float, cfg: EstimatorConfig, norms: Inver
     if eps == 0.0:
         warnings.warn("eps = 0 with thresholding on: proceeding threshold-free")
         return theta, None, None, None, "eps = 0"
+    reason = None
     if eps >= 1.0:
         warnings.warn("eps >= 1 floors log(1/eps) at 0: all thresholds are zero")
-        lambdas, reason = np.zeros(M), "eps >= 1"
-    else:
-        lambdas, reason = thresholds(M, eps, cfg.nu, norms), None
+        reason = "eps >= 1"
+    lambdas = thresholds(M, eps, cfg.nu, norms)
     theta, keep_counts = hard_threshold(theta, lambdas)
     return theta, keep_counts, np.full(M, r1 * r2), lambdas, reason
 

@@ -124,16 +124,14 @@ class LagCoeffs:
 
 
 def _phi_rows(M: int, t: np.ndarray) -> np.ndarray:
-    """Table of phi_0..phi_{M-1} at the abscissae t, one recurrence pass."""
+    """Table of phi_0..phi_{M-1} at the abscissae t, one recurrence pass
+    (k + 1) L_{k+1} = (2k + 1 - t) L_k - k L_{k-1} from L_{-1} = 0 and
+    L_0 = 1; its k = 0 step gives L_1 = 1 - t exactly."""
     table = np.empty((M, t.size))
     damp = np.exp(-t / 2.0)
-    p_prev = np.ones_like(t)
-    table[0] = damp * p_prev
-    if M == 1:
-        return table
-    p = 1.0 - t
-    table[1] = damp * p
-    for k in range(1, M - 1):
+    p_prev, p = np.zeros_like(t), np.ones_like(t)
+    table[0] = damp * p
+    for k in range(M - 1):
         p, p_prev = ((2 * k + 1 - t) * p - k * p_prev) / (k + 1), p
         table[k + 1] = damp * p
     return table
@@ -166,24 +164,22 @@ class LaguerreBasis:
 def _simpson_weights(n_intervals: int, h: float) -> np.ndarray:
     """Composite Simpson weights for n_intervals uniform intervals.
 
-    Odd interval counts get Simpson on the leading part and the 3/8 rule on
-    the last three intervals; a single interval degrades to trapezoid.
+    One pass: Simpson's (1, 4, 1) panels on the leading e = m - 3 (m mod 2)
+    intervals, none when m = 3, then for odd m the 3/8 rule on the last
+    three; a single interval degrades to trapezoid.
     """
     m = n_intervals
     w = np.zeros(m + 1)
     if m == 1:
         w[:] = 0.5 * h
         return w
-    if m % 2 == 0:
-        w[0] = w[-1] = 1.0
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return w * h / 3.0
-    if m == 3:
-        return np.array([1.0, 3.0, 3.0, 1.0]) * 3.0 * h / 8.0
-    head = _simpson_weights(m - 3, h)
-    w[: m - 2] += head
-    w[m - 3 :] += np.array([1.0, 3.0, 3.0, 1.0]) * 3.0 * h / 8.0
+    e = m - 3 * (m % 2)
+    w[0:e:2] += 1.0
+    w[1:e:2] += 4.0
+    w[2 : e + 1 : 2] += 1.0
+    w[: e + 1] = w[: e + 1] * h / 3.0
+    if m % 2:
+        w[e:] += np.array([1.0, 3.0, 3.0, 1.0]) * 3.0 * h / 8.0
     return w
 
 

@@ -223,7 +223,7 @@ STAGE_CONDITIONS = {
         and all(type(r) is int and 1 <= r <= n for r, n in zip(block, images.shape[1:]))
     ),
     "thresholds": lambda M, eps, nu, norms: (
-        _order(M) and 0.0 < eps < 1.0 and 0.0 < nu < math.inf
+        _order(M) and 0.0 < eps < math.inf and 0.0 < nu < math.inf
         and norms.max_m >= max(M - 1, 1)
     ),
     "hard_threshold": lambda values, lambdas: (
@@ -360,6 +360,15 @@ class TestThresholds:
     def test_takes_a_numpy_integer_order_as_its_value(self, M):
         norms = inverse_norms(PHI0, 8)
         assert np.array_equal(thresholds(M, 0.1, 1.0, norms), thresholds(4, 0.1, 1.0, norms))
+
+    @pytest.mark.parametrize("eps", [1.0, 2.0, 1e308])
+    def test_eps_of_one_or_more_gives_positive_zeros(self, eps):
+        # log(1/eps) floors at 0; 2 eps overflows at 1e308, and -0.0 == 0.0,
+        # so the sign bit is read too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = thresholds(8, eps, 0.4, inverse_norms(PHI0, 8))
+        assert np.array_equal(lam, np.zeros(8)) and not np.signbit(lam).any()
 
 
 class TestHardThreshold:

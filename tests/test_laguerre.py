@@ -30,6 +30,7 @@ from lagdeconv.laguerre import (
     _is_int_at_least,
     _is_real,
     _kernel_nodes,
+    _phi_rows,
     _real_array,
     _series_with_zero,
     _simpson_weights,
@@ -49,6 +50,42 @@ def laguerre_sum(l: int, t: float) -> float:
 def phi_oracle(l: int, t):
     """Independent oracle: scipy's Laguerre polynomial L_l times exp(-t/2)."""
     return special.eval_laguerre(l, t) * np.exp(-np.asarray(t, dtype=float) / 2.0)
+
+
+# Reference forms of the two basis helpers: phi_0 and the hand-written
+# L_1 = 1 - t before the recurrence, and Simpson's weights with the 3/8 tail
+# by recursion on the leading even count.  The package's one-path forms must
+# give the same bits.
+def ref_phi_rows(M, t):
+    table = np.empty((M, t.size))
+    damp = np.exp(-t / 2.0)
+    p_prev = np.ones_like(t)
+    table[0] = damp * p_prev
+    if M == 1:
+        return table
+    p = 1.0 - t
+    table[1] = damp * p
+    for k in range(1, M - 1):
+        p, p_prev = ((2 * k + 1 - t) * p - k * p_prev) / (k + 1), p
+        table[k + 1] = damp * p
+    return table
+
+
+def ref_simpson_weights(m, h):
+    w = np.zeros(m + 1)
+    if m == 1:
+        w[:] = 0.5 * h
+        return w
+    if m % 2 == 0:
+        w[0] = w[-1] = 1.0
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        return w * h / 3.0
+    if m == 3:
+        return np.array([1.0, 3.0, 3.0, 1.0]) * 3.0 * h / 8.0
+    w[: m - 2] += ref_simpson_weights(m - 3, h)
+    w[m - 3 :] += np.array([1.0, 3.0, 3.0, 1.0]) * 3.0 * h / 8.0
+    return w
 
 
 def with_zero_column(basis) -> np.ndarray:
@@ -176,6 +213,16 @@ class TestTabulateBasis:
         expected = math.exp(-t / 2.0) * laguerre_sum(l, t)
         got = tabulate_basis(13, TimeGrid(n=1, T=t)).values[l, 0]
         assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "t",
+        [TimeGrid(n=32, T=5.0).points, TimeGrid(n=16384, T=100.0).points,
+         np.random.default_rng(3).uniform(0.0, 60.0, 200)],
+        ids=["benchmark grid", "oracle grid", "random abscissae"],
+    )
+    def test_rows_equal_the_reference_bit_for_bit(self, t):
+        for M in range(1, 65):
+            assert np.array_equal(_phi_rows(M, t), ref_phi_rows(M, t)), M
 
     def test_orthonormality_on_oracle_grid(self, oracle_grid, oracle_basis):
         # acceptance tolerance 1e-6; needs a grid that holds the basis decay
@@ -481,6 +528,11 @@ class TestSimpsonWeights:
         exact = (m * h) ** (deg + 1) / (deg + 1)
         assert np.sum(w * poly) == pytest.approx(exact, rel=1e-12)
         assert np.sum(w) == pytest.approx(m * h, rel=1e-12)
+
+    @pytest.mark.parametrize("h", [5.0 / 32, 100.0 / 16384, 0.37, 1.0 / 3.0, 7.0])
+    def test_equal_the_reference_bit_for_bit(self, h):
+        for m in range(1, 301):
+            assert np.array_equal(_simpson_weights(m, h), ref_simpson_weights(m, h)), m
 
 
 class _Level(enum.IntEnum):
