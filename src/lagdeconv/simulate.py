@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .estimator import Cube, Diagnostics, EstimatorConfig, Plan, deconvolve
-from .laguerre import (TimeGrid, _is_int_at_least, _is_real, _kernel_nodes, _read_only,
-                       _real_array, _series_with_zero)
+from .laguerre import (TimeGrid, _is_int_at_least, _is_real, _kernel_nodes, _real_array,
+                       _series_with_zero)
 from .wavelet2d import WaveletSpec
 
 __all__ = [
@@ -210,9 +209,12 @@ def relative_error(f_hat: Cube, f: Cube) -> float:
     """Discrete relative L2 error ||f_hat - f|| / ||f||.
 
     Quadrature weights (time step x pixel area) are uniform and cancel in the
-    ratio; they are kept explicit for clarity.  Cubes whose norms overflow
-    the double range raise ValueError rather than give nan or 0.
+    ratio; they are kept explicit for clarity.  Cubes on different time
+    grids or of different shapes, and cubes whose norms overflow the double
+    range, raise ValueError rather than give a number.
     """
+    if f_hat.grid != f.grid:
+        raise ValueError("cubes have different time grids")
     if f_hat.data.shape != f.data.shape:
         raise ValueError("cubes have different shapes")
     denom = _weighted_norm(f.data.copy(), f)
@@ -252,23 +254,6 @@ class Table1Row:
         return self.mean_delta / self.reference_delta
 
 
-@lru_cache(maxsize=1)
-def _table1_setup(n: int, T: float, n1: int, n2: int) -> tuple:
-    """What `run_table1` computes from the grid values (n, T, n1, n2) alone:
-    per truth (fid, f, ||f||, q, sd(q)), f and q with read-only data.  The
-    last grid values' setup is the only one kept between calls."""
-    cfg = SimConfig(n=n, T=T, n1=n1, n2=n2)
-    truths = []
-    for fid in TEST_FUNCTION_IDS:
-        f, q = _forward_model(fid, cfg)
-        norm = _weighted_norm(f.data.copy(), f)  # never zero for these truths
-        sd = _noise_sd(q)
-        _read_only(f.data)
-        _read_only(q.data)
-        truths.append((fid, f, norm, q, sd))
-    return tuple(truths)
-
-
 def run_table1(
     cfg: SimConfig,
     est_cfg: EstimatorConfig = _TABLE1_CFG,
@@ -285,17 +270,16 @@ def run_table1(
     that a replicate's relative error overflows raises a ValueError naming
     it.
 
-    What the seed does not touch stays in memory after the call, whatever
-    the seed and runs: the four truths f and their q = g*f, read-only (8
-    cubes, 64*n*n1*n2 bytes: 2 MiB at 32^3, 32 MiB on 32 x 128 x 128),
-    ||f|| and sd(q), until a call on other grid values (n, T, n1, n2)
-    replaces them.  So only repeated calls on one grid gain; a process that
-    calls once builds all of it.  Each call checks its SNRs, builds its
-    plan's kernel half for est_cfg, draws the noise and runs the fits, every
-    noisy cube in one reused buffer.
+    Each call builds the four truths f, their q = g*f, ||f|| and sd(q),
+    checks its SNRs, builds its plan for est_cfg, draws the noise and runs
+    the fits, every noisy cube in one reused buffer; it keeps none of it
+    after it returns.
     """
     grid = cfg.grid
-    truths = _table1_setup(cfg.n, grid.T, cfg.n1, cfg.n2)
+    truths = []  # (fid, f, ||f||, q, sd(q)); ||f|| is never zero for these truths
+    for fid in TEST_FUNCTION_IDS:
+        f, q = _forward_model(fid, cfg)
+        truths.append((fid, f, _weighted_norm(f.data.copy(), f), q, _noise_sd(q)))
     # Every replicate of every cell shares the grid, the kernel and the
     # settings, so one plan serves them all.
     plan = Plan(grid, default_kernel(grid.points), WaveletSpec(), est_cfg, g_zero=1.0)

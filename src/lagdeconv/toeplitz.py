@@ -99,6 +99,8 @@ def inverse_norms(kernel: LagCoeffs, max_m: int) -> InverseNormTable:
     Building K costs O(max_m^2); the eigenvalue calls cost O(max_m^4) in
     total.  A Gram table that overflows raises SingularOperatorError.
     """
+    if not isinstance(kernel, LagCoeffs):
+        raise ValueError(f"kernel must be LagCoeffs, got {type(kernel).__name__}")
     if not _is_int_at_least(max_m, 1):
         raise ValueError(f"max_m must be a positive integer, got {max_m!r}")
     c = solve_lower(kernel, np.eye(max_m)[0])

@@ -1,6 +1,6 @@
 import pytest
 
-from lagdeconv import TimeGrid, laguerre, simulate, wavelet2d
+from lagdeconv import TimeGrid, laguerre, wavelet2d
 from lagdeconv.laguerre import tabulate_basis
 
 # Grid long and fine enough that phi_0..phi_9 have decayed inside [0, T] and
@@ -27,8 +27,7 @@ def short_grid() -> TimeGrid:
 
 
 # Every table the package keeps between calls, each an lru_cache.
-CACHES = (laguerre._basis, wavelet2d._matrix, wavelet2d._product,
-          simulate._table1_setup)
+CACHES = (laguerre._basis, wavelet2d._matrix, wavelet2d._product)
 
 
 def clear_caches():

@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import warnings
 import weakref
 from fractions import Fraction
 
@@ -105,8 +107,9 @@ class TestSimConfig:
         assert SimConfig(seed=1) != a
 
     def test_two_table_runs_on_one_config_tabulate_the_basis_once(self, monkeypatch, cold):
-        # a third run, on equal grid values with a new seed, new runs and a
-        # list of SNRs, builds no truth, convolution, basis or W either
+        # each run builds its own truths and convolutions; a second and a
+        # third run, on equal grid values with a new seed, new runs and a
+        # list of SNRs, build no basis or W
         calls = {"truth": 0, "convolve": 0, "rows": 0}
 
         def counted(name, fn):
@@ -127,7 +130,8 @@ class TestSimConfig:
         calls.update(dict.fromkeys(calls, 0))
         assert run_table1(cfg, snrs=(3.0,)) == first
         run_table1(SimConfig(n=16, n1=8, n2=8, runs=3, seed=2), snrs=[5.0, 7.0])
-        assert calls == {"truth": 0, "convolve": 0, "rows": 0} and W().misses == 1
+        # _forward_model evaluates each of the 4 truths and its t = 0 slice
+        assert calls == {"truth": 16, "convolve": 8, "rows": 0} and W().misses == 1
 
 
 class TestTestFunctions:
@@ -461,6 +465,13 @@ class TestRelativeError:
         with pytest.raises(ValueError, match="cubes have different shapes"):
             relative_error(self.cube(np.ones((8, 4, 8))), f)
 
+    def test_cubes_on_different_time_grids_rejected(self):
+        # equal shapes on different grids gave 0.5
+        data = np.ones((8, 4, 4))
+        f = Cube(grid=TimeGrid(n=8, T=1.0), data=data)
+        with pytest.raises(ValueError, match="cubes have different time grids"):
+            relative_error(Cube(grid=TimeGrid(n=8, T=5.0), data=2.0 * data), f)
+
 
 class TestRunTable1:
     def test_deterministic_replicates_without_noise(self):
@@ -573,14 +584,11 @@ class TestRunTable1:
         assert not [w for w in caught if not issubclass(w.category, UserWarning)]
 
     def test_zero_variance_q_rejected(self, monkeypatch):
-        # sd(q) is taken once per function and keeps add_noise's check;
-        # the first call leaves this grid's setup warm whatever ran before
+        # sd(q) is taken once per function and keeps add_noise's check
         cfg = SimConfig(n=16, n1=16, n2=16, runs=2)
-        run_table1(cfg, snrs=(3.0,))
         f, q = simulate._forward_model("f1", cfg)
         flat = Cube(grid=q.grid, data=np.ones(q.data.shape))
         monkeypatch.setattr(simulate, "_forward_model", lambda fid, cfg: (f, flat))
-        simulate._table1_setup.cache_clear()  # the warm truths hold the real q
         with pytest.raises(ValueError, match="q has zero variance"):
             run_table1(cfg, snrs=(3.0,))
 
@@ -612,61 +620,56 @@ class TestRunTable1:
             assert abs(ra.mean_delta - rb.mean_delta) <= 3.0 * pooled
 
 
-class TestTable1Setup:
-    """run_table1 keeps what the seed does not touch for the last grid only."""
+class TestRunTable1KeepsNothing:
+    """Each run_table1 call builds its own truths and keeps none of them."""
 
     CFG = SimConfig(n=16, n1=8, n2=8, runs=2, seed=1)
 
     @staticmethod
-    def kept(cfg):
-        """The truths run_table1 keeps for cfg's grid values; they must be there."""
-        info = simulate._table1_setup.cache_info
-        hits = info().hits
-        setup = simulate._table1_setup(cfg.n, cfg.grid.T, cfg.n1, cfg.n2)
-        assert info().hits == hits + 1
-        return setup
+    def built(monkeypatch):
+        """Weak references to each truth f and q = g*f, and their data, that
+        run_table1 builds from here on."""
+        forward_model, refs = simulate._forward_model, []
 
-    def test_the_kept_truths_reject_writes(self, cold):
+        def recorded(fid, cfg):
+            f, q = forward_model(fid, cfg)
+            refs.extend(weakref.ref(x) for x in (f, f.data, q, q.data))
+            return f, q
+
+        monkeypatch.setattr(simulate, "_forward_model", recorded)
+        return refs
+
+    def test_no_truth_outlives_the_call(self, monkeypatch):
+        refs = self.built(monkeypatch)
         run_table1(self.CFG, snrs=(3.0,))
-        for _, f, _, q, _ in self.kept(self.CFG):
-            for data in (f.data, q.data):
-                with pytest.raises(ValueError, match="read-only"):
-                    data[0, 0, 0] = 0.0
+        gc.collect()
+        assert len(refs) == 16 and [ref() for ref in refs] == [None] * 16
 
-    def test_a_warm_call_equals_a_cold_one(self, cold):
-        cold_rows = run_table1(self.CFG)
-        assert run_table1(SimConfig(n=16, n1=8, n2=8, runs=2, seed=1)) == cold_rows
+    # 1e-320: sigma overflows before any fit; 1e-306: a fit's relative error overflows
+    @pytest.mark.parametrize("snr, message", [(1e-320, TINY_SNR_MESSAGE),
+                                              (1e-306, "at snr = 1e-306 the relative error")])
+    def test_no_truth_outlives_a_call_that_raises(self, monkeypatch, snr, message):
+        refs = self.built(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # eps >= 1 at 1e-306
+            with pytest.raises(ValueError, match=re.escape(message)):
+                run_table1(SimConfig(runs=2), snrs=(snr,))
+        gc.collect()
+        assert len(refs) == 16 and [ref() for ref in refs] == [None] * 16
 
-    def test_snrs_may_be_a_list(self, cold):
+    def test_snrs_may_be_a_list(self):
         assert run_table1(self.CFG, snrs=[3.0, 7.0]) == run_table1(self.CFG, snrs=(3.0, 7.0))
 
     @pytest.mark.parametrize("snr, message", bad_snrs(0.0, -3.0, True, None, "3", [3.0]))
-    def test_a_warm_setup_still_checks_each_snr(self, cold, snr, message):
+    def test_each_call_checks_each_snr(self, snr, message):
         run_table1(self.CFG, snrs=(3.0,))
         with pytest.raises(ValueError, match=re.escape(message)):
             run_table1(self.CFG, snrs=(3.0, snr))
 
-    # 33 x 64 x 64's cubes take 8.25 MiB: a setup is kept whatever its size
-    @pytest.mark.parametrize("first", [CFG, SimConfig(n=33, n1=64, n2=64, runs=2)],
-                             ids=["16x8x8", "33x64x64"])
-    def test_a_call_on_a_second_grid_releases_the_first(self, cold, first):
-        run_table1(first, snrs=(3.0,))
-        assert simulate._table1_setup.cache_info().currsize == 1
-        (_, f, _, q, _), *_ = self.kept(first)
-        refs = [weakref.ref(f), weakref.ref(q.data)]
-        del f, q
-        second = SimConfig(n=8, n1=8, n2=8, runs=2)
-        run_table1(second, snrs=(3.0,))
-        assert [ref() for ref in refs] == [None, None]
-        assert self.kept(second)[0][1].grid == TimeGrid(n=8, T=5.0)
-
     @pytest.mark.parametrize("T", [5, Fraction(5)], ids=repr)
-    def test_equal_grid_values_share_one_setup(self, cold, T):
+    def test_equal_grid_values_give_equal_rows(self, T):
         rows = run_table1(self.CFG, snrs=(3.0,))
-        other = SimConfig(n=16, T=T, n1=8, n2=8, runs=2, seed=1)
-        assert run_table1(other, snrs=(3.0,)) == rows
-        assert self.kept(other) is self.kept(self.CFG)
-        assert simulate._table1_setup.cache_info().misses == 1
+        assert run_table1(SimConfig(n=16, T=T, n1=8, n2=8, runs=2, seed=1), snrs=(3.0,)) == rows
 
 
 class TestRunSingle:

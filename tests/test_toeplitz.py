@@ -316,6 +316,13 @@ class TestInverseNorms:
                            match=re.escape(f"max_m must be a positive integer, got {max_m!r}")):
             inverse_norms(PHI0_COEFFS, max_m)
 
+    # an array or a list failed deep in solve_lower, on a missing `m`
+    @pytest.mark.parametrize("kernel", [np.array([1.0, 0.5]), [1.0, 0.5]], ids=["ndarray", "list"])
+    def test_a_kernel_that_is_not_lag_coeffs_is_named(self, kernel):
+        message = f"kernel must be LagCoeffs, got {type(kernel).__name__}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            inverse_norms(kernel, 2)
+
     def test_a_table_compares_and_hashes_by_identity(self):
         # its fields are arrays: a generated __eq__ raised numpy's ambiguous
         # truth value and a generated __hash__ a TypeError
