@@ -10,9 +10,8 @@ line matches one of [tool.coverage.report] exclude_lines, block and all.
 Exits 1 and lists every statement that did not run, as path:line, or with
 pytest's own status when a test fails; 0 when every statement ran.
 
-Lines are recorded with sys.monitoring on Python 3.12 and later and with
-sys.settrace before, in this process only: lines a test runs in a
-subprocess do not count.  Needs Python 3.11 or later, for tomllib.
+Lines are recorded with sys.settrace and threading.settrace, in this
+process only: lines a test runs in a subprocess do not count.  Needs Python 3.11 or later, for tomllib.
 """
 
 from __future__ import annotations
@@ -64,43 +63,22 @@ def lines_run(func, paths) -> tuple[object, dict[str, set[int]]]:
             hits[filename] = ran.get(os.path.realpath(filename))
         return hits[filename]
 
-    if sys.version_info >= (3, 12):
-        mon = sys.monitoring
-        tool = next(i for i in (mon.COVERAGE_ID, *range(6)) if mon.get_tool(i) is None)
+    def local(frame, event, arg):
+        if event == "line":
+            hits[frame.f_code.co_filename].add(frame.f_lineno)
+        return local
 
-        def line(code, lineno):
-            found = hits_of(code.co_filename)
-            if found is not None:
-                found.add(lineno)
-            return mon.DISABLE
+    def calls(frame, event, arg):
+        return local if hits_of(frame.f_code.co_filename) is not None else None
 
-        mon.use_tool_id(tool, "stmt_coverage")
-        mon.restart_events()  # lines an earlier run disabled report again
-        mon.register_callback(tool, mon.events.LINE, line)
-        mon.set_events(tool, mon.events.LINE)
-        try:
-            result = func()
-        finally:
-            mon.set_events(tool, 0)
-            mon.register_callback(tool, mon.events.LINE, None)
-            mon.free_tool_id(tool)
-    else:
-        def local(frame, event, arg):
-            if event == "line":
-                hits[frame.f_code.co_filename].add(frame.f_lineno)
-            return local
-
-        def calls(frame, event, arg):
-            return local if hits_of(frame.f_code.co_filename) is not None else None
-
-        before = sys.gettrace(), threading.gettrace()
-        threading.settrace(calls)
-        sys.settrace(calls)
-        try:
-            result = func()
-        finally:
-            sys.settrace(before[0])
-            threading.settrace(before[1])
+    before = sys.gettrace(), threading.gettrace()
+    threading.settrace(calls)
+    sys.settrace(calls)
+    try:
+        result = func()
+    finally:
+        sys.settrace(before[0])
+        threading.settrace(before[1])
     return result, {p: ran[os.path.realpath(p)] for p in paths}
 
 
